@@ -6,8 +6,8 @@
 //! * **Mixed stream at 10⁴ customers** — arrivals, departures, capacity
 //!   changes and provider moves in the default `ArrivalProcess` mix. The
 //!   row reports incremental events/sec, the repair-tier breakdown (local /
-//!   expanded / full / warm-started) and the final cost against a
-//!   from-scratch IDA solve of the final world.
+//!   expanded / full) and the final cost against a from-scratch IDA solve
+//!   of the final world.
 //! * **Single-customer arrivals at 10⁵ customers** — the headline
 //!   comparison: incremental events/sec must be ≥ 5× the events/sec a
 //!   full-re-solve-per-event baseline could sustain (measured as the wall
@@ -43,9 +43,8 @@ struct Scale {
     capacity: u32,
     events: u64,
     arrivals_only: bool,
-    /// Force a couple of mid-stream full re-solves (exercising the
-    /// warm-start path) instead of the default 25 % threshold, which a
-    /// bounded stream never crosses at these sizes.
+    /// Force a couple of mid-stream full re-solves instead of the default
+    /// 25 % threshold, which a bounded stream never crosses at these sizes.
     dirty_threshold: f64,
 }
 
@@ -115,11 +114,6 @@ fn main() {
         };
         let cfg = ContinuousConfig {
             dirty_threshold: spec.dirty_threshold,
-            // The 10⁴ mixed world sits at 10⁶ provider-customer edges, where
-            // a *cold* in-memory SSPA full solve takes minutes; cap the
-            // limit so that scale's full re-solves run IDA instead (small
-            // instances stay on the warm-startable in-memory path).
-            sspa_edge_limit: 500_000,
             ..ContinuousConfig::default()
         };
 
@@ -171,13 +165,8 @@ fn main() {
             cost_ratio,
         );
         println!(
-            "          repairs: local={} expansions={} full={} warm={} evicted={} aborted={}",
-            s.local_repairs,
-            s.expansions,
-            s.full_resolves,
-            s.warm_full_resolves,
-            s.evicted,
-            s.aborted_repairs,
+            "          repairs: local={} expansions={} full={} evicted={} aborted={}",
+            s.local_repairs, s.expansions, s.full_resolves, s.evicted, s.aborted_repairs,
         );
 
         if !quick && spec.arrivals_only {
@@ -196,7 +185,7 @@ fn main() {
              \"events\": {}, \"events_per_sec\": {:.2}, \"full_resolve_events_per_sec\": {:.4}, \
              \"speedup_vs_full\": {:.1}, \"cost_ratio_vs_scratch\": {:.4}, \"build_s\": {:.2}, \
              \"local_repairs\": {}, \"expansions\": {}, \"full_resolves\": {}, \
-             \"warm_full_resolves\": {}, \"evicted\": {}}}",
+             \"evicted\": {}}}",
             spec.name,
             spec.customers,
             spec.providers,
@@ -210,7 +199,6 @@ fn main() {
             s.local_repairs,
             s.expansions,
             s.full_resolves,
-            s.warm_full_resolves,
             s.evicted,
         ));
     }

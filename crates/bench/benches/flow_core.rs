@@ -6,10 +6,9 @@
 //! * `sspa_cold` — full cold SSPA solves with the radix frontier vs. the
 //!   binary-heap frontier (the pre-radix engine), same instance. The two
 //!   costs are asserted bit-identical — the radix queue is a pure speed
-//!   lever, never an answer lever.
+//!   lever, never an answer lever. Each row carries the solve's own
+//!   settle/augment time split and frontier-queue counters.
 //! * `sspa_warm` — warm resume of the identical instance from the cache.
-//! * `sspa_profiled` — one profiled cold solve with the solve-phase time
-//!   breakdown (settle/augment/heap) and frontier-queue counters.
 //!
 //! Writes `BENCH_flow.json` (override with `CCA_BENCH_OUT`). Run with
 //! `cargo bench --bench flow_core`; pass `-- --quick` for a CI smoke run.
@@ -17,10 +16,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cca::flow::{
-    solve_complete_bipartite_profiled, solve_complete_bipartite_warm_ctx, solve_with_frontier,
-    FlowCustomer, FlowGraph, FlowProvider, FrontierKind, SspaCache,
-};
+use cca::flow::{FlowCustomer, FlowGraph, FlowProvider, FrontierKind, Sspa, SspaCache, SspaStats};
 use cca::geo::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,20 +112,36 @@ fn main() {
         ("radix", FrontierKind::Radix),
         ("binary", FrontierKind::Binary),
     ] {
+        let sspa = Sspa {
+            frontier: kind,
+            ..Sspa::default()
+        };
         let mut best_ms = f64::INFINITY;
-        let mut settled = 0u64;
+        let mut s = SspaStats::default();
         let mut cost_bits = 0u64;
         for _ in 0..scale.rounds {
             let start = Instant::now();
-            let (asg, stats) = solve_with_frontier(&providers, &customers, kind);
-            best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-            settled = stats.settled;
+            let (asg, stats) = sspa
+                .solve(&providers, &customers)
+                .expect("no context, no abort");
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            if ms < best_ms {
+                (best_ms, s) = (ms, stats);
+            }
             cost_bits = asg.cost.to_bits();
         }
-        println!("sspa_cold {name:6} {best_ms:8.2} ms  settled={settled}");
+        let (settle_ms, augment_ms) = (s.settle_ns as f64 / 1e6, s.augment_ns as f64 / 1e6);
+        println!(
+            "sspa_cold {name:6} {best_ms:8.2} ms  settled={} settle={settle_ms:.2} ms \
+             augment={augment_ms:.2} ms pushes={} pops={} decrease_keys={} fallbacks={}",
+            s.settled, s.heap_pushes, s.heap_pops, s.decrease_keys, s.radix_fallbacks
+        );
         rows.push(format!(
             "    {{\"workload\": \"sspa_cold\", \"frontier\": \"{name}\", \
-             \"ms\": {best_ms:.2}, \"settled\": {settled}}}"
+             \"ms\": {best_ms:.2}, \"settled\": {}, \"settle_ms\": {settle_ms:.2}, \
+             \"augment_ms\": {augment_ms:.2}, \"heap_pushes\": {}, \"heap_pops\": {}, \
+             \"decrease_keys\": {}, \"radix_fallbacks\": {}}}",
+            s.settled, s.heap_pushes, s.heap_pops, s.decrease_keys, s.radix_fallbacks
         ));
         cold.push(cost_bits);
     }
@@ -143,12 +155,16 @@ fn main() {
     let mut warm_settled = 0u64;
     for _ in 0..scale.rounds {
         let cache = SspaCache::new();
-        solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
+        let sspa = Sspa {
+            cache: Some(&cache),
+            ..Sspa::default()
+        };
+        sspa.solve(&providers, &customers)
             .expect("no context, no abort");
         let start = Instant::now();
-        let (_, stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
-                .expect("no context, no abort");
+        let (_, stats) = sspa
+            .solve(&providers, &customers)
+            .expect("no context, no abort");
         warm_ms = warm_ms.min(start.elapsed().as_secs_f64() * 1e3);
         warm_settled = stats.settled;
         assert!(stats.warm_started, "second solve must resume from cache");
@@ -156,26 +172,6 @@ fn main() {
     println!("sspa_warm        {warm_ms:8.2} ms  settled={warm_settled}");
     rows.push(format!(
         "    {{\"workload\": \"sspa_warm\", \"ms\": {warm_ms:.2}, \"settled\": {warm_settled}}}"
-    ));
-
-    // ---- sspa_profiled: solve-phase breakdown -----------------------
-    let (_, s) = solve_complete_bipartite_profiled(&providers, &customers);
-    let (settle_ms, augment_ms, heap_ms) = (
-        s.settle_ns as f64 / 1e6,
-        s.augment_ns as f64 / 1e6,
-        s.heap_ns as f64 / 1e6,
-    );
-    println!(
-        "sspa_profiled    settle={settle_ms:.2} ms augment={augment_ms:.2} ms \
-         heap={heap_ms:.2} ms pushes={} pops={} decrease_keys={} fallbacks={}",
-        s.heap_pushes, s.heap_pops, s.decrease_keys, s.radix_fallbacks
-    );
-    rows.push(format!(
-        "    {{\"workload\": \"sspa_profiled\", \"settle_ms\": {settle_ms:.2}, \
-         \"augment_ms\": {augment_ms:.2}, \"heap_ms\": {heap_ms:.2}, \
-         \"heap_pushes\": {}, \"heap_pops\": {}, \"decrease_keys\": {}, \
-         \"radix_fallbacks\": {}}}",
-        s.heap_pushes, s.heap_pops, s.decrease_keys, s.radix_fallbacks
     ));
 
     // ---- emit -------------------------------------------------------

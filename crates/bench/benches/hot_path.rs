@@ -5,9 +5,11 @@
 //!   threads. Hits are served by the seqlock hot directory without taking
 //!   the shard mutex; the row records the lock acquisitions per million
 //!   reads to prove it.
-//! * `dist_kernel` — the scalar `Point::dist2` / `Rect::mindist2` loops
-//!   vs. the batched struct-of-arrays kernels (`cca_geo::kernel`) the NN
-//!   traversals use for node expansion.
+//! * `dist_kernel` — the scalar `Point::dist2` loop vs. the batched
+//!   struct-of-arrays kernel (`cca_geo::kernel`) the NN traversals use for
+//!   leaf expansion, plus the scalar `Rect::mindist2` loop inner nodes are
+//!   scored with (its batched rival lost; see the committed `rect_batched`
+//!   rows in `BENCH_hotpath.json`).
 //! * `hilbert_scan` — a full sequential point scan over the bulk-loaded
 //!   tree, whose leaves are placed in Hilbert order; with a small buffer
 //!   the fault count shows each page is read exactly once.
@@ -26,7 +28,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::flow::{solve_complete_bipartite_warm_ctx, FlowCustomer, FlowProvider, SspaCache};
+use cca::flow::{FlowCustomer, FlowProvider, Sspa, SspaCache};
 use cca::geo::{kernel, Point, Rect};
 use cca::storage::{PageId, PageStore, QueryContext};
 use cca::{SolverConfig, SpatialAssignment};
@@ -187,8 +189,6 @@ fn main() {
         .collect();
     let q = Point::new(500.0, 500.0);
     let (xs, ys): (Vec<f64>, Vec<f64>) = pts.iter().map(|p| (p.x, p.y)).unzip();
-    let (lox, loy): (Vec<f64>, Vec<f64>) = rects.iter().map(|r| (r.lo.x, r.lo.y)).unzip();
-    let (hix, hiy): (Vec<f64>, Vec<f64>) = rects.iter().map(|r| (r.hi.x, r.hi.y)).unzip();
     let mut out = vec![0.0f64; KERNEL_N];
 
     let variants: Vec<(&str, f64)> = vec![
@@ -208,12 +208,6 @@ fn main() {
                 rects.iter().map(|r| r.mindist2(&q)).sum()
             }),
         ),
-        ("rect_batched", {
-            kernel_rate(scale.kernel_reps, || {
-                kernel::rect_mindist2_batch(q.x, q.y, &lox, &loy, &hix, &hiy, &mut out);
-                out[KERNEL_N - 1]
-            })
-        }),
     ];
     for (variant, melems) in &variants {
         println!("dist_kernel {variant:14} {melems:8.1} Melem/s");
@@ -284,19 +278,25 @@ fn main() {
     let mut warm_settled = 0u64;
     for _ in 0..scale.rounds {
         let start = Instant::now();
-        let (cold, stats) = solve_complete_bipartite_warm_ctx(&providers, &customers, None, None)
+        let (cold, stats) = Sspa::default()
+            .solve(&providers, &customers)
             .expect("no context, no abort");
         cold_ms = cold_ms.min(start.elapsed().as_secs_f64() * 1e3);
         cold_settled = stats.settled;
 
         let cache = SspaCache::new();
+        let resuming = Sspa {
+            cache: Some(&cache),
+            ..Sspa::default()
+        };
         // Populate, then resume the identical instance from the cache.
-        solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
+        resuming
+            .solve(&providers, &customers)
             .expect("no context, no abort");
         let start = Instant::now();
-        let (warm, stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
-                .expect("no context, no abort");
+        let (warm, stats) = resuming
+            .solve(&providers, &customers)
+            .expect("no context, no abort");
         warm_ms = warm_ms.min(start.elapsed().as_secs_f64() * 1e3);
         warm_settled = stats.settled;
         assert!(stats.warm_started, "second solve must resume from cache");

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::hint::black_box;
 
 use cca::core::approx::refine::{exclusive_nn, nn_based, RefineProvider};
-use cca::flow::{solve_complete_bipartite, unit_customers, DijkstraState, FlowGraph, FlowProvider};
+use cca::flow::{unit_customers, DijkstraState, FlowGraph, FlowProvider, Sspa};
 use cca::geo::{hilbert, Point};
 use cca::rtree::RTree;
 use cca::storage::PageStore;
@@ -90,7 +90,13 @@ fn bench_flow(c: &mut Criterion) {
         .collect();
     let customers = unit_customers(&random_points(200, 4));
     g.bench_function("sspa_20x200", |b| {
-        b.iter(|| black_box(solve_complete_bipartite(&providers, &customers)));
+        b.iter(|| {
+            black_box(
+                Sspa::default()
+                    .solve(&providers, &customers)
+                    .expect("no context, no abort"),
+            )
+        });
     });
     g.finish();
 }

@@ -87,13 +87,10 @@ fn main() {
         );
     }
 
-    // Flow-core probe: profiled cold + warm SSPA on a mid-size instance,
-    // with the solve-phase time breakdown and frontier-queue counters.
+    // Flow-core probe: cold + warm SSPA on a mid-size instance, with the
+    // solve-phase time breakdown and frontier-queue counters.
     if want("flow") {
-        use cca::flow::{
-            solve_complete_bipartite_profiled, solve_complete_bipartite_warm_ctx, FlowCustomer,
-            FlowProvider, SspaCache,
-        };
+        use cca::flow::{FlowCustomer, FlowProvider, Sspa, SspaCache};
         use cca::geo::Point;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -110,27 +107,30 @@ fn main() {
                 weight: 1,
             })
             .collect();
+        let cache = SspaCache::new();
+        let sspa = Sspa {
+            cache: Some(&cache),
+            ..Sspa::default()
+        };
         let t0 = Instant::now();
-        let (asg, s) = solve_complete_bipartite_profiled(&providers, &customers);
+        let (asg, s) = sspa
+            .solve(&providers, &customers)
+            .expect("no context, no abort");
         let wall = t0.elapsed();
         eprintln!(
-            "  flow cold  cost={:>10.1} wall={wall:?} settle={:.2?} augment={:.2?} heap={:.2?}",
+            "  flow cold  cost={:>10.1} wall={wall:?} settle={:.2?} augment={:.2?}",
             asg.cost,
             std::time::Duration::from_nanos(s.settle_ns),
             std::time::Duration::from_nanos(s.augment_ns),
-            std::time::Duration::from_nanos(s.heap_ns),
         );
         eprintln!(
             "  flow cold  settled={} pushes={} pops={} decrease_keys={} radix_fallbacks={}",
             s.settled, s.heap_pushes, s.heap_pops, s.decrease_keys, s.radix_fallbacks,
         );
-        let cache = SspaCache::new();
-        solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
-            .expect("no context, no abort");
         let t0 = Instant::now();
-        let (warm, s) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
-                .expect("no context, no abort");
+        let (warm, s) = sspa
+            .solve(&providers, &customers)
+            .expect("no context, no abort");
         eprintln!(
             "  flow warm  cost={:>10.1} wall={:?} settled={} warm_units={} settle={:.2?} augment={:.2?}",
             warm.cost,
@@ -169,12 +169,11 @@ fn main() {
         let wall = t0.elapsed();
         let s = engine.stats();
         eprintln!(
-            "  dyn  {events} events in {wall:?} ({:.0} ev/s) local={} expand={} full={} warm={} evicted={} deficit={}",
+            "  dyn  {events} events in {wall:?} ({:.0} ev/s) local={} expand={} full={} evicted={} deficit={}",
             events as f64 / wall.as_secs_f64(),
             s.local_repairs,
             s.expansions,
             s.full_resolves,
-            s.warm_full_resolves,
             s.evicted,
             engine.deficit(),
         );

@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::time::Instant;
 
-use cca_flow::sspa::{solve_complete_bipartite_bulk_ctx, FlowCustomer, FlowProvider};
+use cca_flow::sspa::{FlowCustomer, FlowProvider, Sspa};
 use cca_geo::{OrdF64, Point};
 use cca_rtree::RTree;
 use cca_storage::QueryContext;
@@ -254,7 +254,12 @@ pub fn coreset_points(
             .iter()
             .map(|&(pos, weight)| FlowCustomer { pos, weight })
             .collect();
-        let (asg, sspa_stats) = match solve_complete_bipartite_bulk_ctx(&fps, &fcs, ctx) {
+        let sspa = Sspa {
+            ctx,
+            bulk: true,
+            ..Sspa::default()
+        };
+        let (asg, sspa_stats) = match sspa.solve(&fps, &fcs) {
             Ok(complete) => complete,
             Err(aborted) => (aborted.partial, aborted.stats),
         };

@@ -2,10 +2,7 @@
 
 use std::collections::HashMap;
 
-use cca_flow::sspa::{
-    solve_complete_bipartite_ctx, solve_complete_bipartite_warm_ctx, CacheDelta, FlowCustomer,
-    FlowProvider, SspaCache,
-};
+use cca_flow::sspa::{FlowCustomer, FlowProvider, Sspa};
 use cca_geo::Point;
 use cca_rtree::RTree;
 use cca_storage::{Aborted, PageStore, QueryContext};
@@ -20,8 +17,8 @@ use super::events::{ContinuousConfig, DynamicStats, EventReport, RepairKind, Wor
 /// Each [`ContinuousAssignment::apply`] runs in two phases:
 ///
 /// 1. **Commit** — the world change itself (customer list, R-tree
-///    maintenance, provider capacities, SSPA-cache delta). This phase is
-///    infallible and conservative: it only ever *removes* assignment (a
+///    maintenance, provider capacities). This phase is infallible and
+///    conservative: it only ever *removes* assignment (a
 ///    departing customer's pair; evictions under a capacity cut), so the
 ///    matching stays feasible no matter what happens next. Page traffic is
 ///    charged to the event's [`QueryContext`], but maintenance is atomic —
@@ -34,18 +31,16 @@ use super::events::{ContinuousConfig, DynamicStats, EventReport, RepairKind, Wor
 ///    [`ContinuousConfig::max_expansions`] times; when the accumulated
 ///    dirty fraction crosses [`ContinuousConfig::dirty_threshold`] — or the
 ///    neighbourhood cannot absorb the deficit — it falls back to a full
-///    re-solve, warm-started from the incrementally maintained
-///    [`SspaCache`] when the instance fits the in-memory SSPA. An abort
+///    re-solve: a from-scratch IDA over the live customers. An abort
 ///    unwinds to the phase-1 matching; [`ContinuousAssignment::repair`]
 ///    finishes the work later.
 ///
-/// Customers are stored densely (slot order); departures swap the last slot
-/// in, mirroring [`CacheDelta::RemoveCustomer`]'s index semantics exactly so
-/// the cached SSPA state tracks the engine's solve order.
+/// Customers are stored densely (slot order); a departure swaps the last
+/// slot into the vacated one.
 pub struct ContinuousAssignment {
     cfg: ContinuousConfig,
     providers: Vec<(Point, u32)>,
-    /// Dense live-customer positions (slot order = SSPA solve order).
+    /// Dense live-customer positions (slot order).
     customers: Vec<Point>,
     /// Slot → stable external id (ids are never reused).
     ids: Vec<u64>,
@@ -55,7 +50,6 @@ pub struct ContinuousAssignment {
     load: Vec<u32>,
     size: u64,
     tree: RTree,
-    cache: SspaCache,
     /// Events since the last full re-solve.
     dirty: usize,
     stats: DynamicStats,
@@ -95,7 +89,6 @@ impl ContinuousAssignment {
             size: 0,
             customers,
             tree,
-            cache: SspaCache::new(),
             dirty: 0,
             stats: DynamicStats::default(),
             registry: SolverRegistry::with_defaults(),
@@ -150,14 +143,6 @@ impl ContinuousAssignment {
                 self.assigned.push(None);
                 self.slot_of.insert(id, slot);
                 self.tree.insert_ctx(pos, id, ctx);
-                if self.cache_active() {
-                    let fp = self.flow_providers();
-                    self.cache.apply_delta(CacheDelta::AddCustomer {
-                        pos,
-                        weight: 1,
-                        providers: &fp,
-                    });
-                }
                 (pos, true)
             }
             WorldEvent::CustomerDepart { id } => {
@@ -173,21 +158,12 @@ impl ContinuousAssignment {
                     self.size -= 1;
                 }
                 self.tree.delete_ctx(pos, id, ctx);
-                // Swap-with-last, mirrored into the cache's index space.
                 self.customers.swap_remove(slot);
                 self.ids.swap_remove(slot);
                 self.assigned.swap_remove(slot);
                 self.slot_of.remove(&id);
                 if slot < self.ids.len() {
                     self.slot_of.insert(self.ids[slot], slot);
-                }
-                if self.cache_active() {
-                    self.cache.apply_delta(CacheDelta::RemoveCustomer {
-                        index: slot,
-                        weight: 1,
-                    });
-                } else {
-                    self.cache.clear();
                 }
                 // An unmatched departure only shrinks the feasible set the
                 // old optimum never used — no re-optimization to do.
@@ -219,22 +195,11 @@ impl ContinuousAssignment {
                     self.size -= 1;
                     self.stats.evicted += 1;
                 }
-                if self.cache_active() {
-                    self.cache.apply_delta(CacheDelta::SetProviderCapacity {
-                        index,
-                        old_cap,
-                        new_cap,
-                    });
-                } else {
-                    self.cache.clear();
-                }
                 (pos, new_cap != old_cap)
             }
             WorldEvent::ProviderMove { index, to } => {
                 self.stats.moves += 1;
                 self.providers[index].0 = to;
-                // Every incident cost changed; nothing certifiable remains.
-                self.cache.apply_delta(CacheDelta::MoveProvider { index });
                 (to, true)
             }
         }
@@ -407,8 +372,12 @@ impl ContinuousAssignment {
                 weight: 1,
             })
             .collect();
-        let (asg, _) = solve_complete_bipartite_ctx(&sub_providers, &sub_customers, ctx)
-            .map_err(|fa| Aborted { reason: fa.reason })?;
+        let (asg, _) = Sspa {
+            ctx,
+            ..Sspa::default()
+        }
+        .solve(&sub_providers, &sub_customers)
+        .map_err(|fa| Aborted { reason: fa.reason })?;
 
         // Splice: release the local pairs, install the sub-solution.
         for &slot in &slots {
@@ -427,75 +396,36 @@ impl ContinuousAssignment {
         Ok(())
     }
 
-    /// Full re-solve: in-memory SSPA (warm-startable from the maintained
-    /// cache) when the instance fits, IDA over the customer set otherwise.
+    /// Full re-solve: a from-scratch IDA over the live customers.
     fn full_resolve(&mut self, ctx: Option<&QueryContext>) -> Result<(), Aborted> {
         self.stats.full_resolves += 1;
-        if self.cache_active() {
-            let fp = self.flow_providers();
-            let fc: Vec<FlowCustomer> = self
-                .customers
-                .iter()
-                .map(|&pos| FlowCustomer { pos, weight: 1 })
-                .collect();
-            let (asg, sspa_stats) =
-                solve_complete_bipartite_warm_ctx(&fp, &fc, ctx, Some(&self.cache))
-                    .map_err(|fa| Aborted { reason: fa.reason })?;
-            if sspa_stats.warm_started {
-                self.stats.warm_full_resolves += 1;
-            }
-            self.assigned.fill(None);
-            self.load.fill(0);
-            self.size = 0;
-            for (q, p, units) in asg.pairs {
-                debug_assert_eq!(units, 1);
-                self.assigned[p] = Some(q as u32);
-                self.load[q] += 1;
-                self.size += 1;
-            }
-        } else {
-            self.cache.clear();
-            let solver = self
-                .registry
-                .build(&SolverConfig::new("ida"))
-                .expect("ida is registered");
-            let problem = Problem::new(&self.providers).with_customers(&self.customers);
-            let problem = match ctx {
-                Some(c) => problem.with_context(c),
-                None => problem,
-            };
-            let outcome = solver.run(&problem);
-            if let Some(reason) = outcome.abort_reason() {
-                // Keep the phase-1 matching: the partial solve is discarded
-                // (it may be smaller than what we already hold).
-                return Err(Aborted { reason });
-            }
-            let (matching, _) = outcome.into_parts();
-            self.assigned.fill(None);
-            self.load.fill(0);
-            self.size = 0;
-            for pair in matching.pairs {
-                let slot = usize::try_from(pair.customer).expect("slot fits usize");
-                self.assigned[slot] = Some(pair.provider as u32);
-                self.load[pair.provider] += 1;
-                self.size += 1;
-            }
+        let solver = self
+            .registry
+            .build(&SolverConfig::new("ida"))
+            .expect("ida is registered");
+        let problem = Problem::new(&self.providers).with_customers(&self.customers);
+        let problem = match ctx {
+            Some(c) => problem.with_context(c),
+            None => problem,
+        };
+        let outcome = solver.run(&problem);
+        if let Some(reason) = outcome.abort_reason() {
+            // Keep the phase-1 matching: the partial solve is discarded
+            // (it may be smaller than what we already hold).
+            return Err(Aborted { reason });
+        }
+        let (matching, _) = outcome.into_parts();
+        self.assigned.fill(None);
+        self.load.fill(0);
+        self.size = 0;
+        for pair in matching.pairs {
+            let slot = usize::try_from(pair.customer).expect("slot fits usize");
+            self.assigned[slot] = Some(pair.provider as u32);
+            self.load[pair.provider] += 1;
+            self.size += 1;
         }
         self.dirty = 0;
         Ok(())
-    }
-
-    /// True while full re-solves go through the in-memory SSPA and the
-    /// cache is worth maintaining.
-    fn cache_active(&self) -> bool {
-        self.providers.len() * self.customers.len() <= self.cfg.sspa_edge_limit
-    }
-
-    fn flow_providers(&self) -> Vec<FlowProvider> {
-        self.providers
-            .iter()
-            .map(|&(pos, cap)| FlowProvider { pos, cap })
-            .collect()
     }
 
     /// `γ = min(|P|, Σk)` of the current world.
@@ -691,15 +621,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_dirty_threshold_forces_full_resolves_and_warms_from_the_cache() {
+    fn zero_dirty_threshold_forces_a_full_resolve_per_event() {
         let mut cfg = engine_cfg();
         cfg.dirty_threshold = 0.0; // every event crosses the threshold
-        let (mut providers, customers) = random_instance(104, 5, 40, 3);
-        // Providers in one corner so a far arrival cannot undercut the
-        // cached marginal cost (the AddCustomer delta stays certified).
-        for (p, _) in providers.iter_mut() {
-            *p = Point::new(p.x * 0.05, p.y * 0.05);
-        }
+        let (providers, customers) = random_instance(104, 5, 40, 3);
         let mut engine = ContinuousAssignment::build(providers, customers, cfg);
         for i in 0..5u64 {
             let report = engine.apply(
@@ -714,10 +639,6 @@ mod tests {
         }
         let stats = engine.stats();
         assert_eq!(stats.full_resolves, 1 + 5, "initial solve + one per event");
-        assert!(
-            stats.warm_full_resolves >= 4,
-            "certified arrival deltas must keep the cache warm: {stats:?}"
-        );
         let want = scratch_cost(&engine);
         assert!((engine.cost() - want).abs() < 1e-6 * want.max(1.0));
     }

@@ -63,10 +63,8 @@ pub struct DynamicStats {
     pub local_repairs: u64,
     /// Neighbourhood expansions beyond the first round.
     pub expansions: u64,
-    /// Full re-solves, and how many of them resumed warm from the
-    /// incrementally maintained SSPA cache.
+    /// Full re-solves (the initial solve included).
     pub full_resolves: u64,
-    pub warm_full_resolves: u64,
     /// Repairs cut short by a context abort.
     pub aborted_repairs: u64,
 }
@@ -89,10 +87,6 @@ pub struct ContinuousConfig {
     /// Dirty fraction (events since the last full solve / live customers)
     /// above which the engine re-solves from scratch instead of patching.
     pub dirty_threshold: f64,
-    /// Largest `|Q|·|P|` for which full re-solves use the in-memory SSPA
-    /// (warm-started from the maintained cache); above it they run IDA over
-    /// the customer set and the cache is left inactive.
-    pub sspa_edge_limit: usize,
     /// Page size of the engine-owned customer R-tree.
     pub page_size: usize,
     /// Buffer-pool pages of the engine-owned customer R-tree.
@@ -107,7 +101,6 @@ impl Default for ContinuousConfig {
             candidate_scan_cap: 64,
             max_expansions: 3,
             dirty_threshold: 0.25,
-            sspa_edge_limit: 1_500_000,
             page_size: 1024,
             buffer_pages: 4096,
         }

@@ -7,9 +7,9 @@
 //! feasible matching under a stream of [`WorldEvent`]s and re-optimizes
 //! *incrementally*: a bounded-neighbourhood repair around each event
 //! (powered by the R-tree's `knn_within_ctx` and a small in-memory SSPA),
-//! the `SspaCache` kept valid across events via `apply_delta` so full
-//! re-solves warm-start, and a dirty-fraction threshold deciding when
-//! patching stops paying and the engine re-solves from scratch.
+//! and a dirty-fraction threshold deciding when patching stops paying and
+//! the engine re-solves from scratch with IDA — the paper's own answer to
+//! the full-graph SSPA (§3.3 vs §2.2), at every instance size.
 //!
 //! Every event is two-phase: the world change always commits (and stays
 //! feasible by construction); only the re-optimization is abortable, so a

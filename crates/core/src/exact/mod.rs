@@ -16,7 +16,7 @@ pub use source::{CustomerSource, MemorySource, RtreeSource, SourcedCustomer};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cca_flow::sspa::{solve_complete_bipartite, FlowProvider};
+    use cca_flow::sspa::{FlowProvider, Sspa};
     use cca_geo::Point;
     use cca_testutil::{build_tree, optimal_cost, random_instance};
     use proptest::prelude::*;
@@ -152,7 +152,7 @@ mod tests {
                 .iter()
                 .map(|&(pos, weight)| cca_flow::FlowCustomer { pos, weight })
                 .collect();
-            let (want, _) = solve_complete_bipartite(&fps, &fcs);
+            let (want, _) = Sspa::default().solve(&fps, &fcs).unwrap();
 
             let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
             let mut src = MemorySource::new(qpos, reps.clone());

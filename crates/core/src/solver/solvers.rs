@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use cca_flow::sspa::{solve_complete_bipartite_warm_ctx, FlowCustomer, FlowProvider};
+use cca_flow::sspa::{FlowCustomer, FlowProvider, Sspa};
 use cca_geo::Point;
 
 use crate::approx::{
@@ -136,12 +136,12 @@ impl Solver for SspaSolver {
         // classifies the outcome off the context's sticky abort state. A
         // problem-attached warm-start cache (one per batch) lets repeated
         // queries resume from the previous solve's verified final state.
-        let (asg, sspa_stats) = match solve_complete_bipartite_warm_ctx(
-            &fps,
-            &fcs,
-            problem.context(),
-            problem.sspa_cache(),
-        ) {
+        let sspa = Sspa {
+            ctx: problem.context(),
+            cache: problem.sspa_cache(),
+            ..Sspa::default()
+        };
+        let (asg, sspa_stats) = match sspa.solve(&fps, &fcs) {
             Ok(complete) => complete,
             Err(aborted) => (aborted.partial, aborted.stats),
         };

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use cca_core::{ContinuousAssignment, ContinuousConfig, RepairKind, WorldEvent};
 use cca_datagen::{ArrivalProcess, CapacitySpec, StreamEvent, WorkloadConfig};
-use cca_storage::QueryContext;
+use cca_storage::{AbortReason, QueryContext};
 use cca_testutil::optimal_cost;
 use proptest::prelude::*;
 
@@ -21,6 +21,14 @@ fn world(ev: StreamEvent) -> WorldEvent {
             WorldEvent::ProviderCapacityDelta { index, delta }
         }
         StreamEvent::ProviderMove { index, to } => WorldEvent::ProviderMove { index, to },
+    }
+}
+
+/// Every event crosses the dirty threshold, so every event fully re-solves.
+fn always_full_resolve() -> ContinuousConfig {
+    ContinuousConfig {
+        dirty_threshold: 0.0,
+        ..ContinuousConfig::default()
     }
 }
 
@@ -104,8 +112,9 @@ fn mixed_stream_cost_stays_near_scratch() {
         let report = engine.apply(world(stream.next_event()), None);
         assert!(report.aborted.is_none());
         assert_eq!(report.deficit, 0);
+        // Local splices and IDA full re-solves alike leave a valid matching.
+        engine.check_feasible().unwrap();
     }
-    engine.check_feasible().unwrap();
     let scratch = optimal_cost(engine.providers(), engine.alive_customers());
     let ratio = engine.cost() / scratch.max(1e-9);
     assert!(
@@ -147,33 +156,86 @@ fn arrival_stream_cost_within_one_percent() {
     );
 }
 
-/// A tiny `sspa_edge_limit` forces the cacheless IDA full-resolve path; the
-/// engine must still work (and stay feasible) without the warm cache.
-#[test]
-fn ida_fallback_path_without_cache() {
-    let spec = small_world(9, 6, 80, 10);
-    let workload = spec.generate();
-    let mut stream = ArrivalProcess::new(&workload, 9);
-    let cfg = ContinuousConfig {
-        sspa_edge_limit: 1, // nothing fits: full re-solves run IDA, cold
-        dirty_threshold: 0.05,
-        ..ContinuousConfig::default()
-    };
-    let mut engine =
-        ContinuousAssignment::build(workload.providers.clone(), workload.customers.clone(), cfg);
-    let mut fulls = 0u32;
-    for _ in 0..60 {
-        let report = engine.apply(world(stream.next_event()), None);
-        assert!(report.aborted.is_none());
-        if report.repair == RepairKind::Full {
-            fulls += 1;
-        }
-        engine.check_feasible().unwrap();
-    }
-    assert!(fulls > 0, "low dirty threshold must trigger full re-solves");
-    let stats = engine.stats();
-    assert_eq!(
-        stats.warm_full_resolves, 0,
-        "cache is inactive above the edge limit: {stats:?}"
+/// Feasible, maximal, and on the complete-bipartite SSPA oracle's cost.
+fn assert_optimal(engine: &ContinuousAssignment, at: &str) {
+    engine
+        .check_feasible()
+        .unwrap_or_else(|e| panic!("{at}: {e}"));
+    assert_eq!(engine.deficit(), 0, "{at}");
+    let want = optimal_cost(engine.providers(), engine.alive_customers());
+    assert!(
+        (engine.cost() - want).abs() <= 1e-9 * want.max(1.0),
+        "{at}: engine {} vs oracle {want}",
+        engine.cost()
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// With every event fully re-solving, on worlds of every (small) size
+    /// and capacity regime the engine must sit exactly on the optimum after
+    /// `build` and after each event.
+    #[test]
+    fn prop_full_resolve_tracks_the_sspa_oracle(
+        seed in 0u64..10_000,
+        num_providers in 1usize..7,
+        num_customers in 4usize..48,
+        k in 1u32..12,
+    ) {
+        let workload = small_world(seed, num_providers, num_customers, k).generate();
+        let mut stream = ArrivalProcess::new(&workload, seed);
+        let mut engine = ContinuousAssignment::build(
+            workload.providers.clone(),
+            workload.customers.clone(),
+            always_full_resolve(),
+        );
+        assert_optimal(&engine, "build");
+        for i in 0..30 {
+            let event = world(stream.next_event());
+            let report = engine.apply(event, None);
+            prop_assert_eq!(report.repair, RepairKind::Full);
+            assert_optimal(&engine, &format!("event {i} ({event:?})"));
+        }
+    }
+}
+
+/// A forced full re-solve that aborts discards IDA's partial and keeps the
+/// committed matching untouched.
+#[test]
+fn aborted_full_resolve_leaves_the_matching_bit_identical() {
+    let workload = small_world(11, 6, 60, 20).generate();
+    let mut engine = ContinuousAssignment::build(
+        workload.providers.clone(),
+        workload.customers.clone(),
+        always_full_resolve(),
+    );
+    let before = (engine.matching().pairs, engine.size(), engine.cost());
+    let full_resolves = engine.stats().full_resolves;
+
+    // An arrival commits without touching any standing pair.
+    let ctx = QueryContext::new().with_timeout(Duration::ZERO);
+    let arrival = WorldEvent::CustomerArrive {
+        id: 9_000,
+        pos: workload.providers[0].0,
+    };
+    let report = engine.apply(arrival, Some(&ctx));
+    assert_eq!(report.aborted, Some(AbortReason::DeadlineExceeded));
+    assert_eq!(report.repair, RepairKind::None);
+    assert_eq!(
+        report.deficit, 1,
+        "surplus capacity: the arrival is owed a slot"
+    );
+    assert_eq!(
+        engine.stats().full_resolves,
+        full_resolves + 1,
+        "it was tried"
+    );
+    engine.check_feasible().unwrap();
+    assert_eq!(engine.matching().pairs, before.0);
+    assert_eq!(engine.size(), before.1);
+    assert_eq!(engine.cost().to_bits(), before.2.to_bits());
+
+    assert_eq!(engine.repair(None).unwrap(), RepairKind::Full);
+    assert_eq!(engine.deficit(), 0);
 }

@@ -26,7 +26,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 use cca_geo::OrdF64;
 use cca_storage::{Aborted, QueryContext};
@@ -182,11 +181,6 @@ pub struct DijkstraState {
     settled_list: Vec<NodeId>,
     source: NodeId,
     counters: HeapCounters,
-    /// When set, frontier push/pop time is accumulated into `heap_ns`.
-    /// Off by default: per-op `Instant` reads cost real time in the hot
-    /// loop, so only profiled entry points turn this on.
-    profile: bool,
-    heap_ns: u64,
 }
 
 impl DijkstraState {
@@ -207,8 +201,6 @@ impl DijkstraState {
             settled_list: Vec::new(),
             source: 0,
             counters: HeapCounters::default(),
-            profile: false,
-            heap_ns: 0,
         }
     }
 
@@ -218,44 +210,20 @@ impl DijkstraState {
         self.counters
     }
 
-    /// Nanoseconds spent in frontier push/pop, when profiling is on.
-    #[inline]
-    pub fn heap_ns(&self) -> u64 {
-        self.heap_ns
-    }
-
-    /// Enables per-operation frontier timing (see [`DijkstraState::heap_ns`]).
-    pub fn set_profile(&mut self, on: bool) {
-        self.profile = on;
-    }
-
-    /// Frontier push with counter/profiling bookkeeping.
+    /// Frontier push with counter bookkeeping.
     #[inline]
     fn fpush(&mut self, key: f64, v: NodeId) {
         debug_assert!(key >= 0.0, "Dijkstra keys are non-negative");
         self.counters.pushes += 1;
-        if self.profile {
-            let t = Instant::now();
-            let fell_back = self.frontier.push(key.to_bits(), v);
-            self.heap_ns += t.elapsed().as_nanos() as u64;
-            self.counters.radix_fallbacks += u64::from(fell_back);
-        } else if self.frontier.push(key.to_bits(), v) {
+        if self.frontier.push(key.to_bits(), v) {
             self.counters.radix_fallbacks += 1;
         }
     }
 
-    /// Frontier pop with counter/profiling bookkeeping.
+    /// Frontier pop with counter bookkeeping.
     #[inline]
     fn fpop(&mut self) -> Option<(f64, NodeId)> {
-        let popped = if self.profile {
-            let t = Instant::now();
-            let popped = self.frontier.pop();
-            self.heap_ns += t.elapsed().as_nanos() as u64;
-            popped
-        } else {
-            self.frontier.pop()
-        };
-        popped.map(|(k, v)| {
+        self.frontier.pop().map(|(k, v)| {
             self.counters.pops += 1;
             (f64::from_bits(k), v)
         })

@@ -14,13 +14,14 @@
 //!   frontier is a monotone [`radix::RadixQueue`] on u64 distance bits with
 //!   an automatic binary-heap fallback ([`dijkstra::FrontierKind`]),
 //! * [`sspa`] — the full-graph Successive Shortest Path baseline
-//!   (Algorithm 1) that Figure 8 benchmarks against,
+//!   (Algorithm 1) that Figure 8 benchmarks against: one entry point,
+//!   [`Sspa::solve`], whose options are the fields of [`Sspa`],
 //! * [`hungarian`] — the classical dense assignment solver [8, 11], used as
 //!   an independent correctness oracle,
 //! * [`validate`] — matching validators and brute-force optima for tests.
 //!
-//! The CPU-heavy loops are deadline-safe: the `*_ctx` entry points
-//! ([`DijkstraState::run_until_ctx`], [`sspa::solve_complete_bipartite_ctx`],
+//! The CPU-heavy loops are deadline-safe: the context-taking entry points
+//! ([`DijkstraState::run_until_ctx`], [`Sspa::solve`] with [`Sspa::ctx`] set,
 //! [`hungarian::rectangular_assignment_ctx`]) poll a cooperative
 //! [`cca_storage::QueryContext`] every few dozen inner-loop iterations, so a
 //! flow solve on a large drained graph aborts from *inside* the iteration —
@@ -39,8 +40,6 @@ pub use dijkstra::{DijkstraState, FrontierKind, HeapCounters, EPS};
 pub use graph::{ArcId, FlowGraph, NodeId, NO_ARC};
 pub use radix::RadixQueue;
 pub use sspa::{
-    required_flow, solve_complete_bipartite, solve_complete_bipartite_ctx,
-    solve_complete_bipartite_profiled, solve_complete_bipartite_warm_ctx, solve_with_frontier,
-    unit_customers, Assignment, CacheDelta, FlowAborted, FlowCustomer, FlowProvider, SspaCache,
-    SspaState, SspaStats,
+    required_flow, unit_customers, Assignment, FlowAborted, FlowCustomer, FlowProvider, Sspa,
+    SspaCache, SspaStats,
 };

@@ -9,6 +9,10 @@
 //! Customers may carry integer weights (> 1) so the same solver performs the
 //! concise matching of the CA approximation, where customer representatives
 //! have weight `g.w` (§4.2).
+//!
+//! There is one way to run a solve: [`Sspa::solve`]. Everything that varies
+//! between callers — an abort context, a warm-start cache, bottleneck
+//! augmentation, the frontier queue — is a field of [`Sspa`].
 
 // `FlowAborted` carries the committed partial assignment plus the full
 // `SspaStats` block by value; it crossed clippy's 128-byte Err threshold
@@ -79,7 +83,7 @@ pub fn required_flow(providers: &[FlowProvider], customers: &[FlowCustomer]) -> 
     cap.min(w)
 }
 
-/// Statistics reported by [`solve_complete_bipartite`].
+/// Statistics reported by [`Sspa::solve`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SspaStats {
     /// Augmenting iterations (shortest-path searches) performed. Equals
@@ -101,11 +105,6 @@ pub struct SspaStats {
     pub settle_ns: u64,
     /// Wall time augmenting flow and updating potentials.
     pub augment_ns: u64,
-    /// Wall time inside frontier-queue push/pop. Only populated by the
-    /// profiled entry point ([`solve_complete_bipartite_profiled`]) — per-op
-    /// timestamps are too expensive for the default hot path — and a subset
-    /// of `settle_ns`.
-    pub heap_ns: u64,
     /// Frontier (bucket-queue) pushes across all searches.
     pub heap_pushes: u64,
     /// Frontier pops across all searches (stale entries included).
@@ -133,48 +132,6 @@ struct CachedState {
     pairs: Vec<(u32, u32, u32)>,
 }
 
-/// A publicly inspectable primal-dual state: the potentials of a completed
-/// solve in node order `s, t, Q…, P…` plus its flow triples
-/// `(provider, customer, units)`. Returned by [`SspaCache::state`] and
-/// accepted by [`SspaCache::prime`], so an incremental engine can carry a
-/// solve's certificate across instances (e.g. restrict a global solution to
-/// a neighbourhood subproblem and resume there). A primed state is *never
-/// trusted*: the resume path re-verifies the reduced-cost certificate
-/// against the instance it is applied to, so a wrong state costs warm-start
-/// rate, not correctness.
-#[derive(Clone, Debug)]
-pub struct SspaState {
-    pub tau: Vec<f64>,
-    pub pairs: Vec<(u32, u32, u32)>,
-}
-
-/// An incremental world change applied to a cached solve state via
-/// [`SspaCache::apply_delta`], in the *solve order* of the instance the
-/// entry was published for. Customer removal uses swap-with-last index
-/// semantics (the last customer takes the removed one's index), so callers
-/// maintaining a mirror ordering must apply the same swap.
-#[derive(Clone, Copy, Debug)]
-pub enum CacheDelta<'a> {
-    /// Customer at solve-order `index` (weight `weight`) left the instance.
-    RemoveCustomer { index: usize, weight: u32 },
-    /// A customer of `weight` arrived at `pos`, appended at the end of the
-    /// solve order. `providers` must be the instance's providers in solve
-    /// order (needed to derive a potential for the new node).
-    AddCustomer {
-        pos: Point,
-        weight: u32,
-        providers: &'a [FlowProvider],
-    },
-    /// Provider `index`'s capacity changed from `old_cap` to `new_cap`.
-    SetProviderCapacity {
-        index: usize,
-        old_cap: u32,
-        new_cap: u32,
-    },
-    /// Provider `index` moved: every incident arc cost changed.
-    MoveProvider { index: usize },
-}
-
 /// A cross-query warm-start cache for SSPA.
 ///
 /// A completed solve publishes its final state — node potentials *and* the
@@ -193,31 +150,12 @@ pub enum CacheDelta<'a> {
 #[derive(Debug, Default)]
 pub struct SspaCache {
     entry: std::sync::Mutex<Option<(CacheKey, CachedState)>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
 }
 
 impl SspaCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Times a solve resumed from a verified entry / ran cold,
-    /// respectively. (A shape-key hit that fails the reduced-cost check
-    /// counts as a miss: the cache did not help that solve.)
-    pub fn hit_miss(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        (self.hits.load(Relaxed), self.misses.load(Relaxed))
-    }
-
-    fn record(&self, hit: bool) {
-        use std::sync::atomic::Ordering::Relaxed;
-        if hit {
-            self.hits.fetch_add(1, Relaxed);
-        } else {
-            self.misses.fetch_add(1, Relaxed);
-        }
     }
 
     fn load(&self, key: CacheKey) -> Option<CachedState> {
@@ -231,169 +169,9 @@ impl SspaCache {
     fn store(&self, key: CacheKey, state: CachedState) {
         *self.entry.lock().expect("sspa cache poisoned") = Some((key, state));
     }
-
-    /// Drops the cached entry (the next solve through this cache runs cold).
-    pub fn clear(&self) {
-        *self.entry.lock().expect("sspa cache poisoned") = None;
-    }
-
-    /// A clone of the cached primal-dual state, if any.
-    pub fn state(&self) -> Option<SspaState> {
-        let entry = self.entry.lock().expect("sspa cache poisoned");
-        entry.as_ref().map(|(_, s)| SspaState {
-            tau: s.tau.clone(),
-            pairs: s.pairs.clone(),
-        })
-    }
-
-    /// Seeds the cache with an externally assembled state for the instance
-    /// `(providers, customers)`, replacing any current entry. The state is
-    /// installed under that instance's shape key and will be verified by the
-    /// reduced-cost gate on the next solve — priming can only *enable* a
-    /// warm resume, never corrupt a result.
-    pub fn prime(&self, providers: &[FlowProvider], customers: &[FlowCustomer], state: SspaState) {
-        self.store(
-            cache_key(providers, customers),
-            CachedState {
-                tau: state.tau,
-                pairs: state.pairs,
-            },
-        );
-    }
-
-    /// Evolves the cached state in place to track an incremental change to
-    /// the world, so the *next* same-shaped solve can still resume warm
-    /// instead of the key mismatching (or the certificate failing) after
-    /// every event.
-    ///
-    /// Returns `true` when a certified entry survives the delta. When the
-    /// change cannot be certified cheaply — a provider moved (all incident
-    /// arc costs changed), an arrival undercuts the cached marginal cost, a
-    /// capacity cut forces flow off a provider — the entry is dropped and
-    /// `false` is returned: the next solve runs cold and republishes.
-    ///
-    /// Soundness never depends on this bookkeeping: the resume path
-    /// re-verifies the full `rc ≥ 0` certificate against the current
-    /// instance, so `apply_delta` only preserves (or gives up) the warm
-    /// start. The certification arguments used here, per variant:
-    ///
-    /// * `RemoveCustomer` — an unmatched departure only removes residual
-    ///   arcs and always survives. A matched departure frees source
-    ///   capacity, re-exposing `s → q` with reduced cost `τ(q) − τ(s)`;
-    ///   since `τ(s)` accumulates `α(t)` every augmentation it generally
-    ///   dominates, so the entry survives only when the serving providers'
-    ///   potentials still cover `τ(s)` (true while they keep residual
-    ///   capacity, i.e. in the customer-surplus regime).
-    /// * `AddCustomer` — the new node needs `τ(q) − d(q, p) ≤ τ(p) ≤ τ(t)`
-    ///   for every provider `q`; when the interval is empty the arrival is
-    ///   cheaper than the cached marginal and the flow is stale.
-    /// * `SetProviderCapacity` — an increase re-exposes `s → q` (same bound
-    ///   as above); a decrease that still covers the provider's cached load
-    ///   only removes residual capacity. A cut below the load would have to
-    ///   un-push flow, which breaks complementary slackness.
-    /// * `MoveProvider` — every incident cost changed; nothing survives.
-    pub fn apply_delta(&self, delta: CacheDelta<'_>) -> bool {
-        let mut entry = self.entry.lock().expect("sspa cache poisoned");
-        let Some((key, state)) = entry.as_mut() else {
-            return false;
-        };
-        let (nq, np) = (key.0, key.1);
-        let slack = crate::dijkstra::EPS * 100.0;
-        let ok = match delta {
-            CacheDelta::RemoveCustomer { index, weight } => {
-                if index >= np {
-                    false
-                } else {
-                    // Dropping the customer's flow re-exposes `s → q` on the
-                    // providers that served it; the freed residual arc needs
-                    // `τ(q) ≥ τ(s)`. When that fails, the remaining flow is
-                    // genuinely not minimum-cost for its value (the freed
-                    // slot may be cheaper to fill another way), so the entry
-                    // cannot survive. An unmatched customer only removes
-                    // arcs and always keeps the certificate.
-                    let tau_s = state.tau[0];
-                    let freed_breaks = state
-                        .pairs
-                        .iter()
-                        .filter(|&&(_, p, _)| p as usize == index)
-                        .any(|&(q, _, _)| state.tau[2 + q as usize] < tau_s - slack);
-                    if freed_breaks {
-                        false
-                    } else {
-                        let last = np - 1;
-                        state.tau.swap_remove(2 + nq + index);
-                        state.pairs.retain(|&(_, p, _)| p as usize != index);
-                        for pair in &mut state.pairs {
-                            if pair.1 as usize == last {
-                                pair.1 = index as u32;
-                            }
-                        }
-                        key.1 -= 1;
-                        key.3 = key.3.saturating_sub(u64::from(weight));
-                        true
-                    }
-                }
-            }
-            CacheDelta::AddCustomer {
-                pos,
-                weight,
-                providers,
-            } => {
-                if providers.len() != nq {
-                    false
-                } else {
-                    let tau_t = state.tau[1];
-                    let lower = providers
-                        .iter()
-                        .enumerate()
-                        .map(|(i, q)| state.tau[2 + i] - q.pos.dist(&pos))
-                        .fold(0.0f64, f64::max);
-                    if lower > tau_t + slack {
-                        // The arrival beats the cached marginal: the flow
-                        // is no longer min-cost for its value.
-                        false
-                    } else {
-                        state.tau.push(lower.min(tau_t));
-                        key.1 += 1;
-                        key.3 += u64::from(weight);
-                        true
-                    }
-                }
-            }
-            CacheDelta::SetProviderCapacity {
-                index,
-                old_cap,
-                new_cap,
-            } => {
-                if index >= nq {
-                    false
-                } else {
-                    let load: u64 = state
-                        .pairs
-                        .iter()
-                        .filter(|&&(q, _, _)| q as usize == index)
-                        .map(|&(_, _, u)| u64::from(u))
-                        .sum();
-                    let grows = new_cap > old_cap;
-                    let freed_ok = state.tau[2 + index] >= state.tau[0] - slack;
-                    if load > u64::from(new_cap) || (grows && !freed_ok) {
-                        false
-                    } else {
-                        key.2 = key.2 - u64::from(old_cap) + u64::from(new_cap);
-                        true
-                    }
-                }
-            }
-            CacheDelta::MoveProvider { .. } => false,
-        };
-        if !ok {
-            *entry = None;
-        }
-        ok
-    }
 }
 
-/// The shape key of an instance (shared by the solver and [`SspaCache::prime`]).
+/// The shape key of an instance.
 fn cache_key(providers: &[FlowProvider], customers: &[FlowCustomer]) -> CacheKey {
     (
         providers.len(),
@@ -432,302 +210,214 @@ impl std::fmt::Display for FlowAborted {
 
 impl std::error::Error for FlowAborted {}
 
-/// Solves the CCA instance optimally with SSPA on the complete bipartite
-/// graph.
-///
-/// Augments one unit per iteration as in Algorithm 1 (the paper performs
-/// γ unit augmentations; a bottleneck variant is ablated in `cca-bench`).
-pub fn solve_complete_bipartite(
-    providers: &[FlowProvider],
-    customers: &[FlowCustomer],
-) -> (Assignment, SspaStats) {
-    solve_complete_bipartite_ctx(providers, customers, None)
-        .unwrap_or_else(|_| unreachable!("no context, no abort"))
+/// The options of one SSPA solve on the complete bipartite graph, run by
+/// [`Sspa::solve`]. `Sspa::default()` is Algorithm 1 as published: γ unit
+/// augmentations, no context, no cache.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Sspa<'a> {
+    /// Cooperative cancellation: the γ-iteration driver polls the context
+    /// at every iteration head and the inner Dijkstra polls it every few
+    /// dozen settles, so a CPU-bound solve on a large drained graph observes
+    /// cancellation or an expired deadline from *inside* the flow loop — no
+    /// page access required — and unwinds with the typed [`FlowAborted`]
+    /// carrying the partial assignment built so far. Without a context a
+    /// solve cannot abort.
+    pub ctx: Option<&'a QueryContext>,
+    /// Cross-query warm start: the solve tries to *resume* from the cached
+    /// final state of a previous solve (see [`SspaCache`]) and publishes its
+    /// own final state back on completion. Warm or cold, the result is the
+    /// same exact optimum — the cache can only save work (observable via
+    /// [`SspaStats::settled`] and [`SspaStats::warm_units`]).
+    pub cache: Option<&'a SspaCache>,
+    /// *Bottleneck* augmentation: each shortest-path search pushes the
+    /// path's full residual capacity instead of a single unit.
+    ///
+    /// Every unit routed along one shortest path costs the same, and after
+    /// the push the saturated arc leaves the residual graph while the
+    /// potential update restores `rc ≥ 0` everywhere — the §2.2 loop
+    /// invariant — so the result is the *same exact optimum* as unit
+    /// augmentation. What changes is the search count: each augmentation
+    /// saturates at least one source or sink arc, bounding the number of
+    /// Dijkstra runs by `|Q| + |P|` instead of `γ`. On weighted instances
+    /// (the coreset tier's aggregated customer units, CA's concise
+    /// matching) this is the difference between `γ` searches and a handful.
+    /// [`SspaStats::iterations`] counts searches, so it no longer equals the
+    /// installed flow here — read [`Assignment::size`] for that.
+    pub bulk: bool,
+    /// Frontier queue of the inner Dijkstra. [`FrontierKind::Binary`]
+    /// reproduces the pre-radix engine exactly (same lazy decrease-key heap,
+    /// same `(key, node)` tie-break) and exists as the reference the
+    /// radix-vs-binary proptests and the `flow_core` bench compare against.
+    pub frontier: FrontierKind,
 }
 
-/// [`solve_complete_bipartite`] under a cooperative [`QueryContext`].
-///
-/// The γ-iteration driver polls the context at every iteration head and the
-/// inner Dijkstra polls it every few dozen settles, so a CPU-bound solve on
-/// a large drained graph observes cancellation or an expired deadline from
-/// *inside* the flow loop — no page access required — and unwinds with the
-/// typed [`FlowAborted`] carrying the partial assignment built so far.
-pub fn solve_complete_bipartite_ctx(
-    providers: &[FlowProvider],
-    customers: &[FlowCustomer],
-    ctx: Option<&QueryContext>,
-) -> Result<(Assignment, SspaStats), FlowAborted> {
-    solve_complete_bipartite_warm_ctx(providers, customers, ctx, None)
-}
+impl Sspa<'_> {
+    /// Solves the CCA instance optimally with SSPA on the complete
+    /// bipartite graph. Errs only when [`Sspa::ctx`] aborts the solve.
+    pub fn solve(
+        &self,
+        providers: &[FlowProvider],
+        customers: &[FlowCustomer],
+    ) -> Result<(Assignment, SspaStats), FlowAborted> {
+        let Sspa {
+            ctx,
+            cache,
+            bulk,
+            frontier,
+        } = *self;
+        let mut g = FlowGraph::with_nodes(2 + providers.len() + customers.len());
+        let s: NodeId = 0;
+        let t: NodeId = 1;
+        let q_node = |i: usize| (2 + i) as NodeId;
+        let p_node = |j: usize| (2 + providers.len() + j) as NodeId;
 
-/// [`solve_complete_bipartite_ctx`] with an optional cross-query warm-start
-/// cache.
-///
-/// With a cache attached the solve tries to *resume* from the cached final
-/// state of a previous solve instead of starting from zero flow: the cached
-/// potentials and flow are installed, capacity-validated, and then verified
-/// against this instance's costs with the reduced-cost check — the exact
-/// invariant (`rc ≥ 0` on every residual arc, §2.2) under which a flow is
-/// minimum-cost for its value and SSPA may continue augmenting from it.
-/// A repeated query resumes at `γ` committed units and performs zero
-/// Dijkstra searches; a different instance that merely collides on the
-/// shape key fails the check, is rolled back, and runs cold. Warm or cold,
-/// the result is the same exact optimum — the cache can only save work
-/// (observable via [`SspaStats::settled`] and [`SspaStats::warm_units`]),
-/// never change the answer. On completion the solve publishes its own final
-/// state back to the cache.
-pub fn solve_complete_bipartite_warm_ctx(
-    providers: &[FlowProvider],
-    customers: &[FlowCustomer],
-    ctx: Option<&QueryContext>,
-    cache: Option<&SspaCache>,
-) -> Result<(Assignment, SspaStats), FlowAborted> {
-    solve_inner(
-        providers,
-        customers,
-        ctx,
-        cache,
-        false,
-        FrontierKind::default(),
-        false,
-    )
-}
-
-/// [`solve_complete_bipartite`] with an explicit frontier-queue choice —
-/// the equivalence lever the radix-vs-binary proptests and the `flow_core`
-/// bench pull on. [`FrontierKind::Binary`] reproduces the pre-radix engine
-/// exactly (same lazy decrease-key heap, same `(key, node)` tie-break).
-pub fn solve_with_frontier(
-    providers: &[FlowProvider],
-    customers: &[FlowCustomer],
-    kind: FrontierKind,
-) -> (Assignment, SspaStats) {
-    solve_inner(providers, customers, None, None, false, kind, false)
-        .unwrap_or_else(|_| unreachable!("no context, no abort"))
-}
-
-/// [`solve_complete_bipartite`] with per-operation frontier timing enabled:
-/// [`SspaStats::heap_ns`] is populated alongside the always-on
-/// `settle_ns`/`augment_ns` split. The per-op timestamps add measurable
-/// overhead, so this is a diagnostics entry point (`probe`), not the
-/// default path.
-pub fn solve_complete_bipartite_profiled(
-    providers: &[FlowProvider],
-    customers: &[FlowCustomer],
-) -> (Assignment, SspaStats) {
-    solve_inner(
-        providers,
-        customers,
-        None,
-        None,
-        false,
-        FrontierKind::default(),
-        true,
-    )
-    .unwrap_or_else(|_| unreachable!("no context, no abort"))
-}
-
-/// [`solve_complete_bipartite_ctx`] with *bottleneck* augmentation: each
-/// shortest-path search pushes the path's full residual capacity instead of
-/// a single unit.
-///
-/// Every unit routed along one shortest path costs the same, and after the
-/// push the saturated arc leaves the residual graph while the potential
-/// update restores `rc ≥ 0` everywhere — the §2.2 loop invariant — so the
-/// result is the *same exact optimum* as unit augmentation. What changes is
-/// the search count: each augmentation saturates at least one source or
-/// sink arc, bounding the number of Dijkstra runs by `|Q| + |P|` instead of
-/// `γ`. On weighted instances (the coreset tier's aggregated customer
-/// units, CA's concise matching) this is the difference between `γ`
-/// searches and a handful. [`SspaStats::iterations`] counts searches, so it
-/// no longer equals the installed flow here — read [`Assignment::size`]
-/// for that.
-pub fn solve_complete_bipartite_bulk_ctx(
-    providers: &[FlowProvider],
-    customers: &[FlowCustomer],
-    ctx: Option<&QueryContext>,
-) -> Result<(Assignment, SspaStats), FlowAborted> {
-    solve_inner(
-        providers,
-        customers,
-        ctx,
-        None,
-        true,
-        FrontierKind::default(),
-        false,
-    )
-}
-
-fn solve_inner(
-    providers: &[FlowProvider],
-    customers: &[FlowCustomer],
-    ctx: Option<&QueryContext>,
-    cache: Option<&SspaCache>,
-    bulk: bool,
-    frontier: FrontierKind,
-    profile: bool,
-) -> Result<(Assignment, SspaStats), FlowAborted> {
-    let mut g = FlowGraph::with_nodes(2 + providers.len() + customers.len());
-    let s: NodeId = 0;
-    let t: NodeId = 1;
-    let q_node = |i: usize| (2 + i) as NodeId;
-    let p_node = |j: usize| (2 + providers.len() + j) as NodeId;
-
-    // Source and sink edges (cost 0, capacities q.k / p.w), §2.1.
-    let src_edges: Vec<u32> = providers
-        .iter()
-        .enumerate()
-        .map(|(i, q)| g.add_edge(s, q_node(i), q.cap, 0.0))
-        .collect();
-    // Complete bipartite distance edges. Edge capacity is the customer's
-    // weight: a representative with weight w can receive up to w units from
-    // the same provider ("M' may assign instances of a representative to
-    // multiple service providers", §4.2); for unit customers this is the
-    // paper's capacity-1 edge.
-    let mut qp_edges: Vec<(u32, usize, usize)> =
-        Vec::with_capacity(providers.len() * customers.len());
-    for (i, q) in providers.iter().enumerate() {
-        for (j, p) in customers.iter().enumerate() {
-            let e = g.add_edge(q_node(i), p_node(j), p.weight, q.pos.dist(&p.pos));
-            qp_edges.push((e, i, j));
-        }
-    }
-    let sink_edges: Vec<u32> = customers
-        .iter()
-        .enumerate()
-        .map(|(j, p)| g.add_edge(p_node(j), t, p.weight, 0.0))
-        .collect();
-
-    let key = cache_key(providers, customers);
-    let mut warm_units = 0u64;
-    if let Some(state) = cache.and_then(|c| c.load(key)) {
-        warm_units = try_resume(
-            &mut g,
-            &state,
-            providers,
-            customers,
-            &src_edges,
-            &qp_edges,
-            &sink_edges,
-        );
-        if let Some(c) = cache {
-            c.record(warm_units > 0);
-        }
-    } else if let Some(c) = cache {
-        c.record(false);
-    }
-    let warm_started = warm_units > 0;
-
-    let gamma = required_flow(providers, customers);
-    let mut dij = DijkstraState::with_frontier(frontier);
-    dij.set_profile(profile);
-    let mut iterations = 0u64;
-    let mut settled = 0u64;
-    // Phase split: search time vs augment/potential-update time. Two
-    // timestamps per iteration (~µs-scale searches) — cheap enough to keep
-    // on unconditionally, unlike the per-op heap timing behind `profile`.
-    let mut settle_ns = 0u64;
-    let mut augment_ns = 0u64;
-    let extract = |g: &FlowGraph| {
-        let mut asg = Assignment::default();
-        for &(e, i, j) in &qp_edges {
-            let f = g.edge_flow(e);
-            if f > 0 {
-                asg.pairs.push((i, j, f));
-                asg.cost += f64::from(f) * providers[i].pos.dist(&customers[j].pos);
-            }
-        }
-        asg
-    };
-    let mut units = warm_units;
-    while units < gamma {
-        // Iteration-head poll, plus stride polls inside the search: the
-        // committed units always form a valid partial assignment, and an
-        // in-flight (un-augmented) search never mutates the flow, so both
-        // abort points unwind to exactly the committed prefix.
-        let searched = match ctx.map(|c| c.check()) {
-            Some(Err(a)) => Err(a),
-            _ => {
-                let t0 = Instant::now();
-                dij.init(&g, s);
-                let searched = dij.run_until_ctx(&g, t, ctx);
-                settle_ns += t0.elapsed().as_nanos() as u64;
-                searched
-            }
-        };
-        match searched {
-            Ok(Some(alpha_t)) => {
-                settled += dij.settled_nodes().len() as u64;
-                let t0 = Instant::now();
-                if bulk {
-                    let remaining = (gamma - units).min(u64::from(u32::MAX)) as u32;
-                    units += u64::from(dij.augment_bottleneck(&mut g, t, remaining));
-                } else {
-                    dij.augment_unit(&mut g, t);
-                    units += 1;
-                }
-                g.update_potentials(dij.settled_nodes(), |v| dij.alpha(v), alpha_t);
-                augment_ns += t0.elapsed().as_nanos() as u64;
-                iterations += 1;
-            }
-            Ok(None) => unreachable!("complete bipartite graph always admits γ units"),
-            Err(a) => {
-                let heap = dij.heap_counters();
-                return Err(FlowAborted {
-                    reason: a.reason,
-                    partial: extract(&g),
-                    stats: SspaStats {
-                        iterations,
-                        edges: g.num_edges() as u64,
-                        settled,
-                        warm_units,
-                        warm_started,
-                        settle_ns,
-                        augment_ns,
-                        heap_ns: dij.heap_ns(),
-                        heap_pushes: heap.pushes,
-                        heap_pops: heap.pops,
-                        decrease_keys: heap.decrease_keys,
-                        radix_fallbacks: heap.radix_fallbacks,
-                    },
-                });
-            }
-        }
-    }
-
-    let asg = extract(&g);
-    let heap = dij.heap_counters();
-    let stats = SspaStats {
-        iterations,
-        edges: g.num_edges() as u64,
-        settled,
-        warm_units,
-        warm_started,
-        settle_ns,
-        augment_ns,
-        heap_ns: dij.heap_ns(),
-        heap_pushes: heap.pushes,
-        heap_pops: heap.pops,
-        decrease_keys: heap.decrease_keys,
-        radix_fallbacks: heap.radix_fallbacks,
-    };
-    debug_assert!(
-        g.check_reduced_costs(crate::dijkstra::EPS * 100.0).is_ok(),
-        "optimality certificate violated"
-    );
-    if let Some(cache) = cache {
-        // Publish this solve's final primal-dual state for the next
-        // same-shaped query. Completed solves only — an aborted prefix is a
-        // valid state too, but a completed one resumes further.
-        let tau = (0..g.num_nodes()).map(|v| g.tau(v as NodeId)).collect();
-        let pairs = asg
-            .pairs
+        // Source and sink edges (cost 0, capacities q.k / p.w), §2.1.
+        let src_edges: Vec<u32> = providers
             .iter()
-            .map(|&(i, j, u)| (i as u32, j as u32, u))
+            .enumerate()
+            .map(|(i, q)| g.add_edge(s, q_node(i), q.cap, 0.0))
             .collect();
-        cache.store(key, CachedState { tau, pairs });
+        // Complete bipartite distance edges. Edge capacity is the customer's
+        // weight: a representative with weight w can receive up to w units from
+        // the same provider ("M' may assign instances of a representative to
+        // multiple service providers", §4.2); for unit customers this is the
+        // paper's capacity-1 edge.
+        let mut qp_edges: Vec<(u32, usize, usize)> =
+            Vec::with_capacity(providers.len() * customers.len());
+        for (i, q) in providers.iter().enumerate() {
+            for (j, p) in customers.iter().enumerate() {
+                let e = g.add_edge(q_node(i), p_node(j), p.weight, q.pos.dist(&p.pos));
+                qp_edges.push((e, i, j));
+            }
+        }
+        let sink_edges: Vec<u32> = customers
+            .iter()
+            .enumerate()
+            .map(|(j, p)| g.add_edge(p_node(j), t, p.weight, 0.0))
+            .collect();
+
+        let key = cache_key(providers, customers);
+        let warm_units = cache.and_then(|c| c.load(key)).map_or(0, |state| {
+            try_resume(
+                &mut g,
+                &state,
+                providers,
+                customers,
+                &src_edges,
+                &qp_edges,
+                &sink_edges,
+            )
+        });
+        let warm_started = warm_units > 0;
+
+        let gamma = required_flow(providers, customers);
+        let mut dij = DijkstraState::with_frontier(frontier);
+        let mut iterations = 0u64;
+        let mut settled = 0u64;
+        // Phase split: search time vs augment/potential-update time. Two
+        // timestamps per iteration (~µs-scale searches) — cheap enough to keep
+        // on unconditionally.
+        let mut settle_ns = 0u64;
+        let mut augment_ns = 0u64;
+        let extract = |g: &FlowGraph| {
+            let mut asg = Assignment::default();
+            for &(e, i, j) in &qp_edges {
+                let f = g.edge_flow(e);
+                if f > 0 {
+                    asg.pairs.push((i, j, f));
+                    asg.cost += f64::from(f) * providers[i].pos.dist(&customers[j].pos);
+                }
+            }
+            asg
+        };
+        let mut units = warm_units;
+        while units < gamma {
+            // Iteration-head poll, plus stride polls inside the search: the
+            // committed units always form a valid partial assignment, and an
+            // in-flight (un-augmented) search never mutates the flow, so both
+            // abort points unwind to exactly the committed prefix.
+            let searched = match ctx.map(|c| c.check()) {
+                Some(Err(a)) => Err(a),
+                _ => {
+                    let t0 = Instant::now();
+                    dij.init(&g, s);
+                    let searched = dij.run_until_ctx(&g, t, ctx);
+                    settle_ns += t0.elapsed().as_nanos() as u64;
+                    searched
+                }
+            };
+            match searched {
+                Ok(Some(alpha_t)) => {
+                    settled += dij.settled_nodes().len() as u64;
+                    let t0 = Instant::now();
+                    if bulk {
+                        let remaining = (gamma - units).min(u64::from(u32::MAX)) as u32;
+                        units += u64::from(dij.augment_bottleneck(&mut g, t, remaining));
+                    } else {
+                        dij.augment_unit(&mut g, t);
+                        units += 1;
+                    }
+                    g.update_potentials(dij.settled_nodes(), |v| dij.alpha(v), alpha_t);
+                    augment_ns += t0.elapsed().as_nanos() as u64;
+                    iterations += 1;
+                }
+                Ok(None) => unreachable!("complete bipartite graph always admits γ units"),
+                Err(a) => {
+                    let heap = dij.heap_counters();
+                    return Err(FlowAborted {
+                        reason: a.reason,
+                        partial: extract(&g),
+                        stats: SspaStats {
+                            iterations,
+                            edges: g.num_edges() as u64,
+                            settled,
+                            warm_units,
+                            warm_started,
+                            settle_ns,
+                            augment_ns,
+                            heap_pushes: heap.pushes,
+                            heap_pops: heap.pops,
+                            decrease_keys: heap.decrease_keys,
+                            radix_fallbacks: heap.radix_fallbacks,
+                        },
+                    });
+                }
+            }
+        }
+
+        let asg = extract(&g);
+        let heap = dij.heap_counters();
+        let stats = SspaStats {
+            iterations,
+            edges: g.num_edges() as u64,
+            settled,
+            warm_units,
+            warm_started,
+            settle_ns,
+            augment_ns,
+            heap_pushes: heap.pushes,
+            heap_pops: heap.pops,
+            decrease_keys: heap.decrease_keys,
+            radix_fallbacks: heap.radix_fallbacks,
+        };
+        debug_assert!(
+            g.check_reduced_costs(crate::dijkstra::EPS * 100.0).is_ok(),
+            "optimality certificate violated"
+        );
+        if let Some(cache) = cache {
+            // Publish this solve's final primal-dual state for the next
+            // same-shaped query. Completed solves only — an aborted prefix is a
+            // valid state too, but a completed one resumes further.
+            let tau = (0..g.num_nodes()).map(|v| g.tau(v as NodeId)).collect();
+            let pairs = asg
+                .pairs
+                .iter()
+                .map(|&(i, j, u)| (i as u32, j as u32, u))
+                .collect();
+            cache.store(key, CachedState { tau, pairs });
+        }
+        Ok((asg, stats))
     }
-    Ok((asg, stats))
 }
 
 /// Installs a cached primal-dual state into a freshly built graph and
@@ -827,6 +517,32 @@ mod tests {
         }
     }
 
+    /// Algorithm 1 with default options; no context, so no abort.
+    fn solve(providers: &[FlowProvider], customers: &[FlowCustomer]) -> (Assignment, SspaStats) {
+        Sspa::default().solve(providers, customers).unwrap()
+    }
+
+    fn warm(cache: &SspaCache) -> Sspa<'_> {
+        Sspa {
+            cache: Some(cache),
+            ..Sspa::default()
+        }
+    }
+
+    fn with_ctx(ctx: &QueryContext) -> Sspa<'_> {
+        Sspa {
+            ctx: Some(ctx),
+            ..Sspa::default()
+        }
+    }
+
+    fn bulk() -> Sspa<'static> {
+        Sspa {
+            bulk: true,
+            ..Sspa::default()
+        }
+    }
+
     #[test]
     fn paper_running_example_figure_2() {
         // Figure 2: q1 (k=1), q2 (k=2); dist(q1,p1)=4 ... per the edge labels:
@@ -841,7 +557,7 @@ mod tests {
         // q1 at 0, q2 at 100; p1 at 3, p2 at 97.
         let providers = [q(0.0, 0.0, 1), q(100.0, 0.0, 2)];
         let customers = [p(3.0, 0.0), p(97.0, 0.0)];
-        let (asg, stats) = solve_complete_bipartite(&providers, &customers);
+        let (asg, stats) = solve(&providers, &customers);
         assert_eq!(asg.size(), 2);
         assert_eq!(asg.cost, 6.0);
         assert_eq!(stats.iterations, 2);
@@ -857,7 +573,7 @@ mod tests {
         // customer, the far one serves the rest.
         let providers = [q(0.0, 0.0, 1), q(10.0, 0.0, 1)];
         let customers = [p(0.0, 1.0), p(0.0, 2.0)];
-        let (asg, _) = solve_complete_bipartite(&providers, &customers);
+        let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 2);
         // Optimal: q0-p0 (1) + q1-p1 (sqrt(104)) vs q0-p1 (2) + q1-p0 (sqrt(101)).
         let alt1 = 1.0 + (104.0f64).sqrt();
@@ -869,7 +585,7 @@ mod tests {
     fn surplus_capacity_leaves_providers_underutilised() {
         let providers = [q(0.0, 0.0, 5), q(100.0, 0.0, 5)];
         let customers = [p(1.0, 0.0), p(2.0, 0.0), p(99.0, 0.0)];
-        let (asg, _) = solve_complete_bipartite(&providers, &customers);
+        let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 3, "all customers matched");
         let load = asg.provider_load(2);
         assert_eq!(load[0], 2);
@@ -883,7 +599,7 @@ mod tests {
         // (p "is not assigned to any qi, since they are all full", §1).
         let providers = [q(0.0, 0.0, 2)];
         let customers = [p(1.0, 0.0), p(2.0, 0.0), p(3.0, 0.0)];
-        let (asg, _) = solve_complete_bipartite(&providers, &customers);
+        let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 2);
         assert!((asg.cost - 3.0).abs() < 1e-9, "the two nearest are kept");
         let load = asg.customer_load(3);
@@ -899,7 +615,7 @@ mod tests {
             pos: Point::new(4.0, 0.0),
             weight: 3,
         }];
-        let (asg, _) = solve_complete_bipartite(&providers, &customers);
+        let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 3);
         let load = asg.provider_load(2);
         assert_eq!(load[0], 2, "nearer provider takes its full capacity");
@@ -917,7 +633,7 @@ mod tests {
             Point::new(49.0, 0.0),
         ]);
         let ctx = QueryContext::new().with_deadline(Instant::now() - Duration::from_millis(1));
-        let err = solve_complete_bipartite_ctx(&providers, &customers, Some(&ctx)).unwrap_err();
+        let err = with_ctx(&ctx).solve(&providers, &customers).unwrap_err();
         assert_eq!(err.reason, AbortReason::DeadlineExceeded);
         assert_eq!(err.partial.size(), 0, "no iteration ran");
         assert_eq!(err.stats.iterations, 0);
@@ -930,9 +646,8 @@ mod tests {
         let providers = [q(0.0, 0.0, 1), q(100.0, 0.0, 2)];
         let customers = [p(3.0, 0.0), p(97.0, 0.0)];
         let ctx = QueryContext::new();
-        let (asg, stats) =
-            solve_complete_bipartite_ctx(&providers, &customers, Some(&ctx)).unwrap();
-        let (want, want_stats) = solve_complete_bipartite(&providers, &customers);
+        let (asg, stats) = with_ctx(&ctx).solve(&providers, &customers).unwrap();
+        let (want, want_stats) = solve(&providers, &customers);
         assert_eq!(asg.cost, want.cost);
         assert_eq!(asg.pairs, want.pairs);
         assert_eq!(stats.iterations, want_stats.iterations);
@@ -964,7 +679,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
             canceller.cancel();
         });
-        let result = solve_complete_bipartite_ctx(&providers, &customers, Some(&ctx));
+        let result = with_ctx(&ctx).solve(&providers, &customers);
         handle.join().unwrap();
         let err = result.expect_err("γ=400 unit augmentations far outlast a 5 ms fuse");
         assert_eq!(err.reason, AbortReason::Cancelled);
@@ -1017,14 +732,11 @@ mod tests {
     fn warm_start_resumes_a_repeated_query_without_searching() {
         let (providers, customers) = random_instance(7, 6, 60, 5);
         let cache = SspaCache::new();
-        let (cold, cold_stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache)).unwrap();
+        let (cold, cold_stats) = warm(&cache).solve(&providers, &customers).unwrap();
         assert!(!cold_stats.warm_started, "first solve finds an empty cache");
         assert!(cold_stats.settled > 0);
-        let (warm, warm_stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache)).unwrap();
+        let (warm, warm_stats) = warm(&cache).solve(&providers, &customers).unwrap();
         assert!(warm_stats.warm_started);
-        assert_eq!(cache.hit_miss(), (1, 1));
         assert_eq!(
             warm.cost, cold.cost,
             "a resumed repeated query reproduces the optimum exactly"
@@ -1039,13 +751,12 @@ mod tests {
     fn shape_mismatch_falls_back_to_cold() {
         let (providers, customers) = random_instance(8, 4, 30, 3);
         let cache = SspaCache::new();
-        let _ = solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache));
+        let _ = warm(&cache).solve(&providers, &customers);
         // Same providers, one fewer customer: key differs, entry unusable.
         let fewer = &customers[..29];
-        let (asg, stats) =
-            solve_complete_bipartite_warm_ctx(&providers, fewer, None, Some(&cache)).unwrap();
+        let (asg, stats) = warm(&cache).solve(&providers, fewer).unwrap();
         assert!(!stats.warm_started);
-        let (want, _) = solve_complete_bipartite(&providers, fewer);
+        let (want, _) = solve(&providers, fewer);
         assert_eq!(asg.cost, want.cost);
     }
 
@@ -1066,14 +777,13 @@ mod tests {
             })
             .collect();
         let cache = SspaCache::new();
-        let _ = solve_complete_bipartite_warm_ctx(&pa, &ca, None, Some(&cache));
-        let (warm, stats) =
-            solve_complete_bipartite_warm_ctx(&pb, &cb, None, Some(&cache)).unwrap();
+        let _ = warm(&cache).solve(&pa, &ca);
+        let (warm, stats) = warm(&cache).solve(&pb, &cb).unwrap();
         assert!(
             !stats.warm_started,
             "foreign-geometry state must fail the reduced-cost gate"
         );
-        let (cold, _) = solve_complete_bipartite(&pb, &cb);
+        let (cold, _) = solve(&pb, &cb);
         assert_eq!(
             warm.cost, cold.cost,
             "after rollback the solve is exactly the cold solve"
@@ -1094,13 +804,13 @@ mod tests {
             max_cap in 1u32..6,
         ) {
             let (providers, customers) = random_instance(seed, nq, np, max_cap);
-            let (cold, _) = solve_complete_bipartite(&providers, &customers);
+            let (cold, _) = solve(&providers, &customers);
             let cache = SspaCache::new();
             let (first, _) =
-                solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
+                warm(&cache).solve(&providers, &customers)
                     .unwrap();
             let (warm, stats) =
-                solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
+                warm(&cache).solve(&providers, &customers)
                     .unwrap();
             proptest::prop_assert!(stats.warm_started);
             let tol = 1e-9 * cold.cost.max(1.0);
@@ -1108,257 +818,6 @@ mod tests {
             proptest::prop_assert!(
                 (warm.cost - cold.cost).abs() <= tol,
                 "warm {} vs cold {}", warm.cost, cold.cost
-            );
-            proptest::prop_assert_eq!(warm.size(), cold.size());
-        }
-    }
-
-    #[test]
-    fn apply_delta_remove_customer_keeps_warm_resume() {
-        let (providers, mut customers) = random_instance(11, 5, 40, 3);
-        let cache = SspaCache::new();
-        let _ = solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache));
-        // Scarce regime (Σcap < |P|): most customers are unmatched. Removing
-        // one of those only drops zero-flow arcs, so the entry must survive
-        // with the same swap-with-last semantics the cache applies.
-        let assigned: std::collections::HashSet<usize> = cache
-            .state()
-            .unwrap()
-            .pairs
-            .iter()
-            .map(|&(_, p, _)| p as usize)
-            .collect();
-        let removed = (0..customers.len())
-            .find(|i| !assigned.contains(i))
-            .expect("scarce instance has unmatched customers");
-        assert!(cache.apply_delta(CacheDelta::RemoveCustomer {
-            index: removed,
-            weight: 1
-        }));
-        customers.swap_remove(removed);
-        let (warm, stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache)).unwrap();
-        assert!(
-            stats.warm_started,
-            "removing an unmatched customer only drops arcs: the certificate must survive"
-        );
-        let (cold, _) = solve_complete_bipartite(&providers, &customers);
-        assert!((warm.cost - cold.cost).abs() < 1e-9 * cold.cost.max(1.0));
-        assert_eq!(warm.size(), cold.size());
-    }
-
-    #[test]
-    fn apply_delta_remove_matched_customer_of_saturated_provider_invalidates() {
-        // Scarce regime: every provider is saturated, so a matched departure
-        // frees an `s → q` arc whose reduced cost `τ(q) − τ(s)` is negative
-        // (τ(s) dominates). The entry must be dropped — the remaining flow
-        // is not min-cost for its value — and the cold re-solve stays exact.
-        let (providers, mut customers) = random_instance(13, 4, 30, 2);
-        let cache = SspaCache::new();
-        let _ = solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache));
-        let removed = cache.state().unwrap().pairs[0].1 as usize;
-        let survived = cache.apply_delta(CacheDelta::RemoveCustomer {
-            index: removed,
-            weight: 1,
-        });
-        customers.swap_remove(removed);
-        let (warm, stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache)).unwrap();
-        let (cold, _) = solve_complete_bipartite(&providers, &customers);
-        assert!((warm.cost - cold.cost).abs() < 1e-9 * cold.cost.max(1.0));
-        if survived {
-            // Tolerated only if the serving provider's potential really
-            // covered τ(s); either way the resume must have stayed exact.
-            assert_eq!(warm.size(), cold.size());
-        } else {
-            assert!(!stats.warm_started, "dropped entry cannot resume warm");
-        }
-    }
-
-    #[test]
-    fn apply_delta_add_far_customer_keeps_warm_resume() {
-        // Scarce regime: Σcap = 3 < |P| = 8, every provider saturated. A new
-        // customer far beyond the marginal cannot improve the flow, so the
-        // cached state stays certified and the resume needs zero searches.
-        let (providers, mut customers) = random_instance(12, 3, 8, 1);
-        let cache = SspaCache::new();
-        let _ = solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache));
-        let far = Point::new(50_000.0, 50_000.0);
-        assert!(cache.apply_delta(CacheDelta::AddCustomer {
-            pos: far,
-            weight: 1,
-            providers: &providers,
-        }));
-        customers.push(FlowCustomer {
-            pos: far,
-            weight: 1,
-        });
-        let (warm, stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache)).unwrap();
-        assert!(stats.warm_started);
-        assert_eq!(stats.iterations, 0, "γ unchanged: nothing left to augment");
-        let (cold, _) = solve_complete_bipartite(&providers, &customers);
-        assert!((warm.cost - cold.cost).abs() < 1e-9 * cold.cost.max(1.0));
-    }
-
-    #[test]
-    fn apply_delta_add_undercutting_customer_invalidates() {
-        // A customer arriving on top of a provider beats whatever marginal
-        // the cached flow pays: the entry must be dropped, and the next
-        // solve (cold) must pick the new customer up.
-        let providers = [q(0.0, 0.0, 1)];
-        let mut customers = vec![p(30.0, 0.0), p(40.0, 0.0)];
-        let cache = SspaCache::new();
-        let _ = solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache));
-        assert!(!cache.apply_delta(CacheDelta::AddCustomer {
-            pos: Point::new(0.1, 0.0),
-            weight: 1,
-            providers: &providers,
-        }));
-        assert!(cache.state().is_none(), "stale entry must be dropped");
-        customers.push(p(0.1, 0.0));
-        let (asg, stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache)).unwrap();
-        assert!(!stats.warm_started);
-        assert!((asg.cost - 0.1).abs() < 1e-9, "the arrival wins the slot");
-    }
-
-    #[test]
-    fn apply_delta_capacity_changes() {
-        // Surplus regime: provider 0 has slack, so a mild cut that still
-        // covers its load stays certified; an increase stays certified; a
-        // cut below the load forces an eviction and drops the entry.
-        let providers = [q(0.0, 0.0, 5), q(100.0, 0.0, 5)];
-        let customers = unit_customers(&[
-            Point::new(1.0, 0.0),
-            Point::new(2.0, 0.0),
-            Point::new(99.0, 0.0),
-        ]);
-        let cache = SspaCache::new();
-        let _ = solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache));
-        // Provider 0 carries 2 units. 5 → 3 keeps the load: certified.
-        assert!(cache.apply_delta(CacheDelta::SetProviderCapacity {
-            index: 0,
-            old_cap: 5,
-            new_cap: 3,
-        }));
-        let shrunk = [q(0.0, 0.0, 3), providers[1]];
-        let (warm, stats) =
-            solve_complete_bipartite_warm_ctx(&shrunk, &customers, None, Some(&cache)).unwrap();
-        assert!(stats.warm_started);
-        let (cold, _) = solve_complete_bipartite(&shrunk, &customers);
-        assert!((warm.cost - cold.cost).abs() < 1e-9);
-        // 3 → 6 only re-exposes source capacity: certified.
-        assert!(cache.apply_delta(CacheDelta::SetProviderCapacity {
-            index: 0,
-            old_cap: 3,
-            new_cap: 6,
-        }));
-        let grown = [q(0.0, 0.0, 6), providers[1]];
-        let (_, stats) =
-            solve_complete_bipartite_warm_ctx(&grown, &customers, None, Some(&cache)).unwrap();
-        assert!(stats.warm_started);
-        // 6 → 1 is below the load of 2: eviction needed, entry dropped.
-        assert!(!cache.apply_delta(CacheDelta::SetProviderCapacity {
-            index: 0,
-            old_cap: 6,
-            new_cap: 1,
-        }));
-        assert!(cache.state().is_none());
-    }
-
-    #[test]
-    fn apply_delta_provider_move_always_invalidates() {
-        let (providers, customers) = random_instance(13, 4, 20, 2);
-        let cache = SspaCache::new();
-        assert!(
-            !cache.apply_delta(CacheDelta::MoveProvider { index: 0 }),
-            "empty cache has nothing to keep"
-        );
-        let _ = solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache));
-        assert!(cache.state().is_some());
-        assert!(!cache.apply_delta(CacheDelta::MoveProvider { index: 0 }));
-        assert!(cache.state().is_none());
-    }
-
-    #[test]
-    fn prime_restores_a_snapshot_for_resume() {
-        let (providers, customers) = random_instance(14, 5, 30, 3);
-        let cache = SspaCache::new();
-        let (cold, _) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache)).unwrap();
-        let snapshot = cache.state().expect("completed solve published");
-        // A fresh cache primed with the snapshot resumes without searching.
-        let fresh = SspaCache::new();
-        fresh.prime(&providers, &customers, snapshot);
-        let (warm, stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&fresh)).unwrap();
-        assert!(stats.warm_started);
-        assert_eq!(stats.iterations, 0);
-        assert!((warm.cost - cold.cost).abs() < 1e-9 * cold.cost.max(1.0));
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// Soundness of delta-maintained warm starts: after an arbitrary
-        /// sequence of removals / arrivals / capacity changes / moves
-        /// mirrored into the cache, solving the mutated instance through
-        /// the cache yields exactly the cold optimum — certified entries
-        /// resume, uncertifiable ones were dropped, and either way the
-        /// answer is the same.
-        #[test]
-        fn prop_apply_delta_never_corrupts(
-            seed in 0u64..10_000,
-            nq in 1usize..5,
-            np in 2usize..20,
-            ops in proptest::collection::vec((0u8..4, 0u16..1000), 1..8),
-        ) {
-            use rand::rngs::StdRng;
-            use rand::{Rng, SeedableRng};
-            let (mut providers, mut customers) = random_instance(seed, nq, np, 4);
-            let cache = SspaCache::new();
-            let _ = solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache));
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xde17a);
-            for (op, pick) in ops {
-                match op {
-                    0 if customers.len() > 1 => {
-                        let j = pick as usize % customers.len();
-                        cache.apply_delta(CacheDelta::RemoveCustomer { index: j, weight: customers[j].weight });
-                        customers.swap_remove(j);
-                    }
-                    1 => {
-                        let pos = Point::new(
-                            rng.random_range(0.0..1000.0),
-                            rng.random_range(0.0..1000.0),
-                        );
-                        cache.apply_delta(CacheDelta::AddCustomer { pos, weight: 1, providers: &providers });
-                        customers.push(FlowCustomer { pos, weight: 1 });
-                    }
-                    2 => {
-                        let i = pick as usize % providers.len();
-                        let old_cap = providers[i].cap;
-                        let new_cap = rng.random_range(0..6u32);
-                        cache.apply_delta(CacheDelta::SetProviderCapacity { index: i, old_cap, new_cap });
-                        providers[i].cap = new_cap;
-                    }
-                    _ => {
-                        let i = pick as usize % providers.len();
-                        cache.apply_delta(CacheDelta::MoveProvider { index: i });
-                        providers[i].pos = Point::new(
-                            rng.random_range(0.0..1000.0),
-                            rng.random_range(0.0..1000.0),
-                        );
-                    }
-                }
-            }
-            let (warm, _) =
-                solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
-                    .unwrap();
-            let (cold, _) = solve_complete_bipartite(&providers, &customers);
-            let tol = 1e-9 * cold.cost.max(1.0);
-            proptest::prop_assert!(
-                (warm.cost - cold.cost).abs() <= tol,
-                "delta-warmed {} vs cold {}", warm.cost, cold.cost
             );
             proptest::prop_assert_eq!(warm.size(), cold.size());
         }
@@ -1374,9 +833,8 @@ mod tests {
             pos: Point::new(4.0, 0.0),
             weight: 3,
         }];
-        let (unit, unit_stats) = solve_complete_bipartite(&providers, &customers);
-        let (bulk, bulk_stats) =
-            solve_complete_bipartite_bulk_ctx(&providers, &customers, None).unwrap();
+        let (unit, unit_stats) = solve(&providers, &customers);
+        let (bulk, bulk_stats) = bulk().solve(&providers, &customers).unwrap();
         assert_eq!(bulk.size(), unit.size());
         assert!((bulk.cost - unit.cost).abs() < 1e-9);
         assert_eq!(unit_stats.iterations, 3);
@@ -1393,8 +851,12 @@ mod tests {
         let providers = [q(0.0, 0.0, 2)];
         let customers = [p(1.0, 0.0), p(2.0, 0.0)];
         let ctx = QueryContext::new().with_deadline(Instant::now() - Duration::from_millis(1));
-        let err =
-            solve_complete_bipartite_bulk_ctx(&providers, &customers, Some(&ctx)).unwrap_err();
+        let err = Sspa {
+            bulk: true,
+            ..with_ctx(&ctx)
+        }
+        .solve(&providers, &customers)
+        .unwrap_err();
         assert_eq!(err.reason, AbortReason::DeadlineExceeded);
         assert_eq!(err.partial.size(), 0);
     }
@@ -1419,9 +881,9 @@ mod tests {
             for c in &mut customers {
                 c.weight = rng.random_range(1..=max_w);
             }
-            let (unit, unit_stats) = solve_complete_bipartite(&providers, &customers);
+            let (unit, unit_stats) = solve(&providers, &customers);
             let (bulk, bulk_stats) =
-                solve_complete_bipartite_bulk_ctx(&providers, &customers, None).unwrap();
+                bulk().solve(&providers, &customers).unwrap();
             let tol = 1e-9 * unit.cost.max(1.0);
             proptest::prop_assert_eq!(bulk.size(), unit.size());
             proptest::prop_assert!(
@@ -1434,12 +896,12 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let (asg, _) = solve_complete_bipartite(&[], &[]);
+        let (asg, _) = solve(&[], &[]);
         assert_eq!(asg.size(), 0);
         assert_eq!(asg.cost, 0.0);
-        let (asg, _) = solve_complete_bipartite(&[q(0.0, 0.0, 3)], &[]);
+        let (asg, _) = solve(&[q(0.0, 0.0, 3)], &[]);
         assert_eq!(asg.size(), 0);
-        let (asg, _) = solve_complete_bipartite(&[], &unit_customers(&[Point::new(1.0, 1.0)]));
+        let (asg, _) = solve(&[], &unit_customers(&[Point::new(1.0, 1.0)]));
         assert_eq!(asg.size(), 0);
     }
 
@@ -1447,7 +909,7 @@ mod tests {
     fn zero_capacity_provider_is_ignored() {
         let providers = [q(0.0, 0.0, 0), q(5.0, 0.0, 1)];
         let customers = [p(0.0, 0.0)];
-        let (asg, _) = solve_complete_bipartite(&providers, &customers);
+        let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 1);
         assert_eq!(asg.pairs[0].0, 1, "capacity-0 provider must not serve");
     }
@@ -1459,7 +921,7 @@ mod tests {
         // small instance with that structure: 3 customers around q0 (k=1).
         let providers = [q(0.0, 0.0, 1), q(10.0, 0.0, 2)];
         let customers = [p(0.5, 0.0), p(-0.5, 0.0), p(1.0, 0.0)];
-        let (asg, _) = solve_complete_bipartite(&providers, &customers);
+        let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 3);
         let load = asg.provider_load(2);
         assert_eq!(load[0], 1, "capacity respected despite 3 nearby customers");

@@ -166,7 +166,7 @@ pub fn hungarian_optimal_cost(providers: &[FlowProvider], customers: &[Point]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sspa::{solve_complete_bipartite, unit_customers};
+    use crate::sspa::{unit_customers, Sspa};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -188,7 +188,7 @@ mod tests {
             Point::new(60.0, 60.0),
         ];
         let customers = unit_customers(&pts);
-        let (asg, _) = solve_complete_bipartite(&providers, &customers);
+        let (asg, _) = Sspa::default().solve(&providers, &customers).unwrap();
         validate_assignment(&providers, &customers, &asg).unwrap();
     }
 
@@ -235,7 +235,7 @@ mod tests {
                 .map(|_| Point::new(rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)))
                 .collect();
             let customers = unit_customers(&pts);
-            let (asg, _) = solve_complete_bipartite(&providers, &customers);
+            let (asg, _) = Sspa::default().solve(&providers, &customers).unwrap();
             validate_assignment(&providers, &customers, &asg).unwrap();
             let brute = brute_force_optimal_cost(&providers, &pts);
             let hung = hungarian_optimal_cost(&providers, &pts);
@@ -274,7 +274,7 @@ mod tests {
                 ))
                 .collect();
             let customers = unit_customers(&pts);
-            let (asg, _) = solve_complete_bipartite(&providers, &customers);
+            let (asg, _) = Sspa::default().solve(&providers, &customers).unwrap();
             prop_assert!(validate_assignment(&providers, &customers, &asg).is_ok());
             let brute = brute_force_optimal_cost(&providers, &pts);
             prop_assert!((asg.cost - brute).abs() < 1e-6,

@@ -8,12 +8,12 @@
 //! * identical settle order up to equal-key ties, with bit-identical
 //!   distances, on random weighted graphs — including after PUA edge
 //!   inserts and `drain_below_sink` (the paths that trigger the fallback),
-//! * bit-identical final matching cost on random SSPA instances, cold,
-//!   warm-started, and across `apply_delta` cache mutations.
+//! * bit-identical final matching cost on random SSPA instances, cold and
+//!   warm-started.
 
 use cca_flow::{
-    solve_complete_bipartite_warm_ctx, solve_with_frontier, CacheDelta, DijkstraState,
-    FlowCustomer, FlowGraph, FlowProvider, FrontierKind, NodeId, SspaCache,
+    Assignment, DijkstraState, FlowCustomer, FlowGraph, FlowProvider, FrontierKind, NodeId, Sspa,
+    SspaCache, SspaStats,
 };
 use cca_geo::Point;
 use proptest::prelude::*;
@@ -90,6 +90,20 @@ fn customers_from(raw: &[(f64, f64, u32)]) -> Vec<FlowCustomer> {
         .collect()
 }
 
+/// A cold, context-free solve on the given frontier.
+fn solve_on(
+    frontier: FrontierKind,
+    providers: &[FlowProvider],
+    customers: &[FlowCustomer],
+) -> (Assignment, SspaStats) {
+    Sspa {
+        frontier,
+        ..Sspa::default()
+    }
+    .solve(providers, customers)
+    .expect("no context, no abort")
+}
+
 proptest! {
     /// Cold Dijkstra: both frontiers settle the same nodes at bit-identical
     /// distances, in the same order up to equal-key ties.
@@ -150,8 +164,8 @@ proptest! {
     ) {
         let providers = providers_from(&praw);
         let customers = customers_from(&craw);
-        let (radix, rs) = solve_with_frontier(&providers, &customers, FrontierKind::Radix);
-        let (binary, bs) = solve_with_frontier(&providers, &customers, FrontierKind::Binary);
+        let (radix, rs) = solve_on(FrontierKind::Radix, &providers, &customers);
+        let (binary, bs) = solve_on(FrontierKind::Binary, &providers, &customers);
         prop_assert_eq!(
             radix.cost.to_bits(), binary.cost.to_bits(),
             "cost diverged: {} vs {}", radix.cost, binary.cost);
@@ -174,47 +188,20 @@ proptest! {
         let providers = providers_from(&praw);
         let customers = customers_from(&craw);
         let cache = SspaCache::new();
-        solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
+        let resuming = Sspa {
+            cache: Some(&cache),
+            ..Sspa::default()
+        };
+        resuming
+            .solve(&providers, &customers)
             .expect("no context, no abort");
-        let (warm, stats) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
-                .expect("no context, no abort");
+        let (warm, stats) = resuming
+            .solve(&providers, &customers)
+            .expect("no context, no abort");
         prop_assert!(stats.warm_started, "second solve must resume");
-        let (binary, _) = solve_with_frontier(&providers, &customers, FrontierKind::Binary);
+        let (binary, _) = solve_on(FrontierKind::Binary, &providers, &customers);
         prop_assert_eq!(
             warm.cost.to_bits(), binary.cost.to_bits(),
             "warm cost diverged: {} vs {}", warm.cost, binary.cost);
-    }
-
-    /// `apply_delta` cache mutations: after removing a customer from the
-    /// cached state, the (possibly warm) re-solve of the modified instance
-    /// still matches the binary engine's cost bit-for-bit — whether the
-    /// delta preserved the warm state or invalidated it.
-    #[test]
-    fn prop_apply_delta_resolve_matches_binary(
-        praw in proptest::collection::vec(
-            (0.0..1000.0f64, 0.0..1000.0f64, 2u32..6), 1..5),
-        craw in proptest::collection::vec(
-            (0.0..1000.0f64, 0.0..1000.0f64, 1u32..3), 2..10),
-        remove_at in 0usize..10,
-    ) {
-        let providers = providers_from(&praw);
-        let mut customers = customers_from(&craw);
-        let cache = SspaCache::new();
-        solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
-            .expect("no context, no abort");
-        let j = remove_at % customers.len();
-        let removed = customers.remove(j);
-        cache.apply_delta(CacheDelta::RemoveCustomer {
-            index: j,
-            weight: removed.weight,
-        });
-        let (warm, _) =
-            solve_complete_bipartite_warm_ctx(&providers, &customers, None, Some(&cache))
-                .expect("no context, no abort");
-        let (binary, _) = solve_with_frontier(&providers, &customers, FrontierKind::Binary);
-        prop_assert_eq!(
-            warm.cost.to_bits(), binary.cost.to_bits(),
-            "post-delta cost diverged: {} vs {}", warm.cost, binary.cost);
     }
 }

@@ -1,18 +1,20 @@
-//! Batched, autovectorizable distance kernels.
+//! Batched, autovectorizable distance kernel.
 //!
 //! Best-first NN search spends its CPU time computing `dist(q, p)` for every
-//! entry of every visited node ([`crate::Point::dist2`] /
-//! [`crate::Rect::mindist2`]). Called one entry at a time through the
-//! streaming node decoders, those are scalar `sqrt`/`max` chains the
-//! compiler cannot vectorize across entries. These kernels take the same
-//! inputs in struct-of-arrays form (one slice per coordinate) and evaluate
+//! entry of every visited node. Called one entry at a time through the
+//! streaming node decoders, [`crate::Point::dist2`] is a scalar chain the
+//! compiler cannot vectorize across entries. The kernel takes the same
+//! inputs in struct-of-arrays form (one slice per coordinate) and evaluates
 //! fixed-width chunks, which LLVM turns into SIMD on any target with vector
-//! `max`/`mul` — no intrinsics, no feature gates.
+//! `mul`/`add` — no intrinsics, no feature gates.
 //!
-//! Every kernel computes *bit-identical* results to its scalar counterpart
-//! on the finite coordinates R-trees store (pinned by proptests), so
-//! switching a traversal to the batched path can never change which
-//! neighbour is found.
+//! The kernel computes *bit-identical* results to its scalar counterpart on
+//! the finite coordinates R-trees store (pinned by proptest), so switching a
+//! traversal to the batched path can never change which neighbour is found.
+//!
+//! Only leaf points are batched: a batched [`crate::Rect::mindist2`] reads
+//! five streams per element against two here and measured at or below the
+//! scalar loop (`rect_batched` rows of `BENCH_hotpath.json`).
 
 /// Chunk width. Eight `f64`s span two AVX2 registers or one AVX-512
 /// register; on narrower targets the fixed trip count still unrolls cleanly.
@@ -46,85 +48,10 @@ pub fn point_dist2_batch(qx: f64, qy: f64, xs: &[f64], ys: &[f64], out: &mut [f6
     }
 }
 
-/// Select-based max: `f64::max` is IEEE `maxNum`, whose NaN handling LLVM
-/// must preserve with a compare/blend *pair* per lane — that extra latency
-/// is what made the first batched rect kernel measure slower than scalar. A
-/// bare compare-select is a single vector `max` instruction on every SIMD
-/// target.
-///
-/// For the finite inputs the traversals feed in, the only value where the
-/// two differ is the sign of a zero (`sel_max(-0.0, 0.0)` may keep `-0.0`
-/// where `maxNum` prefers `+0.0`) — and both clamped distances are squared
-/// immediately, which erases the sign. So the kernel result stays
-/// bit-identical to [`crate::Rect::mindist2`] (pinned by proptest below).
-#[inline(always)]
-fn sel_max(a: f64, b: f64) -> f64 {
-    if a > b {
-        a
-    } else {
-        b
-    }
-}
-
-#[inline(always)]
-fn mindist2_scalar(qx: f64, qy: f64, lox: f64, loy: f64, hix: f64, hiy: f64) -> f64 {
-    // Same clamp structure as Rect::mindist2, with select-based max.
-    let dx = sel_max(sel_max(lox - qx, 0.0), qx - hix);
-    let dy = sel_max(sel_max(loy - qy, 0.0), qy - hiy);
-    dx * dx + dy * dy
-}
-
-/// Squared minimum distance from `(qx, qy)` to each axis-aligned rectangle
-/// `[lox[i], hix[i]] × [loy[i], hiy[i]]`, written to `out[i]`. Bit-identical
-/// to [`crate::Rect::mindist2`].
-///
-/// **Status: kept as a measured negative result.** Even with the
-/// select-based max (which removed the NaN compare/blend pair), this kernel
-/// benchmarks at or below the scalar loop on the `hot_path` bench's
-/// `dist_kernel` rows: it streams five arrays per element against the point
-/// kernel's two, so the vector ALU win drowns in load-port pressure. The NN
-/// traversal therefore scores inner-node MBRs through the scalar path and
-/// batches only leaf points; this function stays for the bench rows that
-/// document the comparison and for callers with warmer caches.
-///
-/// # Panics
-/// If the slice lengths differ.
-#[allow(clippy::too_many_arguments)]
-pub fn rect_mindist2_batch(
-    qx: f64,
-    qy: f64,
-    lox: &[f64],
-    loy: &[f64],
-    hix: &[f64],
-    hiy: &[f64],
-    out: &mut [f64],
-) {
-    let n = lox.len();
-    assert!(
-        loy.len() == n && hix.len() == n && hiy.len() == n && out.len() == n,
-        "SoA slice length mismatch"
-    );
-    let chunks = n / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        let lox: &[f64; LANES] = lox[base..base + LANES].try_into().expect("chunk");
-        let loy: &[f64; LANES] = loy[base..base + LANES].try_into().expect("chunk");
-        let hix: &[f64; LANES] = hix[base..base + LANES].try_into().expect("chunk");
-        let hiy: &[f64; LANES] = hiy[base..base + LANES].try_into().expect("chunk");
-        let out: &mut [f64; LANES] = (&mut out[base..base + LANES]).try_into().expect("chunk");
-        for i in 0..LANES {
-            out[i] = mindist2_scalar(qx, qy, lox[i], loy[i], hix[i], hiy[i]);
-        }
-    }
-    for i in chunks * LANES..n {
-        out[i] = mindist2_scalar(qx, qy, lox[i], loy[i], hix[i], hiy[i]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Point, Rect};
+    use crate::Point;
     use proptest::prelude::*;
 
     fn coord() -> impl Strategy<Value = f64> {
@@ -134,7 +61,6 @@ mod tests {
     #[test]
     fn empty_batches_are_fine() {
         point_dist2_batch(1.0, 2.0, &[], &[], &mut []);
-        rect_mindist2_batch(1.0, 2.0, &[], &[], &[], &[], &mut []);
     }
 
     #[test]
@@ -158,30 +84,6 @@ mod tests {
             point_dist2_batch(q.0, q.1, &xs, &ys, &mut out);
             for (i, &(x, y)) in pts.iter().enumerate() {
                 let want = query.dist2(&Point::new(x, y));
-                prop_assert_eq!(out[i].to_bits(), want.to_bits(),
-                                "element {} diverged: {} vs {}", i, out[i], want);
-            }
-        }
-
-        /// Batched rect min-distances are bit-identical to Rect::mindist2.
-        #[test]
-        fn prop_rect_batch_bit_equals_scalar(
-            q in (coord(), coord()),
-            rects in proptest::collection::vec((coord(), coord(), coord(), coord()), 0..40),
-        ) {
-            let query = Point::new(q.0, q.1);
-            let rs: Vec<Rect> = rects
-                .iter()
-                .map(|&(ax, ay, bx, by)| Rect::new(Point::new(ax, ay), Point::new(bx, by)))
-                .collect();
-            let lox: Vec<f64> = rs.iter().map(|r| r.lo.x).collect();
-            let loy: Vec<f64> = rs.iter().map(|r| r.lo.y).collect();
-            let hix: Vec<f64> = rs.iter().map(|r| r.hi.x).collect();
-            let hiy: Vec<f64> = rs.iter().map(|r| r.hi.y).collect();
-            let mut out = vec![0.0; rs.len()];
-            rect_mindist2_batch(q.0, q.1, &lox, &loy, &hix, &hiy, &mut out);
-            for (i, r) in rs.iter().enumerate() {
-                let want = r.mindist2(&query);
                 prop_assert_eq!(out[i].to_bits(), want.to_bits(),
                                 "element {} diverged: {} vs {}", i, out[i], want);
             }

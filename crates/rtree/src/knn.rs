@@ -66,8 +66,9 @@ impl Ord for HeapItem {
 /// Only leaf (point) scoring is batched. Inner-node MBRs are scored scalar
 /// in the decode closure: the rect kernel reads five streams per element
 /// against the point kernel's two, and measured at or below the scalar path
-/// on the `hot_path` bench (`dist_kernel` rows), so batching them buys
-/// nothing — see `cca_geo::kernel::rect_mindist2_batch` for the record.
+/// on the `hot_path` bench, so batching them buys nothing — the deleted
+/// kernel's `rect_batched` rows in `BENCH_hotpath.json` and `CHANGES.md`
+/// are the record.
 #[derive(Default)]
 struct SoaScratch {
     /// Leaf columns: point coordinates and item ids.

@@ -3,10 +3,11 @@
 //! One FIFO ring per [`Priority`] level, popped highest level first. To
 //! prevent starvation under a saturated stream of high-priority work, the
 //! queue *ages* waiters: every `aging_period` pops, the front (oldest)
-//! entry of each non-top level is promoted one level up. A lone
-//! low-priority entry therefore reaches the top level after at most
-//! `(levels − 1) × aging_period` pops and is served next — a deterministic
-//! bound the starvation tests pin down.
+//! entry of each non-top level is promoted to the *front* of the level
+//! above. The oldest entry of the lowest level therefore reaches the top
+//! level after at most `(levels − 1) × aging_period` pops and is served on
+//! the next one — a bound that holds however many higher-priority entries
+//! are queued or keep arriving, which the starvation tests pin down.
 //!
 //! The queue is bounded: [`AgingQueue::push`] refuses entries beyond
 //! `capacity`, which is the scheduler's semaphore-style admission control —
@@ -93,12 +94,14 @@ impl<T> AgingQueue<T> {
         unreachable!("len > 0 but every level was empty");
     }
 
-    /// One aging round: the oldest waiter of each non-top level moves one
-    /// level up (to the back of that level's FIFO, as its newest arrival).
+    /// One aging round: the oldest waiter of each non-top level moves to
+    /// the front of the level above. Joining at the back would make its
+    /// wait depend on that level's backlog, which a saturating producer
+    /// controls — no bound at all.
     fn promote_round(&mut self) {
         for level in (0..self.levels.len() - 1).rev() {
             if let Some(item) = self.levels[level].pop_front() {
-                self.levels[level + 1].push_back(item);
+                self.levels[level + 1].push_front(item);
             }
         }
     }
@@ -152,14 +155,13 @@ mod tests {
         assert_eq!(q.pop(), Some(3));
     }
 
-    #[test]
-    fn aging_promotes_a_starved_low_entry_within_the_bound() {
-        const PERIOD: u32 = 3;
-        let mut q = AgingQueue::new(64, PERIOD);
+    /// Pops until a `Low` entry queued ahead of `backlog` standing `High`
+    /// entries is served, topping the `High`s up after every pop.
+    fn pops_until_low_is_served(capacity: usize, backlog: usize, period: u32) -> u32 {
+        let mut q = AgingQueue::new(capacity, period);
         q.push(Priority::Low, u32::MAX).unwrap();
-        // A saturated high-priority stream: top up after every pop.
         let mut next_high = 0u32;
-        for _ in 0..4 {
+        for _ in 0..backlog {
             q.push(Priority::High, next_high).unwrap();
             next_high += 1;
         }
@@ -168,13 +170,33 @@ mod tests {
             let item = q.pop().expect("queue kept saturated");
             pops += 1;
             if item == u32::MAX {
-                break;
+                return pops;
             }
             q.push(Priority::High, next_high).unwrap();
             next_high += 1;
         }
+    }
+
+    #[test]
+    fn aging_promotes_a_starved_low_entry_within_the_bound() {
+        const PERIOD: u32 = 3;
+        let pops = pops_until_low_is_served(64, 4, PERIOD);
         // Low → Normal → High → Critical takes ≤ 3 rounds of PERIOD pops;
         // at Critical it is served on the next pop.
+        let bound = 3 * PERIOD + 1;
+        assert!(
+            pops <= bound,
+            "low-priority entry served after {pops} pops (bound {bound})"
+        );
+    }
+
+    #[test]
+    fn aging_bound_holds_behind_a_full_standing_backlog() {
+        // The worst a saturating producer can do: every slot but the Low
+        // entry's own holds a High, refilled after every pop.
+        const PERIOD: u32 = 4;
+        const CAPACITY: usize = 64;
+        let pops = pops_until_low_is_served(CAPACITY, CAPACITY - 1, PERIOD);
         let bound = 3 * PERIOD + 1;
         assert!(
             pops <= bound,

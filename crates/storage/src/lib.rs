@@ -7,8 +7,6 @@
 //!
 //! * [`disk::DiskManager`] — an in-memory simulated disk holding fixed-size
 //!   pages and counting *physical* reads/writes,
-//! * [`lru::LruList`] — an O(1) intrusive LRU list (kept as a reusable
-//!   primitive; the pool itself now uses clock replacement),
 //! * [`buffer::BufferPool`] — a buffer pool with clock (second-chance)
 //!   replacement, write-back of dirty pages, and a seqlock-published frame
 //!   directory that lets the sharded store serve page hits without a lock,
@@ -31,7 +29,6 @@
 pub mod buffer;
 pub mod context;
 pub mod disk;
-pub mod lru;
 mod shard;
 pub mod stats;
 pub mod store;

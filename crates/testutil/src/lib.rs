@@ -5,7 +5,7 @@
 //! over its customers, the independent flow-solver optimum, and `γ`. They
 //! used to be copy-pasted per module; this crate is the single home.
 
-use cca_flow::sspa::{solve_complete_bipartite, unit_customers, FlowProvider};
+use cca_flow::sspa::{unit_customers, FlowProvider, Sspa};
 use cca_geo::Point;
 use cca_rtree::RTree;
 use cca_storage::PageStore;
@@ -50,7 +50,9 @@ pub fn optimal_cost(providers: &[(Point, u32)], customers: &[Point]) -> f64 {
         .iter()
         .map(|&(pos, cap)| FlowProvider { pos, cap })
         .collect();
-    let (asg, _) = solve_complete_bipartite(&fps, &unit_customers(customers));
+    let (asg, _) = Sspa::default()
+        .solve(&fps, &unit_customers(customers))
+        .expect("no context, no abort");
     asg.cost
 }
 

@@ -4,7 +4,7 @@
 
 use cca::core::{ca_error_bound, sa_error_bound, RefineMethod};
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::flow::sspa::{solve_complete_bipartite, unit_customers, FlowProvider};
+use cca::flow::sspa::{unit_customers, FlowProvider, Sspa};
 use cca::{Algorithm, SpatialAssignment};
 
 fn workload(nq: usize, np: usize, k: u32, seed: u64) -> WorkloadConfig {
@@ -24,7 +24,9 @@ fn oracle_cost(instance: &SpatialAssignment) -> f64 {
         .iter()
         .map(|&(pos, cap)| FlowProvider { pos, cap })
         .collect();
-    solve_complete_bipartite(&fps, &unit_customers(instance.customers()))
+    Sspa::default()
+        .solve(&fps, &unit_customers(instance.customers()))
+        .expect("no context, no abort")
         .0
         .cost
 }

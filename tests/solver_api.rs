@@ -3,7 +3,7 @@
 //! legacy `Algorithm` wrapper.
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::flow::sspa::{solve_complete_bipartite, unit_customers, FlowProvider};
+use cca::flow::sspa::{unit_customers, FlowProvider, Sspa};
 use cca::{Algorithm, SolverConfig, SolverRegistry, SpatialAssignment};
 
 fn small_instance(seed: u64) -> SpatialAssignment {
@@ -25,7 +25,9 @@ fn oracle_cost(instance: &SpatialAssignment) -> f64 {
         .iter()
         .map(|&(pos, cap)| FlowProvider { pos, cap })
         .collect();
-    solve_complete_bipartite(&fps, &unit_customers(instance.customers()))
+    Sspa::default()
+        .solve(&fps, &unit_customers(instance.customers()))
+        .expect("no context, no abort")
         .0
         .cost
 }
