@@ -2,9 +2,10 @@
 //! and end to end.
 //!
 //! * `hot_read` — page-*hit* read throughput through the store at 1/2/4/8
-//!   threads. Hits are served by the seqlock hot directory without taking
-//!   the shard mutex; the row records the lock acquisitions per million
-//!   reads to prove it.
+//!   threads over a fully resident working set, so the only cost is the
+//!   read path itself (one shard-mutex acquisition per read). The committed
+//!   `"rev": "one-read-path"` rows against the older optimistic-copy rows
+//!   are the record of why there is one read path.
 //! * `dist_kernel` — the scalar `Point::dist2` loop vs. the batched
 //!   struct-of-arrays kernel (`cca_geo::kernel`) the NN traversals use for
 //!   leaf expansion, plus the scalar `Rect::mindist2` loop inner nodes are
@@ -69,11 +70,9 @@ impl Scale {
     }
 }
 
-/// Lock-free page-hit reads: every page is resident, so every access is a
-/// hit and the only contention is the read path itself. Returns
-/// (reads/s, lock acquisitions per million reads).
-fn hot_read_round(store: &PageStore, pages: &[PageId], threads: usize, reads: usize) -> (f64, f64) {
-    let locks_before = store.lock_acquisitions();
+/// Page-hit reads: every page is resident, so every access is a hit and the
+/// only contention is the read path itself. Returns reads/s.
+fn hot_read_round(store: &PageStore, pages: &[PageId], threads: usize, reads: usize) -> f64 {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -89,10 +88,7 @@ fn hot_read_round(store: &PageStore, pages: &[PageId], threads: usize, reads: us
             });
         }
     });
-    let wall = start.elapsed().as_secs_f64();
-    let total = (threads * reads) as f64;
-    let locks = (store.lock_acquisitions() - locks_before) as f64;
-    (total / wall, locks * 1.0e6 / total)
+    (threads * reads) as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Million distance evaluations per second for one kernel variant.
@@ -149,14 +145,14 @@ fn main() {
             id
         })
         .collect();
-    // Touch everything once so the directory is fully hot.
+    // Touch everything once so every page is resident.
     for &id in &pages {
         store.with_page(id, |b| black_box(b[0]));
     }
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     for &threads in &THREAD_COUNTS {
-        let (qps, locks_per_m) = hot_read_round(&store, &pages, threads, scale.reads_per_thread);
-        println!("hot_read threads={threads}  {qps:12.0} reads/s  {locks_per_m:6.1} locks/Mread");
+        let qps = hot_read_round(&store, &pages, threads, scale.reads_per_thread);
+        println!("hot_read threads={threads}  {qps:12.0} reads/s");
         // More reader threads than host cores measures time-slicing, not
         // parallel scaling — tag those rows for downstream readers.
         let oversub = if threads > host_cores {
@@ -166,7 +162,7 @@ fn main() {
         };
         rows.push(format!(
             "    {{\"workload\": \"hot_read\", \"threads\": {threads}{oversub}, \
-             \"reads_per_s\": {qps:.0}, \"lock_acqs_per_mread\": {locks_per_m:.1}}}"
+             \"reads_per_s\": {qps:.0}}}"
         ));
     }
 

@@ -12,6 +12,8 @@
 //! (default 0.1 = one tenth of the paper's sizes, preserving the governing
 //! ratio `k·|Q|/|P|`).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};

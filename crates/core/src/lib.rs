@@ -17,6 +17,8 @@
 //! * [`matching`] / [`stats`] — result and measurement types shared by all
 //!   algorithms and by the benchmark harness.
 
+#![forbid(unsafe_code)]
+
 pub mod approx;
 pub mod dynamic;
 pub mod exact;

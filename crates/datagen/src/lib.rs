@@ -10,6 +10,8 @@
 //! Everything is deterministic per seed, so experiments are reproducible
 //! run-to-run.
 
+#![forbid(unsafe_code)]
+
 pub mod capacity;
 pub mod network;
 pub mod spatial;

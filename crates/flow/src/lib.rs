@@ -29,6 +29,8 @@
 //! partial assignment — instead of overshooting its deadline until the next
 //! page access.
 
+#![forbid(unsafe_code)]
+
 pub mod dijkstra;
 pub mod graph;
 pub mod hungarian;

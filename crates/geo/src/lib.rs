@@ -14,6 +14,8 @@
 //!   to the scalar metrics, shaped so the compiler autovectorizes them) for
 //!   the R-tree's NN hot loops.
 
+#![forbid(unsafe_code)]
+
 pub mod hilbert;
 pub mod kernel;
 pub mod num;

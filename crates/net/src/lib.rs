@@ -51,6 +51,8 @@
 //! server.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod proto;
 

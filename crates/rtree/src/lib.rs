@@ -14,8 +14,10 @@
 //! * diagonal-bounded partitioning ([`RTree::partition_by_diagonal`]) for the
 //!   CA approximation (§4.2).
 //!
-//! All page accesses go through `cca-storage`'s LRU buffer pool so that page
+//! All page accesses go through `cca-storage`'s clock (second-chance) buffer pool so that page
 //! faults — and hence the paper's charged I/O time — are accounted exactly.
+
+#![forbid(unsafe_code)]
 
 pub mod ann;
 pub mod bulk;

@@ -9,9 +9,9 @@ use crate::node::{self, Node};
 /// A disk-resident R-tree over 2-D points, the spatial access method the
 /// paper assumes for the customer set `P` (§2.3, §3).
 ///
-/// All page accesses go through the [`PageStore`]'s LRU buffer pool, so
-/// [`RTree::io_stats`] reports exactly the page faults the paper charges at
-/// 10 ms each.
+/// All page accesses go through the [`PageStore`]'s clock (second-chance)
+/// buffer pool, so [`RTree::io_stats`] reports exactly the page faults the
+/// paper charges at 10 ms each.
 pub struct RTree {
     store: PageStore,
     root: PageId,
@@ -95,7 +95,7 @@ impl RTree {
     }
 
     /// Applies the paper's experimental storage settings after construction:
-    /// flushes dirty pages, sizes the LRU buffer at `percent` of the tree's
+    /// flushes dirty pages, sizes the buffer at `percent` of the tree's
     /// pages (§5.1 uses 1 %), cold-starts the cache and clears statistics so
     /// that only query I/O is charged.
     pub fn finish_build(&self, percent: f64) {

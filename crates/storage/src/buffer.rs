@@ -1,28 +1,17 @@
-//! Buffer pool with clock (second-chance) replacement, write-back of dirty
-//! pages, and a lock-free directory of resident frames.
+//! Buffer pool with clock (second-chance) replacement and write-back of
+//! dirty pages.
 //!
-//! Two structures make page *hits* readable without the owning shard's
-//! mutex:
+//! A frame is plain data owned by the pool: the page it holds, the page
+//! bytes, a clock reference bit and a dirty bit. Every operation takes
+//! `&mut BufferPool`, so whatever serialises access to the pool (the owning
+//! shard's mutex in [`crate::PageStore`]) serialises hits, faults, writes
+//! and resizes alike — there is one read path, and the closure handed to
+//! [`BufferPool::with_page`] sees the frame's bytes in place.
 //!
-//! * `FrameCell` — the concurrently readable half of a frame: the page
-//!   bytes (as `AtomicU64` words, so racing reads are defined behaviour),
-//!   the page identity, and a clock reference bit, all published through a
-//!   seqlock version counter. Writers (always serialised by the shard mutex
-//!   or `&mut BufferPool`) bump the version to odd, mutate, and bump back to
-//!   even; lock-free readers copy the bytes and accept the copy only if the
-//!   version was even and unchanged around the copy.
-//! * `HotTable` — a chunked array of atomic cell pointers mapping
-//!   shard-local page index → resident `FrameCell`, shared (via `Arc`)
-//!   with the shard so its lock-free read path can find the frame without
-//!   locking. Entries are maintained by the pool under the lock.
-//!
-//! Replacement is clock/second-chance rather than strict LRU: a hit only
-//! sets the frame's atomic reference bit (no list mutation, so the
-//! optimistic path needs no lock), and the eviction hand sweeps frames
-//! clearing bits until it finds one already clear.
-
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+//! Replacement is clock/second-chance rather than the paper's strict LRU: a
+//! hit only sets the frame's reference bit (no list mutation), and the
+//! eviction hand sweeps frames clearing bits until it finds one already
+//! clear.
 
 use crate::disk::{DiskManager, PageId};
 use crate::stats::IoStats;
@@ -30,276 +19,14 @@ use crate::stats::IoStats;
 const NO_FRAME: u32 = u32::MAX;
 const NO_PAGE: u32 = u32::MAX;
 
-/// Entries per hot-table chunk.
-const HOT_CHUNK_LEN: usize = 1024;
-/// Chunks per hot table: 4096 × 1024 ≈ 4M pages per shard are addressable
-/// lock-free; pages beyond that always take the locked path.
-const HOT_CHUNKS: usize = 4096;
-
-/// The shared, concurrently readable half of a buffer frame.
-pub(crate) struct FrameCell {
-    /// Seqlock version: even = stable, odd = mutation in progress.
-    version: AtomicU64,
-    /// Shard-local index of the page held, [`NO_PAGE`] when detached.
-    page: AtomicU32,
-    /// Clock reference bit: set on every hit, cleared by the sweeping hand.
-    referenced: AtomicBool,
-    /// Page bytes, native-endian words (zero-padded tail when the page size
-    /// is not a multiple of 8).
-    words: Box<[AtomicU64]>,
-    page_size: usize,
-}
-
-impl FrameCell {
-    fn new(page_size: usize) -> Self {
-        FrameCell {
-            version: AtomicU64::new(0),
-            page: AtomicU32::new(NO_PAGE),
-            referenced: AtomicBool::new(false),
-            words: (0..page_size.div_ceil(8))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            page_size,
-        }
-    }
-
-    /// The page currently held. Exact under the lock; a racy snapshot
-    /// otherwise.
-    #[inline]
-    fn page_relaxed(&self) -> u32 {
-        self.page.load(Ordering::Relaxed)
-    }
-
-    /// Sets the clock reference bit (any hit, locked or optimistic).
-    #[inline]
-    pub(crate) fn mark_referenced(&self) {
-        self.referenced.store(true, Ordering::Relaxed);
-    }
-
-    /// Clears and returns the reference bit (the sweeping clock hand).
-    #[inline]
-    fn take_referenced(&self) -> bool {
-        self.referenced.swap(false, Ordering::Relaxed)
-    }
-
-    /// Runs `f` inside a seqlock write section. `f` must perform its stores
-    /// to this cell with `Relaxed` atomic stores ([`FrameCell::set_page`],
-    /// [`FrameCell::fill_from`]). Callers are serialised by the shard mutex
-    /// (or `&mut BufferPool`), so write sections never overlap.
-    fn mutate(&self, f: impl FnOnce()) {
-        let v = self.version.load(Ordering::Relaxed);
-        debug_assert!(v.is_multiple_of(2), "nested frame mutation");
-        self.version.store(v + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        f();
-        self.version.store(v + 2, Ordering::Release);
-    }
-
-    /// Sets the page identity; call only inside [`FrameCell::mutate`].
-    #[inline]
-    fn set_page(&self, page: u32) {
-        self.page.store(page, Ordering::Relaxed);
-    }
-
-    /// Replaces the page bytes; call only inside [`FrameCell::mutate`].
-    fn fill_from(&self, bytes: &[u8]) {
-        debug_assert_eq!(bytes.len(), self.page_size);
-        let mut chunks = bytes.chunks_exact(8);
-        for (word, chunk) in self.words.iter().zip(&mut chunks) {
-            word.store(
-                u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk")),
-                Ordering::Relaxed,
-            );
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.words[self.words.len() - 1].store(u64::from_ne_bytes(buf), Ordering::Relaxed);
-        }
-    }
-
-    /// Lock-free read: copies the page bytes into `out` and returns `true`
-    /// iff the cell held page `expect` with a stable (even, unchanged)
-    /// version around the whole copy. A `false` can mean either "wrong /
-    /// no page" or "writer raced us"; callers fall back to the locked path.
-    fn try_read_into(&self, expect: u32, out: &mut [u8]) -> bool {
-        debug_assert_eq!(out.len(), self.page_size);
-        let v1 = self.version.load(Ordering::Acquire);
-        if v1 % 2 == 1 || self.page.load(Ordering::Relaxed) != expect {
-            return false;
-        }
-        // Copy with chunked volatile block reads rather than per-word atomic
-        // loads: 128 individual atomic loads compile to 128 scalar moves,
-        // while volatile blocks vectorise. A racing writer can tear the
-        // copy, but the version re-check below discards any copy that
-        // overlapped a write section (writers bump the version to odd with
-        // a Release fence before their first store), so a torn snapshot is
-        // never *used* — the classic seqlock read idiom. `AtomicU64` has
-        // `u64`'s layout, and volatile keeps the compiler from caching,
-        // splitting or inventing reads across the version checks.
-        unsafe {
-            let src = self.words.as_ptr() as *const u64;
-            const WORDS: usize = 8;
-            let mut w = 0usize;
-            let mut off = 0usize;
-            while w + WORDS <= self.words.len() && off + WORDS * 8 <= out.len() {
-                let block: [u64; WORDS] = (src.add(w) as *const [u64; WORDS]).read_volatile();
-                let bytes: [u8; WORDS * 8] = std::mem::transmute(block);
-                out[off..off + WORDS * 8].copy_from_slice(&bytes);
-                w += WORDS;
-                off += WORDS * 8;
-            }
-            while off < out.len() {
-                let word = src.add(w).read_volatile().to_ne_bytes();
-                let take = (out.len() - off).min(8);
-                out[off..off + take].copy_from_slice(&word[..take]);
-                w += 1;
-                off += take;
-            }
-        }
-        fence(Ordering::Acquire);
-        self.version.load(Ordering::Relaxed) == v1
-    }
-
-    /// The page bytes as a plain slice.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold whatever serialises writers to this cell (the
-    /// shard mutex / `&mut BufferPool`) for the lifetime of the slice.
-    /// Concurrent lock-free *readers* are fine — reads never race with
-    /// reads — but a concurrent [`FrameCell::mutate`] would be UB.
-    unsafe fn locked_bytes(&self) -> &[u8] {
-        // `AtomicU64` has the same in-memory representation as `u64`, and
-        // `fill_from` stores native-endian words, so reinterpreting the word
-        // buffer as bytes yields exactly the bytes that were stored.
-        std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.page_size)
-    }
-}
-
-/// One chunk of the hot directory.
-struct HotChunk {
-    cells: [AtomicPtr<FrameCell>; HOT_CHUNK_LEN],
-}
-
-impl HotChunk {
-    fn new() -> Box<Self> {
-        Box::new(HotChunk {
-            cells: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-        })
-    }
-}
-
-/// Lock-free map from shard-local page index to the [`FrameCell`] currently
-/// caching it. Readers walk it without any lock; all mutation happens under
-/// the shard mutex. Chunks are allocated lazily and only freed on drop, so a
-/// reader can never observe a dangling chunk pointer.
-pub(crate) struct HotTable {
-    chunks: Box<[AtomicPtr<HotChunk>; HOT_CHUNKS]>,
-}
-
-impl HotTable {
-    fn new() -> Self {
-        HotTable {
-            chunks: Box::new(std::array::from_fn(
-                |_| AtomicPtr::new(std::ptr::null_mut()),
-            )),
-        }
-    }
-
-    /// The directory slot for `index`, if its chunk exists.
-    fn slot(&self, index: usize) -> Option<&AtomicPtr<FrameCell>> {
-        let chunk_idx = index / HOT_CHUNK_LEN;
-        if chunk_idx >= HOT_CHUNKS {
-            return None;
-        }
-        let chunk = self.chunks[chunk_idx].load(Ordering::Acquire);
-        if chunk.is_null() {
-            return None;
-        }
-        // SAFETY: non-null chunk pointers are only ever set to live boxed
-        // chunks that are freed no earlier than `HotTable::drop`.
-        Some(unsafe { &(*chunk).cells[index % HOT_CHUNK_LEN] })
-    }
-
-    /// Publishes `cell` as the frame holding page `index`. Writer side only
-    /// (serialised by the shard mutex). Indexes beyond the addressable
-    /// range are ignored — such pages simply always take the locked path.
-    fn set(&self, index: usize, cell: *const FrameCell) {
-        let chunk_idx = index / HOT_CHUNK_LEN;
-        if chunk_idx >= HOT_CHUNKS {
-            return;
-        }
-        let mut chunk = self.chunks[chunk_idx].load(Ordering::Acquire);
-        if chunk.is_null() {
-            chunk = Box::into_raw(HotChunk::new());
-            self.chunks[chunk_idx].store(chunk, Ordering::Release);
-        }
-        // SAFETY: just ensured non-null; chunks live until drop.
-        unsafe { &(*chunk).cells[index % HOT_CHUNK_LEN] }.store(cell as *mut _, Ordering::Release);
-    }
-
-    /// Removes the directory entry for `index` (page evicted / detached).
-    fn clear(&self, index: usize) {
-        if let Some(slot) = self.slot(index) {
-            slot.store(std::ptr::null_mut(), Ordering::Release);
-        }
-    }
-
-    /// Attempts a lock-free read of page `local`: on success copies the page
-    /// bytes into `out`, marks the frame referenced for the clock sweep, and
-    /// returns `true`. `out` must be exactly one page long.
-    ///
-    /// A stale pointer (the page was evicted after we loaded the entry) is
-    /// caught by the cell's page/version validation; a dangling pointer is
-    /// impossible because the owning pool parks retired cells instead of
-    /// freeing them (see `BufferPool::retired`).
-    pub(crate) fn try_copy(&self, local: u32, out: &mut [u8]) -> bool {
-        let Some(slot) = self.slot(local as usize) else {
-            return false;
-        };
-        let ptr = slot.load(Ordering::Acquire);
-        if ptr.is_null() {
-            return false;
-        }
-        // SAFETY: see doc comment — cells outlive any reader of the table.
-        let cell = unsafe { &*ptr };
-        // One retry absorbs a writer that finished between the two attempts;
-        // anything longer-lived falls back to the locked path.
-        for _ in 0..2 {
-            if cell.try_read_into(local, out) {
-                cell.mark_referenced();
-                return true;
-            }
-        }
-        false
-    }
-}
-
-impl Drop for HotTable {
-    fn drop(&mut self) {
-        for chunk in self.chunks.iter() {
-            let ptr = chunk.load(Ordering::Acquire);
-            if !ptr.is_null() {
-                // SAFETY: set() only stores pointers from Box::into_raw and
-                // nothing else frees them.
-                drop(unsafe { Box::from_raw(ptr) });
-            }
-        }
-    }
-}
-
 struct Frame {
-    cell: Arc<FrameCell>,
+    /// Shard-local index of the page held, [`NO_PAGE`] when detached.
+    page: u32,
+    bytes: Box<[u8]>,
+    /// Clock reference bit: set on every access, cleared by the sweeping
+    /// hand.
+    referenced: bool,
     dirty: bool,
-}
-
-impl Frame {
-    #[inline]
-    fn page(&self) -> u32 {
-        self.cell.page_relaxed()
-    }
 }
 
 /// A buffer pool caching up to `capacity` pages with clock (second-chance)
@@ -309,8 +36,7 @@ impl Frame {
 /// R-tree configures that after bulk loading via
 /// [`BufferPool::set_capacity`]. Every cache miss is a page fault charged at
 /// 10 ms by [`IoStats`]. Hits touch no replacement list — they only set the
-/// frame's atomic reference bit — which is what lets the sharded store serve
-/// hits without taking the shard mutex at all.
+/// frame's reference bit.
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Frame>,
@@ -322,16 +48,7 @@ pub struct BufferPool {
     /// Allocated frames currently holding no page (detached by
     /// [`BufferPool::clear`]); popped in O(1) before growing or evicting.
     free: Vec<u32>,
-    /// Lock-free page → frame directory, shared with the owning shard's
-    /// optimistic read path.
-    hot: Arc<HotTable>,
-    /// Cells of frames dropped by a capacity shrink. They are parked here —
-    /// not freed — because a concurrent optimistic reader may still hold a
-    /// pointer obtained from `hot` before the eviction cleared the entry.
-    /// (Bounded by shrink events; freed when the pool drops.)
-    retired: Vec<Arc<FrameCell>>,
-    /// Reusable staging buffer: read-through reads in the zero-capacity
-    /// mode, and disk reads on the fault path before publishing into a cell.
+    /// Reusable read-through buffer for the zero-capacity mode.
     scratch: Option<Box<[u8]>>,
     stats: IoStats,
 }
@@ -350,17 +67,9 @@ impl BufferPool {
             page_table: Vec::new(),
             hand: 0,
             free: Vec::new(),
-            hot: Arc::new(HotTable::new()),
-            retired: Vec::new(),
             scratch: None,
             stats: IoStats::default(),
         }
-    }
-
-    /// The lock-free frame directory, shared with the owning shard so its
-    /// optimistic read path can resolve hits without the lock.
-    pub(crate) fn hot_table(&self) -> Arc<HotTable> {
-        Arc::clone(&self.hot)
     }
 
     /// Current capacity in pages.
@@ -405,18 +114,10 @@ impl BufferPool {
         (slot != NO_FRAME).then_some(slot as usize)
     }
 
-    /// Takes the staging buffer (allocating it on first use).
-    fn take_scratch(&mut self, disk: &DiskManager) -> Box<[u8]> {
-        self.scratch
-            .take()
-            .unwrap_or_else(|| vec![0u8; disk.page_size()].into_boxed_slice())
-    }
-
     /// Clock second-chance sweep: advances the hand, clearing reference bits,
     /// until it finds an attached frame whose bit is already clear. Bounded:
-    /// after two full passes every bit has been cleared at least once, so a
-    /// third pass takes the first attached frame unconditionally (optimistic
-    /// hits can keep re-setting bits concurrently, but cannot stall us).
+    /// one full pass clears every bit, so the second pass takes the first
+    /// attached frame it meets.
     fn pick_victim(&mut self) -> usize {
         let n = self.frames.len();
         debug_assert!(n > 0, "eviction from an empty pool");
@@ -426,14 +127,14 @@ impl BufferPool {
         let mut steps = 0usize;
         loop {
             steps += 1;
-            assert!(steps <= 4 * n, "buffer pool full but no evictable frame");
+            assert!(steps <= 2 * n, "buffer pool full but no evictable frame");
             let slot = self.hand;
             self.hand = (self.hand + 1) % n;
-            let frame = &self.frames[slot];
-            if frame.page() == NO_PAGE {
+            let frame = &mut self.frames[slot];
+            if frame.page == NO_PAGE {
                 continue; // detached (free-listed) frame: not a candidate
             }
-            if steps > 2 * n || !frame.cell.take_referenced() {
+            if !std::mem::take(&mut frame.referenced) {
                 return slot;
             }
         }
@@ -448,7 +149,9 @@ impl BufferPool {
         if self.frames.len() < self.capacity {
             let slot = self.frames.len();
             self.frames.push(Frame {
-                cell: Arc::new(FrameCell::new(disk.page_size())),
+                page: NO_PAGE,
+                bytes: vec![0u8; disk.page_size()].into_boxed_slice(),
+                referenced: false,
                 dirty: false,
             });
             return slot;
@@ -459,28 +162,22 @@ impl BufferPool {
     }
 
     /// Detaches `slot` from its page: write-back if dirty, clear the page
-    /// table and hot directory, and mark the cell page-less (under its
-    /// seqlock, so a racing optimistic reader rejects its copy).
+    /// table entry, and mark the frame page-less.
     fn evict_slot(&mut self, slot: usize, disk: &mut DiskManager) {
-        if self.frames[slot].dirty {
-            let frame = &self.frames[slot];
-            // SAFETY: we have `&mut self`, so no writer can race the view.
-            disk.write_page(PageId(frame.page()), unsafe { frame.cell.locked_bytes() });
+        let frame = &mut self.frames[slot];
+        debug_assert_ne!(frame.page, NO_PAGE, "evicting a detached frame");
+        if std::mem::take(&mut frame.dirty) {
+            disk.write_page(PageId(frame.page), &frame.bytes);
             self.stats.writes += 1;
-            self.frames[slot].dirty = false;
         }
-        let old = self.frames[slot].page();
-        if old != NO_PAGE {
-            self.page_table[old as usize] = NO_FRAME;
-            self.hot.clear(old as usize);
-            let cell = &self.frames[slot].cell;
-            cell.mutate(|| cell.set_page(NO_PAGE));
-        }
+        self.page_table[frame.page as usize] = NO_FRAME;
+        frame.page = NO_PAGE;
     }
 
     /// Reads page `id` through the pool and passes its bytes to `f`.
     ///
-    /// Counts a hit if cached, otherwise a fault plus a physical read.
+    /// Counts a hit if cached, otherwise a fault plus a physical read
+    /// straight into the victim frame.
     pub fn with_page<R>(
         &mut self,
         disk: &mut DiskManager,
@@ -490,42 +187,31 @@ impl BufferPool {
         self.ensure_page_table(id);
         if let Some(slot) = self.lookup(id) {
             self.stats.hits += 1;
-            let frame = &self.frames[slot];
-            frame.cell.mark_referenced();
-            // SAFETY: `&mut self` excludes writers for the borrow's lifetime.
-            return f(unsafe { frame.cell.locked_bytes() });
+            let frame = &mut self.frames[slot];
+            frame.referenced = true;
+            return f(&frame.bytes);
         }
         self.stats.faults += 1;
         if self.capacity == 0 {
             // Read-through: serve the fault from the scratch buffer without
             // caching anything.
-            let mut scratch = self.take_scratch(disk);
+            let mut scratch = self
+                .scratch
+                .take()
+                .unwrap_or_else(|| vec![0u8; disk.page_size()].into_boxed_slice());
             disk.read_page(id, &mut scratch);
             let result = f(&scratch);
             self.scratch = Some(scratch);
             return result;
         }
         let slot = self.acquire_slot(disk);
-        // Physical read into staging, then publish into the cell under its
-        // seqlock so concurrent optimistic readers never observe torn bytes.
-        let mut scratch = self.take_scratch(disk);
-        disk.read_page(id, &mut scratch);
-        {
-            let cell = &self.frames[slot].cell;
-            cell.mutate(|| {
-                cell.set_page(id.0);
-                cell.fill_from(&scratch);
-            });
-            cell.mark_referenced();
-        }
-        self.scratch = Some(scratch);
-        self.frames[slot].dirty = false;
+        let frame = &mut self.frames[slot];
+        disk.read_page(id, &mut frame.bytes);
+        frame.page = id.0;
+        frame.referenced = true;
+        frame.dirty = false;
         self.page_table[id.index()] = slot as u32;
-        self.hot
-            .set(id.index(), Arc::as_ptr(&self.frames[slot].cell));
-        let frame = &self.frames[slot];
-        // SAFETY: as above.
-        f(unsafe { frame.cell.locked_bytes() })
+        f(&frame.bytes)
     }
 
     /// Writes a full page through the pool (write-allocate, no read needed
@@ -540,38 +226,27 @@ impl BufferPool {
             self.stats.writes += 1;
             return;
         }
-        let (slot, newly_mapped) = match self.lookup(id) {
-            Some(slot) => (slot, false),
+        let slot = match self.lookup(id) {
+            Some(slot) => slot,
             None => {
                 let slot = self.acquire_slot(disk);
                 self.page_table[id.index()] = slot as u32;
-                (slot, true)
+                slot
             }
         };
-        {
-            let cell = &self.frames[slot].cell;
-            cell.mutate(|| {
-                cell.set_page(id.0);
-                cell.fill_from(data);
-            });
-            cell.mark_referenced();
-        }
-        self.frames[slot].dirty = true;
-        if newly_mapped {
-            self.hot
-                .set(id.index(), Arc::as_ptr(&self.frames[slot].cell));
-        }
+        let frame = &mut self.frames[slot];
+        frame.bytes.copy_from_slice(data);
+        frame.page = id.0;
+        frame.referenced = true;
+        frame.dirty = true;
     }
 
     /// Writes back every dirty frame.
     pub fn flush_all(&mut self, disk: &mut DiskManager) {
-        for slot in 0..self.frames.len() {
-            if self.frames[slot].page() != NO_PAGE && self.frames[slot].dirty {
-                let frame = &self.frames[slot];
-                // SAFETY: `&mut self` excludes writers; this is a pure read.
-                disk.write_page(PageId(frame.page()), unsafe { frame.cell.locked_bytes() });
+        for frame in &mut self.frames {
+            if frame.page != NO_PAGE && std::mem::take(&mut frame.dirty) {
+                disk.write_page(PageId(frame.page), &frame.bytes);
                 self.stats.writes += 1;
-                self.frames[slot].dirty = false;
             }
         }
     }
@@ -587,24 +262,16 @@ impl BufferPool {
         self.flush_all(disk);
         self.page_table.fill(NO_FRAME);
         self.free.clear();
-        for slot in 0..self.frames.len() {
-            let old = self.frames[slot].page();
-            if old != NO_PAGE {
-                self.hot.clear(old as usize);
-                let cell = &self.frames[slot].cell;
-                cell.mutate(|| cell.set_page(NO_PAGE));
-            }
-            self.frames[slot].dirty = false;
+        for (slot, frame) in self.frames.iter_mut().enumerate() {
+            frame.page = NO_PAGE;
             self.free.push(slot as u32);
         }
         self.hand = 0;
     }
 
     /// Changes the capacity; if shrinking, evicts clock victims immediately
-    /// and compacts the surviving frames into the low slots so no live frame
-    /// allocation outlives the new capacity. (Cells of dropped frames are
-    /// parked, not freed — a concurrent optimistic reader may still hold a
-    /// pointer to one.)
+    /// and compacts the surviving frames into the low slots so no frame
+    /// allocation outlives the new capacity.
     pub fn set_capacity(&mut self, disk: &mut DiskManager, capacity: usize) {
         while self.cached_pages() > capacity {
             let victim = self.pick_victim();
@@ -612,17 +279,11 @@ impl BufferPool {
             self.free.push(victim as u32);
         }
         if self.frames.len() > capacity {
-            let old_frames = std::mem::take(&mut self.frames);
+            self.frames.retain(|frame| frame.page != NO_PAGE);
             self.free.clear();
             self.hand = 0;
-            for frame in old_frames {
-                if frame.page() != NO_PAGE {
-                    let new_slot = self.frames.len() as u32;
-                    self.page_table[frame.page() as usize] = new_slot;
-                    self.frames.push(frame);
-                } else {
-                    self.retired.push(frame.cell);
-                }
+            for (slot, frame) in self.frames.iter().enumerate() {
+                self.page_table[frame.page as usize] = slot as u32;
             }
         }
         self.capacity = capacity;
@@ -872,77 +533,19 @@ mod tests {
     }
 
     #[test]
-    fn hot_table_serves_resident_pages_and_rejects_the_rest() {
-        let (mut disk, mut pool, ids) = setup(2, 3, 16);
-        pool.with_page(&mut disk, ids[0], |_| ());
-        pool.write_page(&mut disk, ids[1], &[42u8; 16]);
-        let hot = pool.hot_table();
-        let mut buf = vec![0u8; 16];
-        assert!(hot.try_copy(ids[0].0, &mut buf));
-        assert_eq!(buf, vec![0u8; 16]);
-        assert!(hot.try_copy(ids[1].0, &mut buf));
-        assert_eq!(buf, vec![42u8; 16]);
-        // Uncached page: no directory entry.
-        assert!(!hot.try_copy(ids[2].0, &mut buf));
-        // Evicted page: the entry is cleared.
-        pool.with_page(&mut disk, ids[2], |_| ());
-        let evicted = ids
-            .iter()
-            .find(|id| pool.lookup(**id).is_none())
-            .expect("capacity 2 with 3 pages must have evicted one");
-        assert!(!hot.try_copy(evicted.0, &mut buf));
-    }
-
-    #[test]
-    fn hot_read_rejects_mid_mutation_and_mismatched_pages() {
-        let cell = FrameCell::new(16);
-        let mut buf = vec![0u8; 16];
-        // Detached cell: page identity can't match.
-        assert!(!cell.try_read_into(0, &mut buf));
-        cell.mutate(|| {
-            cell.set_page(7);
-            cell.fill_from(&[1u8; 16]);
-        });
-        assert!(cell.try_read_into(7, &mut buf));
-        assert_eq!(buf, vec![1u8; 16]);
-        assert!(!cell.try_read_into(8, &mut buf), "wrong page rejected");
-        // Mid-mutation (odd version): the read must reject.
-        cell.mutate(|| {
-            assert!(!cell.try_read_into(7, &mut buf));
-        });
-    }
-
-    #[test]
     fn non_word_page_sizes_roundtrip_through_cells() {
         for size in [1usize, 7, 9, 15, 17] {
-            let cell = FrameCell::new(size);
+            let (mut disk, mut pool, ids) = setup(1, 2, size);
             let bytes: Vec<u8> = (0..size as u8).collect();
-            cell.mutate(|| {
-                cell.set_page(3);
-                cell.fill_from(&bytes);
+            pool.write_page(&mut disk, ids[0], &bytes);
+            pool.with_page(&mut disk, ids[0], |d| {
+                assert_eq!(d, &bytes[..], "page size {size}")
             });
-            let mut out = vec![0u8; size];
-            assert!(cell.try_read_into(3, &mut out));
-            assert_eq!(out, bytes, "page size {size}");
-            // The locked view agrees byte for byte.
-            assert_eq!(unsafe { cell.locked_bytes() }, &bytes[..]);
+            // And byte-exact again after a write-back / re-fault round trip.
+            pool.with_page(&mut disk, ids[1], |_| ());
+            pool.with_page(&mut disk, ids[0], |d| {
+                assert_eq!(d, &bytes[..], "page size {size}")
+            });
         }
-    }
-
-    #[test]
-    fn retired_cells_survive_capacity_shrink() {
-        let (mut disk, mut pool, ids) = setup(4, 4, 8);
-        for &id in &ids {
-            pool.with_page(&mut disk, id, |_| ());
-        }
-        let hot = pool.hot_table();
-        pool.set_capacity(&mut disk, 1);
-        assert_eq!(pool.allocated_frames(), 1);
-        assert_eq!(pool.retired.len(), 3, "dropped frames park their cells");
-        // Dropped pages are no longer resident: the directory rejects them
-        // instead of serving stale bytes.
-        let mut buf = vec![0u8; 8];
-        let resident = (0..4).filter(|i| hot.try_copy(ids[*i].0, &mut buf)).count();
-        assert_eq!(resident, 1);
     }
 }

@@ -1,10 +1,9 @@
 //! [`QueryContext`] — the per-query control block threaded through every
-//! storage access: I/O attribution ([`IoSession`]), a scheduling
-//! [`Priority`], an optional deadline, an optional I/O (fault) budget and a
-//! cooperative cancellation flag.
+//! storage access: I/O attribution counters, a scheduling [`Priority`], an
+//! optional deadline, an optional I/O (fault) budget and a cooperative
+//! cancellation flag.
 //!
-//! The context generalises the plain attribution session of the batch
-//! runner: the [`crate::PageStore`] charges every page access to it, and the
+//! The [`crate::PageStore`] charges every page access to the context, and the
 //! charge itself trips the budget check — a query whose fault count reaches
 //! its budget is marked aborted *at page-fault time*, before the traversal
 //! can issue another access. Higher layers (the R-tree cursors, the solver
@@ -201,15 +200,6 @@ impl QueryContext {
         Self::default()
     }
 
-    /// Wraps an existing attribution session (sharing its counters) in a
-    /// context with no limits — the bridge from PR 3's session-based code.
-    pub fn from_session(session: IoSession) -> Self {
-        QueryContext {
-            session,
-            ..Self::default()
-        }
-    }
-
     /// Sets the scheduling priority.
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
@@ -259,12 +249,6 @@ impl QueryContext {
     pub fn with_cost_budget_ms(self, ms: f64) -> Self {
         assert!(ms >= 0.0, "cost budget must be non-negative");
         self.with_io_budget(((ms / IO_COST_PER_FAULT_MS).floor() as u64).max(1))
-    }
-
-    /// The attribution counters this context charges.
-    #[inline]
-    pub fn session(&self) -> &IoSession {
-        &self.session
     }
 
     /// Traffic charged to this context so far.
@@ -578,16 +562,14 @@ mod tests {
     }
 
     #[test]
-    fn from_session_shares_counters() {
-        let session = IoSession::new();
-        let ctx = QueryContext::from_session(session.clone());
-        ctx.charge(IoStats {
+    fn clone_shares_counters() {
+        let ctx = QueryContext::new();
+        ctx.clone().charge(IoStats {
             hits: 1,
             faults: 2,
             writes: 0,
         });
-        assert_eq!(session.stats().faults, 2);
-        assert!(ctx.session().same_session(&session));
+        assert_eq!(ctx.stats().faults, 2);
     }
 
     #[test]

@@ -3,28 +3,32 @@
 //! The paper assumes the customer set `P` "resides in secondary storage,
 //! indexed by a spatial access method" (§1) and its evaluation fixes a 1 KB
 //! page size, an LRU buffer sized at 1 % of the R-tree, and charges 10 ms per
-//! page fault (§5.1). This crate reproduces that storage model:
+//! page fault (§5.1). This crate reproduces that storage model, with one
+//! stated difference: replacement is clock (second-chance), not strict LRU.
+//! The fault-count delta between the two on the paper's workloads is
+//! unmeasured (ROADMAP item 5b).
 //!
 //! * [`disk::DiskManager`] — an in-memory simulated disk holding fixed-size
 //!   pages and counting *physical* reads/writes,
 //! * [`buffer::BufferPool`] — a buffer pool with clock (second-chance)
-//!   replacement, write-back of dirty pages, and a seqlock-published frame
-//!   directory that lets the sharded store serve page hits without a lock,
+//!   replacement and write-back of dirty pages; frames are plain data behind
+//!   `&mut`,
 //! * [`stats::IoStats`] — fault counters plus the paper's charged I/O time,
-//! * [`stats::IoSession`] — a per-query attribution handle charged alongside
-//!   the global counters, so concurrent queries each see their own traffic,
-//! * [`context::QueryContext`] — the per-query control block (session +
-//!   tenant + priority + deadline + I/O budget + cancellation) threaded
-//!   through every page access; budgets trip at page-fault time,
+//! * [`context::QueryContext`] — the per-query control block (attribution
+//!   counters + tenant + priority + deadline + I/O budget + cancellation)
+//!   threaded through every page access, so concurrent queries each see
+//!   their own traffic; budgets trip at page-fault time,
 //! * [`store::PageStore`] — the facade striping pages over N independent
 //!   shards (own frames, clock hand and lock each; counters are per-shard
 //!   atomics aggregated on read), shared across the serving layer's worker
-//!   threads. Page hits are served lock-free through a per-shard seqlock
-//!   directory; only faults and writes take a shard mutex.
+//!   threads. There is one read path: every access, hit or fault, runs
+//!   under its shard's mutex and is charged there.
 //!
 //! The disk is in-memory (documented substitution in DESIGN.md §5): the
 //! paper itself *charges* I/O time per fault rather than measuring a device,
-//! so fault counting through a real LRU is exactly the fidelity required.
+//! so fault counting through a real buffer pool is the fidelity required.
+
+#![forbid(unsafe_code)]
 
 pub mod buffer;
 pub mod context;
@@ -36,7 +40,7 @@ pub mod store;
 pub use buffer::BufferPool;
 pub use context::{AbortReason, Aborted, Priority, QueryContext, TenantId};
 pub use disk::{DiskManager, PageId};
-pub use stats::{IoSession, IoStats};
+pub use stats::IoStats;
 pub use store::{default_shards, PageStore};
 
 /// Default page size used in the paper's evaluation ("indexed by an R-tree

@@ -1,5 +1,5 @@
 //! One shard of the sharded buffer pool: a slice of the page-id space with
-//! its own disk segment, LRU frames, lock, and atomic counters.
+//! its own disk segment, clock-replaced frames, lock, and atomic counters.
 //!
 //! Page ids are dense allocation indices, so the store stripes them
 //! round-robin: with `N = 2^bits` shards, page `i` lives in shard
@@ -8,21 +8,13 @@
 //! touches pages allocated together — evenly across shards, which is what
 //! makes independent shard locks pay off under concurrent queries.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
-use crate::buffer::{BufferPool, HotTable};
+use crate::buffer::BufferPool;
 use crate::context::QueryContext;
 use crate::disk::{DiskManager, PageId};
 use crate::stats::{IoSession, IoStats};
-
-thread_local! {
-    /// Per-thread staging buffer for optimistic page copies: the lock-free
-    /// read path copies page bytes here before validating the seqlock
-    /// version, so the user closure only ever sees a consistent snapshot.
-    static HOT_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
 
 /// The lock-protected working state of one shard.
 pub(crate) struct ShardInner {
@@ -41,34 +33,25 @@ impl ShardInner {
     }
 }
 
-/// One shard: its own frames, LRU list, disk segment and lock, plus atomic
+/// One shard: its own frames, clock hand, disk segment and lock, plus atomic
 /// counters readable without the lock. The counters reuse [`IoSession`] —
 /// a shard's aggregate is the same three-counter atomic bundle a per-query
-/// session is, charged from the same place.
+/// context charges, fed from the same place.
 pub(crate) struct Shard {
     inner: Mutex<ShardInner>,
     stats: IoSession,
-    /// The pool's lock-free frame directory, shared so the optimistic read
-    /// path can resolve page hits without `inner`'s mutex.
-    hot: Arc<HotTable>,
-    page_size: usize,
-    /// Times `inner` was locked — the observable half of the "hits skip the
-    /// mutex" contract (tests assert a warmed read loop leaves it flat).
+    /// Times `inner` was locked.
     lock_count: AtomicU64,
 }
 
 impl Shard {
     pub(crate) fn new(page_size: usize, buffer_pages: usize) -> Self {
-        let pool = BufferPool::new(buffer_pages);
-        let hot = pool.hot_table();
         Shard {
             inner: Mutex::new(ShardInner {
                 disk: DiskManager::new(page_size),
-                pool,
+                pool: BufferPool::new(buffer_pages),
             }),
-            stats: IoSession::new(),
-            hot,
-            page_size,
+            stats: IoSession::default(),
             lock_count: AtomicU64::new(0),
         }
     }
@@ -78,8 +61,7 @@ impl Shard {
         self.stats.stats()
     }
 
-    /// Mutex acquisitions so far (all paths: reads that missed the
-    /// optimistic fast path, writes, maintenance).
+    /// Mutex acquisitions so far: every read, write and maintenance call.
     pub(crate) fn lock_acquisitions(&self) -> u64 {
         self.lock_count.load(Ordering::Relaxed)
     }
@@ -89,50 +71,6 @@ impl Shard {
     fn lock(&self) -> MutexGuard<'_, ShardInner> {
         self.lock_count.fetch_add(1, Ordering::Relaxed);
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Optimistic lock-free read: serves page `local` *if it is resident*,
-    /// copying its bytes through the seqlock-validated hot directory without
-    /// ever touching the shard mutex. On success the hit is charged to the
-    /// shard counters and to `ctx` (hits never trip I/O budgets, so the
-    /// lock-free charge is as exact as the locked one). On failure — page
-    /// not resident, a racing writer, or a nested access already using this
-    /// thread's staging buffer — the closure is handed back so the caller
-    /// can fall through to the locked path.
-    ///
-    /// Charging here is lock-free, so unlike the locked path it can in
-    /// principle race [`Shard::reset_stats`]; resetting counters while
-    /// readers are in flight has never been supported (every caller resets
-    /// between phases, quiescent), so the exactness contract is unchanged.
-    pub(crate) fn try_read_hot<R, F: FnOnce(&[u8]) -> R>(
-        &self,
-        local: PageId,
-        ctx: Option<&QueryContext>,
-        f: F,
-    ) -> Result<R, F> {
-        HOT_SCRATCH.with(|scratch| {
-            // A nested store access on this thread would already hold the
-            // borrow; fall back to the locked path rather than panic.
-            let Ok(mut scratch) = scratch.try_borrow_mut() else {
-                return Err(f);
-            };
-            if scratch.len() != self.page_size {
-                scratch.resize(self.page_size, 0);
-            }
-            if !self.hot.try_copy(local.0, &mut scratch[..]) {
-                return Err(f);
-            }
-            let delta = IoStats {
-                hits: 1,
-                faults: 0,
-                writes: 0,
-            };
-            self.stats.charge(delta);
-            if let Some(ctx) = ctx {
-                ctx.charge(delta);
-            }
-            Ok(f(&scratch[..]))
-        })
     }
 
     /// Runs `op` under the shard lock and charges the pool-stat delta to

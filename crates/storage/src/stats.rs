@@ -1,5 +1,4 @@
-//! I/O statistics, the paper's charged I/O time model, and the
-//! [`IoSession`] attribution handle.
+//! I/O statistics and the paper's charged I/O time model.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,20 +60,11 @@ impl IoStats {
     }
 }
 
-/// A per-query I/O attribution handle.
-///
-/// A session is a cheap, cloneable bundle of atomic counters. The
-/// [`crate::PageStore`] charges every page access to the shard counters
-/// *and* — when the access carries a session — to that session, so
-/// concurrent queries over one shared buffer pool each see exactly the
-/// traffic they caused. For disjoint sessions the per-session fault counts
-/// sum to the store's global fault count (the invariant the batch runner's
-/// tests enforce).
-///
-/// Cloning shares the counters (it is an `Arc` underneath): a query may
-/// hand clones to several cursors and read one combined total.
+/// A cheap, cloneable bundle of three atomic [`IoStats`] counters — the
+/// storage the per-shard aggregates and every [`crate::QueryContext`] both
+/// count into. Cloning shares the counters (it is an `Arc` underneath).
 #[derive(Clone, Debug, Default)]
-pub struct IoSession {
+pub(crate) struct IoSession {
     inner: Arc<SessionCounters>,
 }
 
@@ -86,13 +76,8 @@ struct SessionCounters {
 }
 
 impl IoSession {
-    /// A fresh session with zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The traffic charged to this session so far.
-    pub fn stats(&self) -> IoStats {
+    /// The traffic charged so far.
+    pub(crate) fn stats(&self) -> IoStats {
         IoStats {
             hits: self.inner.hits.load(Ordering::Relaxed),
             faults: self.inner.faults.load(Ordering::Relaxed),
@@ -100,8 +85,8 @@ impl IoSession {
         }
     }
 
-    /// Charges `delta` to the session (called by the store's shards).
-    pub fn charge(&self, delta: IoStats) {
+    /// Adds `delta` to the counters.
+    pub(crate) fn charge(&self, delta: IoStats) {
         if delta.hits != 0 {
             self.inner.hits.fetch_add(delta.hits, Ordering::Relaxed);
         }
@@ -113,16 +98,11 @@ impl IoSession {
         }
     }
 
-    /// Zeroes the counters (e.g. to reuse one session across phases).
-    pub fn reset(&self) {
+    /// Zeroes the counters.
+    pub(crate) fn reset(&self) {
         self.inner.hits.store(0, Ordering::Relaxed);
         self.inner.faults.store(0, Ordering::Relaxed);
         self.inner.writes.store(0, Ordering::Relaxed);
-    }
-
-    /// True when both handles charge the same counters.
-    pub fn same_session(&self, other: &IoSession) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
@@ -230,9 +210,8 @@ mod tests {
 
     #[test]
     fn session_charges_accumulate_across_clones() {
-        let s = IoSession::new();
+        let s = IoSession::default();
         let t = s.clone();
-        assert!(s.same_session(&t));
         s.charge(IoStats {
             hits: 2,
             faults: 1,
@@ -253,7 +232,6 @@ mod tests {
         );
         s.reset();
         assert_eq!(t.stats(), IoStats::default());
-        assert!(!s.same_session(&IoSession::new()));
     }
 
     #[test]

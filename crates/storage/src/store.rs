@@ -1,16 +1,17 @@
 //! [`PageStore`]: the facade the R-tree talks to.
 //!
 //! A *sharded* buffer pool: page ids hash (stripe) to one of N shards, each
-//! owning its own frames, LRU list, disk segment and lock, so concurrent
+//! owning its own frames, clock hand, disk segment and lock, so concurrent
 //! queries over a shared tree fault pages independently instead of
-//! serialising on one global mutex. Counters are per-shard atomics
-//! aggregated on read, and every access can additionally be charged to a
-//! per-query [`QueryContext`], which is what restores per-query I/O
-//! attribution in parallel batches — and what trips per-query I/O budgets
-//! at page-fault time.
+//! serialising on one global mutex. There is one read path: every access —
+//! hit or fault — runs under its shard's lock and sees the frame in place.
+//! Counters are per-shard atomics aggregated on read, and every access can
+//! additionally be charged to a per-query [`QueryContext`], which is what
+//! restores per-query I/O attribution in parallel batches — and what trips
+//! per-query I/O budgets at page-fault time.
 //!
-//! With `shards = 1` the store behaves exactly like the previous
-//! single-`Mutex` design (one global LRU) — the equivalence proptest in
+//! With `shards = 1` the store behaves exactly like one `Mutex<BufferPool>`
+//! (one global clock) — the equivalence proptest in
 //! `tests/shard_equivalence.rs` pins that down.
 
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -21,8 +22,8 @@ use crate::shard::{Shard, ShardRouter};
 use crate::stats::IoStats;
 use crate::DEFAULT_PAGE_SIZE;
 
-/// Sharded paged storage with per-shard LRU buffers, usable through shared
-/// references from many threads.
+/// Sharded paged storage with per-shard clock (second-chance) buffers,
+/// usable through shared references from many threads.
 pub struct PageStore {
     page_size: usize,
     router: ShardRouter,
@@ -32,11 +33,9 @@ pub struct PageStore {
 }
 
 /// Default shard count: the next power of two at or above the number of
-/// available hardware threads, capped at 16. The cap bounds the one-page
-/// per-shard capacity floor (see [`PageStore::set_buffer_capacity`]) so
-/// that small paper-style buffers are not silently inflated on many-core
-/// hosts, and 16 independent locks already decongest the batch runner's
-/// worker counts.
+/// available hardware threads, capped at 16: 16 independent locks already
+/// decongest the batch runner's worker counts, and more shards only spread a
+/// small paper-style buffer thinner (see [`PageStore::set_buffer_capacity`]).
 pub fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -59,7 +58,7 @@ impl PageStore {
     }
 
     /// Creates a store with an explicit shard count (rounded up to a power
-    /// of two; `1` reproduces the old single-mutex, single-LRU behaviour).
+    /// of two; `1` is a single mutex around a single clock-replaced pool).
     /// `buffer_pages` is the *total* capacity, split evenly across shards
     /// (each shard holds at least one page). A shard count exceeding
     /// `buffer_pages` is clamped down so the per-shard floor cannot
@@ -123,11 +122,6 @@ impl PageStore {
     /// `ctx` — the per-query attribution path. Charging a fault to a
     /// context with an I/O budget performs the budget check right here, so
     /// a context-aware traversal observes the abort before its next access.
-    ///
-    /// Page *hits* are served lock-free: the shard's seqlock-validated hot
-    /// directory copies the bytes without acquiring the shard mutex (see
-    /// [`PageStore::lock_acquisitions`]). Only faults — and hits that lost a
-    /// race with a writer — take the lock.
     pub fn with_page_ctx<R>(
         &self,
         id: PageId,
@@ -136,14 +130,10 @@ impl PageStore {
     ) -> R {
         self.check_allocated(id);
         let local = self.router.local_id(id);
-        let shard = &self.shards[self.router.shard_of(id)];
-        match shard.try_read_hot(local, ctx, f) {
-            Ok(result) => result,
-            Err(f) => shard.with_inner(ctx, |inner| {
-                inner.ensure_local_page(local);
-                inner.pool.with_page(&mut inner.disk, local, f)
-            }),
-        }
+        self.shards[self.router.shard_of(id)].with_inner(ctx, |inner| {
+            inner.ensure_local_page(local);
+            inner.pool.with_page(&mut inner.disk, local, f)
+        })
     }
 
     /// Writes a full page through its shard's buffer pool (write-back).
@@ -170,8 +160,8 @@ impl PageStore {
     }
 
     /// Total shard-mutex acquisitions since construction, summed across
-    /// shards. A page hit served by the optimistic read path leaves this
-    /// flat — the lock-counter test pins that contract.
+    /// shards. Every access counts: each read (hit or fault), write and
+    /// maintenance call takes its shard's lock exactly once.
     pub fn lock_acquisitions(&self) -> u64 {
         self.shards.iter().map(|s| s.lock_acquisitions()).sum()
     }
@@ -331,7 +321,7 @@ mod tests {
 
     #[test]
     fn stats_visible_and_resettable() {
-        // shards = 1 reproduces the old global-LRU eviction sequence.
+        // shards = 1: one global clock, so the eviction sequence is exact.
         let store = PageStore::with_config_sharded(32, 1, 1);
         let a = store.alloc_page();
         let b = store.alloc_page();

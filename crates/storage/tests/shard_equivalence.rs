@@ -1,7 +1,8 @@
 //! The sharded store must be a *refactor*, not a behaviour change:
 //!
 //! 1. With `shards = 1` a [`PageStore`] reproduces the old single-`Mutex`
-//!    design — one global LRU over one disk — access for access: the same
+//!    design — one global clock-replaced pool over one disk — access for
+//!    access: the same
 //!    hit/fault/evict sequence, pinned against a reference model built from
 //!    the raw [`BufferPool`] + [`DiskManager`] pair (which *is* the old
 //!    store minus the lock).

@@ -5,6 +5,8 @@
 //! over its customers, the independent flow-solver optimum, and `γ`. They
 //! used to be copy-pasted per module; this crate is the single home.
 
+#![forbid(unsafe_code)]
+
 use cca_flow::sspa::{unit_customers, FlowProvider, Sspa};
 use cca_geo::Point;
 use cca_rtree::RTree;

@@ -94,8 +94,8 @@ fn main() {
         );
     }
 
-    // Per-query I/O is attributed through IoSessions, so disjoint queries
-    // partition the batch's buffer-pool traffic exactly.
+    // Per-query I/O is attributed through each query's QueryContext, so
+    // disjoint queries partition the batch's buffer-pool traffic exactly.
     let fault_sum: u64 = parallel.results.iter().map(|r| r.stats.io.faults).sum();
     assert_eq!(fault_sum, parallel.io.faults);
     println!(

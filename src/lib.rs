@@ -59,10 +59,12 @@
 //! benchmarking come from `cca_datagen::ArrivalProcess`.
 //!
 //! Sub-crates (re-exported below): [`geo`] geometry, [`storage`] the paged
-//! disk + LRU buffer, [`rtree`] the spatial index, [`flow`] the min-cost-flow
-//! substrate, [`core`] the CCA algorithms and solver pipeline, [`serve`] the
-//! admission-controlled serving layer, [`datagen`] the workload generator
-//! reproducing the paper's data protocol.
+//! disk + clock (second-chance) buffer, [`rtree`] the spatial index, [`flow`]
+//! the min-cost-flow substrate, [`core`] the CCA algorithms and solver
+//! pipeline, [`serve`] the admission-controlled serving layer, [`datagen`]
+//! the workload generator reproducing the paper's data protocol.
+
+#![forbid(unsafe_code)]
 
 pub use cca_core as core;
 pub use cca_datagen as datagen;
@@ -176,17 +178,17 @@ pub struct SpatialAssignment {
 
 impl SpatialAssignment {
     /// Builds the instance with the paper's storage settings: 1 KB pages and
-    /// an LRU buffer sized at 1 % of the R-tree (§5.1).
+    /// a clock (second-chance) buffer sized at 1 % of the R-tree (§5.1).
     pub fn build(providers: Vec<(Point, u32)>, customers: Vec<Point>) -> Self {
         Self::build_with_storage(providers, customers, 1024, 1.0)
     }
 
     /// Builds with explicit page size (bytes) and buffer percentage.
     ///
-    /// Uses a single-shard store — the paper's one global LRU — so fault
-    /// counts and charged I/O are identical on every machine (a sharded
-    /// store floors each shard at one buffer page, which would let the
-    /// host's core count perturb small paper-style buffers). Serving
+    /// Uses a single-shard store — one global buffer, as in the paper — so
+    /// fault counts and charged I/O are identical on every machine (a
+    /// sharded store splits the buffer into per-shard pools, which would let
+    /// the host's core count decide which pages get evicted). Serving
     /// deployments that want concurrent faulting opt in via
     /// [`SpatialAssignment::build_with_storage_sharded`] with
     /// [`cca_storage::default_shards`].
@@ -199,8 +201,8 @@ impl SpatialAssignment {
         Self::build_with_storage_sharded(providers, customers, page_size, buffer_percent, 1)
     }
 
-    /// Builds with an explicit buffer-pool shard count (`1` reproduces the
-    /// single-mutex, single-LRU storage of the paper's sequential setting;
+    /// Builds with an explicit buffer-pool shard count (`1` is the
+    /// single-mutex, single-buffer storage of the paper's sequential setting;
     /// more shards let parallel batches fault pages independently).
     pub fn build_with_storage_sharded(
         providers: Vec<(Point, u32)>,
