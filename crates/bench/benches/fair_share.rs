@@ -18,7 +18,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::serve::{serve, Request, ServeConfig};
+use cca::serve::{Request, ServeConfig, ServingInstance};
 use cca::{QueryContext, SolverConfig, SolverRegistry, SpatialAssignment, TenantId, TenantQuota};
 
 const A: TenantId = TenantId(1);
@@ -62,7 +62,7 @@ fn round(instance: &SpatialAssignment, weight_a: u32) -> Round {
         .aging_period(8)
         .tenant_quota(A, TenantQuota::default().weight(weight_a));
     let start = Instant::now();
-    let (stats_a, stats_b) = serve(config, |handle| {
+    let (stats_a, stats_b) = ServingInstance::start(config).scope(|scope| {
         let order = &order;
         let tickets: Vec<_> = solvers
             .iter()
@@ -70,7 +70,7 @@ fn round(instance: &SpatialAssignment, weight_a: u32) -> Round {
             .map(|(i, solver)| {
                 let tenant = if i % 2 == 0 { A } else { B };
                 let solver = &**solver;
-                handle
+                scope
                     .submit(
                         Request::new(move |ctx: &QueryContext| {
                             order.lock().unwrap().push(ctx.tenant());
@@ -90,8 +90,8 @@ fn round(instance: &SpatialAssignment, weight_a: u32) -> Round {
             t.wait();
         }
         (
-            handle.tenant_stats_for(A).unwrap(),
-            handle.tenant_stats_for(B).unwrap(),
+            scope.instance().tenant_stats_for(A).unwrap(),
+            scope.instance().tenant_stats_for(B).unwrap(),
         )
     });
     let wall = start.elapsed().as_secs_f64();

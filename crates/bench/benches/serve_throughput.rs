@@ -6,7 +6,7 @@
 //! * `batch` — the `BatchRunner` (now a thin adapter over the scheduler)
 //!   executing a mixed solver batch at 1/2/4/8 workers; measures the
 //!   scheduler's dispatch overhead on the end-to-end serving shape.
-//! * `stream` — direct `cca_serve::serve` submission of a query stream
+//! * `stream` — direct `cca_serve::ServingInstance` submission of a query stream
 //!   against a bounded admission queue, with per-query I/O budgets;
 //!   completed / budget-aborted / shed requests are counted, so the row
 //!   records the throughput of the *admission + abort* machinery, not just
@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::serve::{serve, Priority, Request, ServeConfig, Ticket};
+use cca::serve::{Priority, Request, ServeConfig, ServingInstance, Ticket};
 use cca::{QueryContext, SolverConfig, SpatialAssignment};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -91,7 +91,7 @@ fn stream_round(instance: &SpatialAssignment, workers: usize) -> f64 {
         .queue_capacity(STREAM_LEN)
         .aging_period(8);
     let start = Instant::now();
-    let (completed, aborted) = serve(config, |handle| {
+    let (completed, aborted) = ServingInstance::start(config).scope(|scope| {
         let tickets: Vec<Ticket<bool>> = solvers
             .iter()
             .enumerate()
@@ -104,7 +104,7 @@ fn stream_round(instance: &SpatialAssignment, workers: usize) -> f64 {
                     })
                     .with_io_budget(STREAM_BUDGET);
                 let solver = &**solver;
-                handle
+                scope
                     .submit(
                         Request::new(move |ctx: &QueryContext| {
                             let problem = instance.problem().with_context(ctx);

@@ -19,6 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use cca::geo::Point;
 use cca::{Problem, QueryResult, SpatialAssignment};
 use cca_core::solver::SolverRegistry;
 use cca_serve::{Request, ServeConfig, ServingInstance};
@@ -140,48 +141,41 @@ impl Gateway {
             ctx = ctx.with_io_budget(faults);
         }
 
-        let config = req.config;
-        let label = solver.label();
-        let work: Box<dyn FnOnce(&QueryContext) -> QueryResult + Send> = match req.problem {
-            ProblemSpec::Dataset(name) => {
-                let Some(data) = self.datasets.get(&name) else {
-                    return fault(ErrorCode::UnknownDataset, format!("no dataset `{name}`"));
-                };
-                let data = Arc::clone(data);
-                Box::new(move |ctx: &QueryContext| {
-                    let problem = data.problem().with_context(ctx);
-                    let outcome = solver.run(&problem);
-                    let aborted = outcome.abort_reason();
-                    let (matching, stats) = outcome.into_parts();
-                    QueryResult {
-                        index: 0,
-                        label,
-                        config,
-                        matching,
-                        stats,
-                        aborted,
-                    }
-                })
-            }
+        // Resolve a dataset name now, so an unknown one fails before a
+        // queue slot is spent.
+        enum Source {
+            Resident(Arc<SpatialAssignment>),
+            Inline(Vec<(Point, u32)>, Vec<Point>),
+        }
+        let source = match req.problem {
+            ProblemSpec::Dataset(name) => match self.datasets.get(&name) {
+                Some(data) => Source::Resident(Arc::clone(data)),
+                None => return fault(ErrorCode::UnknownDataset, format!("no dataset `{name}`")),
+            },
             ProblemSpec::Inline {
                 providers,
                 customers,
-            } => Box::new(move |ctx: &QueryContext| {
-                let problem = Problem::new(&providers)
-                    .with_customers(&customers)
-                    .with_context(ctx);
-                let outcome = solver.run(&problem);
-                let aborted = outcome.abort_reason();
-                let (matching, stats) = outcome.into_parts();
-                QueryResult {
-                    index: 0,
-                    label,
-                    config,
-                    matching,
-                    stats,
-                    aborted,
+            } => Source::Inline(providers, customers),
+        };
+        let config = req.config;
+        let work = move |ctx: &QueryContext| {
+            let problem = match &source {
+                Source::Resident(data) => data.problem(),
+                Source::Inline(providers, customers) => {
+                    Problem::new(providers).with_customers(customers)
                 }
-            }),
+            };
+            let outcome = solver.run(&problem.with_context(ctx));
+            let aborted = outcome.abort_reason();
+            let (matching, stats) = outcome.into_parts();
+            QueryResult {
+                index: 0,
+                label: solver.label(),
+                config,
+                matching,
+                stats,
+                aborted,
+            }
         };
 
         let ticket = match self.instance.submit(Request::new(work).context(ctx)) {

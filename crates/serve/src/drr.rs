@@ -28,6 +28,7 @@ use cca_storage::{IoStats, Priority, TenantId};
 
 use crate::queue::AgingQueue;
 use crate::rate::RateMeter;
+use crate::scheduler::Rejected;
 
 /// Per-tenant scheduling weight and admission quotas.
 ///
@@ -88,22 +89,8 @@ impl TenantQuota {
     }
 }
 
-/// Why [`DrrQueue::push`] refused an entry (the entry is dropped — the
-/// scheduler turns this into an explicit [`crate::Rejected`] and never
-/// creates a ticket for a shed request).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum PushError {
-    /// The tenant's own queue-slot quota is exhausted.
-    TenantQuota {
-        tenant: TenantId,
-        queue_slots: usize,
-    },
-    /// The global backlog is at capacity.
-    Full { capacity: usize },
-}
-
 /// Operator-facing snapshot of one tenant's serving state, taken under the
-/// scheduler lock by `ServeHandle::tenant_stats`.
+/// scheduler lock by [`crate::ServingInstance::tenant_stats`].
 #[derive(Clone, Debug)]
 pub struct TenantStats {
     pub tenant: TenantId,
@@ -285,22 +272,22 @@ impl<T> DrrQueue<T> {
             .or_insert_with(|| TenantState::new(quota, aging, window))
     }
 
-    /// Admits `item` for `tenant` at `priority`, or refuses it with the
-    /// quota/capacity that was hit. Tenant quota is checked first — the
-    /// more specific shedding signal.
+    /// Admits `item` for `tenant` at `priority`, or sheds it (the item is
+    /// dropped) with the quota/capacity that was hit. Tenant quota is
+    /// checked first — the more specific shedding signal.
     pub(crate) fn push(
         &mut self,
         tenant: TenantId,
         priority: Priority,
         item: T,
-    ) -> Result<(), PushError> {
+    ) -> Result<(), Rejected> {
         let global_full = self.len >= self.capacity;
         // A tenant the scheduler has never admitted anything for gets no
         // state while the queue is full — an adversary cycling fresh
         // tenant ids against a saturated queue must not grow the map (the
         // un-tracked rejection costs it its stats entry, nothing else).
         if global_full && !self.tenants.contains_key(&tenant) {
-            return Err(PushError::Full {
+            return Err(Rejected::QueueFull {
                 capacity: self.capacity,
             });
         }
@@ -312,14 +299,14 @@ impl<T> DrrQueue<T> {
         state.meter.record();
         if state.queue.len() >= state.quota.queue_slots {
             state.rejected += 1;
-            return Err(PushError::TenantQuota {
+            return Err(Rejected::TenantQuotaExceeded {
                 tenant,
                 queue_slots: state.quota.queue_slots,
             });
         }
         if global_full {
             state.rejected += 1;
-            return Err(PushError::Full {
+            return Err(Rejected::QueueFull {
                 capacity: self.capacity,
             });
         }
@@ -535,7 +522,7 @@ mod tests {
         q.push(A, Priority::Normal, "2").unwrap();
         assert_eq!(
             q.push(A, Priority::Critical, "3"),
-            Err(PushError::TenantQuota {
+            Err(Rejected::TenantQuotaExceeded {
                 tenant: A,
                 queue_slots: 2
             })
@@ -553,7 +540,7 @@ mod tests {
         q.push(B, Priority::Normal, "2").unwrap();
         assert_eq!(
             q.push(C, Priority::Critical, "3"),
-            Err(PushError::Full { capacity: 2 })
+            Err(Rejected::QueueFull { capacity: 2 })
         );
         // A never-admitted tenant rejected at a full queue leaves no state
         // behind — cycling fresh tenant ids cannot grow the map.

@@ -1,26 +1,17 @@
-//! [`ServingInstance`] — an *owned*, long-lived serving scope.
-//!
-//! [`crate::serve`] ties the scheduler's lifetime to one stack frame: the
-//! worker pool exists only inside the closure, which is exactly right for
-//! a batch but cannot back a network front-end where connections come and
-//! go for hours. `ServingInstance` inverts the ownership: the DRR/aging
-//! queues and worker threads live behind an `Arc` for as long as the value
-//! does, submissions arrive from any thread across many batches and
+//! [`ServingInstance`] — the scheduler's one owner: worker threads plus the
+//! two-level tenant-fair queue, living behind an `Arc` for as long as the
+//! value does. Submissions arrive from any thread across many batches and
 //! connections, and the per-tenant [`TenantStats`] accumulate over the
 //! instance's whole lifetime — the cross-batch fairness picture a gateway
 //! reports to operators.
 //!
-//! Two submission paths:
-//!
-//! * [`ServingInstance::submit`] takes `'static` work (the wire path: a
-//!   request decoded from a socket owns its problem data), returning an
-//!   [`OwnedTicket`] that is itself `'static` and can be waited on from
-//!   the connection's thread.
-//! * [`ServingInstance::scope`] re-creates the borrowed ergonomics of
-//!   [`crate::serve`] *on the shared instance*: inside the scope, work may
-//!   borrow from the caller's stack (e.g. a `SpatialAssignment` held by a
-//!   batch runner); the scope blocks on exit until every closure it
-//!   submitted has been consumed, which is what makes the borrow sound.
+//! Work enters one way, [`ServingInstance::submit`], and comes back as a
+//! [`Ticket`]. The queue is `'static`, so submitted work owns its data (the
+//! wire path: a request decoded from a socket owns its problem). Work that
+//! borrows from the caller's stack — e.g. a `SpatialAssignment` held by a
+//! batch runner — goes through [`ServingInstance::scope`], whose
+//! [`InstanceScope::submit`] blocks the scope's exit until every closure it
+//! submitted has been consumed, which is what makes the borrow sound.
 //!
 //! Dropping the instance flips the shutdown flag and joins the workers;
 //! they drain every admitted request first, so outstanding tickets still
@@ -28,18 +19,17 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use cca_storage::{QueryContext, TenantId};
 
 use crate::drr::TenantStats;
-use crate::scheduler::{
-    cancel_on, submit_to, Admitted, Rejected, Request, ServeConfig, Shared, TicketCell, Work,
-};
+use crate::scheduler::{execute, Job, Rejected, Request, ServeConfig, Shared, TicketCell, Work};
 
 /// An owned scheduler: worker threads plus the two-level tenant-fair queue,
 /// living for as long as the value (not a scope) does.
 pub struct ServingInstance<T: Send + 'static> {
-    shared: Arc<Shared<'static, T>>,
+    shared: Arc<Shared<T>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -59,30 +49,40 @@ impl<T: Send + 'static> ServingInstance<T> {
         ServingInstance { shared, workers }
     }
 
-    /// Submits owned (`'static`) work — the wire path. Same admission
-    /// semantics as [`crate::ServeHandle::submit`]: a [`Rejected`] request
-    /// is shed explicitly and no ticket is created.
-    pub fn submit(&self, request: Request<'static, T>) -> Result<OwnedTicket<T>, Rejected> {
-        let Admitted {
-            cell,
-            ctx,
-            tenant,
+    /// Submits owned (`'static`) work for scheduling. Returns the
+    /// [`Ticket`] to await, or sheds the request explicitly (no ticket is
+    /// created): [`Rejected::TenantQuotaExceeded`] when the submitting
+    /// tenant's own queue-slot quota is exhausted, [`Rejected::QueueFull`]
+    /// when the shared backlog is at capacity.
+    pub fn submit(&self, request: Request<'static, T>) -> Result<Ticket<T>, Rejected> {
+        let Request { ctx, work } = request;
+        let cell = Arc::new(TicketCell::new());
+        let mut state = self.shared.lock();
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        let job = Job {
             seq,
-        } = submit_to(&self.shared, request)?;
-        Ok(OwnedTicket {
+            ctx: ctx.clone(),
+            cell: Arc::clone(&cell),
+            work,
+            submitted_at: Instant::now(),
+        };
+        state.queue.push(ctx.tenant(), ctx.priority(), job)?;
+        debug_assert!(state.queue.len() <= state.queue.capacity());
+        drop(state);
+        self.shared.work_ready.notify_one();
+        Ok(Ticket {
             cell,
             ctx,
-            tenant,
             seq,
             shared: Arc::clone(&self.shared),
         })
     }
 
     /// Runs `body` with an [`InstanceScope`] through which work may borrow
-    /// from the caller's environment (`'env`), like [`crate::serve`] — but
-    /// on this shared, long-lived instance, so the work is scheduled
-    /// *against* whatever the wire path is submitting concurrently and
-    /// lands in the same cumulative [`TenantStats`].
+    /// from the caller's environment (`'env`). The work is scheduled
+    /// *against* whatever else is submitting concurrently and lands in the
+    /// same cumulative [`TenantStats`].
     ///
     /// Returns only after every closure submitted through the scope has
     /// been consumed (run to completion on a worker, run on a cancelling
@@ -102,13 +102,16 @@ impl<T: Send + 'static> ServingInstance<T> {
         body(&scope)
     }
 
-    /// Requests currently queued (admitted, not yet dispatched).
+    /// Requests currently queued (admitted, not yet dispatched), across
+    /// all tenants.
     pub fn queue_len(&self) -> usize {
         self.shared.lock().queue.len()
     }
 
-    /// Lifetime per-tenant snapshots (cross-batch, cross-connection),
-    /// sorted by tenant id.
+    /// Operator snapshot of every tenant the instance has seen (or was
+    /// configured with), sorted by tenant id: dispatch/abort counters,
+    /// cumulative attributed I/O, latency and offered QPS — lifetime
+    /// figures, across batches and connections.
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
         self.shared.lock().queue.tenant_stats()
     }
@@ -120,8 +123,8 @@ impl<T: Send + 'static> ServingInstance<T> {
 
     /// Shuts the instance down explicitly (identical to dropping it):
     /// blocks until the workers drain every admitted request and exit.
-    /// Outstanding [`OwnedTicket`]s keep working — they share the
-    /// completion cells, which all resolve during the drain.
+    /// Outstanding [`Ticket`]s keep working — they share the completion
+    /// cells, which all resolve during the drain.
     pub fn shutdown(self) {}
 }
 
@@ -135,23 +138,23 @@ impl<T: Send + 'static> Drop for ServingInstance<T> {
     }
 }
 
-/// The caller's handle on one query submitted to a [`ServingInstance`] —
-/// [`crate::Ticket`] without the scope lifetimes, so a connection thread
-/// can hold it across await points of its own making.
-pub struct OwnedTicket<T: Send + 'static> {
+/// The caller's handle on one submitted query: await the result, poll it,
+/// or cancel the query cooperatively. It is `'static` (it holds no borrowed
+/// data), so a connection thread can hold it as long as it likes.
+pub struct Ticket<T: Send + 'static> {
     cell: Arc<TicketCell<T>>,
     ctx: QueryContext,
-    tenant: TenantId,
+    /// Scheduler-unique id, so a cancel withdraws exactly this entry.
     seq: u64,
-    shared: Arc<Shared<'static, T>>,
+    shared: Arc<Shared<T>>,
 }
 
-impl<T: Send + 'static> OwnedTicket<T> {
+impl<T: Send + 'static> Ticket<T> {
     /// Blocks until the query finishes and returns its result.
     ///
     /// # Panics
     /// Re-raises the query closure's panic, if it panicked; panics if the
-    /// result was already claimed via [`OwnedTicket::try_take`].
+    /// result was already claimed via [`Ticket::try_take`].
     pub fn wait(self) -> T {
         self.cell.wait_take()
     }
@@ -171,12 +174,25 @@ impl<T: Send + 'static> OwnedTicket<T> {
         self.cell.is_done()
     }
 
-    /// Requests cooperative cancellation — same semantics as
-    /// [`crate::Ticket::cancel`]: a still-queued query is withdrawn here
-    /// (its admission slots released immediately) and runs on the
-    /// cancelling thread; a running query aborts at its next context poll.
+    /// Requests cooperative cancellation of the query.
+    ///
+    /// A query that is *still queued* is withdrawn right here: its
+    /// admission slot (global and per-tenant) is released at cancel time —
+    /// not when a worker would eventually pop the dead entry — and its
+    /// closure runs on the cancelling thread, where it observes the
+    /// cancelled context at its first poll and unwinds with its partial
+    /// result. A *running* query aborts at its next context poll. Either
+    /// way, [`Ticket::wait`] still returns the (partial) result.
     pub fn cancel(&self) {
-        cancel_on(&self.shared, &self.ctx, self.tenant, self.seq);
+        self.ctx.cancel();
+        let withdrawn = self
+            .shared
+            .lock()
+            .queue
+            .remove_queued(self.ctx.tenant(), |job| job.seq == self.seq);
+        if let Some(job) = withdrawn {
+            job.cell.fill(execute(job.work, &job.ctx));
+        }
     }
 
     /// The query's context (for inspecting attribution mid-flight).
@@ -256,10 +272,11 @@ pub struct InstanceScope<'a, 'env, T: Send + 'static> {
 
 impl<'env, T: Send + 'static> InstanceScope<'_, 'env, T> {
     /// Submits work that may borrow from `'env`, onto the shared
-    /// instance. Admission semantics are unchanged; the returned ticket is
-    /// owned and may outlive the scope (it holds no `'env` data — `T` is
-    /// `'static`).
-    pub fn submit(&self, request: Request<'env, T>) -> Result<OwnedTicket<T>, Rejected> {
+    /// instance. Admission semantics are those of
+    /// [`ServingInstance::submit`]; the returned ticket may outlive the
+    /// scope (it holds no `'env` data — `T` is `'static`).
+    #[allow(unsafe_code)] // the crate's one exception; see SAFETY below
+    pub fn submit(&self, request: Request<'env, T>) -> Result<Ticket<T>, Rejected> {
         let Request { ctx, work } = request;
         let token = ScopeToken::new(Arc::clone(&self.pending));
         let work: Work<'env, T> = Box::new(move |ctx: &QueryContext| {
@@ -270,7 +287,7 @@ impl<'env, T: Send + 'static> InstanceScope<'_, 'env, T> {
             work(ctx)
         });
         // SAFETY: the closure is erased to `'static` so it can sit in the
-        // instance's `'static` queue, but nothing borrowed from `'env` can
+        // instance's queue, but nothing borrowed from `'env` can
         // be used after `'env` ends: the closure owns a `ScopeToken`, and
         // `ServingInstance::scope` blocks (via `ScopeWait`) until every
         // token is dropped before it returns — i.e. until the closure has
@@ -293,9 +310,9 @@ impl<'env, T: Send + 'static> InstanceScope<'_, 'env, T> {
 mod tests {
     use super::*;
     use crate::drr::TenantQuota;
+    use crate::scheduler::tests::park_worker;
     use cca_storage::{IoStats, Priority};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     const A: TenantId = TenantId(1);
     const B: TenantId = TenantId(2);
@@ -312,7 +329,7 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            let sum: u64 = tickets.into_iter().map(OwnedTicket::wait).sum();
+            let sum: u64 = tickets.into_iter().map(Ticket::wait).sum();
             assert_eq!(sum, batch * 800 + 28);
             // The whole point of the owned instance: stats survive the
             // batch boundary instead of dying with a scope.
@@ -356,18 +373,19 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         let instance: ServingInstance<usize> =
             ServingInstance::start(ServeConfig::default().workers(1).queue_capacity(64));
+        let (_blocker, release) = park_worker(&instance, usize::MAX);
         let tickets: Vec<_> = (0..16)
             .map(|i| {
                 let ran = Arc::clone(&ran);
                 instance
                     .submit(Request::new(move |_: &QueryContext| {
-                        std::thread::sleep(Duration::from_millis(1));
                         ran.fetch_add(1, Ordering::SeqCst);
                         i
                     }))
                     .unwrap()
             })
             .collect();
+        drop(release);
         drop(instance); // joins workers; they drain all 16 first
         assert_eq!(ran.load(Ordering::SeqCst), 16);
         for (i, ticket) in tickets.into_iter().enumerate() {
@@ -392,7 +410,7 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            tickets.into_iter().map(OwnedTicket::wait).sum()
+            tickets.into_iter().map(Ticket::wait).sum()
         });
         assert_eq!(total, 4950);
         // The instance is still alive and serving after the scope.
@@ -405,46 +423,36 @@ mod tests {
     #[test]
     fn scope_exit_waits_for_unawaited_borrowed_work() {
         let instance: ServingInstance<usize> =
-            ServingInstance::start(ServeConfig::default().workers(2).queue_capacity(64));
+            ServingInstance::start(ServeConfig::default().workers(1).queue_capacity(64));
         let hits = AtomicUsize::new(0);
         instance.scope(|scope| {
+            // The worker is parked until the body ends, so every closure
+            // below is still queued when the scope starts its exit wait.
+            let (_blocker, _release) = park_worker(scope.instance(), 0);
             // Deliberately do NOT wait on the tickets: the scope itself
             // must block until the borrowed closures are consumed.
             for _ in 0..8 {
                 let hits = &hits;
                 scope
                     .submit(Request::new(move |_: &QueryContext| {
-                        std::thread::sleep(Duration::from_millis(2));
                         hits.fetch_add(1, Ordering::SeqCst)
                     }))
                     .unwrap();
             }
         });
-        // If the scope returned early this would race; the wait makes it
-        // deterministic.
+        // Had the scope returned early, this would read fewer than 8.
         assert_eq!(hits.load(Ordering::SeqCst), 8);
     }
 
     #[test]
     fn owned_ticket_cancel_withdraws_queued_work_and_frees_the_slot() {
-        let gate = Arc::new(Mutex::new(()));
-        let guard = gate.lock().unwrap();
         let instance: ServingInstance<&'static str> = ServingInstance::start(
             ServeConfig::default()
                 .workers(1)
                 .queue_capacity(2)
                 .aging_period(0),
         );
-        let gate2 = Arc::clone(&gate);
-        let blocker = instance
-            .submit(Request::new(move |_: &QueryContext| {
-                drop(gate2.lock().unwrap_or_else(|e| e.into_inner()));
-                "blocker"
-            }))
-            .unwrap();
-        while instance.queue_len() > 0 {
-            std::thread::yield_now();
-        }
+        let (blocker, release) = park_worker(&instance, "blocker");
         let doomed = instance
             .submit(Request::new(|ctx: &QueryContext| {
                 match ctx.abort_reason() {
@@ -465,31 +473,21 @@ mod tests {
         assert_eq!(doomed.wait(), "unwound");
         let stats = instance.tenant_stats_for(TenantId::DEFAULT).unwrap();
         assert_eq!(stats.cancelled_queued, 1);
-        drop(guard);
+        drop(release);
         assert_eq!(blocker.wait(), "blocker");
         instance.shutdown();
     }
 
     #[test]
     fn tenant_quotas_apply_across_submission_sources() {
-        let gate = Arc::new(Mutex::new(()));
-        let guard = gate.lock().unwrap();
         let instance: ServingInstance<()> = ServingInstance::start(
             ServeConfig::default()
                 .workers(1)
                 .queue_capacity(64)
                 .tenant_quota(B, TenantQuota::default().queue_slots(1)),
         );
-        let gate2 = Arc::clone(&gate);
-        let blocker = instance
-            .submit(Request::new(move |_: &QueryContext| {
-                drop(gate2.lock().unwrap_or_else(|e| e.into_inner()));
-            }))
-            .unwrap();
-        while instance.queue_len() > 0 {
-            std::thread::yield_now();
-        }
-        // Owned path fills B's only slot; the scoped path then sheds.
+        let (blocker, release) = park_worker(&instance, ());
+        // `submit` fills B's only slot; the scope's `submit` then sheds.
         let _queued = instance
             .submit(Request::new(|_: &QueryContext| ()).tenant(B))
             .unwrap();
@@ -503,7 +501,7 @@ mod tests {
                 })
             );
         });
-        drop(guard);
+        drop(release);
         blocker.wait();
     }
 

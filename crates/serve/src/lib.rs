@@ -15,65 +15,68 @@
 //! * level 1 picks the *tenant* by weighted deficit-round-robin over the
 //!   backlogged tenants ([`TenantQuota::weight`]), with per-tenant
 //!   admission quotas (queue slots, in-flight cap);
-//! * level 2 keeps the PR 4 priority+aging semantics *within* each tenant
-//!   ([`queue::AgingQueue`]), preserving the deterministic per-tenant
-//!   starvation bound (`3 × aging_period + 1` tenant-local dispatches).
+//! * level 2 keeps the PR 4 priority+aging semantics *within* each tenant,
+//!   preserving the deterministic per-tenant starvation bound
+//!   (`3 × aging_period + 1` tenant-local dispatches).
 //!
 //! The pieces:
 //!
-//! * [`serve`] — runs a scoped worker pool; requests may borrow the shared
-//!   instance from the caller's stack (no `'static` bound),
-//! * [`ServingInstance`] — the *owned* counterpart: a long-lived scheduler
-//!   whose workers and cumulative [`TenantStats`] outlive any one batch or
-//!   connection (the serving core a network gateway runs on), with
-//!   [`ServingInstance::scope`] re-creating the borrowed ergonomics on the
-//!   shared instance,
-//! * [`ServeHandle::submit`] — admission: returns a [`Ticket`] or sheds
-//!   the request with [`Rejected::QueueFull`] /
-//!   [`Rejected::TenantQuotaExceeded`],
-//! * [`Ticket`] / [`OwnedTicket`] — await / poll / cancel one query
-//!   (cancelling a queued query releases its admission slot immediately),
-//! * [`ServeHandle::tenant_stats`] — operator snapshots: per-tenant
+//! * [`ServingInstance`] — the scheduler: owned worker threads plus the
+//!   queue, whose cumulative [`TenantStats`] outlive any one batch or
+//!   connection (the serving core a network gateway runs on);
+//! * [`ServingInstance::submit`] — admission of owned work: returns a
+//!   [`Ticket`] or sheds the request with [`Rejected::QueueFull`] /
+//!   [`Rejected::TenantQuotaExceeded`];
+//! * [`ServingInstance::scope`] — an [`InstanceScope`] whose `submit`
+//!   accepts work borrowing from the caller's stack;
+//! * [`Ticket`] — await / poll / cancel one query (cancelling a queued
+//!   query releases its admission slot immediately);
+//! * [`ServingInstance::tenant_stats`] — operator snapshots: per-tenant
 //!   dispatch/abort counters, cumulative attributed I/O, latency, and a
-//!   sliding-window submission rate ([`TenantStats::qps`]),
+//!   sliding-window submission rate ([`TenantStats::qps`]);
 //! * [`ServeConfig`] — workers, queue capacity, aging period, tenant
 //!   weights and quotas, QPS window.
 //!
 //! ```
-//! use cca_serve::{serve, Priority, QueryContext, Request, ServeConfig, TenantId, TenantQuota};
+//! use cca_serve::{
+//!     Priority, QueryContext, Request, ServeConfig, ServingInstance, TenantId, TenantQuota,
+//! };
 //!
 //! let config = ServeConfig::default()
 //!     .workers(2)
 //!     .queue_capacity(8)
 //!     .tenant_quota(TenantId(1), TenantQuota::default().weight(2));
-//! let total: u64 = serve(config, |handle| {
+//! let instance = ServingInstance::start(config);
+//! let total: u64 = instance.scope(|scope| {
 //!     let tickets: Vec<_> = (0..4u64)
 //!         .map(|i| {
 //!             let req = Request::new(move |_ctx: &QueryContext| i * 10)
 //!                 .tenant(TenantId(u32::from(i % 2 == 0)))
 //!                 .priority(if i == 0 { Priority::High } else { Priority::Normal });
-//!             handle.submit(req).expect("queue has room")
+//!             scope.submit(req).expect("queue has room")
 //!         })
 //!         .collect();
 //!     tickets.into_iter().map(|t| t.wait()).sum()
 //! });
 //! assert_eq!(total, 60);
+//! assert_eq!(instance.tenant_stats_for(TenantId(1)).unwrap().completed, 2);
 //! ```
 //!
-//! The façade crate's `BatchRunner` is a thin adapter over this scheduler,
-//! and `examples/tenants.rs` shows two weighted tenants sharing one
-//! instance, quota shedding included.
+//! The façade crate's `BatchRunner` and `cca-net`'s gateway both run on a
+//! `ServingInstance`, and `examples/tenants.rs` shows two weighted tenants
+//! sharing one, quota shedding included.
+
+#![deny(unsafe_code)]
 
 mod drr;
 mod instance;
-pub mod queue;
+mod queue;
 mod rate;
-pub mod scheduler;
+mod scheduler;
 #[cfg(feature = "serde")]
 mod serde_impls;
 
 pub use cca_storage::{AbortReason, Aborted, IoStats, Priority, QueryContext, TenantId};
 pub use drr::{TenantQuota, TenantStats};
-pub use instance::{InstanceScope, OwnedTicket, ServingInstance};
-pub use queue::AgingQueue;
-pub use scheduler::{serve, Rejected, Request, ServeConfig, ServeHandle, Ticket};
+pub use instance::{InstanceScope, ServingInstance, Ticket};
+pub use scheduler::{Rejected, Request, ServeConfig};

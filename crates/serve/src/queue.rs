@@ -55,12 +55,6 @@ impl<T> AgingQueue<T> {
         self.len == 0
     }
 
-    /// The admission bound.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Enqueues `item` at `priority`; gives the item back when the queue is
     /// at capacity (the caller turns that into an explicit rejection).
     pub fn push(&mut self, priority: Priority, item: T) -> Result<(), T> {

@@ -1,13 +1,14 @@
-//! The worker-pool scheduler: scoped workers draining the two-level ready
-//! queue (tenant-fair DRR over per-tenant priority+aging queues), tickets
-//! for callers, explicit load shedding at admission.
+//! The scheduler's parts: its configuration, the request and rejection
+//! vocabulary, the completion cell behind every ticket, and the worker loop
+//! that drains the two-level ready queue (tenant-fair DRR over per-tenant
+//! priority+aging queues). [`crate::ServingInstance`] owns and drives them.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cca_storage::{Priority, QueryContext, TenantId};
 
-use crate::drr::{DrrQueue, PushError, TenantQuota, TenantStats};
+use crate::drr::{DrrQueue, TenantQuota};
 
 /// Scheduler tuning.
 #[derive(Clone, Debug)]
@@ -29,7 +30,7 @@ pub struct ServeConfig {
     pub default_quota: TenantQuota,
     /// Per-tenant overrides of weight / queue slots / in-flight cap.
     pub quotas: Vec<(TenantId, TenantQuota)>,
-    /// Width of the sliding window behind [`TenantStats::qps`]: each
+    /// Width of the sliding window behind [`crate::TenantStats::qps`]: each
     /// tenant's submission rate is averaged over the last `rate_window`
     /// seconds (whole seconds; at least one).
     pub rate_window: Duration,
@@ -173,29 +174,27 @@ impl<'env, T> Request<'env, T> {
 }
 
 /// Completion state of one submitted query. Distinguishing `Taken` and
-/// `Panicked` from `Pending` keeps [`Ticket::wait`] from blocking forever
-/// on a slot that will never be (re)filled.
+/// `Panicked` from `Pending` keeps [`crate::Ticket::wait`] from blocking
+/// forever on a slot that will never be (re)filled.
 pub(crate) enum Slot<T> {
     /// Not finished yet.
     Pending,
     /// Finished; result not yet claimed.
     Done(T),
-    /// Result already claimed by [`Ticket::try_take`].
+    /// Result already claimed by [`crate::Ticket::try_take`].
     Taken,
     /// The query closure panicked; the payload is re-raised at the waiter.
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// Completion cell shared between a running job and its ticket
-/// ([`Ticket`] in a scoped [`serve`], `OwnedTicket` on a
-/// [`crate::ServingInstance`]).
+/// Completion cell shared between a running job and its [`crate::Ticket`].
 pub(crate) struct TicketCell<T> {
     slot: Mutex<Slot<T>>,
     done: Condvar,
 }
 
 impl<T> TicketCell<T> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TicketCell {
             slot: Mutex::new(Slot::Pending),
             done: Condvar::new(),
@@ -262,91 +261,36 @@ impl<T> TicketCell<T> {
     }
 }
 
-/// Runs a job's closure under its context and resolves its ticket cell,
-/// catching a panicking closure so the waiter never blocks forever.
-pub(crate) fn run_job<T>(job: Job<'_, T>) {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (job.work)(&job.ctx)));
-    match result {
-        Ok(value) => job.cell.fill(Slot::Done(value)),
-        Err(payload) => job.cell.fill(Slot::Panicked(payload)),
+/// Runs a job's closure under its context, catching a panicking closure so
+/// the waiter never blocks on an unfilled cell.
+pub(crate) fn execute<T>(work: Work<'static, T>, ctx: &QueryContext) -> Slot<T> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(ctx))) {
+        Ok(value) => Slot::Done(value),
+        Err(payload) => Slot::Panicked(payload),
     }
 }
 
-/// The caller's handle on one submitted query: await the result, poll it,
-/// or cancel the query cooperatively.
-pub struct Ticket<'a, 'env, T> {
-    cell: Arc<TicketCell<T>>,
-    ctx: QueryContext,
-    tenant: TenantId,
-    seq: u64,
-    shared: &'a Shared<'env, T>,
-}
-
-impl<T> Ticket<'_, '_, T> {
-    /// Blocks until the query finishes and returns its result.
-    ///
-    /// # Panics
-    /// Re-raises the query closure's panic, if it panicked; panics if the
-    /// result was already claimed via [`Ticket::try_take`].
-    pub fn wait(self) -> T {
-        self.cell.wait_take()
-    }
-
-    /// Takes the result if the query already finished (`None` while it is
-    /// still pending or after the result was taken).
-    ///
-    /// # Panics
-    /// Re-raises the query closure's panic, if it panicked.
-    pub fn try_take(&self) -> Option<T> {
-        self.cell.try_take()
-    }
-
-    /// True once the query finished (it stays true after the result is
-    /// taken).
-    pub fn is_done(&self) -> bool {
-        self.cell.is_done()
-    }
-
-    /// Requests cooperative cancellation of the query.
-    ///
-    /// A query that is *still queued* is withdrawn right here: its
-    /// admission slot (global and per-tenant) is released at cancel time —
-    /// not when a worker would eventually pop the dead entry — and its
-    /// closure runs on the cancelling thread, where it observes the
-    /// cancelled context at its first poll and unwinds with its partial
-    /// result. A *running* query aborts at its next context poll. Either
-    /// way, [`Ticket::wait`] still returns the (partial) result.
-    pub fn cancel(&self) {
-        cancel_on(self.shared, &self.ctx, self.tenant, self.seq);
-    }
-
-    /// The query's context (for inspecting attribution mid-flight).
-    pub fn context(&self) -> &QueryContext {
-        &self.ctx
-    }
-}
-
-pub(crate) struct Job<'env, T> {
+pub(crate) struct Job<T> {
     /// Scheduler-unique id, so a cancel can withdraw exactly this entry.
     pub(crate) seq: u64,
     pub(crate) ctx: QueryContext,
     pub(crate) cell: Arc<TicketCell<T>>,
-    pub(crate) work: Work<'env, T>,
+    pub(crate) work: Work<'static, T>,
     pub(crate) submitted_at: Instant,
 }
 
-pub(crate) struct State<'env, T> {
-    pub(crate) queue: DrrQueue<Job<'env, T>>,
+pub(crate) struct State<T> {
+    pub(crate) queue: DrrQueue<Job<T>>,
     pub(crate) next_seq: u64,
     pub(crate) shutdown: bool,
 }
 
-pub(crate) struct Shared<'env, T> {
-    pub(crate) state: Mutex<State<'env, T>>,
+pub(crate) struct Shared<T> {
+    pub(crate) state: Mutex<State<T>>,
     pub(crate) work_ready: Condvar,
 }
 
-impl<'env, T> Shared<'env, T> {
+impl<T> Shared<T> {
     pub(crate) fn new(config: &ServeConfig) -> Self {
         assert!(config.workers >= 1, "at least one worker");
         assert!(config.queue_capacity >= 1, "capacity of at least one");
@@ -366,133 +310,18 @@ impl<'env, T> Shared<'env, T> {
         }
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, State<'env, T>> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// What [`submit_to`] hands back for an admitted request: everything a
-/// ticket (borrowing or owned) needs on top of its scheduler handle.
-pub(crate) struct Admitted<T> {
-    pub(crate) cell: Arc<TicketCell<T>>,
-    pub(crate) ctx: QueryContext,
-    pub(crate) tenant: TenantId,
-    pub(crate) seq: u64,
-}
-
-/// The one admission path: allocates the seq and ticket cell, pushes the
-/// job through the DRR queue's quota checks, and wakes a worker — or sheds
-/// the request (the job is dropped, no ticket is created). Shared by the
-/// scoped [`ServeHandle`] and the owned [`crate::ServingInstance`].
-pub(crate) fn submit_to<'env, T: Send>(
-    shared: &Shared<'env, T>,
-    request: Request<'env, T>,
-) -> Result<Admitted<T>, Rejected> {
-    let Request { ctx, work } = request;
-    let cell = Arc::new(TicketCell::new());
-    let tenant = ctx.tenant();
-    let priority = ctx.priority();
-    let mut state = shared.lock();
-    let seq = state.next_seq;
-    state.next_seq += 1;
-    let job = Job {
-        seq,
-        ctx: ctx.clone(),
-        cell: Arc::clone(&cell),
-        work,
-        submitted_at: Instant::now(),
-    };
-    match state.queue.push(tenant, priority, job) {
-        Ok(()) => {
-            debug_assert!(state.queue.len() <= state.queue.capacity());
-            drop(state);
-            shared.work_ready.notify_one();
-            Ok(Admitted {
-                cell,
-                ctx,
-                tenant,
-                seq,
-            })
-        }
-        Err(PushError::TenantQuota {
-            tenant,
-            queue_slots,
-        }) => Err(Rejected::TenantQuotaExceeded {
-            tenant,
-            queue_slots,
-        }),
-        Err(PushError::Full { capacity }) => Err(Rejected::QueueFull { capacity }),
-    }
-}
-
-/// The one cancellation path (shared by both ticket kinds): flags the
-/// context, and if the job is still queued withdraws it — releasing its
-/// admission slot immediately — and runs it on the cancelling thread,
-/// where its first context poll unwinds with the partial result.
-pub(crate) fn cancel_on<T>(shared: &Shared<'_, T>, ctx: &QueryContext, tenant: TenantId, seq: u64) {
-    ctx.cancel();
-    let withdrawn = {
-        let mut state = shared.lock();
-        state.queue.remove_queued(tenant, |job| job.seq == seq)
-    };
-    if let Some(job) = withdrawn {
-        run_job(job);
-    }
-}
-
-/// The submission front-end handed to the [`serve`] body.
-pub struct ServeHandle<'a, 'env, T: Send> {
-    shared: &'a Shared<'env, T>,
-}
-
-impl<'a, 'env, T: Send> ServeHandle<'a, 'env, T> {
-    /// Submits a request for scheduling. Returns the [`Ticket`] to await,
-    /// or sheds the request explicitly: [`Rejected::TenantQuotaExceeded`]
-    /// when the submitting tenant's own queue-slot quota is exhausted,
-    /// [`Rejected::QueueFull`] when the shared backlog is at capacity.
-    pub fn submit(&self, request: Request<'env, T>) -> Result<Ticket<'a, 'env, T>, Rejected> {
-        let Admitted {
-            cell,
-            ctx,
-            tenant,
-            seq,
-        } = submit_to(self.shared, request)?;
-        Ok(Ticket {
-            cell,
-            ctx,
-            tenant,
-            seq,
-            shared: self.shared,
-        })
-    }
-
-    /// Requests currently queued (admitted, not yet dispatched), across
-    /// all tenants.
-    pub fn queue_len(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
-
-    /// Operator snapshot of every tenant the scheduler has seen (or was
-    /// configured with), sorted by tenant id: dispatch/abort counters,
-    /// cumulative attributed I/O, and latency aggregates.
-    pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        self.shared.lock().queue.tenant_stats()
-    }
-
-    /// Snapshot of one tenant, if the scheduler has seen it.
-    pub fn tenant_stats_for(&self, tenant: TenantId) -> Option<TenantStats> {
-        self.shared.lock().queue.tenant_stats_for(tenant)
-    }
-}
-
-pub(crate) fn worker<T: Send>(shared: &Shared<'_, T>) {
+pub(crate) fn worker<T>(shared: &Shared<T>) {
     let mut state = shared.lock();
     loop {
         if let Some((tenant, job)) = state.queue.pop() {
             drop(state);
             // The closure polls the context itself (an expired deadline or
-            // cancelled queued job unwinds on its first poll); the panic is
-            // caught so the waiter never blocks on an unfilled cell.
+            // cancelled queued job unwinds on its first poll).
             let Job {
                 ctx,
                 cell,
@@ -500,7 +329,7 @@ pub(crate) fn worker<T: Send>(shared: &Shared<'_, T>) {
                 submitted_at,
                 ..
             } = job;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(&ctx)));
+            let slot = execute(work, &ctx);
             state = shared.lock();
             // `recorded_abort`, not `abort_reason`: the latter is an active
             // poll that could record a deadline that expired *after* the
@@ -523,10 +352,7 @@ pub(crate) fn worker<T: Send>(shared: &Shared<'_, T>) {
             // Resolve the ticket only after the accounting landed, so a
             // waiter that observes the result also observes its tenant's
             // stats updated.
-            match result {
-                Ok(value) => cell.fill(Slot::Done(value)),
-                Err(payload) => cell.fill(Slot::Panicked(payload)),
-            }
+            cell.fill(slot);
             state = shared.lock();
         } else if state.queue.is_empty() && state.shutdown {
             // Drained and shutting down. (A non-empty queue whose tenants
@@ -543,56 +369,39 @@ pub(crate) fn worker<T: Send>(shared: &Shared<'_, T>) {
     }
 }
 
-/// Flips the shutdown flag and wakes every worker when dropped — on the
-/// body's normal return *and* on its unwind, so a panicking body can never
-/// leave workers parked forever under `thread::scope`'s implicit join.
-struct ShutdownGuard<'a, 'env, T> {
-    shared: &'a Shared<'env, T>,
-}
-
-impl<T> Drop for ShutdownGuard<'_, '_, T> {
-    fn drop(&mut self) {
-        self.shared.lock().shutdown = true;
-        self.shared.work_ready.notify_all();
-    }
-}
-
-/// Runs a serving scope: spawns `config.workers` scoped worker threads,
-/// hands the submission [`ServeHandle`] to `body`, and when `body` returns
-/// shuts down — workers drain every admitted request (so all tickets
-/// resolve) and then exit.
-///
-/// The scope ties worker lifetimes to the caller's stack, so requests may
-/// borrow from the environment (`'env`) — e.g. a shared
-/// `SpatialAssignment` — without `Arc`s or `'static` bounds.
-pub fn serve<'env, T, Out>(
-    config: ServeConfig,
-    body: impl FnOnce(&ServeHandle<'_, 'env, T>) -> Out,
-) -> Out
-where
-    T: Send + 'env,
-{
-    let shared: Shared<'env, T> = Shared::new(&config);
-    std::thread::scope(|scope| {
-        for _ in 0..config.workers {
-            scope.spawn(|| worker(&shared));
-        }
-        let _shutdown = ShutdownGuard { shared: &shared };
-        body(&ServeHandle { shared: &shared })
-    })
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{ServingInstance, Ticket};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
+    use std::sync::mpsc;
+
+    /// Parks an instance's only worker: submits a blocker that holds the
+    /// worker until the returned sender is dropped, and returns once the
+    /// blocker is running — so the queue is empty and every later
+    /// submission queues up behind it deterministically.
+    pub(crate) fn park_worker<T: Send + 'static>(
+        instance: &ServingInstance<T>,
+        result: T,
+    ) -> (Ticket<T>, mpsc::Sender<()>) {
+        let (started_tx, started) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let blocker = instance
+            .submit(Request::new(move |_: &QueryContext| {
+                started_tx.send(()).unwrap();
+                let _ = released.recv();
+                result
+            }))
+            .unwrap();
+        started.recv().unwrap();
+        (blocker, release)
+    }
 
     #[test]
     fn submits_run_and_tickets_resolve() {
-        let outputs = serve(ServeConfig::default().workers(4), |handle| {
+        let outputs = ServingInstance::start(ServeConfig::default().workers(4)).scope(|scope| {
             let tickets: Vec<_> = (0..32)
-                .map(|i| handle.submit(Request::new(move |_| i * 2)).unwrap())
+                .map(|i| scope.submit(Request::new(move |_| i * 2)).unwrap())
                 .collect();
             tickets.into_iter().map(Ticket::wait).collect::<Vec<_>>()
         });
@@ -601,51 +410,30 @@ mod tests {
 
     #[test]
     fn queue_full_sheds_explicitly() {
-        // One worker parked on a gate so the queue can be saturated
-        // deterministically.
-        let gate = Mutex::new(());
-        let guard = gate.lock().unwrap();
+        // One worker parked so the queue can be saturated deterministically.
         let config = ServeConfig::default()
             .workers(1)
             .queue_capacity(2)
             .aging_period(0);
-        serve(config, |handle| {
-            let blocker = handle
-                .submit(Request::new(|_| {
-                    drop(gate.lock().unwrap_or_else(|e| e.into_inner()));
-                }))
-                .unwrap();
-            // Wait until the worker has dequeued the blocker.
-            while handle.queue_len() > 0 {
-                std::thread::yield_now();
-            }
-            let _a = handle.submit(Request::new(|_| ())).unwrap();
-            let _b = handle.submit(Request::new(|_| ())).unwrap();
-            let shed = handle.submit(Request::new(|_| ()));
-            assert!(matches!(shed, Err(Rejected::QueueFull { capacity: 2 })));
-            drop(guard); // release the worker; shutdown drains the rest
-            blocker.wait();
-        });
+        let instance = ServingInstance::start(config);
+        let (blocker, release) = park_worker(&instance, ());
+        let _a = instance.submit(Request::new(|_| ())).unwrap();
+        let _b = instance.submit(Request::new(|_| ())).unwrap();
+        let shed = instance.submit(Request::new(|_| ()));
+        assert!(matches!(shed, Err(Rejected::QueueFull { capacity: 2 })));
+        drop(release); // release the worker; shutdown drains the rest
+        blocker.wait();
     }
 
     #[test]
     fn higher_priority_overtakes_with_one_worker() {
         let order = Mutex::new(Vec::new());
-        let gate = Mutex::new(());
-        let guard = gate.lock().unwrap();
         let config = ServeConfig::default()
             .workers(1)
             .queue_capacity(16)
             .aging_period(0);
-        serve(config, |handle| {
-            let blocker = handle
-                .submit(Request::new(|_| {
-                    drop(gate.lock().unwrap_or_else(|e| e.into_inner()));
-                }))
-                .unwrap();
-            while handle.queue_len() > 0 {
-                std::thread::yield_now();
-            }
+        ServingInstance::start(config).scope(|scope| {
+            let (blocker, release) = park_worker(scope.instance(), ());
             let mut tickets = Vec::new();
             for (name, priority) in [
                 ("low", Priority::Low),
@@ -655,7 +443,7 @@ mod tests {
             ] {
                 let order = &order;
                 tickets.push(
-                    handle
+                    scope
                         .submit(
                             Request::new(move |_| order.lock().unwrap().push(name))
                                 .priority(priority),
@@ -663,7 +451,7 @@ mod tests {
                         .unwrap(),
                 );
             }
-            drop(guard);
+            drop(release);
             blocker.wait();
             for t in tickets {
                 t.wait();
@@ -678,15 +466,14 @@ mod tests {
     #[test]
     fn panicking_request_resurfaces_at_wait_without_hanging() {
         let result = std::panic::catch_unwind(|| {
-            serve(ServeConfig::default().workers(1), |handle| {
-                let bad = handle
-                    .submit(Request::new(|_| -> usize { panic!("solver bug") }))
-                    .unwrap();
-                // The worker survives the panic and keeps serving.
-                let good = handle.submit(Request::new(|_| 7usize)).unwrap();
-                assert_eq!(good.wait(), 7);
-                bad.wait() // re-raises "solver bug"
-            })
+            let instance = ServingInstance::start(ServeConfig::default().workers(1));
+            let bad = instance
+                .submit(Request::new(|_| -> usize { panic!("solver bug") }))
+                .unwrap();
+            // The worker survives the panic and keeps serving.
+            let good = instance.submit(Request::new(|_| 7usize)).unwrap();
+            assert_eq!(good.wait(), 7);
+            bad.wait() // re-raises "solver bug"
         });
         let payload = result.unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"solver bug"));
@@ -694,12 +481,12 @@ mod tests {
 
     #[test]
     fn panicking_body_still_shuts_workers_down() {
-        // Without the shutdown drop-guard this hangs forever in
-        // thread::scope's implicit join instead of propagating the panic.
+        // The instance's `Drop` runs while the panic unwinds: without the
+        // shutdown flag it sets, the join there would hang forever instead
+        // of propagating the panic.
         let result = std::panic::catch_unwind(|| {
-            serve::<(), ()>(ServeConfig::default().workers(2), |_handle| {
-                panic!("body bug")
-            })
+            ServingInstance::<()>::start(ServeConfig::default().workers(2))
+                .scope(|_scope| panic!("body bug"))
         });
         let payload = result.unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"body bug"));
@@ -708,42 +495,37 @@ mod tests {
     #[test]
     fn wait_after_try_take_panics_instead_of_blocking() {
         let result = std::panic::catch_unwind(|| {
-            serve(ServeConfig::default().workers(1), |handle| {
-                let ticket = handle.submit(Request::new(|_| 42usize)).unwrap();
-                while !ticket.is_done() {
-                    std::thread::yield_now();
-                }
-                assert_eq!(ticket.try_take(), Some(42));
-                assert!(ticket.is_done(), "done stays true after taking");
-                assert_eq!(ticket.try_take(), None, "second poll sees it taken");
-                ticket.wait() // must fail fast, not block forever
-            })
+            let instance = ServingInstance::start(ServeConfig::default().workers(1));
+            let ticket = instance.submit(Request::new(|_| 42usize)).unwrap();
+            // One worker runs jobs in order: once a later job resolved,
+            // this one has too.
+            instance.submit(Request::new(|_| 0usize)).unwrap().wait();
+            assert!(ticket.is_done());
+            assert_eq!(ticket.try_take(), Some(42));
+            assert!(ticket.is_done(), "done stays true after taking");
+            assert_eq!(ticket.try_take(), None, "second poll sees it taken");
+            ticket.wait() // must fail fast, not block forever
         });
         assert!(result.is_err());
     }
 
     #[test]
     fn cancellation_reaches_the_running_closure() {
-        let polls = AtomicUsize::new(0);
-        let config = ServeConfig::default().workers(1);
-        let cancelled = serve(config, |handle| {
-            let ticket = handle
-                .submit(Request::new(|ctx: &QueryContext| {
-                    // Spin until the ticket cancels us.
-                    while ctx.abort_reason().is_none() {
-                        polls.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    ctx.abort_reason()
-                }))
-                .unwrap();
-            while !ticket.is_done() && polls.load(Ordering::Relaxed) < 3 {
-                std::thread::yield_now();
-            }
-            ticket.cancel();
-            ticket.wait()
-        });
-        assert_eq!(cancelled, Some(cca_storage::AbortReason::Cancelled));
+        let instance = ServingInstance::start(ServeConfig::default().workers(1));
+        let (started_tx, started) = mpsc::channel();
+        let ticket = instance
+            .submit(Request::new(move |ctx: &QueryContext| {
+                started_tx.send(()).unwrap();
+                // Poll until the ticket cancels us.
+                while ctx.abort_reason().is_none() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                ctx.abort_reason()
+            }))
+            .unwrap();
+        started.recv().unwrap();
+        ticket.cancel();
+        assert_eq!(ticket.wait(), Some(cca_storage::AbortReason::Cancelled));
     }
 
     /// Cancelling a *still-queued* ticket releases its admission slot at
@@ -752,51 +534,40 @@ mod tests {
     /// the closure's cancelled-context result.
     #[test]
     fn cancel_of_queued_job_releases_the_slot_immediately() {
-        let gate = Mutex::new(());
-        let guard = gate.lock().unwrap();
         let config = ServeConfig::default()
             .workers(1)
             .queue_capacity(2)
             .aging_period(0);
-        serve(config, |handle| {
-            let blocker = handle
-                .submit(Request::new(|_| {
-                    drop(gate.lock().unwrap_or_else(|e| e.into_inner()));
-                    "blocker"
-                }))
-                .unwrap();
-            while handle.queue_len() > 0 {
-                std::thread::yield_now();
-            }
-            // Saturate the backlog while the only worker is parked.
-            let doomed = handle
-                .submit(Request::new(|ctx: &QueryContext| {
-                    match ctx.abort_reason() {
-                        Some(_) => "unwound",
-                        None => "ran",
-                    }
-                }))
-                .unwrap();
-            let _keep = handle.submit(Request::new(|_| "keep")).unwrap();
-            assert!(matches!(
-                handle.submit(Request::new(|_| "over")),
-                Err(Rejected::QueueFull { .. })
-            ));
-            // Cancel the queued job: both permits' accounting must update
-            // with the worker still parked.
-            doomed.cancel();
-            assert_eq!(handle.queue_len(), 1, "slot released at cancel time");
-            let refill = handle.submit(Request::new(|_| "refill")).unwrap();
-            // The cancelled ticket resolved on the cancelling thread with
-            // the closure's cancelled-context result.
-            assert!(doomed.is_done());
-            assert_eq!(doomed.wait(), "unwound");
-            let stats = handle.tenant_stats_for(TenantId::DEFAULT).unwrap();
-            assert_eq!(stats.cancelled_queued, 1);
-            drop(guard);
-            blocker.wait();
-            refill.wait();
-        });
+        let instance = ServingInstance::start(config);
+        let (blocker, release) = park_worker(&instance, "blocker");
+        // Saturate the backlog while the only worker is parked.
+        let doomed = instance
+            .submit(Request::new(|ctx: &QueryContext| {
+                match ctx.abort_reason() {
+                    Some(_) => "unwound",
+                    None => "ran",
+                }
+            }))
+            .unwrap();
+        let _keep = instance.submit(Request::new(|_| "keep")).unwrap();
+        assert!(matches!(
+            instance.submit(Request::new(|_| "over")),
+            Err(Rejected::QueueFull { .. })
+        ));
+        // Cancel the queued job: both permits' accounting must update
+        // with the worker still parked.
+        doomed.cancel();
+        assert_eq!(instance.queue_len(), 1, "slot released at cancel time");
+        let refill = instance.submit(Request::new(|_| "refill")).unwrap();
+        // The cancelled ticket resolved on the cancelling thread with the
+        // closure's cancelled-context result.
+        assert!(doomed.is_done());
+        assert_eq!(doomed.wait(), "unwound");
+        let stats = instance.tenant_stats_for(TenantId::DEFAULT).unwrap();
+        assert_eq!(stats.cancelled_queued, 1);
+        drop(release);
+        assert_eq!(blocker.wait(), "blocker");
+        refill.wait();
     }
 
     /// The ISSUE's adversarial fairness scenario, end to end: tenant A
@@ -808,57 +579,37 @@ mod tests {
         const A: TenantId = TenantId(1);
         const B: TenantId = TenantId(2);
         let order = Mutex::new(Vec::new());
-        let gate = Mutex::new(());
-        let guard = gate.lock().unwrap();
         let config = ServeConfig::default()
             .workers(1)
             .queue_capacity(256)
             .aging_period(4);
-        serve(config, |handle| {
-            let blocker = handle
-                .submit(Request::new(|_| {
-                    drop(gate.lock().unwrap_or_else(|e| e.into_inner()));
-                }))
-                .unwrap();
-            while handle.queue_len() > 0 {
-                std::thread::yield_now();
-            }
+        ServingInstance::start(config).scope(|scope| {
+            let (blocker, release) = park_worker(scope.instance(), ());
             let mut tickets = Vec::new();
             let order = &order;
             // A floods 120 critical requests; B submits 60 normal ones.
-            for _ in 0..120 {
-                tickets.push(
-                    handle
-                        .submit(
-                            Request::new(move |ctx: &QueryContext| {
-                                order.lock().unwrap().push(ctx.tenant());
-                            })
-                            .tenant(A)
-                            .priority(Priority::Critical),
-                        )
-                        .unwrap(),
-                );
+            for (tenant, n, priority) in [(A, 120, Priority::Critical), (B, 60, Priority::Normal)] {
+                for _ in 0..n {
+                    tickets.push(
+                        scope
+                            .submit(
+                                Request::new(move |ctx: &QueryContext| {
+                                    order.lock().unwrap().push(ctx.tenant());
+                                })
+                                .tenant(tenant)
+                                .priority(priority),
+                            )
+                            .unwrap(),
+                    );
+                }
             }
-            for _ in 0..60 {
-                tickets.push(
-                    handle
-                        .submit(
-                            Request::new(move |ctx: &QueryContext| {
-                                order.lock().unwrap().push(ctx.tenant());
-                            })
-                            .tenant(B)
-                            .priority(Priority::Normal),
-                        )
-                        .unwrap(),
-                );
-            }
-            drop(guard);
+            drop(release);
             blocker.wait();
             for t in tickets {
                 t.wait();
             }
-            let a_stats = handle.tenant_stats_for(A).unwrap();
-            let b_stats = handle.tenant_stats_for(B).unwrap();
+            let a_stats = scope.instance().tenant_stats_for(A).unwrap();
+            let b_stats = scope.instance().tenant_stats_for(B).unwrap();
             assert_eq!(a_stats.dispatched, 120);
             assert_eq!(b_stats.dispatched, 60);
             assert_eq!(a_stats.completed, 120);
@@ -880,44 +631,34 @@ mod tests {
     #[test]
     fn tenant_queue_quota_rejects_only_that_tenant() {
         const NOISY: TenantId = TenantId(9);
-        let gate = Mutex::new(());
-        let guard = gate.lock().unwrap();
         let config = ServeConfig::default()
             .workers(1)
             .queue_capacity(64)
             .tenant_quota(NOISY, TenantQuota::default().queue_slots(2));
-        serve(config, |handle| {
-            let blocker = handle
-                .submit(Request::new(|_| {
-                    drop(gate.lock().unwrap_or_else(|e| e.into_inner()));
-                }))
-                .unwrap();
-            while handle.queue_len() > 0 {
-                std::thread::yield_now();
-            }
-            let mut tickets = Vec::new();
-            for _ in 0..2 {
-                tickets.push(handle.submit(Request::new(|_| ()).tenant(NOISY)).unwrap());
-            }
-            let shed = handle.submit(Request::new(|_| ()).tenant(NOISY));
-            assert_eq!(
-                shed.err(),
-                Some(Rejected::TenantQuotaExceeded {
-                    tenant: NOISY,
-                    queue_slots: 2
-                })
-            );
-            // The default tenant still has the global queue to itself.
-            tickets.push(handle.submit(Request::new(|_| ())).unwrap());
-            let stats = handle.tenant_stats_for(NOISY).unwrap();
-            assert_eq!(stats.rejected, 1);
-            assert_eq!(stats.queued, 2);
-            drop(guard);
-            blocker.wait();
-            for t in tickets {
-                t.wait();
-            }
-        });
+        let instance = ServingInstance::start(config);
+        let (blocker, release) = park_worker(&instance, ());
+        let mut tickets = Vec::new();
+        for _ in 0..2 {
+            tickets.push(instance.submit(Request::new(|_| ()).tenant(NOISY)).unwrap());
+        }
+        let shed = instance.submit(Request::new(|_| ()).tenant(NOISY));
+        assert_eq!(
+            shed.err(),
+            Some(Rejected::TenantQuotaExceeded {
+                tenant: NOISY,
+                queue_slots: 2
+            })
+        );
+        // The default tenant still has the global queue to itself.
+        tickets.push(instance.submit(Request::new(|_| ())).unwrap());
+        let stats = instance.tenant_stats_for(NOISY).unwrap();
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.queued, 2);
+        drop(release);
+        blocker.wait();
+        for t in tickets {
+            t.wait();
+        }
     }
 
     /// An in-flight cap bounds worker occupancy: with 2 workers and a cap
@@ -932,16 +673,18 @@ mod tests {
             .workers(2)
             .queue_capacity(64)
             .tenant_quota(CAPPED, TenantQuota::default().max_in_flight(1));
-        serve(config, |handle| {
+        ServingInstance::start(config).scope(|scope| {
             let concurrent = &concurrent;
             let peak = &peak;
             let tickets: Vec<_> = (0..6)
                 .map(|_| {
-                    handle
+                    scope
                         .submit(
                             Request::new(move |_| {
                                 let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
                                 peak.fetch_max(now, Ordering::SeqCst);
+                                // Stay running long enough for the other
+                                // worker to overlap, were the cap broken.
                                 std::thread::sleep(Duration::from_millis(2));
                                 concurrent.fetch_sub(1, Ordering::SeqCst);
                             })
@@ -976,38 +719,21 @@ mod tests {
             .workers(1)
             .queue_capacity(64)
             .aging_period(AGING);
-        let gate = Mutex::new(());
-        let guard = gate.lock().unwrap();
-        let low_round = serve(config, |handle| {
-            let blocker = handle
-                .submit(Request::new(|_| {
-                    drop(gate.lock().unwrap_or_else(|e| e.into_inner()));
-                    0usize
-                }))
-                .unwrap();
-            while handle.queue_len() > 0 {
-                std::thread::yield_now();
-            }
+        let low_round = ServingInstance::start(config).scope(|scope| {
+            let (blocker, release) = park_worker(scope.instance(), 0usize);
             // Low enters first, then a standing high-priority backlog.
             let dispatched = &dispatched;
-            let low = handle
-                .submit(
+            let submit = |priority| {
+                scope.submit(
                     Request::new(move |_| dispatched.fetch_add(1, Ordering::SeqCst) + 1)
-                        .priority(Priority::Low),
+                        .priority(priority),
                 )
-                .unwrap();
-            let mut highs = Vec::new();
-            for _ in 0..HIGH_BACKLOG {
-                highs.push(
-                    handle
-                        .submit(
-                            Request::new(move |_| dispatched.fetch_add(1, Ordering::SeqCst) + 1)
-                                .priority(Priority::High),
-                        )
-                        .unwrap(),
-                );
-            }
-            drop(guard);
+            };
+            let low = submit(Priority::Low).unwrap();
+            let mut highs: Vec<_> = (0..HIGH_BACKLOG)
+                .map(|_| submit(Priority::High).unwrap())
+                .collect();
+            drop(release);
             blocker.wait();
             // Keep the queue saturated with fresh high-priority work until
             // the low request completes.
@@ -1018,10 +744,7 @@ mod tests {
                     }
                     return round;
                 }
-                if let Ok(t) = handle.submit(
-                    Request::new(move |_| dispatched.fetch_add(1, Ordering::SeqCst) + 1)
-                        .priority(Priority::High),
-                ) {
+                if let Ok(t) = submit(Priority::High) {
                     highs.push(t);
                 }
                 std::thread::yield_now();

@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::serve::{serve, Rejected, Request, ServeConfig};
+use cca::serve::{Rejected, Request, ServeConfig, ServingInstance};
 use cca::{Priority, QueryContext, SolverConfig, SolverRegistry, SpatialAssignment};
 
 /// One query of the burst: config plus its serving parameters.
@@ -130,7 +130,7 @@ fn main() {
         .queue_capacity(6)
         .aging_period(4);
     let t0 = Instant::now();
-    let (served, shed) = serve(config, |handle| {
+    let (served, shed) = ServingInstance::start(config).scope(|scope| {
         let mut tickets = Vec::new();
         let mut shed = Vec::new();
         for (i, query) in burst.iter().enumerate() {
@@ -150,7 +150,7 @@ fn main() {
                 (matching, stats, reason)
             })
             .context(ctx);
-            match handle.submit(request) {
+            match scope.submit(request) {
                 Ok(ticket) => tickets.push((i, ticket)),
                 // Everything here runs as one (default) tenant, so only the
                 // global capacity sheds; `examples/tenants.rs` shows the

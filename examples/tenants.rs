@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::serve::{serve, Rejected, Request, ServeConfig};
+use cca::serve::{Rejected, Request, ServeConfig, ServingInstance};
 use cca::{
     Priority, QueryContext, SolverConfig, SolverRegistry, SpatialAssignment, TenantId, TenantQuota,
     TenantStats,
@@ -101,7 +101,7 @@ fn main() {
                 .max_in_flight(1),
         );
     let t0 = Instant::now();
-    let (stats, shed) = serve(config, |handle| {
+    let (stats, shed) = ServingInstance::start(config).scope(|scope| {
         let mut tickets = Vec::new();
         let mut shed: Vec<(TenantId, Rejected)> = Vec::new();
         for (tenant, priority, solver) in &solvers {
@@ -116,7 +116,7 @@ fn main() {
                     .with_tenant(*tenant)
                     .with_priority(*priority),
             );
-            match handle.submit(request) {
+            match scope.submit(request) {
                 Ok(ticket) => tickets.push(ticket),
                 Err(rejected) => shed.push((*tenant, rejected)),
             }
@@ -124,7 +124,7 @@ fn main() {
         for ticket in tickets {
             ticket.wait();
         }
-        (handle.tenant_stats(), shed)
+        (scope.instance().tenant_stats(), shed)
     });
 
     println!(

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use cca_core::solver::{Solver, SolverConfig, SolverRegistry, UnknownSolver};
 use cca_core::{AlgoStats, Matching};
 use cca_flow::SspaCache;
-use cca_serve::{OwnedTicket, Request, ServeConfig, ServingInstance};
+use cca_serve::{Request, ServeConfig, ServingInstance, Ticket};
 use cca_storage::{AbortReason, IoStats, Priority, QueryContext, TenantId};
 
 use crate::SpatialAssignment;
@@ -149,10 +149,7 @@ impl<'a> BatchRunner<'a> {
     ) -> Result<BatchReport, UnknownSolver> {
         // Build every solver up front: any bad config fails the batch
         // before the instance is touched.
-        let solvers: Vec<Box<dyn Solver>> = queries
-            .iter()
-            .map(|q| self.registry.build(q))
-            .collect::<Result<_, _>>()?;
+        let solvers = self.build_all(queries)?;
         let store = self.instance.tree().store();
         // One defined starting state per batch; queries then share the
         // warming cache, as concurrent traffic on a live instance would.
@@ -164,16 +161,13 @@ impl<'a> BatchRunner<'a> {
         // resume from each other's verified final state instead of
         // re-deriving γ augmenting paths from scratch.
         let sspa_cache = SspaCache::new();
-        let workers = threads.min(queries.len()).max(1);
-        // The queue admits the whole batch, so nothing is shed and every
-        // ticket resolves; streaming front-ends that want load shedding use
-        // a shared [`ServingInstance`] (see `run_on`) with a smaller
-        // capacity.
+        // A private instance whose queue admits the whole batch, so
+        // `submit_all` never has to retry here.
         let config = ServeConfig::default()
-            .workers(workers)
+            .workers(threads.min(queries.len()).max(1))
             .queue_capacity(queries.len().max(1));
-        let instance: ServingInstance<QueryResult> = ServingInstance::start(config);
-        let results = self.submit_all(&instance, queries, &solvers, &sspa_cache, false);
+        let instance = ServingInstance::start(config);
+        let results = self.submit_all(&instance, queries, &solvers, &sspa_cache);
         instance.shutdown();
         Ok(BatchReport {
             results,
@@ -201,13 +195,10 @@ impl<'a> BatchRunner<'a> {
         instance: &ServingInstance<QueryResult>,
         queries: &[SolverConfig],
     ) -> Result<BatchReport, UnknownSolver> {
-        let solvers: Vec<Box<dyn Solver>> = queries
-            .iter()
-            .map(|q| self.registry.build(q))
-            .collect::<Result<_, _>>()?;
+        let solvers = self.build_all(queries)?;
         let start = Instant::now();
         let sspa_cache = SspaCache::new();
-        let results = self.submit_all(instance, queries, &solvers, &sspa_cache, true);
+        let results = self.submit_all(instance, queries, &solvers, &sspa_cache);
         let io = results
             .iter()
             .fold(IoStats::default(), |acc, r| acc + r.stats.io);
@@ -218,48 +209,41 @@ impl<'a> BatchRunner<'a> {
         })
     }
 
+    /// Builds every query's solver, failing on the first unknown name.
+    fn build_all(&self, queries: &[SolverConfig]) -> Result<Vec<Box<dyn Solver>>, UnknownSolver> {
+        queries.iter().map(|q| self.registry.build(q)).collect()
+    }
+
     /// Submits every query through an instance scope (the closures borrow
     /// `self`, `queries` and `solvers` from this stack frame) and waits
-    /// for all tickets. With `backpressure` a shed submission is retried
-    /// until the shared queue admits it; without it admission is expected
-    /// (the private batch queue is sized to the batch).
+    /// for all tickets. A shed submission is retried until the queue
+    /// admits it: batch semantics are "run all", so on a shared queue that
+    /// is momentarily full (or out of this tenant's slots) shedding
+    /// degrades to waiting.
     fn submit_all(
         &self,
         instance: &ServingInstance<QueryResult>,
         queries: &[SolverConfig],
         solvers: &[Box<dyn Solver>],
         sspa_cache: &SspaCache,
-        backpressure: bool,
     ) -> Vec<QueryResult> {
         instance.scope(|scope| {
-            let tickets: Vec<OwnedTicket<QueryResult>> = queries
+            let tickets: Vec<Ticket<QueryResult>> = queries
                 .iter()
+                .zip(solvers)
                 .enumerate()
-                .map(|(i, query)| {
-                    let solver = &*solvers[i];
-                    loop {
-                        let request = Request::new(move |ctx: &QueryContext| {
-                            self.run_one(i, query, solver, sspa_cache, ctx)
-                        })
-                        .context(self.query_context());
-                        match scope.submit(request) {
-                            Ok(ticket) => break ticket,
-                            Err(rejected) if backpressure => {
-                                // The shared queue is momentarily full (or
-                                // this tenant's slots are): yield and
-                                // re-offer — batch semantics are "run all",
-                                // so shedding degrades to waiting.
-                                let _ = rejected;
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(rejected) => {
-                                panic!("batch queue is sized to the batch: {rejected}")
-                            }
-                        }
+                .map(|(i, (query, solver))| loop {
+                    let request = Request::new(move |ctx: &QueryContext| {
+                        self.run_one(i, query, &**solver, sspa_cache, ctx)
+                    })
+                    .context(self.query_context());
+                    match scope.submit(request) {
+                        Ok(ticket) => break ticket,
+                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
                     }
                 })
                 .collect();
-            tickets.into_iter().map(OwnedTicket::wait).collect()
+            tickets.into_iter().map(Ticket::wait).collect()
         })
     }
 

@@ -30,8 +30,8 @@
 //! ```
 //!
 //! Many independent queries against one instance go through the parallel
-//! [`BatchRunner`] — since PR 4 a thin adapter over the [`serve`] crate's
-//! worker pool, which since PR 5 schedules **tenant-fair**: weighted
+//! [`BatchRunner`] — a thin adapter over the [`serve`] crate's
+//! [`ServingInstance`], which schedules **tenant-fair**: weighted
 //! deficit-round-robin across tenants first, priority+aging within each
 //! tenant second, with per-tenant admission quotas and [`TenantStats`]
 //! operator snapshots. Individual runs accept a [`QueryContext`]
@@ -39,8 +39,7 @@
 //! deadline, I/O budget and cancellation flag; an aborted run returns its
 //! partial matching with exact partial I/O attribution — deadlines are
 //! polled inside the CPU-bound flow loops too, so even an all-in-memory
-//! solve cannot overshoot. The legacy [`Algorithm`] enum is kept as a thin
-//! back-compat wrapper that maps onto [`SolverConfig`]s.
+//! solve cannot overshoot.
 //!
 //! Since PR 8 the registry also carries an **approximate tier** for
 //! instances beyond exact reach: `SolverConfig::new("coreset")` solves
@@ -54,8 +53,8 @@
 //! Since PR 9 a **dynamic world** is served by [`ContinuousAssignment`]:
 //! a feasible matching maintained under a stream of [`WorldEvent`]s
 //! (arrivals, departures, capacity changes, provider moves) with
-//! bounded-neighbourhood incremental repair, warm-started full re-solves
-//! and unwind-on-abort semantics. Event streams for testing and
+//! bounded-neighbourhood incremental repair, a from-scratch IDA re-solve
+//! when repair falls short, and unwind-on-abort semantics. Event streams for testing and
 //! benchmarking come from `cca_datagen::ArrivalProcess`.
 //!
 //! Sub-crates (re-exported below): [`geo`] geometry, [`storage`] the paged
@@ -81,67 +80,13 @@ pub use cca_core::dynamic::{
     ContinuousAssignment, ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent,
 };
 pub use cca_core::solver::{Outcome, Problem, Solver, SolverConfig, SolverRegistry, UnknownSolver};
-pub use cca_serve::{
-    OwnedTicket, Rejected, ServeConfig, ServingInstance, TenantQuota, TenantStats,
-};
+pub use cca_serve::{Rejected, ServeConfig, ServingInstance, TenantQuota, TenantStats, Ticket};
 pub use cca_storage::{AbortReason, Priority, QueryContext, TenantId};
 
-use cca_core::{AlgoStats, Matching, RefineMethod};
+use cca_core::{AlgoStats, Matching};
 use cca_geo::Point;
 use cca_rtree::RTree;
 use cca_storage::PageStore;
-
-/// Legacy algorithm selector, kept as a back-compat wrapper over
-/// [`SolverConfig`] — see [`Algorithm::to_config`]. New code should build
-/// configs directly and go through [`SpatialAssignment::run_config`] or the
-/// [`SolverRegistry`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Algorithm {
-    /// Full-graph SSPA baseline (§2.2) — exact, memory-hungry, slow.
-    Sspa,
-    /// Range Incremental Algorithm (§3.1) — exact.
-    Ria { theta: f64 },
-    /// Nearest Neighbor Incremental Algorithm (§3.2) — exact.
-    Nia,
-    /// Incremental On-demand Algorithm (§3.3) — exact; the paper's best.
-    Ida,
-    /// IDA with the grouped-ANN I/O optimisation (§3.4.2).
-    IdaGrouped { group_size: usize },
-    /// Service-provider approximation (§4.1), error ≤ 2γδ.
-    Sa { delta: f64, refine: RefineMethod },
-    /// Customer approximation (§4.2), error ≤ γδ; the paper's recommended
-    /// approximate method.
-    Ca { delta: f64, refine: RefineMethod },
-}
-
-impl Algorithm {
-    /// The equivalent data-driven solver selection.
-    pub fn to_config(self) -> SolverConfig {
-        match self {
-            Algorithm::Sspa => SolverConfig::new("sspa"),
-            Algorithm::Ria { theta } => SolverConfig::new("ria").theta(theta),
-            Algorithm::Nia => SolverConfig::new("nia"),
-            Algorithm::Ida => SolverConfig::new("ida"),
-            Algorithm::IdaGrouped { group_size } => {
-                SolverConfig::new("ida-grouped").group_size(group_size)
-            }
-            Algorithm::Sa { delta, refine } => SolverConfig::new("sa").delta(delta).refine(refine),
-            Algorithm::Ca { delta, refine } => SolverConfig::new("ca").delta(delta).refine(refine),
-        }
-    }
-
-    /// Chart label matching the paper's figures.
-    pub fn label(&self) -> String {
-        match self {
-            Algorithm::Sspa => "SSPA".into(),
-            Algorithm::Ria { .. } => "RIA".into(),
-            Algorithm::Nia => "NIA".into(),
-            Algorithm::Ida | Algorithm::IdaGrouped { .. } => "IDA".into(),
-            Algorithm::Sa { refine, .. } => format!("SA{}", refine.suffix()),
-            Algorithm::Ca { refine, .. } => format!("CA{}", refine.suffix()),
-        }
-    }
-}
 
 /// The result of one algorithm run: the matching plus the measurements the
 /// paper reports (|Esub|, CPU time, charged I/O time).
@@ -304,13 +249,6 @@ impl SpatialAssignment {
     ) -> Result<RunResult<'_>, UnknownSolver> {
         let solver = SolverRegistry::with_defaults().build(config)?;
         Ok(self.run_solver_ctx(&*solver, ctx))
-    }
-
-    /// Back-compat wrapper: runs a legacy [`Algorithm`] selection through
-    /// the solver pipeline.
-    pub fn run(&self, algorithm: Algorithm) -> RunResult<'_> {
-        self.run_config(&algorithm.to_config())
-            .expect("legacy algorithms map onto registered solvers")
     }
 
     /// A parallel batch runner over this instance's shared R-tree.

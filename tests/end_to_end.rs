@@ -5,7 +5,7 @@
 use cca::core::{ca_error_bound, sa_error_bound, RefineMethod};
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::flow::sspa::{unit_customers, FlowProvider, Sspa};
-use cca::{Algorithm, SpatialAssignment};
+use cca::{RunResult, SolverConfig, SpatialAssignment};
 
 fn workload(nq: usize, np: usize, k: u32, seed: u64) -> WorkloadConfig {
     WorkloadConfig {
@@ -16,6 +16,10 @@ fn workload(nq: usize, np: usize, k: u32, seed: u64) -> WorkloadConfig {
         p_dist: SpatialDistribution::Clustered,
         seed,
     }
+}
+
+fn run<'a>(instance: &'a SpatialAssignment, config: &SolverConfig) -> RunResult<'a> {
+    instance.run_config(config).expect("registered solver")
 }
 
 fn oracle_cost(instance: &SpatialAssignment) -> f64 {
@@ -38,13 +42,13 @@ fn all_exact_algorithms_agree_on_generated_workload() {
     let want = oracle_cost(&instance);
 
     for algo in [
-        Algorithm::Ria { theta: 5.0 },
-        Algorithm::Nia,
-        Algorithm::Ida,
-        Algorithm::IdaGrouped { group_size: 4 },
-        Algorithm::Sspa,
+        SolverConfig::new("ria").theta(5.0),
+        SolverConfig::new("nia"),
+        SolverConfig::new("ida"),
+        SolverConfig::new("ida-grouped").group_size(4),
+        SolverConfig::new("sspa"),
     ] {
-        let r = instance.run(algo);
+        let r = run(&instance, &algo);
         r.validate().unwrap_or_else(|e| panic!("{algo:?}: {e}"));
         assert!(
             (r.cost() - want).abs() < 1e-6,
@@ -62,10 +66,10 @@ fn approximations_bounded_on_generated_workload() {
     let gamma = instance.gamma();
 
     for refine in [RefineMethod::NnBased, RefineMethod::ExclusiveNn] {
-        let sa = instance.run(Algorithm::Sa {
-            delta: 40.0,
-            refine,
-        });
+        let sa = run(
+            &instance,
+            &SolverConfig::new("sa").delta(40.0).refine(refine),
+        );
         sa.validate().unwrap();
         assert!(sa.cost() - want <= sa_error_bound(gamma, 40.0) + 1e-6);
         assert!(
@@ -73,10 +77,10 @@ fn approximations_bounded_on_generated_workload() {
             "approximation cannot beat optimum"
         );
 
-        let ca = instance.run(Algorithm::Ca {
-            delta: 10.0,
-            refine,
-        });
+        let ca = run(
+            &instance,
+            &SolverConfig::new("ca").delta(10.0).refine(refine),
+        );
         ca.validate().unwrap();
         assert!(ca.cost() - want <= ca_error_bound(gamma, 10.0) + 1e-6);
         assert!(ca.cost() + 1e-6 >= want);
@@ -90,11 +94,13 @@ fn ca_is_near_optimal_at_paper_default_delta() {
     // optimal" — we assert a generous 25% ceiling (the paper reports ~12%).
     let w = workload(25, 1200, 40, 103).generate();
     let instance = SpatialAssignment::build(w.providers, w.customers);
-    let exact = instance.run(Algorithm::Ida);
-    let approx = instance.run(Algorithm::Ca {
-        delta: 10.0,
-        refine: RefineMethod::NnBased,
-    });
+    let exact = run(&instance, &SolverConfig::new("ida"));
+    let approx = run(
+        &instance,
+        &SolverConfig::new("ca")
+            .delta(10.0)
+            .refine(RefineMethod::NnBased),
+    );
     let quality = approx.cost() / exact.cost();
     assert!(
         (1.0..1.25).contains(&quality),
@@ -115,7 +121,7 @@ fn mixed_capacities_stay_exact() {
     let w = cfg.generate();
     let instance = SpatialAssignment::build(w.providers, w.customers);
     let want = oracle_cost(&instance);
-    let r = instance.run(Algorithm::Ida);
+    let r = run(&instance, &SolverConfig::new("ida"));
     r.validate().unwrap();
     assert!((r.cost() - want).abs() < 1e-6);
 }
@@ -138,11 +144,11 @@ fn cross_distribution_instances_stay_exact() {
         let instance = SpatialAssignment::build(w.providers, w.customers);
         let want = oracle_cost(&instance);
         for algo in [
-            Algorithm::Ida,
-            Algorithm::Nia,
-            Algorithm::Ria { theta: 10.0 },
+            SolverConfig::new("ida"),
+            SolverConfig::new("nia"),
+            SolverConfig::new("ria").theta(10.0),
         ] {
-            let r = instance.run(algo);
+            let r = run(&instance, &algo);
             assert!(
                 (r.cost() - want).abs() < 1e-6,
                 "{qd:?} vs {pd:?}, {algo:?}: {} vs {want}",
@@ -157,7 +163,7 @@ fn determinism_same_seed_same_everything() {
     let make = || {
         let w = workload(8, 300, 20, 106).generate();
         let instance = SpatialAssignment::build(w.providers, w.customers);
-        let r = instance.run(Algorithm::Ida);
+        let r = run(&instance, &SolverConfig::new("ida"));
         (
             r.cost(),
             r.stats.esub_edges,
@@ -181,7 +187,7 @@ fn esub_is_a_small_fraction_of_the_complete_graph() {
     for &seed in &seeds {
         let w = workload(20, 2000, 80, seed).generate();
         let instance = SpatialAssignment::build(w.providers, w.customers);
-        let r = instance.run(Algorithm::Ida);
+        let r = run(&instance, &SolverConfig::new("ida"));
         let full = (instance.providers().len() * instance.customers().len()) as u64;
         let frac = r.stats.esub_edges as f64 / full as f64;
         assert!(
@@ -198,8 +204,8 @@ fn esub_is_a_small_fraction_of_the_complete_graph() {
 fn grouped_ann_reduces_page_faults() {
     let w = workload(30, 5000, 100, 108).generate();
     let instance = SpatialAssignment::build(w.providers, w.customers);
-    let plain = instance.run(Algorithm::Ida);
-    let grouped = instance.run(Algorithm::IdaGrouped { group_size: 8 });
+    let plain = run(&instance, &SolverConfig::new("ida"));
+    let grouped = run(&instance, &SolverConfig::new("ida-grouped").group_size(8));
     assert!(
         (plain.cost() - grouped.cost()).abs() < 1e-6,
         "grouping must not change the result"
@@ -217,12 +223,12 @@ fn gamma_bounded_by_both_sides() {
     let w = workload(5, 100, 10, 109).generate(); // Σk = 50 < |P| = 100
     let instance = SpatialAssignment::build(w.providers.clone(), w.customers.clone());
     assert_eq!(instance.gamma(), 50);
-    let r = instance.run(Algorithm::Ida);
+    let r = run(&instance, &SolverConfig::new("ida"));
     assert_eq!(r.matching.size(), 50);
 
     let w = workload(5, 20, 10, 110).generate(); // Σk = 50 > |P| = 20
     let instance = SpatialAssignment::build(w.providers, w.customers);
     assert_eq!(instance.gamma(), 20);
-    let r = instance.run(Algorithm::Ida);
+    let r = run(&instance, &SolverConfig::new("ida"));
     assert_eq!(r.matching.size(), 20);
 }

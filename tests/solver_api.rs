@@ -1,10 +1,10 @@
 //! Integration tests for the trait-based solver pipeline at the façade
-//! level: registry round-trips, config-driven runs, and back-compat of the
-//! legacy `Algorithm` wrapper.
+//! level: registry round-trips, config-driven runs, custom registration and
+//! figure labels.
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::flow::sspa::{unit_customers, FlowProvider, Sspa};
-use cca::{Algorithm, SolverConfig, SolverRegistry, SpatialAssignment};
+use cca::{SolverConfig, SolverRegistry, SpatialAssignment};
 
 fn small_instance(seed: u64) -> SpatialAssignment {
     let w = WorkloadConfig {
@@ -81,37 +81,6 @@ fn unknown_solver_name_is_rejected_not_panicked() {
         .unwrap_err();
     assert!(err.to_string().contains("simulated-annealing"));
     assert!(err.to_string().contains("sspa"), "lists known solvers");
-}
-
-/// The legacy enum is a faithful wrapper: every variant maps onto a config
-/// that produces the identical matching.
-#[test]
-fn legacy_algorithm_wrapper_matches_config_path() {
-    use cca::core::RefineMethod;
-    let instance = small_instance(303);
-    for algo in [
-        Algorithm::Sspa,
-        Algorithm::Ria { theta: 12.0 },
-        Algorithm::Nia,
-        Algorithm::Ida,
-        Algorithm::IdaGrouped { group_size: 4 },
-        Algorithm::Sa {
-            delta: 30.0,
-            refine: RefineMethod::ExclusiveNn,
-        },
-        Algorithm::Ca {
-            delta: 8.0,
-            refine: RefineMethod::NnBased,
-        },
-    ] {
-        let via_enum = instance.run(algo);
-        let via_config = instance.run_config(&algo.to_config()).unwrap();
-        assert_eq!(
-            via_enum.matching.pairs, via_config.matching.pairs,
-            "{algo:?}"
-        );
-        assert_eq!(via_enum.stats.esub_edges, via_config.stats.esub_edges);
-    }
 }
 
 /// Custom solvers slot into the same registry the built-ins use.

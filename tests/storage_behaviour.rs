@@ -4,7 +4,7 @@
 //! charged I/O.
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::{Algorithm, SpatialAssignment};
+use cca::{RunResult, SolverConfig, SpatialAssignment};
 
 fn build(seed: u64, buffer_percent: f64) -> SpatialAssignment {
     let cfg = WorkloadConfig {
@@ -19,12 +19,16 @@ fn build(seed: u64, buffer_percent: f64) -> SpatialAssignment {
     SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, buffer_percent)
 }
 
+fn run<'a>(instance: &'a SpatialAssignment, config: &SolverConfig) -> RunResult<'a> {
+    instance.run_config(config).expect("registered solver")
+}
+
 #[test]
 fn larger_buffer_means_fewer_faults() {
     let small = build(200, 1.0);
     let large = build(200, 50.0);
-    let r_small = small.run(Algorithm::Ida);
-    let r_large = large.run(Algorithm::Ida);
+    let r_small = run(&small, &SolverConfig::new("ida"));
+    let r_large = run(&large, &SolverConfig::new("ida"));
     assert!(
         (r_small.cost() - r_large.cost()).abs() < 1e-6,
         "buffer size must not affect the matching"
@@ -40,7 +44,7 @@ fn larger_buffer_means_fewer_faults() {
 #[test]
 fn charged_io_time_follows_fault_count() {
     let instance = build(201, 1.0);
-    let r = instance.run(Algorithm::Ida);
+    let r = run(&instance, &SolverConfig::new("ida"));
     let expect_ms = r.stats.io.faults as f64 * 10.0;
     assert!((r.stats.io.charged_io_time_ms() - expect_ms).abs() < 1e-9);
     assert!(r.stats.total_time_s() >= r.stats.io_time_s());
@@ -49,11 +53,11 @@ fn charged_io_time_follows_fault_count() {
 #[test]
 fn runs_start_cold_every_time() {
     let instance = build(202, 1.0);
-    let a = instance.run(Algorithm::Ida);
-    let b = instance.run(Algorithm::Ida);
+    let a = run(&instance, &SolverConfig::new("ida"));
+    let b = run(&instance, &SolverConfig::new("ida"));
     assert_eq!(
         a.stats.io.faults, b.stats.io.faults,
-        "run() must cold-start the cache for fair comparisons"
+        "run_config() must cold-start the cache for fair comparisons"
     );
 }
 
@@ -72,8 +76,8 @@ fn page_size_changes_fanout_but_not_results() {
         SpatialAssignment::build_with_storage(w.providers.clone(), w.customers.clone(), 512, 1.0);
     let large_pages =
         SpatialAssignment::build_with_storage(w.providers.clone(), w.customers.clone(), 4096, 1.0);
-    let rs = small_pages.run(Algorithm::Ida);
-    let rl = large_pages.run(Algorithm::Ida);
+    let rs = run(&small_pages, &SolverConfig::new("ida"));
+    let rl = run(&large_pages, &SolverConfig::new("ida"));
     assert!((rs.cost() - rl.cost()).abs() < 1e-6);
     assert!(
         small_pages.tree().store().num_pages() > large_pages.tree().store().num_pages(),
@@ -85,11 +89,13 @@ fn page_size_changes_fanout_but_not_results() {
 fn approximations_do_less_io_than_exact() {
     use cca::core::RefineMethod;
     let instance = build(204, 1.0);
-    let exact = instance.run(Algorithm::Ida);
-    let ca = instance.run(Algorithm::Ca {
-        delta: 10.0,
-        refine: RefineMethod::NnBased,
-    });
+    let exact = run(&instance, &SolverConfig::new("ida"));
+    let ca = run(
+        &instance,
+        &SolverConfig::new("ca")
+            .delta(10.0)
+            .refine(RefineMethod::NnBased),
+    );
     // CA reads the tree once to partition it; IDA performs per-iteration NN
     // I/O. On a clustered 4K-point instance CA must not fault more.
     assert!(

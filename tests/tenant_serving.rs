@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::serve::{serve, Request, ServeConfig};
+use cca::serve::{Request, ServeConfig, ServingInstance};
 use cca::{AbortReason, Outcome};
 use cca::{
     Priority, Problem, QueryContext, SolverConfig, SolverRegistry, SpatialAssignment, TenantId,
@@ -179,7 +179,7 @@ fn tenant_stats_aggregate_dispatches_and_io() {
         .workers(2)
         .queue_capacity(64)
         .tenant_quota(GOLD, TenantQuota::default().weight(2));
-    let (gold, free) = serve(config, |handle| {
+    let (gold, free) = ServingInstance::start(config).scope(|scope| {
         let tickets: Vec<_> = solvers
             .iter()
             .enumerate()
@@ -187,7 +187,7 @@ fn tenant_stats_aggregate_dispatches_and_io() {
                 let solver = &**solver;
                 let instance = &instance;
                 let tenant = if i < queries { GOLD } else { FREE };
-                handle
+                scope
                     .submit(
                         Request::new(move |ctx: &QueryContext| {
                             solver
@@ -204,8 +204,8 @@ fn tenant_stats_aggregate_dispatches_and_io() {
             assert!(t.wait(), "unconstrained queries complete");
         }
         (
-            handle.tenant_stats_for(GOLD).unwrap(),
-            handle.tenant_stats_for(FREE).unwrap(),
+            scope.instance().tenant_stats_for(GOLD).unwrap(),
+            scope.instance().tenant_stats_for(FREE).unwrap(),
         )
     });
     for (name, stats) in [("gold", &gold), ("free", &free)] {
