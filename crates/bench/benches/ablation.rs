@@ -38,7 +38,7 @@ fn main() {
     let run_ida = |label: &str, cfg: IdaConfig| -> Row {
         instance.tree().store().clear_cache();
         instance.tree().store().reset_stats();
-        let mut src = RtreeSource::new(instance.tree(), qpos.clone());
+        let mut src = RtreeSource::new(instance.tree(), qpos.clone(), None);
         let t0 = std::time::Instant::now();
         let (m, stats) = ida(&providers, &mut src, &cfg);
         let cpu = t0.elapsed();
@@ -88,7 +88,7 @@ fn main() {
     for (label, use_pua) in [("nia(pua)", true), ("nia-pua", false)] {
         instance.tree().store().clear_cache();
         instance.tree().store().reset_stats();
-        let mut src = RtreeSource::new(instance.tree(), qpos.clone());
+        let mut src = RtreeSource::new(instance.tree(), qpos.clone(), None);
         let t0 = std::time::Instant::now();
         let (m, stats) = nia(&providers, &mut src, &NiaConfig { use_pua });
         let cpu = t0.elapsed();
@@ -140,7 +140,7 @@ fn main() {
         let theta = scale.tuned_theta() * factor;
         instance.tree().store().clear_cache();
         instance.tree().store().reset_stats();
-        let mut src = RtreeSource::new(instance.tree(), qpos.clone());
+        let mut src = RtreeSource::new(instance.tree(), qpos.clone(), None);
         let t0 = std::time::Instant::now();
         let (m, stats) = ria(&providers, &mut src, &RiaConfig { theta });
         let cpu = t0.elapsed();

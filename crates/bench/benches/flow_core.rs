@@ -8,7 +8,6 @@
 //!   costs are asserted bit-identical — the radix queue is a pure speed
 //!   lever, never an answer lever. Each row carries the solve's own
 //!   settle/augment time split and frontier-queue counters.
-//! * `sspa_warm` — warm resume of the identical instance from the cache.
 //!
 //! Writes `BENCH_flow.json` (override with `CCA_BENCH_OUT`). Run with
 //! `cargo bench --bench flow_core`; pass `-- --quick` for a CI smoke run.
@@ -16,7 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cca::flow::{FlowCustomer, FlowGraph, FlowProvider, FrontierKind, Sspa, SspaCache, SspaStats};
+use cca::flow::{FlowCustomer, FlowGraph, FlowProvider, FrontierKind, Sspa, SspaStats};
 use cca::geo::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,30 +148,6 @@ fn main() {
         cold[0], cold[1],
         "radix and binary frontiers must agree bit-for-bit"
     );
-
-    // ---- sspa_warm: cache resume of the identical instance ----------
-    let mut warm_ms = f64::INFINITY;
-    let mut warm_settled = 0u64;
-    for _ in 0..scale.rounds {
-        let cache = SspaCache::new();
-        let sspa = Sspa {
-            cache: Some(&cache),
-            ..Sspa::default()
-        };
-        sspa.solve(&providers, &customers)
-            .expect("no context, no abort");
-        let start = Instant::now();
-        let (_, stats) = sspa
-            .solve(&providers, &customers)
-            .expect("no context, no abort");
-        warm_ms = warm_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        warm_settled = stats.settled;
-        assert!(stats.warm_started, "second solve must resume from cache");
-    }
-    println!("sspa_warm        {warm_ms:8.2} ms  settled={warm_settled}");
-    rows.push(format!(
-        "    {{\"workload\": \"sspa_warm\", \"ms\": {warm_ms:.2}, \"settled\": {warm_settled}}}"
-    ));
 
     // ---- emit -------------------------------------------------------
     let json = format!(

@@ -1,5 +1,5 @@
-//! Hot-path benchmark: the four raw-speed levers, measured in isolation
-//! and end to end.
+//! Hot-path benchmark: the read-path raw-speed levers, measured in
+//! isolation and end to end. Cold SSPA is timed by the `flow_core` bench.
 //!
 //! * `hot_read` — page-*hit* read throughput through the store at 1/2/4/8
 //!   threads over a fully resident working set, so the only cost is the
@@ -14,9 +14,6 @@
 //! * `hilbert_scan` — a full sequential point scan over the bulk-loaded
 //!   tree, whose leaves are placed in Hilbert order; with a small buffer
 //!   the fault count shows each page is read exactly once.
-//! * `sspa` — cold vs. warm-started SSPA on the identical instance: the
-//!   warm solve resumes from the cached primal-dual state and performs no
-//!   Dijkstra searches (`settled = 0`).
 //! * `batch` — the single-thread mixed solver batch of `pool_contention`,
 //!   the end-to-end number all levers feed into.
 //!
@@ -29,7 +26,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::flow::{FlowCustomer, FlowProvider, Sspa, SspaCache};
 use cca::geo::{kernel, Point, Rect};
 use cca::storage::{PageId, PageStore, QueryContext};
 use cca::{SolverConfig, SpatialAssignment};
@@ -44,7 +40,7 @@ struct Scale {
     reads_per_thread: usize,
     /// Repetitions of the kernel sweep (each sweep = `KERNEL_N` elements).
     kernel_reps: usize,
-    /// Best-of rounds for scan/sspa/batch.
+    /// Best-of rounds for scan/batch.
     rounds: usize,
 }
 
@@ -253,66 +249,6 @@ fn main() {
     rows.push(format!(
         "    {{\"workload\": \"batch\", \"threads\": 1, \"qps\": {best_batch:.2}}}"
     ));
-
-    // ---- sspa cold vs warm ------------------------------------------
-    let mut rng = StdRng::seed_from_u64(11);
-    let providers: Vec<FlowProvider> = (0..24)
-        .map(|_| FlowProvider {
-            pos: Point::new(rng.random_range(0.0..1000.0), rng.random_range(0.0..1000.0)),
-            cap: 40,
-        })
-        .collect();
-    let customers: Vec<FlowCustomer> = (0..if quick { 120 } else { 800 })
-        .map(|_| FlowCustomer {
-            pos: Point::new(rng.random_range(0.0..1000.0), rng.random_range(0.0..1000.0)),
-            weight: 1,
-        })
-        .collect();
-    let mut cold_ms = f64::INFINITY;
-    let mut warm_ms = f64::INFINITY;
-    let mut cold_settled = 0u64;
-    let mut warm_settled = 0u64;
-    for _ in 0..scale.rounds {
-        let start = Instant::now();
-        let (cold, stats) = Sspa::default()
-            .solve(&providers, &customers)
-            .expect("no context, no abort");
-        cold_ms = cold_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        cold_settled = stats.settled;
-
-        let cache = SspaCache::new();
-        let resuming = Sspa {
-            cache: Some(&cache),
-            ..Sspa::default()
-        };
-        // Populate, then resume the identical instance from the cache.
-        resuming
-            .solve(&providers, &customers)
-            .expect("no context, no abort");
-        let start = Instant::now();
-        let (warm, stats) = resuming
-            .solve(&providers, &customers)
-            .expect("no context, no abort");
-        warm_ms = warm_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        warm_settled = stats.settled;
-        assert!(stats.warm_started, "second solve must resume from cache");
-        assert!(
-            (cold.cost - warm.cost).abs() <= 1e-6 * cold.cost.max(1.0),
-            "warm start changed the optimum: {} vs {}",
-            cold.cost,
-            warm.cost
-        );
-    }
-    for (variant, ms, settled) in [
-        ("cold", cold_ms, cold_settled),
-        ("warm", warm_ms, warm_settled),
-    ] {
-        println!("sspa {variant:5} {ms:8.2} ms  settled={settled}");
-        rows.push(format!(
-            "    {{\"workload\": \"sspa\", \"variant\": \"{variant}\", \"ms\": {ms:.2}, \
-             \"settled\": {settled}}}"
-        ));
-    }
 
     // ---- emit -------------------------------------------------------
     let json = format!(

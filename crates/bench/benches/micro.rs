@@ -79,7 +79,10 @@ fn bench_flow(c: &mut Criterion) {
         let mut dij = DijkstraState::new();
         b.iter(|| {
             dij.init(&graph, 0);
-            black_box(dij.run_until(&graph, 1));
+            black_box(
+                dij.run_until(&graph, 1, None)
+                    .expect("no context, no abort"),
+            );
         });
     });
 

@@ -87,10 +87,10 @@ fn main() {
         );
     }
 
-    // Flow-core probe: cold + warm SSPA on a mid-size instance, with the
+    // Flow-core probe: one cold SSPA solve on a mid-size instance, with the
     // solve-phase time breakdown and frontier-queue counters.
     if want("flow") {
-        use cca::flow::{FlowCustomer, FlowProvider, Sspa, SspaCache};
+        use cca::flow::{FlowCustomer, FlowProvider, Sspa};
         use cca::geo::Point;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -107,13 +107,8 @@ fn main() {
                 weight: 1,
             })
             .collect();
-        let cache = SspaCache::new();
-        let sspa = Sspa {
-            cache: Some(&cache),
-            ..Sspa::default()
-        };
         let t0 = Instant::now();
-        let (asg, s) = sspa
+        let (asg, s) = Sspa::default()
             .solve(&providers, &customers)
             .expect("no context, no abort");
         let wall = t0.elapsed();
@@ -126,19 +121,6 @@ fn main() {
         eprintln!(
             "  flow cold  settled={} pushes={} pops={} decrease_keys={} radix_fallbacks={}",
             s.settled, s.heap_pushes, s.heap_pops, s.decrease_keys, s.radix_fallbacks,
-        );
-        let t0 = Instant::now();
-        let (warm, s) = sspa
-            .solve(&providers, &customers)
-            .expect("no context, no abort");
-        eprintln!(
-            "  flow warm  cost={:>10.1} wall={:?} settled={} warm_units={} settle={:.2?} augment={:.2?}",
-            warm.cost,
-            t0.elapsed(),
-            s.settled,
-            s.warm_units,
-            std::time::Duration::from_nanos(s.settle_ns),
-            std::time::Duration::from_nanos(s.augment_ns),
         );
     }
 

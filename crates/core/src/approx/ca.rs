@@ -44,17 +44,13 @@ struct MergedGroup {
     members: Vec<(Point, u64)>,
 }
 
-/// Runs CA over providers and the R-tree-indexed customers.
-pub fn ca(providers: &[(Point, u32)], tree: &RTree, cfg: &CaConfig) -> (Matching, AlgoStats) {
-    ca_ctx(providers, tree, cfg, None)
-}
-
-/// [`ca`] under a query context: the partition descent's R-tree I/O is
-/// charged to `ctx`. If the descent aborts (cancellation / deadline / I/O
-/// budget) CA returns an empty partial matching immediately — the
-/// representatives cannot be formed from a truncated partition — and the
-/// caller reads the abort state off the context.
-pub fn ca_ctx(
+/// Runs CA over providers and the R-tree-indexed customers. With a query
+/// context the partition descent's R-tree I/O is charged to `ctx`. If the
+/// descent aborts (cancellation / deadline / I/O budget) CA returns an
+/// empty partial matching immediately — the representatives cannot be
+/// formed from a truncated partition — and the caller reads the abort state
+/// off the context.
+pub fn ca(
     providers: &[(Point, u32)],
     tree: &RTree,
     cfg: &CaConfig,

@@ -10,10 +10,10 @@
 //! representative may outweigh the largest single provider capacity — it is
 //! split into co-located slots instead, so the concise instance is always
 //! feasible), (4) solves the concise weighted instance *exactly* — via
-//! bulk-augmenting SSPA from `cca-flow` when the bipartite graph is small,
-//! via the incremental IDA engine otherwise, (5) lifts the concise quotas
-//! back over each representative's actual members with the §4.3 refinement
-//! heuristics, and (6) runs bounded swap passes inside R-tree
+//! `cca-flow`'s bottleneck-augmenting SSPA when the bipartite graph is
+//! small, via the incremental IDA engine otherwise, (5) lifts the concise
+//! quotas back over each representative's actual members with the §4.3
+//! refinement heuristics, and (6) runs bounded swap passes inside R-tree
 //! neighbourhoods to repair locally bad lifts.
 //!
 //! Feasibility is never approximate: every phase preserves "each customer
@@ -37,7 +37,7 @@ use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
 /// Above this edge count (`slots × providers`) the concise solve switches
-/// from materialised bulk SSPA to the incremental IDA engine, which never
+/// from materialised SSPA to the incremental IDA engine, which never
 /// builds the complete bipartite graph.
 const BULK_EDGE_LIMIT: usize = 65_536;
 
@@ -103,21 +103,13 @@ fn poll(ctx: Option<&QueryContext>, counter: &mut u32) -> bool {
     false
 }
 
-/// Runs the coreset solver over R-tree-indexed customers.
+/// Runs the coreset solver over R-tree-indexed customers. With a query
+/// context the single full-tree sweep that collects customer positions (the
+/// only unavoidable I/O) and the swap passes charge their page faults to
+/// `ctx`; every CPU-bound phase polls it. An abort during collection
+/// returns an empty partial matching; later aborts return the best feasible
+/// matching built so far.
 pub fn coreset(
-    providers: &[(Point, u32)],
-    tree: &RTree,
-    cfg: &CoresetConfig,
-) -> (Matching, AlgoStats) {
-    coreset_ctx(providers, tree, cfg, None)
-}
-
-/// [`coreset`] under a query context: the single full-tree sweep that
-/// collects customer positions (the only unavoidable I/O) and the swap
-/// passes charge their page faults to `ctx`; every CPU-bound phase polls
-/// it. An abort during collection returns an empty partial matching; later
-/// aborts return the best feasible matching built so far.
-pub fn coreset_ctx(
     providers: &[(Point, u32)],
     tree: &RTree,
     cfg: &CoresetConfig,
@@ -239,8 +231,8 @@ pub fn coreset_points(
         }
     }
 
-    // Exact solve of the concise weighted instance: bulk-augmenting SSPA
-    // when the materialised graph is small, the incremental IDA engine
+    // Exact solve of the concise weighted instance: bottleneck-augmenting
+    // SSPA when the materialised graph is small, the incremental IDA engine
     // otherwise. Both poll the context; an abort leaves a feasible partial
     // concise matching that lifts to a feasible partial answer.
     let edges = slots.len().saturating_mul(providers.len());
@@ -256,7 +248,6 @@ pub fn coreset_points(
             .collect();
         let sspa = Sspa {
             ctx,
-            bulk: true,
             ..Sspa::default()
         };
         let (asg, sspa_stats) = match sspa.solve(&fps, &fcs) {
@@ -441,7 +432,7 @@ mod tests {
             let (providers, customers) = random_instance(seed, 6, 50, 4);
             let tree = build_tree(&customers);
             let opt = optimal_cost(&providers, &customers);
-            let (m, stats) = coreset(&providers, &tree, &CoresetConfig::default());
+            let (m, stats) = coreset(&providers, &tree, &CoresetConfig::default(), None);
             m.validate_unit(&providers, &customers).unwrap();
             assert!(
                 (m.cost() - opt).abs() < 1e-6,
@@ -461,7 +452,7 @@ mod tests {
             size: 60,
             ..CoresetConfig::default()
         };
-        let (m, _) = coreset(&providers, &tree, &cfg);
+        let (m, _) = coreset(&providers, &tree, &cfg, None);
         m.validate_unit(&providers, &customers).unwrap();
         assert_eq!(m.size(), gamma(&providers, &customers));
         assert!(
@@ -480,7 +471,7 @@ mod tests {
             swap_passes: 0,
             ..CoresetConfig::default()
         };
-        let (m0, _) = coreset(&providers, &tree, &base);
+        let (m0, _) = coreset(&providers, &tree, &base, None);
         let (m2, _) = coreset(
             &providers,
             &tree,
@@ -488,6 +479,7 @@ mod tests {
                 swap_passes: 3,
                 ..base
             },
+            None,
         );
         m2.validate_unit(&providers, &customers).unwrap();
         assert!(
@@ -512,7 +504,7 @@ mod tests {
             size: 2,
             ..CoresetConfig::default()
         };
-        let (m, _) = coreset(&providers, &tree, &cfg);
+        let (m, _) = coreset(&providers, &tree, &cfg, None);
         m.validate_unit(&providers, &customers).unwrap();
         assert_eq!(m.size(), 120, "γ = Σcap = 120 units all placed");
     }
@@ -523,7 +515,7 @@ mod tests {
         let (providers, customers) = random_instance(92, 4, 100, 3);
         let tree = build_tree(&customers);
         let ctx = QueryContext::new().with_deadline(Instant::now() - Duration::from_millis(1));
-        let (m, _) = coreset_ctx(&providers, &tree, &CoresetConfig::default(), Some(&ctx));
+        let (m, _) = coreset(&providers, &tree, &CoresetConfig::default(), Some(&ctx));
         assert_eq!(m.size(), 0);
         assert!(ctx.check().is_err());
     }
@@ -564,7 +556,7 @@ mod tests {
                 swap_passes: passes,
                 ..CoresetConfig::default()
             };
-            let (m, _) = coreset(&providers, &tree, &cfg);
+            let (m, _) = coreset(&providers, &tree, &cfg, None);
             let valid = m.validate_unit(&providers, &customers);
             proptest::prop_assert!(valid.is_ok(), "infeasible: {:?}", valid.err());
         }

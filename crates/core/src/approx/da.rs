@@ -50,16 +50,12 @@ impl Default for DaConfig {
     }
 }
 
-/// Runs DA over R-tree-indexed customers.
-pub fn da(providers: &[(Point, u32)], tree: &RTree, cfg: &DaConfig) -> (Matching, AlgoStats) {
-    da_ctx(providers, tree, cfg, None)
-}
-
-/// [`da`] under a query context: the collection sweep charges its faults to
-/// `ctx`; the annealing loop polls it between temperature steps, and an
-/// abort skips straight to hardening so the caller still receives a
-/// feasible (just less annealed) partial matching.
-pub fn da_ctx(
+/// Runs DA over R-tree-indexed customers. With a query context the
+/// collection sweep charges its faults to `ctx`; the annealing loop polls it
+/// between temperature steps, and an abort skips straight to hardening so
+/// the caller still receives a feasible (just less annealed) partial
+/// matching.
+pub fn da(
     providers: &[(Point, u32)],
     tree: &RTree,
     cfg: &DaConfig,
@@ -272,7 +268,7 @@ mod tests {
         for seed in [70, 71, 72, 73] {
             let (providers, customers) = random_instance(seed, 10, 200, 6);
             let tree = build_tree(&customers);
-            let (m, stats) = da(&providers, &tree, &DaConfig::default());
+            let (m, stats) = da(&providers, &tree, &DaConfig::default(), None);
             m.validate_unit(&providers, &customers).unwrap();
             assert_eq!(m.size(), gamma(&providers, &customers));
             assert!(stats.iterations > 0);
@@ -289,7 +285,7 @@ mod tests {
             let (providers, customers) = random_instance(seed, 8, 250, 6);
             let tree = build_tree(&customers);
             let opt = optimal_cost(&providers, &customers);
-            let (m, _) = da(&providers, &tree, &DaConfig::default());
+            let (m, _) = da(&providers, &tree, &DaConfig::default(), None);
             m.validate_unit(&providers, &customers).unwrap();
             ratio_sum += m.cost() / opt;
         }
@@ -301,7 +297,7 @@ mod tests {
     fn surplus_capacity_assigns_every_customer() {
         let (providers, customers) = random_instance(85, 12, 60, 10);
         let tree = build_tree(&customers);
-        let (m, _) = da(&providers, &tree, &DaConfig::default());
+        let (m, _) = da(&providers, &tree, &DaConfig::default(), None);
         m.validate_unit(&providers, &customers).unwrap();
     }
 
@@ -314,7 +310,7 @@ mod tests {
             cca_geo::Point::new(2.0, 0.0),
         ];
         let tree = build_tree(&customers);
-        let (m, _) = da(&providers, &tree, &DaConfig::default());
+        let (m, _) = da(&providers, &tree, &DaConfig::default(), None);
         m.validate_unit(&providers, &customers).unwrap();
         assert_eq!(m.size(), 2);
         assert!((m.cost() - 3.0).abs() < 1e-9, "nearest two chosen");
@@ -329,7 +325,7 @@ mod tests {
         // (empty partial) or the annealing poll catches it and hardening
         // still runs. Either way the result must be feasible.
         let ctx = QueryContext::new().with_deadline(Instant::now() + Duration::from_micros(50));
-        let (m, _) = da_ctx(&providers, &tree, &DaConfig::default(), Some(&ctx));
+        let (m, _) = da(&providers, &tree, &DaConfig::default(), Some(&ctx));
         if m.size() > 0 {
             m.validate_unit(&providers, &customers).unwrap();
         }

@@ -14,12 +14,12 @@ pub mod refine;
 pub mod sa;
 
 pub use bounds::{ca_error_bound, sa_error_bound};
-pub use ca::{ca, ca_ctx, CaConfig};
-pub use coreset::{coreset, coreset_ctx, coreset_points, CoresetConfig};
-pub use da::{da, da_ctx, da_points, DaConfig};
+pub use ca::{ca, CaConfig};
+pub use coreset::{coreset, coreset_points, CoresetConfig};
+pub use da::{da, da_points, DaConfig};
 pub use grouping::{greedy_hilbert_groups, partition_providers, ProviderGroup};
 pub use refine::{RefineMethod, RefineProvider};
-pub use sa::{sa, sa_ctx, SaConfig};
+pub use sa::{sa, SaConfig};
 
 #[cfg(test)]
 mod tests {
@@ -45,6 +45,7 @@ mod tests {
                             delta,
                             refine: method,
                         },
+                        None,
                     );
                     m.validate_unit(&providers, &customers).unwrap();
                     let err = m.cost() - opt;
@@ -75,6 +76,7 @@ mod tests {
                             delta,
                             refine: method,
                         },
+                        None,
                     );
                     m.validate_unit(&providers, &customers).unwrap();
                     let err = m.cost() - opt;
@@ -102,6 +104,7 @@ mod tests {
                 delta: 1e-9,
                 refine: RefineMethod::NnBased,
             },
+            None,
         );
         assert!(
             (m.cost() - opt).abs() < 1e-6,
@@ -117,6 +120,7 @@ mod tests {
                 delta: 1e-9,
                 refine: RefineMethod::NnBased,
             },
+            None,
         );
         assert!(
             (m.cost() - opt).abs() < 1e-6,
@@ -142,6 +146,7 @@ mod tests {
                     delta: 15.0,
                     refine: RefineMethod::NnBased,
                 },
+                None,
             );
             let (m_large, _) = ca(
                 &providers,
@@ -150,6 +155,7 @@ mod tests {
                     delta: 150.0,
                     refine: RefineMethod::NnBased,
                 },
+                None,
             );
             small_sum += m_small.cost() / opt;
             large_sum += m_large.cost() / opt;
@@ -174,6 +180,7 @@ mod tests {
                         delta: 50.0,
                         refine: method,
                     },
+                    None,
                 );
                 m.validate_unit(&providers, &customers).unwrap();
                 let (m, _) = ca(
@@ -183,6 +190,7 @@ mod tests {
                         delta: 25.0,
                         refine: method,
                     },
+                    None,
                 );
                 m.validate_unit(&providers, &customers).unwrap();
             }
@@ -222,6 +230,7 @@ mod tests {
                 delta: 12.0,
                 refine: RefineMethod::ExclusiveNn,
             },
+            None,
         );
         m.validate_unit(&providers, &customers).unwrap();
         assert!(m.cost() - opt <= ca_error_bound(g, 12.0) + 1e-6);

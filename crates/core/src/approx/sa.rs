@@ -37,16 +37,12 @@ impl Default for SaConfig {
     }
 }
 
-/// Runs SA over providers and the R-tree-indexed customers.
-pub fn sa(providers: &[(Point, u32)], tree: &RTree, cfg: &SaConfig) -> (Matching, AlgoStats) {
-    sa_ctx(providers, tree, cfg, None)
-}
-
-/// [`sa`] under a query context: the concise-matching phase's R-tree I/O is
-/// charged to `ctx`, and an abort (cancellation / deadline / I/O budget)
-/// makes the phase return early with a partial matching — the caller reads
-/// the abort state off the context.
-pub fn sa_ctx(
+/// Runs SA over providers and the R-tree-indexed customers. With a query
+/// context the concise-matching phase's R-tree I/O is charged to `ctx`, and
+/// an abort (cancellation / deadline / I/O budget) makes the phase return
+/// early with a partial matching — the caller reads the abort state off the
+/// context.
+pub fn sa(
     providers: &[(Point, u32)],
     tree: &RTree,
     cfg: &SaConfig,
@@ -60,7 +56,7 @@ pub fn sa_ctx(
 
     // Phase 2: concise matching — exact CCA between Q' and P via IDA.
     let rep_positions: Vec<Point> = reps.iter().map(|&(p, _)| p).collect();
-    let mut source = RtreeSource::new_ctx(tree, rep_positions, ctx);
+    let mut source = RtreeSource::new(tree, rep_positions, ctx);
     let (concise, concise_stats) = ida(&reps, &mut source, &IdaConfig::default());
 
     // Phase 3: per-group refinement (§4.3). Each group's customer share is

@@ -288,7 +288,7 @@ impl Engine {
         self.stats.pua_runs += 1;
         let ctx = self.ctx.as_ref();
         if self.dij.is_settled(self.t) {
-            match self.dij.drain_below_sink_ctx(&self.g, self.t, ctx) {
+            match self.dij.drain_below_sink(&self.g, self.t, ctx) {
                 Ok(()) => self.alpha_t = Some(self.dij.alpha(self.t)),
                 // The abort is sticky on the context; the driver's next
                 // loop-head poll unwinds with the partial matching, and a
@@ -297,10 +297,7 @@ impl Engine {
                 Err(_) => self.alpha_t = None,
             }
         } else {
-            self.alpha_t = self
-                .dij
-                .run_until_ctx(&self.g, self.t, ctx)
-                .unwrap_or_default();
+            self.alpha_t = self.dij.run_until(&self.g, self.t, ctx).unwrap_or_default();
         }
     }
 
@@ -312,7 +309,7 @@ impl Engine {
         self.dij.init(&self.g, self.s);
         self.alpha_t = self
             .dij
-            .run_until_ctx(&self.g, self.t, self.ctx.as_ref())
+            .run_until(&self.g, self.t, self.ctx.as_ref())
             .unwrap_or_default();
         self.stats.dijkstra_runs += 1;
         self.alpha_t

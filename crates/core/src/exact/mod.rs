@@ -32,7 +32,7 @@ mod tests {
         let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
 
         // RIA over the R-tree (large theta keeps the test fast).
-        let mut src = RtreeSource::new(&tree, qpos.clone());
+        let mut src = RtreeSource::new(&tree, qpos.clone(), None);
         let (m, _) = ria(&providers, &mut src, &RiaConfig { theta: 25.0 });
         m.validate_unit(&providers, &customers).unwrap();
         assert!(
@@ -42,7 +42,7 @@ mod tests {
         );
 
         // NIA.
-        let mut src = RtreeSource::new(&tree, qpos.clone());
+        let mut src = RtreeSource::new(&tree, qpos.clone(), None);
         let (m, _) = nia(&providers, &mut src, &NiaConfig::default());
         m.validate_unit(&providers, &customers).unwrap();
         assert!(
@@ -52,14 +52,14 @@ mod tests {
         );
 
         // NIA without PUA (ablation path must stay correct).
-        let mut src = RtreeSource::new(&tree, qpos.clone());
+        let mut src = RtreeSource::new(&tree, qpos.clone(), None);
         let (m, _) = nia(&providers, &mut src, &NiaConfig { use_pua: false });
         assert!((m.cost() - want).abs() < 1e-6, "seed {seed}: NIA/noPUA");
 
         // IDA in both key modes, with and without the fast phase.
         for key_mode in [IdaKeyMode::Paper, IdaKeyMode::Safe] {
             for disable_fast_phase in [false, true] {
-                let mut src = RtreeSource::new(&tree, qpos.clone());
+                let mut src = RtreeSource::new(&tree, qpos.clone(), None);
                 let cfg = IdaConfig {
                     key_mode,
                     disable_fast_phase,
@@ -76,7 +76,7 @@ mod tests {
         }
 
         // IDA over the grouped-ANN source.
-        let mut src = RtreeSource::with_ann_groups(&tree, qpos.clone(), 4);
+        let mut src = RtreeSource::with_ann_groups(&tree, qpos.clone(), 4, None);
         let (m, _) = ida(&providers, &mut src, &IdaConfig::default());
         assert!((m.cost() - want).abs() < 1e-6, "seed {seed}: IDA/ANN");
 
@@ -178,7 +178,7 @@ mod tests {
             let want = optimal_cost(&providers, &customers);
             let tree = build_tree(&customers);
             let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
-            let mut src = RtreeSource::new(&tree, qpos);
+            let mut src = RtreeSource::new(&tree, qpos, None);
             let (m, _) = ida(&providers, &mut src, &IdaConfig::default());
             prop_assert!(m.validate_unit(&providers, &customers).is_ok());
             prop_assert!((m.cost() - want).abs() < 1e-6,
@@ -194,7 +194,7 @@ mod tests {
             let want = optimal_cost(&providers, &customers);
             let tree = build_tree(&customers);
             let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
-            let mut src = RtreeSource::new(&tree, qpos);
+            let mut src = RtreeSource::new(&tree, qpos, None);
             let (m, _) = nia(&providers, &mut src, &NiaConfig::default());
             prop_assert!((m.cost() - want).abs() < 1e-6,
                          "NIA {} vs optimal {}", m.cost(), want);

@@ -111,14 +111,10 @@ enum Cursors<'t> {
 }
 
 impl<'t> RtreeSource<'t> {
-    /// One independent incremental-NN cursor per provider.
-    pub fn new(tree: &'t RTree, providers: Vec<Point>) -> Self {
-        Self::new_ctx(tree, providers, None)
-    }
-
-    /// [`RtreeSource::new`] with all traversal I/O charged to `ctx` and
-    /// every cursor subject to its abort checks.
-    pub fn new_ctx(tree: &'t RTree, providers: Vec<Point>, ctx: Option<&QueryContext>) -> Self {
+    /// One independent incremental-NN cursor per provider. With a query
+    /// context all traversal I/O is charged to `ctx` and every cursor is
+    /// subject to its abort checks.
+    pub fn new(tree: &'t RTree, providers: Vec<Point>, ctx: Option<&QueryContext>) -> Self {
         let cursors = Cursors::Plain(providers.iter().map(|&q| tree.inc_nn_ctx(q, ctx)).collect());
         RtreeSource {
             tree,
@@ -130,13 +126,9 @@ impl<'t> RtreeSource<'t> {
 
     /// Grouped incremental ANN (§3.4.2): providers are Hilbert-sorted and cut
     /// into groups of `group_size`; members of a group share R-tree reads.
-    pub fn with_ann_groups(tree: &'t RTree, providers: Vec<Point>, group_size: usize) -> Self {
-        Self::with_ann_groups_ctx(tree, providers, group_size, None)
-    }
-
-    /// [`RtreeSource::with_ann_groups`] with all traversal I/O charged to
-    /// `ctx` and every group heap subject to its abort checks.
-    pub fn with_ann_groups_ctx(
+    /// With a query context all traversal I/O is charged to `ctx` and every
+    /// group heap is subject to its abort checks.
+    pub fn with_ann_groups(
         tree: &'t RTree,
         providers: Vec<Point>,
         group_size: usize,
@@ -370,7 +362,7 @@ mod tests {
         let tree = RTree::bulk_load(PageStore::with_config(1024, 2048), &items);
         let providers = random_points(4, 6);
 
-        let mut rt = RtreeSource::new(&tree, providers.clone());
+        let mut rt = RtreeSource::new(&tree, providers.clone(), None);
         let mut mem = MemorySource::new(providers.clone(), pts.iter().map(|&p| (p, 1)).collect());
         for qi in 0..providers.len() {
             for _ in 0..50 {
@@ -394,8 +386,8 @@ mod tests {
         let tree = RTree::bulk_load(PageStore::with_config(1024, 2048), &items);
         let providers = random_points(10, 8);
 
-        let mut plain = RtreeSource::new(&tree, providers.clone());
-        let mut grouped = RtreeSource::with_ann_groups(&tree, providers.clone(), 4);
+        let mut plain = RtreeSource::new(&tree, providers.clone(), None);
+        let mut grouped = RtreeSource::with_ann_groups(&tree, providers.clone(), 4, None);
         for qi in 0..providers.len() {
             for _ in 0..30 {
                 let a = plain.next_nn(qi).unwrap();

@@ -27,8 +27,8 @@ pub mod solver;
 pub mod stats;
 
 pub use approx::{
-    ca, ca_ctx, ca_error_bound, coreset, coreset_ctx, da, da_ctx, sa, sa_ctx, sa_error_bound,
-    CaConfig, CoresetConfig, DaConfig, RefineMethod, SaConfig,
+    ca, ca_error_bound, coreset, da, sa, sa_error_bound, CaConfig, CoresetConfig, DaConfig,
+    RefineMethod, SaConfig,
 };
 pub use dynamic::{
     ContinuousAssignment, ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent,

@@ -1,6 +1,5 @@
 //! [`Problem`] — one CCA query: providers plus access to the customer set.
 
-use cca_flow::SspaCache;
 use cca_geo::Point;
 use cca_rtree::RTree;
 use cca_storage::{QueryContext, TenantId};
@@ -29,7 +28,6 @@ pub struct Problem<'a> {
     tree: Option<&'a RTree>,
     customers: Option<&'a [Point]>,
     context: Option<&'a QueryContext>,
-    sspa_cache: Option<&'a SspaCache>,
 }
 
 impl<'a> Problem<'a> {
@@ -40,7 +38,6 @@ impl<'a> Problem<'a> {
             tree: None,
             customers: None,
             context: None,
-            sspa_cache: None,
         }
     }
 
@@ -71,21 +68,6 @@ impl<'a> Problem<'a> {
     /// The attached query context, if any.
     pub fn context(&self) -> Option<&'a QueryContext> {
         self.context
-    }
-
-    /// Attaches a shared [`SspaCache`] so SSPA solves over this problem can
-    /// warm-start from (and publish to) the final state of previous
-    /// same-shaped solves. Batch runners attach one cache per batch; the
-    /// cache is purely an accelerator — results are bit-identical to cold
-    /// solves for repeated queries and fall back to cold for foreign ones.
-    pub fn with_sspa_cache(mut self, cache: &'a SspaCache) -> Self {
-        self.sspa_cache = Some(cache);
-        self
-    }
-
-    /// The attached SSPA warm-start cache, if any.
-    pub fn sspa_cache(&self) -> Option<&'a SspaCache> {
-        self.sspa_cache
     }
 
     /// The tenant this query runs on behalf of ([`TenantId::DEFAULT`] when
@@ -136,7 +118,7 @@ impl<'a> Problem<'a> {
     /// If neither a tree nor a customer slice is attached.
     pub fn source(&self) -> Box<dyn CustomerSource + 'a> {
         match (self.tree, self.customers) {
-            (Some(tree), _) => Box::new(RtreeSource::new_ctx(
+            (Some(tree), _) => Box::new(RtreeSource::new(
                 tree,
                 self.provider_positions(),
                 self.context,
@@ -161,7 +143,7 @@ impl<'a> Problem<'a> {
     /// when the problem is memory-resident.
     pub fn grouped_source(&self, group_size: usize) -> Box<dyn CustomerSource + 'a> {
         match self.tree {
-            Some(tree) => Box::new(RtreeSource::with_ann_groups_ctx(
+            Some(tree) => Box::new(RtreeSource::with_ann_groups(
                 tree,
                 self.provider_positions(),
                 group_size,

@@ -7,7 +7,7 @@ use cca_flow::sspa::{FlowCustomer, FlowProvider, Sspa};
 use cca_geo::Point;
 
 use crate::approx::{
-    ca_ctx, coreset_points, da_points, sa_ctx, CaConfig, CoresetConfig, DaConfig, SaConfig,
+    ca, coreset_points, da_points, sa, CaConfig, CoresetConfig, DaConfig, SaConfig,
 };
 use crate::exact::{ida, nia, ria, CustomerSource, IdaConfig, NiaConfig, RiaConfig};
 use crate::matching::{MatchPair, Matching};
@@ -130,15 +130,12 @@ impl Solver for SspaSolver {
             .map(|&(_, pos, weight)| FlowCustomer { pos, weight })
             .collect();
         // The context-aware solve polls deadline/cancellation from inside
-        // the γ-iteration and Dijkstra loops, so an expired deadline aborts
+        // the search and Dijkstra loops, so an expired deadline aborts
         // the CPU-bound flow phase without a single page access; the
         // committed partial assignment is returned and `Solver::run`
-        // classifies the outcome off the context's sticky abort state. A
-        // problem-attached warm-start cache (one per batch) lets repeated
-        // queries resume from the previous solve's verified final state.
+        // classifies the outcome off the context's sticky abort state.
         let sspa = Sspa {
             ctx: problem.context(),
-            cache: problem.sspa_cache(),
             ..Sspa::default()
         };
         let (asg, sspa_stats) = match sspa.solve(&fps, &fcs) {
@@ -295,7 +292,7 @@ impl Solver for SaSolver {
         let tree = problem
             .tree()
             .expect("sa requires an R-tree-backed problem");
-        sa_ctx(problem.providers(), tree, &self.cfg, problem.context())
+        sa(problem.providers(), tree, &self.cfg, problem.context())
     }
 }
 
@@ -329,7 +326,7 @@ impl Solver for CaSolver {
         let tree = problem
             .tree()
             .expect("ca requires an R-tree-backed problem");
-        ca_ctx(problem.providers(), tree, &self.cfg, problem.context())
+        ca(problem.providers(), tree, &self.cfg, problem.context())
     }
 }
 

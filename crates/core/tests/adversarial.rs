@@ -11,7 +11,7 @@ fn check_all(providers: &[(Point, u32)], customers: &[Point], label: &str) {
     let tree = tree_of(customers);
     let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
 
-    let mut src = RtreeSource::new(&tree, qpos.clone());
+    let mut src = RtreeSource::new(&tree, qpos.clone(), None);
     let (m, _) = ida(providers, &mut src, &IdaConfig::default());
     m.validate_unit(providers, customers)
         .unwrap_or_else(|e| panic!("{label}/IDA: {e}"));
@@ -21,7 +21,7 @@ fn check_all(providers: &[(Point, u32)], customers: &[Point], label: &str) {
         m.cost()
     );
 
-    let mut src = RtreeSource::new(&tree, qpos.clone());
+    let mut src = RtreeSource::new(&tree, qpos.clone(), None);
     let (m, _) = nia(providers, &mut src, &NiaConfig::default());
     assert!(
         (m.cost() - want).abs() < 1e-6,
@@ -29,7 +29,7 @@ fn check_all(providers: &[(Point, u32)], customers: &[Point], label: &str) {
         m.cost()
     );
 
-    let mut src = RtreeSource::new(&tree, qpos.clone());
+    let mut src = RtreeSource::new(&tree, qpos.clone(), None);
     let (m, _) = ria(providers, &mut src, &RiaConfig { theta: 7.0 });
     assert!(
         (m.cost() - want).abs() < 1e-6,
@@ -157,7 +157,7 @@ fn memory_source_agrees_with_rtree_source_on_ties() {
     let want = oracle(&providers, &customers);
     let tree = tree_of(&customers);
     let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
-    let mut rt = RtreeSource::new(&tree, qpos.clone());
+    let mut rt = RtreeSource::new(&tree, qpos.clone(), None);
     let (m1, _) = ida(&providers, &mut rt, &IdaConfig::default());
     let mut mem = MemorySource::new(qpos, customers.iter().map(|&p| (p, 1)).collect());
     let (m2, _) = ida(&providers, &mut mem, &IdaConfig::default());
@@ -185,9 +185,9 @@ fn ida_never_explores_more_than_nia() {
             .collect();
         let tree = tree_of(&customers);
         let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
-        let mut s1 = RtreeSource::new(&tree, qpos.clone());
+        let mut s1 = RtreeSource::new(&tree, qpos.clone(), None);
         let (_, ida_stats) = ida(&providers, &mut s1, &IdaConfig::default());
-        let mut s2 = RtreeSource::new(&tree, qpos.clone());
+        let mut s2 = RtreeSource::new(&tree, qpos.clone(), None);
         let (_, nia_stats) = nia(&providers, &mut s2, &NiaConfig::default());
         assert!(
             ida_stats.esub_edges <= nia_stats.esub_edges,

@@ -38,8 +38,7 @@ use crate::radix::RadixQueue;
 /// headroom below the signal.
 pub const EPS: f64 = 1e-7;
 
-/// Inner-loop iterations between [`QueryContext`] polls in the
-/// context-aware entry points (Dijkstra settles, Hungarian column scans).
+/// Settles between [`QueryContext`] polls in the search loops.
 /// A poll is an atomic load plus (at worst) an `Instant::now`; at
 /// 64-iteration stride its cost is noise against the loop body, yet a
 /// deadline or cancellation is still observed within microseconds — the
@@ -49,7 +48,7 @@ const CTX_POLL_STRIDE: u32 = 64;
 /// Strided cooperative poll: checks `ctx` every [`CTX_POLL_STRIDE`] calls
 /// (counting down through `counter`), erroring with the typed [`Aborted`].
 #[inline]
-pub(crate) fn poll(ctx: Option<&QueryContext>, counter: &mut u32) -> Result<(), Aborted> {
+fn poll(ctx: Option<&QueryContext>, counter: &mut u32) -> Result<(), Aborted> {
     if let Some(ctx) = ctx {
         if *counter == 0 {
             *counter = CTX_POLL_STRIDE;
@@ -388,19 +387,15 @@ impl DijkstraState {
     /// Runs until `target` is settled (returns immediately if it already
     /// is). Returns `α(target)`, or `None` if the target is unreachable in
     /// the current residual graph.
-    pub fn run_until(&mut self, g: &FlowGraph, target: NodeId) -> Option<f64> {
-        self.run_until_ctx(g, target, None)
-            .expect("no context, no abort")
-    }
-
-    /// [`DijkstraState::run_until`] under a cooperative [`QueryContext`]:
-    /// the settle loop polls `ctx` every few dozen iterations and
-    /// unwinds with a typed [`Aborted`] on cancellation or an expired
-    /// deadline — so a CPU-bound search on a large graph cannot overshoot
-    /// its deadline even when it touches no page at all. The state is left
-    /// consistent (settled prefix plus frontier); an aborted computation may
-    /// simply be dropped, or resumed if the caller clears the abort source.
-    pub fn run_until_ctx(
+    ///
+    /// With a [`QueryContext`] the settle loop polls it every few dozen
+    /// iterations and unwinds with a typed [`Aborted`] on cancellation or an
+    /// expired deadline — so a CPU-bound search on a large graph cannot
+    /// overshoot its deadline even when it touches no page at all. The state
+    /// is left consistent (settled prefix plus frontier); an aborted
+    /// computation may simply be dropped, or resumed if the caller clears
+    /// the abort source. Without a context it cannot abort.
+    pub fn run_until(
         &mut self,
         g: &FlowGraph,
         target: NodeId,
@@ -452,17 +447,11 @@ impl DijkstraState {
     /// Settles every node whose distance is strictly below the sink's
     /// current α. Called after PUA so the settled set again equals
     /// `{v : α(v) < α(t)} ∪ {t, …}`, which the potential update relies on.
+    /// Polls `ctx` like [`DijkstraState::run_until`].
     ///
     /// # Panics
     /// Debug-asserts that the sink is settled.
-    pub fn drain_below_sink(&mut self, g: &FlowGraph, t: NodeId) {
-        self.drain_below_sink_ctx(g, t, None)
-            .expect("no context, no abort")
-    }
-
-    /// [`DijkstraState::drain_below_sink`] with the same cooperative
-    /// [`QueryContext`] polling as [`DijkstraState::run_until_ctx`].
-    pub fn drain_below_sink_ctx(
+    pub fn drain_below_sink(
         &mut self,
         g: &FlowGraph,
         t: NodeId,
@@ -511,30 +500,18 @@ impl DijkstraState {
         arcs
     }
 
-    /// Augments one unit of flow along the recorded shortest path to `t`
-    /// ("reversing" the path's edges in the paper's terms, Algorithm 1
-    /// lines 4–7).
-    pub fn augment_unit(&self, g: &mut FlowGraph, t: NodeId) {
-        let mut v = t;
-        while v != self.source {
-            let a = self.parent_arc(v);
-            assert_ne!(a, NO_ARC, "no path recorded to node {v}");
-            g.push_flow(a, 1);
-            v = g.arc_from(a);
-        }
-    }
-
     /// Augments as many units along the recorded shortest path to `t` as
     /// its bottleneck residual capacity admits, capped at `limit`; returns
-    /// the amount pushed.
+    /// the amount pushed ("reversing" the path's edges in the paper's terms,
+    /// Algorithm 1 lines 4–7).
     ///
     /// Every unit on one shortest path has the same cost, and pushing the
     /// full bottleneck keeps SSPA's invariant intact (the saturated arc
     /// leaves the residual graph, the reverse arcs enter with reduced cost
-    /// 0 after the potential update), so bulk augmentation yields the same
-    /// optimum as unit augmentation with far fewer searches on weighted
-    /// instances — the lever the coreset tier's aggregated customer units
-    /// rely on.
+    /// 0 after the potential update), so it yields the same optimum as
+    /// one-unit pushes. On unit-capacity sink arcs the bottleneck is 1; on
+    /// weighted instances (the coreset tier's aggregated customer units) it
+    /// takes far fewer searches.
     pub fn augment_bottleneck(&self, g: &mut FlowGraph, t: NodeId, limit: u32) -> u32 {
         let mut bottleneck = limit;
         let mut v = t;
@@ -580,7 +557,7 @@ mod tests {
         let g = diamond();
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until(&g, 3), Some(3.0));
+        assert_eq!(d.run_until(&g, 3, None), Ok(Some(3.0)));
         let path = d.extract_path(&g, 3);
         assert_eq!(path, vec![0, 2, 4]); // forward arcs of e0, e1, e2
     }
@@ -591,7 +568,7 @@ mod tests {
             let g = diamond();
             let mut d = DijkstraState::with_frontier(kind);
             d.init(&g, 0);
-            assert_eq!(d.run_until(&g, 3), Some(3.0), "{kind:?}");
+            assert_eq!(d.run_until(&g, 3, None), Ok(Some(3.0)), "{kind:?}");
             assert_eq!(d.extract_path(&g, 3), vec![0, 2, 4], "{kind:?}");
             let c = d.heap_counters();
             assert!(c.pushes > 0 && c.pops > 0);
@@ -603,8 +580,8 @@ mod tests {
         let g = diamond();
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until(&g, 3), Some(3.0));
-        assert_eq!(d.run_until(&g, 3), Some(3.0));
+        assert_eq!(d.run_until(&g, 3, None), Ok(Some(3.0)));
+        assert_eq!(d.run_until(&g, 3, None), Ok(Some(3.0)));
     }
 
     #[test]
@@ -613,7 +590,7 @@ mod tests {
         g.add_edge(0, 1, 1, 1.0);
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until(&g, 2), None);
+        assert_eq!(d.run_until(&g, 2, None), Ok(None));
     }
 
     #[test]
@@ -622,7 +599,11 @@ mod tests {
         g.push_flow(0, 1); // saturate 0 -> 1
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until(&g, 3), Some(10.0), "must use the direct edge");
+        assert_eq!(
+            d.run_until(&g, 3, None),
+            Ok(Some(10.0)),
+            "must use the direct edge"
+        );
     }
 
     #[test]
@@ -630,8 +611,8 @@ mod tests {
         let mut g = diamond();
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        d.run_until(&g, 3).unwrap();
-        d.augment_unit(&mut g, 3);
+        d.run_until(&g, 3, None).unwrap();
+        assert_eq!(d.augment_bottleneck(&mut g, 3, u32::MAX), 1);
         assert_eq!(g.edge_flow(0), 1);
         assert_eq!(g.edge_flow(1), 1);
         assert_eq!(g.edge_flow(2), 1);
@@ -645,12 +626,12 @@ mod tests {
         let g = diamond();
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        d.run_until(&g, 3).unwrap();
+        d.run_until(&g, 3, None).unwrap();
         assert!(d.is_settled(1));
         d.init(&g, 2);
         assert!(!d.is_settled(1), "previous run's state must be invisible");
         assert_eq!(d.alpha(0), f64::INFINITY);
-        assert_eq!(d.run_until(&g, 3), Some(1.0));
+        assert_eq!(d.run_until(&g, 3, None), Ok(Some(1.0)));
     }
 
     #[test]
@@ -658,7 +639,7 @@ mod tests {
         let g = diamond();
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        d.run_until(&g, 3).unwrap();
+        d.run_until(&g, 3, None).unwrap();
         for &v in d.settled_nodes() {
             assert!(d.is_settled(v));
         }
@@ -674,12 +655,12 @@ mod tests {
         g.add_edge(2, 3, 1, 0.0);
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until(&g, 3), Some(10.0));
+        assert_eq!(d.run_until(&g, 3, None), Ok(Some(10.0)));
         // New edge 1 -> 3 with cost 1: path 0->1->3 costs 6.
         let e = g.add_edge(1, 3, 1, 1.0);
         d.pua_insert_edge(&g, e);
         assert_eq!(d.alpha(3), 6.0, "PUA must propagate the improvement");
-        d.drain_below_sink(&g, 3);
+        d.drain_below_sink(&g, 3, None).unwrap();
         let path = d.extract_path(&g, 3);
         assert_eq!(path.len(), 2);
     }
@@ -695,7 +676,7 @@ mod tests {
         g.add_edge(3, 4, 1, 0.0);
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until(&g, 4), Some(9.0));
+        assert_eq!(d.run_until(&g, 4, None), Ok(Some(9.0)));
         let e = g.add_edge(0, 2, 1, 1.0);
         d.pua_insert_edge(&g, e);
         assert_eq!(d.alpha(2), 1.0);
@@ -709,7 +690,7 @@ mod tests {
         g.add_edge(0, 1, 1, 1.0);
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        d.run_until(&g, 1).unwrap();
+        d.run_until(&g, 1, None).unwrap();
         // Node 2 was never reached; an edge out of it must be a no-op.
         let e = g.add_edge(2, 3, 1, 1.0);
         d.pua_insert_edge(&g, e);
@@ -726,12 +707,12 @@ mod tests {
         g.add_edge(1, 4, 1, 10.0);
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until(&g, 4), Some(11.0));
+        assert_eq!(d.run_until(&g, 4, None), Ok(Some(11.0)));
         assert!(d.is_settled(3), "3 settles before the sink at α=9");
         // Insert an edge that improves nothing; drain is a no-op.
         let e = g.add_edge(1, 4, 1, 50.0);
         d.pua_insert_edge(&g, e);
-        d.drain_below_sink(&g, 4);
+        d.drain_below_sink(&g, 4, None).unwrap();
         assert_eq!(d.alpha(4), 11.0);
     }
 
@@ -748,7 +729,7 @@ mod tests {
         g.add_edge(1, 4, 1, 20.0); // far frontier node, stays queued
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until(&g, 2), Some(8.0));
+        assert_eq!(d.run_until(&g, 2, None), Ok(Some(8.0)));
         assert_eq!(d.heap_counters().radix_fallbacks, 0);
         // New edge 0 → 4 with cost 3: candidate key 3 < last minimum 8.
         let e = g.add_edge(0, 4, 1, 3.0);
@@ -756,7 +737,7 @@ mod tests {
         assert_eq!(d.heap_counters().radix_fallbacks, 1);
         assert_eq!(d.alpha(4), 3.0);
         // The migrated frontier still settles correctly.
-        assert_eq!(d.run_until(&g, 4), Some(3.0));
+        assert_eq!(d.run_until(&g, 4, None), Ok(Some(3.0)));
     }
 
     #[test]
@@ -767,22 +748,22 @@ mod tests {
         let ctx = QueryContext::new();
         ctx.cancel();
         d.init(&g, 0);
-        let err = d.run_until_ctx(&g, 3, Some(&ctx)).unwrap_err();
+        let err = d.run_until(&g, 3, Some(&ctx)).unwrap_err();
         assert_eq!(err.reason, AbortReason::Cancelled);
         // An expired deadline aborts too — no page access involved.
         let late = QueryContext::new()
             .with_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1));
         d.init(&g, 0);
         assert_eq!(
-            d.run_until_ctx(&g, 3, Some(&late)).unwrap_err().reason,
+            d.run_until(&g, 3, Some(&late)).unwrap_err().reason,
             AbortReason::DeadlineExceeded
         );
-        // A clean context is invisible: same result as the plain entry point.
+        // A clean context is invisible: same result as no context.
         let clean = QueryContext::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until_ctx(&g, 3, Some(&clean)), Ok(Some(3.0)));
+        assert_eq!(d.run_until(&g, 3, Some(&clean)), Ok(Some(3.0)));
         assert_eq!(
-            d.drain_below_sink_ctx(&g, 3, Some(&clean)),
+            d.drain_below_sink(&g, 3, Some(&clean)),
             Ok(()),
             "drain under a clean context is a no-op here"
         );
@@ -794,9 +775,9 @@ mod tests {
         g.add_edge(0, 1, 1, 2.0);
         let mut d = DijkstraState::new();
         d.init(&g, 0);
-        assert_eq!(d.run_until(&g, 3), None, "sink not yet connected");
+        assert_eq!(d.run_until(&g, 3, None), Ok(None), "sink not yet connected");
         let e = g.add_edge(1, 3, 1, 4.0);
         d.pua_insert_edge(&g, e);
-        assert_eq!(d.run_until(&g, 3), Some(6.0));
+        assert_eq!(d.run_until(&g, 3, None), Ok(Some(6.0)));
     }
 }

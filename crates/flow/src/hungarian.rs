@@ -6,10 +6,6 @@
 //! matrix: it serves as an *independent* correctness oracle for SSPA (the
 //! two implementations share no code) and as the dense baseline it is.
 
-use cca_storage::{Aborted, QueryContext};
-
-use crate::dijkstra::poll;
-
 /// Solves the rectangular assignment problem.
 ///
 /// `cost` is an `n × m` matrix with `n ≤ m`; every row is assigned exactly
@@ -19,22 +15,9 @@ use crate::dijkstra::poll;
 /// # Panics
 /// Panics if `n > m` or rows have inconsistent lengths.
 pub fn rectangular_assignment(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
-    rectangular_assignment_ctx(cost, None).expect("no context, no abort")
-}
-
-/// [`rectangular_assignment`] under a cooperative [`QueryContext`]: the
-/// O(n²·m) augmenting loop polls the context every few dozen column scans
-/// and unwinds with a typed [`Aborted`] on cancellation or an expired
-/// deadline. The oracle's intermediate potentials are meaningless partially
-/// applied, so — unlike the SSPA path — no partial assignment is returned;
-/// callers treat an aborted oracle run as "no answer".
-pub fn rectangular_assignment_ctx(
-    cost: &[Vec<f64>],
-    ctx: Option<&QueryContext>,
-) -> Result<(Vec<usize>, f64), Aborted> {
     let n = cost.len();
     if n == 0 {
-        return Ok((Vec::new(), 0.0));
+        return (Vec::new(), 0.0);
     }
     let m = cost[0].len();
     assert!(cost.iter().all(|r| r.len() == m), "ragged cost matrix");
@@ -53,14 +36,12 @@ pub fn rectangular_assignment_ctx(
     let mut minv = vec![inf; m + 1];
     let mut used = vec![false; m + 1];
 
-    let mut until_poll = 0u32;
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
         minv.iter_mut().for_each(|v| *v = inf);
         used.iter_mut().for_each(|u| *u = false);
         loop {
-            poll(ctx, &mut until_poll)?;
             used[j0] = true;
             let i0 = p[j0];
             let mut delta = inf;
@@ -111,7 +92,7 @@ pub fn rectangular_assignment_ctx(
         }
     }
     debug_assert!(row_to_col.iter().all(|&c| c != usize::MAX));
-    Ok((row_to_col, total))
+    (row_to_col, total)
 }
 
 #[cfg(test)]
@@ -164,20 +145,6 @@ mod tests {
         let (asg, total) = rectangular_assignment(&[]);
         assert!(asg.is_empty());
         assert_eq!(total, 0.0);
-    }
-
-    #[test]
-    fn aborted_context_stops_the_oracle() {
-        use cca_storage::AbortReason;
-        let cost = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
-        let ctx = QueryContext::new();
-        ctx.cancel();
-        let err = rectangular_assignment_ctx(&cost, Some(&ctx)).unwrap_err();
-        assert_eq!(err.reason, AbortReason::Cancelled);
-        // A clean context reproduces the plain solution.
-        let clean = QueryContext::new();
-        let (asg, total) = rectangular_assignment_ctx(&cost, Some(&clean)).unwrap();
-        assert_eq!((asg, total), rectangular_assignment(&cost));
     }
 
     #[test]

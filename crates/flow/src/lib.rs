@@ -20,14 +20,14 @@
 //!   an independent correctness oracle,
 //! * [`validate`] — matching validators and brute-force optima for tests.
 //!
-//! The CPU-heavy loops are deadline-safe: the context-taking entry points
-//! ([`DijkstraState::run_until_ctx`], [`Sspa::solve`] with [`Sspa::ctx`] set,
-//! [`hungarian::rectangular_assignment_ctx`]) poll a cooperative
-//! [`cca_storage::QueryContext`] every few dozen inner-loop iterations, so a
-//! flow solve on a large drained graph aborts from *inside* the iteration —
-//! with a typed [`cca_storage::Aborted`] and (for SSPA) the committed
-//! partial assignment — instead of overshooting its deadline until the next
-//! page access.
+//! The CPU-heavy loops are deadline-safe: every search entry point takes an
+//! `Option<&QueryContext>` ([`DijkstraState::run_until`],
+//! [`DijkstraState::drain_below_sink`]; [`Sspa::solve`] reads [`Sspa::ctx`])
+//! and polls the cooperative [`cca_storage::QueryContext`] every few dozen
+//! settles, so a flow solve on a large drained graph aborts from *inside*
+//! the search — with a typed [`cca_storage::Aborted`] and (for SSPA) the
+//! committed partial assignment — instead of overshooting its deadline until
+//! the next page access.
 
 #![forbid(unsafe_code)]
 
@@ -43,5 +43,5 @@ pub use graph::{ArcId, FlowGraph, NodeId, NO_ARC};
 pub use radix::RadixQueue;
 pub use sspa::{
     required_flow, unit_customers, Assignment, FlowAborted, FlowCustomer, FlowProvider, Sspa,
-    SspaCache, SspaStats,
+    SspaStats,
 };

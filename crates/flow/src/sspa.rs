@@ -11,8 +11,19 @@
 //! have weight `g.w` (§4.2).
 //!
 //! There is one way to run a solve: [`Sspa::solve`]. Everything that varies
-//! between callers — an abort context, a warm-start cache, bottleneck
-//! augmentation, the frontier queue — is a field of [`Sspa`].
+//! between callers — an abort context and the frontier queue — is a field
+//! of [`Sspa`].
+//!
+//! Each shortest-path search pushes the path's *bottleneck*: every unit
+//! routed along one shortest path costs the same, and after the push the
+//! saturated arc leaves the residual graph while the potential update
+//! restores `rc ≥ 0` everywhere — the §2.2 loop invariant — so the result is
+//! the exact optimum. On unit-weight customers the sink arc caps the
+//! bottleneck at 1, which is Algorithm 1's unit augmentation verbatim; on
+//! weighted customers (the coreset tier's representatives) one search moves
+//! many units, so a solve needs far fewer than `γ` searches. `|Q| + |P|` is
+//! the usual order, but not a bound: a reverse arc can be the bottleneck
+//! without saturating any source or sink arc.
 
 // `FlowAborted` carries the committed partial assignment plus the full
 // `SspaStats` block by value; it crossed clippy's 128-byte Err threshold
@@ -26,7 +37,7 @@ use std::time::Instant;
 use cca_geo::Point;
 use cca_storage::{AbortReason, QueryContext};
 
-use crate::dijkstra::{DijkstraState, FrontierKind};
+use crate::dijkstra::{DijkstraState, FrontierKind, HeapCounters};
 use crate::graph::{FlowGraph, NodeId};
 
 /// A provider in a bipartite assignment problem: position + capacity.
@@ -86,21 +97,16 @@ pub fn required_flow(providers: &[FlowProvider], customers: &[FlowCustomer]) -> 
 /// Statistics reported by [`Sspa::solve`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SspaStats {
-    /// Augmenting iterations (shortest-path searches) performed. Equals
-    /// the installed flow for unit augmentation (= γ on completion); the
-    /// bulk variant pushes the path bottleneck per search, so there it is
-    /// typically far below γ.
+    /// Completed shortest-path searches, each followed by one bottleneck
+    /// augmentation. On unit-weight customers every search installs one
+    /// unit, so this equals the installed flow (γ on completion); on
+    /// weighted customers it is typically far below γ — read
+    /// [`Assignment::size`] for the installed flow.
     pub iterations: u64,
     /// Edges in the flow graph (|Q|·|P| + |Q| + |P| for the baseline).
     pub edges: u64,
-    /// Nodes settled across all Dijkstra runs — the dominant work term a
-    /// warm start shrinks (units resumed from the cache never search).
+    /// Nodes settled across all Dijkstra runs — the dominant work term.
     pub settled: u64,
-    /// Units installed from the cache before the first Dijkstra run
-    /// (`iterations + warm_units` is the total flow on completion).
-    pub warm_units: u64,
-    /// True when the solve resumed from a verified cached state.
-    pub warm_started: bool,
     /// Wall time inside the shortest-path searches (init + settle loop).
     pub settle_ns: u64,
     /// Wall time augmenting flow and updating potentials.
@@ -116,85 +122,20 @@ pub struct SspaStats {
     pub radix_fallbacks: u64,
 }
 
-/// Shape key a cached state may apply to: `(|Q|, |P|, Σ q.k, Σ p.w)`. The
-/// key is deliberately loose — the real guard is the reduced-cost check run
-/// against the *current* instance's costs before a cached state is resumed,
-/// so a colliding key from a different geometry is rejected there, never
-/// trusted.
-type CacheKey = (usize, usize, u64, u64);
-
-/// The final primal-dual state of a completed solve: node potentials (in
-/// the solver's fixed node order `s, t, Q…, P…`) plus the optimal
-/// assignment's flow triples.
-#[derive(Clone, Debug)]
-struct CachedState {
-    tau: Vec<f64>,
-    pairs: Vec<(u32, u32, u32)>,
-}
-
-/// A cross-query warm-start cache for SSPA.
-///
-/// A completed solve publishes its final state — node potentials *and* the
-/// optimal flow. The next solve of the same shape installs that state and
-/// verifies SSPA's loop invariant against its own costs: every residual arc
-/// must have non-negative reduced cost (§2.2), which is exactly the
-/// certificate that the installed flow is minimum-cost *for its value*. If
-/// the check passes the solve resumes with only `γ − cached` augmentations
-/// left (zero for a repeated query); if it fails — different geometry under
-/// a colliding shape key — the state is rolled back and the solve runs
-/// cold. Either way the result is the exact optimum: a cache entry can only
-/// save Dijkstra work, never change the answer.
-///
-/// Shared by reference across a batch's worker threads; the interior mutex
-/// is held only to clone state in or out, never across a solve.
-#[derive(Debug, Default)]
-pub struct SspaCache {
-    entry: std::sync::Mutex<Option<(CacheKey, CachedState)>>,
-}
-
-impl SspaCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn load(&self, key: CacheKey) -> Option<CachedState> {
-        let entry = self.entry.lock().expect("sspa cache poisoned");
-        match entry.as_ref() {
-            Some((k, state)) if *k == key => Some(state.clone()),
-            _ => None,
-        }
-    }
-
-    fn store(&self, key: CacheKey, state: CachedState) {
-        *self.entry.lock().expect("sspa cache poisoned") = Some((key, state));
-    }
-}
-
-/// The shape key of an instance.
-fn cache_key(providers: &[FlowProvider], customers: &[FlowCustomer]) -> CacheKey {
-    (
-        providers.len(),
-        customers.len(),
-        providers.iter().map(|q| u64::from(q.cap)).sum(),
-        customers.iter().map(|p| u64::from(p.weight)).sum(),
-    )
-}
-
 /// An SSPA solve cut short by its [`QueryContext`] (cancellation or an
 /// expired deadline — the flow engine touches no pages, so I/O budgets
 /// cannot trip here).
 ///
 /// The partial state is exact: `partial` holds every unit whose augmenting
 /// path fully committed before the abort (a valid, capacity-respecting
-/// assignment of `stats.iterations` units), and the in-flight iteration's
+/// assignment from `stats.iterations` completed searches), and the in-flight
 /// search is discarded without mutating the flow.
 #[derive(Clone, Debug)]
 pub struct FlowAborted {
     pub reason: AbortReason,
-    /// Units assigned by the iterations that completed before the abort.
+    /// Units assigned by the searches that completed before the abort.
     pub partial: Assignment,
-    /// Measurements up to the abort (`iterations` = committed units).
+    /// Measurements up to the abort (`iterations` = completed searches).
     pub stats: SspaStats,
 }
 
@@ -202,7 +143,7 @@ impl std::fmt::Display for FlowAborted {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "flow solve aborted ({}) after {} of γ iterations",
+            "flow solve aborted ({}) after {} searches",
             self.reason, self.stats.iterations
         )
     }
@@ -210,40 +151,30 @@ impl std::fmt::Display for FlowAborted {
 
 impl std::error::Error for FlowAborted {}
 
+impl SspaStats {
+    /// Copies a finished solve's frontier counters into the stats block.
+    fn with_heap(mut self, heap: HeapCounters) -> Self {
+        self.heap_pushes = heap.pushes;
+        self.heap_pops = heap.pops;
+        self.decrease_keys = heap.decrease_keys;
+        self.radix_fallbacks = heap.radix_fallbacks;
+        self
+    }
+}
+
 /// The options of one SSPA solve on the complete bipartite graph, run by
-/// [`Sspa::solve`]. `Sspa::default()` is Algorithm 1 as published: γ unit
-/// augmentations, no context, no cache.
+/// [`Sspa::solve`]. `Sspa::default()` is Algorithm 1 as published: no
+/// context, radix frontier.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sspa<'a> {
-    /// Cooperative cancellation: the γ-iteration driver polls the context
-    /// at every iteration head and the inner Dijkstra polls it every few
-    /// dozen settles, so a CPU-bound solve on a large drained graph observes
+    /// Cooperative cancellation: the search driver polls the context at
+    /// every search head and the inner Dijkstra polls it every few dozen
+    /// settles, so a CPU-bound solve on a large drained graph observes
     /// cancellation or an expired deadline from *inside* the flow loop — no
     /// page access required — and unwinds with the typed [`FlowAborted`]
     /// carrying the partial assignment built so far. Without a context a
     /// solve cannot abort.
     pub ctx: Option<&'a QueryContext>,
-    /// Cross-query warm start: the solve tries to *resume* from the cached
-    /// final state of a previous solve (see [`SspaCache`]) and publishes its
-    /// own final state back on completion. Warm or cold, the result is the
-    /// same exact optimum — the cache can only save work (observable via
-    /// [`SspaStats::settled`] and [`SspaStats::warm_units`]).
-    pub cache: Option<&'a SspaCache>,
-    /// *Bottleneck* augmentation: each shortest-path search pushes the
-    /// path's full residual capacity instead of a single unit.
-    ///
-    /// Every unit routed along one shortest path costs the same, and after
-    /// the push the saturated arc leaves the residual graph while the
-    /// potential update restores `rc ≥ 0` everywhere — the §2.2 loop
-    /// invariant — so the result is the *same exact optimum* as unit
-    /// augmentation. What changes is the search count: each augmentation
-    /// saturates at least one source or sink arc, bounding the number of
-    /// Dijkstra runs by `|Q| + |P|` instead of `γ`. On weighted instances
-    /// (the coreset tier's aggregated customer units, CA's concise
-    /// matching) this is the difference between `γ` searches and a handful.
-    /// [`SspaStats::iterations`] counts searches, so it no longer equals the
-    /// installed flow here — read [`Assignment::size`] for that.
-    pub bulk: bool,
     /// Frontier queue of the inner Dijkstra. [`FrontierKind::Binary`]
     /// reproduces the pre-radix engine exactly (same lazy decrease-key heap,
     /// same `(key, node)` tie-break) and exists as the reference the
@@ -259,12 +190,7 @@ impl Sspa<'_> {
         providers: &[FlowProvider],
         customers: &[FlowCustomer],
     ) -> Result<(Assignment, SspaStats), FlowAborted> {
-        let Sspa {
-            ctx,
-            cache,
-            bulk,
-            frontier,
-        } = *self;
+        let Sspa { ctx, frontier } = *self;
         let mut g = FlowGraph::with_nodes(2 + providers.len() + customers.len());
         let s: NodeId = 0;
         let t: NodeId = 1;
@@ -272,11 +198,9 @@ impl Sspa<'_> {
         let p_node = |j: usize| (2 + providers.len() + j) as NodeId;
 
         // Source and sink edges (cost 0, capacities q.k / p.w), §2.1.
-        let src_edges: Vec<u32> = providers
-            .iter()
-            .enumerate()
-            .map(|(i, q)| g.add_edge(s, q_node(i), q.cap, 0.0))
-            .collect();
+        for (i, q) in providers.iter().enumerate() {
+            g.add_edge(s, q_node(i), q.cap, 0.0);
+        }
         // Complete bipartite distance edges. Edge capacity is the customer's
         // weight: a representative with weight w can receive up to w units from
         // the same provider ("M' may assign instances of a representative to
@@ -290,35 +214,19 @@ impl Sspa<'_> {
                 qp_edges.push((e, i, j));
             }
         }
-        let sink_edges: Vec<u32> = customers
-            .iter()
-            .enumerate()
-            .map(|(j, p)| g.add_edge(p_node(j), t, p.weight, 0.0))
-            .collect();
-
-        let key = cache_key(providers, customers);
-        let warm_units = cache.and_then(|c| c.load(key)).map_or(0, |state| {
-            try_resume(
-                &mut g,
-                &state,
-                providers,
-                customers,
-                &src_edges,
-                &qp_edges,
-                &sink_edges,
-            )
-        });
-        let warm_started = warm_units > 0;
+        for (j, p) in customers.iter().enumerate() {
+            g.add_edge(p_node(j), t, p.weight, 0.0);
+        }
 
         let gamma = required_flow(providers, customers);
         let mut dij = DijkstraState::with_frontier(frontier);
-        let mut iterations = 0u64;
-        let mut settled = 0u64;
         // Phase split: search time vs augment/potential-update time. Two
-        // timestamps per iteration (~µs-scale searches) — cheap enough to keep
+        // timestamps per search (~µs-scale searches) — cheap enough to keep
         // on unconditionally.
-        let mut settle_ns = 0u64;
-        let mut augment_ns = 0u64;
+        let mut stats = SspaStats {
+            edges: g.num_edges() as u64,
+            ..SspaStats::default()
+        };
         let extract = |g: &FlowGraph| {
             let mut asg = Assignment::default();
             for &(e, i, j) in &qp_edges {
@@ -330,9 +238,9 @@ impl Sspa<'_> {
             }
             asg
         };
-        let mut units = warm_units;
+        let mut units = 0u64;
         while units < gamma {
-            // Iteration-head poll, plus stride polls inside the search: the
+            // Search-head poll, plus stride polls inside the search: the
             // committed units always form a valid partial assignment, and an
             // in-flight (un-augmented) search never mutates the flow, so both
             // abort points unwind to exactly the committed prefix.
@@ -341,154 +249,38 @@ impl Sspa<'_> {
                 _ => {
                     let t0 = Instant::now();
                     dij.init(&g, s);
-                    let searched = dij.run_until_ctx(&g, t, ctx);
-                    settle_ns += t0.elapsed().as_nanos() as u64;
+                    let searched = dij.run_until(&g, t, ctx);
+                    stats.settle_ns += t0.elapsed().as_nanos() as u64;
                     searched
                 }
             };
             match searched {
                 Ok(Some(alpha_t)) => {
-                    settled += dij.settled_nodes().len() as u64;
+                    stats.settled += dij.settled_nodes().len() as u64;
                     let t0 = Instant::now();
-                    if bulk {
-                        let remaining = (gamma - units).min(u64::from(u32::MAX)) as u32;
-                        units += u64::from(dij.augment_bottleneck(&mut g, t, remaining));
-                    } else {
-                        dij.augment_unit(&mut g, t);
-                        units += 1;
-                    }
+                    let remaining = (gamma - units).min(u64::from(u32::MAX)) as u32;
+                    units += u64::from(dij.augment_bottleneck(&mut g, t, remaining));
                     g.update_potentials(dij.settled_nodes(), |v| dij.alpha(v), alpha_t);
-                    augment_ns += t0.elapsed().as_nanos() as u64;
-                    iterations += 1;
+                    stats.augment_ns += t0.elapsed().as_nanos() as u64;
+                    stats.iterations += 1;
                 }
                 Ok(None) => unreachable!("complete bipartite graph always admits γ units"),
                 Err(a) => {
-                    let heap = dij.heap_counters();
                     return Err(FlowAborted {
                         reason: a.reason,
                         partial: extract(&g),
-                        stats: SspaStats {
-                            iterations,
-                            edges: g.num_edges() as u64,
-                            settled,
-                            warm_units,
-                            warm_started,
-                            settle_ns,
-                            augment_ns,
-                            heap_pushes: heap.pushes,
-                            heap_pops: heap.pops,
-                            decrease_keys: heap.decrease_keys,
-                            radix_fallbacks: heap.radix_fallbacks,
-                        },
+                        stats: stats.with_heap(dij.heap_counters()),
                     });
                 }
             }
         }
 
-        let asg = extract(&g);
-        let heap = dij.heap_counters();
-        let stats = SspaStats {
-            iterations,
-            edges: g.num_edges() as u64,
-            settled,
-            warm_units,
-            warm_started,
-            settle_ns,
-            augment_ns,
-            heap_pushes: heap.pushes,
-            heap_pops: heap.pops,
-            decrease_keys: heap.decrease_keys,
-            radix_fallbacks: heap.radix_fallbacks,
-        };
         debug_assert!(
             g.check_reduced_costs(crate::dijkstra::EPS * 100.0).is_ok(),
             "optimality certificate violated"
         );
-        if let Some(cache) = cache {
-            // Publish this solve's final primal-dual state for the next
-            // same-shaped query. Completed solves only — an aborted prefix is a
-            // valid state too, but a completed one resumes further.
-            let tau = (0..g.num_nodes()).map(|v| g.tau(v as NodeId)).collect();
-            let pairs = asg
-                .pairs
-                .iter()
-                .map(|&(i, j, u)| (i as u32, j as u32, u))
-                .collect();
-            cache.store(key, CachedState { tau, pairs });
-        }
-        Ok((asg, stats))
+        Ok((extract(&g), stats.with_heap(dij.heap_counters())))
     }
-}
-
-/// Installs a cached primal-dual state into a freshly built graph and
-/// verifies it is a sound SSPA resume point for *this* instance. Returns
-/// the number of installed units (0 = rejected and fully rolled back).
-///
-/// Three gates, in order:
-/// 1. shape: the potential vector must cover every node and every flow
-///    triple must index a real provider/customer;
-/// 2. capacity: per-provider loads within `q.k`, per-customer within `p.w`;
-/// 3. optimality: with the state installed, every residual arc must have
-///    non-negative reduced cost under the *current* costs — the §2.2
-///    certificate that the flow is minimum-cost for its value, which is
-///    precisely SSPA's loop invariant.
-fn try_resume(
-    g: &mut FlowGraph,
-    state: &CachedState,
-    providers: &[FlowProvider],
-    customers: &[FlowCustomer],
-    src_edges: &[u32],
-    qp_edges: &[(u32, usize, usize)],
-    sink_edges: &[u32],
-) -> u64 {
-    if state.tau.len() != g.num_nodes() {
-        return 0;
-    }
-    let mut qload = vec![0u64; providers.len()];
-    let mut pload = vec![0u64; customers.len()];
-    for &(i, j, u) in &state.pairs {
-        let (i, j) = (i as usize, j as usize);
-        if i >= providers.len() || j >= customers.len() {
-            return 0;
-        }
-        qload[i] += u64::from(u);
-        pload[j] += u64::from(u);
-    }
-    if qload
-        .iter()
-        .zip(providers)
-        .any(|(&l, q)| l > u64::from(q.cap))
-        || pload
-            .iter()
-            .zip(customers)
-            .any(|(&l, p)| l > u64::from(p.weight))
-    {
-        return 0;
-    }
-
-    let push = |g: &mut FlowGraph, reverse: bool| {
-        for &(i, j, u) in &state.pairs {
-            let (i, j) = (i as usize, j as usize);
-            let arc = u32::from(reverse);
-            g.push_flow(2 * src_edges[i] + arc, u);
-            g.push_flow(2 * qp_edges[i * customers.len() + j].0 + arc, u);
-            g.push_flow(2 * sink_edges[j] + arc, u);
-        }
-    };
-    for (v, &tau) in state.tau.iter().enumerate() {
-        g.set_tau(v as NodeId, tau);
-    }
-    push(g, false);
-    if g.check_reduced_costs(crate::dijkstra::EPS * 100.0).is_err() {
-        // A colliding shape key from different geometry: roll the state
-        // back completely and let the solve run cold.
-        push(g, true);
-        for v in 0..state.tau.len() {
-            g.set_tau(v as NodeId, 0.0);
-        }
-        return 0;
-    }
-    state.pairs.iter().map(|&(_, _, u)| u64::from(u)).sum()
 }
 
 /// Convenience constructor for unit-weight customers.
@@ -522,13 +314,6 @@ mod tests {
         Sspa::default().solve(providers, customers).unwrap()
     }
 
-    fn warm(cache: &SspaCache) -> Sspa<'_> {
-        Sspa {
-            cache: Some(cache),
-            ..Sspa::default()
-        }
-    }
-
     fn with_ctx(ctx: &QueryContext) -> Sspa<'_> {
         Sspa {
             ctx: Some(ctx),
@@ -536,11 +321,15 @@ mod tests {
         }
     }
 
-    fn bulk() -> Sspa<'static> {
-        Sspa {
-            bulk: true,
-            ..Sspa::default()
-        }
+    /// Independent reference for weighted instances: the Hungarian optimum
+    /// of the *unit expansion*, where a weight-`w` customer becomes `w`
+    /// co-located unit customers. Shares no code with SSPA.
+    fn unit_expansion_optimum(providers: &[FlowProvider], customers: &[FlowCustomer]) -> f64 {
+        let expanded: Vec<Point> = customers
+            .iter()
+            .flat_map(|c| std::iter::repeat_n(c.pos, c.weight as usize))
+            .collect();
+        crate::validate::hungarian_optimal_cost(providers, &expanded)
     }
 
     #[test]
@@ -729,143 +518,50 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_resumes_a_repeated_query_without_searching() {
-        let (providers, customers) = random_instance(7, 6, 60, 5);
-        let cache = SspaCache::new();
-        let (cold, cold_stats) = warm(&cache).solve(&providers, &customers).unwrap();
-        assert!(!cold_stats.warm_started, "first solve finds an empty cache");
-        assert!(cold_stats.settled > 0);
-        let (warm, warm_stats) = warm(&cache).solve(&providers, &customers).unwrap();
-        assert!(warm_stats.warm_started);
-        assert_eq!(
-            warm.cost, cold.cost,
-            "a resumed repeated query reproduces the optimum exactly"
-        );
-        assert_eq!(warm.pairs, cold.pairs);
-        assert_eq!(warm_stats.warm_units, cold_stats.iterations);
-        assert_eq!(warm_stats.iterations, 0, "γ units came from the cache");
-        assert_eq!(warm_stats.settled, 0, "no Dijkstra run at all");
-    }
-
-    #[test]
-    fn shape_mismatch_falls_back_to_cold() {
-        let (providers, customers) = random_instance(8, 4, 30, 3);
-        let cache = SspaCache::new();
-        let _ = warm(&cache).solve(&providers, &customers);
-        // Same providers, one fewer customer: key differs, entry unusable.
-        let fewer = &customers[..29];
-        let (asg, stats) = warm(&cache).solve(&providers, fewer).unwrap();
-        assert!(!stats.warm_started);
-        let (want, _) = solve(&providers, fewer);
-        assert_eq!(asg.cost, want.cost);
-    }
-
-    #[test]
-    fn colliding_shape_key_from_different_geometry_is_rejected() {
-        // Prime on instance A, solve instance B with a colliding shape key
-        // but completely different geometry: the reduced-cost gate must
-        // reject A's state, roll it back and produce B's exact optimum.
-        let (pa, ca) = random_instance(100, 5, 40, 4);
-        let (pb, cb) = random_instance(200, 5, 40, 4);
-        // Force identical capacities so the shape keys collide.
-        let pb: Vec<FlowProvider> = pb
-            .iter()
-            .zip(&pa)
-            .map(|(b, a)| FlowProvider {
-                pos: b.pos,
-                cap: a.cap,
-            })
-            .collect();
-        let cache = SspaCache::new();
-        let _ = warm(&cache).solve(&pa, &ca);
-        let (warm, stats) = warm(&cache).solve(&pb, &cb).unwrap();
-        assert!(
-            !stats.warm_started,
-            "foreign-geometry state must fail the reduced-cost gate"
-        );
-        let (cold, _) = solve(&pb, &cb);
-        assert_eq!(
-            warm.cost, cold.cost,
-            "after rollback the solve is exactly the cold solve"
-        );
-        assert_eq!(warm.pairs, cold.pairs);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-        /// Warm-started SSPA is exact: on any random instance, solving
-        /// twice through a shared cache yields the same optimal cost as the
-        /// cold solve (and both match the plain entry point).
-        #[test]
-        fn prop_warm_start_cost_equals_cold(
-            seed in 0u64..10_000,
-            nq in 1usize..8,
-            np in 1usize..40,
-            max_cap in 1u32..6,
-        ) {
-            let (providers, customers) = random_instance(seed, nq, np, max_cap);
-            let (cold, _) = solve(&providers, &customers);
-            let cache = SspaCache::new();
-            let (first, _) =
-                warm(&cache).solve(&providers, &customers)
-                    .unwrap();
-            let (warm, stats) =
-                warm(&cache).solve(&providers, &customers)
-                    .unwrap();
-            proptest::prop_assert!(stats.warm_started);
-            let tol = 1e-9 * cold.cost.max(1.0);
-            proptest::prop_assert!((first.cost - cold.cost).abs() <= tol);
-            proptest::prop_assert!(
-                (warm.cost - cold.cost).abs() <= tol,
-                "warm {} vs cold {}", warm.cost, cold.cost
-            );
-            proptest::prop_assert_eq!(warm.size(), cold.size());
-        }
-    }
-
-    #[test]
     fn bulk_augmentation_matches_unit_on_weighted_instances() {
-        // A weight-3 representative split across two providers: unit mode
-        // needs 3 searches, bulk saturates whole arcs and needs at most
-        // |Q| + |P| = 3.
+        // A weight-3 representative split across two providers: three unit
+        // customers at the same spot would need three searches; bottleneck
+        // augmentation saturates whole arcs and needs fewer.
         let providers = [q(0.0, 0.0, 2), q(10.0, 0.0, 2)];
         let customers = [FlowCustomer {
             pos: Point::new(4.0, 0.0),
             weight: 3,
         }];
-        let (unit, unit_stats) = solve(&providers, &customers);
-        let (bulk, bulk_stats) = bulk().solve(&providers, &customers).unwrap();
-        assert_eq!(bulk.size(), unit.size());
-        assert!((bulk.cost - unit.cost).abs() < 1e-9);
-        assert_eq!(unit_stats.iterations, 3);
+        let (asg, stats) = solve(&providers, &customers);
+        assert_eq!(asg.size(), 3);
+        let want = unit_expansion_optimum(&providers, &customers);
+        assert!((asg.cost - want).abs() < 1e-9, "{} vs {want}", asg.cost);
         assert!(
-            bulk_stats.iterations < unit_stats.iterations,
-            "bulk pushed more than one unit per search ({} searches)",
-            bulk_stats.iterations
+            stats.iterations < 3,
+            "bottleneck pushed more than one unit per search ({} searches)",
+            stats.iterations
         );
     }
 
     #[test]
     fn bulk_augmentation_respects_context_aborts() {
+        // A weighted instance under an expired deadline: the search-head
+        // poll fires before any bottleneck push, so nothing is installed.
         use std::time::{Duration, Instant};
         let providers = [q(0.0, 0.0, 2)];
-        let customers = [p(1.0, 0.0), p(2.0, 0.0)];
+        let customers = [FlowCustomer {
+            pos: Point::new(1.0, 0.0),
+            weight: 2,
+        }];
         let ctx = QueryContext::new().with_deadline(Instant::now() - Duration::from_millis(1));
-        let err = Sspa {
-            bulk: true,
-            ..with_ctx(&ctx)
-        }
-        .solve(&providers, &customers)
-        .unwrap_err();
+        let err = with_ctx(&ctx).solve(&providers, &customers).unwrap_err();
         assert_eq!(err.reason, AbortReason::DeadlineExceeded);
         assert_eq!(err.partial.size(), 0);
+        assert_eq!(err.stats.iterations, 0);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
         /// Bottleneck augmentation is exact: on any random weighted
-        /// instance it reproduces the unit-augmentation optimum (cost and
-        /// size) with no more searches than units.
+        /// instance it reproduces the Hungarian optimum of the unit
+        /// expansion (cost and size γ), with no more searches than units.
+        /// (`|Q| + |P|` searches is not asserted: it is not a bound once a
+        /// reverse arc is the bottleneck, and random instances exceed it.)
         #[test]
         fn prop_bulk_cost_equals_unit(
             seed in 0u64..10_000,
@@ -881,16 +577,16 @@ mod tests {
             for c in &mut customers {
                 c.weight = rng.random_range(1..=max_w);
             }
-            let (unit, unit_stats) = solve(&providers, &customers);
-            let (bulk, bulk_stats) =
-                bulk().solve(&providers, &customers).unwrap();
-            let tol = 1e-9 * unit.cost.max(1.0);
-            proptest::prop_assert_eq!(bulk.size(), unit.size());
+            let (asg, stats) = solve(&providers, &customers);
+            let want = unit_expansion_optimum(&providers, &customers);
+            let gamma = required_flow(&providers, &customers);
+            let tol = 1e-9 * want.max(1.0);
+            proptest::prop_assert_eq!(asg.size(), gamma);
             proptest::prop_assert!(
-                (bulk.cost - unit.cost).abs() <= tol,
-                "bulk {} vs unit {}", bulk.cost, unit.cost
+                (asg.cost - want).abs() <= tol,
+                "sspa {} vs hungarian {}", asg.cost, want
             );
-            proptest::prop_assert!(bulk_stats.iterations <= unit_stats.iterations);
+            proptest::prop_assert!(stats.iterations <= gamma);
         }
     }
 

@@ -1,21 +1,18 @@
 //! [`BatchRunner`] — many independent CCA queries over one shared,
 //! immutable R-tree, executed across threads.
 //!
-//! Since PR 4 the runner is a thin adapter over the [`cca_serve`]
-//! scheduler: queries are submitted as serving requests (each under its own
-//! [`QueryContext`]) into the bounded priority queue and executed by a
-//! worker pool — since PR 6 an owned [`ServingInstance`] (private and
-//! per-batch in [`BatchRunner::run`]; shared, long-lived and
-//! caller-provided in [`BatchRunner::run_on`], where batches coexist with
-//! a network gateway's traffic and tenant stats accumulate across
-//! batches). The public API is unchanged from the original
-//! work-stealing runner — a batch admits every query (the queue is sized to
-//! the batch, so nothing is shed) and blocks until all tickets resolve —
-//! but the runner now inherits the serving semantics: per-query deadlines
-//! and I/O budgets ([`BatchRunner::query_deadline`],
-//! [`BatchRunner::query_io_budget`]) that turn runaway queries into
-//! [`QueryResult::aborted`] partial results, and a batch-wide scheduling
-//! priority ([`BatchRunner::priority`]).
+//! The runner is a thin adapter over the [`cca_serve`] scheduler: queries
+//! are submitted as serving requests (each under its own [`QueryContext`])
+//! into the bounded priority queue and executed by an owned
+//! [`ServingInstance`] (private and per-batch in [`BatchRunner::run`];
+//! shared, long-lived and caller-provided in [`BatchRunner::run_on`], where
+//! batches coexist with a network gateway's traffic and tenant stats
+//! accumulate across batches). A batch admits every query (the queue is
+//! sized to the batch, so nothing is shed) and blocks until all tickets
+//! resolve, with the serving semantics: per-query deadlines and I/O budgets
+//! ([`BatchRunner::query_deadline`], [`BatchRunner::query_io_budget`]) that
+//! turn runaway queries into [`QueryResult::aborted`] partial results, and
+//! a batch-wide scheduling priority ([`BatchRunner::priority`]).
 //!
 //! Matchings are bit-identical between parallel and sequential execution —
 //! the algorithms never read buffer-pool state, only charge it — which
@@ -31,7 +28,6 @@ use std::time::{Duration, Instant};
 
 use cca_core::solver::{Solver, SolverConfig, SolverRegistry, UnknownSolver};
 use cca_core::{AlgoStats, Matching};
-use cca_flow::SspaCache;
 use cca_serve::{Request, ServeConfig, ServingInstance, Ticket};
 use cca_storage::{AbortReason, IoStats, Priority, QueryContext, TenantId};
 
@@ -157,17 +153,13 @@ impl<'a> BatchRunner<'a> {
         let io_before = store.io_stats();
         let start = Instant::now();
 
-        // One warm-start cache per batch: repeated/similar SSPA queries
-        // resume from each other's verified final state instead of
-        // re-deriving γ augmenting paths from scratch.
-        let sspa_cache = SspaCache::new();
         // A private instance whose queue admits the whole batch, so
         // `submit_all` never has to retry here.
         let config = ServeConfig::default()
             .workers(threads.min(queries.len()).max(1))
             .queue_capacity(queries.len().max(1));
         let instance = ServingInstance::start(config);
-        let results = self.submit_all(&instance, queries, &solvers, &sspa_cache);
+        let results = self.submit_all(&instance, queries, &solvers);
         instance.shutdown();
         Ok(BatchReport {
             results,
@@ -197,8 +189,7 @@ impl<'a> BatchRunner<'a> {
     ) -> Result<BatchReport, UnknownSolver> {
         let solvers = self.build_all(queries)?;
         let start = Instant::now();
-        let sspa_cache = SspaCache::new();
-        let results = self.submit_all(instance, queries, &solvers, &sspa_cache);
+        let results = self.submit_all(instance, queries, &solvers);
         let io = results
             .iter()
             .fold(IoStats::default(), |acc, r| acc + r.stats.io);
@@ -225,7 +216,6 @@ impl<'a> BatchRunner<'a> {
         instance: &ServingInstance<QueryResult>,
         queries: &[SolverConfig],
         solvers: &[Box<dyn Solver>],
-        sspa_cache: &SspaCache,
     ) -> Vec<QueryResult> {
         instance.scope(|scope| {
             let tickets: Vec<Ticket<QueryResult>> = queries
@@ -234,7 +224,7 @@ impl<'a> BatchRunner<'a> {
                 .enumerate()
                 .map(|(i, (query, solver))| loop {
                     let request = Request::new(move |ctx: &QueryContext| {
-                        self.run_one(i, query, &**solver, sspa_cache, ctx)
+                        self.run_one(i, query, &**solver, ctx)
                     })
                     .context(self.query_context());
                     match scope.submit(request) {
@@ -252,19 +242,13 @@ impl<'a> BatchRunner<'a> {
         index: usize,
         config: &SolverConfig,
         solver: &dyn Solver,
-        sspa_cache: &SspaCache,
         ctx: &QueryContext,
     ) -> QueryResult {
         // The scheduler hands each query its own context: the store charges
         // it alongside its shard counters, so `stats.io` is this query's
         // own traffic even with other workers hammering the same pool — and
         // the context's deadline/budget/cancellation govern the run.
-        let problem = self
-            .instance
-            .problem()
-            .with_context(ctx)
-            .with_sspa_cache(sspa_cache);
-        let outcome = solver.run(&problem);
+        let outcome = solver.run(&self.instance.problem().with_context(ctx));
         let aborted = outcome.abort_reason();
         let (matching, stats) = outcome.into_parts();
         QueryResult {

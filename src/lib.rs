@@ -41,20 +41,19 @@
 //! polled inside the CPU-bound flow loops too, so even an all-in-memory
 //! solve cannot overshoot.
 //!
-//! Since PR 8 the registry also carries an **approximate tier** for
-//! instances beyond exact reach: `SolverConfig::new("coreset")` solves
-//! exactly on a capacity-aware importance-sampled coreset and lifts the
-//! assignment back (bounded swap refinement in R-tree neighbourhoods),
-//! and `SolverConfig::new("da")` runs deterministic-annealing Gibbs
-//! assignment — both feasible by construction, context-abortable with
-//! partial results, and selectable by name end-to-end with no protocol
-//! changes.
+//! The registry also carries an **approximate tier** for instances beyond
+//! exact reach: `SolverConfig::new("coreset")` solves exactly on a
+//! capacity-aware importance-sampled coreset and lifts the assignment back
+//! (bounded swap refinement in R-tree neighbourhoods), and
+//! `SolverConfig::new("da")` runs deterministic-annealing Gibbs assignment —
+//! both feasible by construction, context-abortable with partial results,
+//! and selectable by name end-to-end.
 //!
-//! Since PR 9 a **dynamic world** is served by [`ContinuousAssignment`]:
-//! a feasible matching maintained under a stream of [`WorldEvent`]s
-//! (arrivals, departures, capacity changes, provider moves) with
-//! bounded-neighbourhood incremental repair, a from-scratch IDA re-solve
-//! when repair falls short, and unwind-on-abort semantics. Event streams for testing and
+//! A **dynamic world** is served by [`ContinuousAssignment`]: a feasible
+//! matching maintained under a stream of [`WorldEvent`]s (arrivals,
+//! departures, capacity changes, provider moves) with bounded-neighbourhood
+//! incremental repair, a from-scratch IDA re-solve when repair falls short,
+//! and unwind-on-abort semantics. Event streams for testing and
 //! benchmarking come from `cca_datagen::ArrivalProcess`.
 //!
 //! Sub-crates (re-exported below): [`geo`] geometry, [`storage`] the paged
