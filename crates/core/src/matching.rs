@@ -121,50 +121,20 @@ impl Matching {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::{MatchPair, Matching};
-    use cca_geo::Point;
-    use serde::{Deserialize, Error, Serialize, Value};
 
-    impl Serialize for MatchPair {
-        fn to_value(&self) -> Value {
-            Value::map([
-                ("provider", self.provider.to_value()),
-                ("customer", self.customer.to_value()),
-                ("units", self.units.to_value()),
-                ("dist", self.dist.to_value()),
-                ("customer_pos", self.customer_pos.to_value()),
-            ])
-        }
-    }
-
-    impl Deserialize for MatchPair {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            Ok(MatchPair {
-                provider: usize::from_value(v.get("provider")?)?,
-                customer: u64::from_value(v.get("customer")?)?,
-                units: u32::from_value(v.get("units")?)?,
-                dist: f64::from_value(v.get("dist")?)?,
-                customer_pos: Point::from_value(v.get("customer_pos")?)?,
-            })
-        }
-    }
-
-    impl Serialize for Matching {
-        fn to_value(&self) -> Value {
-            Value::map([("pairs", self.pairs.to_value())])
-        }
-    }
-
-    impl Deserialize for Matching {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            Ok(Matching {
-                pairs: Vec::from_value(v.get("pairs")?)?,
-            })
-        }
-    }
+    serde::derive_struct!(MatchPair {
+        customer,
+        customer_pos,
+        dist,
+        provider,
+        units,
+    });
+    serde::derive_struct!(Matching { pairs });
 
     #[cfg(test)]
     mod tests {
         use super::*;
+        use cca_geo::Point;
 
         #[test]
         fn matching_json_roundtrip() {

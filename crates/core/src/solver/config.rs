@@ -144,71 +144,59 @@ mod serde_impls {
     use super::SolverConfig;
     use crate::approx::RefineMethod;
     use crate::exact::IdaKeyMode;
-    use serde::{Deserialize, Error, Serialize, Value};
+    use serde::json::{Parser, Writer};
+    use serde::{Deserialize, Error, Serialize};
 
-    impl Serialize for SolverConfig {
-        fn to_value(&self) -> Value {
-            Value::map([
-                ("name", Value::Str(self.name.clone())),
-                ("theta", self.theta.to_value()),
-                ("delta", self.delta.to_value()),
-                (
-                    "refine",
-                    Value::Str(
-                        match self.refine {
-                            RefineMethod::NnBased => "nn-based",
-                            RefineMethod::ExclusiveNn => "exclusive-nn",
-                        }
-                        .into(),
-                    ),
-                ),
-                ("group_size", self.group_size.to_value()),
-                (
-                    "key_mode",
-                    Value::Str(
-                        match self.key_mode {
-                            IdaKeyMode::Paper => "paper",
-                            IdaKeyMode::Safe => "safe",
-                        }
-                        .into(),
-                    ),
-                ),
-                ("disable_fast_phase", self.disable_fast_phase.to_value()),
-                ("disable_pua", self.disable_pua.to_value()),
-                ("coreset_size", self.coreset_size.to_value()),
-                ("sample_seed", self.sample_seed.to_value()),
-                ("swap_passes", self.swap_passes.to_value()),
-                ("anneal_steps", self.anneal_steps.to_value()),
-            ])
+    serde::derive_struct!(SolverConfig {
+        anneal_steps,
+        coreset_size,
+        delta,
+        disable_fast_phase,
+        disable_pua,
+        group_size,
+        key_mode,
+        name,
+        refine,
+        sample_seed,
+        swap_passes,
+        theta,
+    });
+
+    impl Serialize for RefineMethod {
+        fn serialize(&self, w: &mut Writer) {
+            w.str(match self {
+                RefineMethod::NnBased => "nn-based",
+                RefineMethod::ExclusiveNn => "exclusive-nn",
+            });
         }
     }
 
-    impl Deserialize for SolverConfig {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            let refine = match String::from_value(v.get("refine")?)?.as_str() {
-                "nn-based" => RefineMethod::NnBased,
-                "exclusive-nn" => RefineMethod::ExclusiveNn,
-                other => return Err(Error(format!("unknown refine method `{other}`"))),
-            };
-            let key_mode = match String::from_value(v.get("key_mode")?)?.as_str() {
-                "paper" => IdaKeyMode::Paper,
-                "safe" => IdaKeyMode::Safe,
-                other => return Err(Error(format!("unknown key mode `{other}`"))),
-            };
-            Ok(SolverConfig {
-                name: String::from_value(v.get("name")?)?,
-                theta: f64::from_value(v.get("theta")?)?,
-                delta: f64::from_value(v.get("delta")?)?,
-                refine,
-                group_size: usize::from_value(v.get("group_size")?)?,
-                key_mode,
-                disable_fast_phase: bool::from_value(v.get("disable_fast_phase")?)?,
-                disable_pua: bool::from_value(v.get("disable_pua")?)?,
-                coreset_size: usize::from_value(v.get("coreset_size")?)?,
-                sample_seed: u64::from_value(v.get("sample_seed")?)?,
-                swap_passes: usize::from_value(v.get("swap_passes")?)?,
-                anneal_steps: usize::from_value(v.get("anneal_steps")?)?,
-            })
+    impl Deserialize for RefineMethod {
+        fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+            match &*p.str()? {
+                "nn-based" => Ok(RefineMethod::NnBased),
+                "exclusive-nn" => Ok(RefineMethod::ExclusiveNn),
+                other => Err(Error(format!("unknown refine method `{other}`"))),
+            }
+        }
+    }
+
+    impl Serialize for IdaKeyMode {
+        fn serialize(&self, w: &mut Writer) {
+            w.str(match self {
+                IdaKeyMode::Paper => "paper",
+                IdaKeyMode::Safe => "safe",
+            });
+        }
+    }
+
+    impl Deserialize for IdaKeyMode {
+        fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+            match &*p.str()? {
+                "paper" => Ok(IdaKeyMode::Paper),
+                "safe" => Ok(IdaKeyMode::Safe),
+                other => Err(Error(format!("unknown key mode `{other}`"))),
+            }
         }
     }
 }

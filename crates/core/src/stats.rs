@@ -46,45 +46,24 @@ impl AlgoStats {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::AlgoStats;
-    use cca_storage::IoStats;
-    use serde::{Deserialize, Error, Serialize, Value};
-    use std::time::Duration;
 
-    impl Serialize for AlgoStats {
-        fn to_value(&self) -> Value {
-            Value::map([
-                ("esub_edges", self.esub_edges.to_value()),
-                ("dijkstra_runs", self.dijkstra_runs.to_value()),
-                ("settled", self.settled.to_value()),
-                ("pua_runs", self.pua_runs.to_value()),
-                ("iterations", self.iterations.to_value()),
-                ("invalid_paths", self.invalid_paths.to_value()),
-                ("fast_phase_matches", self.fast_phase_matches.to_value()),
-                ("cpu_time", self.cpu_time.to_value()),
-                ("io", self.io.to_value()),
-            ])
-        }
-    }
-
-    impl Deserialize for AlgoStats {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            Ok(AlgoStats {
-                esub_edges: u64::from_value(v.get("esub_edges")?)?,
-                dijkstra_runs: u64::from_value(v.get("dijkstra_runs")?)?,
-                settled: u64::from_value(v.get("settled")?)?,
-                pua_runs: u64::from_value(v.get("pua_runs")?)?,
-                iterations: u64::from_value(v.get("iterations")?)?,
-                invalid_paths: u64::from_value(v.get("invalid_paths")?)?,
-                fast_phase_matches: u64::from_value(v.get("fast_phase_matches")?)?,
-                cpu_time: Duration::from_value(v.get("cpu_time")?)?,
-                io: IoStats::from_value(v.get("io")?)?,
-            })
-        }
-    }
+    serde::derive_struct!(AlgoStats {
+        cpu_time,
+        dijkstra_runs,
+        esub_edges,
+        fast_phase_matches,
+        invalid_paths,
+        io,
+        iterations,
+        pua_runs,
+        settled,
+    });
 
     #[cfg(test)]
     mod tests {
         use super::*;
+        use cca_storage::IoStats;
+        use std::time::Duration;
 
         #[test]
         fn algo_stats_json_roundtrip() {

@@ -1,43 +1,13 @@
 //! `serde` feature: persistence impls for the geometry types.
 //!
-//! Hand-written field-per-field maps against the vendored `serde` shim
-//! (see `vendor/README.md`); shaped exactly like the maps
-//! `#[derive(Serialize, Deserialize)]` would produce, so swapping in the
-//! real serde later is mechanical.
-
-use serde::{Deserialize, Error, Serialize, Value};
+//! Field-per-field objects via the vendored `serde` shim's
+//! `derive_struct!` (see `vendor/README.md`), shaped exactly like the
+//! objects `#[derive(Serialize, Deserialize)]` would produce.
 
 use crate::{Point, Rect};
 
-impl Serialize for Point {
-    fn to_value(&self) -> Value {
-        Value::map([("x", self.x.to_value()), ("y", self.y.to_value())])
-    }
-}
-
-impl Deserialize for Point {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Point {
-            x: f64::from_value(v.get("x")?)?,
-            y: f64::from_value(v.get("y")?)?,
-        })
-    }
-}
-
-impl Serialize for Rect {
-    fn to_value(&self) -> Value {
-        Value::map([("lo", self.lo.to_value()), ("hi", self.hi.to_value())])
-    }
-}
-
-impl Deserialize for Rect {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Rect {
-            lo: Point::from_value(v.get("lo")?)?,
-            hi: Point::from_value(v.get("hi")?)?,
-        })
-    }
-}
+serde::derive_struct!(Point { x, y });
+serde::derive_struct!(Rect { hi, lo });
 
 #[cfg(test)]
 mod tests {

@@ -7,8 +7,18 @@
 //! it over `TcpStream` halves, and an async front-end could drive the
 //! same functions over its own buffered streams.
 //!
-//! Every failure is a typed [`WireError`]; no input, however truncated or
-//! garbled, panics the decoder (the codec proptests pin this down).
+//! The payload path has no intermediate tree: [`encode`] has each message
+//! write its JSON text straight into the one output buffer, fields in
+//! ascending key order (`tests/wire_golden.rs` pins the bytes), and
+//! [`decode`] validates the payload's UTF-8 once and then has the message
+//! read itself field by field from the parser, borrowing keys and plain
+//! strings from the payload. Decoding is linear in the payload size, and
+//! the parser refuses nesting deeper than [`serde::json::MAX_DEPTH`], so a
+//! frame of `[`s is [`WireError::Malformed`], not a stack overflow.
+//!
+//! Every failure is a typed [`WireError`]; no input, however truncated,
+//! garbled or deeply nested, panics the decoder (the codec proptests pin
+//! this down).
 
 use std::io::{self, Read, Write};
 

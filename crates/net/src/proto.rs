@@ -1,5 +1,5 @@
 //! The typed request/response vocabulary the gateway speaks, plus its
-//! hand-written serde impls (tagged maps, the workspace enum idiom).
+//! serde impls (enums as tagged maps, the workspace enum idiom).
 //!
 //! Every way a query can fail inside the serving stack maps to a distinct
 //! [`ErrorCode`] on the wire — admission shedding
@@ -14,7 +14,8 @@ use cca_core::{AlgoStats, Matching, SolverConfig};
 use cca_geo::Point;
 use cca_serve::{Rejected, TenantStats};
 use cca_storage::{AbortReason, Priority, TenantId};
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::json::{required, Parser, Writer};
+use serde::{Deserialize, Error, Serialize};
 
 /// Version tag exchanged in the handshake; bumped on incompatible wire
 /// changes.
@@ -278,114 +279,98 @@ pub enum NetResponse {
 }
 
 // ---------------------------------------------------------------------
-// Serde impls (hand-written; the vendored shim has no derive).
+// Serde impls: structs through the shim's `derive_struct!`, enums as
+// tagged maps written by hand. Fields go in ascending key order. A tagged
+// map is read in one field loop when each key has one type whatever the
+// variant; `NetResponse`'s `reply` does not, so it reads the tag first.
 // ---------------------------------------------------------------------
 
-impl Serialize for Hello {
-    fn to_value(&self) -> Value {
-        Value::map([
-            ("tenant", self.tenant.to_value()),
-            ("version", self.version.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Hello {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Hello {
-            tenant: Deserialize::from_value(v.get("tenant")?)?,
-            version: u32::from_value(v.get("version")?)?,
-        })
-    }
-}
-
-impl Serialize for HelloAck {
-    fn to_value(&self) -> Value {
-        Value::map([("version", self.version.to_value())])
-    }
-}
-
-impl Deserialize for HelloAck {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(HelloAck {
-            version: u32::from_value(v.get("version")?)?,
-        })
-    }
-}
+serde::derive_struct!(Hello { tenant, version });
+serde::derive_struct!(HelloAck { version });
+serde::derive_struct!(SolveRequest {
+    config,
+    deadline,
+    io_budget,
+    priority,
+    problem,
+});
+serde::derive_struct!(SolveReply { matching, stats });
+serde::derive_struct!(StatsReply { tenants });
+serde::derive_struct!(WireFault {
+    code,
+    message,
+    partial_stats,
+});
 
 impl Serialize for ProblemSpec {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            ProblemSpec::Dataset(name) => {
-                Value::map([("kind", "dataset".to_value()), ("name", name.to_value())])
-            }
+            ProblemSpec::Dataset(name) => w.object(|o| {
+                o.field("kind", "dataset");
+                o.field("name", name);
+            }),
             ProblemSpec::Inline {
                 providers,
                 customers,
-            } => Value::map([
-                ("kind", "inline".to_value()),
-                ("providers", providers.to_value()),
-                ("customers", customers.to_value()),
-            ]),
+            } => w.object(|o| {
+                o.field("customers", customers);
+                o.field("kind", "inline");
+                o.field("providers", providers);
+            }),
         }
     }
 }
 
 impl Deserialize for ProblemSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match String::from_value(v.get("kind")?)?.as_str() {
-            "dataset" => Ok(ProblemSpec::Dataset(String::from_value(v.get("name")?)?)),
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+        let (mut kind, mut name, mut providers, mut customers) = (None, None, None, None);
+        p.object(|p, key| {
+            match key {
+                "kind" => kind = Some(String::deserialize(p)?),
+                "name" => name = Some(String::deserialize(p)?),
+                "providers" => providers = Some(Deserialize::deserialize(p)?),
+                "customers" => customers = Some(Deserialize::deserialize(p)?),
+                _ => p.skip()?,
+            }
+            Ok(())
+        })?;
+        match required(kind, "kind")?.as_str() {
+            "dataset" => Ok(ProblemSpec::Dataset(required(name, "name")?)),
             "inline" => Ok(ProblemSpec::Inline {
-                providers: Deserialize::from_value(v.get("providers")?)?,
-                customers: Deserialize::from_value(v.get("customers")?)?,
+                providers: required(providers, "providers")?,
+                customers: required(customers, "customers")?,
             }),
             other => Err(Error(format!("unknown problem kind `{other}`"))),
         }
     }
 }
 
-impl Serialize for SolveRequest {
-    fn to_value(&self) -> Value {
-        Value::map([
-            ("config", self.config.to_value()),
-            ("problem", self.problem.to_value()),
-            ("priority", self.priority.to_value()),
-            ("deadline", self.deadline.to_value()),
-            ("io_budget", self.io_budget.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SolveRequest {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(SolveRequest {
-            config: Deserialize::from_value(v.get("config")?)?,
-            problem: Deserialize::from_value(v.get("problem")?)?,
-            priority: Deserialize::from_value(v.get("priority")?)?,
-            deadline: Deserialize::from_value(v.get("deadline")?)?,
-            io_budget: Deserialize::from_value(v.get("io_budget")?)?,
-        })
-    }
-}
-
 impl Serialize for NetRequest {
-    fn to_value(&self) -> Value {
-        match self {
+    fn serialize(&self, w: &mut Writer) {
+        w.object(|o| match self {
             NetRequest::Solve(req) => {
-                Value::map([("kind", "solve".to_value()), ("request", req.to_value())])
+                o.field("kind", "solve");
+                o.field("request", req);
             }
-            NetRequest::Stats => Value::map([("kind", "stats".to_value())]),
-            NetRequest::Ping => Value::map([("kind", "ping".to_value())]),
-        }
+            NetRequest::Stats => o.field("kind", "stats"),
+            NetRequest::Ping => o.field("kind", "ping"),
+        });
     }
 }
 
 impl Deserialize for NetRequest {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match String::from_value(v.get("kind")?)?.as_str() {
-            "solve" => Ok(NetRequest::Solve(Deserialize::from_value(
-                v.get("request")?,
-            )?)),
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+        let (mut kind, mut request) = (None, None);
+        p.object(|p, key| {
+            match key {
+                "kind" => kind = Some(String::deserialize(p)?),
+                "request" => request = Some(SolveRequest::deserialize(p)?),
+                _ => p.skip()?,
+            }
+            Ok(())
+        })?;
+        match required(kind, "kind")?.as_str() {
+            "solve" => Ok(NetRequest::Solve(required(request, "request")?)),
             "stats" => Ok(NetRequest::Stats),
             "ping" => Ok(NetRequest::Ping),
             other => Err(Error(format!("unknown request kind `{other}`"))),
@@ -393,105 +378,51 @@ impl Deserialize for NetRequest {
     }
 }
 
-impl Serialize for SolveReply {
-    fn to_value(&self) -> Value {
-        Value::map([
-            ("matching", self.matching.to_value()),
-            ("stats", self.stats.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SolveReply {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(SolveReply {
-            matching: Deserialize::from_value(v.get("matching")?)?,
-            stats: Deserialize::from_value(v.get("stats")?)?,
-        })
-    }
-}
-
-impl Serialize for StatsReply {
-    fn to_value(&self) -> Value {
-        Value::map([("tenants", self.tenants.to_value())])
-    }
-}
-
-impl Deserialize for StatsReply {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(StatsReply {
-            tenants: Deserialize::from_value(v.get("tenants")?)?,
-        })
-    }
-}
-
 impl Serialize for ErrorCode {
-    fn to_value(&self) -> Value {
-        self.code().to_value()
+    fn serialize(&self, w: &mut Writer) {
+        self.code().serialize(w);
     }
 }
 
 impl Deserialize for ErrorCode {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let code = u16::from_value(v)?;
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+        let code = u16::deserialize(p)?;
         ErrorCode::from_code(code).ok_or_else(|| Error(format!("unknown error code {code}")))
     }
 }
 
-impl Serialize for WireFault {
-    fn to_value(&self) -> Value {
-        Value::map([
-            ("code", self.code.to_value()),
-            ("message", self.message.to_value()),
-            ("partial_stats", self.partial_stats.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for WireFault {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(WireFault {
-            code: Deserialize::from_value(v.get("code")?)?,
-            message: String::from_value(v.get("message")?)?,
-            partial_stats: Deserialize::from_value(v.get("partial_stats")?)?,
-        })
-    }
-}
-
 impl Serialize for NetResponse {
-    fn to_value(&self) -> Value {
-        match self {
+    fn serialize(&self, w: &mut Writer) {
+        w.object(|o| match self {
             NetResponse::Hello(ack) => {
-                Value::map([("kind", "hello".to_value()), ("ack", ack.to_value())])
+                o.field("ack", ack);
+                o.field("kind", "hello");
             }
             NetResponse::Solved(reply) => {
-                Value::map([("kind", "solved".to_value()), ("reply", reply.to_value())])
+                o.field("kind", "solved");
+                o.field("reply", reply);
             }
             NetResponse::Stats(reply) => {
-                Value::map([("kind", "stats".to_value()), ("reply", reply.to_value())])
+                o.field("kind", "stats");
+                o.field("reply", reply);
             }
-            NetResponse::Pong => Value::map([("kind", "pong".to_value())]),
+            NetResponse::Pong => o.field("kind", "pong"),
             NetResponse::Error(fault) => {
-                Value::map([("kind", "error".to_value()), ("fault", fault.to_value())])
+                o.field("fault", fault);
+                o.field("kind", "error");
             }
-        }
+        });
     }
 }
 
 impl Deserialize for NetResponse {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match String::from_value(v.get("kind")?)?.as_str() {
-            "hello" => Ok(NetResponse::Hello(Deserialize::from_value(v.get("ack")?)?)),
-            "solved" => Ok(NetResponse::Solved(Deserialize::from_value(
-                v.get("reply")?,
-            )?)),
-            "stats" => Ok(NetResponse::Stats(Deserialize::from_value(
-                v.get("reply")?,
-            )?)),
-            "pong" => Ok(NetResponse::Pong),
-            "error" => Ok(NetResponse::Error(Deserialize::from_value(
-                v.get("fault")?,
-            )?)),
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+        match &*p.tag("kind")? {
+            "hello" => Ok(NetResponse::Hello(p.field("ack")?)),
+            "solved" => Ok(NetResponse::Solved(p.field("reply")?)),
+            "stats" => Ok(NetResponse::Stats(p.field("reply")?)),
+            "pong" => p.skip().map(|()| NetResponse::Pong),
+            "error" => Ok(NetResponse::Error(p.field("fault")?)),
             other => Err(Error(format!("unknown response kind `{other}`"))),
         }
     }
@@ -545,7 +476,7 @@ mod tests {
         );
         let json = serde::json::to_string(&req);
         let back: NetRequest = serde::json::from_str(&json).unwrap();
-        // The shim's Value model is ordered (BTreeMap), so equal JSON means
+        // Objects are written in ascending key order, so equal JSON means
         // equal message.
         assert_eq!(serde::json::to_string(&back), json);
 

@@ -681,6 +681,36 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frames_get_bad_request_and_the_connection_keeps_serving() {
+        let gateway = Arc::new(tiny_gateway());
+        let server = NetServer::bind("127.0.0.1:0", Arc::clone(&gateway)).unwrap();
+        let max = gateway.max_frame();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        codec::send_message(&mut stream, &Hello::new(TenantId(1)), max).unwrap();
+        let ack: NetResponse = codec::recv_message(&mut stream, max).unwrap().unwrap();
+        assert!(matches!(ack, NetResponse::Hello(_)), "{ack:?}");
+
+        // A mebibyte of `[`, bare and inside a field the request type
+        // skips: each once overflowed the decoder's stack and killed the
+        // whole server.
+        let brackets = vec![b'['; 1 << 20];
+        let mut hidden = br#"{"kind":"ping","pad":"#.to_vec();
+        hidden.extend_from_slice(&brackets);
+        for frame in [brackets, hidden] {
+            codec::write_frame(&mut stream, &frame, max).unwrap();
+            match codec::recv_message(&mut stream, max).unwrap() {
+                Some(NetResponse::Error(fault)) => assert_eq!(fault.code, ErrorCode::BadRequest),
+                other => panic!("expected a bad-request fault, got {other:?}"),
+            }
+        }
+
+        codec::send_message(&mut stream, &NetRequest::Ping, max).unwrap();
+        let pong: NetResponse = codec::recv_message(&mut stream, max).unwrap().unwrap();
+        assert!(matches!(pong, NetResponse::Pong), "{pong:?}");
+        server.shutdown();
+    }
+
+    #[test]
     fn ping_and_stats_answer_without_solving() {
         let gateway = tiny_gateway();
         assert!(matches!(

@@ -4,13 +4,17 @@
 //! silent wrong answer.
 
 use std::io::Cursor;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use cca_core::SolverConfig;
+use cca_core::{AlgoStats, MatchPair, Matching, SolverConfig};
 use cca_geo::Point;
 use cca_net::codec::{self, WireError};
-use cca_net::{NetRequest, ProblemSpec, SolveRequest};
-use cca_storage::Priority;
+use cca_net::{
+    ErrorCode, NetRequest, NetResponse, ProblemSpec, SolveReply, SolveRequest, StatsReply,
+    WireFault,
+};
+use cca_serve::TenantStats;
+use cca_storage::{IoStats, Priority, TenantId};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -67,6 +71,148 @@ fn arb_request() -> impl Strategy<Value = NetRequest> {
         arb_solve().prop_map(NetRequest::Solve),
         Just(NetRequest::Stats),
         Just(NetRequest::Ping),
+    ]
+}
+
+/// Any finite `f64`, drawn by bit pattern: every exponent, the subnormal
+/// range, both zeros and the extremes.
+fn arb_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(|bits| {
+            let x = f64::from_bits(bits);
+            // NaN and ±inf have an all-ones exponent; clearing its top bit
+            // keeps the rest of the pattern.
+            if x.is_finite() {
+                x
+            } else {
+                f64::from_bits(bits & !(1 << 62))
+            }
+        }),
+        // An all-zeros exponent: subnormals and ±0.0.
+        any::<u64>().prop_map(|bits| f64::from_bits(bits & !(0x7ff << 52))),
+        prop_oneof![
+            Just(-0.0),
+            Just(5e-324),
+            Just(f64::MIN_POSITIVE),
+            Just(1e308),
+            Just(-1e308),
+            Just(f64::MAX),
+        ],
+    ]
+}
+
+fn arb_duration() -> impl Strategy<Value = Duration> {
+    (any::<u64>(), 0u32..1_000_000_000).prop_map(|(secs, nanos)| Duration::new(secs, nanos))
+}
+
+fn arb_io() -> impl Strategy<Value = IoStats> {
+    (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(hits, faults, writes)| IoStats {
+        hits,
+        faults,
+        writes,
+    })
+}
+
+fn arb_stats() -> impl Strategy<Value = AlgoStats> {
+    (
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        arb_duration(),
+        arb_io(),
+    )
+        .prop_map(
+            |((esub_edges, dijkstra_runs, settled), (pua, iters, invalid, fast), cpu_time, io)| {
+                AlgoStats {
+                    esub_edges,
+                    dijkstra_runs,
+                    settled,
+                    pua_runs: pua,
+                    iterations: iters,
+                    invalid_paths: invalid,
+                    fast_phase_matches: fast,
+                    cpu_time,
+                    io,
+                }
+            },
+        )
+}
+
+fn arb_pair() -> impl Strategy<Value = MatchPair> {
+    (
+        any::<usize>(),
+        any::<u64>(),
+        any::<u32>(),
+        arb_f64(),
+        (arb_f64(), arb_f64()),
+    )
+        .prop_map(|(provider, customer, units, dist, (x, y))| MatchPair {
+            provider,
+            customer,
+            units,
+            dist,
+            customer_pos: Point::new(x, y),
+        })
+}
+
+fn arb_tenant() -> impl Strategy<Value = TenantStats> {
+    (
+        (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<usize>(), any::<usize>(), arb_io()),
+        (arb_duration(), arb_duration(), arb_f64()),
+    )
+        .prop_map(
+            |(
+                (tenant, weight, submitted, rejected),
+                (dispatched, completed, aborted, cancelled_queued),
+                (queued, in_flight, io),
+                (total_latency, max_latency, qps),
+            )| TenantStats {
+                tenant: TenantId(tenant),
+                weight,
+                submitted,
+                rejected,
+                dispatched,
+                completed,
+                aborted,
+                cancelled_queued,
+                queued,
+                in_flight,
+                io,
+                total_latency,
+                max_latency,
+                qps,
+            },
+        )
+}
+
+fn arb_response() -> impl Strategy<Value = NetResponse> {
+    let codes = ErrorCode::ALL;
+    prop_oneof![
+        (collection::vec(arb_pair(), 0..40), arb_stats()).prop_map(|(pairs, stats)| {
+            NetResponse::Solved(SolveReply {
+                matching: Matching { pairs },
+                stats,
+            })
+        }),
+        (0..codes.len(), arb_stats(), any::<bool>()).prop_map(move |(code, stats, ran)| {
+            NetResponse::Error(WireFault {
+                code: codes[code],
+                message: format!("fault \"{code}\"\n\u{1} ü"),
+                partial_stats: ran.then_some(stats),
+            })
+        }),
+        collection::vec(arb_tenant(), 0..5)
+            .prop_map(|tenants| NetResponse::Stats(StatsReply { tenants })),
+        Just(NetResponse::Pong),
+    ]
+}
+
+fn bits(p: &MatchPair) -> [u64; 3] {
+    [
+        p.dist.to_bits(),
+        p.customer_pos.x.to_bits(),
+        p.customer_pos.y.to_bits(),
     ]
 }
 
@@ -151,8 +297,102 @@ proptest! {
         let bytes = codec::encode(&request);
         prop_assert!(bytes.len() <= MAX, "requests stay well under the bound");
         let back: NetRequest = codec::decode(&bytes).unwrap();
-        // The shim's map model is ordered, so byte-equal re-encoding means
-        // the decoded message is the same message.
+        // Objects are written in ascending key order, so byte-equal
+        // re-encoding means the decoded message is the same message.
         prop_assert_eq!(codec::encode(&back), bytes);
     }
+
+    #[test]
+    fn replies_roundtrip_through_the_codec(response in arb_response()) {
+        let bytes = codec::encode(&response);
+        let back: NetResponse = codec::decode(&bytes).unwrap();
+        prop_assert_eq!(codec::encode(&back), bytes);
+        if let (NetResponse::Solved(sent), NetResponse::Solved(got)) = (&response, &back) {
+            let sent: Vec<_> = sent.matching.pairs.iter().map(bits).collect();
+            let got: Vec<_> = got.matching.pairs.iter().map(bits).collect();
+            prop_assert_eq!(got, sent);
+        }
+    }
+
+    #[test]
+    fn finite_floats_roundtrip_bit_exactly(x in arb_f64()) {
+        let back: f64 = codec::decode(&codec::encode(&x)).unwrap();
+        prop_assert_eq!(back.to_bits(), x.to_bits());
+    }
+}
+
+#[test]
+fn a_mebibyte_of_brackets_is_malformed_not_a_stack_overflow() {
+    let brackets = vec![b'['; 1 << 20];
+    assert!(matches!(
+        codec::decode::<NetRequest>(&brackets),
+        Err(WireError::Malformed(_))
+    ));
+    // The same nesting where a decoder has to walk it: inside a key the
+    // request type skips, and as a dynamic tree.
+    let mut hidden = br#"{"kind":"ping","pad":"#.to_vec();
+    hidden.extend_from_slice(&brackets);
+    for err in [
+        codec::decode::<NetRequest>(&hidden).map(drop),
+        codec::decode::<serde::Value>(&brackets).map(drop),
+    ] {
+        match err {
+            Err(WireError::Malformed(msg)) => assert!(msg.contains("nesting deeper than 128")),
+            other => panic!("expected a nesting error, got {other:?}"),
+        }
+    }
+}
+
+/// A `Solved` reply of `pairs` pairs, shaped like a real one.
+fn reply(pairs: usize) -> Vec<u8> {
+    let pairs = (0..pairs)
+        .map(|i| {
+            let t = i as f64;
+            MatchPair {
+                provider: i % 61,
+                customer: i as u64,
+                units: 1,
+                dist: (t * 0.37).sin().abs() * 812.3,
+                customer_pos: Point::new(t * 13.71 % 997.3, t * 7.13 % 991.7),
+            }
+        })
+        .collect();
+    codec::encode(&NetResponse::Solved(SolveReply {
+        matching: Matching { pairs },
+        stats: AlgoStats::default(),
+    }))
+}
+
+/// Best-of-5 decode time per byte, decoding `payload` `reps` times a run.
+fn decode_ns_per_byte(payload: &[u8], reps: usize) -> f64 {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..reps {
+                std::hint::black_box(codec::decode::<NetResponse>(payload).unwrap());
+            }
+            start.elapsed().as_nanos() as f64 / (payload.len() * reps) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing test: run with --release")]
+fn decode_time_is_linear_in_reply_size() {
+    let small = reply(64);
+    let large = reply(8_192);
+    assert!((7_000..10_000).contains(&small.len()), "{}", small.len());
+    assert!(
+        (900_000..1_200_000).contains(&large.len()),
+        "{}",
+        large.len()
+    );
+    let small_rate = decode_ns_per_byte(&small, large.len() / small.len());
+    let large_rate = decode_ns_per_byte(&large, 1);
+    assert!(
+        large_rate < 2.0 * small_rate,
+        "decode costs {large_rate:.2} ns/B at {} B but {small_rate:.2} ns/B at {} B",
+        large.len(),
+        small.len(),
+    );
 }

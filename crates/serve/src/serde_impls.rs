@@ -2,111 +2,84 @@
 //! [`Rejected`] (admission shedding), [`TenantQuota`] (operator config)
 //! and [`TenantStats`] (the stats a gateway reports per tenant).
 //!
-//! Hand-written field-per-field maps against the vendored `serde` shim,
-//! shaped like the derive output so swapping in the real serde later is
-//! mechanical. `Rejected` is a tagged map (`{"kind": ..., ...fields}`),
-//! the enum idiom used across the workspace.
+//! Field-per-field objects via the vendored `serde` shim's
+//! `derive_struct!`, shaped like the derive output so swapping in the real
+//! serde later is mechanical. `Rejected` is a tagged map
+//! (`{"kind": ..., ...fields}`), the enum idiom used across the workspace.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::json::{required, Parser, Writer};
+use serde::{Deserialize, Error, Serialize};
 
 use crate::drr::{TenantQuota, TenantStats};
 use crate::scheduler::Rejected;
 
 impl Serialize for Rejected {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            Rejected::QueueFull { capacity } => Value::map([
-                ("kind", "queue_full".to_value()),
-                ("capacity", capacity.to_value()),
-            ]),
+            Rejected::QueueFull { capacity } => w.object(|o| {
+                o.field("capacity", capacity);
+                o.field("kind", "queue_full");
+            }),
             Rejected::TenantQuotaExceeded {
                 tenant,
                 queue_slots,
-            } => Value::map([
-                ("kind", "tenant_quota_exceeded".to_value()),
-                ("tenant", tenant.to_value()),
-                ("queue_slots", queue_slots.to_value()),
-            ]),
+            } => w.object(|o| {
+                o.field("kind", "tenant_quota_exceeded");
+                o.field("queue_slots", queue_slots);
+                o.field("tenant", tenant);
+            }),
         }
     }
 }
 
 impl Deserialize for Rejected {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match String::from_value(v.get("kind")?)?.as_str() {
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+        let (mut kind, mut capacity, mut tenant, mut queue_slots) = (None, None, None, None);
+        p.object(|p, key| {
+            match key {
+                "kind" => kind = Some(String::deserialize(p)?),
+                "capacity" => capacity = Some(usize::deserialize(p)?),
+                "tenant" => tenant = Some(Deserialize::deserialize(p)?),
+                "queue_slots" => queue_slots = Some(usize::deserialize(p)?),
+                _ => p.skip()?,
+            }
+            Ok(())
+        })?;
+        match required(kind, "kind")?.as_str() {
             "queue_full" => Ok(Rejected::QueueFull {
-                capacity: usize::from_value(v.get("capacity")?)?,
+                capacity: required(capacity, "capacity")?,
             }),
             "tenant_quota_exceeded" => Ok(Rejected::TenantQuotaExceeded {
-                tenant: Deserialize::from_value(v.get("tenant")?)?,
-                queue_slots: usize::from_value(v.get("queue_slots")?)?,
+                tenant: required(tenant, "tenant")?,
+                queue_slots: required(queue_slots, "queue_slots")?,
             }),
             other => Err(Error(format!("unknown rejection kind `{other}`"))),
         }
     }
 }
 
-impl Serialize for TenantQuota {
-    fn to_value(&self) -> Value {
-        Value::map([
-            ("weight", self.weight.to_value()),
-            ("queue_slots", self.queue_slots.to_value()),
-            ("max_in_flight", self.max_in_flight.to_value()),
-        ])
-    }
-}
+serde::derive_struct!(TenantQuota {
+    max_in_flight,
+    queue_slots,
+    weight,
+});
 
-impl Deserialize for TenantQuota {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(TenantQuota {
-            weight: u32::from_value(v.get("weight")?)?,
-            queue_slots: usize::from_value(v.get("queue_slots")?)?,
-            max_in_flight: usize::from_value(v.get("max_in_flight")?)?,
-        })
-    }
-}
-
-impl Serialize for TenantStats {
-    fn to_value(&self) -> Value {
-        Value::map([
-            ("tenant", self.tenant.to_value()),
-            ("weight", self.weight.to_value()),
-            ("submitted", self.submitted.to_value()),
-            ("rejected", self.rejected.to_value()),
-            ("dispatched", self.dispatched.to_value()),
-            ("completed", self.completed.to_value()),
-            ("aborted", self.aborted.to_value()),
-            ("cancelled_queued", self.cancelled_queued.to_value()),
-            ("queued", self.queued.to_value()),
-            ("in_flight", self.in_flight.to_value()),
-            ("io", self.io.to_value()),
-            ("total_latency", self.total_latency.to_value()),
-            ("max_latency", self.max_latency.to_value()),
-            ("qps", self.qps.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TenantStats {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(TenantStats {
-            tenant: Deserialize::from_value(v.get("tenant")?)?,
-            weight: u32::from_value(v.get("weight")?)?,
-            submitted: u64::from_value(v.get("submitted")?)?,
-            rejected: u64::from_value(v.get("rejected")?)?,
-            dispatched: u64::from_value(v.get("dispatched")?)?,
-            completed: u64::from_value(v.get("completed")?)?,
-            aborted: u64::from_value(v.get("aborted")?)?,
-            cancelled_queued: u64::from_value(v.get("cancelled_queued")?)?,
-            queued: usize::from_value(v.get("queued")?)?,
-            in_flight: usize::from_value(v.get("in_flight")?)?,
-            io: Deserialize::from_value(v.get("io")?)?,
-            total_latency: Deserialize::from_value(v.get("total_latency")?)?,
-            max_latency: Deserialize::from_value(v.get("max_latency")?)?,
-            qps: f64::from_value(v.get("qps")?)?,
-        })
-    }
-}
+serde::derive_struct!(TenantStats {
+    aborted,
+    cancelled_queued,
+    completed,
+    dispatched,
+    in_flight,
+    io,
+    max_latency,
+    qps,
+    queued,
+    rejected,
+    submitted,
+    tenant,
+    total_latency,
+    weight,
+});
 
 #[cfg(test)]
 mod tests {

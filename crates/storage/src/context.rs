@@ -378,23 +378,23 @@ mod serde_impls {
     //! bare integer.
 
     use super::{AbortReason, Priority, TenantId};
-    use serde::{Deserialize, Error, Serialize, Value};
+    use serde::json::{Parser, Writer};
+    use serde::{Deserialize, Error, Serialize};
 
     impl Serialize for Priority {
-        fn to_value(&self) -> Value {
-            match self {
+        fn serialize(&self, w: &mut Writer) {
+            w.str(match self {
                 Priority::Low => "low",
                 Priority::Normal => "normal",
                 Priority::High => "high",
                 Priority::Critical => "critical",
-            }
-            .to_value()
+            });
         }
     }
 
     impl Deserialize for Priority {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            match String::from_value(v)?.as_str() {
+        fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+            match &*p.str()? {
                 "low" => Ok(Priority::Low),
                 "normal" => Ok(Priority::Normal),
                 "high" => Ok(Priority::High),
@@ -405,19 +405,18 @@ mod serde_impls {
     }
 
     impl Serialize for AbortReason {
-        fn to_value(&self) -> Value {
-            match self {
+        fn serialize(&self, w: &mut Writer) {
+            w.str(match self {
                 AbortReason::Cancelled => "cancelled",
                 AbortReason::DeadlineExceeded => "deadline_exceeded",
                 AbortReason::IoBudgetExceeded => "io_budget_exceeded",
-            }
-            .to_value()
+            });
         }
     }
 
     impl Deserialize for AbortReason {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            match String::from_value(v)?.as_str() {
+        fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+            match &*p.str()? {
                 "cancelled" => Ok(AbortReason::Cancelled),
                 "deadline_exceeded" => Ok(AbortReason::DeadlineExceeded),
                 "io_budget_exceeded" => Ok(AbortReason::IoBudgetExceeded),
@@ -427,14 +426,14 @@ mod serde_impls {
     }
 
     impl Serialize for TenantId {
-        fn to_value(&self) -> Value {
-            self.0.to_value()
+        fn serialize(&self, w: &mut Writer) {
+            self.0.serialize(w);
         }
     }
 
     impl Deserialize for TenantId {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            u32::from_value(v).map(TenantId)
+        fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+            u32::deserialize(p).map(TenantId)
         }
     }
 

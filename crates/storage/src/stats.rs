@@ -109,27 +109,12 @@ impl IoSession {
 #[cfg(feature = "serde")]
 mod serde_impls {
     use super::IoStats;
-    use serde::{Deserialize, Error, Serialize, Value};
 
-    impl Serialize for IoStats {
-        fn to_value(&self) -> Value {
-            Value::map([
-                ("hits", self.hits.to_value()),
-                ("faults", self.faults.to_value()),
-                ("writes", self.writes.to_value()),
-            ])
-        }
-    }
-
-    impl Deserialize for IoStats {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            Ok(IoStats {
-                hits: u64::from_value(v.get("hits")?)?,
-                faults: u64::from_value(v.get("faults")?)?,
-                writes: u64::from_value(v.get("writes")?)?,
-            })
-        }
-    }
+    serde::derive_struct!(IoStats {
+        faults,
+        hits,
+        writes
+    });
 
     #[cfg(test)]
     mod tests {
