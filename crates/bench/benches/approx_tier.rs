@@ -119,8 +119,7 @@ fn main() {
             seed: 83,
         }
         .generate();
-        let instance =
-            SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 4096, 8.0, 4);
+        let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 4096, 8.0);
         println!(
             "---- {} customers, {} providers (Σcap {}, γ {}) ----",
             spec.customers,
@@ -209,7 +208,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"approx_tier\",\n  \"config\": {{\"page_size\": 4096, \
-         \"buffer_percent\": 8.0, \"shards\": 4, \"quick\": {quick}, \
+         \"buffer_percent\": 8.0, \"quick\": {quick}, \
          \"host_cores\": {host_cores}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

@@ -38,7 +38,7 @@ fn build() -> SpatialAssignment {
         seed: 11,
     }
     .generate();
-    SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 1024, 8.0, 8)
+    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 8.0)
 }
 
 struct Round {
@@ -122,11 +122,10 @@ fn round(instance: &SpatialAssignment, weight_a: u32) -> Round {
 fn main() {
     let instance = build();
     println!(
-        "# |P|={} pages={} buffer={} pages shards={}",
+        "# |P|={} pages={} buffer={} pages",
         instance.customers().len(),
         instance.tree().store().num_pages(),
         instance.tree().store().buffer_capacity(),
-        instance.tree().store().num_shards(),
     );
     let mut rows = Vec::new();
     for weight_a in [1u32, 2, 4] {
@@ -163,7 +162,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"fair_share\",\n  \"config\": {{\"customers\": 12000, \
-         \"providers\": 24, \"page_size\": 1024, \"buffer_percent\": 8.0, \"shards\": 8, \
+         \"providers\": 24, \"page_size\": 1024, \"buffer_percent\": 8.0, \
          \"burst_per_tenant\": {BURST_PER_TENANT}, \"io_budget\": {IO_BUDGET}, \
          \"workers\": {WORKERS}, \"host_cores\": {host_cores}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n")

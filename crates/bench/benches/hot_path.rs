@@ -3,7 +3,7 @@
 //!
 //! * `hot_read` — page-*hit* read throughput through the store at 1/2/4/8
 //!   threads over a fully resident working set, so the only cost is the
-//!   read path itself (one shard-mutex acquisition per read). The committed
+//!   read path itself (one store-mutex acquisition per read). The committed
 //!   `"rev": "one-read-path"` rows against the older optimistic-copy rows
 //!   are the record of why there is one read path.
 //! * `dist_kernel` — the scalar `Point::dist2` loop vs. the batched
@@ -14,7 +14,7 @@
 //! * `hilbert_scan` — a full sequential point scan over the bulk-loaded
 //!   tree, whose leaves are placed in Hilbert order; with a small buffer
 //!   the fault count shows each page is read exactly once.
-//! * `batch` — the single-thread mixed solver batch of `pool_contention`,
+//! * `batch` — a single-thread mixed solver batch (IDA variants + CA + SA),
 //!   the end-to-end number all levers feed into.
 //!
 //! Writes `BENCH_hotpath.json` (override with `CCA_BENCH_OUT`). Run with
@@ -98,7 +98,7 @@ fn kernel_rate(reps: usize, mut sweep: impl FnMut() -> f64) -> f64 {
     (reps * KERNEL_N) as f64 / start.elapsed().as_secs_f64() / 1.0e6
 }
 
-fn build_instance(shards: usize) -> SpatialAssignment {
+fn build_instance() -> SpatialAssignment {
     let w = WorkloadConfig {
         num_providers: 24,
         num_customers: 20_000,
@@ -108,10 +108,10 @@ fn build_instance(shards: usize) -> SpatialAssignment {
         seed: 7,
     }
     .generate();
-    SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 1024, 16.0, shards)
+    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 16.0)
 }
 
-/// The `pool_contention` mixed batch (IDA variants + CA + SA).
+/// The mixed batch: IDA variants + CA + SA.
 fn batch_queries() -> Vec<SolverConfig> {
     let mut queries = Vec::new();
     for group_size in [4, 8, 16] {
@@ -133,7 +133,7 @@ fn main() {
     let mut rows: Vec<String> = Vec::new();
 
     // ---- hot_read ---------------------------------------------------
-    let store = PageStore::with_config_sharded(1024, 4096, 8);
+    let store = PageStore::with_config(1024, 4096);
     let pages: Vec<PageId> = (0..1024)
         .map(|i| {
             let id = store.alloc_page();
@@ -210,7 +210,7 @@ fn main() {
     }
 
     // ---- hilbert_scan + batch (share the 20k instance) --------------
-    let instance = build_instance(8);
+    let instance = build_instance();
     let tree = instance.tree();
     let mut best_scan_s = f64::INFINITY;
     let mut scan_faults = 0u64;
@@ -253,7 +253,7 @@ fn main() {
     // ---- emit -------------------------------------------------------
     let json = format!(
         "{{\n  \"bench\": \"hot_path\",\n  \"config\": {{\"customers\": 20000, \
-         \"providers\": 24, \"page_size\": 1024, \"buffer_percent\": 16.0, \"shards\": 8, \
+         \"providers\": 24, \"page_size\": 1024, \"buffer_percent\": 16.0, \
          \"kernel_n\": {KERNEL_N}, \"quick\": {}, \"host_cores\": {host_cores}}},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
         scale.quick,

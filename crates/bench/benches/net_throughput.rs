@@ -37,12 +37,11 @@ fn dataset() -> Arc<SpatialAssignment> {
         seed: 33,
     }
     .generate();
-    Arc::new(SpatialAssignment::build_with_storage_sharded(
+    Arc::new(SpatialAssignment::build_with_storage(
         w.providers,
         w.customers,
         1024,
         8.0,
-        8,
     ))
 }
 
@@ -147,7 +146,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"net_throughput\",\n  \"config\": {{\"customers\": 8000, \
-         \"providers\": 16, \"page_size\": 1024, \"buffer_percent\": 8.0, \"shards\": 8, \
+         \"providers\": 16, \"page_size\": 1024, \"buffer_percent\": 8.0, \
          \"workers\": {WORKERS}, \"queue\": {QUEUE}, \"pings_per_client\": {PINGS_PER_CLIENT}, \
          \"inline_per_client\": {INLINE_PER_CLIENT}, \
          \"dataset_per_client\": {DATASET_PER_CLIENT}, \

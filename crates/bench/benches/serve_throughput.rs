@@ -37,7 +37,7 @@ fn build() -> SpatialAssignment {
         seed: 11,
     }
     .generate();
-    SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 1024, 8.0, 8)
+    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 8.0)
 }
 
 /// IDA-heavy mix — the solvers that actually live on the page store.
@@ -140,11 +140,10 @@ struct Row {
 fn main() {
     let instance = build();
     println!(
-        "# |P|={} pages={} buffer={} pages shards={}",
+        "# |P|={} pages={} buffer={} pages",
         instance.customers().len(),
         instance.tree().store().num_pages(),
         instance.tree().store().buffer_capacity(),
-        instance.tree().store().num_shards(),
     );
     let queries = batch_queries();
     let mut rows: Vec<Row> = Vec::new();
@@ -191,7 +190,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"serve_throughput\",\n  \"config\": {{\"customers\": 12000, \
-         \"providers\": 24, \"page_size\": 1024, \"buffer_percent\": 8.0, \"shards\": 8, \
+         \"providers\": 24, \"page_size\": 1024, \"buffer_percent\": 8.0, \
          \"stream_len\": {STREAM_LEN}, \"stream_io_budget\": {STREAM_BUDGET}, \
          \"host_cores\": {host_cores}}},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",

@@ -281,11 +281,7 @@ mod tests {
     #[test]
     fn grouped_search_saves_io_versus_individual() {
         let items = random_items(30000, 43);
-        // shards = 1: the grouped-vs-solo fault comparison assumes the
-        // paper's single global buffer; splitting it over per-shard pools on
-        // many-core hosts would change what stays resident and blur the
-        // contrast.
-        let tree = RTree::bulk_load(PageStore::with_config_sharded(1024, 16384, 1), &items);
+        let tree = RTree::bulk_load(PageStore::with_config(1024, 16384), &items);
         tree.finish_build(1.0);
 
         // Ten co-located providers each pulling 200 NNs.

@@ -7,11 +7,13 @@
 //!
 //! Page ids are not assigned in STR emission order but in *Hilbert order* of
 //! each node's MBR center: nodes that are close in space get close (usually
-//! consecutive) page ids. Since the sharded store stripes pages round-robin
-//! and spatial queries touch spatially clustered nodes, this spreads a
-//! query's faults evenly across shards and keeps sequential leaf scans on
-//! sequentially allocated pages. The tree *structure* is identical to plain
-//! STR — only the id → node mapping changes.
+//! consecutive) page ids. The tree *structure* is identical to plain STR —
+//! only the id → node mapping changes. The simulated disk charges a flat
+//! count per read, so placement buys no I/O discount. What it still decides
+//! is tie-breaking: the k-NN cursor (`knn.rs`, `HeapItem::rank`) orders
+//! nodes at equal mindist by page id, so placement fixes which of them is
+//! expanded first. Whether plain STR order would move any fault or page
+//! count is unmeasured.
 
 use cca_geo::{hilbert, Point, Rect};
 use cca_storage::{PageId, PageStore};
@@ -78,10 +80,11 @@ impl RTree {
 /// nodes' MBR centers (normalised against the level's own bounding box).
 ///
 /// Pages come from the store's sequential allocator, so the r-th node along
-/// the curve lands on the r-th freshly allocated page. Returns the level's
-/// entries in the *original STR order* — parents are packed from the same
-/// tiling regardless of where children were placed, keeping the structure
-/// identical to plain STR.
+/// the curve lands on the r-th freshly allocated page; page order is the
+/// k-NN cursor's tie-break between nodes at equal mindist (see the module
+/// doc). Returns the level's entries in the *original STR order* — parents
+/// are packed from the same tiling regardless of where children were
+/// placed, keeping the structure identical to plain STR.
 fn write_level_hilbert_ordered(tree: &RTree, nodes: Vec<(Rect, Node)>) -> Vec<InnerEntry> {
     let mut bbox = Rect::empty();
     for (mbr, _) in &nodes {

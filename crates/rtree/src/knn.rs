@@ -102,8 +102,8 @@ pub struct IncNn<'t> {
     heap: BinaryHeap<Reverse<HeapItem>>,
     yielded: usize,
     /// Per-query control block; every page this cursor faults or hits is
-    /// charged here in addition to the store's shard counters, and the
-    /// cursor stops expanding nodes the moment the context aborts.
+    /// charged here in addition to the store's counters, and the cursor
+    /// stops expanding nodes the moment the context aborts.
     ctx: Option<QueryContext>,
     /// Why the cursor stopped early, if it did.
     aborted: Option<AbortReason>,

@@ -289,9 +289,7 @@ mod tests {
 
     #[test]
     fn finish_build_applies_one_percent_rule() {
-        // shards = 1: multi-shard stores floor the capacity at one page per
-        // shard, which would mask the exact 1 % arithmetic checked here.
-        let store = PageStore::with_config_sharded(1024, 4096, 1);
+        let store = PageStore::with_config(1024, 4096);
         // Allocate ~300 pages by hand to exercise the rule.
         let t = RTree::new(store);
         for _ in 0..299 {

@@ -3,9 +3,9 @@
 //!
 //! A frame is plain data owned by the pool: the page it holds, the page
 //! bytes, a clock reference bit and a dirty bit. Every operation takes
-//! `&mut BufferPool`, so whatever serialises access to the pool (the owning
-//! shard's mutex in [`crate::PageStore`]) serialises hits, faults, writes
-//! and resizes alike — there is one read path, and the closure handed to
+//! `&mut BufferPool`, so whatever serialises access to the pool (the store
+//! mutex in [`crate::PageStore`]) serialises hits, faults, writes and
+//! resizes alike — there is one read path, and the closure handed to
 //! [`BufferPool::with_page`] sees the frame's bytes in place.
 //!
 //! Replacement is clock/second-chance rather than the paper's strict LRU: a
@@ -20,7 +20,7 @@ const NO_FRAME: u32 = u32::MAX;
 const NO_PAGE: u32 = u32::MAX;
 
 struct Frame {
-    /// Shard-local index of the page held, [`NO_PAGE`] when detached.
+    /// Index of the page held, [`NO_PAGE`] when detached.
     page: u32,
     bytes: Box<[u8]>,
     /// Clock reference bit: set on every access, cleared by the sweeping
@@ -29,8 +29,8 @@ struct Frame {
     dirty: bool,
 }
 
-/// A buffer pool caching up to `capacity` pages with clock (second-chance)
-/// replacement.
+/// A buffer pool caching up to `capacity` pages (at least one) with clock
+/// (second-chance) replacement.
 ///
 /// The evaluation uses a buffer sized at "1% of the tree size" (§5.1); the
 /// R-tree configures that after bulk loading via
@@ -48,26 +48,19 @@ pub struct BufferPool {
     /// Allocated frames currently holding no page (detached by
     /// [`BufferPool::clear`]); popped in O(1) before growing or evicting.
     free: Vec<u32>,
-    /// Reusable read-through buffer for the zero-capacity mode.
-    scratch: Option<Box<[u8]>>,
     stats: IoStats,
 }
 
 impl BufferPool {
-    /// Creates a pool holding at most `capacity` pages.
-    ///
-    /// A capacity of `0` is a *read-through* pool: every read faults into a
-    /// scratch buffer and nothing is retained. The sharded store uses this
-    /// for shards whose stripe earned no frame under a tiny total budget,
-    /// keeping the store-wide capacity exactly as requested.
+    /// Creates a pool holding at most `capacity` pages; `0` is clamped to
+    /// one frame.
     pub fn new(capacity: usize) -> Self {
         BufferPool {
-            capacity,
+            capacity: capacity.max(1),
             frames: Vec::new(),
             page_table: Vec::new(),
             hand: 0,
             free: Vec::new(),
-            scratch: None,
             stats: IoStats::default(),
         }
     }
@@ -192,18 +185,6 @@ impl BufferPool {
             return f(&frame.bytes);
         }
         self.stats.faults += 1;
-        if self.capacity == 0 {
-            // Read-through: serve the fault from the scratch buffer without
-            // caching anything.
-            let mut scratch = self
-                .scratch
-                .take()
-                .unwrap_or_else(|| vec![0u8; disk.page_size()].into_boxed_slice());
-            disk.read_page(id, &mut scratch);
-            let result = f(&scratch);
-            self.scratch = Some(scratch);
-            return result;
-        }
         let slot = self.acquire_slot(disk);
         let frame = &mut self.frames[slot];
         disk.read_page(id, &mut frame.bytes);
@@ -220,12 +201,6 @@ impl BufferPool {
     pub fn write_page(&mut self, disk: &mut DiskManager, id: PageId, data: &[u8]) {
         assert_eq!(data.len(), disk.page_size(), "buffer/page size mismatch");
         self.ensure_page_table(id);
-        if self.capacity == 0 {
-            // Write-through: no frame to hold the dirty page.
-            disk.write_page(id, data);
-            self.stats.writes += 1;
-            return;
-        }
         let slot = match self.lookup(id) {
             Some(slot) => slot,
             None => {
@@ -269,10 +244,11 @@ impl BufferPool {
         self.hand = 0;
     }
 
-    /// Changes the capacity; if shrinking, evicts clock victims immediately
-    /// and compacts the surviving frames into the low slots so no frame
-    /// allocation outlives the new capacity.
+    /// Changes the capacity (`0` is clamped to one frame); if shrinking,
+    /// evicts clock victims immediately and compacts the surviving frames
+    /// into the low slots so no frame allocation outlives the new capacity.
     pub fn set_capacity(&mut self, disk: &mut DiskManager, capacity: usize) {
+        let capacity = capacity.max(1);
         while self.cached_pages() > capacity {
             let victim = self.pick_victim();
             self.evict_slot(victim, disk);
@@ -487,39 +463,21 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_pool_reads_through() {
-        let (mut disk, mut pool, ids) = setup(0, 3, 8);
-        assert_eq!(pool.capacity(), 0);
-        for (i, &id) in ids.iter().enumerate() {
-            pool.with_page(&mut disk, id, |d| assert_eq!(d[0], i as u8));
-        }
-        // Nothing is retained: every access faults, nothing is cached.
-        pool.with_page(&mut disk, ids[0], |_| ());
-        let s = pool.stats();
-        assert_eq!(s.faults, 4);
-        assert_eq!(s.hits, 0);
-        assert_eq!(pool.cached_pages(), 0);
-        // Writes go straight to disk and survive the round trip.
-        pool.write_page(&mut disk, ids[1], &[9u8; 8]);
-        assert_eq!(disk.physical_writes(), 1);
-        pool.with_page(&mut disk, ids[1], |d| assert_eq!(d, &[9u8; 8]));
-        pool.flush_all(&mut disk); // no dirty frames to flush
-        assert_eq!(disk.physical_writes(), 1);
-    }
-
-    #[test]
     fn shrink_to_zero_then_grow_again() {
         let (mut disk, mut pool, ids) = setup(2, 2, 8);
         pool.write_page(&mut disk, ids[0], &[5u8; 8]);
+        pool.with_page(&mut disk, ids[1], |_| ());
+        // Zero is clamped to one frame: the sweep evicts dirty page 0.
         pool.set_capacity(&mut disk, 0);
+        assert_eq!(pool.capacity(), 1);
         assert_eq!(disk.physical_writes(), 1, "dirty page written back");
-        assert_eq!(pool.cached_pages(), 0);
+        assert_eq!(pool.cached_pages(), 1);
         pool.with_page(&mut disk, ids[0], |d| assert_eq!(d, &[5u8; 8]));
         pool.set_capacity(&mut disk, 2);
         pool.reset_stats();
         pool.with_page(&mut disk, ids[0], |_| ());
         pool.with_page(&mut disk, ids[0], |_| ());
-        assert_eq!(pool.stats().hits, 1, "caching resumes after regrow");
+        assert_eq!(pool.stats().hits, 2, "caching resumes after regrow");
     }
 
     #[test]

@@ -292,10 +292,10 @@ impl QueryContext {
         self.control.cancelled.load(Ordering::Acquire)
     }
 
-    /// Charges `delta` to the context's counters; called by the store's
-    /// shards under the shard lock. A fault that reaches the I/O budget
-    /// records [`AbortReason::IoBudgetExceeded`] right here — the budget
-    /// check is charged at page-fault time.
+    /// Charges `delta` to the context's counters; called by the store
+    /// under its lock. A fault that reaches the I/O budget records
+    /// [`AbortReason::IoBudgetExceeded`] right here — the budget check is
+    /// charged at page-fault time.
     pub fn charge(&self, delta: IoStats) {
         self.session.charge(delta);
         if delta.faults != 0 {

@@ -18,11 +18,12 @@
 //!   counters + tenant + priority + deadline + I/O budget + cancellation)
 //!   threaded through every page access, so concurrent queries each see
 //!   their own traffic; budgets trip at page-fault time,
-//! * [`store::PageStore`] — the facade striping pages over N independent
-//!   shards (own frames, clock hand and lock each; counters are per-shard
-//!   atomics aggregated on read), shared across the serving layer's worker
-//!   threads. There is one read path: every access, hit or fault, runs
-//!   under its shard's mutex and is charged there.
+//! * [`store::PageStore`] — the facade: one buffer pool over one disk
+//!   behind one mutex, shared across the serving layer's worker threads.
+//!   There is one read path: every access, hit or fault, takes the mutex
+//!   once and is charged there, to atomic counters readable without it.
+//!   The eviction sequence depends only on the access sequence, so fault
+//!   counts are the same on every host.
 //!
 //! The disk is in-memory (documented substitution in DESIGN.md §5): the
 //! paper itself *charges* I/O time per fault rather than measuring a device,
@@ -33,7 +34,6 @@
 pub mod buffer;
 pub mod context;
 pub mod disk;
-mod shard;
 pub mod stats;
 pub mod store;
 
@@ -41,7 +41,7 @@ pub use buffer::BufferPool;
 pub use context::{AbortReason, Aborted, Priority, QueryContext, TenantId};
 pub use disk::{DiskManager, PageId};
 pub use stats::IoStats;
-pub use store::{default_shards, PageStore};
+pub use store::PageStore;
 
 /// Default page size used in the paper's evaluation ("indexed by an R-tree
 /// with 1Kbyte page size", §5.1).
@@ -50,3 +50,9 @@ pub const DEFAULT_PAGE_SIZE: usize = 1024;
 /// I/O cost charged per page fault ("we measure I/O time by charging 10ms
 /// per page fault", §5.1).
 pub const IO_COST_PER_FAULT_MS: f64 = 10.0;
+
+/// Always `1`: the store has one buffer pool.
+#[doc(hidden)]
+pub fn default_shards() -> usize {
+    1
+}

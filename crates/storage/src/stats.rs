@@ -61,8 +61,8 @@ impl IoStats {
 }
 
 /// A cheap, cloneable bundle of three atomic [`IoStats`] counters — the
-/// storage the per-shard aggregates and every [`crate::QueryContext`] both
-/// count into. Cloning shares the counters (it is an `Arc` underneath).
+/// storage the store-wide counters and every [`crate::QueryContext`]
+/// both count into. Cloning shares the counters (it is an `Arc` underneath).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct IoSession {
     inner: Arc<SessionCounters>,

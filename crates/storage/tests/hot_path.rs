@@ -1,9 +1,8 @@
 //! The page-read hot path under concurrency. Every access — hit or fault —
 //! goes through the one locked path, so under racing readers and writers:
 //!
-//! 1. the bytes and the exact hit/fault counts are identical to what the
-//!    `shards = 1` store produces: every access is charged to exactly one
-//!    counter,
+//! 1. the bytes and the exact hit/fault counts are identical to a
+//!    sequential run: every access is charged to exactly one counter,
 //! 2. no reader ever observes a torn page, even with a concurrent writer
 //!    flipping page contents,
 //! 3. no reader is ever handed another page's bytes, or a stale generation
@@ -11,53 +10,51 @@
 
 use cca_storage::{IoStats, PageStore, QueryContext};
 
-/// Racing readers over a fully resident working set: identical bytes at
-/// every shard count and exact per-session attribution.
+/// Racing readers over a fully resident working set: identical bytes and
+/// exact per-session attribution.
 #[test]
 fn concurrent_hits_match_mutex_path_exactly() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 500;
-    for shards in [1, 4] {
-        let store = PageStore::with_config_sharded(32, 16, shards);
-        let pages: Vec<_> = (0..16).map(|_| store.alloc_page()).collect();
-        for (i, &p) in pages.iter().enumerate() {
-            store.write_page(p, &[i as u8; 32]);
-        }
-        for &p in &pages {
-            store.with_page(p, |_| ());
-        }
-        store.reset_stats();
-
-        let sessions: Vec<QueryContext> = (0..THREADS).map(|_| QueryContext::new()).collect();
-        std::thread::scope(|scope| {
-            for (t, session) in sessions.iter().enumerate() {
-                let store = &store;
-                let pages = &pages;
-                scope.spawn(move || {
-                    for round in 0..ROUNDS {
-                        let idx = (t * 5 + round * 3) % pages.len();
-                        store.with_page_ctx(pages[idx], Some(session), |d| {
-                            // Byte-exact, never a torn mix.
-                            assert_eq!(d, &[idx as u8; 32]);
-                        });
-                    }
-                });
-            }
-        });
-
-        // Exact counts: every access was a hit, charged to exactly one
-        // session, and the aggregate matches the mutex path's bookkeeping.
-        let total: IoStats = sessions
-            .iter()
-            .fold(IoStats::default(), |acc, s| acc + s.stats());
-        let expect = IoStats {
-            hits: (THREADS * ROUNDS) as u64,
-            faults: 0,
-            writes: 0,
-        };
-        assert_eq!(total, expect, "shards = {shards}");
-        assert_eq!(store.io_stats(), expect, "shards = {shards}");
+    let store = PageStore::with_config(32, 16);
+    let pages: Vec<_> = (0..16).map(|_| store.alloc_page()).collect();
+    for (i, &p) in pages.iter().enumerate() {
+        store.write_page(p, &[i as u8; 32]);
     }
+    for &p in &pages {
+        store.with_page(p, |_| ());
+    }
+    store.reset_stats();
+
+    let sessions: Vec<QueryContext> = (0..THREADS).map(|_| QueryContext::new()).collect();
+    std::thread::scope(|scope| {
+        for (t, session) in sessions.iter().enumerate() {
+            let store = &store;
+            let pages = &pages;
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let idx = (t * 5 + round * 3) % pages.len();
+                    store.with_page_ctx(pages[idx], Some(session), |d| {
+                        // Byte-exact, never a torn mix.
+                        assert_eq!(d, &[idx as u8; 32]);
+                    });
+                }
+            });
+        }
+    });
+
+    // Exact counts: every access was a hit, charged to exactly one
+    // session, and the aggregate matches the mutex path's bookkeeping.
+    let total: IoStats = sessions
+        .iter()
+        .fold(IoStats::default(), |acc, s| acc + s.stats());
+    let expect = IoStats {
+        hits: (THREADS * ROUNDS) as u64,
+        faults: 0,
+        writes: 0,
+    };
+    assert_eq!(total, expect);
+    assert_eq!(store.io_stats(), expect);
 }
 
 /// A writer flipping whole pages while readers race: the store must never
@@ -68,7 +65,7 @@ fn racing_writer_never_exposes_torn_pages() {
     const READERS: usize = 6;
     const READS: usize = 4000;
     const WRITES: usize = 2000;
-    let store = PageStore::with_config_sharded(256, 8, 2);
+    let store = PageStore::with_config(256, 8);
     let pages: Vec<_> = (0..4).map(|_| store.alloc_page()).collect();
     for &p in &pages {
         store.write_page(p, &[0u8; 256]);
@@ -161,9 +158,9 @@ fn evictions_under_race_never_serve_the_wrong_page() {
     const READERS: usize = 6;
     const READS: usize = 3000;
     const WRITES: usize = 2000;
-    // 4 frames over 2 shards: each shard cycles 8 pages through 2 frames.
-    let store = PageStore::with_config_sharded(IMAGE_SIZE, 4, 2);
-    assert_eq!((store.num_shards(), store.buffer_capacity()), (2, 4));
+    // 16 pages cycle through 4 frames.
+    let store = PageStore::with_config(IMAGE_SIZE, 4);
+    assert_eq!(store.buffer_capacity(), 4);
     let pages: Vec<_> = (0..PAGES).map(|_| store.alloc_page()).collect();
     for &p in &pages {
         store.write_page(p, &page_image(p.0, 0));

@@ -1,11 +1,11 @@
-//! The sharded store must be a *refactor*, not a behaviour change:
+//! The store is one buffer pool behind one mutex, and must behave exactly
+//! like that pool:
 //!
-//! 1. With `shards = 1` a [`PageStore`] reproduces the old single-`Mutex`
-//!    design — one global clock-replaced pool over one disk — access for
-//!    access: the same
+//! 1. A [`PageStore`] built with plain [`PageStore::with_config`] reproduces
+//!    one clock-replaced pool over one disk, access for access: the same
 //!    hit/fault/evict sequence, pinned against a reference model built from
-//!    the raw [`BufferPool`] + [`DiskManager`] pair (which *is* the old
-//!    store minus the lock).
+//!    the raw [`BufferPool`] + [`DiskManager`] pair (the store minus the
+//!    lock) — on every host, whatever its core count.
 //! 2. Per-query [`QueryContext`]s partition the store's traffic exactly:
 //!    under concurrency, disjoint sessions sum to the global aggregate.
 
@@ -39,7 +39,7 @@ fn op_strategy(pages: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The old behaviour, verbatim: one pool over one disk, no sharding.
+/// The reference model: one pool over one disk, no lock.
 struct Reference {
     disk: DiskManager,
     pool: BufferPool,
@@ -61,7 +61,7 @@ impl Reference {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Single-shard store ≡ old single-mutex pool, op for op: identical
+    /// Default-built store ≡ one pool over one disk, op for op: identical
     /// hit/fault/write deltas (hence identical eviction decisions — a
     /// diverging victim would surface as a diverging fault within a few
     /// ops of the cyclic access mixes generated here) and identical bytes.
@@ -73,7 +73,7 @@ proptest! {
         const PAGE: usize = 16;
         const PAGES: usize = 12;
         let mut reference = Reference::new(PAGE, capacity, PAGES);
-        let store = PageStore::with_config_sharded(PAGE, capacity, 1);
+        let store = PageStore::with_config(PAGE, capacity);
         let ids: Vec<PageId> = (0..PAGES).map(|_| store.alloc_page()).collect();
 
         for (step, op) in ops.iter().enumerate() {
@@ -121,13 +121,13 @@ proptest! {
 
 /// Disjoint sessions partition the store's traffic exactly: with every
 /// access charged to some session, per-session stats sum to the global
-/// aggregate even under contention on a multi-shard pool.
+/// aggregate even under contention.
 #[test]
 fn concurrent_sessions_sum_to_global_aggregate() {
     const THREADS: usize = 8;
     const PAGES: usize = 64;
     const ROUNDS: usize = 300;
-    let store = PageStore::with_config_sharded(32, 16, 4);
+    let store = PageStore::with_config(32, 16);
     let ids: Vec<PageId> = (0..PAGES).map(|_| store.alloc_page()).collect();
     for (i, &id) in ids.iter().enumerate() {
         store.write_page(id, &[i as u8; 32]);
@@ -142,8 +142,8 @@ fn concurrent_sessions_sum_to_global_aggregate() {
             let store = &store;
             let ids = &ids;
             scope.spawn(move || {
-                // Each worker walks its own stride so the mix covers
-                // shard-local hits, cross-thread sharing and evictions.
+                // Each worker walks its own stride so the mix covers hits,
+                // cross-thread sharing and evictions.
                 for round in 0..ROUNDS {
                     let idx = (t * 7 + round * 3) % ids.len();
                     store.with_page_ctx(ids[idx], Some(session), |d| {

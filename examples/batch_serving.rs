@@ -21,16 +21,13 @@ fn main() {
         seed: 42,
     };
     let w = cfg.generate();
-    // A serving instance opts into the sharded buffer pool (8 ways here) so
-    // concurrent workers fault pages independently; paper experiments use
-    // the default single-shard build for machine-independent I/O numbers.
-    let instance =
-        SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 1024, 1.0, 8);
+    // Concurrent workers share the instance's one buffer pool; each query
+    // is still charged exactly its own faults.
+    let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 1.0);
     println!(
-        "instance: |Q| = {}, |P| = {}, shards = {}, gamma = {}",
+        "instance: |Q| = {}, |P| = {}, gamma = {}",
         instance.providers().len(),
         instance.customers().len(),
-        instance.tree().store().num_shards(),
         instance.gamma()
     );
 

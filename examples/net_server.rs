@@ -36,12 +36,11 @@ fn main() {
         seed: 2008,
     }
     .generate();
-    let data = Arc::new(SpatialAssignment::build_with_storage_sharded(
+    let data = Arc::new(SpatialAssignment::build_with_storage(
         w.providers,
         w.customers,
         1024,
         8.0,
-        8,
     ));
 
     let gateway = Arc::new(

@@ -60,8 +60,8 @@ struct Served {
 }
 
 fn main() {
-    // One shared instance, as a long-lived service would hold it; the
-    // sharded pool lets workers fault pages independently.
+    // One shared instance, as a long-lived service would hold it; every
+    // worker faults pages through its one buffer pool.
     let w = WorkloadConfig {
         num_providers: 32,
         num_customers: 10_000,
@@ -71,14 +71,12 @@ fn main() {
         seed: 77,
     }
     .generate();
-    let instance =
-        SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 1024, 2.0, 8);
+    let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 2.0);
     println!(
-        "instance: |Q| = {}, |P| = {}, gamma = {}, {} shard(s)\n",
+        "instance: |Q| = {}, |P| = {}, gamma = {}\n",
         instance.providers().len(),
         instance.customers().len(),
-        instance.gamma(),
-        instance.tree().store().num_shards()
+        instance.gamma()
     );
 
     // A burst of mixed queries: exact solves, approximations, a few

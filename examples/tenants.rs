@@ -45,8 +45,7 @@ fn main() {
         seed: 5,
     }
     .generate();
-    let instance =
-        SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 1024, 4.0, 8);
+    let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 4.0);
     println!(
         "instance: |Q| = {}, |P| = {}, gamma = {}\n",
         instance.providers().len(),

@@ -19,7 +19,7 @@
 //! [`BatchRunner::run_sequential`] exists to demonstrate (and tests
 //! enforce). Every query runs under its own [`QueryContext`], so per-query
 //! [`AlgoStats::io`] reports exactly the pages that query touched even
-//! while workers share the sharded buffer pool; the per-query fault counts
+//! while workers share the one buffer pool; the per-query fault counts
 //! sum to the batch-aggregate delta on [`BatchReport::io`] — aborted
 //! queries included, since a context is charged for precisely the faults it
 //! caused before stopping.
@@ -245,7 +245,7 @@ impl<'a> BatchRunner<'a> {
         ctx: &QueryContext,
     ) -> QueryResult {
         // The scheduler hands each query its own context: the store charges
-        // it alongside its shard counters, so `stats.io` is this query's
+        // it alongside the store counters, so `stats.io` is this query's
         // own traffic even with other workers hammering the same pool — and
         // the context's deadline/budget/cancellation govern the run.
         let outcome = solver.run(&self.instance.problem().with_context(ctx));

@@ -129,31 +129,14 @@ impl SpatialAssignment {
 
     /// Builds with explicit page size (bytes) and buffer percentage.
     ///
-    /// Uses a single-shard store — one global buffer, as in the paper — so
-    /// fault counts and charged I/O are identical on every machine (a
-    /// sharded store splits the buffer into per-shard pools, which would let
-    /// the host's core count decide which pages get evicted). Serving
-    /// deployments that want concurrent faulting opt in via
-    /// [`SpatialAssignment::build_with_storage_sharded`] with
-    /// [`cca_storage::default_shards`].
+    /// The store is one buffer pool, as in the paper, so fault counts and
+    /// charged I/O are identical on every machine; concurrent queries share
+    /// it and each is charged its own traffic.
     pub fn build_with_storage(
         providers: Vec<(Point, u32)>,
         customers: Vec<Point>,
         page_size: usize,
         buffer_percent: f64,
-    ) -> Self {
-        Self::build_with_storage_sharded(providers, customers, page_size, buffer_percent, 1)
-    }
-
-    /// Builds with an explicit buffer-pool shard count (`1` is the
-    /// single-mutex, single-buffer storage of the paper's sequential setting;
-    /// more shards let parallel batches fault pages independently).
-    pub fn build_with_storage_sharded(
-        providers: Vec<(Point, u32)>,
-        customers: Vec<Point>,
-        page_size: usize,
-        buffer_percent: f64,
-        shards: usize,
     ) -> Self {
         let items: Vec<(Point, u64)> = customers
             .iter()
@@ -162,7 +145,7 @@ impl SpatialAssignment {
             .collect();
         // Generous provisional buffer during construction; finish_build
         // shrinks it to the experiment setting.
-        let store = PageStore::with_config_sharded(page_size, 1 << 14, shards);
+        let store = PageStore::with_config(page_size, 1 << 14);
         let tree = RTree::bulk_load(store, &items);
         tree.finish_build(buffer_percent);
         SpatialAssignment {
@@ -170,6 +153,19 @@ impl SpatialAssignment {
             customers,
             tree,
         }
+    }
+
+    /// [`SpatialAssignment::build_with_storage`]; `shards` must be `1`.
+    #[doc(hidden)]
+    pub fn build_with_storage_sharded(
+        providers: Vec<(Point, u32)>,
+        customers: Vec<Point>,
+        page_size: usize,
+        buffer_percent: f64,
+        shards: usize,
+    ) -> Self {
+        assert_eq!(shards, 1, "the page store has one buffer pool");
+        Self::build_with_storage(providers, customers, page_size, buffer_percent)
     }
 
     /// Providers (position, capacity).

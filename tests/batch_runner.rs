@@ -68,9 +68,9 @@ fn parallel_batch_matches_sequential_exactly() {
     assert!((parallel.total_cost() - sequential.total_cost()).abs() < 1e-9);
 }
 
-/// The same guarantees hold over a multi-shard pool: determinism against
-/// sequential execution and exact per-query attribution, with workers
-/// faulting through independent shard locks.
+/// The same guarantees hold with parallel workers faulting through the one
+/// store: determinism against sequential execution and exact per-query
+/// attribution.
 #[test]
 fn sharded_pool_keeps_determinism_and_attribution() {
     let w = cca::datagen::WorkloadConfig {
@@ -82,9 +82,7 @@ fn sharded_pool_keeps_determinism_and_attribution() {
         seed: 406,
     }
     .generate();
-    let instance =
-        SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 1024, 1.0, 4);
-    assert_eq!(instance.tree().store().num_shards(), 4);
+    let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 1.0);
     let queries = mixed_queries();
     let runner = instance.batch().threads(8);
     let parallel = runner.run(&queries).unwrap();

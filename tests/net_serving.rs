@@ -29,12 +29,11 @@ fn dataset() -> Arc<SpatialAssignment> {
         seed: 60,
     }
     .generate();
-    Arc::new(SpatialAssignment::build_with_storage_sharded(
+    Arc::new(SpatialAssignment::build_with_storage(
         w.providers,
         w.customers,
         1024,
         1.0,
-        4,
     ))
 }
 

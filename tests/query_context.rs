@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::{AbortReason, QueryContext, SolverConfig, SpatialAssignment};
 
-fn instance_sharded(seed: u64, np: usize, shards: usize) -> SpatialAssignment {
+fn instance(seed: u64, np: usize) -> SpatialAssignment {
     let w = WorkloadConfig {
         num_providers: 12,
         num_customers: np,
@@ -17,43 +17,40 @@ fn instance_sharded(seed: u64, np: usize, shards: usize) -> SpatialAssignment {
         seed,
     }
     .generate();
-    SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 1024, 1.0, shards)
+    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 1.0)
 }
 
 /// The satellite acceptance test: a query exceeding its I/O budget aborts
 /// with partial stats whose `io.faults` equals the configured budget —
-/// exactly, deterministically, at one and at four shards.
+/// exactly and deterministically.
 #[test]
 fn io_budget_abort_reports_exactly_the_budget() {
-    for shards in [1, 4] {
-        let instance = instance_sharded(500, 4000, shards);
-        assert_eq!(instance.tree().store().num_shards(), shards);
-        for name in ["ida", "nia", "ria", "ida-grouped"] {
-            let config = SolverConfig::new(name).theta(20.0).group_size(4);
-            // Baseline: how many faults does the full run take?
-            let full = instance.run_config(&config).unwrap();
-            assert!(full.aborted.is_none());
-            let full_faults = full.stats.io.faults;
-            assert!(full_faults > 2, "{name}: baseline must fault");
+    let instance = instance(500, 4000);
+    for name in ["ida", "nia", "ria", "ida-grouped"] {
+        let config = SolverConfig::new(name).theta(20.0).group_size(4);
+        // Baseline: how many faults does the full run take?
+        let full = instance.run_config(&config).unwrap();
+        assert!(full.aborted.is_none());
+        let full_faults = full.stats.io.faults;
+        assert!(full_faults > 2, "{name}: baseline must fault");
 
-            let budget = full_faults / 2;
-            let ctx = QueryContext::new().with_io_budget(budget);
-            let partial = instance.run_config_ctx(&config, &ctx).unwrap();
-            assert_eq!(
-                partial.aborted,
-                Some(AbortReason::IoBudgetExceeded),
-                "{name} at {shards} shard(s)"
-            );
-            assert_eq!(
-                partial.stats.io.faults, budget,
-                "{name} at {shards} shard(s): partial faults must equal the budget"
-            );
-            assert_eq!(ctx.stats().faults, budget);
-            assert!(
-                partial.matching.size() <= full.matching.size(),
-                "{name}: aborted run returns a partial matching"
-            );
-        }
+        let budget = full_faults / 2;
+        let ctx = QueryContext::new().with_io_budget(budget);
+        let partial = instance.run_config_ctx(&config, &ctx).unwrap();
+        assert_eq!(
+            partial.aborted,
+            Some(AbortReason::IoBudgetExceeded),
+            "{name}"
+        );
+        assert_eq!(
+            partial.stats.io.faults, budget,
+            "{name}: partial faults must equal the budget"
+        );
+        assert_eq!(ctx.stats().faults, budget);
+        assert!(
+            partial.matching.size() <= full.matching.size(),
+            "{name}: aborted run returns a partial matching"
+        );
     }
 }
 
@@ -61,7 +58,7 @@ fn io_budget_abort_reports_exactly_the_budget() {
 /// generous one lets the query complete.
 #[test]
 fn deadline_governs_the_run() {
-    let instance = instance_sharded(501, 1500, 1);
+    let instance = instance(501, 1500);
     let expired = QueryContext::new().with_deadline(Instant::now() - Duration::from_millis(1));
     let r = instance
         .run_config_ctx(&SolverConfig::new("ida"), &expired)
@@ -85,7 +82,7 @@ fn deadline_governs_the_run() {
 /// CA partition descent honours the abort too.
 #[test]
 fn cancellation_and_ca_descent_abort() {
-    let instance = instance_sharded(502, 1500, 1);
+    let instance = instance(502, 1500);
     let ctx = QueryContext::new();
     ctx.cancel();
     for name in ["ida", "ca", "sa"] {
@@ -101,57 +98,55 @@ fn cancellation_and_ca_descent_abort() {
 /// batch aggregate, and each aborted query's fault count equals the budget.
 #[test]
 fn batch_attribution_invariant_holds_under_aborts() {
-    for shards in [1, 4] {
-        let instance = instance_sharded(503, 2500, shards);
-        let queries = vec![
-            SolverConfig::new("ida"),
-            SolverConfig::new("nia"),
-            SolverConfig::new("ida-grouped").group_size(4),
-            SolverConfig::new("ria").theta(20.0),
-            SolverConfig::new("ida"),
-            SolverConfig::new("nia"),
-        ];
-        let budget = 8u64;
-        let report = instance
-            .batch()
-            .threads(4)
-            .query_io_budget(budget)
-            .run(&queries)
-            .unwrap();
-        assert_eq!(report.results.len(), queries.len());
+    let instance = instance(503, 2500);
+    let queries = vec![
+        SolverConfig::new("ida"),
+        SolverConfig::new("nia"),
+        SolverConfig::new("ida-grouped").group_size(4),
+        SolverConfig::new("ria").theta(20.0),
+        SolverConfig::new("ida"),
+        SolverConfig::new("nia"),
+    ];
+    let budget = 8u64;
+    let report = instance
+        .batch()
+        .threads(4)
+        .query_io_budget(budget)
+        .run(&queries)
+        .unwrap();
+    assert_eq!(report.results.len(), queries.len());
+    assert_eq!(
+        report.num_aborted(),
+        queries.len(),
+        "an 8-fault budget aborts every query of this size"
+    );
+    for r in &report.results {
         assert_eq!(
-            report.num_aborted(),
-            queries.len(),
-            "an 8-fault budget aborts every query of this size"
+            r.aborted,
+            Some(AbortReason::IoBudgetExceeded),
+            "query {}",
+            r.index
         );
-        for r in &report.results {
-            assert_eq!(
-                r.aborted,
-                Some(AbortReason::IoBudgetExceeded),
-                "query {}",
-                r.index
-            );
-            assert_eq!(
-                r.stats.io.faults, budget,
-                "query {} ({}) partial faults must equal the budget",
-                r.index, r.label
-            );
-        }
-        let fault_sum: u64 = report.results.iter().map(|r| r.stats.io.faults).sum();
-        let hit_sum: u64 = report.results.iter().map(|r| r.stats.io.hits).sum();
         assert_eq!(
-            fault_sum, report.io.faults,
-            "per-query faults must sum to the batch aggregate even under aborts"
+            r.stats.io.faults, budget,
+            "query {} ({}) partial faults must equal the budget",
+            r.index, r.label
         );
-        assert_eq!(hit_sum, report.io.hits);
     }
+    let fault_sum: u64 = report.results.iter().map(|r| r.stats.io.faults).sum();
+    let hit_sum: u64 = report.results.iter().map(|r| r.stats.io.hits).sum();
+    assert_eq!(
+        fault_sum, report.io.faults,
+        "per-query faults must sum to the batch aggregate even under aborts"
+    );
+    assert_eq!(hit_sum, report.io.hits);
 }
 
 /// A batch-wide zero deadline sheds all work cooperatively: every query
 /// aborts with `DeadlineExceeded` and zero I/O.
 #[test]
 fn batch_deadline_zero_aborts_everything() {
-    let instance = instance_sharded(504, 1200, 1);
+    let instance = instance(504, 1200);
     let queries = vec![SolverConfig::new("ida"), SolverConfig::new("nia")];
     let report = instance
         .batch()
@@ -171,7 +166,7 @@ fn batch_deadline_zero_aborts_everything() {
 /// scheduler adapter changes nothing about complete runs.
 #[test]
 fn unconstrained_batch_reports_no_aborts() {
-    let instance = instance_sharded(505, 1200, 1);
+    let instance = instance(505, 1200);
     let queries = vec![
         SolverConfig::new("ida"),
         SolverConfig::new("ca").delta(20.0),

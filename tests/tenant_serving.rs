@@ -23,7 +23,7 @@ fn instance(seed: u64, customers: usize) -> SpatialAssignment {
         seed,
     }
     .generate();
-    SpatialAssignment::build_with_storage_sharded(w.providers, w.customers, 1024, 4.0, 4)
+    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 4.0)
 }
 
 /// The PR's flow-abort acceptance test: a flow-heavy SSPA query on a large
