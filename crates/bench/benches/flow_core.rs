@@ -3,11 +3,9 @@
 //! * `graph_build` — `add_edge` throughput building the complete bipartite
 //!   residual graph (arena SoA columns + intrusive adjacency chains; no
 //!   per-node allocation).
-//! * `sspa_cold` — full cold SSPA solves with the radix frontier vs. the
-//!   binary-heap frontier (the pre-radix engine), same instance. The two
-//!   costs are asserted bit-identical — the radix queue is a pure speed
-//!   lever, never an answer lever. Each row carries the solve's own
-//!   settle/augment time split and frontier-queue counters.
+//! * `sspa_cold` — a full cold SSPA solve (the dense complete-graph
+//!   solver), best of the rounds, with the solve's own settled-node count
+//!   and settle/augment time split.
 //!
 //! Writes `BENCH_flow.json` (override with `CCA_BENCH_OUT`). Run with
 //! `cargo bench --bench flow_core`; pass `-- --quick` for a CI smoke run.
@@ -15,7 +13,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cca::flow::{FlowCustomer, FlowGraph, FlowProvider, FrontierKind, Sspa, SspaStats};
+use cca::flow::{FlowCustomer, FlowGraph, FlowProvider, Sspa, SspaStats};
 use cca::geo::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,49 +103,30 @@ fn main() {
         "    {{\"workload\": \"graph_build\", \"medges_per_s\": {best_edges_per_s:.2}}}"
     ));
 
-    // ---- sspa_cold: radix vs binary frontier ------------------------
-    let mut cold = Vec::new();
-    for (name, kind) in [
-        ("radix", FrontierKind::Radix),
-        ("binary", FrontierKind::Binary),
-    ] {
-        let sspa = Sspa {
-            frontier: kind,
-            ..Sspa::default()
-        };
-        let mut best_ms = f64::INFINITY;
-        let mut s = SspaStats::default();
-        let mut cost_bits = 0u64;
-        for _ in 0..scale.rounds {
-            let start = Instant::now();
-            let (asg, stats) = sspa
-                .solve(&providers, &customers)
-                .expect("no context, no abort");
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            if ms < best_ms {
-                (best_ms, s) = (ms, stats);
-            }
-            cost_bits = asg.cost.to_bits();
+    // ---- sspa_cold: one cold dense SSPA solve -----------------------
+    let mut best_ms = f64::INFINITY;
+    let mut s = SspaStats::default();
+    for _ in 0..scale.rounds {
+        let start = Instant::now();
+        let (asg, stats) = Sspa::default()
+            .solve(&providers, &customers)
+            .expect("no context, no abort");
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        black_box(&asg);
+        if ms < best_ms {
+            (best_ms, s) = (ms, stats);
         }
-        let (settle_ms, augment_ms) = (s.settle_ns as f64 / 1e6, s.augment_ns as f64 / 1e6);
-        println!(
-            "sspa_cold {name:6} {best_ms:8.2} ms  settled={} settle={settle_ms:.2} ms \
-             augment={augment_ms:.2} ms pushes={} pops={} decrease_keys={} fallbacks={}",
-            s.settled, s.heap_pushes, s.heap_pops, s.decrease_keys, s.radix_fallbacks
-        );
-        rows.push(format!(
-            "    {{\"workload\": \"sspa_cold\", \"frontier\": \"{name}\", \
-             \"ms\": {best_ms:.2}, \"settled\": {}, \"settle_ms\": {settle_ms:.2}, \
-             \"augment_ms\": {augment_ms:.2}, \"heap_pushes\": {}, \"heap_pops\": {}, \
-             \"decrease_keys\": {}, \"radix_fallbacks\": {}}}",
-            s.settled, s.heap_pushes, s.heap_pops, s.decrease_keys, s.radix_fallbacks
-        ));
-        cold.push(cost_bits);
     }
-    assert_eq!(
-        cold[0], cold[1],
-        "radix and binary frontiers must agree bit-for-bit"
+    let (settle_ms, augment_ms) = (s.settle_ns as f64 / 1e6, s.augment_ns as f64 / 1e6);
+    println!(
+        "sspa_cold {best_ms:8.2} ms  settled={} settle={settle_ms:.2} ms augment={augment_ms:.2} ms",
+        s.settled
     );
+    rows.push(format!(
+        "    {{\"workload\": \"sspa_cold\", \"ms\": {best_ms:.2}, \"settled\": {}, \
+         \"settle_ms\": {settle_ms:.2}, \"augment_ms\": {augment_ms:.2}}}",
+        s.settled
+    ));
 
     // ---- emit -------------------------------------------------------
     let json = format!(

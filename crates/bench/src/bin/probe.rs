@@ -87,8 +87,8 @@ fn main() {
         );
     }
 
-    // Flow-core probe: one cold SSPA solve on a mid-size instance, with the
-    // solve-phase time breakdown and frontier-queue counters.
+    // Flow-core probe: one cold SSPA solve on a mid-size instance, with its
+    // settled-node count and solve-phase time breakdown.
     if want("flow") {
         use cca::flow::{FlowCustomer, FlowProvider, Sspa};
         use cca::geo::Point;
@@ -113,14 +113,11 @@ fn main() {
             .expect("no context, no abort");
         let wall = t0.elapsed();
         eprintln!(
-            "  flow cold  cost={:>10.1} wall={wall:?} settle={:.2?} augment={:.2?}",
+            "  flow cold  cost={:>10.1} wall={wall:?} settled={} settle={:.2?} augment={:.2?}",
             asg.cost,
+            s.settled,
             std::time::Duration::from_nanos(s.settle_ns),
             std::time::Duration::from_nanos(s.augment_ns),
-        );
-        eprintln!(
-            "  flow cold  settled={} pushes={} pops={} decrease_keys={} radix_fallbacks={}",
-            s.settled, s.heap_pushes, s.heap_pops, s.decrease_keys, s.radix_fallbacks,
         );
     }
 

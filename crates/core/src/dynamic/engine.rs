@@ -372,12 +372,9 @@ impl ContinuousAssignment {
                 weight: 1,
             })
             .collect();
-        let (asg, _) = Sspa {
-            ctx,
-            ..Sspa::default()
-        }
-        .solve(&sub_providers, &sub_customers)
-        .map_err(|fa| Aborted { reason: fa.reason })?;
+        let (asg, _) = Sspa { ctx }
+            .solve(&sub_providers, &sub_customers)
+            .map_err(|fa| Aborted { reason: fa.reason })?;
 
         // Splice: release the local pairs, install the sub-solution.
         for &slot in &slots {

@@ -1,9 +1,10 @@
 //! Dijkstra over reduced costs, with resumable state and the Path Update
 //! Algorithm (PUA, Algorithm 5).
 //!
-//! SSPA computes each augmenting path with Dijkstra on reduced costs (§2.2).
-//! The incremental algorithms additionally need to *resume* a computation
-//! after inserting a new edge instead of restarting (§3.4.1):
+//! The incremental algorithms compute each augmenting path with Dijkstra on
+//! reduced costs, as SSPA does (§2.2), over the sparse graph `Esub` they
+//! grow. They additionally need to *resume* a computation after inserting
+//! a new edge instead of restarting (§3.4.1):
 //! [`DijkstraState::pua_insert_edge`] runs the bounded relaxation wave of
 //! Algorithm 5 and [`DijkstraState::drain_below_sink`] re-settles any node
 //! whose corrected distance dropped below the sink's, so the settled set

@@ -5,26 +5,33 @@
 //! algorithms are built on:
 //!
 //! * [`graph::FlowGraph`] — incremental residual graph with paired arcs and
-//!   node potentials (`τ`, §2.2). Arena-backed SoA layout: arcs live in flat
-//!   `to`/`cost`/`res`/`next` columns threaded into intrusive per-node
-//!   adjacency chains, so the relax loop streams a handful of columns and
-//!   `add_edge` never heap-allocates per node,
-//! * [`dijkstra::DijkstraState`] — Dijkstra over reduced costs, resumable
-//!   with the Path Update Algorithm (PUA, Algorithm 5 / §3.4.1). The
-//!   frontier is a monotone [`radix::RadixQueue`] on u64 distance bits with
-//!   an automatic binary-heap fallback ([`dijkstra::FrontierKind`]),
+//!   node potentials (`τ`, §2.2) for the incremental algorithms.
+//!   Arena-backed SoA layout: arcs live in flat `to`/`cost`/`res`/`next`
+//!   columns threaded into intrusive per-node adjacency chains, so the relax
+//!   loop streams a handful of columns and `add_edge` never heap-allocates
+//!   per node,
+//! * [`dijkstra::DijkstraState`] — Dijkstra over reduced costs on a
+//!   [`FlowGraph`], resumable with the Path Update Algorithm (PUA,
+//!   Algorithm 5 / §3.4.1). The frontier is a monotone [`radix::RadixQueue`]
+//!   on u64 distance bits with an automatic binary-heap fallback
+//!   ([`dijkstra::FrontierKind`]),
 //! * [`sspa`] — the full-graph Successive Shortest Path baseline
 //!   (Algorithm 1) that Figure 8 benchmarks against: one entry point,
-//!   [`Sspa::solve`], whose options are the fields of [`Sspa`],
+//!   [`Sspa::solve`], whose one option is [`Sspa::ctx`]. It keeps the
+//!   complete bipartite graph implicit in flat cost/flow matrices and
+//!   searches it without a heap, so it uses neither of the two above,
 //! * [`hungarian`] — the classical dense assignment solver [8, 11], used as
 //!   an independent correctness oracle,
-//! * [`validate`] — matching validators and brute-force optima for tests.
+//! * [`validate`] — matching validators and brute-force optima for tests,
+//!   and the optimality certificate debug builds check every SSPA solve
+//!   against.
 //!
 //! The CPU-heavy loops are deadline-safe: every search entry point takes an
 //! `Option<&QueryContext>` ([`DijkstraState::run_until`],
 //! [`DijkstraState::drain_below_sink`]; [`Sspa::solve`] reads [`Sspa::ctx`])
 //! and polls the cooperative [`cca_storage::QueryContext`] every few dozen
-//! settles, so a flow solve on a large drained graph aborts from *inside*
+//! settles (SSPA: at every search head and once per settled provider), so a
+//! flow solve on a large drained graph aborts from *inside*
 //! the search — with a typed [`cca_storage::Aborted`] and (for SSPA) the
 //! committed partial assignment — instead of overshooting its deadline until
 //! the next page access.

@@ -1,44 +1,65 @@
 //! The full-graph Successive Shortest Path Algorithm (Algorithm 1).
 //!
-//! This is the paper's baseline (§2.2): build the *complete* bipartite flow
-//! graph between `Q` and `P` in memory and run γ Dijkstra+augment
-//! iterations. It is intentionally faithful to the baseline's weaknesses —
-//! O(|Q|·|P|) edges — because Figure 8 measures exactly that. It doubles as
-//! the ground-truth oracle for the incremental algorithms' tests.
+//! This is the paper's baseline (§2.2): SSPA on the *complete* bipartite
+//! flow graph between `Q` and `P`, one Dijkstra + augment iteration per
+//! shortest path — γ searches on unit customers. It is intentionally
+//! faithful to the baseline's weaknesses — every one of the |Q|·|P| edges
+//! is materialised — because Figure 8 measures exactly that. It doubles as
+//! the ground-truth oracle for the incremental algorithms' tests, and as
+//! the exact solver behind the registry's `sspa`, the continuous engine's
+//! local repairs and the coreset tier's concise instances.
 //!
 //! Customers may carry integer weights (> 1) so the same solver performs the
 //! concise matching of the CA approximation, where customer representatives
 //! have weight `g.w` (§4.2).
 //!
-//! There is one way to run a solve: [`Sspa::solve`]. Everything that varies
-//! between callers — an abort context and the frontier queue — is a field
-//! of [`Sspa`].
+//! There is one way to run a solve: [`Sspa::solve`]. The one thing that
+//! varies between callers — an abort context — is the field of [`Sspa`].
 //!
-//! Each shortest-path search pushes the path's *bottleneck*: every unit
-//! routed along one shortest path costs the same, and after the push the
-//! saturated arc leaves the residual graph while the potential update
-//! restores `rc ≥ 0` everywhere — the §2.2 loop invariant — so the result is
-//! the exact optimum. On unit-weight customers the sink arc caps the
-//! bottleneck at 1, which is Algorithm 1's unit augmentation verbatim; on
-//! weighted customers (the coreset tier's representatives) one search moves
-//! many units, so a solve needs far fewer than `γ` searches. `|Q| + |P|` is
-//! the usual order, but not a bound: a reverse arc can be the bottleneck
-//! without saturating any source or sink arc.
-
-// `FlowAborted` carries the committed partial assignment plus the full
-// `SspaStats` block by value; it crossed clippy's 128-byte Err threshold
-// when the stats gained the solve-phase breakdown. The Ok variant
-// `(Assignment, SspaStats)` is just as large, aborts are cold, and boxing
-// would churn every public signature, so the lint buys nothing here.
-#![allow(clippy::result_large_err)]
+//! # Dense state
+//!
+//! The graph is complete, so it is never built as an adjacency structure;
+//! every residual arc is implicit in a few flat arrays:
+//!
+//! * a row-major |Q|×|P| `f64` cost matrix and `u32` flow matrix — 12 B
+//!   per (q, p) pair. `q→p` is residual while `f(q, p) < p.w`, its reverse
+//!   `p→q` while `f(q, p) > 0`;
+//! * `u32` loads of the providers and customers: `s→q` is residual while
+//!   `q` has spare capacity, `p→t` while `p` has spare weight;
+//! * the potentials `τ(s)`, `τ(q)` and `τ(p)` (`τ(t)` stays 0);
+//! * for each customer, the providers serving it (at most one for unit
+//!   customers): their number and one of them. Only a weighted customer
+//!   split across several providers has its flow column scanned.
+//!
+//! Each search is Dijkstra over reduced costs from `s`, run over the
+//! providers only. It settles the unsettled provider with the smallest
+//! label, found by a linear scan (there is no heap), and scans that
+//! provider's cost/flow row once to relax its `q→p` arcs. An improved
+//! customer label is passed on at once, to `t` if the customer has spare
+//! weight and along its reverse arcs to its unsettled serving providers.
+//! The search stops when no unsettled provider is labelled below `α(t)`:
+//! every label below `α(t)` is then final. A search costs
+//! O(|Q|² + settled·|P|), where `settled` counts the providers it settles.
+//!
+//! Each search pushes the path's *bottleneck*: every unit routed along one
+//! shortest path costs the same, and after the push the saturated arc
+//! leaves the residual graph while the potential update (Algorithm 1
+//! lines 8–9: `τ(v) += α(t) − α(v)` for `s`, the settled providers and the
+//! customers labelled below `α(t)`) restores `rc ≥ 0` everywhere — the §2.2
+//! loop invariant — so the result is the exact optimum. On unit-weight
+//! customers the sink arc caps the bottleneck at 1, which is Algorithm 1's
+//! unit augmentation verbatim; on weighted customers (the coreset tier's
+//! representatives) one search moves many units, so a solve needs far fewer
+//! than `γ` searches. `|Q| + |P|` is the usual order, but not a bound: a
+//! reverse arc can be the bottleneck without saturating any source or sink
+//! arc.
 
 use std::time::Instant;
 
 use cca_geo::Point;
-use cca_storage::{AbortReason, QueryContext};
+use cca_storage::{AbortReason, Aborted, QueryContext};
 
-use crate::dijkstra::{DijkstraState, FrontierKind, HeapCounters};
-use crate::graph::{FlowGraph, NodeId};
+use crate::dijkstra::EPS;
 
 /// A provider in a bipartite assignment problem: position + capacity.
 #[derive(Clone, Copy, Debug)]
@@ -105,21 +126,13 @@ pub struct SspaStats {
     pub iterations: u64,
     /// Edges in the flow graph (|Q|·|P| + |Q| + |P| for the baseline).
     pub edges: u64,
-    /// Nodes settled across all Dijkstra runs — the dominant work term.
+    /// Nodes settled across all searches — `s`, the settled providers, the
+    /// customers labelled below `α(t)` and `t`, per search.
     pub settled: u64,
     /// Wall time inside the shortest-path searches (init + settle loop).
     pub settle_ns: u64,
     /// Wall time augmenting flow and updating potentials.
     pub augment_ns: u64,
-    /// Frontier (bucket-queue) pushes across all searches.
-    pub heap_pushes: u64,
-    /// Frontier pops across all searches (stale entries included).
-    pub heap_pops: u64,
-    /// Pushes that improved an already-queued node (lazy decrease-keys).
-    pub decrease_keys: u64,
-    /// Searches that migrated from the radix queue to the binary-heap
-    /// fallback because a key went below the last popped minimum.
-    pub radix_fallbacks: u64,
 }
 
 /// An SSPA solve cut short by its [`QueryContext`] (cancellation or an
@@ -151,135 +164,359 @@ impl std::fmt::Display for FlowAborted {
 
 impl std::error::Error for FlowAborted {}
 
-impl SspaStats {
-    /// Copies a finished solve's frontier counters into the stats block.
-    fn with_heap(mut self, heap: HeapCounters) -> Self {
-        self.heap_pushes = heap.pushes;
-        self.heap_pops = heap.pops;
-        self.decrease_keys = heap.decrease_keys;
-        self.radix_fallbacks = heap.radix_fallbacks;
-        self
-    }
-}
-
 /// The options of one SSPA solve on the complete bipartite graph, run by
 /// [`Sspa::solve`]. `Sspa::default()` is Algorithm 1 as published: no
-/// context, radix frontier.
+/// context.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sspa<'a> {
-    /// Cooperative cancellation: the search driver polls the context at
-    /// every search head and the inner Dijkstra polls it every few dozen
-    /// settles, so a CPU-bound solve on a large drained graph observes
-    /// cancellation or an expired deadline from *inside* the flow loop — no
-    /// page access required — and unwinds with the typed [`FlowAborted`]
-    /// carrying the partial assignment built so far. Without a context a
-    /// solve cannot abort.
+    /// Cooperative cancellation: the solve polls the context at every
+    /// search head and once per settled provider, so a CPU-bound solve on a
+    /// large instance observes cancellation or an expired deadline from
+    /// *inside* the flow loop — no page access required — and unwinds with
+    /// the typed [`FlowAborted`] carrying the partial assignment built so
+    /// far. Without a context a solve cannot abort.
     pub ctx: Option<&'a QueryContext>,
-    /// Frontier queue of the inner Dijkstra. [`FrontierKind::Binary`]
-    /// reproduces the pre-radix engine exactly (same lazy decrease-key heap,
-    /// same `(key, node)` tie-break) and exists as the reference the
-    /// radix-vs-binary proptests and the `flow_core` bench compare against.
-    pub frontier: FrontierKind,
 }
 
 impl Sspa<'_> {
     /// Solves the CCA instance optimally with SSPA on the complete
     /// bipartite graph. Errs only when [`Sspa::ctx`] aborts the solve.
+    ///
+    /// Debug builds check every completed solve against its optimality
+    /// certificate (feasible flow of size γ, non-negative reduced costs
+    /// under the final potentials).
     pub fn solve(
         &self,
         providers: &[FlowProvider],
         customers: &[FlowCustomer],
     ) -> Result<(Assignment, SspaStats), FlowAborted> {
-        let Sspa { ctx, frontier } = *self;
-        let mut g = FlowGraph::with_nodes(2 + providers.len() + customers.len());
-        let s: NodeId = 0;
-        let t: NodeId = 1;
-        let q_node = |i: usize| (2 + i) as NodeId;
-        let p_node = |j: usize| (2 + providers.len() + j) as NodeId;
+        let (dense, stats) = self.run(providers, customers)?;
+        let asg = dense.assignment();
+        if cfg!(debug_assertions) {
+            crate::validate::assert_optimal(providers, customers, &asg, &dense.tau)
+                .unwrap_or_else(|e| panic!("optimality certificate violated: {e}"));
+        }
+        Ok((asg, stats))
+    }
 
-        // Source and sink edges (cost 0, capacities q.k / p.w), §2.1.
-        for (i, q) in providers.iter().enumerate() {
-            g.add_edge(s, q_node(i), q.cap, 0.0);
-        }
-        // Complete bipartite distance edges. Edge capacity is the customer's
-        // weight: a representative with weight w can receive up to w units from
-        // the same provider ("M' may assign instances of a representative to
-        // multiple service providers", §4.2); for unit customers this is the
-        // paper's capacity-1 edge.
-        let mut qp_edges: Vec<(u32, usize, usize)> =
-            Vec::with_capacity(providers.len() * customers.len());
-        for (i, q) in providers.iter().enumerate() {
-            for (j, p) in customers.iter().enumerate() {
-                let e = g.add_edge(q_node(i), p_node(j), p.weight, q.pos.dist(&p.pos));
-                qp_edges.push((e, i, j));
-            }
-        }
-        for (j, p) in customers.iter().enumerate() {
-            g.add_edge(p_node(j), t, p.weight, 0.0);
-        }
-
+    /// The solve loop: searches and augments until `γ` units are installed.
+    /// Returns the final residual state.
+    fn run(
+        &self,
+        providers: &[FlowProvider],
+        customers: &[FlowCustomer],
+    ) -> Result<(Dense, SspaStats), FlowAborted> {
+        let mut dense = Dense::new(providers, customers);
+        let (nq, np) = (providers.len() as u64, customers.len() as u64);
         let gamma = required_flow(providers, customers);
-        let mut dij = DijkstraState::with_frontier(frontier);
         // Phase split: search time vs augment/potential-update time. Two
-        // timestamps per search (~µs-scale searches) — cheap enough to keep
-        // on unconditionally.
+        // timestamps per search (~µs-scale searches), each closing one phase
+        // and opening the next — cheap enough to keep on unconditionally.
         let mut stats = SspaStats {
-            edges: g.num_edges() as u64,
+            edges: nq * np + nq + np,
             ..SspaStats::default()
         };
-        let extract = |g: &FlowGraph| {
-            let mut asg = Assignment::default();
-            for &(e, i, j) in &qp_edges {
-                let f = g.edge_flow(e);
-                if f > 0 {
-                    asg.pairs.push((i, j, f));
-                    asg.cost += f64::from(f) * providers[i].pos.dist(&customers[j].pos);
-                }
-            }
-            asg
-        };
         let mut units = 0u64;
+        let mut t0 = Instant::now();
         while units < gamma {
-            // Search-head poll, plus stride polls inside the search: the
-            // committed units always form a valid partial assignment, and an
-            // in-flight (un-augmented) search never mutates the flow, so both
-            // abort points unwind to exactly the committed prefix.
-            let searched = match ctx.map(|c| c.check()) {
-                Some(Err(a)) => Err(a),
-                _ => {
-                    let t0 = Instant::now();
-                    dij.init(&g, s);
-                    let searched = dij.run_until(&g, t, ctx);
-                    stats.settle_ns += t0.elapsed().as_nanos() as u64;
-                    searched
-                }
-            };
+            let searched = dense.search(self.ctx);
+            let t1 = Instant::now();
+            stats.settle_ns += (t1 - t0).as_nanos() as u64;
             match searched {
                 Ok(Some(alpha_t)) => {
-                    stats.settled += dij.settled_nodes().len() as u64;
-                    let t0 = Instant::now();
                     let remaining = (gamma - units).min(u64::from(u32::MAX)) as u32;
-                    units += u64::from(dij.augment_bottleneck(&mut g, t, remaining));
-                    g.update_potentials(dij.settled_nodes(), |v| dij.alpha(v), alpha_t);
-                    stats.augment_ns += t0.elapsed().as_nanos() as u64;
+                    units += u64::from(dense.augment(remaining));
+                    stats.settled += dense.update_potentials(alpha_t);
+                    t0 = Instant::now();
+                    stats.augment_ns += (t0 - t1).as_nanos() as u64;
                     stats.iterations += 1;
                 }
                 Ok(None) => unreachable!("complete bipartite graph always admits γ units"),
+                // A search never mutates the flow, so the committed units
+                // are exactly the completed searches' prefix.
                 Err(a) => {
                     return Err(FlowAborted {
                         reason: a.reason,
-                        partial: extract(&g),
-                        stats: stats.with_heap(dij.heap_counters()),
+                        partial: dense.assignment(),
+                        stats,
                     });
                 }
             }
         }
+        Ok((dense, stats))
+    }
+}
 
-        debug_assert!(
-            g.check_reduced_costs(crate::dijkstra::EPS * 100.0).is_ok(),
-            "optimality certificate violated"
-        );
-        Ok((extract(&g), stats.with_heap(dij.heap_counters())))
+/// Node potentials `τ` of the complete bipartite graph; `τ(t)` stays 0.
+#[derive(Clone, Debug)]
+pub(crate) struct Potentials {
+    pub(crate) source: f64,
+    pub(crate) providers: Vec<f64>,
+    pub(crate) customers: Vec<f64>,
+}
+
+/// "No node": the parent of a provider reached straight from `s`.
+const NONE: u32 = u32::MAX;
+
+/// The residual state of one solve (see the module docs), plus the labels
+/// of the current search.
+struct Dense {
+    np: usize,
+    cap: Vec<u32>,
+    weight: Vec<u32>,
+    /// `cost[i·|P| + j] = dist(q_i, p_j)`.
+    cost: Vec<f64>,
+    /// Units on `q_i → p_j`, same indexing as `cost`.
+    flow: Vec<u32>,
+    /// Units on `s → q_i` and `p_j → t`.
+    q_load: Vec<u32>,
+    p_load: Vec<u32>,
+    /// Number of providers with flow to each customer, and one of them.
+    servers: Vec<u32>,
+    server: Vec<u32>,
+    tau: Potentials,
+    // ---- labels of the current search ----
+    alpha_q: Vec<f64>,
+    settled_q: Vec<bool>,
+    /// The customer each provider was reached from (`NONE`: from `s`).
+    parent_q: Vec<u32>,
+    alpha_p: Vec<f64>,
+    /// The provider each customer was reached from.
+    parent_p: Vec<u32>,
+    alpha_t: f64,
+    /// The customer `t` was reached from.
+    parent_t: u32,
+}
+
+impl Dense {
+    fn new(providers: &[FlowProvider], customers: &[FlowCustomer]) -> Self {
+        let (nq, np) = (providers.len(), customers.len());
+        let mut cost = Vec::with_capacity(nq * np);
+        for q in providers {
+            cost.extend(customers.iter().map(|p| q.pos.dist(&p.pos)));
+        }
+        Dense {
+            np,
+            cap: providers.iter().map(|q| q.cap).collect(),
+            weight: customers.iter().map(|p| p.weight).collect(),
+            cost,
+            flow: vec![0; nq * np],
+            q_load: vec![0; nq],
+            p_load: vec![0; np],
+            servers: vec![0; np],
+            server: vec![NONE; np],
+            tau: Potentials {
+                source: 0.0,
+                providers: vec![0.0; nq],
+                customers: vec![0.0; np],
+            },
+            alpha_q: vec![f64::INFINITY; nq],
+            settled_q: vec![false; nq],
+            parent_q: vec![NONE; nq],
+            alpha_p: vec![f64::INFINITY; np],
+            parent_p: vec![NONE; np],
+            alpha_t: f64::INFINITY,
+            parent_t: NONE,
+        }
+    }
+
+    /// One Dijkstra from `s` over reduced costs; returns `α(t)`, or `None`
+    /// when `t` is unreachable. Polls `ctx` on entry and once per settled
+    /// provider; an abort leaves the flow untouched.
+    fn search(&mut self, ctx: Option<&QueryContext>) -> Result<Option<f64>, Aborted> {
+        if let Some(ctx) = ctx {
+            ctx.check()?;
+        }
+        self.alpha_q.fill(f64::INFINITY);
+        self.settled_q.fill(false);
+        self.alpha_p.fill(f64::INFINITY);
+        self.alpha_t = f64::INFINITY;
+        // Settle s (α = 0): relax every residual s→q arc.
+        let tau_s = self.tau.source;
+        for i in 0..self.cap.len() {
+            if self.q_load[i] < self.cap[i] {
+                self.alpha_q[i] = (self.tau.providers[i] - tau_s).max(0.0);
+                self.parent_q[i] = NONE;
+            }
+        }
+        loop {
+            // The unsettled provider labelled lowest below α(t); ties go to
+            // the lower index.
+            let mut next = None;
+            let mut best = self.alpha_t;
+            for (i, (&alpha, &settled)) in self.alpha_q.iter().zip(&self.settled_q).enumerate() {
+                if !settled && alpha < best {
+                    (next, best) = (Some(i), alpha);
+                }
+            }
+            let Some(i) = next else { break };
+            if let Some(ctx) = ctx {
+                ctx.check()?;
+            }
+            self.settle(i);
+        }
+        Ok(self.alpha_t.is_finite().then_some(self.alpha_t))
+    }
+
+    /// Settles provider `i`: one pass over its cost/flow row relaxes every
+    /// residual `q→p` arc.
+    fn settle(&mut self, i: usize) {
+        self.settled_q[i] = true;
+        let (alpha_i, tau_i) = (self.alpha_q[i], self.tau.providers[i]);
+        let row = i * self.np;
+        for j in 0..self.np {
+            if self.flow[row + j] < self.weight[j] {
+                let rc = self.cost[row + j] - tau_i + self.tau.customers[j];
+                debug_assert!(rc > -EPS, "negative reduced cost {rc} on q{i}→p{j}");
+                let cand = alpha_i + rc.max(0.0);
+                if cand + EPS < self.alpha_p[j] {
+                    self.alpha_p[j] = cand;
+                    self.parent_p[j] = i as u32;
+                    self.relay(j);
+                }
+            }
+        }
+    }
+
+    /// Passes customer `j`'s improved label on: to `t` if `j` has spare
+    /// weight, and along its reverse arcs to the providers serving it.
+    fn relay(&mut self, j: usize) {
+        if self.p_load[j] < self.weight[j] {
+            // rc(p→t) = 0 − τ(p) + τ(t), with τ(t) = 0.
+            let cand = self.alpha_p[j] + (-self.tau.customers[j]).max(0.0);
+            if cand + EPS < self.alpha_t {
+                self.alpha_t = cand;
+                self.parent_t = j as u32;
+            }
+        }
+        match self.servers[j] {
+            0 => {}
+            1 => self.relax_back(j, self.server[j] as usize),
+            _ => {
+                for i in 0..self.cap.len() {
+                    if self.flow[i * self.np + j] > 0 {
+                        self.relax_back(j, i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Relaxes the reverse arc `p_j → q_i` into an unsettled provider.
+    fn relax_back(&mut self, j: usize, i: usize) {
+        if self.settled_q[i] {
+            return;
+        }
+        let rc = -self.cost[i * self.np + j] - self.tau.customers[j] + self.tau.providers[i];
+        debug_assert!(rc > -EPS, "negative reduced cost {rc} on p{j}→q{i}");
+        let cand = self.alpha_p[j] + rc.max(0.0);
+        if cand + EPS < self.alpha_q[i] {
+            self.alpha_q[i] = cand;
+            self.parent_q[i] = j as u32;
+        }
+    }
+
+    /// Pushes as many units along the shortest path to `t` as its
+    /// bottleneck admits, capped at `limit` (Algorithm 1 lines 4–7), and
+    /// returns the amount. The path is `s → q → p (→ q → p)* → t`, walked
+    /// back from `t` through the parent links.
+    fn augment(&mut self, limit: u32) -> u32 {
+        let np = self.np;
+        let last = self.parent_t as usize;
+        let mut units = limit.min(self.weight[last] - self.p_load[last]);
+        let mut j = last;
+        let first = loop {
+            let i = self.parent_p[j] as usize;
+            units = units.min(self.weight[j] - self.flow[i * np + j]);
+            match self.parent_q[i] {
+                NONE => break i,
+                prev => {
+                    j = prev as usize;
+                    units = units.min(self.flow[i * np + j]);
+                }
+            }
+        };
+        units = units.min(self.cap[first] - self.q_load[first]);
+        debug_assert!(units > 0, "augmenting along a saturated path");
+        self.p_load[last] += units;
+        self.q_load[first] += units;
+        let mut j = last;
+        loop {
+            let i = self.parent_p[j] as usize;
+            self.add_flow(i, j, units);
+            match self.parent_q[i] {
+                NONE => break,
+                prev => {
+                    j = prev as usize;
+                    self.cancel_flow(i, j, units);
+                }
+            }
+        }
+        units
+    }
+
+    fn add_flow(&mut self, i: usize, j: usize, units: u32) {
+        let f = &mut self.flow[i * self.np + j];
+        if *f == 0 {
+            self.servers[j] += 1;
+            if self.servers[j] == 1 {
+                self.server[j] = i as u32;
+            }
+        }
+        *f += units;
+    }
+
+    fn cancel_flow(&mut self, i: usize, j: usize, units: u32) {
+        let f = &mut self.flow[i * self.np + j];
+        *f -= units;
+        if *f == 0 {
+            self.servers[j] -= 1;
+            if self.servers[j] == 1 {
+                let np = self.np;
+                let left = (0..self.cap.len()).find(|&k| self.flow[k * np + j] > 0);
+                self.server[j] = left.expect("one server left") as u32;
+            }
+        }
+    }
+
+    /// Algorithm 1 lines 8–9: `τ(v) += α(t) − α(v)` for every node
+    /// labelled below `α(t)` — `s`, the settled providers and those
+    /// customers (`τ(t)` gains 0). Returns the search's settled-node count:
+    /// those nodes plus `t`.
+    fn update_potentials(&mut self, alpha_t: f64) -> u64 {
+        let mut settled = 2; // s and t
+        if alpha_t > 0.0 {
+            self.tau.source += alpha_t;
+        }
+        for (i, &done) in self.settled_q.iter().enumerate() {
+            if done {
+                settled += 1;
+                let delta = alpha_t - self.alpha_q[i];
+                if delta > 0.0 {
+                    self.tau.providers[i] += delta;
+                }
+            }
+        }
+        for (tau, &alpha) in self.tau.customers.iter_mut().zip(&self.alpha_p) {
+            if alpha < alpha_t {
+                settled += 1;
+                *tau += alpha_t - alpha;
+            }
+        }
+        settled
+    }
+
+    /// The installed flow as `(provider, customer, units)` pairs in
+    /// provider-major order, with `Ψ(M)` summed in the same order.
+    fn assignment(&self) -> Assignment {
+        let mut asg = Assignment::default();
+        for (k, &f) in self.flow.iter().enumerate() {
+            if f > 0 {
+                asg.pairs.push((k / self.np, k % self.np, f));
+                asg.cost += f64::from(f) * self.cost[k];
+            }
+        }
+        asg
     }
 }
 
@@ -315,10 +552,7 @@ mod tests {
     }
 
     fn with_ctx(ctx: &QueryContext) -> Sspa<'_> {
-        Sspa {
-            ctx: Some(ctx),
-            ..Sspa::default()
-        }
+        Sspa { ctx: Some(ctx) }
     }
 
     /// Independent reference for weighted instances: the Hungarian optimum
@@ -426,7 +660,10 @@ mod tests {
         assert_eq!(err.reason, AbortReason::DeadlineExceeded);
         assert_eq!(err.partial.size(), 0, "no iteration ran");
         assert_eq!(err.stats.iterations, 0);
-        assert!(err.stats.edges > 0, "the graph was built before the poll");
+        assert!(
+            err.stats.edges > 0,
+            "edges are counted before the first poll"
+        );
         assert!(err.to_string().contains("deadline"));
     }
 
@@ -588,6 +825,77 @@ mod tests {
             );
             proptest::prop_assert!(stats.iterations <= gamma);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// The shapes a continuous-engine local repair sends: 8 providers
+        /// with capacities 0–10 and 1–80 unit customers, so both Σk < |P|
+        /// and Σk ≥ |P| occur. One search per unit, and the Hungarian
+        /// optimum (which shares no code with SSPA).
+        #[test]
+        fn prop_local_repair_shapes_match_hungarian(
+            seed in 0u64..10_000,
+            caps in proptest::collection::vec(0u32..=10, 8usize..=8),
+            np in 1usize..=80,
+        ) {
+            let (mut providers, customers) = random_instance(seed, 8, np, 1);
+            for (q, cap) in providers.iter_mut().zip(caps) {
+                q.cap = cap;
+            }
+            let (asg, stats) = solve(&providers, &customers);
+            let gamma = required_flow(&providers, &customers);
+            let pts: Vec<Point> = customers.iter().map(|c| c.pos).collect();
+            let want = crate::validate::hungarian_optimal_cost(&providers, &pts);
+            proptest::prop_assert_eq!(asg.size(), gamma);
+            proptest::prop_assert_eq!(stats.iterations, gamma);
+            proptest::prop_assert!(
+                (asg.cost - want).abs() <= 1e-9 * want.max(1.0),
+                "sspa {} vs hungarian {}", asg.cost, want
+            );
+        }
+    }
+
+    #[test]
+    fn certificate_reports_a_shifted_potential_and_swapped_providers() {
+        use crate::validate::assert_optimal;
+        let (providers, customers) = random_instance(5, 4, 30, 5);
+        let (dense, _) = Sspa::default().run(&providers, &customers).unwrap();
+        let asg = dense.assignment();
+        assert_optimal(&providers, &customers, &asg, &dense.tau).unwrap();
+
+        // Shifting any one provider's potential, either way, breaks the
+        // reduced-cost invariant on one of its residual arcs.
+        for i in 0..providers.len() {
+            for shift in [-1e4, 1e4] {
+                let mut tau = dense.tau.clone();
+                tau.providers[i] += shift;
+                let err = assert_optimal(&providers, &customers, &asg, &tau).unwrap_err();
+                assert!(err.contains("reduced cost"), "q{i} {shift:+}: {err}");
+            }
+        }
+
+        // Swapping the providers of two customers keeps the matching
+        // feasible and of size γ, but the old potentials no longer
+        // certify it.
+        let (a, b) = (0..asg.pairs.len())
+            .flat_map(|a| (a + 1..asg.pairs.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                let ((qa, pa, _), (qb, pb, _)) = (asg.pairs[a], asg.pairs[b]);
+                let d = |q: usize, p: usize| providers[q].pos.dist(&customers[p].pos);
+                qa != qb && d(qa, pb) + d(qb, pa) > d(qa, pa) + d(qb, pb) + 1.0
+            })
+            .expect("a costly swap exists");
+        let mut swapped = asg.clone();
+        (swapped.pairs[a].0, swapped.pairs[b].0) = (asg.pairs[b].0, asg.pairs[a].0);
+        swapped.cost = swapped
+            .pairs
+            .iter()
+            .map(|&(q, p, u)| f64::from(u) * providers[q].pos.dist(&customers[p].pos))
+            .sum();
+        crate::validate::validate_assignment(&providers, &customers, &swapped).unwrap();
+        let err = assert_optimal(&providers, &customers, &swapped, &dense.tau).unwrap_err();
+        assert!(err.contains("reduced cost"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Validation oracles: matching validity, brute-force optima, and
-//! cross-checking helpers used throughout the workspace's tests.
+//! Validation oracles: matching validity, brute-force optima, the SSPA
+//! optimality certificate, and cross-checking helpers used throughout the
+//! workspace's tests.
 
 use cca_geo::Point;
 
+use crate::dijkstra::EPS;
 use crate::hungarian::rectangular_assignment;
-use crate::sspa::{required_flow, Assignment, FlowCustomer, FlowProvider};
+use crate::sspa::{required_flow, Assignment, FlowCustomer, FlowProvider, Potentials};
 
 /// Checks that `asg` is a *valid maximal* matching for the instance:
 /// provider loads within capacity, customer loads within weight, total size
@@ -51,6 +53,55 @@ pub fn validate_assignment(
             "reported cost {} inconsistent with pairs ({cost})",
             asg.cost
         ));
+    }
+    Ok(())
+}
+
+/// The optimality certificate of a complete-graph SSPA solve: `asg` is a
+/// valid maximal matching (see [`validate_assignment`]) and every residual
+/// arc of the complete bipartite graph — `s→q`, `q→s`, `q→p`, `p→q`, `p→t`,
+/// `t→p` — has reduced cost ≥ −100·EPS under `tau` (with `τ(t) = 0`).
+/// A flow of value γ with no negative residual arc is a minimum-cost flow
+/// (§2.2), so `Ok` proves `asg` optimal without solving the instance again.
+pub(crate) fn assert_optimal(
+    providers: &[FlowProvider],
+    customers: &[FlowCustomer],
+    asg: &Assignment,
+    tau: &Potentials,
+) -> Result<(), String> {
+    validate_assignment(providers, customers, asg)?;
+    let np = customers.len();
+    let mut flow = vec![0u32; providers.len() * np];
+    for &(i, j, units) in &asg.pairs {
+        flow[i * np + j] += units;
+    }
+    let (q_load, p_load) = (
+        asg.provider_load(providers.len()),
+        asg.customer_load(customers.len()),
+    );
+    // Errs on a residual arc whose reduced cost is below the tolerance.
+    fn check(residual: bool, rc: f64, arc: impl FnOnce() -> String) -> Result<(), String> {
+        if residual && rc < -100.0 * EPS {
+            return Err(format!("{} has reduced cost {rc}", arc()));
+        }
+        Ok(())
+    }
+    for (i, q) in providers.iter().enumerate() {
+        let (load, tq) = (q_load[i], tau.providers[i]);
+        check(load < u64::from(q.cap), tq - tau.source, || {
+            format!("s→q{i}")
+        })?;
+        check(load > 0, tau.source - tq, || format!("q{i}→s"))?;
+        for (j, p) in customers.iter().enumerate() {
+            let (f, tp, d) = (flow[i * np + j], tau.customers[j], q.pos.dist(&p.pos));
+            check(f < p.weight, d - tq + tp, || format!("q{i}→p{j}"))?;
+            check(f > 0, -d - tp + tq, || format!("p{j}→q{i}"))?;
+        }
+    }
+    for (j, p) in customers.iter().enumerate() {
+        let (load, tp) = (p_load[j], tau.customers[j]);
+        check(load < u64::from(p.weight), -tp, || format!("p{j}→t"))?;
+        check(load > 0, tp, || format!("t→p{j}"))?;
     }
     Ok(())
 }

@@ -8,11 +8,13 @@
 //! * identical settle order up to equal-key ties, with bit-identical
 //!   distances, on random weighted graphs — including after PUA edge
 //!   inserts and `drain_below_sink` (the paths that trigger the fallback),
-//! * bit-identical final matching cost on random SSPA instances.
+//! * bit-identical final matching cost on random SSPA instances, solved by
+//!   a test-local graph SSPA (the library's [`Sspa`] is dense and uses no
+//!   frontier; it is checked against the same reference here).
 
 use cca_flow::{
-    Assignment, DijkstraState, FlowCustomer, FlowGraph, FlowProvider, FrontierKind, NodeId, Sspa,
-    SspaStats,
+    required_flow, Assignment, DijkstraState, FlowCustomer, FlowGraph, FlowProvider, FrontierKind,
+    HeapCounters, NodeId, Sspa,
 };
 use cca_geo::Point;
 use proptest::prelude::*;
@@ -89,18 +91,51 @@ fn customers_from(raw: &[(f64, f64, u32)]) -> Vec<FlowCustomer> {
         .collect()
 }
 
-/// A context-free solve on the given frontier.
+/// Reference SSPA on an explicit residual graph: Algorithm 1's solve loop
+/// over a [`FlowGraph`] and a [`DijkstraState`] on the given frontier.
+/// Returns the assignment, the number of searches and the frontier counters.
 fn solve_on(
     frontier: FrontierKind,
     providers: &[FlowProvider],
     customers: &[FlowCustomer],
-) -> (Assignment, SspaStats) {
-    Sspa {
-        frontier,
-        ..Sspa::default()
+) -> (Assignment, u64, HeapCounters) {
+    let (s, t) = (0, 1);
+    let q_node = |i: usize| (2 + i) as NodeId;
+    let p_node = |j: usize| (2 + providers.len() + j) as NodeId;
+    let mut g = FlowGraph::with_nodes(2 + providers.len() + customers.len());
+    for (i, q) in providers.iter().enumerate() {
+        g.add_edge(s, q_node(i), q.cap, 0.0);
     }
-    .solve(providers, customers)
-    .expect("no context, no abort")
+    let mut qp_edges = Vec::new();
+    for (i, q) in providers.iter().enumerate() {
+        for (j, p) in customers.iter().enumerate() {
+            let e = g.add_edge(q_node(i), p_node(j), p.weight, q.pos.dist(&p.pos));
+            qp_edges.push((e, i, j));
+        }
+    }
+    for (j, p) in customers.iter().enumerate() {
+        g.add_edge(p_node(j), t, p.weight, 0.0);
+    }
+    let gamma = required_flow(providers, customers);
+    let mut d = DijkstraState::with_frontier(frontier);
+    let (mut units, mut searches) = (0u64, 0u64);
+    while units < gamma {
+        d.init(&g, s);
+        let alpha_t = d.run_until(&g, t, None).unwrap().expect("γ is reachable");
+        let limit = (gamma - units).min(u64::from(u32::MAX)) as u32;
+        units += u64::from(d.augment_bottleneck(&mut g, t, limit));
+        g.update_potentials(d.settled_nodes(), |v| d.alpha(v), alpha_t);
+        searches += 1;
+    }
+    let mut asg = Assignment::default();
+    for (e, i, j) in qp_edges {
+        let f = g.edge_flow(e);
+        if f > 0 {
+            asg.pairs.push((i, j, f));
+            asg.cost += f64::from(f) * providers[i].pos.dist(&customers[j].pos);
+        }
+    }
+    (asg, searches, d.heap_counters())
 }
 
 proptest! {
@@ -152,8 +187,10 @@ proptest! {
         prop_assert_eq!(&runs[0], &runs[1], "PUA-corrected distances diverged");
     }
 
-    /// Cold SSPA: the radix engine's final matching cost is bit-identical to
-    /// the binary (old) engine's on random weighted instances.
+    /// Cold SSPA on the reference graph solver: the radix engine's final
+    /// matching cost is bit-identical to the binary (old) engine's on
+    /// random weighted instances, and the dense [`Sspa::solve`] reaches the
+    /// same size at the same cost within 1e-9 relative.
     #[test]
     fn prop_sspa_cost_bits_match_binary(
         praw in proptest::collection::vec(
@@ -163,14 +200,22 @@ proptest! {
     ) {
         let providers = providers_from(&praw);
         let customers = customers_from(&craw);
-        let (radix, rs) = solve_on(FrontierKind::Radix, &providers, &customers);
-        let (binary, bs) = solve_on(FrontierKind::Binary, &providers, &customers);
+        let (radix, rs, _) = solve_on(FrontierKind::Radix, &providers, &customers);
+        let (binary, bs, bc) = solve_on(FrontierKind::Binary, &providers, &customers);
         prop_assert_eq!(
             radix.cost.to_bits(), binary.cost.to_bits(),
             "cost diverged: {} vs {}", radix.cost, binary.cost);
         prop_assert_eq!(radix.size(), binary.size());
-        prop_assert_eq!(rs.iterations, bs.iterations);
+        prop_assert_eq!(rs, bs);
         // The binary engine performs no radix operations at all.
-        prop_assert_eq!(bs.radix_fallbacks, 0);
+        prop_assert_eq!(bc.radix_fallbacks, 0);
+
+        let (dense, _) = Sspa::default()
+            .solve(&providers, &customers)
+            .expect("no context, no abort");
+        prop_assert_eq!(dense.size(), radix.size());
+        prop_assert!(
+            (dense.cost - radix.cost).abs() <= 1e-9 * radix.cost.max(1.0),
+            "dense {} vs graph {}", dense.cost, radix.cost);
     }
 }

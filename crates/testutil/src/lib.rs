@@ -2,12 +2,13 @@
 //!
 //! The exact-algorithm tests, approximation tests and adversarial suites
 //! all need the same four ingredients: a seeded random instance, an R-tree
-//! over its customers, the independent flow-solver optimum, and `γ`. They
+//! over its customers, the independent Hungarian optimum, and `γ`. They
 //! used to be copy-pasted per module; this crate is the single home.
 
 #![forbid(unsafe_code)]
 
-use cca_flow::sspa::{unit_customers, FlowProvider, Sspa};
+use cca_flow::sspa::FlowProvider;
+use cca_flow::validate::hungarian_optimal_cost;
 use cca_geo::Point;
 use cca_rtree::RTree;
 use cca_storage::PageStore;
@@ -45,17 +46,15 @@ pub fn random_instance(
     (providers, customers)
 }
 
-/// The optimal assignment cost per the independent complete-bipartite
-/// flow solver (the oracle every algorithm is checked against).
+/// The optimal assignment cost per the Hungarian oracle (the oracle every
+/// algorithm is checked against). It shares no code with any flow solver,
+/// `Sspa` included, so no solver is ever checked against itself.
 pub fn optimal_cost(providers: &[(Point, u32)], customers: &[Point]) -> f64 {
     let fps: Vec<FlowProvider> = providers
         .iter()
         .map(|&(pos, cap)| FlowProvider { pos, cap })
         .collect();
-    let (asg, _) = Sspa::default()
-        .solve(&fps, &unit_customers(customers))
-        .expect("no context, no abort");
-    asg.cost
+    hungarian_optimal_cost(&fps, customers)
 }
 
 /// Bulk-loads customers into an R-tree with the test-default storage
