@@ -21,7 +21,7 @@
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::{QueryContext, SolverConfig, SpatialAssignment};
+use cca::{QueryContext, SolverConfig, SolverRegistry, SpatialAssignment};
 
 struct ScaleSpec {
     customers: usize,
@@ -86,9 +86,10 @@ fn scales(quick: bool) -> Vec<ScaleSpec> {
 fn timed_run(instance: &SpatialAssignment, solver: &'static str, cfg: &SolverConfig) -> Run {
     let ctx = QueryContext::new();
     let start = Instant::now();
-    let result = instance
-        .run_config_ctx(cfg, &ctx)
+    let solver_impl = SolverRegistry::with_defaults()
+        .build(cfg)
         .expect("registered solver");
+    let result = instance.run_solver(&*solver_impl, Some(&ctx));
     let wall_s = start.elapsed().as_secs_f64();
     assert!(result.aborted.is_none(), "{solver}: no budget, no abort");
     assert_eq!(

@@ -14,12 +14,14 @@
 //! Writes `BENCH_fair.json` (override the path with `CCA_BENCH_OUT`). Run
 //! with `cargo bench --bench fair_share`.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::serve::{Request, ServeConfig, ServingInstance};
-use cca::{QueryContext, SolverConfig, SolverRegistry, SpatialAssignment, TenantId, TenantQuota};
+use cca::{
+    QueryContext, Solver, SolverConfig, SolverRegistry, SpatialAssignment, TenantId, TenantQuota,
+};
 
 const A: TenantId = TenantId(1);
 const B: TenantId = TenantId(2);
@@ -28,7 +30,7 @@ const IO_BUDGET: u64 = 300;
 const WORKERS: usize = 2;
 const REPEATS: usize = 5;
 
-fn build() -> SpatialAssignment {
+fn build() -> Arc<SpatialAssignment> {
     let w = WorkloadConfig {
         num_providers: 24,
         num_customers: 12_000,
@@ -38,7 +40,12 @@ fn build() -> SpatialAssignment {
         seed: 11,
     }
     .generate();
-    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 8.0)
+    Arc::new(SpatialAssignment::build_with_storage(
+        w.providers,
+        w.customers,
+        1024,
+        8.0,
+    ))
 }
 
 struct Round {
@@ -49,57 +56,54 @@ struct Round {
     mean_latency_b_ms: f64,
 }
 
-fn round(instance: &SpatialAssignment, weight_a: u32) -> Round {
+fn round(instance: &Arc<SpatialAssignment>, weight_a: u32) -> Round {
     let registry = SolverRegistry::with_defaults();
-    let solvers: Vec<_> = (0..2 * BURST_PER_TENANT)
-        .map(|_| registry.build(&SolverConfig::new("ida")).unwrap())
+    let solvers: Vec<Arc<dyn Solver>> = (0..2 * BURST_PER_TENANT)
+        .map(|_| Arc::from(registry.build(&SolverConfig::new("ida")).unwrap()))
         .collect();
     instance.tree().store().clear_cache();
-    let order: Mutex<Vec<TenantId>> = Mutex::new(Vec::new());
+    let order: Arc<Mutex<Vec<TenantId>>> = Arc::default();
     let config = ServeConfig::default()
         .workers(WORKERS)
         .queue_capacity(2 * BURST_PER_TENANT)
         .aging_period(8)
         .tenant_quota(A, TenantQuota::default().weight(weight_a));
     let start = Instant::now();
-    let (stats_a, stats_b) = ServingInstance::start(config).scope(|scope| {
-        let order = &order;
-        let tickets: Vec<_> = solvers
-            .iter()
-            .enumerate()
-            .map(|(i, solver)| {
-                let tenant = if i % 2 == 0 { A } else { B };
-                let solver = &**solver;
-                scope
-                    .submit(
-                        Request::new(move |ctx: &QueryContext| {
-                            order.lock().unwrap().push(ctx.tenant());
-                            let problem = instance.problem().with_context(ctx);
-                            solver.run(&problem).is_complete()
-                        })
-                        .context(
-                            QueryContext::new()
-                                .with_tenant(tenant)
-                                .with_io_budget(IO_BUDGET),
-                        ),
-                    )
-                    .expect("queue sized to the burst")
-            })
-            .collect();
-        for t in tickets {
-            t.wait();
-        }
-        (
-            scope.instance().tenant_stats_for(A).unwrap(),
-            scope.instance().tenant_stats_for(B).unwrap(),
-        )
-    });
+    let serving = ServingInstance::start(config);
+    let tickets: Vec<_> = solvers
+        .into_iter()
+        .enumerate()
+        .map(|(i, solver)| {
+            let tenant = if i % 2 == 0 { A } else { B };
+            let (instance, order) = (Arc::clone(instance), Arc::clone(&order));
+            serving
+                .submit(
+                    Request::new(move |ctx: &QueryContext| {
+                        order.lock().unwrap().push(ctx.tenant());
+                        let problem = instance.problem().with_context(ctx);
+                        solver.run(&problem).is_complete()
+                    })
+                    .context(
+                        QueryContext::new()
+                            .with_tenant(tenant)
+                            .with_io_budget(IO_BUDGET),
+                    ),
+                )
+                .expect("queue sized to the burst")
+        })
+        .collect();
+    for t in tickets {
+        t.wait();
+    }
+    let stats_a = serving.tenant_stats_for(A).unwrap();
+    let stats_b = serving.tenant_stats_for(B).unwrap();
+    serving.shutdown();
     let wall = start.elapsed().as_secs_f64();
     // Share while both backlogged: cut the order at the point where either
     // tenant has been fully dispatched.
-    let order = order.into_inner().unwrap();
+    let order = order.lock().unwrap();
     let (mut seen_a, mut seen_b, mut a_in_window, mut window) = (0usize, 0usize, 0usize, 0usize);
-    for &t in &order {
+    for &t in order.iter() {
         if seen_a == BURST_PER_TENANT || seen_b == BURST_PER_TENANT {
             break;
         }

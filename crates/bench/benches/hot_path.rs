@@ -23,6 +23,7 @@
 //! the JSON stays valid).
 
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
@@ -98,7 +99,7 @@ fn kernel_rate(reps: usize, mut sweep: impl FnMut() -> f64) -> f64 {
     (reps * KERNEL_N) as f64 / start.elapsed().as_secs_f64() / 1.0e6
 }
 
-fn build_instance() -> SpatialAssignment {
+fn build_instance() -> Arc<SpatialAssignment> {
     let w = WorkloadConfig {
         num_providers: 24,
         num_customers: 20_000,
@@ -108,7 +109,12 @@ fn build_instance() -> SpatialAssignment {
         seed: 7,
     }
     .generate();
-    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 16.0)
+    Arc::new(SpatialAssignment::build_with_storage(
+        w.providers,
+        w.customers,
+        1024,
+        16.0,
+    ))
 }
 
 /// The mixed batch: IDA variants + CA + SA.
@@ -137,7 +143,7 @@ fn main() {
     let pages: Vec<PageId> = (0..1024)
         .map(|i| {
             let id = store.alloc_page();
-            store.write_page(id, &vec![(i % 251) as u8; 1024]);
+            store.write_page(id, &vec![(i % 251) as u8; 1024], None);
             id
         })
         .collect();
@@ -219,7 +225,7 @@ fn main() {
         let ctx = QueryContext::new();
         let start = Instant::now();
         let mut n = 0u64;
-        tree.for_each_point_ctx(Some(&ctx), &mut |_, _| n += 1)
+        tree.for_each_point(&mut |_, _| n += 1, Some(&ctx))
             .expect("no budget, no abort");
         assert_eq!(n, 20_000);
         best_scan_s = best_scan_s.min(start.elapsed().as_secs_f64());

@@ -43,14 +43,14 @@ fn bench_rtree(c: &mut Criterion) {
 
         let tree = RTree::bulk_load(PageStore::with_config(1024, 8192), &data);
         g.bench_with_input(BenchmarkId::new("range_r50", n), &tree, |b, tree| {
-            b.iter(|| black_box(tree.range_search(Point::new(500.0, 500.0), 50.0)));
+            b.iter(|| black_box(tree.range_search(Point::new(500.0, 500.0), 50.0, None)));
         });
         g.bench_with_input(BenchmarkId::new("knn_100", n), &tree, |b, tree| {
             b.iter(|| black_box(tree.knn(Point::new(500.0, 500.0), 100)));
         });
         g.bench_with_input(BenchmarkId::new("inc_nn_500", n), &tree, |b, tree| {
             b.iter(|| {
-                let mut cur = tree.inc_nn(Point::new(250.0, 750.0));
+                let mut cur = tree.inc_nn(Point::new(250.0, 750.0), None);
                 for _ in 0..500 {
                     black_box(cur.next());
                 }

@@ -16,18 +16,19 @@
 //! path with `CCA_BENCH_OUT`). Run with `cargo bench --bench
 //! serve_throughput`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::serve::{Priority, Request, ServeConfig, ServingInstance, Ticket};
-use cca::{QueryContext, SolverConfig, SpatialAssignment};
+use cca::{QueryContext, Solver, SolverConfig, SpatialAssignment};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const STREAM_LEN: usize = 64;
 const STREAM_BUDGET: u64 = 400;
 const REPEATS: usize = 7;
 
-fn build() -> SpatialAssignment {
+fn build() -> Arc<SpatialAssignment> {
     let w = WorkloadConfig {
         num_providers: 24,
         num_customers: 12_000,
@@ -37,7 +38,12 @@ fn build() -> SpatialAssignment {
         seed: 11,
     }
     .generate();
-    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 8.0)
+    Arc::new(SpatialAssignment::build_with_storage(
+        w.providers,
+        w.customers,
+        1024,
+        8.0,
+    ))
 }
 
 /// IDA-heavy mix — the solvers that actually live on the page store.
@@ -56,7 +62,7 @@ fn batch_queries() -> Vec<SolverConfig> {
 }
 
 /// One `BatchRunner` round over the scheduler. Returns queries/second.
-fn batch_round(instance: &SpatialAssignment, queries: &[SolverConfig], workers: usize) -> f64 {
+fn batch_round(instance: &Arc<SpatialAssignment>, queries: &[SolverConfig], workers: usize) -> f64 {
     let start = Instant::now();
     let report = instance
         .batch()
@@ -73,16 +79,16 @@ fn batch_round(instance: &SpatialAssignment, queries: &[SolverConfig], workers: 
 /// One direct serving round: a budgeted query stream through a bounded
 /// admission queue. Returns requests/second over (completed + aborted);
 /// shed requests are asserted away by pacing submissions with ticket waits.
-fn stream_round(instance: &SpatialAssignment, workers: usize) -> f64 {
+fn stream_round(instance: &Arc<SpatialAssignment>, workers: usize) -> f64 {
     let registry = cca::SolverRegistry::with_defaults();
-    let solvers: Vec<_> = (0..STREAM_LEN)
+    let solvers: Vec<Arc<dyn Solver>> = (0..STREAM_LEN)
         .map(|i| {
             let config = if i % 3 == 0 {
                 SolverConfig::new("ida-grouped").group_size(8)
             } else {
                 SolverConfig::new("ida")
             };
-            registry.build(&config).unwrap()
+            Arc::from(registry.build(&config).unwrap())
         })
         .collect();
     instance.tree().store().clear_cache();
@@ -91,41 +97,40 @@ fn stream_round(instance: &SpatialAssignment, workers: usize) -> f64 {
         .queue_capacity(STREAM_LEN)
         .aging_period(8);
     let start = Instant::now();
-    let (completed, aborted) = ServingInstance::start(config).scope(|scope| {
-        let tickets: Vec<Ticket<bool>> = solvers
-            .iter()
-            .enumerate()
-            .map(|(i, solver)| {
-                let ctx = QueryContext::new()
-                    .with_priority(if i % 5 == 0 {
-                        Priority::High
-                    } else {
-                        Priority::Normal
+    let serving = ServingInstance::start(config);
+    let tickets: Vec<Ticket<bool>> = solvers
+        .into_iter()
+        .enumerate()
+        .map(|(i, solver)| {
+            let ctx = QueryContext::new()
+                .with_priority(if i % 5 == 0 {
+                    Priority::High
+                } else {
+                    Priority::Normal
+                })
+                .with_io_budget(STREAM_BUDGET);
+            let instance = Arc::clone(instance);
+            serving
+                .submit(
+                    Request::new(move |ctx: &QueryContext| {
+                        let problem = instance.problem().with_context(ctx);
+                        solver.run(&problem).is_complete()
                     })
-                    .with_io_budget(STREAM_BUDGET);
-                let solver = &**solver;
-                scope
-                    .submit(
-                        Request::new(move |ctx: &QueryContext| {
-                            let problem = instance.problem().with_context(ctx);
-                            solver.run(&problem).is_complete()
-                        })
-                        .context(ctx),
-                    )
-                    .expect("queue sized to the stream")
-            })
-            .collect();
-        let mut completed = 0usize;
-        let mut aborted = 0usize;
-        for t in tickets {
-            if t.wait() {
-                completed += 1;
-            } else {
-                aborted += 1;
-            }
+                    .context(ctx),
+                )
+                .expect("queue sized to the stream")
+        })
+        .collect();
+    let mut completed = 0usize;
+    let mut aborted = 0usize;
+    for t in tickets {
+        if t.wait() {
+            completed += 1;
+        } else {
+            aborted += 1;
         }
-        (completed, aborted)
-    });
+    }
+    serving.shutdown();
     let wall = start.elapsed().as_secs_f64();
     assert_eq!(completed + aborted, STREAM_LEN);
     STREAM_LEN as f64 / wall

@@ -72,7 +72,7 @@ fn main() {
         }
         let solver = registry.build(&config).unwrap_or_else(|e| panic!("{e}"));
         let t0 = Instant::now();
-        let r = instance.run_solver(&*solver);
+        let r = instance.run_solver(&*solver, None);
         let wall = t0.elapsed();
         eprintln!(
             "  {:<4} cost={:>12.1} |Esub|={:>9} faults={:>7} iters={:>7} dij={:>7} invalid={:>8} cpu={:>8.2?} wall={wall:?}",

@@ -105,7 +105,7 @@ pub fn measure(instance: &SpatialAssignment, config: &SolverConfig, x: impl ToSt
         .build(config)
         .unwrap_or_else(|e| panic!("{e}"));
     let t0 = Instant::now();
-    let r = instance.run_solver(&*solver);
+    let r = instance.run_solver(&*solver, None);
     let wall = t0.elapsed();
     r.validate()
         .expect("harness runs must produce valid matchings");

@@ -59,7 +59,7 @@ pub fn ca(
     let start = Instant::now();
 
     // Phase 1a: diagonal-bounded partition descent (§4.2).
-    let base: Vec<CustomerGroup> = match tree.partition_by_diagonal_ctx(cfg.delta, ctx) {
+    let base: Vec<CustomerGroup> = match tree.partition_by_diagonal(cfg.delta, ctx) {
         Ok(groups) => groups,
         Err(_) => {
             return (

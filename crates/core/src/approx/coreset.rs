@@ -118,7 +118,7 @@ pub fn coreset(
     let start = Instant::now();
     let mut items = Vec::new();
     if tree
-        .for_each_point_ctx(ctx, |pos, id| items.push((pos, id)))
+        .for_each_point(|pos, id| items.push((pos, id)), ctx)
         .is_err()
     {
         return empty(start);
@@ -370,7 +370,7 @@ fn swap_refine(
             };
             let (_, radius) = worst_of(pairs, &by_provider[qi]);
             let k = (2 * by_provider[qi].len()).clamp(4, 64);
-            let hits = match tree.knn_within_ctx(qpos, k, radius, ctx) {
+            let hits = match tree.knn_within(qpos, k, radius, ctx) {
                 Ok(hits) => hits,
                 Err(_) => return, // abort: the current matching stands
             };

@@ -64,7 +64,7 @@ pub fn da(
     let start = Instant::now();
     let mut items = Vec::new();
     if tree
-        .for_each_point_ctx(ctx, |pos, id| items.push((pos, id)))
+        .for_each_point(|pos, id| items.push((pos, id)), ctx)
         .is_err()
     {
         return (

@@ -26,7 +26,7 @@ use super::events::{ContinuousConfig, DynamicStats, EventReport, RepairKind, Wor
 /// 2. **Repair** — re-optimization, and the only abortable phase. The
 ///    engine patches a bounded neighbourhood around the event (K nearest
 ///    providers, their local assignees and nearby unmatched customers via
-///    `knn_within_ctx`, then one small SSPA over that sub-instance spliced
+///    `knn_within`, then one small SSPA over that sub-instance spliced
 ///    back), expanding the neighbourhood up to
 ///    [`ContinuousConfig::max_expansions`] times; when the accumulated
 ///    dirty fraction crosses [`ContinuousConfig::dirty_threshold`] — or the
@@ -306,7 +306,7 @@ impl ContinuousAssignment {
         // Nearby customers: unmatched ones, and those assigned within the
         // neighbourhood (assignments to outside providers are not touched).
         let scan_cap = self.cfg.candidate_scan_cap << round;
-        let scan = self.tree.knn_within_ctx(epicenter, scan_cap, radius, ctx)?;
+        let scan = self.tree.knn_within(epicenter, scan_cap, radius, ctx)?;
         let mut slots: Vec<usize> = Vec::with_capacity(scan.len());
         let mut local_load = vec![0u32; k];
         let hood_index: HashMap<usize, usize> = order

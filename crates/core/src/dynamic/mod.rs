@@ -6,7 +6,7 @@
 //! capacity is consumed and released. [`ContinuousAssignment`] maintains a
 //! feasible matching under a stream of [`WorldEvent`]s and re-optimizes
 //! *incrementally*: a bounded-neighbourhood repair around each event
-//! (powered by the R-tree's `knn_within_ctx` and a small in-memory SSPA),
+//! (powered by the R-tree's `knn_within` and a small in-memory SSPA),
 //! and a dirty-fraction threshold deciding when patching stops paying and
 //! the engine re-solves from scratch with IDA — the paper's own answer to
 //! the full-graph SSPA (§3.3 vs §2.2), at every instance size.

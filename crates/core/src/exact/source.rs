@@ -115,7 +115,7 @@ impl<'t> RtreeSource<'t> {
     /// context all traversal I/O is charged to `ctx` and every cursor is
     /// subject to its abort checks.
     pub fn new(tree: &'t RTree, providers: Vec<Point>, ctx: Option<&QueryContext>) -> Self {
-        let cursors = Cursors::Plain(providers.iter().map(|&q| tree.inc_nn_ctx(q, ctx)).collect());
+        let cursors = Cursors::Plain(providers.iter().map(|&q| tree.inc_nn(q, ctx)).collect());
         RtreeSource {
             tree,
             providers,
@@ -144,7 +144,7 @@ impl<'t> RtreeSource<'t> {
             for (m, &i) in chunk.iter().enumerate() {
                 map[i] = (gidx, m as u32);
             }
-            groups.push(tree.group_ann_ctx(members, ctx));
+            groups.push(tree.group_ann(members, ctx));
         }
         RtreeSource {
             tree,
@@ -184,9 +184,9 @@ impl CustomerSource for RtreeSource<'_> {
         let q = self.providers[qi];
         let ctx = self.ctx.as_ref();
         let hits = if include_lo {
-            self.tree.range_search_ctx(q, hi, ctx)
+            self.tree.range_search(q, hi, ctx)
         } else {
-            self.tree.annular_range_search_ctx(q, lo, hi, ctx)
+            self.tree.annular_range_search(q, lo, hi, ctx)
         };
         // An aborted search yields nothing; the driver sees the abort via
         // `abort_reason` and stops extending its range.

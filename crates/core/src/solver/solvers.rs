@@ -30,7 +30,7 @@ fn collect_items(problem: &Problem<'_>) -> Option<Vec<(Point, u64)>> {
         None => {
             let tree = problem.tree().expect("problems are tree- or slice-backed");
             let mut items = Vec::new();
-            tree.for_each_point_ctx(problem.context(), |pos, id| items.push((pos, id)))
+            tree.for_each_point(|pos, id| items.push((pos, id)), problem.context())
                 .ok()?;
             Some(items)
         }

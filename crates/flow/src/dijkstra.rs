@@ -13,17 +13,17 @@
 //!
 //! # Frontier queue
 //!
-//! The frontier (`Hd`) defaults to a monotone [`RadixQueue`] keyed on the
+//! The frontier (`Hd`) is a monotone radix queue keyed on the
 //! order-preserving u64 bit pattern of the (non-negative) distances —
 //! Dijkstra keys never decrease, so bucket operations replace the binary
 //! heap's `log n` pointer-chasing sift. PUA's wave and `EPS`-tolerant
 //! settles can occasionally violate monotonicity; the first such push
 //! migrates the run to a binary heap with identical lazy-decrease-key
-//! semantics (counted in [`HeapCounters::radix_fallbacks`]), so correctness
-//! never depends on the monotone assumption. The two frontiers are pinned
-//! equivalent by proptest (`tests/frontier_equivalence.rs`). The wave heap
-//! (`Hf`) stays a binary heap: improved settled nodes arrive in arbitrary
-//! key order by construction.
+//! semantics, so correctness never depends on the monotone assumption.
+//! The two frontiers are pinned equivalent by proptest (the crate's
+//! `frontier_equivalence` tests, against a binary-only reference state).
+//! The wave heap (`Hf`) stays a binary heap: improved settled nodes arrive
+//! in arbitrary key order by construction.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -60,55 +60,36 @@ fn poll(ctx: Option<&QueryContext>, counter: &mut u32) -> Result<(), Aborted> {
     Ok(())
 }
 
-/// Which frontier queue a [`DijkstraState`] starts each run with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FrontierKind {
-    /// Monotone radix/bucket queue on u64 key bits, with automatic
-    /// migration to the binary heap if monotonicity breaks mid-run.
-    #[default]
-    Radix,
-    /// Plain binary heap — the pre-radix engine, kept as the equivalence
-    /// oracle and the fallback target.
-    Binary,
-}
-
-/// Frontier-queue operation counts, cumulative over a [`DijkstraState`]'s
-/// lifetime (i.e. across all `init`/run cycles of one solve).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HeapCounters {
-    /// Entries pushed into the frontier (lazy decrease-key re-pushes
-    /// included).
-    pub pushes: u64,
-    /// Entries popped from the frontier (stale entries included).
-    pub pops: u64,
-    /// Pushes that improved a node already queued in this run — the
-    /// operations a pairing/Fibonacci heap would call decrease-key.
-    pub decrease_keys: u64,
-    /// Runs migrated from the radix queue to the binary heap because a push
-    /// went below the last popped minimum (PUA wave or EPS-tolerant settle).
-    pub radix_fallbacks: u64,
-}
-
 /// The frontier queue: a radix queue until monotonicity breaks, a binary
-/// heap after (or throughout, for [`FrontierKind::Binary`]). Both sides use
-/// lazy decrease-key and order entries by `(key bits, node)`, which for the
-/// non-negative keys Dijkstra produces is exactly the ordering of the old
-/// `BinaryHeap<Reverse<(OrdF64, NodeId)>>` frontier.
+/// heap after (or throughout, for the tests' binary-only reference). Both
+/// sides use lazy decrease-key and order entries by `(key bits, node)`,
+/// which for the non-negative keys Dijkstra produces is exactly the
+/// ordering of the old `BinaryHeap<Reverse<(OrdF64, NodeId)>>` frontier.
 struct Frontier {
     radix: RadixQueue,
     binary: BinaryHeap<Reverse<(u64, NodeId)>>,
+    /// The current run has migrated to (or started on) the binary heap.
     use_binary: bool,
+    /// Every run starts on the binary heap (the tests' reference only).
     prefer_binary: bool,
 }
 
 impl Frontier {
-    fn new(kind: FrontierKind) -> Self {
-        let prefer_binary = kind == FrontierKind::Binary;
+    fn new() -> Self {
         Frontier {
             radix: RadixQueue::new(),
             binary: BinaryHeap::new(),
-            use_binary: prefer_binary,
-            prefer_binary,
+            use_binary: false,
+            prefer_binary: false,
+        }
+    }
+
+    #[cfg(test)]
+    fn binary_only() -> Self {
+        Frontier {
+            use_binary: true,
+            prefer_binary: true,
+            ..Self::new()
         }
     }
 
@@ -120,26 +101,22 @@ impl Frontier {
         self.use_binary = self.prefer_binary;
     }
 
-    /// Pushes an entry; returns `true` when this push triggered the
-    /// radix → binary migration.
+    /// Pushes an entry, migrating the run from the radix queue to the
+    /// binary heap if the key breaks monotonicity.
     #[inline]
-    fn push(&mut self, key: u64, v: NodeId) -> bool {
+    fn push(&mut self, key: u64, v: NodeId) {
         if self.use_binary {
             self.binary.push(Reverse((key, v)));
-            return false;
+            return;
         }
-        match self.radix.push(key, v) {
-            Ok(()) => false,
-            Err((k, n)) => {
-                // Monotonicity broke: move every queued entry to the binary
-                // heap and finish the run there. Nothing is lost or
-                // reordered — both sides pop exact minima.
-                let binary = &mut self.binary;
-                self.radix.drain_into(|k, n| binary.push(Reverse((k, n))));
-                binary.push(Reverse((k, n)));
-                self.use_binary = true;
-                true
-            }
+        if let Err((k, n)) = self.radix.push(key, v) {
+            // Monotonicity broke: move every queued entry to the binary
+            // heap and finish the run there. Nothing is lost or reordered —
+            // both sides pop exact minima.
+            let binary = &mut self.binary;
+            self.radix.drain_into(|k, n| binary.push(Reverse((k, n))));
+            binary.push(Reverse((k, n)));
+            self.use_binary = true;
         }
     }
 
@@ -180,53 +157,44 @@ pub struct DijkstraState {
     /// re-read at use time — PUA may improve them after settling.
     settled_list: Vec<NodeId>,
     source: NodeId,
-    counters: HeapCounters,
 }
 
 impl DijkstraState {
     pub fn new() -> Self {
-        Self::with_frontier(FrontierKind::default())
-    }
-
-    /// A state whose runs start on the given frontier queue.
-    pub fn with_frontier(kind: FrontierKind) -> Self {
         DijkstraState {
             alpha: Vec::new(),
             parent: Vec::new(),
             settled: Vec::new(),
             epoch_of: Vec::new(),
             epoch: 0,
-            frontier: Frontier::new(kind),
+            frontier: Frontier::new(),
             wave: BinaryHeap::new(),
             settled_list: Vec::new(),
             source: 0,
-            counters: HeapCounters::default(),
         }
     }
 
-    /// Cumulative frontier operation counts (see [`HeapCounters`]).
-    #[inline]
-    pub fn heap_counters(&self) -> HeapCounters {
-        self.counters
+    /// The equivalence tests' reference: every run uses the plain binary
+    /// heap, as the pre-radix engine did.
+    #[cfg(test)]
+    pub(crate) fn binary_only() -> Self {
+        DijkstraState {
+            frontier: Frontier::binary_only(),
+            ..Self::new()
+        }
     }
 
-    /// Frontier push with counter bookkeeping.
+    /// Frontier push of a non-negative distance key.
     #[inline]
     fn fpush(&mut self, key: f64, v: NodeId) {
         debug_assert!(key >= 0.0, "Dijkstra keys are non-negative");
-        self.counters.pushes += 1;
-        if self.frontier.push(key.to_bits(), v) {
-            self.counters.radix_fallbacks += 1;
-        }
+        self.frontier.push(key.to_bits(), v);
     }
 
-    /// Frontier pop with counter bookkeeping.
+    /// Frontier pop, decoding the distance key.
     #[inline]
     fn fpop(&mut self) -> Option<(f64, NodeId)> {
-        self.frontier.pop().map(|(k, v)| {
-            self.counters.pops += 1;
-            (f64::from_bits(k), v)
-        })
+        self.frontier.pop().map(|(k, v)| (f64::from_bits(k), v))
     }
 
     fn ensure(&mut self, n: usize) {
@@ -322,13 +290,11 @@ impl DijkstraState {
         self.touch(v);
         let cand = self.alpha[u as usize] + rc.max(0.0);
         if cand + EPS < self.alpha[v as usize] {
-            let requeued = self.alpha[v as usize].is_finite();
             self.alpha[v as usize] = cand;
             self.parent[v as usize] = a;
             if self.settled[v as usize] {
                 self.wave.push(Reverse((OrdF64::new(cand), v)));
             } else {
-                self.counters.decrease_keys += u64::from(requeued);
                 self.fpush(cand, v);
             }
             true
@@ -359,13 +325,11 @@ impl DijkstraState {
                 self.touch(v);
                 let cand = alpha_u + rc.max(0.0);
                 if cand + EPS < self.alpha[v as usize] {
-                    let requeued = self.alpha[v as usize].is_finite();
                     self.alpha[v as usize] = cand;
                     self.parent[v as usize] = a;
                     if self.settled[v as usize] {
                         self.wave.push(Reverse((OrdF64::new(cand), v)));
                     } else {
-                        self.counters.decrease_keys += u64::from(requeued);
                         self.fpush(cand, v);
                     }
                 }
@@ -500,37 +464,6 @@ impl DijkstraState {
         arcs.reverse();
         arcs
     }
-
-    /// Augments as many units along the recorded shortest path to `t` as
-    /// its bottleneck residual capacity admits, capped at `limit`; returns
-    /// the amount pushed ("reversing" the path's edges in the paper's terms,
-    /// Algorithm 1 lines 4–7).
-    ///
-    /// Every unit on one shortest path has the same cost, and pushing the
-    /// full bottleneck keeps SSPA's invariant intact (the saturated arc
-    /// leaves the residual graph, the reverse arcs enter with reduced cost
-    /// 0 after the potential update), so it yields the same optimum as
-    /// one-unit pushes. On unit-capacity sink arcs the bottleneck is 1; on
-    /// weighted instances (the coreset tier's aggregated customer units) it
-    /// takes far fewer searches.
-    pub fn augment_bottleneck(&self, g: &mut FlowGraph, t: NodeId, limit: u32) -> u32 {
-        let mut bottleneck = limit;
-        let mut v = t;
-        while v != self.source {
-            let a = self.parent_arc(v);
-            assert_ne!(a, NO_ARC, "no path recorded to node {v}");
-            bottleneck = bottleneck.min(g.residual_cap(a));
-            v = g.arc_from(a);
-        }
-        debug_assert!(bottleneck > 0, "augmenting along a saturated path");
-        let mut v = t;
-        while v != self.source {
-            let a = self.parent_arc(v);
-            g.push_flow(a, bottleneck);
-            v = g.arc_from(a);
-        }
-        bottleneck
-    }
 }
 
 impl Default for DijkstraState {
@@ -542,6 +475,7 @@ impl Default for DijkstraState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontier_equivalence::augment_bottleneck;
 
     /// Chain 0 → 1 → 2 → 3 with unit capacities plus a direct 0 → 3 edge.
     fn diamond() -> FlowGraph {
@@ -565,14 +499,15 @@ mod tests {
 
     #[test]
     fn both_frontiers_agree_on_the_diamond() {
-        for kind in [FrontierKind::Radix, FrontierKind::Binary] {
+        for (mut d, binary) in [
+            (DijkstraState::new(), false),
+            (DijkstraState::binary_only(), true),
+        ] {
             let g = diamond();
-            let mut d = DijkstraState::with_frontier(kind);
             d.init(&g, 0);
-            assert_eq!(d.run_until(&g, 3, None), Ok(Some(3.0)), "{kind:?}");
-            assert_eq!(d.extract_path(&g, 3), vec![0, 2, 4], "{kind:?}");
-            let c = d.heap_counters();
-            assert!(c.pushes > 0 && c.pops > 0);
+            assert_eq!(d.run_until(&g, 3, None), Ok(Some(3.0)), "binary={binary}");
+            assert_eq!(d.extract_path(&g, 3), vec![0, 2, 4], "binary={binary}");
+            assert_eq!(d.frontier.use_binary, binary, "no fallback on the diamond");
         }
     }
 
@@ -613,7 +548,7 @@ mod tests {
         let mut d = DijkstraState::new();
         d.init(&g, 0);
         d.run_until(&g, 3, None).unwrap();
-        assert_eq!(d.augment_bottleneck(&mut g, 3, u32::MAX), 1);
+        assert_eq!(augment_bottleneck(&d, &mut g, 3, u32::MAX), 1);
         assert_eq!(g.edge_flow(0), 1);
         assert_eq!(g.edge_flow(1), 1);
         assert_eq!(g.edge_flow(2), 1);
@@ -721,8 +656,7 @@ mod tests {
     fn pua_below_minimum_push_falls_back_to_binary() {
         // Settle a chain, then insert an edge whose relaxation pushes a
         // frontier key *below* the last popped minimum: the radix queue must
-        // migrate to the binary heap instead of misfiling, and the counters
-        // must record exactly one fallback.
+        // migrate to the binary heap instead of misfiling.
         let mut g = FlowGraph::with_nodes(5);
         g.add_edge(0, 1, 1, 2.0); // settled at 2
         g.add_edge(1, 2, 1, 6.0); // settled at 8 (last popped minimum)
@@ -731,11 +665,12 @@ mod tests {
         let mut d = DijkstraState::new();
         d.init(&g, 0);
         assert_eq!(d.run_until(&g, 2, None), Ok(Some(8.0)));
-        assert_eq!(d.heap_counters().radix_fallbacks, 0);
+        assert!(!d.frontier.use_binary, "monotone so far: still on radix");
         // New edge 0 → 4 with cost 3: candidate key 3 < last minimum 8.
         let e = g.add_edge(0, 4, 1, 3.0);
         d.pua_insert_edge(&g, e);
-        assert_eq!(d.heap_counters().radix_fallbacks, 1);
+        assert!(d.frontier.use_binary, "the non-monotone push migrated");
+        assert!(d.frontier.radix.is_empty(), "every entry moved across");
         assert_eq!(d.alpha(4), 3.0);
         // The migrated frontier still settles correctly.
         assert_eq!(d.run_until(&g, 4, None), Ok(Some(3.0)));

@@ -1,6 +1,6 @@
 //! Radix-vs-binary frontier equivalence.
 //!
-//! [`FrontierKind::Binary`] is the pre-radix engine: the same lazy
+//! [`DijkstraState::binary_only`] is the pre-radix engine: the same lazy
 //! decrease-key heap with the same `(key bits, node)` ordering the old
 //! `BinaryHeap<Reverse<(OrdF64, NodeId)>>` frontier used. These tests pin
 //! the radix queue (including its mid-run fallback migration) against it:
@@ -12,12 +12,44 @@
 //!   a test-local graph SSPA (the library's [`Sspa`] is dense and uses no
 //!   frontier; it is checked against the same reference here).
 
-use cca_flow::{
-    required_flow, Assignment, DijkstraState, FlowCustomer, FlowGraph, FlowProvider, FrontierKind,
-    HeapCounters, NodeId, Sspa,
-};
 use cca_geo::Point;
 use proptest::prelude::*;
+
+use crate::{
+    required_flow, Assignment, DijkstraState, FlowCustomer, FlowGraph, FlowProvider, NodeId, Sspa,
+};
+
+/// The two frontiers a state can run on.
+#[derive(Clone, Copy, Debug)]
+enum Frontier {
+    Radix,
+    Binary,
+}
+
+fn state(frontier: Frontier) -> DijkstraState {
+    match frontier {
+        Frontier::Radix => DijkstraState::new(),
+        Frontier::Binary => DijkstraState::binary_only(),
+    }
+}
+
+/// Augments as many units along `d`'s recorded shortest path to `t` as its
+/// bottleneck residual capacity admits, capped at `limit`; returns the
+/// amount pushed (Algorithm 1 lines 4–7).
+pub(crate) fn augment_bottleneck(
+    d: &DijkstraState,
+    g: &mut FlowGraph,
+    t: NodeId,
+    limit: u32,
+) -> u32 {
+    let path = d.extract_path(g, t);
+    let bottleneck = path.iter().fold(limit, |b, &a| b.min(g.residual_cap(a)));
+    debug_assert!(bottleneck > 0, "augmenting along a saturated path");
+    for &a in &path {
+        g.push_flow(a, bottleneck);
+    }
+    bottleneck
+}
 
 /// Random sparse digraph from an edge list over `n` nodes, plus one extra
 /// edge-less node (id `n`) to use as an unreachable drain target. Costs are
@@ -35,8 +67,8 @@ fn build_graph(n: usize, edges: &[(usize, usize, u32, f64)]) -> FlowGraph {
 
 /// Settles everything reachable from `source` and returns the settle trace
 /// as `(key bits, node)` pairs in settle order.
-fn settle_trace(g: &FlowGraph, source: NodeId, kind: FrontierKind) -> Vec<(u64, NodeId)> {
-    let mut d = DijkstraState::with_frontier(kind);
+fn settle_trace(g: &FlowGraph, source: NodeId, frontier: Frontier) -> Vec<(u64, NodeId)> {
+    let mut d = state(frontier);
     d.init(g, source);
     // The edge-less sentinel node is never settled, so this drains the
     // frontier completely.
@@ -93,12 +125,12 @@ fn customers_from(raw: &[(f64, f64, u32)]) -> Vec<FlowCustomer> {
 
 /// Reference SSPA on an explicit residual graph: Algorithm 1's solve loop
 /// over a [`FlowGraph`] and a [`DijkstraState`] on the given frontier.
-/// Returns the assignment, the number of searches and the frontier counters.
+/// Returns the assignment and the number of searches.
 fn solve_on(
-    frontier: FrontierKind,
+    frontier: Frontier,
     providers: &[FlowProvider],
     customers: &[FlowCustomer],
-) -> (Assignment, u64, HeapCounters) {
+) -> (Assignment, u64) {
     let (s, t) = (0, 1);
     let q_node = |i: usize| (2 + i) as NodeId;
     let p_node = |j: usize| (2 + providers.len() + j) as NodeId;
@@ -117,13 +149,13 @@ fn solve_on(
         g.add_edge(p_node(j), t, p.weight, 0.0);
     }
     let gamma = required_flow(providers, customers);
-    let mut d = DijkstraState::with_frontier(frontier);
+    let mut d = state(frontier);
     let (mut units, mut searches) = (0u64, 0u64);
     while units < gamma {
         d.init(&g, s);
         let alpha_t = d.run_until(&g, t, None).unwrap().expect("γ is reachable");
         let limit = (gamma - units).min(u64::from(u32::MAX)) as u32;
-        units += u64::from(d.augment_bottleneck(&mut g, t, limit));
+        units += u64::from(augment_bottleneck(&d, &mut g, t, limit));
         g.update_potentials(d.settled_nodes(), |v| d.alpha(v), alpha_t);
         searches += 1;
     }
@@ -135,7 +167,7 @@ fn solve_on(
             asg.cost += f64::from(f) * providers[i].pos.dist(&customers[j].pos);
         }
     }
-    (asg, searches, d.heap_counters())
+    (asg, searches)
 }
 
 proptest! {
@@ -148,8 +180,8 @@ proptest! {
             (0usize..24, 0usize..24, 1u32..4, 0.0..50.0f64), 1..80),
     ) {
         let g = build_graph(n, &edges);
-        let radix = settle_trace(&g, 0, FrontierKind::Radix);
-        let binary = settle_trace(&g, 0, FrontierKind::Binary);
+        let radix = settle_trace(&g, 0, Frontier::Radix);
+        let binary = settle_trace(&g, 0, Frontier::Binary);
         assert_traces_equivalent(&radix, &binary);
     }
 
@@ -165,10 +197,10 @@ proptest! {
             (0usize..20, 0usize..20, 0.0..50.0f64), 1..8),
     ) {
         let mut runs: Vec<Vec<u64>> = Vec::new();
-        for kind in [FrontierKind::Radix, FrontierKind::Binary] {
+        for frontier in [Frontier::Radix, Frontier::Binary] {
             let mut g = build_graph(n, &edges);
             let sink = (n - 1) as NodeId;
-            let mut d = DijkstraState::with_frontier(kind);
+            let mut d = state(frontier);
             d.init(&g, 0);
             let reached = d.run_until(&g, sink, None).expect("no context, no abort").is_some();
             for &(u, v, cost) in &inserts {
@@ -200,15 +232,13 @@ proptest! {
     ) {
         let providers = providers_from(&praw);
         let customers = customers_from(&craw);
-        let (radix, rs, _) = solve_on(FrontierKind::Radix, &providers, &customers);
-        let (binary, bs, bc) = solve_on(FrontierKind::Binary, &providers, &customers);
+        let (radix, rs) = solve_on(Frontier::Radix, &providers, &customers);
+        let (binary, bs) = solve_on(Frontier::Binary, &providers, &customers);
         prop_assert_eq!(
             radix.cost.to_bits(), binary.cost.to_bits(),
             "cost diverged: {} vs {}", radix.cost, binary.cost);
         prop_assert_eq!(radix.size(), binary.size());
         prop_assert_eq!(rs, bs);
-        // The binary engine performs no radix operations at all.
-        prop_assert_eq!(bc.radix_fallbacks, 0);
 
         let (dense, _) = Sspa::default()
             .solve(&providers, &customers)

@@ -12,9 +12,9 @@
 //!   per node,
 //! * [`dijkstra::DijkstraState`] — Dijkstra over reduced costs on a
 //!   [`FlowGraph`], resumable with the Path Update Algorithm (PUA,
-//!   Algorithm 5 / §3.4.1). The frontier is a monotone [`radix::RadixQueue`]
-//!   on u64 distance bits with an automatic binary-heap fallback
-//!   ([`dijkstra::FrontierKind`]),
+//!   Algorithm 5 / §3.4.1). The frontier is a private monotone radix queue
+//!   on u64 distance bits that falls back to a binary heap on its own when
+//!   a push breaks monotonicity,
 //! * [`sspa`] — the full-graph Successive Shortest Path baseline
 //!   (Algorithm 1) that Figure 8 benchmarks against: one entry point,
 //!   [`Sspa::solve`], whose one option is [`Sspa::ctx`]. It keeps the
@@ -39,15 +39,16 @@
 #![forbid(unsafe_code)]
 
 pub mod dijkstra;
+#[cfg(test)]
+mod frontier_equivalence;
 pub mod graph;
 pub mod hungarian;
-pub mod radix;
+mod radix;
 pub mod sspa;
 pub mod validate;
 
-pub use dijkstra::{DijkstraState, FrontierKind, HeapCounters, EPS};
+pub use dijkstra::{DijkstraState, EPS};
 pub use graph::{ArcId, FlowGraph, NodeId, NO_ARC};
-pub use radix::RadixQueue;
 pub use sspa::{
     required_flow, unit_customers, Assignment, FlowAborted, FlowCustomer, FlowProvider, Sspa,
     SspaStats,

@@ -21,8 +21,8 @@
 //! can admit candidates a hair under it. [`RadixQueue::push`] therefore
 //! reports such keys instead of misfiling them, and the frontier wrapper in
 //! `dijkstra` migrates the run to a plain binary heap — same semantics,
-//! no lost entries. Equivalence between the two is pinned by proptest in
-//! `tests/frontier_equivalence.rs`.
+//! no lost entries. Equivalence between the two is pinned by the crate's
+//! `frontier_equivalence` proptests.
 
 use crate::graph::NodeId;
 
@@ -63,12 +63,12 @@ impl RadixQueue {
         (64 - (key ^ self.last).leading_zeros()) as usize
     }
 
-    #[inline]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.len
     }
 
-    #[inline]
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }

@@ -71,17 +71,13 @@ pub struct GroupAnn<'t> {
 }
 
 impl<'t> GroupAnn<'t> {
-    /// Creates the shared search state for a provider group.
+    /// Creates the shared search state for a provider group, charging the
+    /// search's I/O to `ctx`.
     ///
     /// # Panics
     /// Panics on an empty member list — groups come from Hilbert
     /// partitioning which never emits empty groups.
-    pub fn new(tree: &'t RTree, members: Vec<Point>) -> Self {
-        Self::with_ctx(tree, members, None)
-    }
-
-    /// [`GroupAnn::new`] with the search's I/O charged to `ctx`.
-    pub fn with_ctx(tree: &'t RTree, members: Vec<Point>, ctx: Option<QueryContext>) -> Self {
+    pub(crate) fn new(tree: &'t RTree, members: Vec<Point>, ctx: Option<QueryContext>) -> Self {
         assert!(!members.is_empty(), "ANN group must be non-empty");
         let group_mbr: Rect = members.iter().copied().collect();
         let mut hm = BinaryHeap::new();
@@ -206,15 +202,11 @@ impl<'t> GroupAnn<'t> {
 
 impl RTree {
     /// Opens a grouped incremental ANN search for the given provider
-    /// positions (one Hilbert group, §3.4.2).
-    pub fn group_ann(&self, members: Vec<Point>) -> GroupAnn<'_> {
-        GroupAnn::new(self, members)
-    }
-
-    /// [`RTree::group_ann`] with the search's I/O charged to `ctx`; the
-    /// shared heap stops expanding entries once the context aborts.
-    pub fn group_ann_ctx(&self, members: Vec<Point>, ctx: Option<&QueryContext>) -> GroupAnn<'_> {
-        GroupAnn::with_ctx(self, members, ctx.cloned())
+    /// positions (one Hilbert group, §3.4.2). The search's I/O is charged
+    /// to `ctx`, and the shared heap stops expanding entries once the
+    /// context aborts ([`GroupAnn::abort_reason`]).
+    pub fn group_ann(&self, members: Vec<Point>, ctx: Option<&QueryContext>) -> GroupAnn<'_> {
+        GroupAnn::new(self, members, ctx.cloned())
     }
 }
 
@@ -246,9 +238,9 @@ mod tests {
             Point::new(120.0, 90.0),
             Point::new(95.0, 130.0),
         ];
-        let mut ann = tree.group_ann(members.clone());
+        let mut ann = tree.group_ann(members.clone(), None);
         for (i, m) in members.iter().enumerate() {
-            let mut solo = tree.inc_nn(*m);
+            let mut solo = tree.inc_nn(*m, None);
             for step in 0..50 {
                 let a = ann.next_nn(i).unwrap();
                 let s = solo.next().unwrap();
@@ -264,7 +256,7 @@ mod tests {
     fn group_ann_exhausts_tree_per_member() {
         let items = random_items(300, 42);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
-        let mut ann = tree.group_ann(vec![Point::new(0.0, 0.0), Point::new(999.0, 999.0)]);
+        let mut ann = tree.group_ann(vec![Point::new(0.0, 0.0), Point::new(999.0, 999.0)], None);
         for i in 0..2 {
             let mut n = 0;
             let mut last = 0.0;
@@ -291,7 +283,7 @@ mod tests {
 
         tree.store().clear_cache();
         tree.store().reset_stats();
-        let mut ann = tree.group_ann(members.clone());
+        let mut ann = tree.group_ann(members.clone(), None);
         for i in 0..members.len() {
             for _ in 0..200 {
                 ann.next_nn(i).unwrap();
@@ -302,7 +294,7 @@ mod tests {
         tree.store().clear_cache();
         tree.store().reset_stats();
         for &m in &members {
-            let mut cur = tree.inc_nn(m);
+            let mut cur = tree.inc_nn(m, None);
             for _ in 0..200 {
                 cur.next().unwrap();
             }
@@ -319,7 +311,7 @@ mod tests {
     fn peek_dist_agrees_with_next_nn() {
         let items = random_items(500, 44);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
-        let mut ann = tree.group_ann(vec![Point::new(250.0, 750.0)]);
+        let mut ann = tree.group_ann(vec![Point::new(250.0, 750.0)], None);
         for _ in 0..100 {
             let peek = ann.peek_dist(0).unwrap();
             let (_, _, d) = ann.next_nn(0).unwrap();
@@ -332,8 +324,8 @@ mod tests {
         let items = random_items(800, 45);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
         let q = Point::new(42.0, 17.0);
-        let mut ann = tree.group_ann(vec![q]);
-        let solo: Vec<f64> = tree.inc_nn(q).map(|(_, _, d)| d).collect();
+        let mut ann = tree.group_ann(vec![q], None);
+        let solo: Vec<f64> = tree.inc_nn(q, None).map(|(_, _, d)| d).collect();
         for (i, want) in solo.iter().enumerate() {
             let (_, _, d) = ann.next_nn(0).unwrap();
             assert!((d - want).abs() < 1e-12, "step {i}");
@@ -343,7 +335,7 @@ mod tests {
     #[test]
     fn empty_tree_gives_no_neighbours() {
         let tree = RTree::bulk_load(PageStore::with_config(1024, 16), &[]);
-        let mut ann = tree.group_ann(vec![Point::new(1.0, 1.0)]);
+        let mut ann = tree.group_ann(vec![Point::new(1.0, 1.0)], None);
         assert!(ann.next_nn(0).is_none());
         assert!(ann.peek_dist(0).is_none());
     }

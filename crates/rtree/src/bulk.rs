@@ -201,7 +201,8 @@ mod tests {
     fn all_points_preserved() {
         let (tree, items) = build(2500, 4);
         let mut got = Vec::new();
-        tree.for_each_point(|p, id| got.push((p, id)));
+        tree.for_each_point(|p, id| got.push((p, id)), None)
+            .unwrap();
         assert_eq!(got.len(), items.len());
         let mut got_ids: Vec<ItemId> = got.iter().map(|&(_, id)| id).collect();
         got_ids.sort_unstable();

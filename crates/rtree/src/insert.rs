@@ -300,7 +300,7 @@ mod tests {
             t.insert(Point::new(i as f64 * 0.5, 0.0), i as ItemId);
         }
         assert_eq!(t.check_invariants(), 2000);
-        let hits = t.range_search(Point::new(100.0, 0.0), 10.0);
+        let hits = t.range_search(Point::new(100.0, 0.0), 10.0, None).unwrap();
         assert_eq!(hits.len(), 41); // x in [90,110] step 0.5 -> 41 points
     }
 
@@ -311,7 +311,12 @@ mod tests {
             t.insert(Point::new(7.0, 7.0), i as ItemId);
         }
         assert_eq!(t.check_invariants(), 200);
-        assert_eq!(t.range_search(Point::new(7.0, 7.0), 0.0).len(), 200);
+        assert_eq!(
+            t.range_search(Point::new(7.0, 7.0), 0.0, None)
+                .unwrap()
+                .len(),
+            200
+        );
     }
 
     #[test]

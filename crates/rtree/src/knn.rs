@@ -232,37 +232,17 @@ impl Iterator for IncNn<'_> {
 
 impl RTree {
     /// Opens an incremental NN cursor at `query`.
-    pub fn inc_nn(&self, query: Point) -> IncNn<'_> {
-        IncNn::new(self, query, None)
-    }
-
-    /// [`RTree::inc_nn`] with the cursor's I/O charged to `ctx`; the cursor
-    /// checks the context before every node expansion and stops (recording
+    ///
+    /// With a context, the cursor's I/O is charged to `ctx` and the cursor
+    /// checks it before every node expansion, stopping (and recording
     /// [`IncNn::abort_reason`]) on cancellation, deadline or budget.
-    pub fn inc_nn_ctx(&self, query: Point, ctx: Option<&QueryContext>) -> IncNn<'_> {
+    pub fn inc_nn(&self, query: Point, ctx: Option<&QueryContext>) -> IncNn<'_> {
         IncNn::new(self, query, ctx.cloned())
     }
 
     /// The `k` nearest neighbours of `query` in ascending distance order.
     pub fn knn(&self, query: Point, k: usize) -> Vec<(Point, ItemId, f64)> {
-        self.inc_nn(query).take(k).collect()
-    }
-
-    /// [`RTree::knn`] under a query context: the search's I/O is charged to
-    /// `ctx` and an aborted search returns the typed error instead of a
-    /// silently truncated result.
-    pub fn knn_ctx(
-        &self,
-        query: Point,
-        k: usize,
-        ctx: Option<&QueryContext>,
-    ) -> Result<Vec<(Point, ItemId, f64)>, Aborted> {
-        let mut cursor = self.inc_nn_ctx(query, ctx);
-        let hits: Vec<_> = cursor.by_ref().take(k).collect();
-        match cursor.abort_reason() {
-            Some(reason) => Err(Aborted { reason }),
-            None => Ok(hits),
-        }
+        self.inc_nn(query, None).take(k).collect()
     }
 
     /// Bounded-radius kNN: up to `k` nearest neighbours of `query` whose
@@ -274,14 +254,14 @@ impl RTree {
     /// refinement) pays only for the pages covering the ball it actually
     /// inspects, not for a full kNN frontier. I/O is charged to `ctx` and
     /// aborts surface as the typed error.
-    pub fn knn_within_ctx(
+    pub fn knn_within(
         &self,
         query: Point,
         k: usize,
         max_dist: f64,
         ctx: Option<&QueryContext>,
     ) -> Result<Vec<(Point, ItemId, f64)>, Aborted> {
-        let mut cursor = self.inc_nn_ctx(query, ctx);
+        let mut cursor = self.inc_nn(query, ctx);
         let mut hits = Vec::new();
         for (p, id, d) in cursor.by_ref() {
             if d > max_dist || hits.len() >= k {
@@ -345,7 +325,7 @@ mod tests {
         let q = Point::new(10.0, 10.0);
         let mut last = 0.0;
         let mut count = 0;
-        for (_, _, d) in tree.inc_nn(q) {
+        for (_, _, d) in tree.inc_nn(q, None) {
             assert!(d >= last - 1e-12, "distance regressed: {d} < {last}");
             last = d;
             count += 1;
@@ -358,7 +338,7 @@ mod tests {
         let items = random_items(20000, 23);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 8192), &items);
         tree.finish_build(100.0);
-        let mut cur = tree.inc_nn(Point::new(500.0, 500.0));
+        let mut cur = tree.inc_nn(Point::new(500.0, 500.0), None);
         let _ = cur.next();
         let after_first = tree.io_stats().faults;
         // Exhausting the cursor costs far more I/O than the first NN.
@@ -374,7 +354,7 @@ mod tests {
     fn peek_matches_next() {
         let items = random_items(300, 24);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
-        let mut cur = tree.inc_nn(Point::new(400.0, 100.0));
+        let mut cur = tree.inc_nn(Point::new(400.0, 100.0), None);
         for _ in 0..300 {
             let peeked = cur.peek_dist().unwrap();
             let (_, _, d) = cur.next().unwrap();
@@ -390,7 +370,7 @@ mod tests {
         let tree = RTree::bulk_load(PageStore::with_config(1024, 4096), &items);
         let q = Point::new(500.0, 500.0);
         let radius = 40.0;
-        let within = tree.knn_within_ctx(q, usize::MAX, radius, None).unwrap();
+        let within = tree.knn_within(q, usize::MAX, radius, None).unwrap();
         let want: Vec<(ItemId, f64)> = brute_knn(&items, q, 2000)
             .into_iter()
             .filter(|&(_, d)| d <= radius)
@@ -399,7 +379,7 @@ mod tests {
         assert!(within.iter().all(|&(_, _, d)| d <= radius));
         assert!(within.windows(2).all(|w| w[0].2 <= w[1].2));
         // The k cap truncates the same prefix.
-        let capped = tree.knn_within_ctx(q, 3, radius, None).unwrap();
+        let capped = tree.knn_within(q, 3, radius, None).unwrap();
         assert_eq!(capped.len(), 3.min(want.len()));
         for (c, w) in capped.iter().zip(&within) {
             assert_eq!(c.1, w.1);
@@ -414,7 +394,7 @@ mod tests {
 
         let ctx = cca_storage::QueryContext::new().with_io_budget(2);
         let err = tree
-            .knn_within_ctx(Point::new(500.0, 500.0), usize::MAX, 400.0, Some(&ctx))
+            .knn_within(Point::new(500.0, 500.0), usize::MAX, 400.0, Some(&ctx))
             .expect_err("a 2-fault budget cannot cover a 400-radius scan");
         assert_eq!(err.reason, cca_storage::AbortReason::IoBudgetExceeded);
         assert_eq!(
@@ -426,7 +406,7 @@ mod tests {
         let ctx = cca_storage::QueryContext::new();
         ctx.cancel();
         let err = tree
-            .knn_within_ctx(Point::new(500.0, 500.0), 5, 400.0, Some(&ctx))
+            .knn_within(Point::new(500.0, 500.0), 5, 400.0, Some(&ctx))
             .expect_err("cancelled context must abort the search");
         assert_eq!(err.reason, cca_storage::AbortReason::Cancelled);
     }
@@ -445,7 +425,7 @@ mod tests {
             let items = random_items(n, seed);
             let tree = RTree::bulk_load(PageStore::with_config(1024, 4096), &items);
             let q = Point::new(qx, qy);
-            let got = tree.knn_within_ctx(q, k, radius, None).unwrap();
+            let got = tree.knn_within(q, k, radius, None).unwrap();
 
             let want: Vec<(ItemId, f64)> = brute_knn(&items, q, n)
                 .into_iter()
@@ -492,9 +472,9 @@ mod tests {
         tree.finish_build(100.0);
         let ctx = QueryContext::new();
         let before = tree.io_stats();
-        let _ = tree
-            .knn_ctx(Point::new(500.0, 500.0), 200, Some(&ctx))
-            .unwrap();
+        let mut cursor = tree.inc_nn(Point::new(500.0, 500.0), Some(&ctx));
+        assert_eq!(cursor.by_ref().take(200).count(), 200);
+        assert_eq!(cursor.abort_reason(), None);
         let delta = tree.io_stats().since(&before);
         assert!(ctx.stats().faults > 0, "kNN must fault cold pages");
         assert_eq!(ctx.stats(), delta, "context mirrors the global delta");
@@ -510,7 +490,7 @@ mod tests {
         tree.finish_build(1.0); // tiny buffer: exhausting the cursor faults a lot
         let budget = 5;
         let ctx = QueryContext::new().with_io_budget(budget);
-        let mut cursor = tree.inc_nn_ctx(Point::new(500.0, 500.0), Some(&ctx));
+        let mut cursor = tree.inc_nn(Point::new(500.0, 500.0), Some(&ctx));
         let yielded = cursor.by_ref().count();
         assert_eq!(cursor.abort_reason(), Some(AbortReason::IoBudgetExceeded));
         assert!(yielded < items.len(), "abort must cut the scan short");
@@ -519,12 +499,6 @@ mod tests {
             budget,
             "the fault that reaches the budget is the last one charged"
         );
-        // The eager wrapper surfaces the same abort as a typed error.
-        let ctx2 = QueryContext::new().with_io_budget(budget);
-        let err = tree
-            .knn_ctx(Point::new(500.0, 500.0), items.len(), Some(&ctx2))
-            .unwrap_err();
-        assert_eq!(err.reason, AbortReason::IoBudgetExceeded);
     }
 
     #[test]
@@ -532,7 +506,7 @@ mod tests {
         let items = random_items(2000, 29);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 4096), &items);
         let ctx = QueryContext::new();
-        let mut cursor = tree.inc_nn_ctx(Point::new(0.0, 0.0), Some(&ctx));
+        let mut cursor = tree.inc_nn(Point::new(0.0, 0.0), Some(&ctx));
         let first = cursor.next();
         assert!(first.is_some());
         ctx.cancel();
@@ -547,8 +521,8 @@ mod tests {
     fn multiple_cursors_coexist() {
         let items = random_items(500, 26);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
-        let mut a = tree.inc_nn(Point::new(0.0, 0.0));
-        let mut b = tree.inc_nn(Point::new(1000.0, 1000.0));
+        let mut a = tree.inc_nn(Point::new(0.0, 0.0), None);
+        let mut b = tree.inc_nn(Point::new(1000.0, 1000.0), None);
         // Interleaved advancement must not interfere.
         let a1 = a.next().unwrap();
         let b1 = b.next().unwrap();

@@ -5,14 +5,21 @@
 //!
 //! * STR bulk loading ([`RTree::bulk_load`]) and dynamic maintenance with
 //!   Guttman quadratic splits and condense-tree deletion ([`RTree::insert`],
-//!   [`RTree::delete`]; `_ctx` variants charge a `QueryContext`),
+//!   [`RTree::delete`]; [`RTree::insert_ctx`] and [`RTree::delete_ctx`]
+//!   charge a `QueryContext`),
 //! * range and annular-range search ([`RTree::range_search`],
 //!   [`RTree::annular_range_search`]) driving RIA,
 //! * best-first kNN and *incremental* NN cursors ([`RTree::knn`],
-//!   [`RTree::inc_nn`]) driving NIA/IDA,
+//!   [`RTree::inc_nn`], [`RTree::knn_within`]) driving NIA/IDA and the
+//!   approximate and dynamic tiers,
 //! * grouped incremental all-NN search ([`RTree::group_ann`], Algorithm 6),
 //! * diagonal-bounded partitioning ([`RTree::partition_by_diagonal`]) for the
 //!   CA approximation (§4.2).
+//!
+//! Every search takes `ctx: Option<&QueryContext>` as its last parameter:
+//! the search's I/O is charged to the context, which is checked before each
+//! page access, so a cancelled, late or over-budget query stops with the
+//! typed `Aborted` error (cursors: `abort_reason`) instead of reading on.
 //!
 //! All page accesses go through `cca-storage`'s clock (second-chance) buffer pool so that page
 //! faults — and hence the paper's charged I/O time — are accounted exactly.

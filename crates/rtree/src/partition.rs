@@ -46,18 +46,11 @@ impl RTree {
     /// (it needs Hilbert ordering and is shared with SA grouping).
     ///
     /// Every returned group is non-empty and the groups partition `P`.
-    pub fn partition_by_diagonal(&self, delta: f64) -> Vec<CustomerGroup> {
-        self.partition_by_diagonal_ctx(delta, None)
-            .expect("a context-free descent cannot abort")
-    }
-
-    /// [`RTree::partition_by_diagonal`] with the descent's I/O charged to
-    /// `ctx`.
     ///
-    /// The descent polls the context before every page visit and returns
-    /// the typed [`Aborted`] error on cancellation, deadline expiry or an
-    /// exhausted I/O budget.
-    pub fn partition_by_diagonal_ctx(
+    /// The descent's I/O is charged to `ctx`; it polls the context before
+    /// every page visit and returns the typed [`Aborted`] error on
+    /// cancellation, deadline expiry or an exhausted I/O budget.
+    pub fn partition_by_diagonal(
         &self,
         delta: f64,
         ctx: Option<&QueryContext>,
@@ -213,7 +206,7 @@ mod tests {
         let items = random_items(3000, 51);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 4096), &items);
         for delta in [10.0, 40.0, 160.0, 2000.0] {
-            let groups = tree.partition_by_diagonal(delta);
+            let groups = tree.partition_by_diagonal(delta, None).unwrap();
             check_partition(&items, &groups, delta);
         }
     }
@@ -222,7 +215,7 @@ mod tests {
     fn tiny_delta_forces_leaf_splitting() {
         let items = random_items(500, 52);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
-        let groups = tree.partition_by_diagonal(5.0);
+        let groups = tree.partition_by_diagonal(5.0, None).unwrap();
         check_partition(&items, &groups, 5.0);
         // With δ=5 on uniform data, most groups are singletons.
         assert!(groups.len() > 300);
@@ -232,8 +225,8 @@ mod tests {
     fn huge_delta_gives_few_groups() {
         let items = random_items(2000, 53);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 4096), &items);
-        let big = tree.partition_by_diagonal(1e6).len();
-        let small = tree.partition_by_diagonal(20.0).len();
+        let big = tree.partition_by_diagonal(1e6, None).unwrap().len();
+        let small = tree.partition_by_diagonal(20.0, None).unwrap().len();
         assert!(big < small, "bigger delta must give coarser partition");
         // The descent starts from the root *entries* (§4.2), so the coarsest
         // partition has one group per root entry.
@@ -245,7 +238,7 @@ mod tests {
     fn weights_sum_to_population() {
         let items = random_items(1234, 54);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 4096), &items);
-        let groups = tree.partition_by_diagonal(80.0);
+        let groups = tree.partition_by_diagonal(80.0, None).unwrap();
         let total: usize = groups.iter().map(CustomerGroup::weight).sum();
         assert_eq!(total, 1234);
     }
@@ -253,7 +246,7 @@ mod tests {
     #[test]
     fn empty_tree_partitions_to_nothing() {
         let tree = RTree::bulk_load(PageStore::with_config(1024, 16), &[]);
-        assert!(tree.partition_by_diagonal(10.0).is_empty());
+        assert!(tree.partition_by_diagonal(10.0, None).unwrap().is_empty());
     }
 
     #[test]
@@ -261,7 +254,7 @@ mod tests {
         // All points identical: zero-diagonal group regardless of delta.
         let items: Vec<(Point, ItemId)> = (0..200).map(|i| (Point::new(3.0, 3.0), i)).collect();
         let tree = RTree::bulk_load(PageStore::with_config(1024, 256), &items);
-        let groups = tree.partition_by_diagonal(0.5);
+        let groups = tree.partition_by_diagonal(0.5, None).unwrap();
         check_partition(&items, &groups, 0.5);
         assert_eq!(groups.len(), tree.store().num_pages().min(groups.len()));
     }

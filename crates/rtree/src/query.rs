@@ -14,17 +14,12 @@ use crate::tree::RTree;
 impl RTree {
     /// Returns all points within Euclidean distance `r` of `center`
     /// (inclusive), together with their distances.
-    pub fn range_search(&self, center: Point, r: f64) -> Vec<(Point, ItemId, f64)> {
-        self.range_search_ctx(center, r, None)
-            .expect("a context-free search cannot abort")
-    }
-
-    /// [`RTree::range_search`] with the search's I/O charged to `ctx`.
     ///
-    /// The descent polls the context before every page visit and returns
-    /// the typed [`Aborted`] error instead of traversing on when the query
-    /// is cancelled, past its deadline or out of I/O budget.
-    pub fn range_search_ctx(
+    /// The search's I/O is charged to `ctx`; the descent polls it before
+    /// every page visit and returns the typed [`Aborted`] error instead of
+    /// traversing on when the query is cancelled, past its deadline or out
+    /// of I/O budget. Without a context it cannot abort.
+    pub fn range_search(
         &self,
         center: Point,
         r: f64,
@@ -35,25 +30,14 @@ impl RTree {
         Ok(out)
     }
 
-    /// Annular range search: points `p` with `lo < dist(center, p) <= hi`.
+    /// Annular range search: points `p` with `lo < dist(center, p) <= hi`,
+    /// with the same context contract as [`RTree::range_search`].
     ///
     /// The half-open interval matches RIA's extension step, which must not
     /// re-fetch points already retrieved by the previous `T`-range search
     /// (§3.1: "points of P within the distance range (T − θ, T] ... are
     /// identified").
     pub fn annular_range_search(
-        &self,
-        center: Point,
-        lo: f64,
-        hi: f64,
-    ) -> Vec<(Point, ItemId, f64)> {
-        self.annular_range_search_ctx(center, lo, hi, None)
-            .expect("a context-free search cannot abort")
-    }
-
-    /// [`RTree::annular_range_search`] charged to `ctx`, with the same
-    /// typed-abort contract as [`RTree::range_search_ctx`].
-    pub fn annular_range_search_ctx(
         &self,
         center: Point,
         lo: f64,
@@ -191,7 +175,8 @@ mod tests {
             (Point::new(500.0, 500.0), 0.0),
         ] {
             let mut got: Vec<ItemId> = tree
-                .range_search(c, r)
+                .range_search(c, r, None)
+                .unwrap()
                 .into_iter()
                 .map(|(_, id, _)| id)
                 .collect();
@@ -205,7 +190,7 @@ mod tests {
         let items = random_items(500, 12);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 4096), &items);
         let c = Point::new(300.0, 700.0);
-        for (p, _, d) in tree.range_search(c, 100.0) {
+        for (p, _, d) in tree.range_search(c, 100.0, None).unwrap() {
             assert!((c.dist(&p) - d).abs() < 1e-12);
             assert!(d <= 100.0);
         }
@@ -218,7 +203,8 @@ mod tests {
         let c = Point::new(400.0, 400.0);
         for (lo, hi) in [(0.0, 50.0), (50.0, 100.0), (100.0, 300.0), (200.0, 200.0)] {
             let mut got: Vec<ItemId> = tree
-                .annular_range_search(c, lo, hi)
+                .annular_range_search(c, lo, hi, None)
+                .unwrap()
                 .into_iter()
                 .map(|(_, id, _)| id)
                 .collect();
@@ -236,7 +222,8 @@ mod tests {
         let theta = 40.0;
         let full: Vec<ItemId> = {
             let mut v: Vec<ItemId> = tree
-                .range_search(c, 5.0 * theta)
+                .range_search(c, 5.0 * theta, None)
+                .unwrap()
                 .into_iter()
                 .map(|(_, id, _)| id)
                 .collect();
@@ -244,13 +231,15 @@ mod tests {
             v
         };
         let mut tiled: Vec<ItemId> = tree
-            .range_search(c, theta)
+            .range_search(c, theta, None)
+            .unwrap()
             .into_iter()
             .map(|(_, id, _)| id)
             .collect();
         for i in 1..5 {
             tiled.extend(
-                tree.annular_range_search(c, i as f64 * theta, (i + 1) as f64 * theta)
+                tree.annular_range_search(c, i as f64 * theta, (i + 1) as f64 * theta, None)
+                    .unwrap()
                     .into_iter()
                     .map(|(_, id, _)| id),
             );
@@ -262,9 +251,13 @@ mod tests {
     #[test]
     fn empty_tree_returns_nothing() {
         let tree = RTree::bulk_load(PageStore::with_config(1024, 16), &[]);
-        assert!(tree.range_search(Point::new(0.0, 0.0), 1000.0).is_empty());
         assert!(tree
-            .annular_range_search(Point::new(0.0, 0.0), 1.0, 10.0)
+            .range_search(Point::new(0.0, 0.0), 1000.0, None)
+            .unwrap()
+            .is_empty());
+        assert!(tree
+            .annular_range_search(Point::new(0.0, 0.0), 1.0, 10.0, None)
+            .unwrap()
             .is_empty());
     }
 
@@ -272,7 +265,10 @@ mod tests {
     fn negative_radius_returns_nothing() {
         let items = random_items(100, 15);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 64), &items);
-        assert!(tree.range_search(Point::new(500.0, 500.0), -1.0).is_empty());
+        assert!(tree
+            .range_search(Point::new(500.0, 500.0), -1.0, None)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -281,11 +277,13 @@ mod tests {
         let items = random_items(20000, 16);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 8192), &items);
         tree.finish_build(100.0); // large buffer; count cold faults only
-        tree.range_search(Point::new(500.0, 500.0), 10.0);
+        tree.range_search(Point::new(500.0, 500.0), 10.0, None)
+            .unwrap();
         let small = tree.io_stats().faults;
         tree.store().clear_cache();
         tree.store().reset_stats();
-        tree.range_search(Point::new(500.0, 500.0), 2000.0);
+        tree.range_search(Point::new(500.0, 500.0), 2000.0, None)
+            .unwrap();
         let full = tree.io_stats().faults;
         assert!(
             small * 10 < full,
@@ -303,7 +301,7 @@ mod tests {
             let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
             let c = Point::new(cx, cy);
             let mut got: Vec<ItemId> =
-                tree.range_search(c, r).into_iter().map(|(_, id, _)| id).collect();
+                tree.range_search(c, r, None).unwrap().into_iter().map(|(_, id, _)| id).collect();
             got.sort_unstable();
             prop_assert_eq!(got, brute_range(&items, c, r));
         }

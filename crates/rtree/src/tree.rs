@@ -31,7 +31,7 @@ impl RTree {
         assert!(leaf_cap >= 2 && inner_cap >= 2, "page size too small");
         let root = store.alloc_page();
         let empty = node::encode(&Node::Leaf(Vec::new()), store.page_size());
-        store.write_page(root, &empty);
+        store.write_page(root, &empty, None);
         RTree {
             store,
             root,
@@ -115,7 +115,7 @@ impl RTree {
     /// Serialises and writes a node.
     pub fn write_node(&self, id: PageId, n: &Node) {
         let bytes = node::encode(n, self.store.page_size());
-        self.store.write_page(id, &bytes);
+        self.store.write_page(id, &bytes, None);
     }
 
     /// [`RTree::read_node`] with the page access charged to `ctx`.
@@ -129,7 +129,7 @@ impl RTree {
     /// [`RTree::write_node`] with eviction write-backs charged to `ctx`.
     pub(crate) fn write_node_ctx(&self, id: PageId, ctx: Option<&QueryContext>, n: &Node) {
         let bytes = node::encode(n, self.store.page_size());
-        self.store.write_page_ctx(id, ctx, &bytes);
+        self.store.write_page(id, &bytes, ctx);
     }
 
     pub(crate) fn alloc_node_ctx(&self, ctx: Option<&QueryContext>, n: &Node) -> PageId {
@@ -158,20 +158,15 @@ impl RTree {
 
     /// Streams all points of the tree in depth-first order (test helper and
     /// CA-partition support). Charges the same I/O a real scan would.
-    pub fn for_each_point(&self, mut f: impl FnMut(cca_geo::Point, ItemId)) {
-        self.for_each_point_under(self.root, self.height, None, &mut f)
-            .expect("a context-free scan cannot abort");
-    }
-
-    /// [`RTree::for_each_point`] with the scan's I/O charged to `ctx`.
     ///
-    /// The scan polls the context before every page visit and returns the
-    /// typed [`Aborted`] error on cancellation, deadline expiry or an
-    /// exhausted I/O budget instead of reading on.
-    pub fn for_each_point_ctx(
+    /// The scan's I/O is charged to `ctx`; it polls the context before
+    /// every page visit and returns the typed [`Aborted`] error on
+    /// cancellation, deadline expiry or an exhausted I/O budget instead of
+    /// reading on.
+    pub fn for_each_point(
         &self,
-        ctx: Option<&QueryContext>,
         mut f: impl FnMut(cca_geo::Point, ItemId),
+        ctx: Option<&QueryContext>,
     ) -> Result<(), Aborted> {
         self.for_each_point_under(self.root, self.height, ctx, &mut f)
     }
@@ -310,7 +305,7 @@ mod tests {
         t.write_node(t.root(), &n);
         t.set_size(2);
         let mut seen = Vec::new();
-        t.for_each_point(|p, id| seen.push((p, id)));
+        t.for_each_point(|p, id| seen.push((p, id)), None).unwrap();
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[0].1, 10);
         assert_eq!(seen[1].1, 20);

@@ -97,7 +97,7 @@ proptest! {
         // because coordinates live on a lattice of the form n/65).
         let radius = 123.456;
         let mut got_ids: Vec<ItemId> = tree
-            .range_search(q, radius)
+            .range_search(q, radius, None).unwrap()
             .into_iter()
             .map(|(_, id, _)| id)
             .collect();

@@ -6,25 +6,22 @@
 //! reports to operators.
 //!
 //! Work enters one way, [`ServingInstance::submit`], and comes back as a
-//! [`Ticket`]. The queue is `'static`, so submitted work owns its data (the
-//! wire path: a request decoded from a socket owns its problem). Work that
-//! borrows from the caller's stack — e.g. a `SpatialAssignment` held by a
-//! batch runner — goes through [`ServingInstance::scope`], whose
-//! [`InstanceScope::submit`] blocks the scope's exit until every closure it
-//! submitted has been consumed, which is what makes the borrow sound.
+//! [`Ticket`]. The queue is `'static`, so submitted work owns its data: a
+//! request decoded from a socket owns its problem, and a batch runner's
+//! query holds an `Arc` on the instance it solves.
 //!
 //! Dropping the instance flips the shutdown flag and joins the workers;
 //! they drain every admitted request first, so outstanding tickets still
 //! resolve.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use cca_storage::{QueryContext, TenantId};
 
 use crate::drr::TenantStats;
-use crate::scheduler::{execute, Job, Rejected, Request, ServeConfig, Shared, TicketCell, Work};
+use crate::scheduler::{execute, Job, Rejected, Request, ServeConfig, Shared, TicketCell};
 
 /// An owned scheduler: worker threads plus the two-level tenant-fair queue,
 /// living for as long as the value (not a scope) does.
@@ -54,7 +51,7 @@ impl<T: Send + 'static> ServingInstance<T> {
     /// created): [`Rejected::TenantQuotaExceeded`] when the submitting
     /// tenant's own queue-slot quota is exhausted, [`Rejected::QueueFull`]
     /// when the shared backlog is at capacity.
-    pub fn submit(&self, request: Request<'static, T>) -> Result<Ticket<T>, Rejected> {
+    pub fn submit(&self, request: Request<T>) -> Result<Ticket<T>, Rejected> {
         let Request { ctx, work } = request;
         let cell = Arc::new(TicketCell::new());
         let mut state = self.shared.lock();
@@ -77,29 +74,6 @@ impl<T: Send + 'static> ServingInstance<T> {
             seq,
             shared: Arc::clone(&self.shared),
         })
-    }
-
-    /// Runs `body` with an [`InstanceScope`] through which work may borrow
-    /// from the caller's environment (`'env`). The work is scheduled
-    /// *against* whatever else is submitting concurrently and lands in the
-    /// same cumulative [`TenantStats`].
-    ///
-    /// Returns only after every closure submitted through the scope has
-    /// been consumed (run to completion on a worker, run on a cancelling
-    /// thread, or dropped at teardown), so the borrows are dead — the
-    /// scope's whole soundness argument. Waiting on the scope's tickets
-    /// inside `body` (the usual pattern) makes this wait a no-op.
-    pub fn scope<'env, Out>(&self, body: impl FnOnce(&InstanceScope<'_, 'env, T>) -> Out) -> Out {
-        let pending = Arc::new(ScopeState::default());
-        let scope = InstanceScope {
-            instance: self,
-            pending: Arc::clone(&pending),
-            _env: std::marker::PhantomData,
-        };
-        // Declared after `scope`, so it drops first — the wait runs on
-        // normal return *and* on a panicking `body`, before `'env` ends.
-        let _wait = ScopeWait { state: &pending };
-        body(&scope)
     }
 
     /// Requests currently queued (admitted, not yet dispatched), across
@@ -201,111 +175,6 @@ impl<T: Send + 'static> Ticket<T> {
     }
 }
 
-/// Count of scope-submitted closures not yet consumed, plus the condvar
-/// the scope's exit wait parks on.
-#[derive(Default)]
-struct ScopeState {
-    outstanding: Mutex<usize>,
-    all_consumed: Condvar,
-}
-
-impl ScopeState {
-    fn incr(&self) {
-        *self.outstanding.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-    }
-
-    fn decr(&self) {
-        let mut n = self.outstanding.lock().unwrap_or_else(|e| e.into_inner());
-        *n -= 1;
-        if *n == 0 {
-            self.all_consumed.notify_all();
-        }
-    }
-
-    fn wait_consumed(&self) {
-        let mut n = self.outstanding.lock().unwrap_or_else(|e| e.into_inner());
-        while *n > 0 {
-            n = self.all_consumed.wait(n).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Owned by every closure a scope submits; dropping it (the closure ran,
-/// unwound, or was torn down unrun) is what the scope's exit wait counts.
-struct ScopeToken {
-    state: Arc<ScopeState>,
-}
-
-impl ScopeToken {
-    fn new(state: Arc<ScopeState>) -> Self {
-        state.incr();
-        ScopeToken { state }
-    }
-}
-
-impl Drop for ScopeToken {
-    fn drop(&mut self) {
-        self.state.decr();
-    }
-}
-
-/// Blocks, when dropped, until every token the scope handed out is dead.
-struct ScopeWait<'s> {
-    state: &'s ScopeState,
-}
-
-impl Drop for ScopeWait<'_> {
-    fn drop(&mut self) {
-        self.state.wait_consumed();
-    }
-}
-
-/// Submission handle inside [`ServingInstance::scope`]: accepts work
-/// borrowing from the scope's environment `'env`.
-pub struct InstanceScope<'a, 'env, T: Send + 'static> {
-    instance: &'a ServingInstance<T>,
-    pending: Arc<ScopeState>,
-    /// Invariant in `'env`, like `std::thread::Scope` — the environment
-    /// lifetime must not be shortened behind the scope's back.
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env, T: Send + 'static> InstanceScope<'_, 'env, T> {
-    /// Submits work that may borrow from `'env`, onto the shared
-    /// instance. Admission semantics are those of
-    /// [`ServingInstance::submit`]; the returned ticket may outlive the
-    /// scope (it holds no `'env` data — `T` is `'static`).
-    #[allow(unsafe_code)] // the crate's one exception; see SAFETY below
-    pub fn submit(&self, request: Request<'env, T>) -> Result<Ticket<T>, Rejected> {
-        let Request { ctx, work } = request;
-        let token = ScopeToken::new(Arc::clone(&self.pending));
-        let work: Work<'env, T> = Box::new(move |ctx: &QueryContext| {
-            // Hold the token for the closure's whole run: it drops when
-            // the call frame ends — after `work` returns *or* while its
-            // panic unwinds — and with the environment if never called.
-            let _consumed = token;
-            work(ctx)
-        });
-        // SAFETY: the closure is erased to `'static` so it can sit in the
-        // instance's queue, but nothing borrowed from `'env` can
-        // be used after `'env` ends: the closure owns a `ScopeToken`, and
-        // `ServingInstance::scope` blocks (via `ScopeWait`) until every
-        // token is dropped before it returns — i.e. until the closure has
-        // been consumed (run on a worker, run on a cancelling thread, or
-        // destroyed). `T` itself is `'static`, so results carry no `'env`
-        // borrows. Box<dyn FnOnce>'s layout does not depend on the trait
-        // object's lifetime bound, so the transmute is layout-safe.
-        let work: Work<'static, T> =
-            unsafe { std::mem::transmute::<Work<'env, T>, Work<'static, T>>(work) };
-        self.instance.submit(Request { ctx, work })
-    }
-
-    /// The shared instance the scope submits to.
-    pub fn instance(&self) -> &ServingInstance<T> {
-        self.instance
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,57 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_lets_work_borrow_the_callers_stack() {
-        let instance: ServingInstance<u64> =
-            ServingInstance::start(ServeConfig::default().workers(2).queue_capacity(64));
-        // Stack data the closures borrow — this must not require 'static.
-        let data: Vec<u64> = (0..100).collect();
-        let total: u64 = instance.scope(|scope| {
-            let tickets: Vec<_> = data
-                .chunks(10)
-                .map(|chunk| {
-                    scope
-                        .submit(Request::new(move |_: &QueryContext| {
-                            chunk.iter().sum::<u64>()
-                        }))
-                        .unwrap()
-                })
-                .collect();
-            tickets.into_iter().map(Ticket::wait).sum()
-        });
-        assert_eq!(total, 4950);
-        // The instance is still alive and serving after the scope.
-        let after = instance
-            .submit(Request::new(|_: &QueryContext| 7u64))
-            .unwrap();
-        assert_eq!(after.wait(), 7);
-    }
-
-    #[test]
-    fn scope_exit_waits_for_unawaited_borrowed_work() {
-        let instance: ServingInstance<usize> =
-            ServingInstance::start(ServeConfig::default().workers(1).queue_capacity(64));
-        let hits = AtomicUsize::new(0);
-        instance.scope(|scope| {
-            // The worker is parked until the body ends, so every closure
-            // below is still queued when the scope starts its exit wait.
-            let (_blocker, _release) = park_worker(scope.instance(), 0);
-            // Deliberately do NOT wait on the tickets: the scope itself
-            // must block until the borrowed closures are consumed.
-            for _ in 0..8 {
-                let hits = &hits;
-                scope
-                    .submit(Request::new(move |_: &QueryContext| {
-                        hits.fetch_add(1, Ordering::SeqCst)
-                    }))
-                    .unwrap();
-            }
-        });
-        // Had the scope returned early, this would read fewer than 8.
-        assert_eq!(hits.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
     fn owned_ticket_cancel_withdraws_queued_work_and_frees_the_slot() {
         let instance: ServingInstance<&'static str> = ServingInstance::start(
             ServeConfig::default()
@@ -487,12 +305,16 @@ mod tests {
                 .tenant_quota(B, TenantQuota::default().queue_slots(1)),
         );
         let (blocker, release) = park_worker(&instance, ());
-        // `submit` fills B's only slot; the scope's `submit` then sheds.
+        // One thread fills B's only slot; a second thread's submission for
+        // B then sheds.
         let _queued = instance
             .submit(Request::new(|_: &QueryContext| ()).tenant(B))
             .unwrap();
-        instance.scope(|scope| {
-            let shed = scope.submit(Request::new(|_: &QueryContext| ()).tenant(B));
+        std::thread::scope(|s| {
+            let shed = s
+                .spawn(|| instance.submit(Request::new(|_: &QueryContext| ()).tenant(B)))
+                .join()
+                .unwrap();
             assert_eq!(
                 shed.err(),
                 Some(Rejected::TenantQuotaExceeded {

@@ -27,8 +27,6 @@
 //! * [`ServingInstance::submit`] — admission of owned work: returns a
 //!   [`Ticket`] or sheds the request with [`Rejected::QueueFull`] /
 //!   [`Rejected::TenantQuotaExceeded`];
-//! * [`ServingInstance::scope`] — an [`InstanceScope`] whose `submit`
-//!   accepts work borrowing from the caller's stack;
 //! * [`Ticket`] — await / poll / cancel one query (cancelling a queued
 //!   query releases its admission slot immediately);
 //! * [`ServingInstance::tenant_stats`] — operator snapshots: per-tenant
@@ -47,17 +45,15 @@
 //!     .queue_capacity(8)
 //!     .tenant_quota(TenantId(1), TenantQuota::default().weight(2));
 //! let instance = ServingInstance::start(config);
-//! let total: u64 = instance.scope(|scope| {
-//!     let tickets: Vec<_> = (0..4u64)
-//!         .map(|i| {
-//!             let req = Request::new(move |_ctx: &QueryContext| i * 10)
-//!                 .tenant(TenantId(u32::from(i % 2 == 0)))
-//!                 .priority(if i == 0 { Priority::High } else { Priority::Normal });
-//!             scope.submit(req).expect("queue has room")
-//!         })
-//!         .collect();
-//!     tickets.into_iter().map(|t| t.wait()).sum()
-//! });
+//! let tickets: Vec<_> = (0..4u64)
+//!     .map(|i| {
+//!         let req = Request::new(move |_ctx: &QueryContext| i * 10)
+//!             .tenant(TenantId(u32::from(i % 2 == 0)))
+//!             .priority(if i == 0 { Priority::High } else { Priority::Normal });
+//!         instance.submit(req).expect("queue has room")
+//!     })
+//!     .collect();
+//! let total: u64 = tickets.into_iter().map(|t| t.wait()).sum();
 //! assert_eq!(total, 60);
 //! assert_eq!(instance.tenant_stats_for(TenantId(1)).unwrap().completed, 2);
 //! ```
@@ -66,7 +62,7 @@
 //! `ServingInstance`, and `examples/tenants.rs` shows two weighted tenants
 //! sharing one, quota shedding included.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod drr;
 mod instance;
@@ -78,5 +74,5 @@ mod serde_impls;
 
 pub use cca_storage::{AbortReason, Aborted, IoStats, Priority, QueryContext, TenantId};
 pub use drr::{TenantQuota, TenantStats};
-pub use instance::{InstanceScope, ServingInstance, Ticket};
+pub use instance::{ServingInstance, Ticket};
 pub use scheduler::{Rejected, Request, ServeConfig};

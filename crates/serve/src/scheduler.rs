@@ -136,18 +136,18 @@ impl std::fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
-pub(crate) type Work<'env, T> = Box<dyn FnOnce(&QueryContext) -> T + Send + 'env>;
+pub(crate) type Work<T> = Box<dyn FnOnce(&QueryContext) -> T + Send + 'static>;
 
 /// One query submission: the work closure plus its [`QueryContext`]
 /// (tenant, priority, deadline, I/O budget, cancellation).
-pub struct Request<'env, T> {
+pub struct Request<T> {
     pub(crate) ctx: QueryContext,
-    pub(crate) work: Work<'env, T>,
+    pub(crate) work: Work<T>,
 }
 
-impl<'env, T> Request<'env, T> {
+impl<T> Request<T> {
     /// A request running `work` under a fresh default context.
-    pub fn new(work: impl FnOnce(&QueryContext) -> T + Send + 'env) -> Self {
+    pub fn new(work: impl FnOnce(&QueryContext) -> T + Send + 'static) -> Self {
         Request {
             ctx: QueryContext::new(),
             work: Box::new(work),
@@ -263,7 +263,7 @@ impl<T> TicketCell<T> {
 
 /// Runs a job's closure under its context, catching a panicking closure so
 /// the waiter never blocks on an unfilled cell.
-pub(crate) fn execute<T>(work: Work<'static, T>, ctx: &QueryContext) -> Slot<T> {
+pub(crate) fn execute<T>(work: Work<T>, ctx: &QueryContext) -> Slot<T> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(ctx))) {
         Ok(value) => Slot::Done(value),
         Err(payload) => Slot::Panicked(payload),
@@ -275,7 +275,7 @@ pub(crate) struct Job<T> {
     pub(crate) seq: u64,
     pub(crate) ctx: QueryContext,
     pub(crate) cell: Arc<TicketCell<T>>,
-    pub(crate) work: Work<'static, T>,
+    pub(crate) work: Work<T>,
     pub(crate) submitted_at: Instant,
 }
 
@@ -399,12 +399,11 @@ pub(crate) mod tests {
 
     #[test]
     fn submits_run_and_tickets_resolve() {
-        let outputs = ServingInstance::start(ServeConfig::default().workers(4)).scope(|scope| {
-            let tickets: Vec<_> = (0..32)
-                .map(|i| scope.submit(Request::new(move |_| i * 2)).unwrap())
-                .collect();
-            tickets.into_iter().map(Ticket::wait).collect::<Vec<_>>()
-        });
+        let instance = ServingInstance::start(ServeConfig::default().workers(4));
+        let tickets: Vec<_> = (0..32)
+            .map(|i| instance.submit(Request::new(move |_| i * 2)).unwrap())
+            .collect();
+        let outputs: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
         assert_eq!(outputs, (0..32).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -427,36 +426,34 @@ pub(crate) mod tests {
 
     #[test]
     fn higher_priority_overtakes_with_one_worker() {
-        let order = Mutex::new(Vec::new());
+        let order = Arc::new(Mutex::new(Vec::new()));
         let config = ServeConfig::default()
             .workers(1)
             .queue_capacity(16)
             .aging_period(0);
-        ServingInstance::start(config).scope(|scope| {
-            let (blocker, release) = park_worker(scope.instance(), ());
-            let mut tickets = Vec::new();
-            for (name, priority) in [
-                ("low", Priority::Low),
-                ("normal", Priority::Normal),
-                ("critical", Priority::Critical),
-                ("high", Priority::High),
-            ] {
-                let order = &order;
-                tickets.push(
-                    scope
-                        .submit(
-                            Request::new(move |_| order.lock().unwrap().push(name))
-                                .priority(priority),
-                        )
-                        .unwrap(),
-                );
-            }
-            drop(release);
-            blocker.wait();
-            for t in tickets {
-                t.wait();
-            }
-        });
+        let instance = ServingInstance::start(config);
+        let (blocker, release) = park_worker(&instance, ());
+        let mut tickets = Vec::new();
+        for (name, priority) in [
+            ("low", Priority::Low),
+            ("normal", Priority::Normal),
+            ("critical", Priority::Critical),
+            ("high", Priority::High),
+        ] {
+            let order = Arc::clone(&order);
+            tickets.push(
+                instance
+                    .submit(
+                        Request::new(move |_| order.lock().unwrap().push(name)).priority(priority),
+                    )
+                    .unwrap(),
+            );
+        }
+        drop(release);
+        blocker.wait();
+        for t in tickets {
+            t.wait();
+        }
         assert_eq!(
             *order.lock().unwrap(),
             vec!["critical", "high", "normal", "low"]
@@ -485,8 +482,9 @@ pub(crate) mod tests {
         // shutdown flag it sets, the join there would hang forever instead
         // of propagating the panic.
         let result = std::panic::catch_unwind(|| {
-            ServingInstance::<()>::start(ServeConfig::default().workers(2))
-                .scope(|_scope| panic!("body bug"))
+            let instance = ServingInstance::start(ServeConfig::default().workers(2));
+            instance.submit(Request::new(|_| ())).unwrap().wait();
+            panic!("body bug");
         });
         let payload = result.unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"body bug"));
@@ -578,44 +576,43 @@ pub(crate) mod tests {
     fn adversarial_tenant_cannot_starve_an_equal_weight_peer() {
         const A: TenantId = TenantId(1);
         const B: TenantId = TenantId(2);
-        let order = Mutex::new(Vec::new());
+        let order = Arc::new(Mutex::new(Vec::new()));
         let config = ServeConfig::default()
             .workers(1)
             .queue_capacity(256)
             .aging_period(4);
-        ServingInstance::start(config).scope(|scope| {
-            let (blocker, release) = park_worker(scope.instance(), ());
-            let mut tickets = Vec::new();
-            let order = &order;
-            // A floods 120 critical requests; B submits 60 normal ones.
-            for (tenant, n, priority) in [(A, 120, Priority::Critical), (B, 60, Priority::Normal)] {
-                for _ in 0..n {
-                    tickets.push(
-                        scope
-                            .submit(
-                                Request::new(move |ctx: &QueryContext| {
-                                    order.lock().unwrap().push(ctx.tenant());
-                                })
-                                .tenant(tenant)
-                                .priority(priority),
-                            )
-                            .unwrap(),
-                    );
-                }
+        let instance = ServingInstance::start(config);
+        let (blocker, release) = park_worker(&instance, ());
+        let mut tickets = Vec::new();
+        // A floods 120 critical requests; B submits 60 normal ones.
+        for (tenant, n, priority) in [(A, 120, Priority::Critical), (B, 60, Priority::Normal)] {
+            for _ in 0..n {
+                let order = Arc::clone(&order);
+                tickets.push(
+                    instance
+                        .submit(
+                            Request::new(move |ctx: &QueryContext| {
+                                order.lock().unwrap().push(ctx.tenant());
+                            })
+                            .tenant(tenant)
+                            .priority(priority),
+                        )
+                        .unwrap(),
+                );
             }
-            drop(release);
-            blocker.wait();
-            for t in tickets {
-                t.wait();
-            }
-            let a_stats = scope.instance().tenant_stats_for(A).unwrap();
-            let b_stats = scope.instance().tenant_stats_for(B).unwrap();
-            assert_eq!(a_stats.dispatched, 120);
-            assert_eq!(b_stats.dispatched, 60);
-            assert_eq!(a_stats.completed, 120);
-            assert!(b_stats.max_latency >= b_stats.mean_latency());
-        });
-        let order = order.into_inner().unwrap();
+        }
+        drop(release);
+        blocker.wait();
+        for t in tickets {
+            t.wait();
+        }
+        let a_stats = instance.tenant_stats_for(A).unwrap();
+        let b_stats = instance.tenant_stats_for(B).unwrap();
+        assert_eq!(a_stats.dispatched, 120);
+        assert_eq!(b_stats.dispatched, 60);
+        assert_eq!(a_stats.completed, 120);
+        assert!(b_stats.max_latency >= b_stats.mean_latency());
+        let order = order.lock().unwrap().clone();
         assert_eq!(order.len(), 180);
         // While both tenants are backlogged (the first 120 dispatches),
         // every 50-wide window splits 25/25 — B's ≥ 40 % share holds.
@@ -667,36 +664,34 @@ pub(crate) mod tests {
     #[test]
     fn in_flight_cap_bounds_concurrency() {
         const CAPPED: TenantId = TenantId(3);
-        let concurrent = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
+        let concurrent = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
         let config = ServeConfig::default()
             .workers(2)
             .queue_capacity(64)
             .tenant_quota(CAPPED, TenantQuota::default().max_in_flight(1));
-        ServingInstance::start(config).scope(|scope| {
-            let concurrent = &concurrent;
-            let peak = &peak;
-            let tickets: Vec<_> = (0..6)
-                .map(|_| {
-                    scope
-                        .submit(
-                            Request::new(move |_| {
-                                let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
-                                peak.fetch_max(now, Ordering::SeqCst);
-                                // Stay running long enough for the other
-                                // worker to overlap, were the cap broken.
-                                std::thread::sleep(Duration::from_millis(2));
-                                concurrent.fetch_sub(1, Ordering::SeqCst);
-                            })
-                            .tenant(CAPPED),
-                        )
-                        .unwrap()
-                })
-                .collect();
-            for t in tickets {
-                t.wait();
-            }
-        });
+        let instance = ServingInstance::start(config);
+        let tickets: Vec<_> = (0..6)
+            .map(|_| {
+                let (concurrent, peak) = (Arc::clone(&concurrent), Arc::clone(&peak));
+                instance
+                    .submit(
+                        Request::new(move |_| {
+                            let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
+                            peak.fetch_max(now, Ordering::SeqCst);
+                            // Stay running long enough for the other
+                            // worker to overlap, were the cap broken.
+                            std::thread::sleep(Duration::from_millis(2));
+                            concurrent.fetch_sub(1, Ordering::SeqCst);
+                        })
+                        .tenant(CAPPED),
+                    )
+                    .unwrap()
+            })
+            .collect();
+        for t in tickets {
+            t.wait();
+        }
         assert_eq!(
             peak.load(Ordering::SeqCst),
             1,
@@ -714,42 +709,41 @@ pub(crate) mod tests {
     fn aged_low_priority_request_completes_within_bounded_rounds() {
         const AGING: u32 = 4;
         const HIGH_BACKLOG: usize = 8;
-        let dispatched = AtomicUsize::new(0);
+        let dispatched = Arc::new(AtomicUsize::new(0));
         let config = ServeConfig::default()
             .workers(1)
             .queue_capacity(64)
             .aging_period(AGING);
-        let low_round = ServingInstance::start(config).scope(|scope| {
-            let (blocker, release) = park_worker(scope.instance(), 0usize);
-            // Low enters first, then a standing high-priority backlog.
-            let dispatched = &dispatched;
-            let submit = |priority| {
-                scope.submit(
-                    Request::new(move |_| dispatched.fetch_add(1, Ordering::SeqCst) + 1)
-                        .priority(priority),
-                )
-            };
-            let low = submit(Priority::Low).unwrap();
-            let mut highs: Vec<_> = (0..HIGH_BACKLOG)
-                .map(|_| submit(Priority::High).unwrap())
-                .collect();
-            drop(release);
-            blocker.wait();
-            // Keep the queue saturated with fresh high-priority work until
-            // the low request completes.
-            loop {
-                if let Some(round) = low.try_take() {
-                    for h in highs {
-                        h.wait();
-                    }
-                    return round;
+        let instance = ServingInstance::start(config);
+        let (blocker, release) = park_worker(&instance, 0usize);
+        // Low enters first, then a standing high-priority backlog.
+        let submit = |priority| {
+            let dispatched = Arc::clone(&dispatched);
+            instance.submit(
+                Request::new(move |_| dispatched.fetch_add(1, Ordering::SeqCst) + 1)
+                    .priority(priority),
+            )
+        };
+        let low = submit(Priority::Low).unwrap();
+        let mut highs: Vec<_> = (0..HIGH_BACKLOG)
+            .map(|_| submit(Priority::High).unwrap())
+            .collect();
+        drop(release);
+        blocker.wait();
+        // Keep the queue saturated with fresh high-priority work until the
+        // low request completes.
+        let low_round = loop {
+            if let Some(round) = low.try_take() {
+                for h in highs {
+                    h.wait();
                 }
-                if let Ok(t) = submit(Priority::High) {
-                    highs.push(t);
-                }
-                std::thread::yield_now();
+                break round;
             }
-        });
+            if let Ok(t) = submit(Priority::High) {
+                highs.push(t);
+            }
+            std::thread::yield_now();
+        };
         let bound = (3 * AGING + 1) as usize;
         assert!(
             low_round <= bound,

@@ -157,14 +157,9 @@ impl PageStore {
         })
     }
 
-    /// Writes a full page through the buffer pool (write-back).
-    pub fn write_page(&self, id: PageId, data: &[u8]) {
-        self.write_page_ctx(id, None, data)
-    }
-
-    /// Like [`PageStore::write_page`], charging eviction write-backs to
-    /// `ctx`.
-    pub fn write_page_ctx(&self, id: PageId, ctx: Option<&QueryContext>, data: &[u8]) {
+    /// Writes a full page through the buffer pool (write-back), charging
+    /// eviction write-backs to `ctx` when given.
+    pub fn write_page(&self, id: PageId, data: &[u8], ctx: Option<&QueryContext>) {
         self.check_allocated(id);
         self.with_inner(ctx, |inner| {
             inner.ensure_page(id);
@@ -237,8 +232,8 @@ mod tests {
         let store = PageStore::with_config(32, 4);
         let a = store.alloc_page();
         let b = store.alloc_page();
-        store.write_page(a, &[1u8; 32]);
-        store.write_page(b, &[2u8; 32]);
+        store.write_page(a, &[1u8; 32], None);
+        store.write_page(b, &[2u8; 32], None);
         store.with_page(a, |d| assert_eq!(d, &[1u8; 32]));
         store.with_page(b, |d| assert_eq!(d, &[2u8; 32]));
         assert_eq!(store.num_pages(), 2);
@@ -249,7 +244,7 @@ mod tests {
         let store = PageStore::with_config(32, 1);
         let a = store.alloc_page();
         let b = store.alloc_page();
-        store.write_page(a, &[1u8; 32]);
+        store.write_page(a, &[1u8; 32], None);
         store.flush();
         store.clear_cache();
         store.reset_stats();
@@ -296,7 +291,7 @@ mod tests {
         let store = PageStore::with_config(32, 64);
         let pages: Vec<_> = (0..10).map(|_| store.alloc_page()).collect();
         for &p in &pages {
-            store.write_page(p, &[7u8; 32]);
+            store.write_page(p, &[7u8; 32], None);
         }
         store.flush();
         for cap in 1..=8 {
@@ -317,7 +312,7 @@ mod tests {
     fn cold_start_after_clear_cache() {
         let store = PageStore::with_config(32, 8);
         let a = store.alloc_page();
-        store.write_page(a, &[5u8; 32]);
+        store.write_page(a, &[5u8; 32], None);
         store.flush();
         store.with_page(a, |_| ());
         store.clear_cache();
@@ -332,7 +327,7 @@ mod tests {
         let store = PageStore::with_config(32, 8);
         let pages: Vec<_> = (0..8).map(|_| store.alloc_page()).collect();
         for (i, &p) in pages.iter().enumerate() {
-            store.write_page(p, &[i as u8; 32]);
+            store.write_page(p, &[i as u8; 32], None);
         }
         store.flush();
         store.clear_cache();
@@ -354,7 +349,7 @@ mod tests {
         let store = PageStore::with_config(32, 8);
         let pages: Vec<_> = (0..8).map(|_| store.alloc_page()).collect();
         for &p in &pages {
-            store.write_page(p, &[1u8; 32]);
+            store.write_page(p, &[1u8; 32], None);
         }
         store.flush();
         store.clear_cache();
@@ -375,7 +370,7 @@ mod tests {
         let store = PageStore::with_config(32, 4);
         let pages: Vec<_> = (0..8).map(|_| store.alloc_page()).collect();
         for (i, &p) in pages.iter().enumerate() {
-            store.write_page(p, &[i as u8; 32]);
+            store.write_page(p, &[i as u8; 32], None);
         }
         store.flush();
         store.clear_cache();

@@ -19,7 +19,7 @@ fn concurrent_hits_match_mutex_path_exactly() {
     let store = PageStore::with_config(32, 16);
     let pages: Vec<_> = (0..16).map(|_| store.alloc_page()).collect();
     for (i, &p) in pages.iter().enumerate() {
-        store.write_page(p, &[i as u8; 32]);
+        store.write_page(p, &[i as u8; 32], None);
     }
     for &p in &pages {
         store.with_page(p, |_| ());
@@ -68,7 +68,7 @@ fn racing_writer_never_exposes_torn_pages() {
     let store = PageStore::with_config(256, 8);
     let pages: Vec<_> = (0..4).map(|_| store.alloc_page()).collect();
     for &p in &pages {
-        store.write_page(p, &[0u8; 256]);
+        store.write_page(p, &[0u8; 256], None);
     }
     for &p in &pages {
         store.with_page(p, |_| ());
@@ -101,7 +101,7 @@ fn racing_writer_never_exposes_torn_pages() {
             for round in 0..WRITES {
                 let idx = round % pages.len();
                 let byte = (round % 251) as u8;
-                store.write_page_ctx(pages[idx], Some(writer_session), &[byte; 256]);
+                store.write_page(pages[idx], &[byte; 256], Some(writer_session));
             }
         });
     });
@@ -163,7 +163,7 @@ fn evictions_under_race_never_serve_the_wrong_page() {
     assert_eq!(store.buffer_capacity(), 4);
     let pages: Vec<_> = (0..PAGES).map(|_| store.alloc_page()).collect();
     for &p in &pages {
-        store.write_page(p, &page_image(p.0, 0));
+        store.write_page(p, &page_image(p.0, 0), None);
     }
     store.reset_stats();
 
@@ -207,7 +207,7 @@ fn evictions_under_race_never_serve_the_wrong_page() {
             for round in 0..WRITES {
                 let p = pages[round % PAGES];
                 let generation = (round / PAGES + 1) as u32;
-                store.write_page_ctx(p, Some(writer_session), &page_image(p.0, generation));
+                store.write_page(p, &page_image(p.0, generation), Some(writer_session));
             }
         });
     });

@@ -92,7 +92,7 @@ proptest! {
                 Op::Write(i, byte) => {
                     let data = vec![byte; PAGE];
                     reference.pool.write_page(&mut reference.disk, reference.ids[i], &data);
-                    store.write_page(ids[i], &data);
+                    store.write_page(ids[i], &data, None);
                 }
                 Op::Flush => {
                     reference.pool.flush_all(&mut reference.disk);
@@ -130,7 +130,7 @@ fn concurrent_sessions_sum_to_global_aggregate() {
     let store = PageStore::with_config(32, 16);
     let ids: Vec<PageId> = (0..PAGES).map(|_| store.alloc_page()).collect();
     for (i, &id) in ids.iter().enumerate() {
-        store.write_page(id, &[i as u8; 32]);
+        store.write_page(id, &[i as u8; 32], None);
     }
     store.flush();
     store.clear_cache();

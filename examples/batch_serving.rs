@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example batch_serving`
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use cca::core::RefineMethod;
@@ -23,7 +24,12 @@ fn main() {
     let w = cfg.generate();
     // Concurrent workers share the instance's one buffer pool; each query
     // is still charged exactly its own faults.
-    let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 1.0);
+    let instance = Arc::new(SpatialAssignment::build_with_storage(
+        w.providers,
+        w.customers,
+        1024,
+        1.0,
+    ));
     println!(
         "instance: |Q| = {}, |P| = {}, gamma = {}",
         instance.providers().len(),

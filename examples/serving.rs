@@ -13,11 +13,12 @@
 //!
 //! Run with: `cargo run --release --example serving`
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::serve::{Rejected, Request, ServeConfig, ServingInstance};
-use cca::{Priority, QueryContext, SolverConfig, SolverRegistry, SpatialAssignment};
+use cca::{Priority, QueryContext, Solver, SolverConfig, SolverRegistry, SpatialAssignment};
 
 /// One query of the burst: config plus its serving parameters.
 struct Query {
@@ -71,7 +72,12 @@ fn main() {
         seed: 77,
     }
     .generate();
-    let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 2.0);
+    let instance = Arc::new(SpatialAssignment::build_with_storage(
+        w.providers,
+        w.customers,
+        1024,
+        2.0,
+    ));
     println!(
         "instance: |Q| = {}, |P| = {}, gamma = {}\n",
         instance.providers().len(),
@@ -115,9 +121,9 @@ fn main() {
             Priority::Normal,
         ),
     ];
-    let solvers: Vec<_> = burst
+    let solvers: Vec<Arc<dyn Solver>> = burst
         .iter()
-        .map(|q| registry.build(&q.config).expect("registered"))
+        .map(|q| Arc::from(registry.build(&q.config).expect("registered")))
         .collect();
 
     // A small queue (2 workers, 6 backlog permits) so the tail of the
@@ -128,55 +134,52 @@ fn main() {
         .queue_capacity(6)
         .aging_period(4);
     let t0 = Instant::now();
-    let (served, shed) = ServingInstance::start(config).scope(|scope| {
-        let mut tickets = Vec::new();
-        let mut shed = Vec::new();
-        for (i, query) in burst.iter().enumerate() {
-            let mut ctx = QueryContext::new().with_priority(query.priority);
-            if let Some(faults) = query.io_budget {
-                ctx = ctx.with_io_budget(faults);
-            }
-            if let Some(d) = query.deadline {
-                ctx = ctx.with_timeout(d);
-            }
-            let solver = &*solvers[i];
-            let instance = &instance;
-            let request = Request::new(move |ctx: &QueryContext| {
-                let outcome = solver.run(&instance.problem().with_context(ctx));
-                let reason = outcome.abort_reason();
-                let (matching, stats) = outcome.into_parts();
-                (matching, stats, reason)
-            })
-            .context(ctx);
-            match scope.submit(request) {
-                Ok(ticket) => tickets.push((i, ticket)),
-                // Everything here runs as one (default) tenant, so only the
-                // global capacity sheds; `examples/tenants.rs` shows the
-                // per-tenant quota rejections.
-                Err(Rejected::QueueFull { capacity }) => shed.push((query.name, capacity)),
-                Err(rejected @ Rejected::TenantQuotaExceeded { .. }) => {
-                    unreachable!("no tenant quotas configured: {rejected}")
-                }
+    let serving = ServingInstance::start(config);
+    let mut tickets = Vec::new();
+    let mut shed = Vec::new();
+    for (i, query) in burst.iter().enumerate() {
+        let mut ctx = QueryContext::new().with_priority(query.priority);
+        if let Some(faults) = query.io_budget {
+            ctx = ctx.with_io_budget(faults);
+        }
+        if let Some(d) = query.deadline {
+            ctx = ctx.with_timeout(d);
+        }
+        let (solver, instance) = (Arc::clone(&solvers[i]), Arc::clone(&instance));
+        let request = Request::new(move |ctx: &QueryContext| {
+            let outcome = solver.run(&instance.problem().with_context(ctx));
+            let reason = outcome.abort_reason();
+            let (matching, stats) = outcome.into_parts();
+            (matching, stats, reason)
+        })
+        .context(ctx);
+        match serving.submit(request) {
+            Ok(ticket) => tickets.push((i, ticket)),
+            // Everything here runs as one (default) tenant, so only the
+            // global capacity sheds; `examples/tenants.rs` shows the
+            // per-tenant quota rejections.
+            Err(Rejected::QueueFull { capacity }) => shed.push((query.name, capacity)),
+            Err(rejected @ Rejected::TenantQuotaExceeded { .. }) => {
+                unreachable!("no tenant quotas configured: {rejected}")
             }
         }
-        let served: Vec<Served> = tickets
-            .into_iter()
-            .map(|(i, ticket)| {
-                let (matching, stats, reason) = ticket.wait();
-                Served {
-                    name: burst[i].name,
-                    priority: burst[i].priority,
-                    outcome: match reason {
-                        None => "complete".to_string(),
-                        Some(r) => format!("aborted: {r}"),
-                    },
-                    matched: matching.size() as usize,
-                    faults: stats.io.faults,
-                }
-            })
-            .collect();
-        (served, shed)
-    });
+    }
+    let served: Vec<Served> = tickets
+        .into_iter()
+        .map(|(i, ticket)| {
+            let (matching, stats, reason) = ticket.wait();
+            Served {
+                name: burst[i].name,
+                priority: burst[i].priority,
+                outcome: match reason {
+                    None => "complete".to_string(),
+                    Some(r) => format!("aborted: {r}"),
+                },
+                matched: matching.size() as usize,
+                faults: stats.io.faults,
+            }
+        })
+        .collect();
 
     println!(
         "{:<14} {:>9} {:>8} {:>7}  outcome",

@@ -15,13 +15,14 @@
 //!
 //! Run with: `cargo run --release --example tenants`
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::serve::{Rejected, Request, ServeConfig, ServingInstance};
 use cca::{
-    Priority, QueryContext, SolverConfig, SolverRegistry, SpatialAssignment, TenantId, TenantQuota,
-    TenantStats,
+    Priority, QueryContext, Solver, SolverConfig, SolverRegistry, SpatialAssignment, TenantId,
+    TenantQuota, TenantStats,
 };
 
 const GOLD: TenantId = TenantId(1);
@@ -45,7 +46,12 @@ fn main() {
         seed: 5,
     }
     .generate();
-    let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 4.0);
+    let instance = Arc::new(SpatialAssignment::build_with_storage(
+        w.providers,
+        w.customers,
+        1024,
+        4.0,
+    ));
     println!(
         "instance: |Q| = {}, |P| = {}, gamma = {}\n",
         instance.providers().len(),
@@ -71,7 +77,7 @@ fn main() {
         .collect();
     let bursts: Vec<(TenantId, &[(SolverConfig, Priority)])> =
         vec![(GOLD, &gold_burst), (BRONZE, &bronze_flood)];
-    let solvers: Vec<(TenantId, Priority, _)> = bursts
+    let solvers: Vec<(TenantId, Priority, Arc<dyn Solver>)> = bursts
         .iter()
         .flat_map(|&(tenant, burst)| {
             let registry = &registry;
@@ -79,7 +85,7 @@ fn main() {
                 (
                     tenant,
                     *priority,
-                    registry.build(config).expect("registered"),
+                    Arc::from(registry.build(config).expect("registered")),
                 )
             })
         })
@@ -100,31 +106,30 @@ fn main() {
                 .max_in_flight(1),
         );
     let t0 = Instant::now();
-    let (stats, shed) = ServingInstance::start(config).scope(|scope| {
-        let mut tickets = Vec::new();
-        let mut shed: Vec<(TenantId, Rejected)> = Vec::new();
-        for (tenant, priority, solver) in &solvers {
-            let instance = &instance;
-            let request = Request::new(move |ctx: &QueryContext| {
-                solver
-                    .run(&instance.problem().with_context(ctx))
-                    .is_complete()
-            })
-            .context(
-                QueryContext::new()
-                    .with_tenant(*tenant)
-                    .with_priority(*priority),
-            );
-            match scope.submit(request) {
-                Ok(ticket) => tickets.push(ticket),
-                Err(rejected) => shed.push((*tenant, rejected)),
-            }
+    let serving = ServingInstance::start(config);
+    let mut tickets = Vec::new();
+    let mut shed: Vec<(TenantId, Rejected)> = Vec::new();
+    for (tenant, priority, solver) in &solvers {
+        let (instance, solver) = (Arc::clone(&instance), Arc::clone(solver));
+        let request = Request::new(move |ctx: &QueryContext| {
+            solver
+                .run(&instance.problem().with_context(ctx))
+                .is_complete()
+        })
+        .context(
+            QueryContext::new()
+                .with_tenant(*tenant)
+                .with_priority(*priority),
+        );
+        match serving.submit(request) {
+            Ok(ticket) => tickets.push(ticket),
+            Err(rejected) => shed.push((*tenant, rejected)),
         }
-        for ticket in tickets {
-            ticket.wait();
-        }
-        (scope.instance().tenant_stats(), shed)
-    });
+    }
+    for ticket in tickets {
+        ticket.wait();
+    }
+    let stats = serving.tenant_stats();
 
     println!(
         "{:<8} {:>6} {:>9} {:>10} {:>8} {:>7} {:>8} {:>11} {:>10}",

@@ -2,7 +2,8 @@
 //! immutable R-tree, executed across threads.
 //!
 //! The runner is a thin adapter over the [`cca_serve`] scheduler: queries
-//! are submitted as serving requests (each under its own [`QueryContext`])
+//! are submitted as owned serving requests (each under its own
+//! [`QueryContext`], holding an `Arc` on the instance and on its solver)
 //! into the bounded priority queue and executed by an owned
 //! [`ServingInstance`] (private and per-batch in [`BatchRunner::run`];
 //! shared, long-lived and caller-provided in [`BatchRunner::run_on`], where
@@ -24,6 +25,7 @@
 //! queries included, since a context is charged for precisely the faults it
 //! caused before stopping.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cca_core::solver::{Solver, SolverConfig, SolverRegistry, UnknownSolver};
@@ -33,9 +35,9 @@ use cca_storage::{AbortReason, IoStats, Priority, QueryContext, TenantId};
 
 use crate::SpatialAssignment;
 
-/// Executes batches of queries against one [`SpatialAssignment`].
-pub struct BatchRunner<'a> {
-    instance: &'a SpatialAssignment,
+/// Executes batches of queries against one shared [`SpatialAssignment`].
+pub struct BatchRunner {
+    instance: Arc<SpatialAssignment>,
     registry: SolverRegistry,
     threads: usize,
     priority: Priority,
@@ -44,10 +46,10 @@ pub struct BatchRunner<'a> {
     io_budget: Option<u64>,
 }
 
-impl<'a> BatchRunner<'a> {
+impl BatchRunner {
     /// A runner over `instance` using the default registry and one worker
     /// per available hardware thread.
-    pub fn new(instance: &'a SpatialAssignment) -> Self {
+    pub fn new(instance: Arc<SpatialAssignment>) -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -201,64 +203,67 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// Builds every query's solver, failing on the first unknown name.
-    fn build_all(&self, queries: &[SolverConfig]) -> Result<Vec<Box<dyn Solver>>, UnknownSolver> {
-        queries.iter().map(|q| self.registry.build(q)).collect()
+    fn build_all(&self, queries: &[SolverConfig]) -> Result<Vec<Arc<dyn Solver>>, UnknownSolver> {
+        queries
+            .iter()
+            .map(|q| self.registry.build(q).map(Arc::from))
+            .collect()
     }
 
-    /// Submits every query through an instance scope (the closures borrow
-    /// `self`, `queries` and `solvers` from this stack frame) and waits
-    /// for all tickets. A shed submission is retried until the queue
-    /// admits it: batch semantics are "run all", so on a shared queue that
-    /// is momentarily full (or out of this tenant's slots) shedding
-    /// degrades to waiting.
+    /// Submits every query as owned work (each closure holds its own
+    /// handles on the instance and its solver) and waits for all tickets.
+    /// A shed submission is retried until the queue admits it: batch
+    /// semantics are "run all", so on a shared queue that is momentarily
+    /// full (or out of this tenant's slots) shedding degrades to waiting.
     fn submit_all(
         &self,
         instance: &ServingInstance<QueryResult>,
         queries: &[SolverConfig],
-        solvers: &[Box<dyn Solver>],
+        solvers: &[Arc<dyn Solver>],
     ) -> Vec<QueryResult> {
-        instance.scope(|scope| {
-            let tickets: Vec<Ticket<QueryResult>> = queries
-                .iter()
-                .zip(solvers)
-                .enumerate()
-                .map(|(i, (query, solver))| loop {
-                    let request = Request::new(move |ctx: &QueryContext| {
-                        self.run_one(i, query, &**solver, ctx)
-                    })
-                    .context(self.query_context());
-                    match scope.submit(request) {
-                        Ok(ticket) => break ticket,
-                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                    }
+        let tickets: Vec<Ticket<QueryResult>> = queries
+            .iter()
+            .zip(solvers)
+            .enumerate()
+            .map(|(index, (config, solver))| loop {
+                let data = Arc::clone(&self.instance);
+                let solver = Arc::clone(solver);
+                let config = config.clone();
+                let request = Request::new(move |ctx: &QueryContext| {
+                    run_one(&data, index, config, &*solver, ctx)
                 })
-                .collect();
-            tickets.into_iter().map(Ticket::wait).collect()
-        })
+                .context(self.query_context());
+                match instance.submit(request) {
+                    Ok(ticket) => break ticket,
+                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                }
+            })
+            .collect();
+        tickets.into_iter().map(Ticket::wait).collect()
     }
+}
 
-    fn run_one(
-        &self,
-        index: usize,
-        config: &SolverConfig,
-        solver: &dyn Solver,
-        ctx: &QueryContext,
-    ) -> QueryResult {
-        // The scheduler hands each query its own context: the store charges
-        // it alongside the store counters, so `stats.io` is this query's
-        // own traffic even with other workers hammering the same pool — and
-        // the context's deadline/budget/cancellation govern the run.
-        let outcome = solver.run(&self.instance.problem().with_context(ctx));
-        let aborted = outcome.abort_reason();
-        let (matching, stats) = outcome.into_parts();
-        QueryResult {
-            index,
-            label: solver.label(),
-            config: config.clone(),
-            matching,
-            stats,
-            aborted,
-        }
+fn run_one(
+    data: &SpatialAssignment,
+    index: usize,
+    config: SolverConfig,
+    solver: &dyn Solver,
+    ctx: &QueryContext,
+) -> QueryResult {
+    // The scheduler hands each query its own context: the store charges
+    // it alongside the store counters, so `stats.io` is this query's own
+    // traffic even with other workers hammering the same pool — and the
+    // context's deadline/budget/cancellation govern the run.
+    let outcome = solver.run(&data.problem().with_context(ctx));
+    let aborted = outcome.abort_reason();
+    let (matching, stats) = outcome.into_parts();
+    QueryResult {
+        index,
+        label: solver.label(),
+        config,
+        matching,
+        stats,
+        aborted,
     }
 }
 

@@ -35,7 +35,7 @@
 //! deficit-round-robin across tenants first, priority+aging within each
 //! tenant second, with per-tenant admission quotas and [`TenantStats`]
 //! operator snapshots. Individual runs accept a [`QueryContext`]
-//! ([`SpatialAssignment::run_solver_ctx`]) carrying a tenant label,
+//! ([`SpatialAssignment::run_solver`]) carrying a tenant label,
 //! deadline, I/O budget and cancellation flag; an aborted run returns its
 //! partial matching with exact partial I/O attribution — deadlines are
 //! polled inside the CPU-bound flow loops too, so even an all-in-memory
@@ -81,6 +81,8 @@ pub use cca_core::dynamic::{
 pub use cca_core::solver::{Outcome, Problem, Solver, SolverConfig, SolverRegistry, UnknownSolver};
 pub use cca_serve::{Rejected, ServeConfig, ServingInstance, TenantQuota, TenantStats, Ticket};
 pub use cca_storage::{AbortReason, Priority, QueryContext, TenantId};
+
+use std::sync::Arc;
 
 use cca_core::{AlgoStats, Matching};
 use cca_geo::Point;
@@ -201,30 +203,26 @@ impl SpatialAssignment {
     /// [`SolverRegistry`]) from a cold buffer cache.
     pub fn run_config(&self, config: &SolverConfig) -> Result<RunResult<'_>, UnknownSolver> {
         let solver = SolverRegistry::with_defaults().build(config)?;
-        Ok(self.run_solver(&*solver))
+        Ok(self.run_solver(&*solver, None))
     }
 
     /// Runs `solver` from a cold buffer cache and returns the matching with
     /// CPU and charged-I/O statistics.
     ///
-    /// The run is given its own [`QueryContext`], so `stats.io` is the
-    /// traffic *this query* caused — the same attribution path the parallel
-    /// [`BatchRunner`] uses (for a lone query on a cold cache it equals the
-    /// store's global delta).
-    pub fn run_solver(&self, solver: &dyn Solver) -> RunResult<'_> {
-        self.run_solver_ctx(solver, &QueryContext::new())
-    }
-
-    /// Runs `solver` from a cold buffer cache under the caller's
-    /// [`QueryContext`]: traffic is charged to `ctx`, and its deadline,
-    /// I/O budget or cancellation abort the run cooperatively —
-    /// [`RunResult::aborted`] then carries the reason and the stats hold
-    /// the exact partial attribution (a fault budget is met exactly:
-    /// `stats.io.faults == budget`).
-    pub fn run_solver_ctx(&self, solver: &dyn Solver, ctx: &QueryContext) -> RunResult<'_> {
+    /// The run is charged to `ctx`, or to a fresh [`QueryContext`] of its
+    /// own when `None`, so `stats.io` is the traffic *this query* caused —
+    /// the same attribution path the parallel [`BatchRunner`] uses (for a
+    /// lone query on a cold cache it equals the store's global delta). A
+    /// caller's context may also abort the run cooperatively: its deadline,
+    /// I/O budget or cancellation stop the solver, [`RunResult::aborted`]
+    /// then carries the reason and the stats hold the exact partial
+    /// attribution (a fault budget is met exactly: `stats.io.faults ==
+    /// budget`).
+    pub fn run_solver(&self, solver: &dyn Solver, ctx: Option<&QueryContext>) -> RunResult<'_> {
+        let ctx = ctx.cloned().unwrap_or_default();
         self.tree.store().clear_cache();
         self.tree.store().reset_stats();
-        let outcome = solver.run(&self.problem().with_context(ctx));
+        let outcome = solver.run(&self.problem().with_context(&ctx));
         let aborted = outcome.abort_reason();
         let (matching, stats) = outcome.into_parts();
         RunResult {
@@ -235,19 +233,10 @@ impl SpatialAssignment {
         }
     }
 
-    /// [`SpatialAssignment::run_config`] under a caller-supplied
-    /// [`QueryContext`] (deadline / I/O budget / cancellation).
-    pub fn run_config_ctx(
-        &self,
-        config: &SolverConfig,
-        ctx: &QueryContext,
-    ) -> Result<RunResult<'_>, UnknownSolver> {
-        let solver = SolverRegistry::with_defaults().build(config)?;
-        Ok(self.run_solver_ctx(&*solver, ctx))
-    }
-
-    /// A parallel batch runner over this instance's shared R-tree.
-    pub fn batch(&self) -> BatchRunner<'_> {
-        BatchRunner::new(self)
+    /// A parallel batch runner over this instance's shared R-tree. The
+    /// runner's queries own a handle on the instance, so it is shared
+    /// through an `Arc`.
+    pub fn batch(self: &Arc<Self>) -> BatchRunner {
+        BatchRunner::new(Arc::clone(self))
     }
 }

@@ -1,11 +1,13 @@
 //! Integration tests for the parallel [`cca::BatchRunner`]: determinism
 //! against sequential execution, per-query statistics, and error handling.
 
+use std::sync::Arc;
+
 use cca::core::RefineMethod;
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::{SolverConfig, SpatialAssignment};
 
-fn instance(seed: u64, np: usize) -> SpatialAssignment {
+fn instance(seed: u64, np: usize) -> Arc<SpatialAssignment> {
     let w = WorkloadConfig {
         num_providers: 12,
         num_customers: np,
@@ -15,7 +17,7 @@ fn instance(seed: u64, np: usize) -> SpatialAssignment {
         seed,
     }
     .generate();
-    SpatialAssignment::build(w.providers, w.customers)
+    Arc::new(SpatialAssignment::build(w.providers, w.customers))
 }
 
 /// A mixed batch touching every solver family.
@@ -82,7 +84,12 @@ fn sharded_pool_keeps_determinism_and_attribution() {
         seed: 406,
     }
     .generate();
-    let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 1.0);
+    let instance = Arc::new(SpatialAssignment::build_with_storage(
+        w.providers,
+        w.customers,
+        1024,
+        1.0,
+    ));
     let queries = mixed_queries();
     let runner = instance.batch().threads(8);
     let parallel = runner.run(&queries).unwrap();

@@ -2,12 +2,13 @@
 //! I/O-budget aborts with exact partial attribution, deadline and
 //! cancellation aborts, and the batch attribution invariant under aborts.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::{AbortReason, QueryContext, SolverConfig, SpatialAssignment};
+use cca::{AbortReason, QueryContext, Solver, SolverConfig, SolverRegistry, SpatialAssignment};
 
-fn instance(seed: u64, np: usize) -> SpatialAssignment {
+fn instance(seed: u64, np: usize) -> Arc<SpatialAssignment> {
     let w = WorkloadConfig {
         num_providers: 12,
         num_customers: np,
@@ -17,7 +18,16 @@ fn instance(seed: u64, np: usize) -> SpatialAssignment {
         seed,
     }
     .generate();
-    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 1.0)
+    Arc::new(SpatialAssignment::build_with_storage(
+        w.providers,
+        w.customers,
+        1024,
+        1.0,
+    ))
+}
+
+fn solver(config: &SolverConfig) -> Box<dyn Solver> {
+    SolverRegistry::with_defaults().build(config).unwrap()
 }
 
 /// The satellite acceptance test: a query exceeding its I/O budget aborts
@@ -36,7 +46,7 @@ fn io_budget_abort_reports_exactly_the_budget() {
 
         let budget = full_faults / 2;
         let ctx = QueryContext::new().with_io_budget(budget);
-        let partial = instance.run_config_ctx(&config, &ctx).unwrap();
+        let partial = instance.run_solver(&*solver(&config), Some(&ctx));
         assert_eq!(
             partial.aborted,
             Some(AbortReason::IoBudgetExceeded),
@@ -60,9 +70,7 @@ fn io_budget_abort_reports_exactly_the_budget() {
 fn deadline_governs_the_run() {
     let instance = instance(501, 1500);
     let expired = QueryContext::new().with_deadline(Instant::now() - Duration::from_millis(1));
-    let r = instance
-        .run_config_ctx(&SolverConfig::new("ida"), &expired)
-        .unwrap();
+    let r = instance.run_solver(&*solver(&SolverConfig::new("ida")), Some(&expired));
     assert_eq!(r.aborted, Some(AbortReason::DeadlineExceeded));
     assert_eq!(
         r.stats.io.faults, 0,
@@ -71,9 +79,7 @@ fn deadline_governs_the_run() {
     assert_eq!(r.matching.size(), 0);
 
     let generous = QueryContext::new().with_timeout(Duration::from_secs(3600));
-    let r = instance
-        .run_config_ctx(&SolverConfig::new("ida"), &generous)
-        .unwrap();
+    let r = instance.run_solver(&*solver(&SolverConfig::new("ida")), Some(&generous));
     assert!(r.aborted.is_none());
     assert!(r.matching.size() > 0);
 }
@@ -86,9 +92,7 @@ fn cancellation_and_ca_descent_abort() {
     let ctx = QueryContext::new();
     ctx.cancel();
     for name in ["ida", "ca", "sa"] {
-        let r = instance
-            .run_config_ctx(&SolverConfig::new(name).delta(10.0), &ctx)
-            .unwrap();
+        let r = instance.run_solver(&*solver(&SolverConfig::new(name).delta(10.0)), Some(&ctx));
         assert_eq!(r.aborted, Some(AbortReason::Cancelled), "{name}");
     }
 }

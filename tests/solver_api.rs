@@ -93,7 +93,7 @@ fn custom_solver_registration() {
 
     let instance = small_instance(304);
     let solver = registry.build_by_name("house-special").unwrap();
-    let r = instance.run_solver(&*solver);
+    let r = instance.run_solver(&*solver, None);
     r.validate().unwrap();
     assert!((r.cost() - oracle_cost(&instance)).abs() < 1e-6);
 }

@@ -3,17 +3,18 @@
 //! tenant labels threaded façade → context → problem, and per-tenant
 //! dispatch/attribution through the two-level scheduler.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::serve::{Request, ServeConfig, ServingInstance};
 use cca::{AbortReason, Outcome};
 use cca::{
-    Priority, Problem, QueryContext, SolverConfig, SolverRegistry, SpatialAssignment, TenantId,
-    TenantQuota,
+    Priority, Problem, QueryContext, Solver, SolverConfig, SolverRegistry, SpatialAssignment,
+    TenantId, TenantQuota,
 };
 
-fn instance(seed: u64, customers: usize) -> SpatialAssignment {
+fn instance(seed: u64, customers: usize) -> Arc<SpatialAssignment> {
     let w = WorkloadConfig {
         num_providers: 16,
         num_customers: customers,
@@ -23,7 +24,12 @@ fn instance(seed: u64, customers: usize) -> SpatialAssignment {
         seed,
     }
     .generate();
-    SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 4.0)
+    Arc::new(SpatialAssignment::build_with_storage(
+        w.providers,
+        w.customers,
+        1024,
+        4.0,
+    ))
 }
 
 /// The PR's flow-abort acceptance test: a flow-heavy SSPA query on a large
@@ -170,8 +176,8 @@ fn tenant_stats_aggregate_dispatches_and_io() {
     let instance = instance(77, 6_000);
     let registry = SolverRegistry::with_defaults();
     let queries = 6usize;
-    let solvers: Vec<_> = (0..2 * queries)
-        .map(|_| registry.build(&SolverConfig::new("ida")).unwrap())
+    let solvers: Vec<Arc<dyn Solver>> = (0..2 * queries)
+        .map(|_| Arc::from(registry.build(&SolverConfig::new("ida")).unwrap()))
         .collect();
     instance.tree().store().clear_cache();
     let io_before = instance.tree().store().io_stats();
@@ -179,35 +185,31 @@ fn tenant_stats_aggregate_dispatches_and_io() {
         .workers(2)
         .queue_capacity(64)
         .tenant_quota(GOLD, TenantQuota::default().weight(2));
-    let (gold, free) = ServingInstance::start(config).scope(|scope| {
-        let tickets: Vec<_> = solvers
-            .iter()
-            .enumerate()
-            .map(|(i, solver)| {
-                let solver = &**solver;
-                let instance = &instance;
-                let tenant = if i < queries { GOLD } else { FREE };
-                scope
-                    .submit(
-                        Request::new(move |ctx: &QueryContext| {
-                            solver
-                                .run(&instance.problem().with_context(ctx))
-                                .is_complete()
-                        })
-                        .tenant(tenant)
-                        .priority(Priority::Normal),
-                    )
-                    .expect("queue sized to the burst")
-            })
-            .collect();
-        for t in tickets {
-            assert!(t.wait(), "unconstrained queries complete");
-        }
-        (
-            scope.instance().tenant_stats_for(GOLD).unwrap(),
-            scope.instance().tenant_stats_for(FREE).unwrap(),
-        )
-    });
+    let serving = ServingInstance::start(config);
+    let tickets: Vec<_> = solvers
+        .into_iter()
+        .enumerate()
+        .map(|(i, solver)| {
+            let instance = Arc::clone(&instance);
+            let tenant = if i < queries { GOLD } else { FREE };
+            serving
+                .submit(
+                    Request::new(move |ctx: &QueryContext| {
+                        solver
+                            .run(&instance.problem().with_context(ctx))
+                            .is_complete()
+                    })
+                    .tenant(tenant)
+                    .priority(Priority::Normal),
+                )
+                .expect("queue sized to the burst")
+        })
+        .collect();
+    for t in tickets {
+        assert!(t.wait(), "unconstrained queries complete");
+    }
+    let gold = serving.tenant_stats_for(GOLD).unwrap();
+    let free = serving.tenant_stats_for(FREE).unwrap();
     for (name, stats) in [("gold", &gold), ("free", &free)] {
         assert_eq!(stats.submitted, queries as u64, "{name}");
         assert_eq!(stats.dispatched, queries as u64, "{name}");
