@@ -246,7 +246,10 @@ pub fn coreset_points(
             .iter()
             .map(|&(pos, weight)| FlowCustomer { pos, weight })
             .collect();
-        let sspa = Sspa { ctx };
+        let sspa = Sspa {
+            ctx,
+            ..Sspa::default()
+        };
         let (asg, sspa_stats) = match sspa.solve(&fps, &fcs) {
             Ok(complete) => complete,
             Err(aborted) => (aborted.partial, aborted.stats),

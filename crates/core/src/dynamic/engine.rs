@@ -12,6 +12,10 @@ use crate::solver::{Problem, SolverConfig, SolverRegistry};
 
 use super::events::{ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent};
 
+/// [`ContinuousAssignment::local_repair`]'s mark for a provider outside the
+/// neighbourhood.
+const OUTSIDE: u32 = u32::MAX;
+
 /// A feasible CCA matching maintained under a stream of world events.
 ///
 /// Each [`ContinuousAssignment::apply`] runs in two phases:
@@ -26,8 +30,9 @@ use super::events::{ContinuousConfig, DynamicStats, EventReport, RepairKind, Wor
 /// 2. **Repair** — re-optimization, and the only abortable phase. The
 ///    engine patches a bounded neighbourhood around the event (K nearest
 ///    providers, their local assignees and nearby unmatched customers via
-///    `knn_within`, then one small SSPA over that sub-instance spliced
-///    back), expanding the neighbourhood up to
+///    `knn_within`, then one small SSPA over that sub-instance, started
+///    from the neighbourhood's standing pairs and spliced back), expanding
+///    the neighbourhood up to
 ///    [`ContinuousConfig::max_expansions`] times; when the accumulated
 ///    dirty fraction crosses [`ContinuousConfig::dirty_threshold`] — or the
 ///    neighbourhood cannot absorb the deficit — it falls back to a full
@@ -273,6 +278,12 @@ impl ContinuousAssignment {
     /// their locally present assignees plus nearby unmatched customers, one
     /// in-memory SSPA over the sub-instance, spliced back.
     ///
+    /// The SSPA warm-starts from the pairs the splice releases: they are a
+    /// feasible flow of the sub-instance, so the solve only cancels the few
+    /// negative cycles the event created and tops the flow up to γ, instead
+    /// of re-deriving every pair from an empty flow. It reaches the same
+    /// sub-instance optimum as a cold solve, up to ties.
+    ///
     /// The splice can only grow the matching: each local provider's
     /// sub-capacity counts its free slots plus its locally included
     /// assignees, so the sub-instance's γ is at least the number of pairs
@@ -298,9 +309,10 @@ impl ContinuousAssignment {
         } else {
             self.cfg.radius_factor * order[k - 1].0
         };
-        let mut in_hood = vec![false; self.providers.len()];
-        for &(_, i) in &order {
-            in_hood[i] = true;
+        // Provider → its slot in the neighbourhood (`OUTSIDE`: not in it).
+        let mut hood = vec![OUTSIDE; self.providers.len()];
+        for (j, &(_, i)) in order.iter().enumerate() {
+            hood[i] = j as u32;
         }
 
         // Nearby customers: unmatched ones, and those assigned within the
@@ -309,11 +321,6 @@ impl ContinuousAssignment {
         let scan = self.tree.knn_within(epicenter, scan_cap, radius, ctx)?;
         let mut slots: Vec<usize> = Vec::with_capacity(scan.len());
         let mut local_load = vec![0u32; k];
-        let hood_index: HashMap<usize, usize> = order
-            .iter()
-            .enumerate()
-            .map(|(j, &(_, i))| (i, j))
-            .collect();
         let mut included = vec![false; self.customers.len()];
         for (_, id, _) in scan {
             let slot = self.slot_of[&id];
@@ -322,8 +329,8 @@ impl ContinuousAssignment {
                     included[slot] = true;
                     slots.push(slot);
                 }
-                Some(q) if in_hood[q as usize] => {
-                    local_load[hood_index[&(q as usize)]] += 1;
+                Some(q) if hood[q as usize] != OUTSIDE => {
+                    local_load[hood[q as usize] as usize] += 1;
                     included[slot] = true;
                     slots.push(slot);
                 }
@@ -372,7 +379,17 @@ impl ContinuousAssignment {
                 weight: 1,
             })
             .collect();
-        let (asg, _) = Sspa { ctx }
+        // The standing local pairs — exactly what the splice releases — are
+        // a feasible flow of the sub-instance, optimal before the event.
+        let start: Vec<(usize, usize, u32)> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(pj, &slot)| {
+                let q = self.assigned[slot]?;
+                Some((hood[q as usize] as usize, pj, 1))
+            })
+            .collect();
+        let (asg, _) = Sspa { ctx, start: &start }
             .solve(&sub_providers, &sub_customers)
             .map_err(|fa| Aborted { reason: fa.reason })?;
 
@@ -573,6 +590,22 @@ mod tests {
         for (_, cap) in providers.iter_mut() {
             *cap += 20; // capacity surplus: every arrival opens a deficit
         }
+        assert_arrivals_stay_exact(providers, customers);
+
+        // The `dyn_events` regime: Σk < |P|, so an arrival joins the
+        // matching only by displacing a farther customer — a warm solve
+        // must cancel a cycle through the sink. At most
+        // `candidate_scan_cap` live customers, so round 0's scan sees them
+        // all.
+        let (providers, customers) = random_instance(108, 5, 20, 3);
+        assert!(providers.iter().map(|&(_, k)| k).sum::<u32>() < 20);
+        assert!(20 + 40 <= engine_cfg().candidate_scan_cap);
+        assert_arrivals_stay_exact(providers, customers);
+    }
+
+    /// Applies 40 arrivals and checks the engine against the from-scratch
+    /// optimum after each one.
+    fn assert_arrivals_stay_exact(providers: Vec<(Point, u32)>, customers: Vec<Point>) {
         let mut engine = ContinuousAssignment::build(providers, customers, engine_cfg());
         for i in 0..40u64 {
             let pos = Point::new(

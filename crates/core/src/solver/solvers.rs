@@ -136,6 +136,7 @@ impl Solver for SspaSolver {
         // classifies the outcome off the context's sticky abort state.
         let sspa = Sspa {
             ctx: problem.context(),
+            ..Sspa::default()
         };
         let (asg, sspa_stats) = match sspa.solve(&fps, &fcs) {
             Ok(complete) => complete,

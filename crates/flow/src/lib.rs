@@ -17,9 +17,11 @@
 //!   a push breaks monotonicity,
 //! * [`sspa`] — the full-graph Successive Shortest Path baseline
 //!   (Algorithm 1) that Figure 8 benchmarks against: one entry point,
-//!   [`Sspa::solve`], whose one option is [`Sspa::ctx`]. It keeps the
-//!   complete bipartite graph implicit in flat cost/flow matrices and
-//!   searches it without a heap, so it uses neither of the two above,
+//!   [`Sspa::solve`], whose options are [`Sspa::ctx`] and [`Sspa::start`]
+//!   — a feasible flow to warm-start from, which it first makes optimal
+//!   for its value by cancelling negative cycles. It keeps the complete
+//!   bipartite graph implicit in flat cost/flow matrices and searches it
+//!   without a heap, so it uses neither of the two above,
 //! * [`hungarian`] — the classical dense assignment solver [8, 11], used as
 //!   an independent correctness oracle,
 //! * [`validate`] — matching validators and brute-force optima for tests,

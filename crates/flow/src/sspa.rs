@@ -13,8 +13,9 @@
 //! concise matching of the CA approximation, where customer representatives
 //! have weight `g.w` (§4.2).
 //!
-//! There is one way to run a solve: [`Sspa::solve`]. The one thing that
-//! varies between callers — an abort context — is the field of [`Sspa`].
+//! There is one way to run a solve: [`Sspa::solve`]. The two things that
+//! vary between callers — an abort context and a starting flow — are the
+//! fields of [`Sspa`].
 //!
 //! # Dense state
 //!
@@ -53,7 +54,28 @@
 //! than `γ` searches. `|Q| + |P|` is the usual order, but not a bound: a
 //! reverse arc can be the bottleneck without saturating any source or sink
 //! arc.
+//!
+//! # Warm start
+//!
+//! [`Sspa::start`] hands the solve a feasible flow, such as the standing
+//! assignment of a continuous-engine neighbourhood that one event has
+//! perturbed. The solve installs it, then makes it optimal for its value:
+//! a queue-based Bellman–Ford (SPFA) from a virtual root runs over the
+//! *full* residual graph `{s, Q, P, t}` — `q→s` and `t→p` included, since
+//! an event's improvements are mostly "swap a far matched customer for a
+//! near unmatched one" (through `t`) and "shift load between providers"
+//! (through `s`). A relaxation whose new parent link closes a cycle has
+//! found a negative one: its bottleneck is pushed around it and the pass
+//! restarts. A pass that converges leaves distances `d` under which
+//! `τ(v) = d(t) − d(v)` gives every residual arc `rc ≥ −1e-9`. A flow
+//! with no negative residual cycle is a minimum-cost flow of its value
+//! (§2.2), and these potentials satisfy the invariant Algorithm 1 keeps,
+//! so the unchanged search loop tops the flow up to `γ` from there: the
+//! result is the exact optimum, the same one a cold solve reaches up to
+//! ties. An empty start skips all of this and runs Algorithm 1 verbatim.
 
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 use cca_geo::Point;
@@ -129,7 +151,8 @@ pub struct SspaStats {
     /// Nodes settled across all searches — `s`, the settled providers, the
     /// customers labelled below `α(t)` and `t`, per search.
     pub settled: u64,
-    /// Wall time inside the shortest-path searches (init + settle loop).
+    /// Wall time inside the shortest-path searches (init + settle loop),
+    /// and warming a start flow.
     pub settle_ns: u64,
     /// Wall time augmenting flow and updating potentials.
     pub augment_ns: u64,
@@ -139,14 +162,15 @@ pub struct SspaStats {
 /// expired deadline — the flow engine touches no pages, so I/O budgets
 /// cannot trip here).
 ///
-/// The partial state is exact: `partial` holds every unit whose augmenting
-/// path fully committed before the abort (a valid, capacity-respecting
-/// assignment from `stats.iterations` completed searches), and the in-flight
-/// search is discarded without mutating the flow.
+/// The partial state is exact: `partial` holds the start flow plus every
+/// unit whose augmenting path fully committed before the abort (a valid,
+/// capacity-respecting assignment from `stats.iterations` completed
+/// searches), and the in-flight search is discarded without mutating the
+/// flow. An abort during the warm start leaves a flow of the start's size.
 #[derive(Clone, Debug)]
 pub struct FlowAborted {
     pub reason: AbortReason,
-    /// Units assigned by the searches that completed before the abort.
+    /// The flow installed when the solve stopped.
     pub partial: Assignment,
     /// Measurements up to the abort (`iterations` = completed searches).
     pub stats: SspaStats,
@@ -166,7 +190,7 @@ impl std::error::Error for FlowAborted {}
 
 /// The options of one SSPA solve on the complete bipartite graph, run by
 /// [`Sspa::solve`]. `Sspa::default()` is Algorithm 1 as published: no
-/// context.
+/// context, no start.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sspa<'a> {
     /// Cooperative cancellation: the solve polls the context at every
@@ -176,6 +200,11 @@ pub struct Sspa<'a> {
     /// the typed [`FlowAborted`] carrying the partial assignment built so
     /// far. Without a context a solve cannot abort.
     pub ctx: Option<&'a QueryContext>,
+    /// A feasible flow to start from, as `(provider, customer, units)`
+    /// triples (see the module docs' *Warm start*). Empty — the default — runs
+    /// Algorithm 1 from the empty flow. A start that names an unknown
+    /// provider or customer, or exceeds a capacity or a weight, panics.
+    pub start: &'a [(usize, usize, u32)],
 }
 
 impl Sspa<'_> {
@@ -199,8 +228,9 @@ impl Sspa<'_> {
         Ok((asg, stats))
     }
 
-    /// The solve loop: searches and augments until `γ` units are installed.
-    /// Returns the final residual state.
+    /// The solve loop: installs and warms [`Sspa::start`], if any, then
+    /// searches and augments until `γ` units are installed. Returns the
+    /// final residual state.
     fn run(
         &self,
         providers: &[FlowProvider],
@@ -218,6 +248,22 @@ impl Sspa<'_> {
         };
         let mut units = 0u64;
         let mut t0 = Instant::now();
+        if !self.start.is_empty() {
+            units = dense.install(self.start);
+            let warmed = dense.warm(self.ctx);
+            let t1 = Instant::now();
+            stats.settle_ns += (t1 - t0).as_nanos() as u64;
+            t0 = t1;
+            // Cycle cancelling keeps the flow feasible and its value at
+            // |start|, so the flow at an abort is a valid partial answer.
+            if let Err(a) = warmed {
+                return Err(FlowAborted {
+                    reason: a.reason,
+                    partial: dense.assignment(),
+                    stats,
+                });
+            }
+        }
         while units < gamma {
             let searched = dense.search(self.ctx);
             let t1 = Instant::now();
@@ -506,6 +552,202 @@ impl Dense {
         settled
     }
 
+    /// Installs a start flow and returns its value. Panics on a pair that
+    /// names an unknown node or overfills a provider or a customer.
+    fn install(&mut self, start: &[(usize, usize, u32)]) -> u64 {
+        let (nq, np) = (self.cap.len(), self.np);
+        let mut units = 0;
+        for &(i, j, u) in start {
+            assert!(
+                i < nq && j < np,
+                "start pair ({i}, {j}) out of range: {nq} providers, {np} customers"
+            );
+            assert!(
+                u <= self.cap[i] - self.q_load[i],
+                "start overfills provider {i} (capacity {})",
+                self.cap[i]
+            );
+            assert!(
+                u <= self.weight[j] - self.p_load[j],
+                "start overfills customer {j} (weight {})",
+                self.weight[j]
+            );
+            if u > 0 {
+                self.add_flow(i, j, u);
+                self.q_load[i] += u;
+                self.p_load[j] += u;
+                units += u64::from(u);
+            }
+        }
+        units
+    }
+
+    /// Makes the installed flow a minimum-cost flow of its value and sets
+    /// potentials under which every residual arc has `rc ≥ −WARM_EPS`.
+    ///
+    /// Each pass is a queue-based Bellman–Ford (SPFA) from a virtual root
+    /// with a zero arc to every node, over the full residual graph
+    /// `{s, Q, P, t}` — `q→s` and `t→p` included. When a relaxation's new
+    /// parent link closes a cycle, that cycle is negative: its bottleneck is
+    /// pushed around it and the pass restarts. A pass that drains its queue
+    /// leaves shortest distances `d`, and `τ(v) = d(t) − d(v)`. Polls `ctx`
+    /// once per pass and every 64 queue pops.
+    fn warm(&mut self, ctx: Option<&QueryContext>) -> Result<(), Aborted> {
+        let (nq, np) = (self.cap.len(), self.np);
+        let (s, t) = (nq + np, nq + np + 1);
+        let mut spfa = Spfa::new(nq + np + 2);
+        'pass: loop {
+            if let Some(ctx) = ctx {
+                ctx.check()?;
+            }
+            // Customers first: their reverse arcs are the only negative ones
+            // under d = 0.
+            spfa.reset((nq..s).chain(0..nq).chain([s, t]));
+            let mut pops = 0u32;
+            while let Some(u) = spfa.pop() {
+                pops += 1;
+                if pops.is_multiple_of(64) {
+                    if let Some(ctx) = ctx {
+                        ctx.check()?;
+                    }
+                }
+                if let ControlFlow::Break(v) = self.relax_from(u, &mut spfa) {
+                    self.cancel_cycle(&spfa.parent, v);
+                    continue 'pass;
+                }
+            }
+            break;
+        }
+        let d = &spfa.d;
+        self.tau.source = d[t] - d[s];
+        for (i, tau) in self.tau.providers.iter_mut().enumerate() {
+            *tau = d[t] - d[i];
+        }
+        for (j, tau) in self.tau.customers.iter_mut().enumerate() {
+            *tau = d[t] - d[nq + j];
+        }
+        Ok(())
+    }
+
+    /// Relaxes every residual arc out of warm-start node `u` (see
+    /// [`Dense::arc`] for the numbering). Breaks with the node whose new
+    /// parent link closed a cycle, if one did.
+    fn relax_from(&self, u: usize, spfa: &mut Spfa) -> ControlFlow<usize> {
+        let (nq, np) = (self.cap.len(), self.np);
+        let (s, t) = (nq + np, nq + np + 1);
+        let mut relax = |v: usize, c: f64| {
+            if spfa.relax(u, v, c) {
+                ControlFlow::Break(v)
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        if u < nq {
+            if self.q_load[u] > 0 {
+                relax(s, 0.0)?;
+            }
+            let row = u * np;
+            for j in 0..np {
+                if self.flow[row + j] < self.weight[j] {
+                    relax(nq + j, self.cost[row + j])?;
+                }
+            }
+        } else if u < s {
+            let j = u - nq;
+            if self.p_load[j] < self.weight[j] {
+                relax(t, 0.0)?;
+            }
+            match self.servers[j] {
+                0 => {}
+                1 => {
+                    let i = self.server[j] as usize;
+                    relax(i, -self.cost[i * np + j])?;
+                }
+                _ => {
+                    for i in 0..nq {
+                        if self.flow[i * np + j] > 0 {
+                            relax(i, -self.cost[i * np + j])?;
+                        }
+                    }
+                }
+            }
+        } else if u == s {
+            for i in 0..nq {
+                if self.q_load[i] < self.cap[i] {
+                    relax(i, 0.0)?;
+                }
+            }
+        } else {
+            for j in 0..np {
+                if self.p_load[j] > 0 {
+                    relax(nq + j, 0.0)?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Pushes the bottleneck around the cycle of parent links through `v`.
+    fn cancel_cycle(&mut self, parent: &[u32], v: usize) {
+        let mut units = u32::MAX;
+        let mut x = v;
+        loop {
+            let u = parent[x] as usize;
+            units = units.min(self.residual(self.arc(u, x)));
+            x = u;
+            if x == v {
+                break;
+            }
+        }
+        debug_assert!(units > 0, "cancelling a cycle with a saturated arc");
+        loop {
+            let u = parent[x] as usize;
+            self.push(self.arc(u, x), units);
+            x = u;
+            if x == v {
+                break;
+            }
+        }
+    }
+
+    /// The residual arc `u → v` between warm-start nodes, numbered
+    /// providers `0..|Q|`, customers `|Q|..|Q|+|P|`, then `s`, then `t`.
+    fn arc(&self, u: usize, v: usize) -> ResidualArc {
+        let nq = self.cap.len();
+        let s = nq + self.np;
+        match (u, v) {
+            (u, v) if u == s => ResidualArc::SourceToProvider(v),
+            (u, v) if v == s => ResidualArc::ProviderToSource(u),
+            (u, v) if u > s => ResidualArc::SinkToCustomer(v - nq),
+            (u, v) if v > s => ResidualArc::CustomerToSink(u - nq),
+            (u, v) if u < nq => ResidualArc::Forward(u, v - nq),
+            (u, v) => ResidualArc::Backward(v, u - nq),
+        }
+    }
+
+    /// Units that can still be pushed along `arc`.
+    fn residual(&self, arc: ResidualArc) -> u32 {
+        match arc {
+            ResidualArc::SourceToProvider(i) => self.cap[i] - self.q_load[i],
+            ResidualArc::ProviderToSource(i) => self.q_load[i],
+            ResidualArc::Forward(i, j) => self.weight[j] - self.flow[i * self.np + j],
+            ResidualArc::Backward(i, j) => self.flow[i * self.np + j],
+            ResidualArc::CustomerToSink(j) => self.weight[j] - self.p_load[j],
+            ResidualArc::SinkToCustomer(j) => self.p_load[j],
+        }
+    }
+
+    fn push(&mut self, arc: ResidualArc, units: u32) {
+        match arc {
+            ResidualArc::SourceToProvider(i) => self.q_load[i] += units,
+            ResidualArc::ProviderToSource(i) => self.q_load[i] -= units,
+            ResidualArc::Forward(i, j) => self.add_flow(i, j, units),
+            ResidualArc::Backward(i, j) => self.cancel_flow(i, j, units),
+            ResidualArc::CustomerToSink(j) => self.p_load[j] += units,
+            ResidualArc::SinkToCustomer(j) => self.p_load[j] -= units,
+        }
+    }
+
     /// The installed flow as `(provider, customer, units)` pairs in
     /// provider-major order, with `Ψ(M)` summed in the same order.
     fn assignment(&self) -> Assignment {
@@ -517,6 +759,89 @@ impl Dense {
             }
         }
         asg
+    }
+}
+
+/// One residual arc of the complete bipartite graph, by its endpoints'
+/// indices: `i` a provider, `j` a customer. `Forward` is `q_i → p_j`,
+/// `Backward` its reverse.
+#[derive(Clone, Copy)]
+enum ResidualArc {
+    SourceToProvider(usize),
+    ProviderToSource(usize),
+    Forward(usize, usize),
+    Backward(usize, usize),
+    CustomerToSink(usize),
+    SinkToCustomer(usize),
+}
+
+/// The improvement a warm-start relaxation must make. Well below the
+/// searches' `EPS`, so the potentials it leaves pass their reduced-cost
+/// check, and well above the rounding of a cycle's cost, so every cycle it
+/// closes is truly negative.
+const WARM_EPS: f64 = 1e-9;
+
+/// The labels of one warm-start Bellman–Ford pass, allocated once per solve.
+struct Spfa {
+    d: Vec<f64>,
+    /// The node each node was last relaxed from (`NONE`: the virtual root).
+    parent: Vec<u32>,
+    queued: Vec<bool>,
+    queue: VecDeque<u32>,
+}
+
+impl Spfa {
+    fn new(n: usize) -> Self {
+        Spfa {
+            d: vec![0.0; n],
+            parent: vec![NONE; n],
+            queued: vec![false; n],
+            queue: VecDeque::with_capacity(n),
+        }
+    }
+
+    /// Starts a pass: every node at distance 0 from the virtual root, and
+    /// queued in `order`.
+    fn reset(&mut self, order: impl Iterator<Item = usize>) {
+        self.d.fill(0.0);
+        self.parent.fill(NONE);
+        self.queued.fill(true);
+        self.queue.clear();
+        self.queue.extend(order.map(|v| v as u32));
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let u = self.queue.pop_front()? as usize;
+        self.queued[u] = false;
+        Some(u)
+    }
+
+    /// Relaxes the arc `u → v` of cost `c`. Returns whether the new parent
+    /// link of `v` closes a cycle.
+    fn relax(&mut self, u: usize, v: usize, c: f64) -> bool {
+        let cand = self.d[u] + c;
+        if cand >= self.d[v] - WARM_EPS {
+            return false;
+        }
+        self.d[v] = cand;
+        self.parent[v] = u as u32;
+        // The parent links were acyclic before this one, so the walk back
+        // from `u` ends at the root unless it meets `v`.
+        let mut x = u;
+        for _ in 0..self.d.len() {
+            if x == v {
+                return true;
+            }
+            match self.parent[x] {
+                NONE => break,
+                p => x = p as usize,
+            }
+        }
+        if !self.queued[v] {
+            self.queued[v] = true;
+            self.queue.push_back(v as u32);
+        }
+        false
     }
 }
 
@@ -552,7 +877,10 @@ mod tests {
     }
 
     fn with_ctx(ctx: &QueryContext) -> Sspa<'_> {
-        Sspa { ctx: Some(ctx) }
+        Sspa {
+            ctx: Some(ctx),
+            ..Sspa::default()
+        }
     }
 
     /// Independent reference for weighted instances: the Hungarian optimum
@@ -854,6 +1182,144 @@ mod tests {
                 "sspa {} vs hungarian {}", asg.cost, want
             );
         }
+    }
+
+    fn warm(start: &[(usize, usize, u32)]) -> Sspa<'_> {
+        Sspa {
+            start,
+            ..Sspa::default()
+        }
+    }
+
+    /// A random feasible flow of `size` units (at most γ): pairs in random
+    /// order, each filled as far as its provider and customer allow.
+    fn random_flow(
+        providers: &[FlowProvider],
+        customers: &[FlowCustomer],
+        size: u64,
+        seed: u64,
+    ) -> Vec<(usize, usize, u32)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut cap: Vec<u32> = providers.iter().map(|q| q.cap).collect();
+        let mut weight: Vec<u32> = customers.iter().map(|p| p.weight).collect();
+        let mut order: Vec<(usize, usize)> = (0..providers.len())
+            .flat_map(|i| (0..customers.len()).map(move |j| (i, j)))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for k in (1..order.len()).rev() {
+            order.swap(k, rng.random_range(0..=k));
+        }
+        let (mut flow, mut left) = (Vec::new(), size);
+        for (i, j) in order {
+            let u = cap[i]
+                .min(weight[j])
+                .min(left.min(u64::from(u32::MAX)) as u32);
+            if u > 0 {
+                flow.push((i, j, u));
+                (cap[i], weight[j], left) = (cap[i] - u, weight[j] - u, left - u64::from(u));
+            }
+        }
+        assert_eq!(left, 0, "a greedy fill of the complete graph reaches γ");
+        flow
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// A warm solve reaches the cold optimum from any feasible start —
+        /// empty, partial, the optimum itself, or a random maximal flow —
+        /// on local-repair shapes, unit or weighted (1–5) customers. The
+        /// debug-build certificate checks each warm solve as well.
+        #[test]
+        fn prop_warm_start_matches_cold(
+            seed in 0u64..10_000,
+            caps in proptest::collection::vec(0u32..=10, 8usize..=8),
+            np in 1usize..=80,
+            max_w in 1u32..=5,
+            kind in 0u8..4,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let (mut providers, mut customers) = random_instance(seed, 8, np, 1);
+            for (q, cap) in providers.iter_mut().zip(caps) {
+                q.cap = cap;
+            }
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x3a7);
+            for c in &mut customers {
+                c.weight = rng.random_range(1..=max_w);
+            }
+            let gamma = required_flow(&providers, &customers);
+            let (cold, _) = solve(&providers, &customers);
+            let start = match kind {
+                0 => Vec::new(),
+                1 => random_flow(&providers, &customers, rng.random_range(0..=gamma), seed),
+                2 => cold.pairs.clone(),
+                _ => random_flow(&providers, &customers, gamma, seed),
+            };
+            let (asg, _) = warm(&start).solve(&providers, &customers).unwrap();
+            proptest::prop_assert_eq!(asg.size(), gamma);
+            proptest::prop_assert!(
+                (asg.cost - cold.cost).abs() <= 1e-9 * cold.cost.max(1.0),
+                "warm {} vs cold {}", asg.cost, cold.cost
+            );
+        }
+    }
+
+    #[test]
+    fn warm_start_swaps_a_far_customer_for_a_near_one_through_the_sink() {
+        // γ = 1 is already installed, on the far customer: only the cycle
+        // q0 → p1 → t → p0 → q0 improves it, and no search runs.
+        let providers = [q(0.0, 0.0, 1)];
+        let customers = [p(10.0, 0.0), p(1.0, 0.0)];
+        let (asg, stats) = warm(&[(0, 0, 1)]).solve(&providers, &customers).unwrap();
+        assert_eq!(asg.pairs, vec![(0, 1, 1)]);
+        assert_eq!(asg.cost, 1.0);
+        assert_eq!(stats.iterations, 0);
+    }
+
+    #[test]
+    fn warm_start_shifts_load_between_providers_through_the_source() {
+        // The customer sits on q0 but starts on the far q1: only the cycle
+        // s → q0 → p0 → q1 → s improves it.
+        let providers = [q(0.0, 0.0, 1), q(100.0, 0.0, 1)];
+        let customers = [p(1.0, 0.0)];
+        let (asg, stats) = warm(&[(1, 0, 1)]).solve(&providers, &customers).unwrap();
+        assert_eq!(asg.pairs, vec![(0, 0, 1)]);
+        assert_eq!(asg.cost, 1.0);
+        assert_eq!(stats.iterations, 0);
+    }
+
+    #[test]
+    fn cancelled_warm_start_returns_a_feasible_flow_of_the_start_size() {
+        let (providers, customers) = random_instance(9, 8, 60, 10);
+        let start = random_flow(&providers, &customers, 30, 9);
+        let ctx = QueryContext::new();
+        ctx.cancel();
+        let err = Sspa {
+            ctx: Some(&ctx),
+            start: &start,
+        }
+        .solve(&providers, &customers)
+        .unwrap_err();
+        assert_eq!(err.reason, AbortReason::Cancelled);
+        assert_eq!(err.partial.size(), 30);
+        assert_eq!(err.stats.iterations, 0);
+        let loads = err.partial.provider_load(providers.len());
+        for (load, q) in loads.iter().zip(&providers) {
+            assert!(*load <= u64::from(q.cap));
+        }
+        let loads = err.partial.customer_load(customers.len());
+        for (load, p) in loads.iter().zip(&customers) {
+            assert!(*load <= u64::from(p.weight));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "start overfills provider 0")]
+    fn over_capacity_start_panics() {
+        let providers = [q(0.0, 0.0, 1)];
+        let customers = [p(1.0, 0.0), p(2.0, 0.0)];
+        let _ = warm(&[(0, 0, 1), (0, 1, 1)]).solve(&providers, &customers);
     }
 
     #[test]
