@@ -1,5 +1,5 @@
-//! Approximate-tier benchmark: the PR 8 coreset and deterministic-annealing
-//! solvers against the best exact engine.
+//! Approximate-tier benchmark: the coreset solver against the best exact
+//! engine.
 //!
 //! Two disk-backed instances with the skew the tier is built for (Zipf
 //! provider capacities, Zipf-clustered customers):
@@ -7,11 +7,12 @@
 //! * **10⁵ customers** — `ida` and `ida-grouped` still finish, so the row
 //!   set carries the headline comparison: the coreset solve must be an
 //!   order of magnitude faster at a mean cost ratio within a few percent
-//!   of the exact optimum. `da` rides along as the independent baseline.
+//!   of the exact optimum.
 //! * **10⁶ customers** — beyond the exact engines' patience budget; the
-//!   rows report the approximate tier alone: wall time, queries/s, peak
+//!   row reports the coreset alone: wall time, queries/s, cost and peak
 //!   attributed I/O (each run is a fresh [`QueryContext`] on a cold
-//!   cache), and the coreset cost relative to `da`.
+//!   cache). Nothing exact or bounded runs at this size, so the row has
+//!   no cost ratio.
 //!
 //! Writes `BENCH_approx.json` (override with `CCA_BENCH_OUT`). Run with
 //! `cargo bench --bench approx_tier`; pass `-- --quick` for a smoke run on
@@ -89,7 +90,7 @@ fn timed_run(instance: &SpatialAssignment, solver: &'static str, cfg: &SolverCon
     let solver_impl = SolverRegistry::with_defaults()
         .build(cfg)
         .expect("registered solver");
-    let result = instance.run_solver(&*solver_impl, Some(&ctx));
+    let result = instance.run_solver(&solver_impl, Some(&ctx));
     let wall_s = start.elapsed().as_secs_f64();
     assert!(result.aborted.is_none(), "{solver}: no budget, no abort");
     assert_eq!(
@@ -144,10 +145,8 @@ fn main() {
             "coreset",
             &SolverConfig::new("coreset").coreset_size(spec.coreset_size),
         ));
-        runs.push(timed_run(&instance, "da", &SolverConfig::new("da")));
 
-        // Reference cost: the exact optimum where available, `da` otherwise
-        // (the independent baseline the 10⁶ coreset row is judged against).
+        // Reference cost: the exact optimum, where it runs.
         let exact_runs: Vec<&Run> = runs
             .iter()
             .filter(|r| r.solver.starts_with("ida"))
@@ -156,40 +155,34 @@ fn main() {
             .iter()
             .map(|r| r.wall_s)
             .fold(f64::INFINITY, f64::min);
-        let (ref_cost, ref_name) = match exact_runs.first() {
-            Some(r) => (r.cost, "exact"),
-            None => (
-                runs.iter()
-                    .find(|r| r.solver == "da")
-                    .expect("da always runs")
-                    .cost,
-                "da",
-            ),
-        };
+        let ref_cost = exact_runs.first().map(|r| r.cost);
 
         for r in &runs {
             let qps = 1.0 / r.wall_s;
-            let ratio = r.cost / ref_cost;
+            let ratio = ref_cost.map(|exact| r.cost / exact);
+            let ratio_field = ratio.map_or(String::new(), |ratio| {
+                format!(", \"cost_ratio\": {ratio:.4}, \"ratio_vs\": \"exact\"")
+            });
             let speedup = if spec.exact && !r.solver.starts_with("ida") {
                 format!(", \"speedup_vs_exact\": {:.1}", best_exact_s / r.wall_s)
             } else {
                 String::new()
             };
+            let ratio_note = ratio.map_or(String::new(), |ratio| {
+                format!(" (ratio {ratio:.4} vs exact)")
+            });
             println!(
-                "{:12} {:10.2} ms  {:8.3} q/s  cost {:14.1} (ratio {:.4} vs {})  faults {}",
+                "{:12} {:10.2} ms  {:8.3} q/s  cost {:14.1}{ratio_note}  faults {}",
                 r.solver,
                 r.wall_s * 1e3,
                 qps,
                 r.cost,
-                ratio,
-                ref_name,
                 r.faults
             );
             rows.push(format!(
                 "    {{\"workload\": \"approx_tier\", \"customers\": {}, \"providers\": {}, \
                  \"capacity\": \"{}\", \"solver\": \"{}\", \"ms\": {:.2}, \"qps\": {:.3}, \
-                 \"cost\": {:.1}, \"cost_ratio\": {:.4}, \"ratio_vs\": \"{}\", \
-                 \"peak_faults\": {}, \"size\": {}{}}}",
+                 \"cost\": {:.1}{}, \"peak_faults\": {}, \"size\": {}{}}}",
                 spec.customers,
                 spec.providers,
                 spec.capacity.label(),
@@ -197,8 +190,7 @@ fn main() {
                 r.wall_s * 1e3,
                 qps,
                 r.cost,
-                ratio,
-                ref_name,
+                ratio_field,
                 r.faults,
                 r.size,
                 speedup

@@ -58,8 +58,8 @@ struct Round {
 
 fn round(instance: &Arc<SpatialAssignment>, weight_a: u32) -> Round {
     let registry = SolverRegistry::with_defaults();
-    let solvers: Vec<Arc<dyn Solver>> = (0..2 * BURST_PER_TENANT)
-        .map(|_| Arc::from(registry.build(&SolverConfig::new("ida")).unwrap()))
+    let solvers: Vec<Arc<Solver>> = (0..2 * BURST_PER_TENANT)
+        .map(|_| Arc::new(registry.build(&SolverConfig::new("ida")).unwrap()))
         .collect();
     instance.tree().store().clear_cache();
     let order: Arc<Mutex<Vec<TenantId>>> = Arc::default();

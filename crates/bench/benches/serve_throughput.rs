@@ -81,14 +81,14 @@ fn batch_round(instance: &Arc<SpatialAssignment>, queries: &[SolverConfig], work
 /// shed requests are asserted away by pacing submissions with ticket waits.
 fn stream_round(instance: &Arc<SpatialAssignment>, workers: usize) -> f64 {
     let registry = cca::SolverRegistry::with_defaults();
-    let solvers: Vec<Arc<dyn Solver>> = (0..STREAM_LEN)
+    let solvers: Vec<Arc<Solver>> = (0..STREAM_LEN)
         .map(|i| {
             let config = if i % 3 == 0 {
                 SolverConfig::new("ida-grouped").group_size(8)
             } else {
                 SolverConfig::new("ida")
             };
-            Arc::from(registry.build(&config).unwrap())
+            Arc::new(registry.build(&config).unwrap())
         })
         .collect();
     instance.tree().store().clear_cache();

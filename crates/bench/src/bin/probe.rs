@@ -64,7 +64,6 @@ fn main() {
                 .refine(RefineMethod::NnBased),
         ),
         ("coreset", cca::SolverConfig::new("coreset")),
-        ("da", cca::SolverConfig::new("da")),
     ];
     for (name, config) in configs {
         if !want(name) {
@@ -72,7 +71,7 @@ fn main() {
         }
         let solver = registry.build(&config).unwrap_or_else(|e| panic!("{e}"));
         let t0 = Instant::now();
-        let r = instance.run_solver(&*solver, None);
+        let r = instance.run_solver(&solver, None);
         let wall = t0.elapsed();
         eprintln!(
             "  {:<4} cost={:>12.1} |Esub|={:>9} faults={:>7} iters={:>7} dij={:>7} invalid={:>8} cpu={:>8.2?} wall={wall:?}",

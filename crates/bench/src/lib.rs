@@ -98,14 +98,14 @@ impl Row {
     }
 }
 
-/// Runs one solver config on the instance (through the registry-backed
-/// trait pipeline) and collects a row.
+/// Runs one solver config on the instance (through the solver table) and
+/// collects a row.
 pub fn measure(instance: &SpatialAssignment, config: &SolverConfig, x: impl ToString) -> Row {
     let solver = SolverRegistry::with_defaults()
         .build(config)
         .unwrap_or_else(|e| panic!("{e}"));
     let t0 = Instant::now();
-    let r = instance.run_solver(&*solver, None);
+    let r = instance.run_solver(&solver, None);
     let wall = t0.elapsed();
     r.validate()
         .expect("harness runs must produce valid matchings");

@@ -1,13 +1,11 @@
 //! Approximate CCA: the paper's SA and CA (§4) with NN-based and
 //! exclusive-NN refinement and the error bounds of Theorems 3–4, plus the
-//! scale-out tier — capacity-aware coresets ([`coreset()`]) and
-//! deterministic annealing ([`da()`]) for instances where even CA's full
-//! partition descent is too slow.
+//! scale-out tier — capacity-aware coresets ([`coreset()`]) for instances
+//! where even CA's full partition descent is too slow.
 
 pub mod bounds;
 pub mod ca;
 pub mod coreset;
-pub mod da;
 pub mod grouping;
 mod pgrid;
 pub mod refine;
@@ -16,7 +14,6 @@ pub mod sa;
 pub use bounds::{ca_error_bound, sa_error_bound};
 pub use ca::{ca, CaConfig};
 pub use coreset::{coreset, coreset_points, CoresetConfig};
-pub use da::{da, da_points, DaConfig};
 pub use grouping::{greedy_hilbert_groups, partition_providers, ProviderGroup};
 pub use refine::{RefineMethod, RefineProvider};
 pub use sa::{sa, SaConfig};

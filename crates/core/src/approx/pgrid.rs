@@ -3,14 +3,14 @@
 //! The approximate tier needs millions of cheap nearest-point queries
 //! against small-to-medium point sets (providers, coreset representatives)
 //! where building per-query R-tree cursors would dominate the runtime.
-//! This grid answers `nearest` / `k_nearest` by scanning Chebyshev rings of
+//! This grid answers `nearest` by scanning Chebyshev rings of
 //! cells outward from the query until the ring's minimum possible distance
 //! exceeds the best candidate found — exact, allocation-free per query, and
 //! `O(1)` amortised on data whose density matches the grid resolution.
 //!
 //! Purely in-memory and CPU-bound: grid queries never touch the page store,
 //! so they charge nothing to a [`cca_storage::QueryContext`]'s I/O budget —
-//! exactly right for the sampling/annealing phases, whose attributed I/O
+//! exactly right for the coreset's sampling phase, whose attributed I/O
 //! must reflect only real page faults.
 
 use cca_geo::Point;
@@ -175,38 +175,6 @@ impl PointGrid {
     pub fn nearest(&self, q: Point) -> Option<(usize, f64)> {
         self.nearest_filtered(q, |_| true)
     }
-
-    /// The `k` nearest indexed points to `q`, sorted by ascending distance
-    /// as `(index, distance)` pairs. Returns fewer than `k` only when the
-    /// grid holds fewer points.
-    pub fn k_nearest(&self, q: Point, k: usize) -> Vec<(usize, f64)> {
-        if self.pts.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let k = k.min(self.pts.len());
-        let (gx, gy) = self.clamp_cell(q);
-        let slack = self.outside_slack(q, gx, gy);
-        let max_ring = self.cols.max(self.rows);
-        // Tiny k: a sorted candidate vector beats a heap.
-        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
-        for r in 0..=max_ring {
-            if best.len() == k {
-                let worst = best[k - 1].1;
-                if (r as f64 - 1.0) * self.cell - slack > worst {
-                    break;
-                }
-            }
-            self.for_ring(gx, gy, r, |i| {
-                let d = q.dist(&self.pts[i as usize]);
-                if best.len() < k || d < best[best.len() - 1].1 {
-                    let at = best.partition_point(|&(_, bd)| bd <= d);
-                    best.insert(at, (i as usize, d));
-                    best.truncate(k);
-                }
-            });
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +194,6 @@ mod tests {
     fn empty_and_singleton() {
         let g = PointGrid::new(Vec::new());
         assert!(g.nearest(Point::origin()).is_none());
-        assert!(g.k_nearest(Point::origin(), 3).is_empty());
         let g = PointGrid::new(vec![Point::new(2.0, 3.0)]);
         let (i, d) = g.nearest(Point::origin()).unwrap();
         assert_eq!(i, 0);
@@ -237,7 +204,8 @@ mod tests {
     fn coincident_points_collapse_to_one_cell() {
         let pts = vec![Point::new(5.0, 5.0); 17];
         let g = PointGrid::new(pts);
-        assert_eq!(g.k_nearest(Point::new(4.0, 5.0), 17).len(), 17);
+        let (_, d) = g.nearest(Point::new(4.0, 5.0)).unwrap();
+        assert!((d - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -259,31 +227,6 @@ mod tests {
                 (got.1 - want.1).abs() < 1e-9,
                 "q={q:?}: got {got:?} want {want:?}"
             );
-        }
-    }
-
-    #[test]
-    fn k_nearest_matches_brute_force() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let pts: Vec<Point> = (0..300)
-            .map(|_| Point::new(rng.random_range(0.0..50.0), rng.random_range(0.0..50.0)))
-            .collect();
-        let g = PointGrid::new(pts.clone());
-        for _ in 0..100 {
-            let q = Point::new(rng.random_range(-10.0..60.0), rng.random_range(-10.0..60.0));
-            let k = rng.random_range(1..12);
-            let got = g.k_nearest(q, k);
-            let mut want: Vec<(usize, f64)> = pts
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (i, q.dist(p)))
-                .collect();
-            want.sort_by(|a, b| a.1.total_cmp(&b.1));
-            assert_eq!(got.len(), k);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g.1 - w.1).abs() < 1e-9, "k={k} got {got:?}");
-            }
-            assert!(got.windows(2).all(|w| w[0].1 <= w[1].1), "sorted ascending");
         }
     }
 

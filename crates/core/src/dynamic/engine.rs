@@ -58,7 +58,6 @@ pub struct ContinuousAssignment {
     /// Events since the last full re-solve.
     dirty: usize,
     stats: DynamicStats,
-    registry: SolverRegistry,
 }
 
 impl ContinuousAssignment {
@@ -96,7 +95,6 @@ impl ContinuousAssignment {
             tree,
             dirty: 0,
             stats: DynamicStats::default(),
-            registry: SolverRegistry::with_defaults(),
         };
         engine
             .full_resolve(None)
@@ -413,8 +411,7 @@ impl ContinuousAssignment {
     /// Full re-solve: a from-scratch IDA over the live customers.
     fn full_resolve(&mut self, ctx: Option<&QueryContext>) -> Result<(), Aborted> {
         self.stats.full_resolves += 1;
-        let solver = self
-            .registry
+        let solver = SolverRegistry::with_defaults()
             .build(&SolverConfig::new("ida"))
             .expect("ida is registered");
         let problem = Problem::new(&self.providers).with_customers(&self.customers);

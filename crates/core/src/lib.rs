@@ -5,13 +5,13 @@
 //! (disk-resident, R-tree indexed) and providers `Q` with capacities, find
 //! the maximal matching of minimum total Euclidean cost.
 //!
-//! * [`solver`] — the trait-based pipeline: [`Solver`], [`Problem`],
+//! * [`solver`] — the solver pipeline: [`Solver`], [`Problem`],
 //!   [`SolverConfig`] and [`SolverRegistry`]; the public entry points.
 //! * [`exact`] — RIA, NIA and IDA (§3) over a shared incremental-SSPA
 //!   engine, with the PUA (§3.4.1) and grouped-ANN (§3.4.2) optimisations.
 //! * `approx` — SA and CA (§4) with NN-based and exclusive-NN refinement and
 //!   the error bounds of Theorems 3–4, plus the approximate scale-out tier
-//!   (capacity-aware coresets, deterministic annealing).
+//!   (capacity-aware coresets).
 //! * [`dynamic`] — the continuous-assignment engine: a feasible matching
 //!   maintained incrementally under a stream of world events.
 //! * [`matching`] / [`stats`] — result and measurement types shared by all
@@ -27,8 +27,8 @@ pub mod solver;
 pub mod stats;
 
 pub use approx::{
-    ca, ca_error_bound, coreset, da, sa, sa_error_bound, CaConfig, CoresetConfig, DaConfig,
-    RefineMethod, SaConfig,
+    ca, ca_error_bound, coreset, sa, sa_error_bound, CaConfig, CoresetConfig, RefineMethod,
+    SaConfig,
 };
 pub use dynamic::{
     ContinuousAssignment, ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent,

@@ -4,10 +4,11 @@ use crate::approx::RefineMethod;
 use crate::exact::IdaKeyMode;
 
 /// Data-driven solver selection: a registry name plus every tuning knob any
-/// of the seven algorithms understands. Irrelevant knobs are simply ignored
-/// by the chosen solver, so configs can be stored, compared and shipped
-/// around uniformly (benches, examples and the batch runner all construct
-/// solvers from these).
+/// of the eight registered solvers understands. Irrelevant knobs are simply
+/// ignored by the chosen solver, so configs can be stored, compared and
+/// shipped around uniformly (benches, examples, the batch runner and the
+/// network gateway all construct solvers from these through
+/// [`crate::solver::SolverRegistry::build`], which range-checks them).
 ///
 /// ```
 /// # use cca_core::solver::SolverConfig;
@@ -40,8 +41,6 @@ pub struct SolverConfig {
     pub sample_seed: u64,
     /// Bounded local-refinement passes for `coreset` after the lift.
     pub swap_passes: usize,
-    /// Temperature steps in `da`'s cooling schedule.
-    pub anneal_steps: usize,
 }
 
 impl SolverConfig {
@@ -62,7 +61,6 @@ impl SolverConfig {
             coreset_size: 0,
             sample_seed: 0xc0_5e7,
             swap_passes: 2,
-            anneal_steps: 8,
         }
     }
 
@@ -91,7 +89,6 @@ impl SolverConfig {
 
     /// Sets the grouped-ANN group size.
     pub fn group_size(mut self, group_size: usize) -> Self {
-        assert!(group_size >= 1, "group size must be positive");
         self.group_size = group_size;
         self
     }
@@ -131,12 +128,6 @@ impl SolverConfig {
         self.swap_passes = passes;
         self
     }
-
-    /// Sets DA's temperature-step count.
-    pub fn anneal_steps(mut self, steps: usize) -> Self {
-        self.anneal_steps = steps;
-        self
-    }
 }
 
 #[cfg(feature = "serde")]
@@ -148,7 +139,6 @@ mod serde_impls {
     use serde::{Deserialize, Error, Serialize};
 
     serde::derive_struct!(SolverConfig {
-        anneal_steps,
         coreset_size,
         delta,
         disable_fast_phase,
@@ -233,8 +223,7 @@ mod tests {
         let cfg = SolverConfig::new("coreset")
             .coreset_size(4096)
             .sample_seed(0xfeed)
-            .swap_passes(3)
-            .anneal_steps(12);
+            .swap_passes(3);
         let json = serde::json::to_string(&cfg);
         let back: SolverConfig = serde::json::from_str(&json).unwrap();
         assert_eq!(back, cfg);

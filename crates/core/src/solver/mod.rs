@@ -1,16 +1,17 @@
-//! The trait-based solver pipeline: every CCA algorithm behind one
-//! interface, constructible from data.
+//! The solver pipeline: every CCA algorithm behind one value, constructible
+//! from data.
 //!
 //! * [`Problem`] — one query: providers plus customer access (R-tree or
 //!   in-memory slice), built builder-style, optionally carrying a
 //!   [`cca_storage::QueryContext`] (deadline / I/O budget / cancellation).
-//! * [`Solver`] — the algorithm interface: `name()`, `label()`, source
-//!   construction and `solve`.
+//! * [`Solver`] — one algorithm plus its tuning: `name()`, `label()` and
+//!   `run()`.
 //! * [`Outcome`] — what a run produced: a complete result, or a partial
 //!   one with the [`AbortReason`].
 //! * [`SolverConfig`] — a solver selection as plain data (name + params).
-//! * [`SolverRegistry`] — name → factory, so benches, examples and the
-//!   serving layer enumerate and select algorithms uniformly.
+//! * [`SolverRegistry`] — the fixed name → algorithm table, so benches,
+//!   examples and the serving layer enumerate and select algorithms
+//!   uniformly, and bad parameters fail before a run starts.
 //!
 //! ```
 //! use cca_core::solver::{Problem, SolverConfig, SolverRegistry};
@@ -29,20 +30,20 @@
 pub mod config;
 pub mod problem;
 pub mod registry;
-pub mod solvers;
 
 pub use config::SolverConfig;
 pub use problem::Problem;
-pub use registry::{SolverFactory, SolverRegistry, UnknownSolver};
-pub use solvers::{
-    CaSolver, CoresetSolver, DaSolver, IdaGroupedSolver, IdaSolver, NiaSolver, RiaSolver, SaSolver,
-    SspaSolver,
-};
+pub use registry::{SolverConfigError, SolverRegistry};
 
+use std::time::Instant;
+
+use cca_flow::sspa::{FlowCustomer, FlowProvider, Sspa};
+use cca_geo::Point;
 use cca_storage::AbortReason;
 
-use crate::exact::CustomerSource;
-use crate::matching::Matching;
+use crate::approx::{ca, coreset_points, sa, CaConfig, CoresetConfig, SaConfig};
+use crate::exact::{ida, nia, ria, IdaConfig, NiaConfig, RiaConfig};
+use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
 /// The result of one [`Solver::run`]: either the algorithm ran to the
@@ -127,49 +128,90 @@ impl Outcome {
     }
 }
 
-/// A CCA algorithm behind a uniform interface.
+/// One CCA algorithm with its tuning, built from a [`SolverConfig`] by
+/// [`SolverRegistry::build`].
 ///
-/// Implementations are cheap, immutable descriptions (algorithm + tuning);
-/// all per-query state lives in the [`Problem`] and the [`CustomerSource`],
-/// so one solver value can serve many queries — including concurrently,
-/// which the batch runner relies on (`Send + Sync`).
-pub trait Solver: Send + Sync {
+/// A solver is a cheap, immutable description (algorithm + the config it
+/// was built from); all per-query state lives in the [`Problem`] and the
+/// customer source each run builds, so one solver value can serve many
+/// queries — including concurrently, which the serving layer relies on.
+#[derive(Clone, Debug)]
+pub struct Solver {
+    algo: Algo,
+    config: SolverConfig,
+}
+
+/// The eight algorithms, in registry order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Algo {
+    Sspa,
+    Ria,
+    Nia,
+    Ida,
+    IdaGrouped,
+    Sa,
+    Ca,
+    Coreset,
+}
+
+impl Algo {
+    const ALL: [Algo; 8] = [
+        Algo::Sspa,
+        Algo::Ria,
+        Algo::Nia,
+        Algo::Ida,
+        Algo::IdaGrouped,
+        Algo::Sa,
+        Algo::Ca,
+        Algo::Coreset,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Algo::Sspa => "sspa",
+            Algo::Ria => "ria",
+            Algo::Nia => "nia",
+            Algo::Ida => "ida",
+            Algo::IdaGrouped => "ida-grouped",
+            Algo::Sa => "sa",
+            Algo::Ca => "ca",
+            Algo::Coreset => "coreset",
+        }
+    }
+}
+
+impl Solver {
     /// Registry name (`"ida"`, `"ca"`, …).
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        self.algo.name()
+    }
 
     /// Chart label matching the paper's figures (`"IDA"`, `"CAN"`, …).
-    fn label(&self) -> String {
-        self.name().to_uppercase()
+    pub fn label(&self) -> String {
+        match self.algo {
+            Algo::IdaGrouped => "IDA".into(),
+            Algo::Sa => format!("SA{}", self.config.refine.suffix()),
+            Algo::Ca => format!("CA{}", self.config.refine.suffix()),
+            algo => algo.name().to_uppercase(),
+        }
     }
 
-    /// Builds the customer source this solver wants for `problem`; the
-    /// default is the problem's plain per-provider NN/range source.
-    fn make_source<'a>(&self, problem: &Problem<'a>) -> Box<dyn CustomerSource + 'a> {
-        problem.source()
+    /// Whether the solver descends the R-tree directly (`sa`, `ca`), so
+    /// [`Solver::run`] panics on a problem without one.
+    pub fn needs_tree(&self) -> bool {
+        matches!(self.algo, Algo::Sa | Algo::Ca)
     }
 
-    /// Solves `problem` over `source`, returning the matching and the
-    /// paper's per-run measurements. Implementations leave
-    /// [`AlgoStats::io`] untouched — [`Solver::run`] fills it from the
-    /// problem's [`cca_storage::QueryContext`] when one is attached. An
-    /// aborting context makes the source dry up; implementations return
-    /// their partial matching and `run` wraps it as [`Outcome::Aborted`].
-    fn solve(
-        &self,
-        problem: &Problem<'_>,
-        source: &mut dyn CustomerSource,
-    ) -> (Matching, AlgoStats);
-
-    /// Convenience: build the preferred source, solve, classify.
+    /// Builds the customer source the algorithm wants, solves, classifies.
     ///
     /// When the problem carries a [`cca_storage::QueryContext`], the
     /// context traffic accrued during this run (source construction
     /// included — grouped-ANN sources may touch the tree eagerly) is copied
     /// into the returned [`AlgoStats::io`], giving per-query I/O even when
     /// many runs share one buffer pool concurrently; and if the context
-    /// aborted (cancellation, deadline, I/O budget) the result is
-    /// [`Outcome::Aborted`] carrying the partial matching and its exact
-    /// partial attribution.
+    /// aborted (cancellation, deadline, I/O budget) the source dries up and
+    /// the result is [`Outcome::Aborted`] carrying the partial matching and
+    /// its exact partial attribution.
     ///
     /// Classification is by the context's state *when the run finishes*:
     /// a run whose deadline expires (or that is cancelled) during its
@@ -179,11 +221,14 @@ pub trait Solver: Send + Sync {
     /// Callers that prefer the opposite reading can still use the carried
     /// matching: `Aborted { partial, .. }` always holds everything the
     /// algorithm produced.
-    fn run(&self, problem: &Problem<'_>) -> Outcome {
+    ///
+    /// # Panics
+    ///
+    /// If [`Solver::needs_tree`] and the problem has no R-tree attached.
+    pub fn run(&self, problem: &Problem<'_>) -> Outcome {
         let ctx = problem.context();
         let io_before = ctx.map(|c| c.stats());
-        let mut source = self.make_source(problem);
-        let (matching, mut stats) = self.solve(problem, &mut *source);
+        let (matching, mut stats) = self.solve(problem);
         if let (Some(ctx), Some(before)) = (ctx, io_before) {
             stats.io = ctx.stats().since(&before);
         }
@@ -196,6 +241,182 @@ pub trait Solver: Send + Sync {
             None => Outcome::Complete { matching, stats },
         }
     }
+
+    /// Runs the algorithm over the source it reads. Leaves
+    /// [`AlgoStats::io`] untouched; [`Solver::run`] fills it.
+    fn solve(&self, problem: &Problem<'_>) -> (Matching, AlgoStats) {
+        let c = &self.config;
+        let providers = problem.providers();
+        let ida_cfg = IdaConfig {
+            key_mode: c.key_mode,
+            disable_fast_phase: c.disable_fast_phase,
+            disable_pua: c.disable_pua,
+        };
+        let tree = || {
+            problem
+                .tree()
+                .unwrap_or_else(|| panic!("{} requires an R-tree-backed problem", self.name()))
+        };
+        // The exact drivers are generic over their source; `&mut &mut *`
+        // runs each over `&mut dyn CustomerSource`, one instantiation for
+        // the plain and the grouped source alike.
+        match self.algo {
+            Algo::Sspa => sspa(problem),
+            Algo::Ria => ria(
+                providers,
+                &mut &mut *problem.source(),
+                &RiaConfig { theta: c.theta },
+            ),
+            Algo::Nia => nia(
+                providers,
+                &mut &mut *problem.source(),
+                &NiaConfig {
+                    use_pua: !c.disable_pua,
+                },
+            ),
+            Algo::Ida => ida(providers, &mut &mut *problem.source(), &ida_cfg),
+            Algo::IdaGrouped => ida(
+                providers,
+                &mut &mut *problem.grouped_source(c.group_size),
+                &ida_cfg,
+            ),
+            Algo::Sa => sa(
+                providers,
+                tree(),
+                &SaConfig {
+                    delta: c.delta,
+                    refine: c.refine,
+                },
+                problem.context(),
+            ),
+            Algo::Ca => ca(
+                providers,
+                tree(),
+                &CaConfig {
+                    delta: c.delta,
+                    refine: c.refine,
+                },
+                problem.context(),
+            ),
+            Algo::Coreset => {
+                let start = Instant::now();
+                let Some(items) = collect_items(problem) else {
+                    return empty(start);
+                };
+                let cfg = CoresetConfig {
+                    size: c.coreset_size,
+                    seed: c.sample_seed,
+                    swap_passes: c.swap_passes,
+                    refine: c.refine,
+                };
+                coreset_points(providers, &items, problem.tree(), &cfg, problem.context())
+            }
+        }
+    }
+}
+
+/// An empty result timed from `start`.
+fn empty(start: Instant) -> (Matching, AlgoStats) {
+    (
+        Matching::default(),
+        AlgoStats {
+            cpu_time: start.elapsed(),
+            ..Default::default()
+        },
+    )
+}
+
+/// Collects the instance's customers as `(position, id)` items: directly
+/// from an attached in-memory slice, or by one context-charged full-tree
+/// sweep (the approximate tier's only unavoidable I/O). `None` when the
+/// sweep aborts.
+fn collect_items(problem: &Problem<'_>) -> Option<Vec<(Point, u64)>> {
+    match problem.customers() {
+        Some(slice) => Some(
+            slice
+                .iter()
+                .enumerate()
+                .map(|(i, &pos)| (pos, i as u64))
+                .collect(),
+        ),
+        None => {
+            let tree = problem.tree().expect("problems are tree- or slice-backed");
+            let mut items = Vec::new();
+            tree.for_each_point(|pos, id| items.push((pos, id)), problem.context())
+                .ok()?;
+            Some(items)
+        }
+    }
+}
+
+/// Full-graph SSPA baseline (§2.2): materialises the complete bipartite
+/// graph between `Q` and `P` and runs successive shortest paths. Exact,
+/// memory-hungry, slow — the yardstick of Figure 8.
+fn sspa(problem: &Problem<'_>) -> (Matching, AlgoStats) {
+    let start = Instant::now();
+    let providers = problem.providers();
+    if providers.is_empty() {
+        return empty(start);
+    }
+    // The baseline builds the complete bipartite graph over the whole
+    // customer set. A memory-resident slice (the paper's Figure-8 setting)
+    // is used directly; otherwise the first provider's NN stream is
+    // drained, which visits every customer exactly once and works
+    // uniformly for tree- and memory-backed sources.
+    let customers: Vec<(u64, Point, u32)> = match problem.customers() {
+        Some(slice) => slice
+            .iter()
+            .enumerate()
+            .map(|(i, &pos)| (i as u64, pos, 1))
+            .collect(),
+        None => {
+            let mut source = problem.source();
+            let mut drained = Vec::with_capacity(source.num_customers());
+            while let Some(c) = source.next_nn(0) {
+                drained.push((c.id, c.pos, c.weight));
+            }
+            drained
+        }
+    };
+    let fps: Vec<FlowProvider> = providers
+        .iter()
+        .map(|&(pos, cap)| FlowProvider { pos, cap })
+        .collect();
+    let fcs: Vec<FlowCustomer> = customers
+        .iter()
+        .map(|&(_, pos, weight)| FlowCustomer { pos, weight })
+        .collect();
+    // The context-aware solve polls deadline/cancellation from inside the
+    // search and Dijkstra loops, so an expired deadline aborts the
+    // CPU-bound flow phase without a single page access; the committed
+    // partial assignment is returned and `Solver::run` classifies the
+    // outcome off the context's sticky abort state.
+    let sspa = Sspa {
+        ctx: problem.context(),
+        ..Sspa::default()
+    };
+    let (asg, sspa_stats) = match sspa.solve(&fps, &fcs) {
+        Ok(complete) => complete,
+        Err(aborted) => (aborted.partial, aborted.stats),
+    };
+    let pairs = asg
+        .pairs
+        .iter()
+        .map(|&(qi, cj, units)| MatchPair {
+            provider: qi,
+            customer: customers[cj].0,
+            units,
+            dist: providers[qi].0.dist(&customers[cj].1),
+            customer_pos: customers[cj].1,
+        })
+        .collect();
+    let stats = AlgoStats {
+        esub_edges: sspa_stats.edges,
+        iterations: sspa_stats.iterations,
+        cpu_time: start.elapsed(),
+        ..Default::default()
+    };
+    (Matching { pairs }, stats)
 }
 
 #[cfg(test)]
@@ -203,13 +424,10 @@ mod tests {
     use super::*;
     use cca_testutil::{build_tree, gamma, optimal_cost, random_instance};
 
-    /// Every registered solver must solve a small tree-backed instance; the
-    /// exact ones to the optimum, the approximate ones within their bound
-    /// (δ is driven to ~0 so SA/CA are near-exact; `coreset`'s auto size
-    /// exceeds n here so its coreset is the full set and it is exact too).
-    /// `da` is a stochastic heuristic with no instance-wise optimality
-    /// guarantee, so it only has to be feasible and within a loose cost
-    /// envelope of the optimum.
+    /// Every registered solver must solve a small tree-backed instance to
+    /// the optimum: δ is driven to ~0 so SA/CA are near-exact, and
+    /// `coreset`'s auto size exceeds n here so its coreset is the full set
+    /// and it is exact too.
     #[test]
     fn all_registered_solvers_solve_through_the_trait() {
         let (providers, customers) = random_instance(77, 4, 40, 4);
@@ -229,19 +447,11 @@ mod tests {
             matching
                 .validate_unit(&providers, &customers)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            if name == "da" {
-                assert!(
-                    matching.cost() < 3.0 * want,
-                    "da: {} vs optimal {want}",
-                    matching.cost()
-                );
-            } else {
-                assert!(
-                    (matching.cost() - want).abs() < 1e-6,
-                    "{name}: {} vs optimal {want}",
-                    matching.cost()
-                );
-            }
+            assert!(
+                (matching.cost() - want).abs() < 1e-6,
+                "{name}: {} vs optimal {want}",
+                matching.cost()
+            );
             assert!(
                 stats.iterations > 0 || stats.fast_phase_matches > 0,
                 "{name}"

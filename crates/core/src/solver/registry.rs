@@ -1,186 +1,111 @@
-//! [`SolverRegistry`] — name-indexed solver factories.
+//! [`SolverRegistry`] — the fixed table from registry names to solvers.
 
 use std::fmt;
 
-use crate::approx::{CaConfig, CoresetConfig, DaConfig, SaConfig};
-use crate::exact::{IdaConfig, NiaConfig, RiaConfig};
 use crate::solver::config::SolverConfig;
-use crate::solver::solvers::{
-    CaSolver, CoresetSolver, DaSolver, IdaGroupedSolver, IdaSolver, NiaSolver, RiaSolver, SaSolver,
-    SspaSolver,
-};
-use crate::solver::Solver;
+use crate::solver::{Algo, Solver};
 
-/// Builds one solver from a config.
-pub type SolverFactory = fn(&SolverConfig) -> Box<dyn Solver>;
-
-/// Maps registry names to solver factories, so callers (benches, examples,
-/// the batch runner, a future query server) can enumerate and select
-/// algorithms uniformly from data.
+/// The solver table: maps registry names to [`Solver`]s, so callers
+/// (benches, examples, the batch runner, the network gateway) can
+/// enumerate and select algorithms uniformly from data.
 ///
 /// ```
 /// # use cca_core::solver::{SolverConfig, SolverRegistry};
 /// let registry = SolverRegistry::with_defaults();
 /// let solver = registry.build(&SolverConfig::new("ida")).unwrap();
 /// assert_eq!(solver.name(), "ida");
-/// assert_eq!(registry.names().count(), 9);
+/// assert_eq!(registry.names().count(), 8);
 /// ```
-pub struct SolverRegistry {
-    entries: Vec<(&'static str, SolverFactory)>,
-}
+#[non_exhaustive]
+pub struct SolverRegistry;
 
 impl SolverRegistry {
-    /// An empty registry (for fully custom solver sets).
-    pub fn empty() -> Self {
-        SolverRegistry {
-            entries: Vec::new(),
-        }
-    }
-
     /// The seven paper algorithms plus the approximate scale-out tier,
     /// under their canonical names: `sspa`, `ria`, `nia`, `ida`,
-    /// `ida-grouped`, `sa`, `ca`, `coreset`, `da`.
+    /// `ida-grouped`, `sa`, `ca`, `coreset`.
     pub fn with_defaults() -> Self {
-        let mut r = Self::empty();
-        r.register("sspa", |_| Box::new(SspaSolver));
-        r.register("ria", |c| {
-            Box::new(RiaSolver {
-                cfg: RiaConfig { theta: c.theta },
-            })
-        });
-        r.register("nia", |c| {
-            Box::new(NiaSolver {
-                cfg: NiaConfig {
-                    use_pua: !c.disable_pua,
-                },
-            })
-        });
-        r.register("ida", |c| {
-            Box::new(IdaSolver {
-                cfg: IdaConfig {
-                    key_mode: c.key_mode,
-                    disable_fast_phase: c.disable_fast_phase,
-                    disable_pua: c.disable_pua,
-                },
-            })
-        });
-        r.register("ida-grouped", |c| {
-            Box::new(IdaGroupedSolver {
-                cfg: IdaConfig {
-                    key_mode: c.key_mode,
-                    disable_fast_phase: c.disable_fast_phase,
-                    disable_pua: c.disable_pua,
-                },
-                group_size: c.group_size,
-            })
-        });
-        r.register("sa", |c| {
-            Box::new(SaSolver {
-                cfg: SaConfig {
-                    delta: c.delta,
-                    refine: c.refine,
-                },
-            })
-        });
-        r.register("ca", |c| {
-            Box::new(CaSolver {
-                cfg: CaConfig {
-                    delta: c.delta,
-                    refine: c.refine,
-                },
-            })
-        });
-        r.register("coreset", |c| {
-            Box::new(CoresetSolver {
-                cfg: CoresetConfig {
-                    size: c.coreset_size,
-                    seed: c.sample_seed,
-                    swap_passes: c.swap_passes,
-                    refine: c.refine,
-                },
-            })
-        });
-        r.register("da", |c| {
-            Box::new(DaSolver {
-                cfg: DaConfig {
-                    temps: c.anneal_steps,
-                    ..DaConfig::default()
-                },
-            })
-        });
-        r
-    }
-
-    /// Registers (or replaces) a factory under `name`.
-    pub fn register(&mut self, name: &'static str, factory: SolverFactory) {
-        match self.entries.iter_mut().find(|(n, _)| *n == name) {
-            Some(entry) => entry.1 = factory,
-            None => self.entries.push((name, factory)),
-        }
+        SolverRegistry
     }
 
     /// Registered names, in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.entries.iter().map(|&(n, _)| n)
+    pub fn names(&self) -> impl Iterator<Item = &'static str> {
+        Algo::ALL.into_iter().map(Algo::name)
     }
 
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.iter().any(|&(n, _)| n == name)
-    }
-
-    /// Builds the solver selected by `config`.
-    pub fn build(&self, config: &SolverConfig) -> Result<Box<dyn Solver>, UnknownSolver> {
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == config.name())
-            .map(|(_, factory)| factory(config))
-            .ok_or_else(|| UnknownSolver {
+    /// Builds the solver selected by `config`, rejecting an unknown name
+    /// and any parameter a solver would panic on: `theta` and `delta` must
+    /// be finite and positive, `group_size` at least 1.
+    pub fn build(&self, config: &SolverConfig) -> Result<Solver, SolverConfigError> {
+        let algo = Algo::ALL
+            .into_iter()
+            .find(|algo| algo.name() == config.name())
+            .ok_or_else(|| SolverConfigError::UnknownName {
                 name: config.name().to_string(),
                 known: self.names().collect(),
-            })
-    }
-
-    /// Builds the solver registered under `name` with default parameters.
-    pub fn build_by_name(&self, name: &str) -> Result<Box<dyn Solver>, UnknownSolver> {
-        self.build(&SolverConfig::new(name))
+            })?;
+        for (name, value) in [("theta", config.theta), ("delta", config.delta)] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(SolverConfigError::BadParameter {
+                    name,
+                    reason: format!("must be finite and > 0, got {value}"),
+                });
+            }
+        }
+        if config.group_size == 0 {
+            return Err(SolverConfigError::BadParameter {
+                name: "group_size",
+                reason: "must be at least 1, got 0".into(),
+            });
+        }
+        Ok(Solver {
+            algo,
+            config: config.clone(),
+        })
     }
 }
 
-impl Default for SolverRegistry {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-/// Error returned by [`SolverRegistry::build`] for unregistered names.
+/// Why [`SolverRegistry::build`] refused a [`SolverConfig`].
 #[derive(Clone, Debug)]
-pub struct UnknownSolver {
-    /// The requested name.
-    pub name: String,
-    /// Names the registry does know.
-    pub known: Vec<&'static str>,
+pub enum SolverConfigError {
+    /// The config names no registered solver.
+    UnknownName {
+        /// The requested name.
+        name: String,
+        /// Names the registry does know.
+        known: Vec<&'static str>,
+    },
+    /// A parameter is out of range.
+    BadParameter {
+        /// The parameter (`"theta"`, `"delta"`, `"group_size"`).
+        name: &'static str,
+        /// What is wrong with its value.
+        reason: String,
+    },
 }
 
-impl fmt::Display for UnknownSolver {
+impl fmt::Display for SolverConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown solver `{}` (registered: {})",
-            self.name,
-            self.known.join(", ")
-        )
+        match self {
+            SolverConfigError::UnknownName { name, known } => write!(
+                f,
+                "unknown solver `{name}` (registered: {})",
+                known.join(", ")
+            ),
+            SolverConfigError::BadParameter { name, reason } => {
+                write!(f, "bad solver parameter `{name}`: {reason}")
+            }
+        }
     }
 }
 
-impl std::error::Error for UnknownSolver {}
+impl std::error::Error for SolverConfigError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_registry_has_the_nine_algorithms() {
+    fn default_registry_has_the_eight_algorithms() {
         let r = SolverRegistry::with_defaults();
         let names: Vec<_> = r.names().collect();
         assert_eq!(
@@ -193,13 +118,13 @@ mod tests {
                 "ida-grouped",
                 "sa",
                 "ca",
-                "coreset",
-                "da"
+                "coreset"
             ]
         );
         for name in names {
-            let solver = r.build_by_name(name).unwrap();
+            let solver = r.build(&SolverConfig::new(name)).unwrap();
             assert_eq!(solver.name(), name);
+            assert_eq!(solver.needs_tree(), matches!(name, "sa" | "ca"));
         }
     }
 
@@ -217,17 +142,26 @@ mod tests {
     #[test]
     fn unknown_name_is_a_helpful_error() {
         let r = SolverRegistry::with_defaults();
-        let err = r.build_by_name("voronoi").map(|_| ()).unwrap_err();
+        let err = r.build(&SolverConfig::new("voronoi")).unwrap_err();
         assert!(err.to_string().contains("voronoi"));
         assert!(err.to_string().contains("ida"));
     }
 
     #[test]
-    fn register_replaces_existing() {
-        let mut r = SolverRegistry::with_defaults();
-        let before = r.names().count();
-        r.register("ida", |_| Box::new(SspaSolver));
-        assert_eq!(r.names().count(), before);
-        assert_eq!(r.build_by_name("ida").unwrap().name(), "sspa");
+    fn out_of_range_parameters_are_rejected() {
+        let r = SolverRegistry::with_defaults();
+        for (config, param) in [
+            (SolverConfig::new("ria").theta(0.0), "theta"),
+            (SolverConfig::new("ria").theta(-1.0), "theta"),
+            (SolverConfig::new("ria").theta(f64::NAN), "theta"),
+            (SolverConfig::new("ca").delta(0.0), "delta"),
+            (SolverConfig::new("sa").delta(f64::INFINITY), "delta"),
+            (SolverConfig::new("ida-grouped").group_size(0), "group_size"),
+        ] {
+            match r.build(&config) {
+                Err(SolverConfigError::BadParameter { name, .. }) => assert_eq!(name, param),
+                other => panic!("{config:?}: expected BadParameter, got {other:?}"),
+            }
+        }
     }
 }

@@ -2,9 +2,9 @@
 //! that drives it thread-per-connection.
 //!
 //! [`Gateway`] is transport-free: it owns the persistent
-//! [`ServingInstance`], the preloaded datasets and the solver registry,
-//! and turns one [`NetRequest`] into one [`NetResponse`]. [`NetServer`]
-//! is the TCP shell around it — an accept loop spawning one blocking
+//! [`ServingInstance`] and the preloaded datasets, and turns one
+//! [`NetRequest`] into one [`NetResponse`]. [`NetServer`] is the TCP
+//! shell around it — an accept loop spawning one blocking
 //! thread per connection, each of which performs the tenant handshake and
 //! then loops request/response over the frame codec. Embedders that want
 //! a different transport (unix sockets, an in-process harness, async)
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use cca::geo::Point;
 use cca::{Problem, QueryResult, SpatialAssignment};
-use cca_core::solver::SolverRegistry;
+use cca_core::solver::{SolverConfigError, SolverRegistry};
 use cca_serve::{Request, ServeConfig, ServingInstance};
 use cca_storage::{QueryContext, TenantId};
 
@@ -34,7 +34,6 @@ use crate::proto::{
 /// Configures and starts a [`Gateway`].
 pub struct GatewayBuilder {
     serve: ServeConfig,
-    registry: SolverRegistry,
     datasets: Vec<(String, Arc<SpatialAssignment>)>,
     max_frame: usize,
 }
@@ -44,12 +43,6 @@ impl GatewayBuilder {
     /// aging, rate window) for the gateway's persistent instance.
     pub fn serve_config(mut self, config: ServeConfig) -> Self {
         self.serve = config;
-        self
-    }
-
-    /// Replaces the solver registry.
-    pub fn registry(mut self, registry: SolverRegistry) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -70,7 +63,6 @@ impl GatewayBuilder {
     pub fn start(self) -> Gateway {
         Gateway {
             instance: ServingInstance::start(self.serve),
-            registry: self.registry,
             datasets: self.datasets.into_iter().collect(),
             max_frame: self.max_frame,
         }
@@ -82,18 +74,16 @@ impl GatewayBuilder {
 /// and abort) to typed responses.
 pub struct Gateway {
     instance: ServingInstance<QueryResult>,
-    registry: SolverRegistry,
     datasets: HashMap<String, Arc<SpatialAssignment>>,
     max_frame: usize,
 }
 
 impl Gateway {
-    /// A builder with default serving config, the default registry, no
-    /// datasets and the default frame bound.
+    /// A builder with default serving config, no datasets and the default
+    /// frame bound.
     pub fn builder() -> GatewayBuilder {
         GatewayBuilder {
             serve: ServeConfig::default(),
-            registry: SolverRegistry::with_defaults(),
             datasets: Vec::new(),
             max_frame: DEFAULT_MAX_FRAME,
         }
@@ -124,12 +114,26 @@ impl Gateway {
     }
 
     fn solve(&self, tenant: TenantId, req: SolveRequest) -> NetResponse {
-        // Validate before burning a queue slot: a bad solver name or
-        // dataset must not count against the tenant's quota.
-        let solver = match self.registry.build(&req.config) {
+        // Validate before burning a queue slot: a bad solver name,
+        // parameter or dataset must not count against the tenant's quota.
+        let solver = match SolverRegistry::with_defaults().build(&req.config) {
             Ok(solver) => solver,
-            Err(e) => return fault(ErrorCode::UnknownSolver, e.to_string()),
+            Err(e @ SolverConfigError::UnknownName { .. }) => {
+                return fault(ErrorCode::UnknownSolver, e.to_string())
+            }
+            Err(e @ SolverConfigError::BadParameter { .. }) => {
+                return fault(ErrorCode::BadRequest, e.to_string())
+            }
         };
+        if solver.needs_tree() && matches!(req.problem, ProblemSpec::Inline { .. }) {
+            return fault(
+                ErrorCode::BadRequest,
+                format!(
+                    "`{}` needs a dataset: inline problems have no R-tree",
+                    solver.name()
+                ),
+            );
+        }
 
         let mut ctx = QueryContext::new()
             .with_tenant(tenant)
@@ -560,35 +564,59 @@ mod tests {
 
     #[test]
     fn unknown_solver_and_dataset_fail_without_burning_quota() {
-        let gateway = tiny_gateway();
+        let customers: Vec<Point> = (0..20).map(|i| Point::new(f64::from(i), 0.0)).collect();
+        let providers = vec![(Point::new(0.0, 1.0), 10), (Point::new(19.0, 1.0), 10)];
+        let data = SpatialAssignment::build(providers.clone(), customers.clone());
+        let gateway = Gateway::builder()
+            .serve_config(ServeConfig::default().workers(1).queue_capacity(4))
+            .dataset("d", Arc::new(data))
+            .start();
         let inline = ProblemSpec::Inline {
-            providers: vec![(Point::new(0.0, 0.0), 1)],
-            customers: vec![Point::new(1.0, 0.0)],
+            providers,
+            customers,
         };
-        let r = gateway.handle(
-            TenantId(1),
-            NetRequest::Solve(SolveRequest::new(
-                SolverConfig::new("no-such-solver"),
-                inline,
-            )),
+        let dataset = ProblemSpec::Dataset("d".into());
+        let solve = |config: SolverConfig, problem: &ProblemSpec| {
+            let request = SolveRequest::new(config.clone(), problem.clone());
+            match gateway.handle(TenantId(1), NetRequest::Solve(request)) {
+                NetResponse::Error(fault) => fault.code,
+                other => panic!("{config:?}: expected a fault, got {other:?}"),
+            }
+        };
+        assert_eq!(
+            solve(SolverConfig::new("no-such-solver"), &inline),
+            ErrorCode::UnknownSolver
         );
-        match r {
-            NetResponse::Error(fault) => assert_eq!(fault.code, ErrorCode::UnknownSolver),
-            other => panic!("expected unknown-solver, got {other:?}"),
-        }
-        let r = gateway.handle(
-            TenantId(1),
-            NetRequest::Solve(SolveRequest::new(
+        assert_eq!(
+            solve(
                 SolverConfig::new("sspa"),
-                ProblemSpec::Dataset("not-loaded".into()),
-            )),
+                &ProblemSpec::Dataset("not-loaded".into())
+            ),
+            ErrorCode::UnknownDataset
         );
-        match r {
-            NetResponse::Error(fault) => assert_eq!(fault.code, ErrorCode::UnknownDataset),
-            other => panic!("expected unknown-dataset, got {other:?}"),
+        // Inputs a solver would panic on are bad requests, caught before
+        // submit: θ ≤ 0 (RIA), δ = 0 (CA's partition), a tree-only solver
+        // on an inline problem, and an empty ANN group.
+        for (config, problem) in [
+            (SolverConfig::new("ria").theta(0.0), &inline),
+            (SolverConfig::new("ria").theta(-1.0), &inline),
+            (SolverConfig::new("ca").delta(0.0), &dataset),
+            (SolverConfig::new("sa"), &inline),
+            (SolverConfig::new("ca"), &inline),
+            (SolverConfig::new("ida-grouped").group_size(0), &dataset),
+        ] {
+            assert_eq!(solve(config, problem), ErrorCode::BadRequest);
         }
-        // Neither request should have registered with the scheduler.
+        // None of these requests registered with the scheduler.
         assert!(gateway.instance().tenant_stats().is_empty());
+
+        // The same gateway and dataset serve a well-formed request, which
+        // is the tenant's first submission.
+        let request = SolveRequest::new(SolverConfig::new("ca"), dataset);
+        let reply = gateway.handle(TenantId(1), NetRequest::Solve(request));
+        assert!(matches!(reply, NetResponse::Solved(_)), "{reply:?}");
+        let stats = gateway.instance().tenant_stats_for(TenantId(1)).unwrap();
+        assert_eq!(stats.submitted, 1);
     }
 
     #[test]

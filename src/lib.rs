@@ -7,8 +7,8 @@
 //! `Q` where each provider `q` serves at most `q.k` customers, CCA computes
 //! the maximum-size matching minimising the total Euclidean distance
 //! (Equation 1 of the paper). This crate bundles the whole workspace behind
-//! one façade. Algorithms are selected from data through the trait-based
-//! solver pipeline:
+//! one façade. Algorithms are selected from data through the solver
+//! pipeline:
 //!
 //! ```
 //! use cca::{SolverConfig, SpatialAssignment};
@@ -44,10 +44,9 @@
 //! The registry also carries an **approximate tier** for instances beyond
 //! exact reach: `SolverConfig::new("coreset")` solves exactly on a
 //! capacity-aware importance-sampled coreset and lifts the assignment back
-//! (bounded swap refinement in R-tree neighbourhoods), and
-//! `SolverConfig::new("da")` runs deterministic-annealing Gibbs assignment —
-//! both feasible by construction, context-abortable with partial results,
-//! and selectable by name end-to-end.
+//! (bounded swap refinement in R-tree neighbourhoods) — feasible by
+//! construction, context-abortable with partial results, and selectable by
+//! name end-to-end.
 //!
 //! A **dynamic world** is served by [`ContinuousAssignment`]: a feasible
 //! matching maintained under a stream of [`WorldEvent`]s (arrivals,
@@ -78,7 +77,9 @@ pub use batch::{BatchReport, BatchRunner, QueryResult};
 pub use cca_core::dynamic::{
     ContinuousAssignment, ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent,
 };
-pub use cca_core::solver::{Outcome, Problem, Solver, SolverConfig, SolverRegistry, UnknownSolver};
+pub use cca_core::solver::{
+    Outcome, Problem, Solver, SolverConfig, SolverConfigError, SolverRegistry,
+};
 pub use cca_serve::{Rejected, ServeConfig, ServingInstance, TenantQuota, TenantStats, Ticket};
 pub use cca_storage::{AbortReason, Priority, QueryContext, TenantId};
 
@@ -199,11 +200,11 @@ impl SpatialAssignment {
             .with_customers(&self.customers)
     }
 
-    /// Runs the solver selected by `config` (through the default
+    /// Runs the solver selected by `config` (through the
     /// [`SolverRegistry`]) from a cold buffer cache.
-    pub fn run_config(&self, config: &SolverConfig) -> Result<RunResult<'_>, UnknownSolver> {
+    pub fn run_config(&self, config: &SolverConfig) -> Result<RunResult<'_>, SolverConfigError> {
         let solver = SolverRegistry::with_defaults().build(config)?;
-        Ok(self.run_solver(&*solver, None))
+        Ok(self.run_solver(&solver, None))
     }
 
     /// Runs `solver` from a cold buffer cache and returns the matching with
@@ -218,7 +219,7 @@ impl SpatialAssignment {
     /// then carries the reason and the stats hold the exact partial
     /// attribution (a fault budget is met exactly: `stats.io.faults ==
     /// budget`).
-    pub fn run_solver(&self, solver: &dyn Solver, ctx: Option<&QueryContext>) -> RunResult<'_> {
+    pub fn run_solver(&self, solver: &Solver, ctx: Option<&QueryContext>) -> RunResult<'_> {
         let ctx = ctx.cloned().unwrap_or_default();
         self.tree.store().clear_cache();
         self.tree.store().reset_stats();

@@ -294,8 +294,10 @@ fn one_instance_serves_batches_and_concurrent_tenants_with_typed_shedding() {
 }
 
 /// PR 8: the approximate tier is reachable by name through the unchanged
-/// wire protocol — `coreset` and `da` solve a loopback client's requests
-/// end-to-end, admission and per-tenant attribution hold, and a doomed
+/// wire protocol — `coreset` solves a loopback client's requests
+/// end-to-end, a retired name (`da`) is a typed unknown-solver fault
+/// listing what is registered, admission and per-tenant attribution
+/// hold, and a doomed
 /// I/O budget still surfaces as the same typed abort carrying exact
 /// partial attribution.
 #[test]
@@ -324,11 +326,14 @@ fn approximate_solvers_serve_by_name_with_attribution_and_typed_aborts() {
         .unwrap();
     assert_eq!(reply.matching.size(), 2_000, "lifted matching is full-size");
 
-    // Deterministic annealing on an inline problem, same wire path.
-    let reply = client
-        .solve(SolveRequest::new(SolverConfig::new("da"), quick_problem()))
-        .unwrap();
-    assert_eq!(reply.matching.size(), 60, "da hardens to a full matching");
+    // `da` is no longer registered: a typed fault naming the alternatives.
+    let fault = server_fault(
+        client
+            .solve(SolveRequest::new(SolverConfig::new("da"), quick_problem()))
+            .unwrap_err(),
+    );
+    assert_eq!(fault.code, ErrorCode::UnknownSolver);
+    assert!(fault.message.contains("coreset"), "{}", fault.message);
 
     // A 1-fault budget cannot even sweep the customer pages: the abort
     // comes back as the existing typed wire error with exact partial
@@ -349,14 +354,16 @@ fn approximate_solvers_serve_by_name_with_attribution_and_typed_aborts() {
     assert_eq!(partial.io.faults, 1, "charged exactly the budget");
 
     // Admission ledger and I/O attribution cover the approximate tier like
-    // any other solver: 2 completions + 1 abort, and tenant A's attributed
-    // faults equal the store-wide delta (it was the only tenant).
+    // any other solver: 1 completion + 1 abort (the unknown name never took
+    // a queue slot), and tenant A's attributed faults equal the store-wide
+    // delta (it was the only tenant).
     let stats = client.stats().unwrap().tenants;
     let a = stats
         .iter()
         .find(|s| s.tenant == TENANT_A)
         .expect("tenant A visible over the wire");
-    assert_eq!(a.completed, 2);
+    assert_eq!(a.submitted, 2);
+    assert_eq!(a.completed, 1);
     assert_eq!(a.aborted, 1);
     let store_delta = data.tree().store().io_stats().since(&store_before);
     assert_eq!(a.io.faults, store_delta.faults, "attribution sums exactly");

@@ -26,7 +26,7 @@ fn instance(seed: u64, np: usize) -> Arc<SpatialAssignment> {
     ))
 }
 
-fn solver(config: &SolverConfig) -> Box<dyn Solver> {
+fn solver(config: &SolverConfig) -> Solver {
     SolverRegistry::with_defaults().build(config).unwrap()
 }
 
@@ -46,7 +46,7 @@ fn io_budget_abort_reports_exactly_the_budget() {
 
         let budget = full_faults / 2;
         let ctx = QueryContext::new().with_io_budget(budget);
-        let partial = instance.run_solver(&*solver(&config), Some(&ctx));
+        let partial = instance.run_solver(&solver(&config), Some(&ctx));
         assert_eq!(
             partial.aborted,
             Some(AbortReason::IoBudgetExceeded),
@@ -70,7 +70,7 @@ fn io_budget_abort_reports_exactly_the_budget() {
 fn deadline_governs_the_run() {
     let instance = instance(501, 1500);
     let expired = QueryContext::new().with_deadline(Instant::now() - Duration::from_millis(1));
-    let r = instance.run_solver(&*solver(&SolverConfig::new("ida")), Some(&expired));
+    let r = instance.run_solver(&solver(&SolverConfig::new("ida")), Some(&expired));
     assert_eq!(r.aborted, Some(AbortReason::DeadlineExceeded));
     assert_eq!(
         r.stats.io.faults, 0,
@@ -79,7 +79,7 @@ fn deadline_governs_the_run() {
     assert_eq!(r.matching.size(), 0);
 
     let generous = QueryContext::new().with_timeout(Duration::from_secs(3600));
-    let r = instance.run_solver(&*solver(&SolverConfig::new("ida")), Some(&generous));
+    let r = instance.run_solver(&solver(&SolverConfig::new("ida")), Some(&generous));
     assert!(r.aborted.is_none());
     assert!(r.matching.size() > 0);
 }
@@ -92,7 +92,7 @@ fn cancellation_and_ca_descent_abort() {
     let ctx = QueryContext::new();
     ctx.cancel();
     for name in ["ida", "ca", "sa"] {
-        let r = instance.run_solver(&*solver(&SolverConfig::new(name).delta(10.0)), Some(&ctx));
+        let r = instance.run_solver(&solver(&SolverConfig::new(name).delta(10.0)), Some(&ctx));
         assert_eq!(r.aborted, Some(AbortReason::Cancelled), "{name}");
     }
 }

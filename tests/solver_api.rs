@@ -1,6 +1,5 @@
-//! Integration tests for the trait-based solver pipeline at the façade
-//! level: registry round-trips, config-driven runs, custom registration and
-//! figure labels.
+//! Integration tests for the solver pipeline at the façade level: registry
+//! round-trips, config-driven runs and figure labels.
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
 use cca::flow::sspa::{unit_customers, FlowProvider, Sspa};
@@ -36,9 +35,7 @@ fn oracle_cost(instance: &SpatialAssignment) -> f64 {
 /// small instance through the façade, and (with δ driven to ~0 for the
 /// approximations, a wide θ for RIA) lands on the SSPA-optimal cost.
 /// The approximate tier rides the same loop: `coreset` degenerates to an
-/// exact solve at this size (auto coreset size ≥ n), while `da` is only
-/// held to a constant-factor band — annealing has no per-instance
-/// optimality guarantee.
+/// exact solve at this size (auto coreset size ≥ n).
 #[test]
 fn every_registered_solver_reaches_the_optimal_cost() {
     let instance = small_instance(301);
@@ -46,7 +43,7 @@ fn every_registered_solver_reaches_the_optimal_cost() {
     let registry = SolverRegistry::with_defaults();
     assert_eq!(
         registry.names().count(),
-        9,
+        8,
         "the paper's seven algorithms plus the approximate tier"
     );
 
@@ -56,19 +53,11 @@ fn every_registered_solver_reaches_the_optimal_cost() {
             .run_config(&config)
             .unwrap_or_else(|e| panic!("{e}"));
         r.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
-        if name == "da" {
-            assert!(
-                r.cost() < 3.0 * want,
-                "da: cost {} vs oracle {want}",
-                r.cost()
-            );
-        } else {
-            assert!(
-                (r.cost() - want).abs() < 1e-6,
-                "{name}: cost {} vs oracle {want}",
-                r.cost()
-            );
-        }
+        assert!(
+            (r.cost() - want).abs() < 1e-6,
+            "{name}: cost {} vs oracle {want}",
+            r.cost()
+        );
     }
 }
 
@@ -81,21 +70,6 @@ fn unknown_solver_name_is_rejected_not_panicked() {
         .unwrap_err();
     assert!(err.to_string().contains("simulated-annealing"));
     assert!(err.to_string().contains("sspa"), "lists known solvers");
-}
-
-/// Custom solvers slot into the same registry the built-ins use.
-#[test]
-fn custom_solver_registration() {
-    use cca::core::solver::IdaSolver;
-    let mut registry = SolverRegistry::with_defaults();
-    registry.register("house-special", |_| Box::new(IdaSolver::default()));
-    assert!(registry.contains("house-special"));
-
-    let instance = small_instance(304);
-    let solver = registry.build_by_name("house-special").unwrap();
-    let r = instance.run_solver(&*solver, None);
-    r.validate().unwrap();
-    assert!((r.cost() - oracle_cost(&instance)).abs() < 1e-6);
 }
 
 /// Solver labels follow the paper's figure naming.
@@ -113,7 +87,7 @@ fn labels_match_paper_figures() {
         ("ca", "CAN"),
     ];
     for (name, label) in cases {
-        let solver = registry.build_by_name(name).unwrap();
+        let solver = registry.build(&SolverConfig::new(name)).unwrap();
         assert_eq!(solver.label(), label);
     }
     let solver = registry

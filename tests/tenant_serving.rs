@@ -176,8 +176,8 @@ fn tenant_stats_aggregate_dispatches_and_io() {
     let instance = instance(77, 6_000);
     let registry = SolverRegistry::with_defaults();
     let queries = 6usize;
-    let solvers: Vec<Arc<dyn Solver>> = (0..2 * queries)
-        .map(|_| Arc::from(registry.build(&SolverConfig::new("ida")).unwrap()))
+    let solvers: Vec<Arc<Solver>> = (0..2 * queries)
+        .map(|_| Arc::new(registry.build(&SolverConfig::new("ida")).unwrap()))
         .collect();
     instance.tree().store().clear_cache();
     let io_before = instance.tree().store().io_stats();
