@@ -206,7 +206,7 @@ fn main() {
         rows.join(",\n")
     );
     let out = std::env::var("CCA_BENCH_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_approx.json", env!("CARGO_MANIFEST_DIR")));
+        .unwrap_or_else(|_| format!("{}/BENCH_approx.json", env!("CARGO_MANIFEST_DIR")));
     std::fs::write(&out, &json).expect("write bench output");
     println!("wrote {out}");
 }

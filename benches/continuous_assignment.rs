@@ -1,7 +1,7 @@
 //! Dynamic-world benchmark: the continuous-assignment engine against
 //! re-solving from scratch on every event.
 //!
-//! Two regimes, following ISSUE 9's acceptance criteria:
+//! Two regimes:
 //!
 //! * **Mixed stream at 10⁴ customers** — arrivals, departures, capacity
 //!   changes and provider moves in the default `ArrivalProcess` mix. The
@@ -210,7 +210,7 @@ fn main() {
         rows.join(",\n")
     );
     let out = std::env::var("CCA_BENCH_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_dynamic.json", env!("CARGO_MANIFEST_DIR")));
+        .unwrap_or_else(|_| format!("{}/BENCH_dynamic.json", env!("CARGO_MANIFEST_DIR")));
     std::fs::write(&out, &json).expect("write bench output");
     println!("wrote {out}");
 }

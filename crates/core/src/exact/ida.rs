@@ -33,7 +33,9 @@ pub enum IdaKeyMode {
     /// Reset α contributions at the start of every iteration; only fold in
     /// α values observed by the current iteration's search. Strictly
     /// conservative (keys never overestimate Φ), at the price of weaker
-    /// pruning. Ablated in `cca-bench`.
+    /// pruning. The exact-agreement tests run both modes; the stale-α
+    /// overestimate it guards against is the one `conservative_phi`
+    /// describes.
     Safe,
 }
 

@@ -14,7 +14,7 @@
 //!
 //! Only leaf points are batched: a batched [`crate::Rect::mindist2`] reads
 //! five streams per element against two here and measured at or below the
-//! scalar loop (`rect_batched` rows of `BENCH_hotpath.json`).
+//! scalar loop (`rect_batched` rows of `BENCH_HISTORY.md`).
 
 /// Chunk width. Eight `f64`s span two AVX2 registers or one AVX-512
 /// register; on narrower targets the fixed trip count still unrolls cleanly.
