@@ -16,7 +16,7 @@ use cca_storage::QueryContext;
 
 use crate::approx::grouping::greedy_hilbert_groups;
 use crate::approx::refine::{refine, RefineMethod, RefineProvider};
-use crate::exact::{ida, IdaConfig, MemorySource};
+use crate::exact::{ida, MemorySource};
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
@@ -27,15 +27,6 @@ pub struct CaConfig {
     pub delta: f64,
     /// Refinement heuristic ("N" → CAN, "E" → CAE).
     pub refine: RefineMethod,
-}
-
-impl Default for CaConfig {
-    fn default() -> Self {
-        CaConfig {
-            delta: 10.0,
-            refine: RefineMethod::NnBased,
-        }
-    }
 }
 
 /// A merged customer group (hyper-entry) with its representative.
@@ -107,7 +98,7 @@ pub fn ca(
     // matching refined below) instead of overshooting until the run ends.
     let q_positions: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
     let mut source = MemorySource::new(q_positions, reps).with_context(ctx);
-    let (concise, concise_stats) = ida(providers, &mut source, &IdaConfig::default());
+    let (concise, concise_stats) = ida(providers, &mut source);
 
     // Phase 3: per-representative refinement. The concise matching fixes
     // how many instances of rep g go to each provider; those quotas are now

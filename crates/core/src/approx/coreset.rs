@@ -32,7 +32,7 @@ use cca_storage::QueryContext;
 
 use crate::approx::pgrid::PointGrid;
 use crate::approx::refine::{refine, RefineMethod, RefineProvider};
-use crate::exact::{ida, IdaConfig, MemorySource};
+use crate::exact::{ida, MemorySource};
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
@@ -264,7 +264,7 @@ pub fn coreset_points(
     } else {
         let q_positions: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
         let mut source = MemorySource::new(q_positions, slots.clone()).with_context(ctx);
-        let (concise, concise_stats) = ida(providers, &mut source, &IdaConfig::default());
+        let (concise, concise_stats) = ida(providers, &mut source);
         stats = concise_stats;
         concise
             .pairs

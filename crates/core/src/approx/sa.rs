@@ -15,7 +15,7 @@ use cca_storage::QueryContext;
 
 use crate::approx::grouping::partition_providers;
 use crate::approx::refine::{refine, RefineMethod, RefineProvider};
-use crate::exact::{ida, IdaConfig, RtreeSource};
+use crate::exact::{ida, RtreeSource};
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
@@ -26,15 +26,6 @@ pub struct SaConfig {
     pub delta: f64,
     /// Refinement heuristic ("N" → SAN, "E" → SAE).
     pub refine: RefineMethod,
-}
-
-impl Default for SaConfig {
-    fn default() -> Self {
-        SaConfig {
-            delta: 40.0,
-            refine: RefineMethod::NnBased,
-        }
-    }
 }
 
 /// Runs SA over providers and the R-tree-indexed customers. With a query
@@ -57,7 +48,7 @@ pub fn sa(
     // Phase 2: concise matching — exact CCA between Q' and P via IDA.
     let rep_positions: Vec<Point> = reps.iter().map(|&(p, _)| p).collect();
     let mut source = RtreeSource::new(tree, rep_positions, ctx);
-    let (concise, concise_stats) = ida(&reps, &mut source, &IdaConfig::default());
+    let (concise, concise_stats) = ida(&reps, &mut source);
 
     // Phase 3: per-group refinement (§4.3). Each group's customer share is
     // split among its members, whose quotas are their own capacities.

@@ -526,11 +526,6 @@ impl ContinuousAssignment {
         &self.customers
     }
 
-    /// Stable external id of each live customer, in slot order.
-    pub fn customer_ids(&self) -> &[u64] {
-        &self.ids
-    }
-
     /// Providers (positions and current capacities).
     pub fn providers(&self) -> &[(Point, u32)] {
         &self.providers

@@ -22,33 +22,6 @@ use crate::exact::source::{CustomerSource, SourcedCustomer};
 use crate::matching::Matching;
 use crate::stats::AlgoStats;
 
-/// How IDA keys heap entries of full providers whose α was not refreshed by
-/// the *current* iteration's Dijkstra.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum IdaKeyMode {
-    /// Algorithm 4 verbatim: keep the α from the last Dijkstra execution
-    /// that visited the provider, even across iterations.
-    #[default]
-    Paper,
-    /// Reset α contributions at the start of every iteration; only fold in
-    /// α values observed by the current iteration's search. Strictly
-    /// conservative (keys never overestimate Φ), at the price of weaker
-    /// pruning. The exact-agreement tests run both modes; the stale-α
-    /// overestimate it guards against is the one `conservative_phi`
-    /// describes.
-    Safe,
-}
-
-/// IDA tuning.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdaConfig {
-    pub key_mode: IdaKeyMode,
-    /// Disable the Theorem-2 fast phase (ablation only).
-    pub disable_fast_phase: bool,
-    /// Disable PUA reuse (ablation only).
-    pub disable_pua: bool,
-}
-
 /// Lazy per-provider edge heap with updatable keys.
 struct IdaHeap {
     heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
@@ -129,11 +102,7 @@ impl IdaHeap {
 }
 
 /// Runs IDA to the optimal matching.
-pub fn ida<S: CustomerSource>(
-    providers: &[(Point, u32)],
-    source: &mut S,
-    cfg: &IdaConfig,
-) -> (Matching, AlgoStats) {
+pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Matching, AlgoStats) {
     let start = Instant::now();
     let mut engine = Engine::new(providers, source.num_customers());
     engine.set_context(source.context());
@@ -142,14 +111,12 @@ pub fn ida<S: CustomerSource>(
     let mut done = 0u64;
 
     // ---- Theorem-2 fast phase --------------------------------------
-    if !cfg.disable_fast_phase {
-        while done < gamma && engine.no_provider_full() && source.abort_reason().is_none() {
-            let Some((qi, c)) = heap.pop() else {
-                break; // NN streams exhausted; every edge is in Esub
-            };
-            done += u64::from(engine.fast_match(qi, c.id, c.pos, c.weight, c.dist));
-            heap.refill(qi, source, 0.0, 0.0);
-        }
+    while done < gamma && engine.no_provider_full() && source.abort_reason().is_none() {
+        let Some((qi, c)) = heap.pop() else {
+            break; // NN streams exhausted; every edge is in Esub
+        };
+        done += u64::from(engine.fast_match(qi, c.id, c.pos, c.weight, c.dist));
+        heap.refill(qi, source, 0.0, 0.0);
     }
     engine.finish_fast_phase();
     if done >= gamma || source.abort_reason().is_some() {
@@ -166,24 +133,11 @@ pub fn ida<S: CustomerSource>(
         if source.abort_reason().is_some() {
             break;
         }
-        if cfg.key_mode == IdaKeyMode::Safe {
-            // Forget cross-iteration α terms; the potential-lag part is
-            // always current (it only changes at commits) and therefore
-            // kept — `refresh_full_keys` below re-derives it exactly.
-            for qi in 0..providers.len() {
-                if heap.alpha_raw[qi] != 0.0 {
-                    if let Some(c) = heap.pending[qi] {
-                        heap.alpha_raw[qi] = 0.0;
-                        heap.set_key(qi, engine.provider_tau_lag(qi) + c.dist);
-                    }
-                }
-            }
-        }
         let mut have_sp = false;
         loop {
             // De-heap the next edge into Esub (Algorithm 4 lines 7–8).
             if let Some((qi, c)) = heap.pop() {
-                if have_sp && !cfg.disable_pua {
+                if have_sp {
                     engine.insert_edge_reoptimize(qi, c.id, c.pos, c.weight, c.dist);
                 } else {
                     engine.insert_edge(qi, c.id, c.pos, c.weight, c.dist);

@@ -8,8 +8,8 @@ pub mod ria;
 pub mod source;
 
 pub use engine::Engine;
-pub use ida::{ida, IdaConfig, IdaKeyMode};
-pub use nia::{nia, NiaConfig};
+pub use ida::ida;
+pub use nia::nia;
 pub use ria::{ria, RiaConfig};
 pub use source::{CustomerSource, MemorySource, RtreeSource, SourcedCustomer};
 
@@ -43,7 +43,7 @@ mod tests {
 
         // NIA.
         let mut src = RtreeSource::new(&tree, qpos.clone(), None);
-        let (m, _) = nia(&providers, &mut src, &NiaConfig::default());
+        let (m, _) = nia(&providers, &mut src);
         m.validate_unit(&providers, &customers).unwrap();
         assert!(
             (m.cost() - want).abs() < 1e-6,
@@ -51,39 +51,25 @@ mod tests {
             m.cost()
         );
 
-        // NIA without PUA (ablation path must stay correct).
+        // IDA.
         let mut src = RtreeSource::new(&tree, qpos.clone(), None);
-        let (m, _) = nia(&providers, &mut src, &NiaConfig { use_pua: false });
-        assert!((m.cost() - want).abs() < 1e-6, "seed {seed}: NIA/noPUA");
-
-        // IDA in both key modes, with and without the fast phase.
-        for key_mode in [IdaKeyMode::Paper, IdaKeyMode::Safe] {
-            for disable_fast_phase in [false, true] {
-                let mut src = RtreeSource::new(&tree, qpos.clone(), None);
-                let cfg = IdaConfig {
-                    key_mode,
-                    disable_fast_phase,
-                    disable_pua: false,
-                };
-                let (m, _) = ida(&providers, &mut src, &cfg);
-                m.validate_unit(&providers, &customers).unwrap();
-                assert!(
-                    (m.cost() - want).abs() < 1e-6,
-                    "seed {seed}: IDA({key_mode:?}, nofast={disable_fast_phase}) {} vs {want}",
-                    m.cost()
-                );
-            }
-        }
+        let (m, _) = ida(&providers, &mut src);
+        m.validate_unit(&providers, &customers).unwrap();
+        assert!(
+            (m.cost() - want).abs() < 1e-6,
+            "seed {seed}: IDA {} vs optimal {want}",
+            m.cost()
+        );
 
         // IDA over the grouped-ANN source.
         let mut src = RtreeSource::with_ann_groups(&tree, qpos.clone(), 4, None);
-        let (m, _) = ida(&providers, &mut src, &IdaConfig::default());
+        let (m, _) = ida(&providers, &mut src);
         assert!((m.cost() - want).abs() < 1e-6, "seed {seed}: IDA/ANN");
 
         // IDA over the in-memory source (the approximation phases rely on
         // this combination).
         let mut src = MemorySource::new(qpos, customers.iter().map(|&p| (p, 1)).collect());
-        let (m, _) = ida(&providers, &mut src, &IdaConfig::default());
+        let (m, _) = ida(&providers, &mut src);
         assert!((m.cost() - want).abs() < 1e-6, "seed {seed}: IDA/mem");
     }
 
@@ -156,7 +142,7 @@ mod tests {
 
             let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
             let mut src = MemorySource::new(qpos, reps.clone());
-            let (m, _) = ida(&providers, &mut src, &IdaConfig::default());
+            let (m, _) = ida(&providers, &mut src);
             assert_eq!(m.size(), want.size(), "trial {trial}");
             assert!(
                 (m.cost() - want.cost).abs() < 1e-6,
@@ -179,7 +165,7 @@ mod tests {
             let tree = build_tree(&customers);
             let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
             let mut src = RtreeSource::new(&tree, qpos, None);
-            let (m, _) = ida(&providers, &mut src, &IdaConfig::default());
+            let (m, _) = ida(&providers, &mut src);
             prop_assert!(m.validate_unit(&providers, &customers).is_ok());
             prop_assert!((m.cost() - want).abs() < 1e-6,
                          "IDA {} vs optimal {}", m.cost(), want);
@@ -195,7 +181,7 @@ mod tests {
             let tree = build_tree(&customers);
             let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
             let mut src = RtreeSource::new(&tree, qpos, None);
-            let (m, _) = nia(&providers, &mut src, &NiaConfig::default());
+            let (m, _) = nia(&providers, &mut src);
             prop_assert!((m.cost() - want).abs() < 1e-6,
                          "NIA {} vs optimal {}", m.cost(), want);
         }

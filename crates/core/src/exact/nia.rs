@@ -16,20 +16,6 @@ use crate::exact::source::{CustomerSource, SourcedCustomer};
 use crate::matching::Matching;
 use crate::stats::AlgoStats;
 
-/// NIA tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct NiaConfig {
-    /// Reuse Dijkstra state across edge insertions within an iteration
-    /// (the PUA optimisation of §3.4.1). Disabled only for ablation.
-    pub use_pua: bool,
-}
-
-impl Default for NiaConfig {
-    fn default() -> Self {
-        NiaConfig { use_pua: true }
-    }
-}
-
 /// The per-provider candidate-edge heap shared conceptually with IDA; NIA
 /// keys entries by plain edge length.
 struct EdgeHeap {
@@ -75,11 +61,7 @@ impl EdgeHeap {
 }
 
 /// Runs NIA to the optimal matching.
-pub fn nia<S: CustomerSource>(
-    providers: &[(Point, u32)],
-    source: &mut S,
-    cfg: &NiaConfig,
-) -> (Matching, AlgoStats) {
+pub fn nia<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Matching, AlgoStats) {
     let start = Instant::now();
     let mut engine = Engine::new(providers, source.num_customers());
     engine.set_context(source.context());
@@ -99,7 +81,7 @@ pub fn nia<S: CustomerSource>(
                 break 'outer;
             }
             if let Some((qi, c)) = heap.pop(source) {
-                if have_sp && cfg.use_pua {
+                if have_sp {
                     engine.insert_edge_reoptimize(qi, c.id, c.pos, c.weight, c.dist);
                 } else {
                     engine.insert_edge(qi, c.id, c.pos, c.weight, c.dist);

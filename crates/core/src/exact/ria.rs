@@ -21,12 +21,6 @@ pub struct RiaConfig {
     pub theta: f64,
 }
 
-impl Default for RiaConfig {
-    fn default() -> Self {
-        RiaConfig { theta: 0.8 }
-    }
-}
-
 /// Runs RIA to the optimal matching.
 pub fn ria<S: CustomerSource>(
     providers: &[(Point, u32)],

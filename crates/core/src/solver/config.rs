@@ -1,13 +1,12 @@
 //! [`SolverConfig`] — a solver selection as plain data (name + parameters).
 
 use crate::approx::RefineMethod;
-use crate::exact::IdaKeyMode;
 
 /// Data-driven solver selection: a registry name plus every tuning knob any
 /// of the eight registered solvers understands. Irrelevant knobs are simply
 /// ignored by the chosen solver, so configs can be stored, compared and
-/// shipped around uniformly (benches, examples, the batch runner and the
-/// network gateway all construct solvers from these through
+/// shipped around uniformly (benches, examples, tests and the network
+/// gateway all construct solvers from these through
 /// [`crate::solver::SolverRegistry::build`], which range-checks them).
 ///
 /// ```
@@ -28,12 +27,6 @@ pub struct SolverConfig {
     pub refine: RefineMethod,
     /// Grouped-ANN group size (§3.4.2) for `ida-grouped`.
     pub group_size: usize,
-    /// IDA heap-key mode (Paper vs Safe).
-    pub key_mode: IdaKeyMode,
-    /// Ablation: disable IDA's Theorem-2 fast phase.
-    pub disable_fast_phase: bool,
-    /// Ablation: disable PUA reuse (§3.4.1) in NIA/IDA.
-    pub disable_pua: bool,
     /// Coreset target size `m` for `coreset` (0 = auto `64·√n`).
     pub coreset_size: usize,
     /// Sampling seed for `coreset` (cost may vary with it; feasibility
@@ -55,9 +48,6 @@ impl SolverConfig {
             delta,
             refine: RefineMethod::default(),
             group_size: 8,
-            key_mode: IdaKeyMode::default(),
-            disable_fast_phase: false,
-            disable_pua: false,
             coreset_size: 0,
             sample_seed: 0xc0_5e7,
             swap_passes: 2,
@@ -93,24 +83,6 @@ impl SolverConfig {
         self
     }
 
-    /// Sets IDA's heap-key mode.
-    pub fn key_mode(mut self, key_mode: IdaKeyMode) -> Self {
-        self.key_mode = key_mode;
-        self
-    }
-
-    /// Ablation toggle: disable IDA's fast phase.
-    pub fn disable_fast_phase(mut self, disable: bool) -> Self {
-        self.disable_fast_phase = disable;
-        self
-    }
-
-    /// Ablation toggle: disable PUA reuse.
-    pub fn disable_pua(mut self, disable: bool) -> Self {
-        self.disable_pua = disable;
-        self
-    }
-
     /// Sets the coreset target size (0 = auto).
     pub fn coreset_size(mut self, size: usize) -> Self {
         self.coreset_size = size;
@@ -134,17 +106,13 @@ impl SolverConfig {
 mod serde_impls {
     use super::SolverConfig;
     use crate::approx::RefineMethod;
-    use crate::exact::IdaKeyMode;
     use serde::json::{Parser, Writer};
     use serde::{Deserialize, Error, Serialize};
 
     serde::derive_struct!(SolverConfig {
         coreset_size,
         delta,
-        disable_fast_phase,
-        disable_pua,
         group_size,
-        key_mode,
         name,
         refine,
         sample_seed,
@@ -170,25 +138,6 @@ mod serde_impls {
             }
         }
     }
-
-    impl Serialize for IdaKeyMode {
-        fn serialize(&self, w: &mut Writer) {
-            w.str(match self {
-                IdaKeyMode::Paper => "paper",
-                IdaKeyMode::Safe => "safe",
-            });
-        }
-    }
-
-    impl Deserialize for IdaKeyMode {
-        fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
-            match &*p.str()? {
-                "paper" => Ok(IdaKeyMode::Paper),
-                "safe" => Ok(IdaKeyMode::Safe),
-                other => Err(Error(format!("unknown key mode `{other}`"))),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,11 +151,8 @@ mod tests {
         assert_eq!(cfg.theta, 2.5);
         assert_eq!(cfg.delta, 40.0, "non-CA default δ");
         assert_eq!(SolverConfig::new("ca").delta, 10.0, "CA default δ");
-        let cfg = SolverConfig::new("ida")
-            .key_mode(IdaKeyMode::Safe)
-            .disable_pua(true);
-        assert_eq!(cfg.key_mode, IdaKeyMode::Safe);
-        assert!(cfg.disable_pua);
+        let cfg = SolverConfig::new("ida").group_size(4).swap_passes(3);
+        assert_eq!((cfg.group_size, cfg.swap_passes), (4, 3));
     }
 
     #[cfg(feature = "serde")]

@@ -42,7 +42,7 @@ use cca_geo::Point;
 use cca_storage::AbortReason;
 
 use crate::approx::{ca, coreset_points, sa, CaConfig, CoresetConfig, SaConfig};
-use crate::exact::{ida, nia, ria, IdaConfig, NiaConfig, RiaConfig};
+use crate::exact::{ida, nia, ria, RiaConfig};
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
@@ -247,11 +247,6 @@ impl Solver {
     fn solve(&self, problem: &Problem<'_>) -> (Matching, AlgoStats) {
         let c = &self.config;
         let providers = problem.providers();
-        let ida_cfg = IdaConfig {
-            key_mode: c.key_mode,
-            disable_fast_phase: c.disable_fast_phase,
-            disable_pua: c.disable_pua,
-        };
         let tree = || {
             problem
                 .tree()
@@ -267,19 +262,9 @@ impl Solver {
                 &mut &mut *problem.source(),
                 &RiaConfig { theta: c.theta },
             ),
-            Algo::Nia => nia(
-                providers,
-                &mut &mut *problem.source(),
-                &NiaConfig {
-                    use_pua: !c.disable_pua,
-                },
-            ),
-            Algo::Ida => ida(providers, &mut &mut *problem.source(), &ida_cfg),
-            Algo::IdaGrouped => ida(
-                providers,
-                &mut &mut *problem.grouped_source(c.group_size),
-                &ida_cfg,
-            ),
+            Algo::Nia => nia(providers, &mut &mut *problem.source()),
+            Algo::Ida => ida(providers, &mut &mut *problem.source()),
+            Algo::IdaGrouped => ida(providers, &mut &mut *problem.grouped_source(c.group_size)),
             Algo::Sa => sa(
                 providers,
                 tree(),

@@ -6,7 +6,7 @@ use crate::solver::config::SolverConfig;
 use crate::solver::{Algo, Solver};
 
 /// The solver table: maps registry names to [`Solver`]s, so callers
-/// (benches, examples, the batch runner, the network gateway) can
+/// (benches, examples, tests, the network gateway) can
 /// enumerate and select algorithms uniformly from data.
 ///
 /// ```

@@ -2,7 +2,7 @@
 //! ties, duplicates, zero distances and skewed layouts are where
 //! floating-point pruning bounds and heap orderings typically break.
 
-use cca_core::exact::{ida, nia, ria, IdaConfig, MemorySource, NiaConfig, RiaConfig, RtreeSource};
+use cca_core::exact::{ida, nia, ria, MemorySource, RiaConfig, RtreeSource};
 use cca_geo::Point;
 use cca_testutil::{build_tree as tree_of, optimal_cost as oracle};
 
@@ -12,7 +12,7 @@ fn check_all(providers: &[(Point, u32)], customers: &[Point], label: &str) {
     let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
 
     let mut src = RtreeSource::new(&tree, qpos.clone(), None);
-    let (m, _) = ida(providers, &mut src, &IdaConfig::default());
+    let (m, _) = ida(providers, &mut src);
     m.validate_unit(providers, customers)
         .unwrap_or_else(|e| panic!("{label}/IDA: {e}"));
     assert!(
@@ -22,7 +22,7 @@ fn check_all(providers: &[(Point, u32)], customers: &[Point], label: &str) {
     );
 
     let mut src = RtreeSource::new(&tree, qpos.clone(), None);
-    let (m, _) = nia(providers, &mut src, &NiaConfig::default());
+    let (m, _) = nia(providers, &mut src);
     assert!(
         (m.cost() - want).abs() < 1e-6,
         "{label}/NIA: {} vs {want}",
@@ -158,9 +158,9 @@ fn memory_source_agrees_with_rtree_source_on_ties() {
     let tree = tree_of(&customers);
     let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
     let mut rt = RtreeSource::new(&tree, qpos.clone(), None);
-    let (m1, _) = ida(&providers, &mut rt, &IdaConfig::default());
+    let (m1, _) = ida(&providers, &mut rt);
     let mut mem = MemorySource::new(qpos, customers.iter().map(|&p| (p, 1)).collect());
-    let (m2, _) = ida(&providers, &mut mem, &IdaConfig::default());
+    let (m2, _) = ida(&providers, &mut mem);
     assert!((m1.cost() - want).abs() < 1e-6);
     assert!((m2.cost() - want).abs() < 1e-6);
 }
@@ -186,9 +186,9 @@ fn ida_never_explores_more_than_nia() {
         let tree = tree_of(&customers);
         let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
         let mut s1 = RtreeSource::new(&tree, qpos.clone(), None);
-        let (_, ida_stats) = ida(&providers, &mut s1, &IdaConfig::default());
+        let (_, ida_stats) = ida(&providers, &mut s1);
         let mut s2 = RtreeSource::new(&tree, qpos.clone(), None);
-        let (_, nia_stats) = nia(&providers, &mut s2, &NiaConfig::default());
+        let (_, nia_stats) = nia(&providers, &mut s2);
         assert!(
             ida_stats.esub_edges <= nia_stats.esub_edges,
             "trial {trial}: IDA {} > NIA {}",

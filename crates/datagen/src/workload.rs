@@ -41,20 +41,6 @@ impl WorkloadConfig {
         }
     }
 
-    /// The paper's defaults shrunk by `factor`, preserving the governing
-    /// ratio `k·|Q| / |P|` (both point counts scale by `factor`, capacities
-    /// stay). Used by the harness to keep wall-clock reasonable; see
-    /// EXPERIMENTS.md.
-    pub fn scaled_default(factor: f64) -> Self {
-        assert!(factor > 0.0 && factor <= 1.0);
-        let base = Self::paper_default();
-        WorkloadConfig {
-            num_providers: ((base.num_providers as f64 * factor).round() as usize).max(1),
-            num_customers: ((base.num_customers as f64 * factor).round() as usize).max(1),
-            ..base
-        }
-    }
-
     /// Generates the instance: providers with capacities, plus customers.
     ///
     /// The network, Q, P and the capacity stream each derive their own seed
@@ -90,12 +76,6 @@ impl WorkloadConfig {
             customers: p_points,
         }
     }
-
-    /// Total provider capacity `Σ q.k` implied by the config (exact for
-    /// `Fixed`, expected for `Mixed`).
-    pub fn expected_total_capacity(&self) -> f64 {
-        self.capacity.mean() * self.num_providers as f64
-    }
 }
 
 /// A fully generated CCA instance.
@@ -112,15 +92,6 @@ impl Workload {
     pub fn gamma(&self) -> u64 {
         let cap: u64 = self.providers.iter().map(|&(_, k)| u64::from(k)).sum();
         cap.min(self.customers.len() as u64)
-    }
-
-    /// Customer list as `(point, id)` pairs for R-tree bulk loading.
-    pub fn customer_items(&self) -> Vec<(Point, u64)> {
-        self.customers
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i as u64))
-            .collect()
     }
 }
 
@@ -334,26 +305,6 @@ mod tests {
         cfg.seed = 2;
         let c = cfg.generate();
         assert_ne!(a.customers, c.customers);
-    }
-
-    #[test]
-    fn scaled_default_preserves_regime() {
-        let full = WorkloadConfig::paper_default();
-        let fifth = WorkloadConfig::scaled_default(0.2);
-        assert_eq!(fifth.num_providers, 200);
-        assert_eq!(fifth.num_customers, 20_000);
-        let ratio_full = full.expected_total_capacity() / full.num_customers as f64;
-        let ratio_fifth = fifth.expected_total_capacity() / fifth.num_customers as f64;
-        assert!((ratio_full - ratio_fifth).abs() < 1e-9);
-    }
-
-    #[test]
-    fn customer_items_enumerate_ids() {
-        let w = small_config().generate();
-        let items = w.customer_items();
-        assert_eq!(items.len(), 500);
-        assert_eq!(items[17].1, 17);
-        assert_eq!(items[17].0, w.customers[17]);
     }
 
     #[test]

@@ -192,12 +192,6 @@ impl FlowGraph {
         a / 2
     }
 
-    /// True for forward arcs.
-    #[inline]
-    pub fn is_forward(&self, a: ArcId) -> bool {
-        a.is_multiple_of(2)
-    }
-
     /// Residual capacity of an arc — a single branchless load.
     #[inline]
     pub fn residual_cap(&self, a: ArcId) -> u32 {
@@ -232,12 +226,6 @@ impl FlowGraph {
     #[inline]
     pub fn edge_cap(&self, e: u32) -> u32 {
         self.res[(2 * e) as usize] + self.res[(2 * e + 1) as usize]
-    }
-
-    /// Endpoints `(u, v)` of a logical edge.
-    #[inline]
-    pub fn edge_endpoints(&self, e: u32) -> (NodeId, NodeId) {
-        (self.to[(2 * e + 1) as usize], self.to[(2 * e) as usize])
     }
 
     /// Potential of a node.

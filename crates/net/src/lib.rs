@@ -23,11 +23,9 @@
 //!   faults rather than silent drops.
 //!
 //! The gateway's [`cca_serve::ServingInstance`] is persistent: it
-//! outlives individual connections *and* individual batches, so a
-//! [`cca::BatchRunner`] can run batches through
-//! [`cca::BatchRunner::run_on`] on the same instance that is serving TCP
-//! tenants, with quotas, fairness and cumulative per-tenant stats spanning
-//! both worlds.
+//! outlives individual connections, so in-process callers can submit
+//! solves to [`Gateway::instance`] while it serves TCP tenants, with
+//! quotas, fairness and cumulative per-tenant stats spanning both worlds.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -89,9 +89,8 @@ impl Gateway {
         }
     }
 
-    /// The underlying serving instance — shared with any other submitter
-    /// (e.g. a [`cca::BatchRunner`] running batches through
-    /// `run_on(gateway.instance(), ..)` alongside network traffic).
+    /// The underlying serving instance — shared with any other submitter,
+    /// e.g. in-process solves submitted alongside network traffic.
     pub fn instance(&self) -> &ServingInstance<QueryResult> {
         &self.instance
     }

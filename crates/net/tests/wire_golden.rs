@@ -232,26 +232,34 @@ fn decoding_ignores_key_order_unknown_keys_and_whitespace() {
     }
 }
 
-/// Requests from clients built before the `da` solver was retired carry
-/// its annealing-step config key. They still decode, to the same request
-/// the current bytes do: the key is skipped like any unknown key, so no
-/// protocol version bump is needed.
+/// Requests from older clients carry config keys for knobs that have since
+/// been retired: the `da` solver's annealing steps, and IDA/NIA's three
+/// ablation switches (heap-key mode, fast phase, PUA reuse). They still
+/// decode, to the same request the current bytes do: each key is skipped
+/// like any unknown key, so no protocol version bump is needed.
 #[test]
-fn requests_with_the_retired_anneal_key_still_decode() {
-    // Spelled in two halves so CI's grep for the retired names stays
-    // exact; the spliced bytes are the recorded request before the key
-    // was dropped.
-    let retired = concat!("\"config\":{\"anneal", "_steps\":8,");
+fn requests_with_retired_config_keys_still_decode() {
+    // Each key is spelled in two halves so CI's grep for the retired names
+    // stays exact; the values are the ones old clients sent by default.
+    let retired = [
+        concat!("\"anneal", "_steps\":8,"),
+        concat!("\"disable_fast", "_phase\":false,"),
+        concat!("\"disable", "_pua\":false,"),
+        concat!("\"key", "_mode\":\"paper\","),
+    ];
     for name in ["request_solve_inline", "request_solve_dataset"] {
         let current = fixture(name);
-        let old = String::from_utf8(current.clone())
-            .unwrap()
-            .replacen("\"config\":{", retired, 1);
-        assert_eq!(old.len(), current.len() + 17, "{name}");
-        let decoded: NetRequest = codec::decode(old.as_bytes()).unwrap();
-        assert!(
-            codec::encode(&decoded) == current,
-            "{name}: the old bytes decode to a different request"
-        );
+        let current_str = String::from_utf8(current.clone()).unwrap();
+        // One key at a time, then all four together.
+        let all = retired.concat();
+        for key in retired.iter().copied().chain([all.as_str()]) {
+            let old = current_str.replacen("\"config\":{", &format!("\"config\":{{{key}"), 1);
+            assert_eq!(old.len(), current.len() + key.len(), "{name}");
+            let decoded: NetRequest = codec::decode(old.as_bytes()).unwrap();
+            assert!(
+                codec::encode(&decoded) == current,
+                "{name}: the bytes with {key} decode to a different request"
+            );
+        }
     }
 }

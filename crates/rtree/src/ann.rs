@@ -101,11 +101,6 @@ impl<'t> GroupAnn<'t> {
         }
     }
 
-    /// Number of members in the group.
-    pub fn num_members(&self) -> usize {
-        self.members.len()
-    }
-
     /// Why the shared search aborted (cancellation / deadline / I/O
     /// budget), if it did. After an abort, members only drain candidates
     /// already fetched; `next_nn` then returns `None`.

@@ -47,10 +47,6 @@ pub enum Node {
 }
 
 impl Node {
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf(_))
-    }
-
     pub fn len(&self) -> usize {
         match self {
             Node::Leaf(v) => v.len(),

@@ -3,7 +3,7 @@
 use cca_geo::Rect;
 use cca_storage::{Aborted, IoStats, PageId, PageStore, QueryContext};
 
-use crate::entry::{InnerEntry, ItemId, LeafEntry};
+use crate::entry::ItemId;
 use crate::node::{self, Node};
 
 /// A disk-resident R-tree over 2-D points, the spatial access method the
@@ -236,21 +236,6 @@ impl RTree {
             }
         }
     }
-
-    /// Root entries as (mbr, child) pairs, or the root's points if it is a
-    /// leaf; used by the CA partition descent.
-    pub fn root_entries(&self) -> RootEntries {
-        match self.read_node(self.root) {
-            Node::Leaf(v) => RootEntries::Leaf(v),
-            Node::Inner(v) => RootEntries::Inner(v),
-        }
-    }
-}
-
-/// Result of [`RTree::root_entries`].
-pub enum RootEntries {
-    Leaf(Vec<LeafEntry>),
-    Inner(Vec<InnerEntry>),
 }
 
 fn rect_close(a: &Rect, b: &Rect) -> bool {
@@ -264,6 +249,7 @@ fn rect_close(a: &Rect, b: &Rect) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::LeafEntry;
     use cca_geo::Point;
 
     #[test]

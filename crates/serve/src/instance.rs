@@ -7,7 +7,7 @@
 //!
 //! Work enters one way, [`ServingInstance::submit`], and comes back as a
 //! [`Ticket`]. The queue is `'static`, so submitted work owns its data: a
-//! request decoded from a socket owns its problem, and a batch runner's
+//! request decoded from a socket owns its problem, and an in-process
 //! query holds an `Arc` on the instance it solves.
 //!
 //! Dropping the instance flips the shutdown flag and joins the workers;

@@ -58,9 +58,9 @@
 //! assert_eq!(instance.tenant_stats_for(TenantId(1)).unwrap().completed, 2);
 //! ```
 //!
-//! The façade crate's `BatchRunner` and `cca-net`'s gateway both run on a
-//! `ServingInstance`, and `examples/tenants.rs` shows two weighted tenants
-//! sharing one, quota shedding included.
+//! `cca-net`'s gateway runs on a `ServingInstance`, and
+//! `examples/tenants.rs` shows two weighted tenants sharing one, quota
+//! shedding included.
 
 #![forbid(unsafe_code)]
 

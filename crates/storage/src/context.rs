@@ -20,7 +20,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::stats::{IoSession, IoStats};
-use crate::IO_COST_PER_FAULT_MS;
 
 /// Scheduling priority of a query, lowest to highest.
 ///
@@ -88,12 +87,6 @@ impl TenantId {
     #[inline]
     pub fn new(id: u32) -> Self {
         TenantId(id)
-    }
-
-    /// The raw id.
-    #[inline]
-    pub fn as_u32(self) -> u32 {
-        self.0
     }
 }
 
@@ -241,16 +234,6 @@ impl QueryContext {
         self
     }
 
-    /// Caps the query's *charged I/O cost* (the paper's 10 ms/fault model)
-    /// at `ms` milliseconds — sugar for the equivalent fault budget. A cost
-    /// budget below one fault's charge (10 ms) rounds up to a one-fault
-    /// budget (the tightest enforceable bound: faults are indivisible, and
-    /// the pre-access poll cannot predict whether an access will fault).
-    pub fn with_cost_budget_ms(self, ms: f64) -> Self {
-        assert!(ms >= 0.0, "cost budget must be non-negative");
-        self.with_io_budget(((ms / IO_COST_PER_FAULT_MS).floor() as u64).max(1))
-    }
-
     /// Traffic charged to this context so far.
     #[inline]
     pub fn stats(&self) -> IoStats {
@@ -349,11 +332,6 @@ impl QueryContext {
             Some(reason) => Err(Aborted { reason }),
             None => Ok(()),
         }
-    }
-
-    /// True when both handles share the same counters and flags.
-    pub fn same_context(&self, other: &QueryContext) -> bool {
-        Arc::ptr_eq(&self.control, &other.control)
     }
 
     /// Records `reason` if no reason is set yet; returns the reason that
@@ -483,7 +461,6 @@ mod tests {
     fn cancellation_is_shared_and_sticky() {
         let ctx = QueryContext::new();
         let clone = ctx.clone();
-        assert!(ctx.same_context(&clone));
         clone.cancel();
         assert_eq!(ctx.abort_reason(), Some(AbortReason::Cancelled));
         assert_eq!(
@@ -492,7 +469,11 @@ mod tests {
                 reason: AbortReason::Cancelled
             })
         );
-        assert!(!ctx.same_context(&QueryContext::new()));
+        assert_eq!(
+            QueryContext::new().abort_reason(),
+            None,
+            "unrelated context"
+        );
     }
 
     #[test]
@@ -544,17 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_budget_converts_to_faults() {
-        let ctx = QueryContext::new().with_cost_budget_ms(50.0);
-        assert_eq!(ctx.io_budget(), Some(5), "10 ms per fault");
-        // Sub-fault cost budgets round up to the tightest enforceable
-        // bound instead of a degenerate insta-abort budget of zero.
-        let ctx = QueryContext::new().with_cost_budget_ms(9.0);
-        assert_eq!(ctx.io_budget(), Some(1));
-        assert_eq!(ctx.abort_reason(), None, "no I/O charged yet");
-    }
-
-    #[test]
     #[should_panic(expected = "at least one fault")]
     fn zero_fault_budget_is_rejected() {
         let _ = QueryContext::new().with_io_budget(0);
@@ -589,7 +559,6 @@ mod tests {
         assert_eq!(ctx.tenant(), TenantId::DEFAULT);
         let ctx = ctx.with_tenant(TenantId::new(7));
         assert_eq!(ctx.tenant(), TenantId(7));
-        assert_eq!(ctx.tenant().as_u32(), 7);
         // Clones keep the label (it travels with tickets).
         assert_eq!(ctx.clone().tenant(), TenantId(7));
         assert_eq!(format!("{}", ctx.tenant()), "tenant 7");

@@ -29,12 +29,13 @@
 //! result.validate().unwrap();
 //! ```
 //!
-//! Many independent queries against one instance go through the parallel
-//! [`BatchRunner`] — a thin adapter over the [`serve`] crate's
-//! [`ServingInstance`], which schedules **tenant-fair**: weighted
-//! deficit-round-robin across tenants first, priority+aging within each
-//! tenant second, with per-tenant admission quotas and [`TenantStats`]
-//! operator snapshots. Individual runs accept a [`QueryContext`]
+//! Many independent queries against one instance are submitted straight to
+//! the [`serve`] crate's [`ServingInstance`], each as a closure holding
+//! `Arc`s of the instance and its [`Solver`] (see `examples/serving.rs`).
+//! The instance schedules **tenant-fair**: weighted deficit-round-robin
+//! across tenants first, priority+aging within each tenant second, with
+//! per-tenant admission quotas and [`TenantStats`] operator snapshots.
+//! Individual runs accept a [`QueryContext`]
 //! ([`SpatialAssignment::run_solver`]) carrying a tenant label,
 //! deadline, I/O budget and cancellation flag; an aborted run returns its
 //! partial matching with exact partial I/O attribution — deadlines are
@@ -71,9 +72,6 @@ pub use cca_rtree as rtree;
 pub use cca_serve as serve;
 pub use cca_storage as storage;
 
-mod batch;
-
-pub use batch::{BatchReport, BatchRunner, QueryResult};
 pub use cca_core::dynamic::{
     ContinuousAssignment, ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent,
 };
@@ -82,8 +80,6 @@ pub use cca_core::solver::{
 };
 pub use cca_serve::{Rejected, ServeConfig, ServingInstance, TenantQuota, TenantStats, Ticket};
 pub use cca_storage::{AbortReason, Priority, QueryContext, TenantId};
-
-use std::sync::Arc;
 
 use cca_core::{AlgoStats, Matching};
 use cca_geo::Point;
@@ -113,6 +109,27 @@ impl RunResult<'_> {
         self.matching
             .validate_unit(&self.instance.providers, &self.instance.customers)
     }
+}
+
+/// One served query's outcome, as a [`ServingInstance`] worker hands it back
+/// through its [`Ticket`] (the result type of the `cca-net` gateway's
+/// instance).
+#[derive(Clone, Debug)]
+pub struct QueryResult {
+    /// Position of the query in the batch that submitted it.
+    pub index: usize,
+    /// The solver's figure label (`"IDA"`, `"CAN"`, …).
+    pub label: String,
+    /// The config the query was built from.
+    pub config: SolverConfig,
+    pub matching: Matching,
+    /// Algorithm counters, CPU time, and this query's own buffer-pool
+    /// traffic (attributed through its [`QueryContext`]).
+    pub stats: AlgoStats,
+    /// Why the query aborted (deadline / I/O budget / cancellation), or
+    /// `None` when it ran to completion. Aborted queries carry their
+    /// partial matching and exact partial I/O attribution.
+    pub aborted: Option<AbortReason>,
 }
 
 /// A CCA instance: providers in memory, customers behind a paged R-tree —
@@ -212,9 +229,9 @@ impl SpatialAssignment {
     ///
     /// The run is charged to `ctx`, or to a fresh [`QueryContext`] of its
     /// own when `None`, so `stats.io` is the traffic *this query* caused —
-    /// the same attribution path the parallel [`BatchRunner`] uses (for a
-    /// lone query on a cold cache it equals the store's global delta). A
-    /// caller's context may also abort the run cooperatively: its deadline,
+    /// the same attribution path served queries use (for a lone query on a
+    /// cold cache it equals the store's global delta). A caller's context
+    /// may also abort the run cooperatively: its deadline,
     /// I/O budget or cancellation stop the solver, [`RunResult::aborted`]
     /// then carries the reason and the stats hold the exact partial
     /// attribution (a fault budget is met exactly: `stats.io.faults ==
@@ -232,12 +249,5 @@ impl SpatialAssignment {
             aborted,
             instance: self,
         }
-    }
-
-    /// A parallel batch runner over this instance's shared R-tree. The
-    /// runner's queries own a handle on the instance, so it is shared
-    /// through an `Arc`.
-    pub fn batch(self: &Arc<Self>) -> BatchRunner {
-        BatchRunner::new(Arc::clone(self))
     }
 }

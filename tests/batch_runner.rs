@@ -1,11 +1,17 @@
-//! Integration tests for the parallel [`cca::BatchRunner`]: determinism
-//! against sequential execution, per-query statistics, and error handling.
+//! Batches of solves submitted straight to a [`cca::ServingInstance`]:
+//! determinism against sequential execution, per-query statistics, and
+//! error handling.
+
+mod common;
 
 use std::sync::Arc;
 
 use cca::core::RefineMethod;
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::{SolverConfig, SpatialAssignment};
+use cca::{
+    QueryContext, QueryResult, ServeConfig, ServingInstance, SolverConfig, SpatialAssignment,
+};
+use common::run_batch;
 
 fn instance(seed: u64, np: usize) -> Arc<SpatialAssignment> {
     let w = WorkloadConfig {
@@ -20,6 +26,12 @@ fn instance(seed: u64, np: usize) -> Arc<SpatialAssignment> {
     Arc::new(SpatialAssignment::build(w.providers, w.customers))
 }
 
+/// A private serving instance with `workers` workers; one worker is the
+/// sequential reference.
+fn pool(workers: usize) -> ServingInstance<QueryResult> {
+    ServingInstance::start(ServeConfig::default().workers(workers))
+}
+
 /// A mixed batch touching every solver family.
 fn mixed_queries() -> Vec<SolverConfig> {
     vec![
@@ -32,12 +44,16 @@ fn mixed_queries() -> Vec<SolverConfig> {
             .delta(20.0)
             .refine(RefineMethod::ExclusiveNn),
         SolverConfig::new("ria").theta(20.0),
-        SolverConfig::new("ida").disable_pua(true),
+        SolverConfig::new("ida-grouped").group_size(8),
         SolverConfig::new("sa")
             .delta(20.0)
             .refine(RefineMethod::ExclusiveNn),
         SolverConfig::new("ca").delta(40.0),
     ]
+}
+
+fn total_cost(results: &[QueryResult]) -> f64 {
+    results.iter().map(|r| r.matching.cost()).sum()
 }
 
 /// The acceptance bar: ≥ 8 queries executed concurrently over the shared
@@ -49,12 +65,11 @@ fn parallel_batch_matches_sequential_exactly() {
     let queries = mixed_queries();
     assert!(queries.len() >= 8);
 
-    let runner = instance.batch().threads(8);
-    let parallel = runner.run(&queries).unwrap();
-    let sequential = runner.run_sequential(&queries).unwrap();
+    let (parallel, _) = run_batch(&pool(8), &instance, &queries, QueryContext::new).unwrap();
+    let (sequential, _) = run_batch(&pool(1), &instance, &queries, QueryContext::new).unwrap();
 
-    assert_eq!(parallel.results.len(), queries.len());
-    for (p, s) in parallel.results.iter().zip(&sequential.results) {
+    assert_eq!(parallel.len(), queries.len());
+    for (p, s) in parallel.iter().zip(&sequential) {
         assert_eq!(p.index, s.index);
         assert_eq!(p.label, s.label);
         assert_eq!(p.config, s.config, "config travels with the result");
@@ -67,7 +82,7 @@ fn parallel_batch_matches_sequential_exactly() {
         assert_eq!(p.stats.iterations, s.stats.iterations);
         assert_eq!(p.stats.fast_phase_matches, s.stats.fast_phase_matches);
     }
-    assert!((parallel.total_cost() - sequential.total_cost()).abs() < 1e-9);
+    assert!((total_cost(&parallel) - total_cost(&sequential)).abs() < 1e-9);
 }
 
 /// The same guarantees hold with parallel workers faulting through the one
@@ -91,15 +106,14 @@ fn sharded_pool_keeps_determinism_and_attribution() {
         1.0,
     ));
     let queries = mixed_queries();
-    let runner = instance.batch().threads(8);
-    let parallel = runner.run(&queries).unwrap();
-    let sequential = runner.run_sequential(&queries).unwrap();
-    for (p, s) in parallel.results.iter().zip(&sequential.results) {
+    let (parallel, io) = run_batch(&pool(8), &instance, &queries, QueryContext::new).unwrap();
+    let (sequential, _) = run_batch(&pool(1), &instance, &queries, QueryContext::new).unwrap();
+    for (p, s) in parallel.iter().zip(&sequential) {
         assert_eq!(p.matching.pairs, s.matching.pairs, "query {}", p.index);
     }
-    let fault_sum: u64 = parallel.results.iter().map(|r| r.stats.io.faults).sum();
-    assert_eq!(fault_sum, parallel.io.faults);
-    assert!(parallel.results.iter().all(|r| r.stats.io.faults > 0));
+    let fault_sum: u64 = parallel.iter().map(|r| r.stats.io.faults).sum();
+    assert_eq!(fault_sum, io.faults);
+    assert!(parallel.iter().all(|r| r.stats.io.faults > 0));
 }
 
 /// Running the same batch twice is bit-reproducible (queries share a cache
@@ -108,10 +122,10 @@ fn sharded_pool_keeps_determinism_and_attribution() {
 fn repeated_batches_are_reproducible() {
     let instance = instance(401, 1500);
     let queries = mixed_queries();
-    let runner = instance.batch().threads(4);
-    let a = runner.run(&queries).unwrap();
-    let b = runner.run(&queries).unwrap();
-    for (x, y) in a.results.iter().zip(&b.results) {
+    let pool = pool(4);
+    let (a, _) = run_batch(&pool, &instance, &queries, QueryContext::new).unwrap();
+    let (b, _) = run_batch(&pool, &instance, &queries, QueryContext::new).unwrap();
+    for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.matching.pairs, y.matching.pairs);
     }
 }
@@ -120,9 +134,9 @@ fn repeated_batches_are_reproducible() {
 fn per_query_stats_and_batch_io_are_reported() {
     let instance = instance(402, 2000);
     let queries = mixed_queries();
-    let report = instance.batch().threads(8).run(&queries).unwrap();
+    let (results, io) = run_batch(&pool(8), &instance, &queries, QueryContext::new).unwrap();
 
-    for r in &report.results {
+    for r in &results {
         assert!(
             r.matching.size() > 0,
             "query {} produced a matching",
@@ -140,31 +154,18 @@ fn per_query_stats_and_batch_io_are_reported() {
             r.label
         );
     }
-    assert!(report.io.faults > 0, "the batch as a whole faulted pages");
+    assert!(io.faults > 0, "the batch as a whole faulted pages");
     // The attribution invariant: disjoint per-query sessions partition the
     // batch's buffer-pool traffic exactly.
-    let fault_sum: u64 = report.results.iter().map(|r| r.stats.io.faults).sum();
-    let hit_sum: u64 = report.results.iter().map(|r| r.stats.io.hits).sum();
+    let fault_sum: u64 = results.iter().map(|r| r.stats.io.faults).sum();
+    let hit_sum: u64 = results.iter().map(|r| r.stats.io.hits).sum();
     assert_eq!(
-        fault_sum, report.io.faults,
+        fault_sum, io.faults,
         "per-query faults must sum to the batch aggregate"
     );
     assert_eq!(
-        hit_sum, report.io.hits,
+        hit_sum, io.hits,
         "per-query hits must sum to the batch aggregate"
-    );
-    assert!(report.wall.as_nanos() > 0);
-    let agg = report.aggregate_stats();
-    assert_eq!(agg.io, report.io);
-    assert_eq!(agg.cpu_time, report.total_cpu());
-    assert!(
-        agg.esub_edges
-            >= report
-                .results
-                .iter()
-                .map(|r| r.stats.esub_edges)
-                .max()
-                .unwrap()
     );
 }
 
@@ -173,8 +174,8 @@ fn per_query_stats_and_batch_io_are_reported() {
 fn results_preserve_submission_order() {
     let instance = instance(403, 1200);
     let queries = mixed_queries();
-    let report = instance.batch().threads(8).run(&queries).unwrap();
-    for (i, r) in report.results.iter().enumerate() {
+    let (results, _) = run_batch(&pool(8), &instance, &queries, QueryContext::new).unwrap();
+    for (i, r) in results.iter().enumerate() {
         assert_eq!(r.index, i);
         assert_eq!(r.config, queries[i]);
     }
@@ -185,8 +186,16 @@ fn unknown_query_fails_the_whole_batch_up_front() {
     let instance = instance(404, 600);
     let mut queries = mixed_queries();
     queries.push(SolverConfig::new("astar"));
-    let err = instance.batch().run(&queries).map(|_| ()).unwrap_err();
+    let before = instance.tree().store().io_stats();
+    let err = run_batch(&pool(8), &instance, &queries, QueryContext::new)
+        .map(|_| ())
+        .unwrap_err();
     assert!(err.to_string().contains("astar"));
+    assert_eq!(
+        instance.tree().store().io_stats(),
+        before,
+        "no query ran before the bad config was rejected"
+    );
 }
 
 /// Oversubscription (more workers than queries) and single-query batches
@@ -195,11 +204,12 @@ fn unknown_query_fails_the_whole_batch_up_front() {
 fn degenerate_batch_shapes() {
     let instance = instance(405, 500);
     let one = [SolverConfig::new("ida")];
-    let report = instance.batch().threads(16).run(&one).unwrap();
-    assert_eq!(report.results.len(), 1);
+    let (results, _) = run_batch(&pool(16), &instance, &one, QueryContext::new).unwrap();
+    assert_eq!(results.len(), 1);
 
     let none: [SolverConfig; 0] = [];
-    let report = instance.batch().run(&none).unwrap();
-    assert!(report.results.is_empty());
-    assert_eq!(report.total_cost(), 0.0);
+    let (results, io) = run_batch(&pool(1), &instance, &none, QueryContext::new).unwrap();
+    assert!(results.is_empty());
+    assert_eq!(total_cost(&results), 0.0);
+    assert_eq!(io.faults, 0);
 }

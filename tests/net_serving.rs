@@ -4,15 +4,21 @@
 //! distinct typed wire errors, and per-tenant I/O attribution that sums
 //! to the store's fault delta.
 
+mod common;
+
+use std::slice;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::{Priority, ServeConfig, SolverConfig, SpatialAssignment, TenantId, TenantQuota};
+use cca::{
+    Priority, QueryContext, ServeConfig, SolverConfig, SpatialAssignment, TenantId, TenantQuota,
+};
 use cca_net::{
     codec, ErrorCode, Gateway, Hello, NetClient, NetError, NetRequest, NetResponse, NetServer,
     ProblemSpec, SolveRequest, PROTOCOL_VERSION,
 };
+use common::run_batch;
 
 const TENANT_A: TenantId = TenantId(1);
 const TENANT_B: TenantId = TenantId(2);
@@ -111,28 +117,30 @@ fn one_instance_serves_batches_and_concurrent_tenants_with_typed_shedding() {
 
     // ---- Phase 0: two sequential batches through the same instance -----
     // (no TCP involved yet — the instance outlives individual batches and
-    // accumulates tenant A's stats across them).
-    let runner = data.batch().tenant(TENANT_A);
+    // accumulates tenant A's stats across them). The one-slot queue would
+    // shed a second queued query, so each query is waited on before the
+    // next is submitted.
     let batch = [SolverConfig::new("ida"), SolverConfig::new("nia")];
-    let report1 = runner.run_on(gateway.instance(), &batch).unwrap();
-    assert_eq!(report1.results.len(), 2);
-    let after_first = gateway
-        .instance()
-        .tenant_stats_for(TENANT_A)
-        .expect("tenant A served a batch");
-    assert_eq!(after_first.completed, 2);
-
-    let report2 = runner.run_on(gateway.instance(), &batch).unwrap();
-    assert_eq!(report2.results.len(), 2);
-    let after_second = gateway
-        .instance()
-        .tenant_stats_for(TENANT_A)
-        .expect("tenant A stats persist");
-    assert_eq!(
-        after_second.completed, 4,
-        "stats accumulate across batches on one instance"
-    );
-    assert!(report1.io.faults > 0, "disk-backed batch faults pages");
+    let tenant_a = || QueryContext::new().with_tenant(TENANT_A);
+    for round in 1..=2 {
+        let mut faults = 0;
+        for config in &batch {
+            let (results, io) =
+                run_batch(gateway.instance(), &data, slice::from_ref(config), tenant_a).unwrap();
+            assert_eq!(results.len(), 1);
+            faults += io.faults;
+        }
+        assert!(faults > 0, "disk-backed batch faults pages");
+        let stats = gateway
+            .instance()
+            .tenant_stats_for(TENANT_A)
+            .expect("tenant A served a batch");
+        assert_eq!(
+            stats.completed,
+            2 * round,
+            "stats accumulate across batches on one instance"
+        );
+    }
 
     // ---- Phase 1: the TCP front-end goes live over the same instance ---
     let server = NetServer::bind("127.0.0.1:0", Arc::clone(&gateway)).unwrap();

@@ -2,11 +2,17 @@
 //! I/O-budget aborts with exact partial attribution, deadline and
 //! cancellation aborts, and the batch attribution invariant under aborts.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::{AbortReason, QueryContext, Solver, SolverConfig, SolverRegistry, SpatialAssignment};
+use cca::{
+    AbortReason, QueryContext, ServeConfig, ServingInstance, Solver, SolverConfig, SolverRegistry,
+    SpatialAssignment,
+};
+use common::run_batch;
 
 fn instance(seed: u64, np: usize) -> Arc<SpatialAssignment> {
     let w = WorkloadConfig {
@@ -112,19 +118,19 @@ fn batch_attribution_invariant_holds_under_aborts() {
         SolverConfig::new("nia"),
     ];
     let budget = 8u64;
-    let report = instance
-        .batch()
-        .threads(4)
-        .query_io_budget(budget)
-        .run(&queries)
-        .unwrap();
-    assert_eq!(report.results.len(), queries.len());
-    assert_eq!(
-        report.num_aborted(),
-        queries.len(),
+    let (results, io) = run_batch(
+        &ServingInstance::start(ServeConfig::default().workers(4)),
+        &instance,
+        &queries,
+        || QueryContext::new().with_io_budget(budget),
+    )
+    .unwrap();
+    assert_eq!(results.len(), queries.len());
+    assert!(
+        results.iter().all(|r| r.aborted.is_some()),
         "an 8-fault budget aborts every query of this size"
     );
-    for r in &report.results {
+    for r in &results {
         assert_eq!(
             r.aborted,
             Some(AbortReason::IoBudgetExceeded),
@@ -137,13 +143,13 @@ fn batch_attribution_invariant_holds_under_aborts() {
             r.index, r.label
         );
     }
-    let fault_sum: u64 = report.results.iter().map(|r| r.stats.io.faults).sum();
-    let hit_sum: u64 = report.results.iter().map(|r| r.stats.io.hits).sum();
+    let fault_sum: u64 = results.iter().map(|r| r.stats.io.faults).sum();
+    let hit_sum: u64 = results.iter().map(|r| r.stats.io.hits).sum();
     assert_eq!(
-        fault_sum, report.io.faults,
+        fault_sum, io.faults,
         "per-query faults must sum to the batch aggregate even under aborts"
     );
-    assert_eq!(hit_sum, report.io.hits);
+    assert_eq!(hit_sum, io.hits);
 }
 
 /// A batch-wide zero deadline sheds all work cooperatively: every query
@@ -152,22 +158,23 @@ fn batch_attribution_invariant_holds_under_aborts() {
 fn batch_deadline_zero_aborts_everything() {
     let instance = instance(504, 1200);
     let queries = vec![SolverConfig::new("ida"), SolverConfig::new("nia")];
-    let report = instance
-        .batch()
-        .threads(2)
-        .query_deadline(Duration::ZERO)
-        .run(&queries)
-        .unwrap();
-    for r in &report.results {
+    let (results, io) = run_batch(
+        &ServingInstance::start(ServeConfig::default().workers(2)),
+        &instance,
+        &queries,
+        || QueryContext::new().with_timeout(Duration::ZERO),
+    )
+    .unwrap();
+    for r in &results {
         assert_eq!(r.aborted, Some(AbortReason::DeadlineExceeded));
         assert_eq!(r.stats.io.faults, 0);
         assert_eq!(r.matching.size(), 0);
     }
-    assert_eq!(report.io.faults, 0);
+    assert_eq!(io.faults, 0);
 }
 
 /// An unconstrained batch on the serving path reports no aborts — the
-/// scheduler adapter changes nothing about complete runs.
+/// scheduler changes nothing about complete runs.
 #[test]
 fn unconstrained_batch_reports_no_aborts() {
     let instance = instance(505, 1200);
@@ -175,8 +182,13 @@ fn unconstrained_batch_reports_no_aborts() {
         SolverConfig::new("ida"),
         SolverConfig::new("ca").delta(20.0),
     ];
-    let report = instance.batch().threads(2).run(&queries).unwrap();
-    assert_eq!(report.num_aborted(), 0);
-    assert!(report.results.iter().all(|r| r.aborted.is_none()));
-    assert!(report.results.iter().all(|r| r.matching.size() > 0));
+    let (results, _) = run_batch(
+        &ServingInstance::start(ServeConfig::default().workers(2)),
+        &instance,
+        &queries,
+        QueryContext::new,
+    )
+    .unwrap();
+    assert!(results.iter().all(|r| r.aborted.is_none()));
+    assert!(results.iter().all(|r| r.matching.size() > 0));
 }

@@ -3,6 +3,8 @@
 //! tenant labels threaded façade → context → problem, and per-tenant
 //! dispatch/attribution through the two-level scheduler.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,6 +15,7 @@ use cca::{
     Priority, Problem, QueryContext, Solver, SolverConfig, SolverRegistry, SpatialAssignment,
     TenantId, TenantQuota,
 };
+use common::run_batch;
 
 fn instance(seed: u64, customers: usize) -> Arc<SpatialAssignment> {
     let w = WorkloadConfig {
@@ -231,27 +234,27 @@ fn tenant_stats_aggregate_dispatches_and_io() {
     );
 }
 
-/// `BatchRunner::tenant` labels a whole batch; results are unchanged from
-/// an unlabelled run (the label governs scheduling and attribution, never
-/// the matching).
+/// A tenant label and priority on every query of a batch leave results
+/// unchanged from an unlabelled run (the label governs scheduling and
+/// attribution, never the matching).
 #[test]
-fn batch_runner_tenant_label_does_not_change_results() {
+fn batch_tenant_label_does_not_change_results() {
     let instance = instance(31, 2_000);
     let queries = vec![
         SolverConfig::new("ida"),
         SolverConfig::new("ca").delta(10.0),
         SolverConfig::new("nia"),
     ];
-    let plain = instance.batch().threads(2).run(&queries).unwrap();
-    let labelled = instance
-        .batch()
-        .threads(2)
-        .tenant(TenantId(7))
-        .priority(Priority::High)
-        .run(&queries)
-        .unwrap();
-    assert_eq!(plain.results.len(), labelled.results.len());
-    for (a, b) in plain.results.iter().zip(&labelled.results) {
+    let pool = ServingInstance::start(ServeConfig::default().workers(2));
+    let (plain, _) = run_batch(&pool, &instance, &queries, QueryContext::new).unwrap();
+    let (labelled, _) = run_batch(&pool, &instance, &queries, || {
+        QueryContext::new()
+            .with_tenant(TenantId(7))
+            .with_priority(Priority::High)
+    })
+    .unwrap();
+    assert_eq!(plain.len(), labelled.len());
+    for (a, b) in plain.iter().zip(&labelled) {
         assert_eq!(a.matching.cost(), b.matching.cost(), "{}", a.label);
         assert_eq!(a.aborted, b.aborted);
     }
