@@ -1,19 +1,59 @@
 //! The shared incremental-SSPA engine behind RIA, NIA and IDA.
 //!
-//! All three exact algorithms (§3) are SSPA instances that differ only in
-//! *how they discover edges* and *how they bound the unexplored edge set*
-//! (Theorem 1). This engine owns the shared machinery:
+//! All three exact algorithms (§3) are SSPA (Algorithm 1) run on a growing
+//! subgraph `Esub`; they differ only in *how they discover edges* and *how
+//! they bound the unexplored edge set* (Theorem 1). This engine owns the
+//! shared machinery.
 //!
-//! * the growing flow graph over `{s, t} ∪ Q ∪ discovered(P)`,
-//! * the per-iteration Dijkstra state with PUA re-optimisation,
-//! * the Theorem-1 validity test and commit (augment + potential update,
-//!   `τmax` maintenance, fullness tracking),
-//! * IDA's Theorem-2 fast phase, including the closed-form feasible
-//!   potential installed at phase exit (see `fast_phase` notes below).
+//! # Residual state
+//!
+//! The flow graph over `{s, t} ∪ Q ∪ discovered(P)` is never built as an
+//! adjacency structure; its residual arcs are implicit in
+//!
+//! * one row per provider of its `Esub` edges: customer slot, distance and
+//!   flow. `q→p` is residual while the flow is below the customer's weight,
+//!   its reverse `p→q` while the flow is positive;
+//! * for each customer, its incident `Esub` edges, and the number of them
+//!   carrying flow plus one such edge — so a unit customer's reverse arc
+//!   is found without a scan, and a weighted customer split across several
+//!   providers scans its own edges only;
+//! * the provider and customer loads: `s→q` is residual while `q` has spare
+//!   capacity, `p→t` while `p` has spare weight;
+//! * the potentials `τ(s)`, `τ(q)` and `τ(p)`; `τ(t)` stays 0.
+//!
+//! # Search
+//!
+//! Each search is Dijkstra over reduced costs from `s` that settles
+//! providers only. It settles the unsettled provider with the smallest
+//! label, found by a linear scan (ties go to the lower index), and relaxes
+//! its row. An improved customer label is relayed at once: to `t` if the
+//! customer has spare weight, and along its reverse arcs to its serving
+//! providers. The search stops when no unsettled provider is labelled
+//! below `α(t)`; every label below `α(t)` is then final.
+//!
+//! PUA (Algorithm 5, §3.4.1) resumes a search after an edge insertion: the
+//! new arc is relaxed if its provider is settled, every settled provider
+//! whose label improves has its row re-relaxed (the wave, transitively),
+//! and settling resumes until no unsettled provider is labelled below
+//! `α(t)` — the postcondition of a fresh search, which the potential update
+//! relies on.
+//!
+//! A commit augments one unit along the shortest path and applies
+//! Algorithm 1 lines 8–9: `τ(v) += α(t) − α(v)`, where positive, for `s`,
+//! the settled providers and the customers labelled below `α(t)`. IDA's
+//! Theorem-2 fast phase matches straight off its heap and installs a
+//! closed-form feasible potential at exit (see [`Engine::finish_fast_phase`]).
+//!
+//! Debug builds check every completed solve against its optimality
+//! certificate on `Esub` (see [`Engine::matching`]).
 
-use cca_flow::{DijkstraState, FlowGraph, NodeId};
-use cca_geo::Point;
-use cca_storage::QueryContext;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use cca_flow::validate::assert_optimal;
+use cca_flow::EPS;
+use cca_geo::{OrdF64, Point};
+use cca_storage::{Aborted, QueryContext};
 
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
@@ -23,126 +63,145 @@ use crate::stats::AlgoStats;
 /// noise floor of double-precision distance sums.
 pub const VALIDITY_EPS: f64 = 1e-9;
 
-/// What a flow edge models; used to update fullness after augmenting.
-#[derive(Clone, Copy, Debug)]
-enum EdgeKind {
-    /// `s → q_i`, capacity `q.k`.
-    SourceQ(u32),
-    /// `p → t`, capacity = customer weight.
-    CustomerT(u32),
-    /// `q_i → p`, the distance edges of `Esub`.
-    QP,
-}
+/// Settled providers between [`QueryContext`] polls in the search loop. A
+/// poll is an atomic load plus (at worst) an `Instant::now`; at this stride
+/// its cost is noise against the loop body, yet a deadline or cancellation
+/// is still observed from *inside* a CPU-bound search.
+const CTX_POLL_STRIDE: u32 = 64;
 
-struct ProviderState {
-    cap: u32,
-    node: NodeId,
-    sq_edge: u32,
-    full: bool,
-}
+/// "No edge": the parent of a provider reached straight from `s`.
+const NONE: u32 = u32::MAX;
 
-struct CustomerState {
-    id: u64,
-    pos: Point,
-    weight: u32,
-    node: NodeId,
-    pt_edge: u32,
-    assigned: u32,
-    /// Distance of the latest fast-phase match (for the phase-exit
-    /// potential).
-    last_match_dist: f64,
-}
-
-/// A q→p edge of `Esub`.
-struct QpRec {
-    edge: u32,
-    provider: u32,
+/// An `Esub` edge `q → p`, held in its provider's row.
+#[derive(Clone, Copy)]
+struct Edge {
     cust: u32,
+    flow: u32,
     dist: f64,
+}
+
+/// An `Esub` edge by its provider and its index in that provider's row.
+type EdgeRef = (u32, u32);
+
+/// A committed augmenting path `s → q → p (→ q → p)* → t`, kept for the
+/// batched re-commit.
+#[derive(Default)]
+struct Path {
+    /// The provider `s` feeds.
+    first: u32,
+    /// Its `q→p` arcs, walked back from `t`: the first one ends at the
+    /// customer that feeds `t`.
+    forward: Vec<EdgeRef>,
+    /// Its `p→q` reverse arcs.
+    back: Vec<EdgeRef>,
 }
 
 /// Incremental SSPA engine.
 pub struct Engine {
-    g: FlowGraph,
-    dij: DijkstraState,
-    s: NodeId,
-    t: NodeId,
-    providers: Vec<ProviderState>,
-    customers: Vec<CustomerState>,
-    /// Customer id → index into `customers` (dense ids; `NONE` sentinel).
+    cap: Vec<u32>,
+    q_load: Vec<u32>,
+    rows: Vec<Vec<Edge>>,
+    // ---- customers, by discovery slot ----
+    id: Vec<u64>,
+    pos: Vec<Point>,
+    weight: Vec<u32>,
+    p_load: Vec<u32>,
+    /// Each customer's `Esub` edges, in insertion order.
+    incident: Vec<Vec<EdgeRef>>,
+    /// Number of a customer's edges with flow, and one of them.
+    servers: Vec<u32>,
+    server: Vec<EdgeRef>,
+    /// Distance of the latest fast-phase match (for the phase-exit
+    /// potential).
+    last_match_dist: Vec<f64>,
+    /// Customer id → slot (dense ids; `NONE` sentinel).
     cust_index: Vec<u32>,
-    edge_kind: Vec<EdgeKind>,
-    qp_edges: Vec<QpRec>,
+    /// Every `Esub` edge in insertion order: the matching's pair order.
+    order: Vec<EdgeRef>,
+    // ---- potentials ----
+    tau_s: f64,
+    tau_q: Vec<f64>,
+    tau_p: Vec<f64>,
     /// `τmax = max_{q∈Q} q.τ` (Algorithms 2–4, "the highest potential").
     tau_max: f64,
     num_full_providers: usize,
+    // ---- labels of the current search ----
+    alpha_q: Vec<f64>,
+    settled: Vec<bool>,
+    /// The row index of the reverse arc each provider was reached through
+    /// (`NONE`: from `s`).
+    parent_q: Vec<u32>,
+    alpha_p: Vec<f64>,
+    /// The edge each customer was reached through.
+    parent_p: Vec<EdgeRef>,
+    /// Customers labelled by the current search.
+    reached: Vec<u32>,
+    sink: f64,
+    /// The customer `t` was reached from.
+    sink_parent: u32,
+    /// Settled providers whose label improved, to re-relax (`Hf`,
+    /// Algorithm 5).
+    wave: BinaryHeap<Reverse<(OrdF64, u32)>>,
     /// Cost of the current iteration's shortest path (`vmin.α`), if the sink
     /// has been reached in the current subgraph.
     alpha_t: Option<f64>,
     /// Largest fast-phase match distance (`D` in the phase-exit potential).
     fast_d: f64,
     in_fast_phase: bool,
-    /// Arcs of the most recently committed path, for batched re-commits.
-    last_path: Vec<u32>,
-    /// When true, `check_reduced_costs` runs after every commit (tests).
-    pub paranoid: bool,
+    /// The most recently committed path, for batched re-commits.
+    last_path: Path,
     pub stats: AlgoStats,
-    /// Cooperative abort context polled inside the Dijkstra/PUA loops, so a
-    /// CPU-heavy search over a large `Esub` cannot overshoot its deadline
+    /// Cooperative abort context polled inside the search and PUA loops, so
+    /// a CPU-heavy search over a large `Esub` cannot overshoot its deadline
     /// between the drivers' loop-head polls.
     ctx: Option<QueryContext>,
 }
 
-const NONE: u32 = u32::MAX;
-
 impl Engine {
-    /// Creates the engine: source, sink and provider nodes plus their
-    /// `s → q` edges; no customers yet.
+    /// Creates the engine over the providers' capacities; no customers yet.
     pub fn new(providers: &[(Point, u32)], num_customers_hint: usize) -> Self {
-        let mut g = FlowGraph::new();
-        let s = g.add_node();
-        let t = g.add_node();
-        let mut edge_kind = Vec::new();
-        let provider_states = providers
-            .iter()
-            .enumerate()
-            .map(|(i, &(_pos, cap))| {
-                let node = g.add_node();
-                let sq_edge = g.add_edge(s, node, cap, 0.0);
-                edge_kind.push(EdgeKind::SourceQ(i as u32));
-                ProviderState {
-                    cap,
-                    node,
-                    sq_edge,
-                    full: cap == 0,
-                }
-            })
-            .collect::<Vec<_>>();
-        let num_full = provider_states.iter().filter(|p| p.full).count();
+        let nq = providers.len();
+        let cap: Vec<u32> = providers.iter().map(|&(_, cap)| cap).collect();
+        let num_full_providers = cap.iter().filter(|&&k| k == 0).count();
         Engine {
-            g,
-            dij: DijkstraState::new(),
-            s,
-            t,
-            providers: provider_states,
-            customers: Vec::new(),
+            cap,
+            q_load: vec![0; nq],
+            rows: (0..nq).map(|_| Vec::new()).collect(),
+            id: Vec::new(),
+            pos: Vec::new(),
+            weight: Vec::new(),
+            p_load: Vec::new(),
+            incident: Vec::new(),
+            servers: Vec::new(),
+            server: Vec::new(),
+            last_match_dist: Vec::new(),
             cust_index: vec![NONE; num_customers_hint],
-            edge_kind,
-            qp_edges: Vec::new(),
+            order: Vec::new(),
+            tau_s: 0.0,
+            tau_q: vec![0.0; nq],
+            tau_p: Vec::new(),
             tau_max: 0.0,
-            num_full_providers: num_full,
+            num_full_providers,
+            alpha_q: vec![f64::INFINITY; nq],
+            settled: vec![false; nq],
+            parent_q: vec![NONE; nq],
+            alpha_p: Vec::new(),
+            parent_p: Vec::new(),
+            reached: Vec::new(),
+            sink: f64::INFINITY,
+            sink_parent: NONE,
+            wave: BinaryHeap::new(),
             alpha_t: None,
             fast_d: 0.0,
             in_fast_phase: true,
-            last_path: Vec::new(),
-            paranoid: false,
+            last_path: Path::default(),
             stats: AlgoStats::default(),
             ctx: None,
         }
     }
 
     /// Attaches the query context whose deadline/cancellation the engine's
-    /// Dijkstra and PUA loops poll cooperatively. The drivers pass their
+    /// search and PUA loops poll cooperatively. The drivers pass their
     /// source's context here, so one context governs discovery I/O *and*
     /// the CPU-bound search.
     pub fn set_context(&mut self, ctx: Option<&QueryContext>) {
@@ -151,7 +210,7 @@ impl Engine {
 
     /// Total provider capacity `Σ q.k`.
     pub fn total_capacity(&self) -> u64 {
-        self.providers.iter().map(|p| u64::from(p.cap)).sum()
+        self.cap.iter().map(|&k| u64::from(k)).sum()
     }
 
     /// `τmax`, the highest provider potential.
@@ -175,25 +234,25 @@ impl Engine {
     /// True if provider `qi` is full (Definition 2).
     #[inline]
     pub fn provider_full(&self, qi: usize) -> bool {
-        self.providers[qi].full
+        self.q_load[qi] == self.cap[qi]
     }
 
-    /// Latest Dijkstra α of provider `qi` (∞ if not reached this iteration).
+    /// Latest search's α of provider `qi` (∞ if not reached by it).
     #[inline]
     pub fn provider_alpha(&self, qi: usize) -> f64 {
-        self.dij.alpha(self.providers[qi].node)
+        self.alpha_q[qi]
     }
 
     /// True if provider `qi` was settled by the current iteration's search.
     #[inline]
     pub fn provider_settled(&self, qi: usize) -> bool {
-        self.dij.is_settled(self.providers[qi].node)
+        self.settled[qi]
     }
 
     /// Current potential `τ(q_i)`.
     #[inline]
     pub fn provider_tau(&self, qi: usize) -> f64 {
-        self.g.tau(self.providers[qi].node)
+        self.tau_q[qi]
     }
 
     /// The potential lag `τmax − τ(q_i)` of a provider. In raw-distance
@@ -210,21 +269,19 @@ impl Engine {
 
     /// True if customer `id` has been discovered and is full (Definition 3).
     pub fn customer_full(&self, id: u64) -> bool {
-        match self.lookup_customer(id) {
-            Some(c) => self.customers[c as usize].assigned == self.customers[c as usize].weight,
-            None => false,
-        }
+        self.lookup_customer(id)
+            .is_some_and(|c| self.p_load[c] == self.weight[c])
     }
 
-    fn lookup_customer(&self, id: u64) -> Option<u32> {
+    fn lookup_customer(&self, id: u64) -> Option<usize> {
         let idx = usize::try_from(id).expect("customer id fits usize");
         match self.cust_index.get(idx) {
-            Some(&c) if c != NONE => Some(c),
+            Some(&c) if c != NONE => Some(c as usize),
             _ => None,
         }
     }
 
-    fn ensure_customer(&mut self, id: u64, pos: Point, weight: u32) -> u32 {
+    fn ensure_customer(&mut self, id: u64, pos: Point, weight: u32) -> usize {
         if let Some(c) = self.lookup_customer(id) {
             return c;
         }
@@ -232,44 +289,49 @@ impl Engine {
         if idx >= self.cust_index.len() {
             self.cust_index.resize(idx + 1, NONE);
         }
-        let node = self.g.add_node();
-        let pt_edge = self.g.add_edge(node, self.t, weight, 0.0);
-        self.edge_kind
-            .push(EdgeKind::CustomerT(self.customers.len() as u32));
-        let c = self.customers.len() as u32;
-        self.customers.push(CustomerState {
-            id,
-            pos,
-            weight,
-            node,
-            pt_edge,
-            assigned: 0,
-            last_match_dist: 0.0,
-        });
-        self.cust_index[idx] = c;
+        let c = self.id.len();
+        self.cust_index[idx] = c as u32;
+        self.id.push(id);
+        self.pos.push(pos);
+        self.weight.push(weight);
+        self.p_load.push(0);
+        self.incident.push(Vec::new());
+        self.servers.push(0);
+        self.server.push((NONE, NONE));
+        self.last_match_dist.push(0.0);
+        self.tau_p.push(0.0);
+        self.alpha_p.push(f64::INFINITY);
+        self.parent_p.push((NONE, NONE));
         c
     }
 
-    /// Inserts edge `e(q_i, p)` into `Esub` (discovering the customer if
-    /// new) and returns the flow-graph edge id.
-    pub fn insert_edge(&mut self, qi: usize, id: u64, pos: Point, weight: u32, dist: f64) -> u32 {
+    /// Adds edge `e(q_i, p)` to `Esub`, discovering the customer if new;
+    /// returns the customer slot and the edge's index in the provider's row.
+    fn push_edge(
+        &mut self,
+        qi: usize,
+        id: u64,
+        pos: Point,
+        weight: u32,
+        dist: f64,
+    ) -> (usize, u32) {
         let c = self.ensure_customer(id, pos, weight);
-        let cap = weight; // a provider may serve up to `weight` units of a rep
-        let e = self.g.add_edge(
-            self.providers[qi].node,
-            self.customers[c as usize].node,
-            cap,
-            dist,
-        );
-        self.edge_kind.push(EdgeKind::QP);
-        self.qp_edges.push(QpRec {
-            edge: e,
-            provider: qi as u32,
-            cust: c,
+        let k = self.rows[qi].len() as u32;
+        self.rows[qi].push(Edge {
+            cust: c as u32,
+            flow: 0,
             dist,
         });
+        self.incident[c].push((qi as u32, k));
+        self.order.push((qi as u32, k));
         self.stats.esub_edges += 1;
-        e
+        (c, k)
+    }
+
+    /// Inserts edge `e(q_i, p)` into `Esub` (discovering the customer if
+    /// new).
+    pub fn insert_edge(&mut self, qi: usize, id: u64, pos: Point, weight: u32, dist: f64) {
+        self.push_edge(qi, id, pos, weight, dist);
     }
 
     /// Inserts an edge *and* re-optimises the in-flight shortest-path
@@ -283,36 +345,148 @@ impl Engine {
         weight: u32,
         dist: f64,
     ) {
-        let e = self.insert_edge(qi, id, pos, weight, dist);
-        self.dij.pua_insert_edge(&self.g, e);
+        let (_, k) = self.push_edge(qi, id, pos, weight, dist);
         self.stats.pua_runs += 1;
-        let ctx = self.ctx.as_ref();
-        if self.dij.is_settled(self.t) {
-            match self.dij.drain_below_sink(&self.g, self.t, ctx) {
-                Ok(()) => self.alpha_t = Some(self.dij.alpha(self.t)),
-                // The abort is sticky on the context; the driver's next
-                // loop-head poll unwinds with the partial matching, and a
-                // cleared alpha_t keeps `sp_valid` from committing a path
-                // whose search never finished.
-                Err(_) => self.alpha_t = None,
-            }
-        } else {
-            self.alpha_t = self.dij.run_until(&self.g, self.t, ctx).unwrap_or_default();
+        // An unsettled provider relaxes the new arc when (if) it settles.
+        if self.settled[qi] {
+            self.relax(qi, k as usize);
+            self.propagate();
         }
+        // An abort is sticky on the context; the driver's next loop-head
+        // poll unwinds with the partial matching, and a cleared alpha_t
+        // keeps `sp_valid` from committing a path whose search never
+        // finished.
+        self.alpha_t = self.settle_below_sink().unwrap_or_default();
     }
 
-    /// Starts an SSPA iteration: fresh Dijkstra from `s` until the sink
-    /// settles (or the frontier empties). Returns the sp cost, if any —
+    /// Starts an SSPA iteration: a fresh search from `s` until no unsettled
+    /// provider is labelled below the sink. Returns the sp cost, if any —
     /// `None` also when the query context aborted mid-search (the abort is
     /// sticky; drivers observe it at their next loop-head poll).
     pub fn begin_iteration(&mut self) -> Option<f64> {
-        self.dij.init(&self.g, self.s);
-        self.alpha_t = self
-            .dij
-            .run_until(&self.g, self.t, self.ctx.as_ref())
-            .unwrap_or_default();
+        self.alpha_q.fill(f64::INFINITY);
+        self.settled.fill(false);
+        for &c in &self.reached {
+            self.alpha_p[c as usize] = f64::INFINITY;
+        }
+        self.reached.clear();
+        self.sink = f64::INFINITY;
+        self.wave.clear();
+        // Settle s (α = 0): relax every residual s→q arc.
+        for i in 0..self.cap.len() {
+            if self.q_load[i] < self.cap[i] {
+                self.alpha_q[i] = (self.tau_q[i] - self.tau_s).max(0.0);
+                self.parent_q[i] = NONE;
+            }
+        }
+        self.alpha_t = self.settle_below_sink().unwrap_or_default();
         self.stats.dijkstra_runs += 1;
         self.alpha_t
+    }
+
+    /// Settles providers, lowest label first, until none unsettled is
+    /// labelled below `α(t)`. Returns `α(t)`, or `None` when the sink is
+    /// unreachable; polls the context every [`CTX_POLL_STRIDE`] settles.
+    fn settle_below_sink(&mut self) -> Result<Option<f64>, Aborted> {
+        let mut until_poll = 0u32;
+        loop {
+            if let Some(ctx) = &self.ctx {
+                if until_poll == 0 {
+                    until_poll = CTX_POLL_STRIDE;
+                    ctx.check()?;
+                }
+                until_poll -= 1;
+            }
+            let mut next = None;
+            let mut best = self.sink;
+            for (i, (&alpha, &settled)) in self.alpha_q.iter().zip(&self.settled).enumerate() {
+                if !settled && alpha < best {
+                    (next, best) = (Some(i), alpha);
+                }
+            }
+            let Some(i) = next else { break };
+            self.settled[i] = true;
+            for k in 0..self.rows[i].len() {
+                self.relax(i, k);
+            }
+            self.propagate();
+        }
+        Ok(self.sink.is_finite().then_some(self.sink))
+    }
+
+    /// Relaxes the `q→p` arc of edge `k` in settled provider `i`'s row.
+    #[inline]
+    fn relax(&mut self, i: usize, k: usize) {
+        let e = self.rows[i][k];
+        let c = e.cust as usize;
+        if e.flow < self.weight[c] {
+            let rc = e.dist - self.tau_q[i] + self.tau_p[c];
+            debug_assert!(rc > -EPS, "negative reduced cost {rc} on q{i}→p{c}");
+            let cand = self.alpha_q[i] + rc.max(0.0);
+            if cand + EPS < self.alpha_p[c] {
+                if self.alpha_p[c] == f64::INFINITY {
+                    self.reached.push(c as u32);
+                }
+                self.alpha_p[c] = cand;
+                self.parent_p[c] = (i as u32, k as u32);
+                self.relay(c);
+            }
+        }
+    }
+
+    /// Passes customer `c`'s improved label on: to `t` if `c` has spare
+    /// weight, and along its reverse arcs to the providers serving it.
+    fn relay(&mut self, c: usize) {
+        if self.p_load[c] < self.weight[c] {
+            // rc(p→t) = 0 − τ(p) + τ(t), with τ(t) = 0.
+            let cand = self.alpha_p[c] + (-self.tau_p[c]).max(0.0);
+            if cand + EPS < self.sink {
+                self.sink = cand;
+                self.sink_parent = c as u32;
+            }
+        }
+        match self.servers[c] {
+            0 => {}
+            1 => self.relax_back(c, self.server[c]),
+            _ => {
+                for n in 0..self.incident[c].len() {
+                    let (i, k) = self.incident[c][n];
+                    if self.rows[i as usize][k as usize].flow > 0 {
+                        self.relax_back(c, (i, k));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Relaxes the reverse arc `p_c → q_i` of edge `(i, k)`. A settled
+    /// provider whose label improves joins the wave.
+    fn relax_back(&mut self, c: usize, (i, k): EdgeRef) {
+        let (i, k) = (i as usize, k as usize);
+        let rc = -self.rows[i][k].dist - self.tau_p[c] + self.tau_q[i];
+        debug_assert!(rc > -EPS, "negative reduced cost {rc} on p{c}→q{i}");
+        let cand = self.alpha_p[c] + rc.max(0.0);
+        if cand + EPS < self.alpha_q[i] {
+            self.alpha_q[i] = cand;
+            self.parent_q[i] = k as u32;
+            if self.settled[i] {
+                self.wave.push(Reverse((OrdF64::new(cand), i as u32)));
+            }
+        }
+    }
+
+    /// Processes the wave until empty: every settled provider whose label
+    /// improved has its row re-relaxed, transitively.
+    fn propagate(&mut self) {
+        while let Some(Reverse((key, i))) = self.wave.pop() {
+            let i = i as usize;
+            if key.get() > self.alpha_q[i] + EPS {
+                continue; // stale wave entry
+            }
+            for k in 0..self.rows[i].len() {
+                self.relax(i, k);
+            }
+        }
     }
 
     /// The Theorem-1 validity test: is the current sp provably shortest on
@@ -335,64 +509,100 @@ impl Engine {
         let alpha_t = self.alpha_t.expect("commit without a shortest path");
         debug_assert!(!self.in_fast_phase, "commit during fast phase");
 
-        // Augment along parent arcs, tracking fullness of touched edges.
-        self.last_path = self.dij.extract_path(&self.g, self.t);
+        // Walk the parent links back from t.
+        let path = &mut self.last_path;
+        path.forward.clear();
+        path.back.clear();
+        let mut c = self.sink_parent as usize;
+        path.first = loop {
+            let (i, k) = self.parent_p[c];
+            path.forward.push((i, k));
+            match self.parent_q[i as usize] {
+                NONE => break i,
+                back => {
+                    path.back.push((i, back));
+                    c = self.rows[i as usize][back as usize].cust as usize;
+                }
+            }
+        };
         self.augment_last_path();
 
         // Potential update (Algorithm 1 lines 8–9) and τmax maintenance.
-        let dij = &self.dij;
-        self.g
-            .update_potentials(dij.settled_nodes(), |v| dij.alpha(v), alpha_t);
-        for &v in self.dij.settled_nodes() {
-            // Provider nodes occupy the contiguous id range [2, 2+|Q|).
-            let first = 2;
-            let last = 2 + self.providers.len() as NodeId;
-            if v >= first && v < last {
-                let tau = self.g.tau(v);
-                if tau > self.tau_max {
-                    self.tau_max = tau;
+        let mut settled = 2; // s and t
+        if alpha_t > 0.0 {
+            self.tau_s += alpha_t;
+        }
+        for i in 0..self.cap.len() {
+            if self.settled[i] {
+                settled += 1;
+                let delta = alpha_t - self.alpha_q[i];
+                if delta > 0.0 {
+                    self.tau_q[i] += delta;
                 }
+                self.tau_max = self.tau_max.max(self.tau_q[i]);
+            }
+        }
+        for &c in &self.reached {
+            let alpha = self.alpha_p[c as usize];
+            if alpha < alpha_t {
+                settled += 1;
+                self.tau_p[c as usize] += alpha_t - alpha;
             }
         }
 
-        self.stats.settled += self.dij.settled_nodes().len() as u64;
+        self.stats.settled += settled;
         self.stats.iterations += 1;
         self.alpha_t = None;
+    }
 
-        if self.paranoid {
-            if let Err((arc, rc)) = self.g.check_reduced_costs(1e-6) {
-                panic!("reduced-cost invariant broken after commit: arc {arc} rc {rc}");
-            }
+    /// Pushes one unit along `last_path`, updating the loads, the fullness
+    /// count and each customer's serving edges.
+    fn augment_last_path(&mut self) {
+        let first = self.last_path.first as usize;
+        self.q_load[first] += 1;
+        if self.q_load[first] == self.cap[first] {
+            self.num_full_providers += 1;
+        }
+        let last = self.end_customer();
+        self.p_load[last] += 1;
+        for n in 0..self.last_path.forward.len() {
+            self.add_flow(self.last_path.forward[n], 1);
+        }
+        for n in 0..self.last_path.back.len() {
+            self.cancel_flow(self.last_path.back[n]);
         }
     }
 
-    /// Pushes one unit along `last_path`, updating fullness and assignment
-    /// bookkeeping for every touched edge.
-    fn augment_last_path(&mut self) {
-        for i in 0..self.last_path.len() {
-            let a = self.last_path[i];
-            self.g.push_flow(a, 1);
+    /// The customer that feeds `t` on `last_path`.
+    fn end_customer(&self) -> usize {
+        let (i, k) = self.last_path.forward[0];
+        self.rows[i as usize][k as usize].cust as usize
+    }
+
+    fn add_flow(&mut self, (i, k): EdgeRef, units: u32) {
+        let e = &mut self.rows[i as usize][k as usize];
+        let c = e.cust as usize;
+        if e.flow == 0 {
+            self.servers[c] += 1;
+            if self.servers[c] == 1 {
+                self.server[c] = (i, k);
+            }
         }
-        for i in 0..self.last_path.len() {
-            let e = self.g.arc_edge(self.last_path[i]);
-            match self.edge_kind[e as usize] {
-                EdgeKind::SourceQ(qi) => {
-                    let p = &mut self.providers[qi as usize];
-                    let now_full = self.g.edge_flow(p.sq_edge) == p.cap;
-                    if now_full && !p.full {
-                        p.full = true;
-                        self.num_full_providers += 1;
-                    } else if !now_full && p.full {
-                        // A reverse arc on the path un-saturated the edge.
-                        p.full = false;
-                        self.num_full_providers -= 1;
-                    }
-                }
-                EdgeKind::CustomerT(c) => {
-                    let cust = &mut self.customers[c as usize];
-                    cust.assigned = self.g.edge_flow(cust.pt_edge);
-                }
-                EdgeKind::QP => {}
+        e.flow += units;
+    }
+
+    /// Takes one unit off edge `(i, k)`.
+    fn cancel_flow(&mut self, (i, k): EdgeRef) {
+        let e = &mut self.rows[i as usize][k as usize];
+        let c = e.cust as usize;
+        e.flow -= 1;
+        if e.flow == 0 {
+            self.servers[c] -= 1;
+            if self.servers[c] == 1 {
+                let rows = &self.rows;
+                let mut left = self.incident[c].iter();
+                let left = left.find(|&&(i, k)| rows[i as usize][k as usize].flow > 0);
+                self.server[c] = *left.expect("one server left");
             }
         }
     }
@@ -400,12 +610,25 @@ impl Engine {
     /// True if the last committed path still has residual capacity on every
     /// arc, i.e. it could be augmented again as-is.
     pub fn last_path_residual(&self) -> bool {
-        !self.last_path.is_empty() && self.last_path.iter().all(|&a| self.g.residual_cap(a) >= 1)
+        let path = &self.last_path;
+        if path.forward.is_empty() {
+            return false;
+        }
+        let (first, last) = (path.first as usize, self.end_customer());
+        let edge = |&(i, k): &EdgeRef| self.rows[i as usize][k as usize];
+        self.q_load[first] < self.cap[first]
+            && self.p_load[last] < self.weight[last]
+            && path
+                .forward
+                .iter()
+                .map(edge)
+                .all(|e| e.flow < self.weight[e.cust as usize])
+            && path.back.iter().map(edge).all(|e| e.flow > 0)
     }
 
     /// The Theorem-1 test for a *zero-length* shortest path. After a commit,
     /// every arc of the committed path has reduced cost 0, so while the path
-    /// keeps residual capacity a fresh Dijkstra would find it again at
+    /// keeps residual capacity a fresh search would find it again at
     /// reduced length exactly 0 (no residual path can be cheaper: all
     /// reduced costs are non-negative). The corresponding potential update
     /// is then a no-op (`α(v) = α_t = 0` for every settled node), so the
@@ -414,7 +637,7 @@ impl Engine {
         0.0 <= threshold - self.tau_max + VALIDITY_EPS
     }
 
-    /// Re-commits the last committed path without a new Dijkstra: one more
+    /// Re-commits the last committed path without a new search: one more
     /// augmentation along the identical arcs, with identical bookkeeping.
     /// Callers must have checked [`Engine::last_path_residual`] and
     /// [`Engine::zero_sp_valid`] first; this is the batched form of the
@@ -423,11 +646,6 @@ impl Engine {
         debug_assert!(self.last_path_residual());
         self.augment_last_path();
         self.stats.iterations += 1;
-        if self.paranoid {
-            if let Err((arc, rc)) = self.g.check_reduced_costs(1e-6) {
-                panic!("reduced-cost invariant broken after recommit: arc {arc} rc {rc}");
-            }
-        }
     }
 
     /// Marks the current candidate path invalid (Theorem-1 test failed).
@@ -448,33 +666,26 @@ impl Engine {
     /// Returns the number of units matched (0 for an already-full customer).
     pub fn fast_match(&mut self, qi: usize, id: u64, pos: Point, weight: u32, dist: f64) -> u32 {
         debug_assert!(self.in_fast_phase && self.no_provider_full());
-        let e = self.insert_edge(qi, id, pos, weight, dist);
-        let c = self.lookup_customer(id).expect("just inserted");
-        let cust = &mut self.customers[c as usize];
-        if cust.assigned == cust.weight {
+        let (c, k) = self.push_edge(qi, id, pos, weight, dist);
+        if self.p_load[c] == self.weight[c] {
             // Full customer: the edge joins Esub but no assignment happens
             // (Theorem 2: "If pj is full, we directly insert it into Esub
             // and de-heap the next entry").
             return 0;
         }
-        let sq_edge = self.providers[qi].sq_edge;
-        let provider_spare = self.providers[qi].cap - self.g.edge_flow(sq_edge);
-        let units = (cust.weight - cust.assigned).min(provider_spare);
+        let units = (self.weight[c] - self.p_load[c]).min(self.cap[qi] - self.q_load[qi]);
         debug_assert!(units >= 1);
-        cust.assigned += units;
-        cust.last_match_dist = dist;
-        let pt_edge = cust.pt_edge;
-        self.g.push_flow(2 * sq_edge, units);
-        self.g.push_flow(2 * e, units);
-        self.g.push_flow(2 * pt_edge, units);
+        self.p_load[c] += units;
+        self.q_load[qi] += units;
+        self.add_flow((qi as u32, k), units);
+        self.last_match_dist[c] = dist;
         debug_assert!(
             dist + 1e-9 >= self.fast_d,
             "fast-phase pops must be globally ascending: {dist} < {}",
             self.fast_d
         );
         self.fast_d = self.fast_d.max(dist);
-        if self.g.edge_flow(sq_edge) == self.providers[qi].cap {
-            self.providers[qi].full = true;
+        if self.provider_full(qi) {
             self.num_full_providers += 1;
         }
         self.stats.fast_phase_matches += u64::from(units);
@@ -496,25 +707,16 @@ impl Engine {
         debug_assert!(self.in_fast_phase);
         self.in_fast_phase = false;
         let d = self.fast_d;
-        self.g.set_tau(self.s, d);
-        for i in 0..self.providers.len() {
-            self.g.set_tau(self.providers[i].node, d);
-        }
-        for c in &self.customers {
-            let tau = if c.assigned == c.weight {
-                d - c.last_match_dist
+        self.tau_s = d;
+        self.tau_q.fill(d);
+        for c in 0..self.tau_p.len() {
+            self.tau_p[c] = if self.p_load[c] == self.weight[c] {
+                d - self.last_match_dist[c]
             } else {
                 0.0
             };
-            self.g.set_tau(c.node, tau);
         }
-        self.g.set_tau(self.t, 0.0);
         self.tau_max = d;
-        if self.paranoid {
-            if let Err((arc, rc)) = self.g.check_reduced_costs(1e-6) {
-                panic!("fast-phase exit potential infeasible: arc {arc} rc {rc}");
-            }
-        }
     }
 
     /// Declares that no fast phase will run (RIA/NIA); potentials stay 0.
@@ -522,39 +724,74 @@ impl Engine {
         self.in_fast_phase = false;
     }
 
-    /// Extracts the matching from the final flow.
+    /// Extracts the matching from the final flow, its pairs in `Esub`
+    /// insertion order.
+    ///
+    /// Debug builds first check a solve that no context aborted against
+    /// its optimality certificate on `Esub`
+    /// ([`cca_flow::validate::assert_optimal`]) and panic if it fails.
     pub fn matching(&self) -> Matching {
+        let aborted = self.ctx.as_ref().and_then(QueryContext::recorded_abort);
+        if cfg!(debug_assertions) && aborted.is_none() {
+            self.certify()
+                .unwrap_or_else(|e| panic!("optimality certificate violated: {e}"));
+        }
         let mut pairs = Vec::new();
-        for rec in &self.qp_edges {
-            let units = self.g.edge_flow(rec.edge);
-            if units > 0 {
+        for &(i, k) in &self.order {
+            let e = self.rows[i as usize][k as usize];
+            if e.flow > 0 {
+                let c = e.cust as usize;
                 pairs.push(MatchPair {
-                    provider: rec.provider as usize,
-                    customer: self.customers[rec.cust as usize].id,
-                    units,
-                    dist: rec.dist,
-                    customer_pos: self.customers[rec.cust as usize].pos,
+                    provider: i as usize,
+                    customer: self.id[c],
+                    units: e.flow,
+                    dist: e.dist,
+                    customer_pos: self.pos[c],
                 });
             }
         }
         Matching { pairs }
     }
 
+    /// The optimality certificate on `Esub` ([`assert_optimal`]): the flow
+    /// has value γ over the discovered customers, and every residual arc
+    /// of `Esub` has non-negative reduced cost under the engine's
+    /// potentials. With the Theorem-1 test bounding every undiscovered
+    /// edge, that makes the flow optimal on the complete graph.
+    fn certify(&self) -> Result<(), String> {
+        let rows: Vec<_> = self
+            .order
+            .iter()
+            .map(|&(i, k)| {
+                let e = self.rows[i as usize][k as usize];
+                (i as usize, e.cust as usize, e.dist, e.flow)
+            })
+            .collect();
+        let tau = (self.tau_s, &self.tau_q[..], &self.tau_p[..]);
+        assert_optimal(&self.cap, &self.weight, &rows, tau)
+    }
+
     /// Total units currently assigned (for driver loops).
     pub fn assigned_units(&self) -> u64 {
-        self.customers.iter().map(|c| u64::from(c.assigned)).sum()
+        self.p_load.iter().map(|&l| u64::from(l)).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn providers_at(caps: &[u32]) -> Vec<(Point, u32)> {
         caps.iter()
             .enumerate()
             .map(|(i, &k)| (Point::new(i as f64 * 100.0, 0.0), k))
             .collect()
+    }
+
+    /// Inserts unit customer `id` at an arbitrary position.
+    fn edge(engine: &mut Engine, qi: usize, id: u64, dist: f64) {
+        engine.insert_edge(qi, id, Point::new(id as f64, 1.0), 1, dist);
     }
 
     #[test]
@@ -577,7 +814,6 @@ mod tests {
     #[test]
     fn fast_match_assigns_and_fills() {
         let mut engine = Engine::new(&providers_at(&[2]), 4);
-        engine.paranoid = true;
         let q = Point::new(0.0, 0.0);
         let p1 = Point::new(1.0, 0.0);
         let p2 = Point::new(2.0, 0.0);
@@ -612,28 +848,26 @@ mod tests {
 
     #[test]
     fn fast_phase_exit_potential_is_feasible() {
-        // Several matches at increasing distances, then validate the
-        // closed-form potential with the reduced-cost checker (paranoid
-        // mode panics on violation).
-        // Capacities of 2 keep every provider non-full throughout (the fast
-        // phase ends at the first full provider).
+        // Several matches at increasing distances, then the closed-form
+        // potential must certify the flow. Capacities of 2 keep every
+        // provider non-full throughout (the fast phase ends at the first
+        // full provider).
         let mut engine = Engine::new(&providers_at(&[2, 2, 2]), 8);
-        engine.paranoid = true;
         engine.fast_match(0, 0, Point::new(1.0, 0.0), 1, 1.0);
         engine.fast_match(1, 1, Point::new(102.0, 0.0), 1, 2.0);
         // An edge to an already-full customer at larger distance.
         assert_eq!(engine.fast_match(2, 0, Point::new(1.0, 0.0), 1, 199.0), 0);
         engine.fast_match(2, 2, Point::new(200.0, 200.0), 1, 200.0);
-        engine.finish_fast_phase(); // panics if the potential is infeasible
+        engine.finish_fast_phase();
+        engine.certify().unwrap();
         assert_eq!(engine.tau_max(), 200.0);
     }
 
     #[test]
     fn dijkstra_iteration_commit_updates_fullness() {
-        // cap-1 provider at x=0; two customers; fast phase disabled so the
-        // engine exercises the Dijkstra path.
+        // Two cap-1 providers, one customer each; no fast phase, so the
+        // engine runs the search path.
         let mut engine = Engine::new(&providers_at(&[1, 1]), 4);
-        engine.paranoid = true;
         engine.skip_fast_phase();
         engine.insert_edge(0, 0, Point::new(1.0, 0.0), 1, 1.0);
         engine.insert_edge(1, 1, Point::new(101.0, 0.0), 1, 1.0);
@@ -673,11 +907,11 @@ mod tests {
         engine.insert_edge(0, 0, Point::new(9.0, 0.0), 1, 9.0);
         assert_eq!(engine.begin_iteration(), Some(9.0));
         // A cheaper edge from the other provider shows up: PUA must lower
-        // alpha_t without a fresh Dijkstra.
+        // alpha_t without a fresh search.
         engine.insert_edge_reoptimize(1, 1, Point::new(102.0, 0.0), 1, 2.0);
         assert_eq!(engine.alpha_t(), Some(2.0));
         let runs = engine.stats.dijkstra_runs;
-        assert_eq!(runs, 1, "no extra full Dijkstra executions");
+        assert_eq!(runs, 1, "no extra full searches");
         assert!(engine.stats.pua_runs >= 1);
     }
 
@@ -698,5 +932,243 @@ mod tests {
         assert_eq!(m.pairs.len(), 1);
         assert_eq!(m.pairs[0].units, 3);
         assert_eq!(m.pairs[0].customer, 0);
+    }
+
+    /// Providers q0, q1 (cap 1) and q2 (cap 2). Two commits fill q0 with
+    /// customer 0 and q1 with customer 1, then the chain
+    /// `s → q2 → p0 → q0 → p1 → q1 → p2 → t` is the only way to customer 2,
+    /// plus the `extra` edges. Returns the engine before its next search.
+    fn chain(extra: &[(usize, u64, f64)]) -> Engine {
+        let mut engine = Engine::new(&providers_at(&[1, 1, 2]), 8);
+        engine.skip_fast_phase();
+        edge(&mut engine, 0, 0, 1.0);
+        edge(&mut engine, 1, 1, 1.0);
+        for _ in 0..2 {
+            engine.begin_iteration().expect("a path to t");
+            engine.commit();
+        }
+        assert!(engine.provider_full(0) && engine.provider_full(1));
+        edge(&mut engine, 2, 0, 10.0);
+        edge(&mut engine, 0, 1, 10.0);
+        edge(&mut engine, 1, 2, 10.0);
+        for &(qi, id, dist) in extra {
+            edge(&mut engine, qi, id, dist);
+        }
+        engine
+    }
+
+    /// The fresh search on `chain(extra)`.
+    fn fresh(extra: &[(usize, u64, f64)]) -> Engine {
+        let mut engine = chain(extra);
+        engine.begin_iteration();
+        engine
+    }
+
+    #[test]
+    fn pua_improvement_propagates_through_settled_chain() {
+        let mut engine = fresh(&[]);
+        let before = (engine.alpha_t().unwrap(), engine.provider_alpha(1));
+        assert!(
+            (0..3).all(|q| engine.provider_settled(q)),
+            "the chain settles"
+        );
+        // A shortcut q2 → p1 skips the hop through q0: the improvement must
+        // reach the settled q1 and, through it, the sink.
+        engine.insert_edge_reoptimize(2, 1, Point::new(1.0, 1.0), 1, 1.0);
+        let after = (engine.alpha_t().unwrap(), engine.provider_alpha(1));
+        assert!(
+            after.0 < before.0 && after.1 < before.1,
+            "{before:?} → {after:?}"
+        );
+        let want = fresh(&[(2, 1, 1.0)]);
+        assert_eq!(engine.alpha_t(), want.alpha_t());
+        assert_eq!(engine.provider_alpha(1), want.provider_alpha(1));
+        assert_eq!(engine.stats.dijkstra_runs, 3, "PUA ran no fresh search");
+    }
+
+    #[test]
+    fn pua_ignores_edges_from_unsettled_tails() {
+        // q1 has no capacity, so no path reaches it: an edge out of it
+        // changes nothing.
+        let mut engine = Engine::new(&providers_at(&[1, 0]), 4);
+        engine.skip_fast_phase();
+        edge(&mut engine, 0, 0, 5.0);
+        assert_eq!(engine.begin_iteration(), Some(5.0));
+        engine.insert_edge_reoptimize(1, 1, Point::new(1.0, 1.0), 1, 1.0);
+        assert!(!engine.provider_settled(1));
+        assert_eq!(engine.alpha_t(), Some(5.0));
+        assert_eq!(engine.provider_alpha(1), f64::INFINITY);
+    }
+
+    #[test]
+    fn drain_settles_nodes_below_new_sink_distance() {
+        // Customer 3 is served by a full q3 that no path reaches; a long
+        // detour to customer 4 keeps the sink far away.
+        let mut engine = Engine::new(&providers_at(&[1, 1]), 8);
+        engine.skip_fast_phase();
+        edge(&mut engine, 1, 3, 1.0);
+        engine.begin_iteration();
+        engine.commit();
+        edge(&mut engine, 0, 4, 50.0);
+        let sink = engine.begin_iteration().unwrap();
+        assert!(!engine.provider_settled(1), "q1 is full and unreached");
+        // An edge from the settled q0 to customer 3 labels q1 through the
+        // reverse arc, below the sink: resuming must settle it.
+        engine.insert_edge_reoptimize(0, 3, Point::new(3.0, 1.0), 1, 2.0);
+        assert!(engine.provider_settled(1));
+        assert!(engine.provider_alpha(1) < sink);
+        assert_eq!(engine.alpha_t(), Some(sink), "no cheaper path to t");
+    }
+
+    #[test]
+    fn aborted_context_stops_the_settle_loop() {
+        use cca_storage::AbortReason;
+        use std::time::{Duration, Instant};
+        let search = |ctx: &QueryContext| {
+            let mut engine = chain(&[]);
+            engine.set_context(Some(ctx));
+            (engine.begin_iteration(), ctx.recorded_abort())
+        };
+        let cancelled = QueryContext::new();
+        cancelled.cancel();
+        assert_eq!(search(&cancelled), (None, Some(AbortReason::Cancelled)));
+        // An expired deadline aborts too — no page access involved.
+        let late = QueryContext::new().with_deadline(Instant::now() - Duration::from_millis(1));
+        assert_eq!(search(&late), (None, Some(AbortReason::DeadlineExceeded)));
+        // A clean context is invisible: same result as no context.
+        let clean = search(&QueryContext::new());
+        assert_eq!(clean, (fresh(&[]).alpha_t(), None));
+    }
+
+    #[test]
+    fn resume_after_unreachable_picks_up_new_edges() {
+        let mut engine = Engine::new(&providers_at(&[1]), 4);
+        engine.skip_fast_phase();
+        assert_eq!(engine.begin_iteration(), None, "sink not yet connected");
+        engine.insert_edge_reoptimize(0, 0, Point::new(4.0, 0.0), 1, 4.0);
+        assert_eq!(engine.alpha_t(), Some(4.0));
+    }
+
+    #[test]
+    fn certificate_catches_a_corrupted_potential() {
+        let providers = providers_at(&[2, 1, 3]);
+        let mut engine = Engine::new(&providers, 8);
+        engine.skip_fast_phase();
+        for id in 0..5u64 {
+            let pos = Point::new(id as f64 * 40.0, 30.0);
+            for (qi, &(q, _)) in providers.iter().enumerate() {
+                engine.insert_edge(qi, id, pos, 1, q.dist(&pos));
+            }
+        }
+        while engine.begin_iteration().is_some() {
+            engine.commit();
+        }
+        assert_eq!(engine.assigned_units(), 5);
+        engine.certify().unwrap();
+        // Shifting any one provider's potential, either way, breaks the
+        // reduced-cost invariant on one of its residual arcs.
+        for qi in 0..providers.len() {
+            for shift in [-1e4, 1e4] {
+                engine.tau_q[qi] += shift;
+                let err = engine.certify().unwrap_err();
+                assert!(err.contains("reduced cost"), "q{qi} {shift:+}: {err}");
+                engine.tau_q[qi] -= shift;
+            }
+        }
+    }
+
+    /// An `Esub` edge of the PUA proptest: provider, customer slot, length.
+    type TestEdge = (usize, usize, f64);
+
+    /// NIA's discipline on `sorted` (edges by ascending length): insert the
+    /// next edge until Theorem 1 validates the shortest path, then commit,
+    /// `commits` times. Every edge left out has a length of at least
+    /// `τmax`, so it joins `Esub` with a non-negative reduced cost in any
+    /// order. Returns the engine and the number of edges it inserted.
+    fn replay(
+        providers: &[(Point, u32)],
+        customers: &[(Point, u32)],
+        sorted: &[TestEdge],
+        commits: usize,
+    ) -> (Engine, usize) {
+        let mut engine = Engine::new(providers, customers.len());
+        engine.skip_fast_phase();
+        let (mut next, mut done) = (0, 0);
+        while done < commits {
+            let top = sorted.get(next).map_or(f64::INFINITY, |e| e.2);
+            engine.begin_iteration();
+            if engine.sp_valid(top) {
+                engine.commit();
+                done += 1;
+            } else if next < sorted.len() {
+                insert(&mut engine, customers, sorted[next]);
+                next += 1;
+            } else {
+                break;
+            }
+        }
+        (engine, next)
+    }
+
+    fn insert(engine: &mut Engine, customers: &[(Point, u32)], (qi, c, dist): TestEdge) {
+        let (pos, weight) = customers[c];
+        engine.insert_edge(qi, c as u64, pos, weight, dist);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// After every `insert_edge_reoptimize`, `α(t)` and the α of every
+        /// provider settled below it equal those of a fresh search on an
+        /// engine that replayed the same inserts.
+        #[test]
+        fn prop_pua_resume_matches_fresh_search(
+            raw_q in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64, 1u32..4), 1..5),
+            raw_p in proptest::collection::vec((0.0..100.0f64, 0.0..100.0f64, 1u32..4), 1..10),
+            raw_edges in proptest::collection::vec((0usize..5, 0usize..10, 0u32..1000), 1..40),
+            commits in 0usize..6,
+        ) {
+            let point = |&(x, y, n): &(f64, f64, u32)| (Point::new(x, y), n);
+            let providers: Vec<_> = raw_q.iter().map(point).collect();
+            let customers: Vec<_> = raw_p.iter().map(point).collect();
+            // Distinct edges by length, each with a random insertion key.
+            let mut edges: Vec<(TestEdge, u32)> = Vec::new();
+            for (qi, c, key) in raw_edges {
+                let (qi, c) = (qi % providers.len(), c % customers.len());
+                if !edges.iter().any(|&((q, p, _), _)| (q, p) == (qi, c)) {
+                    let dist = providers[qi].0.dist(&customers[c].0);
+                    edges.push(((qi, c, dist), key));
+                }
+            }
+            edges.sort_by(|a, b| a.0 .2.total_cmp(&b.0 .2));
+            let sorted: Vec<TestEdge> = edges.iter().map(|&(e, _)| e).collect();
+            let (mut engine, used) = replay(&providers, &customers, &sorted, commits);
+            let mut later = edges[used..].to_vec();
+            later.sort_by_key(|&(_, key)| key);
+            engine.begin_iteration();
+            for n in 0..later.len() {
+                let (qi, c, dist) = later[n].0;
+                let (pos, weight) = customers[c];
+                engine.insert_edge_reoptimize(qi, c as u64, pos, weight, dist);
+                let (mut want, _) = replay(&providers, &customers, &sorted, commits);
+                for &(e, _) in &later[..=n] {
+                    insert(&mut want, &customers, e);
+                }
+                want.begin_iteration();
+                let (got_t, want_t) = (engine.alpha_t(), want.alpha_t());
+                prop_assert_eq!(got_t.is_some(), want_t.is_some(), "insert {}", n);
+                let at = got_t.unwrap_or(f64::INFINITY);
+                if let (Some(a), Some(b)) = (got_t, want_t) {
+                    prop_assert!((a - b).abs() <= EPS, "insert {}: α(t) {} vs {}", n, a, b);
+                }
+                for q in 0..providers.len() {
+                    let (a, b) = (engine.provider_alpha(q), want.provider_alpha(q));
+                    let below = |e: &Engine, alpha: f64| e.provider_settled(q) && alpha + EPS < at;
+                    if below(&engine, a) || below(&want, b) {
+                        prop_assert!(engine.provider_settled(q) && want.provider_settled(q));
+                        prop_assert!((a - b).abs() <= EPS, "insert {}: α(q{}) {} vs {}", n, q, a, b);
+                    }
+                }
+            }
+        }
     }
 }

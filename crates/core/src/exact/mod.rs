@@ -16,12 +16,9 @@ pub use source::{CustomerSource, MemorySource, RtreeSource, SourcedCustomer};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cca_flow::sspa::{FlowProvider, Sspa};
     use cca_geo::Point;
     use cca_testutil::{build_tree, optimal_cost, random_instance};
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     /// Runs all three exact algorithms on both source kinds and checks that
     /// each yields a valid matching with the optimal cost.
@@ -104,53 +101,6 @@ mod tests {
     #[test]
     fn exact_single_provider() {
         check_all_exact(6, 1, 30, 10);
-    }
-
-    #[test]
-    fn weighted_customers_memory_source_optimal() {
-        // Weighted reps (CA concise matching): compare against the
-        // complete-bipartite solver with the same weights.
-        let mut rng = StdRng::seed_from_u64(77);
-        for trial in 0..10 {
-            let nq = rng.random_range(2..5);
-            let nr = rng.random_range(2..8);
-            let providers: Vec<(Point, u32)> = (0..nq)
-                .map(|_| {
-                    (
-                        Point::new(rng.random_range(0.0..500.0), rng.random_range(0.0..500.0)),
-                        rng.random_range(1..6),
-                    )
-                })
-                .collect();
-            let reps: Vec<(Point, u32)> = (0..nr)
-                .map(|_| {
-                    (
-                        Point::new(rng.random_range(0.0..500.0), rng.random_range(0.0..500.0)),
-                        rng.random_range(1..5),
-                    )
-                })
-                .collect();
-            let fps: Vec<FlowProvider> = providers
-                .iter()
-                .map(|&(pos, cap)| FlowProvider { pos, cap })
-                .collect();
-            let fcs: Vec<cca_flow::FlowCustomer> = reps
-                .iter()
-                .map(|&(pos, weight)| cca_flow::FlowCustomer { pos, weight })
-                .collect();
-            let (want, _) = Sspa::default().solve(&fps, &fcs).unwrap();
-
-            let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
-            let mut src = MemorySource::new(qpos, reps.clone());
-            let (m, _) = ida(&providers, &mut src);
-            assert_eq!(m.size(), want.size(), "trial {trial}");
-            assert!(
-                (m.cost() - want.cost).abs() < 1e-6,
-                "trial {trial}: IDA weighted {} vs SSPA {}",
-                m.cost(),
-                want.cost
-            );
-        }
     }
 
     proptest! {

@@ -15,7 +15,9 @@ pub struct AlgoStats {
     pub esub_edges: u64,
     /// Full Dijkstra executions.
     pub dijkstra_runs: u64,
-    /// Nodes settled across all Dijkstra executions (search effort).
+    /// Nodes settled across all committed searches (search effort) — `s`,
+    /// the settled providers, the customers labelled below `α(t)` and `t`,
+    /// per search, as [`cca_flow::SspaStats::settled`] counts them.
     pub settled: u64,
     /// PUA invocations (edge insertions re-optimised incrementally).
     pub pua_runs: u64,

@@ -7,9 +7,14 @@
 //! any of them. Every case checks both capacity regimes: scarce capacity
 //! (`Σk < |P|`, some customers stay unmatched) and surplus capacity
 //! (`Σk ≥ |P|`, some capacity stays idle).
+//!
+//! Weighted customers — the concise matching's representatives — are
+//! checked too: `ria`, `nia` and `ida` over a `MemorySource` of weighted
+//! representatives against the dense `Sspa`. Only weighted customers reach
+//! the multi-server reverse-arc relay and IDA's batched re-commit.
 
-use cca_core::{Problem, SolverConfig, SolverRegistry};
-use cca_flow::sspa::FlowProvider;
+use cca_core::{ida, nia, ria, MemorySource, Problem, RiaConfig, SolverConfig, SolverRegistry};
+use cca_flow::sspa::{FlowCustomer, FlowProvider, Sspa};
 use cca_flow::validate::hungarian_optimal_cost;
 use cca_geo::Point;
 use cca_testutil::{build_tree, gamma, random_instance, random_points};
@@ -70,5 +75,55 @@ proptest! {
             let customers = random_points(np, seed.wrapping_add(np as u64));
             check_agreement(&providers, &customers, group_size);
         }
+    }
+}
+
+/// Runs `ria`, `nia` and `ida` over weighted representatives and checks
+/// each against the dense `Sspa` on the same weights.
+fn check_weighted(providers: &[(Point, u32)], reps: &[(Point, u32)]) {
+    let fps: Vec<FlowProvider> = providers
+        .iter()
+        .map(|&(pos, cap)| FlowProvider { pos, cap })
+        .collect();
+    let fcs: Vec<FlowCustomer> = reps
+        .iter()
+        .map(|&(pos, weight)| FlowCustomer { pos, weight })
+        .collect();
+    let (want, _) = Sspa::default().solve(&fps, &fcs).expect("no context");
+    let tol = 1e-9 * want.cost.abs().max(1.0);
+    let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
+    let source = || MemorySource::new(qpos.clone(), reps.to_vec());
+    let runs = [
+        (
+            "ria",
+            ria(providers, &mut source(), &RiaConfig { theta: 50.0 }).0,
+        ),
+        ("nia", nia(providers, &mut source()).0),
+        ("ida", ida(providers, &mut source()).0),
+    ];
+    for (name, m) in runs {
+        assert_eq!(m.size(), want.size(), "{name}: size ≠ γ");
+        assert!(
+            (m.cost() - want.cost).abs() <= tol,
+            "{name}: weighted cost {} vs sspa {}",
+            m.cost(),
+            want.cost
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn prop_exact_solvers_agree_on_weighted_customers(
+        seed in 0u64..100_000,
+        nq in 1usize..=5,
+        max_cap in 1u32..=6,
+        weights in proptest::collection::vec(1u32..=4, 1..=12),
+    ) {
+        let (providers, _) = random_instance(seed, nq, 0, max_cap);
+        let points = random_points(weights.len(), seed.wrapping_add(1));
+        let reps: Vec<(Point, u32)> = points.into_iter().zip(weights).collect();
+        check_weighted(&providers, &reps);
     }
 }

@@ -81,7 +81,10 @@ use std::time::Instant;
 use cca_geo::Point;
 use cca_storage::{AbortReason, Aborted, QueryContext};
 
-use crate::dijkstra::EPS;
+/// Tolerance for floating-point noise in reduced costs. Distances are O(10³)
+/// (the normalised world), so 1e-7 absolute slack is ~12 decimal digits of
+/// headroom below the signal.
+pub const EPS: f64 = 1e-7;
 
 /// A provider in a bipartite assignment problem: position + capacity.
 #[derive(Clone, Copy, Debug)]
@@ -222,7 +225,18 @@ impl Sspa<'_> {
         let (dense, stats) = self.run(providers, customers)?;
         let asg = dense.assignment();
         if cfg!(debug_assertions) {
-            crate::validate::assert_optimal(providers, customers, &asg, &dense.tau)
+            let np = dense.np;
+            let cell = |k: usize| (k / np, k % np, dense.cost[k], dense.flow[k]);
+            let rows: Vec<_> = (0..dense.cost.len()).map(cell).collect();
+            let tau = (
+                dense.tau.source,
+                &dense.tau.providers[..],
+                &dense.tau.customers[..],
+            );
+            crate::validate::validate_assignment(providers, customers, &asg)
+                .and_then(|()| {
+                    crate::validate::assert_optimal(&dense.cap, &dense.weight, &rows, tau)
+                })
                 .unwrap_or_else(|e| panic!("optimality certificate violated: {e}"));
         }
         Ok((asg, stats))
@@ -1324,11 +1338,22 @@ mod tests {
 
     #[test]
     fn certificate_reports_a_shifted_potential_and_swapped_providers() {
-        use crate::validate::assert_optimal;
         let (providers, customers) = random_instance(5, 4, 30, 5);
         let (dense, _) = Sspa::default().run(&providers, &customers).unwrap();
         let asg = dense.assignment();
-        assert_optimal(&providers, &customers, &asg, &dense.tau).unwrap();
+        // The certificate of `asg` on the complete graph under `tau`.
+        let certify = |asg: &Assignment, tau: &Potentials| {
+            let mut rows: Vec<_> = (0..providers.len())
+                .flat_map(|i| (0..customers.len()).map(move |j| (i, j)))
+                .map(|(i, j)| (i, j, providers[i].pos.dist(&customers[j].pos), 0))
+                .collect();
+            for &(i, j, units) in &asg.pairs {
+                rows[i * customers.len() + j].3 += units;
+            }
+            let tau = (tau.source, &tau.providers[..], &tau.customers[..]);
+            crate::validate::assert_optimal(&dense.cap, &dense.weight, &rows, tau)
+        };
+        certify(&asg, &dense.tau).unwrap();
 
         // Shifting any one provider's potential, either way, breaks the
         // reduced-cost invariant on one of its residual arcs.
@@ -1336,7 +1361,7 @@ mod tests {
             for shift in [-1e4, 1e4] {
                 let mut tau = dense.tau.clone();
                 tau.providers[i] += shift;
-                let err = assert_optimal(&providers, &customers, &asg, &tau).unwrap_err();
+                let err = certify(&asg, &tau).unwrap_err();
                 assert!(err.contains("reduced cost"), "q{i} {shift:+}: {err}");
             }
         }
@@ -1360,7 +1385,7 @@ mod tests {
             .map(|&(q, p, u)| f64::from(u) * providers[q].pos.dist(&customers[p].pos))
             .sum();
         crate::validate::validate_assignment(&providers, &customers, &swapped).unwrap();
-        let err = assert_optimal(&providers, &customers, &swapped, &dense.tau).unwrap_err();
+        let err = certify(&swapped, &dense.tau).unwrap_err();
         assert!(err.contains("reduced cost"), "{err}");
     }
 

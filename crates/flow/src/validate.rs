@@ -4,9 +4,8 @@
 
 use cca_geo::Point;
 
-use crate::dijkstra::EPS;
 use crate::hungarian::rectangular_assignment;
-use crate::sspa::{required_flow, Assignment, FlowCustomer, FlowProvider, Potentials};
+use crate::sspa::{required_flow, Assignment, FlowCustomer, FlowProvider, EPS};
 
 /// Checks that `asg` is a *valid maximal* matching for the instance:
 /// provider loads within capacity, customer loads within weight, total size
@@ -57,28 +56,24 @@ pub fn validate_assignment(
     Ok(())
 }
 
-/// The optimality certificate of a complete-graph SSPA solve: `asg` is a
-/// valid maximal matching (see [`validate_assignment`]) and every residual
-/// arc of the complete bipartite graph — `s→q`, `q→s`, `q→p`, `p→q`, `p→t`,
-/// `t→p` — has reduced cost ≥ −100·EPS under `tau` (with `τ(t) = 0`).
-/// A flow of value γ with no negative residual arc is a minimum-cost flow
-/// (§2.2), so `Ok` proves `asg` optimal without solving the instance again.
-pub(crate) fn assert_optimal(
-    providers: &[FlowProvider],
-    customers: &[FlowCustomer],
-    asg: &Assignment,
-    tau: &Potentials,
+/// The optimality certificate of a flow on a bipartite graph
+/// `s → Q → P → t`, given as `rows` — one `(provider, customer, dist,
+/// units)` per `q→p` edge — over providers of capacities `caps` and
+/// customers of weights `weights`. It holds when the flow respects every
+/// capacity and weight, has value γ = min(Σ caps, Σ weights), and every
+/// residual arc — `s→q`, `q→s`, `q→p`, `p→q`, `p→t`, `t→p` — has reduced
+/// cost ≥ −100·EPS under the potentials `tau = (τ(s), τ(q), τ(p))`, with
+/// `τ(t) = 0`. A flow of value γ with no negative residual arc is a
+/// minimum-cost flow on the rows' graph (§2.2), so `Ok` proves it optimal
+/// there without solving the instance again: on the complete graph for
+/// [`crate::Sspa`], on `Esub` for the incremental algorithms.
+pub fn assert_optimal(
+    caps: &[u32],
+    weights: &[u32],
+    rows: &[(usize, usize, f64, u32)],
+    tau: (f64, &[f64], &[f64]),
 ) -> Result<(), String> {
-    validate_assignment(providers, customers, asg)?;
-    let np = customers.len();
-    let mut flow = vec![0u32; providers.len() * np];
-    for &(i, j, units) in &asg.pairs {
-        flow[i * np + j] += units;
-    }
-    let (q_load, p_load) = (
-        asg.provider_load(providers.len()),
-        asg.customer_load(customers.len()),
-    );
+    let (tau_s, tau_q, tau_p) = tau;
     // Errs on a residual arc whose reduced cost is below the tolerance.
     fn check(residual: bool, rc: f64, arc: impl FnOnce() -> String) -> Result<(), String> {
         if residual && rc < -100.0 * EPS {
@@ -86,22 +81,38 @@ pub(crate) fn assert_optimal(
         }
         Ok(())
     }
-    for (i, q) in providers.iter().enumerate() {
-        let (load, tq) = (q_load[i], tau.providers[i]);
-        check(load < u64::from(q.cap), tq - tau.source, || {
+    let mut q_load = vec![0u64; caps.len()];
+    let mut p_load = vec![0u64; weights.len()];
+    for &(i, j, d, f) in rows {
+        if i >= caps.len() || j >= weights.len() {
+            return Err(format!("edge q{i}→p{j} names an unknown node"));
+        }
+        q_load[i] += u64::from(f);
+        p_load[j] += u64::from(f);
+        let (tq, tp) = (tau_q[i], tau_p[j]);
+        check(f < weights[j], d - tq + tp, || format!("q{i}→p{j}"))?;
+        check(f > 0, -d - tp + tq, || format!("p{j}→q{i}"))?;
+    }
+    for (i, (&load, &cap)) in q_load.iter().zip(caps).enumerate() {
+        if load > u64::from(cap) {
+            return Err(format!("provider {i} overloaded: {load} > {cap}"));
+        }
+        check(load < u64::from(cap), tau_q[i] - tau_s, || {
             format!("s→q{i}")
         })?;
-        check(load > 0, tau.source - tq, || format!("q{i}→s"))?;
-        for (j, p) in customers.iter().enumerate() {
-            let (f, tp, d) = (flow[i * np + j], tau.customers[j], q.pos.dist(&p.pos));
-            check(f < p.weight, d - tq + tp, || format!("q{i}→p{j}"))?;
-            check(f > 0, -d - tp + tq, || format!("p{j}→q{i}"))?;
-        }
+        check(load > 0, tau_s - tau_q[i], || format!("q{i}→s"))?;
     }
-    for (j, p) in customers.iter().enumerate() {
-        let (load, tp) = (p_load[j], tau.customers[j]);
-        check(load < u64::from(p.weight), -tp, || format!("p{j}→t"))?;
-        check(load > 0, tp, || format!("t→p{j}"))?;
+    for (j, (&load, &weight)) in p_load.iter().zip(weights).enumerate() {
+        if load > u64::from(weight) {
+            return Err(format!("customer {j} overloaded: {load} > {weight}"));
+        }
+        check(load < u64::from(weight), -tau_p[j], || format!("p{j}→t"))?;
+        check(load > 0, tau_p[j], || format!("t→p{j}"))?;
+    }
+    let total = |v: &[u32]| v.iter().map(|&x| u64::from(x)).sum::<u64>();
+    let (size, gamma) = (q_load.iter().sum::<u64>(), total(caps).min(total(weights)));
+    if size != gamma {
+        return Err(format!("flow size {size} != γ = {gamma}"));
     }
     Ok(())
 }

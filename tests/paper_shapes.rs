@@ -9,6 +9,8 @@
 //! * Claims on CPU time, and the CPU + I/O form of each total-time claim,
 //!   run in release builds only, at [`TIMING`] (`fig08` and the `*_timing`
 //!   tests): `cargo test --release --test paper_shapes -- --nocapture`.
+//! * Table 2's default point at scale 0.2 (`paper_default`, release builds)
+//!   pins |Esub|, faults and cost bits of RIA, NIA, IDA, CA and SA exactly.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -591,4 +593,54 @@ fn ablation_buffer_and_group_sweeps() {
     f.check(monotone, "faults are non-increasing in the buffer size");
     f.check(grouping_cuts, "grouped ANN at g=32 faults less than g=1");
     f.verify("Ablation: ANN group size and buffer size, IDA at k = 40");
+}
+
+// ---------------------------------------------------------------------------
+// Table 2's default point.
+
+/// Table 2's default point at a fifth of its sizes: clustered vs
+/// clustered, k = 80, |Q| = 200, |P| = 20 K. Its |Esub|, faults and cost
+/// bits are deterministic, so they are pinned exactly: a change to the
+/// flow kernel, the R-tree or the buffer pool that moves one of them shows
+/// here. CPU times are printed, not asserted.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing test: run with --release")]
+fn paper_default() {
+    let s = Setting {
+        scale: 0.2,
+        runs: 1,
+        cpu: true,
+    };
+    let mut configs = s.exact_algorithms();
+    configs.extend([SolverConfig::new("ca"), SolverConfig::new("sa")]);
+    let default = workload(s.count(1000), s.count(100_000), Fixed(80));
+    let mut f = Figure::default();
+    f.add("default", &run_sequence(s, &default, &configs));
+    // (series, |Esub|, faults, cost bits), recorded on this instance.
+    let pinned: [(&str, u64, u64, u64); 5] = [
+        ("RIA", 884_577, 363_300, 4_691_607_428_301_279_867),
+        ("NIA", 873_964, 24_061, 4_691_607_428_301_279_865),
+        ("IDA", 90_210, 3_816, 4_691_607_428_301_279_851),
+        ("CAN", 18_295, 505, 4_691_642_787_721_287_180),
+        ("SAN", 47_715, 2_041, 4_691_844_773_818_575_934),
+    ];
+    for (series, esub, faults, cost_bits) in pinned {
+        let r = f.get(series, "default");
+        let got = (r.esub, r.faults, r.cost.to_bits());
+        f.check(
+            got == (esub, faults, cost_bits),
+            format!("{series}: |Esub|, faults, cost bits {got:?} are the pinned values"),
+        );
+    }
+    let row = |series| f.get(series, "default");
+    let (esub, faults) = (|a| row(a).esub, |a| row(a).faults);
+    let prunes = esub("IDA") < esub("NIA") && esub("NIA") <= esub("RIA");
+    let io = faults("IDA") < faults("NIA") && faults("NIA") < faults("RIA");
+    let accurate = row("CAN").cost <= row("SAN").cost;
+    let faster = s.time(row("CAN")) < s.time(row("IDA"));
+    f.check(prunes, "IDA < NIA <= RIA in |Esub|");
+    f.check(io, "IDA < NIA < RIA in faults");
+    f.check(accurate, "CA is at least as accurate as SA");
+    f.check(faster, "CA beats exact IDA in total time");
+    f.verify("Table 2's default point at scale 0.2");
 }
