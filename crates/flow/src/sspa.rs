@@ -76,7 +76,6 @@
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 use cca_geo::Point;
 use cca_storage::{AbortReason, Aborted, QueryContext};
@@ -113,24 +112,6 @@ impl Assignment {
     pub fn size(&self) -> u64 {
         self.pairs.iter().map(|&(_, _, u)| u64::from(u)).sum()
     }
-
-    /// Units assigned per provider.
-    pub fn provider_load(&self, num_providers: usize) -> Vec<u64> {
-        let mut load = vec![0u64; num_providers];
-        for &(q, _, u) in &self.pairs {
-            load[q] += u64::from(u);
-        }
-        load
-    }
-
-    /// Units assigned per customer.
-    pub fn customer_load(&self, num_customers: usize) -> Vec<u64> {
-        let mut load = vec![0u64; num_customers];
-        for &(_, p, u) in &self.pairs {
-            load[p] += u64::from(u);
-        }
-        load
-    }
 }
 
 /// The required flow `γ = min(Σ q.k, Σ p.w)` (§1, §2.1).
@@ -154,11 +135,6 @@ pub struct SspaStats {
     /// Nodes settled across all searches — `s`, the settled providers, the
     /// customers labelled below `α(t)` and `t`, per search.
     pub settled: u64,
-    /// Wall time inside the shortest-path searches (init + settle loop),
-    /// and warming a start flow.
-    pub settle_ns: u64,
-    /// Wall time augmenting flow and updating potentials.
-    pub augment_ns: u64,
 }
 
 /// An SSPA solve cut short by its [`QueryContext`] (cancellation or an
@@ -253,24 +229,16 @@ impl Sspa<'_> {
         let mut dense = Dense::new(providers, customers);
         let (nq, np) = (providers.len() as u64, customers.len() as u64);
         let gamma = required_flow(providers, customers);
-        // Phase split: search time vs augment/potential-update time. Two
-        // timestamps per search (~µs-scale searches), each closing one phase
-        // and opening the next — cheap enough to keep on unconditionally.
         let mut stats = SspaStats {
             edges: nq * np + nq + np,
             ..SspaStats::default()
         };
         let mut units = 0u64;
-        let mut t0 = Instant::now();
         if !self.start.is_empty() {
             units = dense.install(self.start);
-            let warmed = dense.warm(self.ctx);
-            let t1 = Instant::now();
-            stats.settle_ns += (t1 - t0).as_nanos() as u64;
-            t0 = t1;
             // Cycle cancelling keeps the flow feasible and its value at
             // |start|, so the flow at an abort is a valid partial answer.
-            if let Err(a) = warmed {
+            if let Err(a) = dense.warm(self.ctx) {
                 return Err(FlowAborted {
                     reason: a.reason,
                     partial: dense.assignment(),
@@ -279,16 +247,11 @@ impl Sspa<'_> {
             }
         }
         while units < gamma {
-            let searched = dense.search(self.ctx);
-            let t1 = Instant::now();
-            stats.settle_ns += (t1 - t0).as_nanos() as u64;
-            match searched {
+            match dense.search(self.ctx) {
                 Ok(Some(alpha_t)) => {
                     let remaining = (gamma - units).min(u64::from(u32::MAX)) as u32;
                     units += u64::from(dense.augment(remaining));
                     stats.settled += dense.update_potentials(alpha_t);
-                    t0 = Instant::now();
-                    stats.augment_ns += (t0 - t1).as_nanos() as u64;
                     stats.iterations += 1;
                 }
                 Ok(None) => unreachable!("complete bipartite graph always admits γ units"),
@@ -885,6 +848,19 @@ mod tests {
         }
     }
 
+    /// Units of `asg` summed per provider or per customer (`side` picks
+    /// which index of a pair), over `n` indices.
+    fn loads(asg: &Assignment, n: usize, side: fn(&(usize, usize, u32)) -> usize) -> Vec<u64> {
+        let mut load = vec![0u64; n];
+        for pair in &asg.pairs {
+            load[side(pair)] += u64::from(pair.2);
+        }
+        load
+    }
+
+    const PROVIDER: fn(&(usize, usize, u32)) -> usize = |&(q, _, _)| q;
+    const CUSTOMER: fn(&(usize, usize, u32)) -> usize = |&(_, p, _)| p;
+
     /// Algorithm 1 with default options; no context, so no abort.
     fn solve(providers: &[FlowProvider], customers: &[FlowCustomer]) -> (Assignment, SspaStats) {
         Sspa::default().solve(providers, customers).unwrap()
@@ -952,7 +928,7 @@ mod tests {
         let customers = [p(1.0, 0.0), p(2.0, 0.0), p(99.0, 0.0)];
         let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 3, "all customers matched");
-        let load = asg.provider_load(2);
+        let load = loads(&asg, 2, PROVIDER);
         assert_eq!(load[0], 2);
         assert_eq!(load[1], 1);
         assert!((asg.cost - (1.0 + 2.0 + 1.0)).abs() < 1e-9);
@@ -967,7 +943,7 @@ mod tests {
         let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 2);
         assert!((asg.cost - 3.0).abs() < 1e-9, "the two nearest are kept");
-        let load = asg.customer_load(3);
+        let load = loads(&asg, 3, CUSTOMER);
         assert_eq!(load, vec![1, 1, 0]);
     }
 
@@ -982,7 +958,7 @@ mod tests {
         }];
         let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 3);
-        let load = asg.provider_load(2);
+        let load = loads(&asg, 2, PROVIDER);
         assert_eq!(load[0], 2, "nearer provider takes its full capacity");
         assert_eq!(load[1], 1);
         assert!((asg.cost - (2.0 * 4.0 + 6.0)).abs() < 1e-9);
@@ -1054,17 +1030,13 @@ mod tests {
         assert_eq!(err.partial.size(), err.stats.iterations);
         assert!(err.stats.iterations < 400, "aborted before completing");
         // Capacity feasibility of the partial assignment.
-        for (qi, load) in err
-            .partial
-            .provider_load(providers.len())
+        for (qi, load) in loads(&err.partial, providers.len(), PROVIDER)
             .iter()
             .enumerate()
         {
             assert!(*load <= u64::from(providers[qi].cap), "provider {qi}");
         }
-        for (pj, load) in err
-            .partial
-            .customer_load(customers.len())
+        for (pj, load) in loads(&err.partial, customers.len(), CUSTOMER)
             .iter()
             .enumerate()
         {
@@ -1318,12 +1290,12 @@ mod tests {
         assert_eq!(err.reason, AbortReason::Cancelled);
         assert_eq!(err.partial.size(), 30);
         assert_eq!(err.stats.iterations, 0);
-        let loads = err.partial.provider_load(providers.len());
-        for (load, q) in loads.iter().zip(&providers) {
+        let by_provider = loads(&err.partial, providers.len(), PROVIDER);
+        for (load, q) in by_provider.iter().zip(&providers) {
             assert!(*load <= u64::from(q.cap));
         }
-        let loads = err.partial.customer_load(customers.len());
-        for (load, p) in loads.iter().zip(&customers) {
+        let by_customer = loads(&err.partial, customers.len(), CUSTOMER);
+        for (load, p) in by_customer.iter().zip(&customers) {
             assert!(*load <= u64::from(p.weight));
         }
     }
@@ -1418,7 +1390,7 @@ mod tests {
         let customers = [p(0.5, 0.0), p(-0.5, 0.0), p(1.0, 0.0)];
         let (asg, _) = solve(&providers, &customers);
         assert_eq!(asg.size(), 3);
-        let load = asg.provider_load(2);
+        let load = loads(&asg, 2, PROVIDER);
         assert_eq!(load[0], 1, "capacity respected despite 3 nearby customers");
         assert_eq!(load[1], 2);
     }

@@ -81,27 +81,6 @@ pub fn hilbert_of_point(p: &Point, world_size: f64) -> u64 {
     xy_to_d(gx, gy)
 }
 
-/// Hilbert index of a point normalised against an arbitrary bounding
-/// rectangle (rather than the `[0, world]²` origin square of
-/// [`hilbert_of_point`]).
-///
-/// Degenerate extents (all points share an x or y) collapse that axis to
-/// grid coordinate 0, so collinear inputs still get a consistent ordering
-/// along the other axis. Coordinates outside `bbox` are clamped.
-pub fn hilbert_in_rect(p: &Point, bbox: &crate::Rect) -> u64 {
-    let axis = |v: f64, lo: f64, hi: f64| -> u32 {
-        let extent = hi - lo;
-        if extent <= 0.0 {
-            return 0;
-        }
-        (((v.clamp(lo, hi) - lo) / extent * GRID as f64) as u32).min(GRID - 1)
-    };
-    xy_to_d(
-        axis(p.x, bbox.lo.x, bbox.hi.x),
-        axis(p.y, bbox.lo.y, bbox.hi.y),
-    )
-}
-
 /// Sorts indices `0..items.len()` by the Hilbert value of the corresponding
 /// point. Returns the permutation rather than reordering the input, because
 /// callers (SA partitioning, ANN grouping) need to keep the original
@@ -157,27 +136,6 @@ mod tests {
         assert_eq!(inside, clamped);
         // Max corner must not overflow the grid.
         let _ = hilbert_of_point(&Point::new(1000.0, 1000.0), 1000.0);
-    }
-
-    #[test]
-    fn rect_mapping_matches_world_mapping_on_the_world_square() {
-        let world = crate::Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
-        for (x, y) in [(0.0, 0.0), (12.5, 997.0), (500.0, 500.0), (1000.0, 1000.0)] {
-            let p = Point::new(x, y);
-            assert_eq!(hilbert_in_rect(&p, &world), hilbert_of_point(&p, 1000.0));
-        }
-    }
-
-    #[test]
-    fn rect_mapping_tolerates_degenerate_extents() {
-        // All points collinear in x: the x axis collapses, ordering follows y.
-        let bbox = crate::Rect::new(Point::new(5.0, 0.0), Point::new(5.0, 100.0));
-        let lo = hilbert_in_rect(&Point::new(5.0, 10.0), &bbox);
-        let hi = hilbert_in_rect(&Point::new(5.0, 90.0), &bbox);
-        assert_ne!(lo, hi);
-        // A single point (both axes degenerate) maps to a fixed cell.
-        let pt = crate::Rect::from_point(Point::new(3.0, 4.0));
-        assert_eq!(hilbert_in_rect(&Point::new(3.0, 4.0), &pt), xy_to_d(0, 0));
     }
 
     #[test]

@@ -61,8 +61,6 @@ pub struct GroupAnn<'t> {
     hm: BinaryHeap<Reverse<GroupHeapKey>>,
     /// `res_i`: per-member candidate heaps.
     res: Vec<BinaryHeap<Reverse<Candidate>>>,
-    /// Points already handed to candidate heaps (for accounting/tests).
-    points_seen: usize,
     /// Per-query control block for every page this group search reads; the
     /// search stops expanding entries once the context aborts.
     ctx: Option<QueryContext>,
@@ -95,7 +93,6 @@ impl<'t> GroupAnn<'t> {
             members,
             hm,
             res,
-            points_seen: 0,
             ctx,
             aborted: None,
         }
@@ -106,11 +103,6 @@ impl<'t> GroupAnn<'t> {
     /// already fetched; `next_nn` then returns `None`.
     pub fn abort_reason(&self) -> Option<AbortReason> {
         self.aborted
-    }
-
-    /// Total customers inserted into candidate heaps so far.
-    pub fn points_seen(&self) -> usize {
-        self.points_seen
     }
 
     /// Retrieves the next nearest neighbour of member `i` (Algorithm 6).
@@ -165,10 +157,8 @@ impl<'t> GroupAnn<'t> {
         if key.level_height == 1 {
             let members = &self.members;
             let res = &mut self.res;
-            let mut seen = 0usize;
             self.tree.store().with_page_ctx(page, ctx, |bytes| {
                 node::for_each_leaf_entry(bytes, |p, id| {
-                    seen += 1;
                     for (m, heap) in members.iter().zip(res.iter_mut()) {
                         heap.push(Reverse(Candidate {
                             dist: OrdF64::new(m.dist(&p)),
@@ -178,7 +168,6 @@ impl<'t> GroupAnn<'t> {
                     }
                 });
             });
-            self.points_seen += seen;
         } else {
             let gm = self.group_mbr;
             let hm = &mut self.hm;

@@ -1,21 +1,16 @@
-//! Sort-Tile-Recursive (STR) bulk loading with Hilbert page placement.
+//! Sort-Tile-Recursive (STR) bulk loading.
 //!
 //! The paper's evaluation indexes a *static* customer set, for which packed
 //! bulk loading is the standard construction. STR packs points into fully
 //! filled leaves tiled along x then y, then packs each upper level the same
 //! way until a single root remains.
 //!
-//! Page ids are not assigned in STR emission order but in *Hilbert order* of
-//! each node's MBR center: nodes that are close in space get close (usually
-//! consecutive) page ids. The tree *structure* is identical to plain STR —
-//! only the id → node mapping changes. The simulated disk charges a flat
-//! count per read, so placement buys no I/O discount. What it still decides
-//! is tie-breaking: the k-NN cursor (`knn.rs`, `HeapItem::rank`) orders
-//! nodes at equal mindist by page id, so placement fixes which of them is
-//! expanded first. Whether plain STR order would move any fault or page
-//! count is unmeasured.
+//! Page ids follow STR emission order, level by level from the leaves up.
+//! The simulated disk charges a flat count per read, so placement buys no
+//! I/O discount; it only decides which of two nodes at equal mindist the
+//! k-NN cursor (`knn.rs`, `HeapItem::rank`) expands first.
 
-use cca_geo::{hilbert, Point, Rect};
+use cca_geo::{Point, Rect};
 use cca_storage::{PageId, PageStore};
 
 use crate::entry::{InnerEntry, ItemId, LeafEntry};
@@ -51,7 +46,7 @@ impl RTree {
                 (mbr, Node::Leaf(chunk))
             })
             .collect();
-        let mut level = write_level_hilbert_ordered(&tree, nodes);
+        let mut level = write_level(&tree, nodes);
         let mut height = 1u32;
 
         // --- Upper levels ----------------------------------------------
@@ -64,7 +59,7 @@ impl RTree {
                     (mbr, Node::Inner(chunk))
                 })
                 .collect();
-            level = write_level_hilbert_ordered(&tree, nodes);
+            level = write_level(&tree, nodes);
             height += 1;
         }
 
@@ -76,39 +71,13 @@ impl RTree {
     }
 }
 
-/// Writes one level's nodes, assigning page ids in Hilbert order of the
-/// nodes' MBR centers (normalised against the level's own bounding box).
-///
-/// Pages come from the store's sequential allocator, so the r-th node along
-/// the curve lands on the r-th freshly allocated page; page order is the
-/// k-NN cursor's tie-break between nodes at equal mindist (see the module
-/// doc). Returns the level's entries in the *original STR order* — parents
-/// are packed from the same tiling regardless of where children were
-/// placed, keeping the structure identical to plain STR.
-fn write_level_hilbert_ordered(tree: &RTree, nodes: Vec<(Rect, Node)>) -> Vec<InnerEntry> {
-    let mut bbox = Rect::empty();
-    for (mbr, _) in &nodes {
-        let c = mbr.center();
-        bbox.expand_point(&c);
-    }
-    // Hilbert rank of each node; ties (coincident centers) break by STR
-    // position so placement stays deterministic.
-    let mut order: Vec<(u64, usize)> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, (mbr, _))| (hilbert::hilbert_in_rect(&mbr.center(), &bbox), i))
-        .collect();
-    order.sort_unstable();
-
-    let pages: Vec<PageId> = nodes.iter().map(|_| tree.store().alloc_page()).collect();
-    let mut assigned: Vec<PageId> = vec![PageId(u32::MAX); nodes.len()];
-    for (rank, &(_, i)) in order.iter().enumerate() {
-        assigned[i] = pages[rank];
-    }
+/// Writes one level's nodes to freshly allocated pages, in STR order, and
+/// returns the entries that point at them.
+fn write_level(tree: &RTree, nodes: Vec<(Rect, Node)>) -> Vec<InnerEntry> {
     nodes
         .into_iter()
-        .zip(assigned)
-        .map(|((mbr, node), page)| {
+        .map(|(mbr, node)| {
+            let page = tree.store().alloc_page();
             tree.write_node(page, &node);
             InnerEntry::new(mbr, page)
         })
@@ -224,39 +193,6 @@ mod tests {
         let pages = tree.store().num_pages();
         assert!(pages >= 101, "too few pages: {pages}");
         assert!(pages <= 115, "packing wasted pages: {pages}");
-    }
-
-    #[test]
-    fn leaf_page_ids_ascend_along_the_hilbert_curve() {
-        // Leaves are the first-allocated level; their ids must follow the
-        // Hilbert rank of their MBR centers exactly.
-        let (tree, _) = build(5000, 9);
-        let mut leaves: Vec<(u32, Point)> = Vec::new();
-        let mut stack = vec![tree.root()];
-        while let Some(page) = stack.pop() {
-            match tree.read_node(page) {
-                Node::Leaf(entries) => {
-                    let mbr: Rect = entries.iter().map(|e| e.point).collect();
-                    leaves.push((page.0, mbr.center()));
-                }
-                Node::Inner(entries) => stack.extend(entries.iter().map(|e| e.child)),
-            }
-        }
-        assert!(leaves.len() > 100, "expected a wide leaf level");
-        let mut bbox = Rect::empty();
-        for (_, c) in &leaves {
-            bbox.expand_point(c);
-        }
-        let mut ranked: Vec<(u64, u32)> = leaves
-            .iter()
-            .map(|&(id, c)| (hilbert::hilbert_in_rect(&c, &bbox), id))
-            .collect();
-        ranked.sort_unstable();
-        let ids: Vec<u32> = ranked.iter().map(|&(_, id)| id).collect();
-        assert!(
-            ids.windows(2).all(|w| w[1] == w[0] + 1),
-            "leaf page ids must be consecutive in Hilbert order: {ids:?}"
-        );
     }
 
     #[test]

@@ -169,9 +169,9 @@ struct TenantState<T> {
 impl<T> TenantState<T> {
     fn new(quota: TenantQuota, aging_period: u32, rate_window: Duration) -> Self {
         TenantState {
-            // The per-tenant AgingQueue bound is the tenant's own quota;
-            // the global capacity is enforced by the DrrQueue.
-            queue: AgingQueue::new(quota.queue_slots, aging_period),
+            // The tenant's quota and the global capacity are checked by
+            // `DrrQueue::push` before the entry reaches its AgingQueue.
+            queue: AgingQueue::new(aging_period),
             quota,
             deficit: 0,
             in_flight: 0,
@@ -311,10 +311,7 @@ impl<T> DrrQueue<T> {
             });
         }
         let was_empty = state.queue.is_empty();
-        state
-            .queue
-            .push(priority, item)
-            .unwrap_or_else(|_| unreachable!("slot quota checked above"));
+        state.queue.push(priority, item);
         state.submitted += 1;
         self.len += 1;
         if was_empty {

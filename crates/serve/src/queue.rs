@@ -1,4 +1,4 @@
-//! [`AgingQueue`] — the scheduler's bounded multi-level priority queue.
+//! [`AgingQueue`] — the scheduler's multi-level priority queue.
 //!
 //! One FIFO ring per [`Priority`] level, popped highest level first. To
 //! prevent starvation under a saturated stream of high-priority work, the
@@ -9,35 +9,32 @@
 //! the next one — a bound that holds however many higher-priority entries
 //! are queued or keep arriving, which the starvation tests pin down.
 //!
-//! The queue is bounded: [`AgingQueue::push`] refuses entries beyond
-//! `capacity`, which is the scheduler's semaphore-style admission control —
-//! capacity is the number of backlog permits, and an exhausted queue sheds
-//! load explicitly instead of growing without bound.
+//! The queue itself is unbounded: admission control is the caller's
+//! (`DrrQueue::push` checks the tenant's `queue_slots` and the
+//! global capacity before it pushes).
 
 use std::collections::VecDeque;
 
 use cca_storage::Priority;
 
-/// Bounded multi-level FIFO queue with priority aging.
+/// Multi-level FIFO queue with priority aging.
 #[derive(Debug)]
 pub struct AgingQueue<T> {
     /// One FIFO per priority level, indexed by [`Priority::index`].
     levels: Vec<VecDeque<T>>,
     len: usize,
-    capacity: usize,
     /// Pops between promotion rounds (`0` disables aging).
     aging_period: u32,
     pops_since_promotion: u32,
 }
 
 impl<T> AgingQueue<T> {
-    /// A queue admitting at most `capacity` entries, promoting waiters
-    /// every `aging_period` pops (`0` = never promote).
-    pub fn new(capacity: usize, aging_period: u32) -> Self {
+    /// A queue promoting waiters every `aging_period` pops (`0` = never
+    /// promote).
+    pub fn new(aging_period: u32) -> Self {
         AgingQueue {
             levels: (0..Priority::ALL.len()).map(|_| VecDeque::new()).collect(),
             len: 0,
-            capacity,
             aging_period,
             pops_since_promotion: 0,
         }
@@ -55,15 +52,10 @@ impl<T> AgingQueue<T> {
         self.len == 0
     }
 
-    /// Enqueues `item` at `priority`; gives the item back when the queue is
-    /// at capacity (the caller turns that into an explicit rejection).
-    pub fn push(&mut self, priority: Priority, item: T) -> Result<(), T> {
-        if self.len >= self.capacity {
-            return Err(item);
-        }
+    /// Enqueues `item` at `priority`.
+    pub fn push(&mut self, priority: Priority, item: T) {
         self.levels[priority.index()].push_back(item);
         self.len += 1;
-        Ok(())
     }
 
     /// Dequeues the front of the highest non-empty level, after applying a
@@ -121,42 +113,26 @@ mod tests {
 
     #[test]
     fn pops_highest_priority_first_fifo_within_level() {
-        let mut q = AgingQueue::new(8, 0);
-        q.push(Priority::Normal, "n1").unwrap();
-        q.push(Priority::High, "h1").unwrap();
-        q.push(Priority::Normal, "n2").unwrap();
-        q.push(Priority::Critical, "c1").unwrap();
-        q.push(Priority::Low, "l1").unwrap();
-        q.push(Priority::High, "h2").unwrap();
+        let mut q = AgingQueue::new(0);
+        q.push(Priority::Normal, "n1");
+        q.push(Priority::High, "h1");
+        q.push(Priority::Normal, "n2");
+        q.push(Priority::Critical, "c1");
+        q.push(Priority::Low, "l1");
+        q.push(Priority::High, "h2");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, ["c1", "h1", "h2", "n1", "n2", "l1"]);
         assert!(q.is_empty());
     }
 
-    #[test]
-    fn capacity_bounds_admission() {
-        let mut q = AgingQueue::new(2, 0);
-        q.push(Priority::Normal, 1).unwrap();
-        q.push(Priority::Low, 2).unwrap();
-        assert_eq!(
-            q.push(Priority::Critical, 3),
-            Err(3),
-            "full sheds even critical"
-        );
-        assert_eq!(q.len(), 2);
-        q.pop().unwrap();
-        q.push(Priority::Critical, 3).unwrap();
-        assert_eq!(q.pop(), Some(3));
-    }
-
     /// Pops until a `Low` entry queued ahead of `backlog` standing `High`
     /// entries is served, topping the `High`s up after every pop.
-    fn pops_until_low_is_served(capacity: usize, backlog: usize, period: u32) -> u32 {
-        let mut q = AgingQueue::new(capacity, period);
-        q.push(Priority::Low, u32::MAX).unwrap();
+    fn pops_until_low_is_served(backlog: usize, period: u32) -> u32 {
+        let mut q = AgingQueue::new(period);
+        q.push(Priority::Low, u32::MAX);
         let mut next_high = 0u32;
         for _ in 0..backlog {
-            q.push(Priority::High, next_high).unwrap();
+            q.push(Priority::High, next_high);
             next_high += 1;
         }
         let mut pops = 0u32;
@@ -166,7 +142,7 @@ mod tests {
             if item == u32::MAX {
                 return pops;
             }
-            q.push(Priority::High, next_high).unwrap();
+            q.push(Priority::High, next_high);
             next_high += 1;
         }
     }
@@ -174,7 +150,7 @@ mod tests {
     #[test]
     fn aging_promotes_a_starved_low_entry_within_the_bound() {
         const PERIOD: u32 = 3;
-        let pops = pops_until_low_is_served(64, 4, PERIOD);
+        let pops = pops_until_low_is_served(4, PERIOD);
         // Low → Normal → High → Critical takes ≤ 3 rounds of PERIOD pops;
         // at Critical it is served on the next pop.
         let bound = 3 * PERIOD + 1;
@@ -186,11 +162,12 @@ mod tests {
 
     #[test]
     fn aging_bound_holds_behind_a_full_standing_backlog() {
-        // The worst a saturating producer can do: every slot but the Low
-        // entry's own holds a High, refilled after every pop.
+        // The worst a saturating producer can do under a 64-slot quota:
+        // every slot but the Low entry's own holds a High, refilled after
+        // every pop.
         const PERIOD: u32 = 4;
-        const CAPACITY: usize = 64;
-        let pops = pops_until_low_is_served(CAPACITY, CAPACITY - 1, PERIOD);
+        const SLOTS: usize = 64;
+        let pops = pops_until_low_is_served(SLOTS - 1, PERIOD);
         let bound = 3 * PERIOD + 1;
         assert!(
             pops <= bound,
@@ -200,10 +177,10 @@ mod tests {
 
     #[test]
     fn aging_disabled_starves_lower_levels() {
-        let mut q = AgingQueue::new(64, 0);
-        q.push(Priority::Low, 999).unwrap();
+        let mut q = AgingQueue::new(0);
+        q.push(Priority::Low, 999);
         for i in 0..20 {
-            q.push(Priority::High, i).unwrap();
+            q.push(Priority::High, i);
         }
         for _ in 0..20 {
             assert_ne!(q.pop(), Some(999), "high work drains first without aging");
@@ -213,15 +190,15 @@ mod tests {
 
     #[test]
     fn remove_first_frees_a_slot_and_preserves_order() {
-        let mut q = AgingQueue::new(3, 0);
-        q.push(Priority::Low, "a").unwrap();
-        q.push(Priority::High, "b").unwrap();
-        q.push(Priority::Low, "c").unwrap();
+        let mut q = AgingQueue::new(0);
+        q.push(Priority::Low, "a");
+        q.push(Priority::High, "b");
+        q.push(Priority::Low, "c");
         assert_eq!(q.remove_first(|&x| x == "a"), Some("a"));
         assert_eq!(q.len(), 2);
         assert_eq!(q.remove_first(|&x| x == "a"), None, "already removed");
-        // The freed slot admits again; remaining order is untouched.
-        q.push(Priority::Low, "d").unwrap();
+        // Remaining order is untouched.
+        q.push(Priority::Low, "d");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, ["b", "c", "d"]);
     }
@@ -230,10 +207,10 @@ mod tests {
     fn promotion_preserves_relative_age() {
         // Two low entries: the older one must be promoted (and served)
         // first.
-        let mut q = AgingQueue::new(8, 1);
-        q.push(Priority::Low, "old").unwrap();
-        q.push(Priority::Low, "young").unwrap();
-        q.push(Priority::High, "h").unwrap();
+        let mut q = AgingQueue::new(1);
+        q.push(Priority::Low, "old");
+        q.push(Priority::Low, "young");
+        q.push(Priority::High, "h");
         assert_eq!(q.pop(), Some("h"));
         let a = q.pop().unwrap();
         let b = q.pop().unwrap();

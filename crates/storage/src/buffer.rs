@@ -17,16 +17,25 @@ use crate::disk::{DiskManager, PageId};
 use crate::stats::IoStats;
 
 const NO_FRAME: u32 = u32::MAX;
-const NO_PAGE: u32 = u32::MAX;
 
 struct Frame {
-    /// Index of the page held, [`NO_PAGE`] when detached.
+    /// Index of the page held.
     page: u32,
     bytes: Box<[u8]>,
     /// Clock reference bit: set on every access, cleared by the sweeping
     /// hand.
     referenced: bool,
     dirty: bool,
+}
+
+impl Frame {
+    /// Writes the frame back if dirty, counting the write in `stats`.
+    fn write_back(&mut self, disk: &mut DiskManager, stats: &mut IoStats) {
+        if std::mem::take(&mut self.dirty) {
+            disk.write_page(PageId(self.page), &self.bytes);
+            stats.writes += 1;
+        }
+    }
 }
 
 /// A buffer pool caching up to `capacity` pages (at least one) with clock
@@ -37,6 +46,10 @@ struct Frame {
 /// [`BufferPool::set_capacity`]. Every cache miss is a page fault charged at
 /// 10 ms by [`IoStats`]. Hits touch no replacement list — they only set the
 /// frame's reference bit.
+///
+/// Every frame holds a page: frames are created on a fault below capacity
+/// and dropped by [`BufferPool::clear`] and by shrinking, so a cleared pool
+/// is an empty pool, exactly like a fresh one.
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Frame>,
@@ -45,9 +58,6 @@ pub struct BufferPool {
     page_table: Vec<u32>,
     /// Clock hand position for the second-chance sweep.
     hand: usize,
-    /// Allocated frames currently holding no page (detached by
-    /// [`BufferPool::clear`]); popped in O(1) before growing or evicting.
-    free: Vec<u32>,
     stats: IoStats,
 }
 
@@ -60,7 +70,6 @@ impl BufferPool {
             frames: Vec::new(),
             page_table: Vec::new(),
             hand: 0,
-            free: Vec::new(),
             stats: IoStats::default(),
         }
     }
@@ -74,13 +83,6 @@ impl BufferPool {
     /// Number of pages currently cached.
     #[inline]
     pub fn cached_pages(&self) -> usize {
-        self.frames.len() - self.free.len()
-    }
-
-    /// Number of frame allocations held (cached + free); never exceeds
-    /// [`BufferPool::capacity`].
-    #[inline]
-    pub fn allocated_frames(&self) -> usize {
         self.frames.len()
     }
 
@@ -95,12 +97,6 @@ impl BufferPool {
         self.stats = IoStats::default();
     }
 
-    fn ensure_page_table(&mut self, id: PageId) {
-        if id.index() >= self.page_table.len() {
-            self.page_table.resize(id.index() + 1, NO_FRAME);
-        }
-    }
-
     /// Returns the frame slot caching `id`, if any.
     fn lookup(&self, id: PageId) -> Option<usize> {
         let slot = *self.page_table.get(id.index())?;
@@ -108,63 +104,48 @@ impl BufferPool {
     }
 
     /// Clock second-chance sweep: advances the hand, clearing reference bits,
-    /// until it finds an attached frame whose bit is already clear. Bounded:
-    /// one full pass clears every bit, so the second pass takes the first
-    /// attached frame it meets.
+    /// until it finds a frame whose bit is already clear. Bounded: one full
+    /// pass clears every bit.
     fn pick_victim(&mut self) -> usize {
-        let n = self.frames.len();
-        debug_assert!(n > 0, "eviction from an empty pool");
-        if self.hand >= n {
-            self.hand = 0;
-        }
-        let mut steps = 0usize;
         loop {
-            steps += 1;
-            assert!(steps <= 2 * n, "buffer pool full but no evictable frame");
             let slot = self.hand;
-            self.hand = (self.hand + 1) % n;
-            let frame = &mut self.frames[slot];
-            if frame.page == NO_PAGE {
-                continue; // detached (free-listed) frame: not a candidate
-            }
-            if !std::mem::take(&mut frame.referenced) {
+            self.hand = (self.hand + 1) % self.frames.len();
+            if !std::mem::take(&mut self.frames[slot].referenced) {
                 return slot;
             }
         }
     }
 
-    /// Picks a frame for a new page: pop the free list, grow below capacity,
-    /// else evict the clock victim (writing it back if dirty).
-    fn acquire_slot(&mut self, disk: &mut DiskManager) -> usize {
-        if let Some(slot) = self.free.pop() {
-            return slot as usize;
-        }
-        if self.frames.len() < self.capacity {
-            let slot = self.frames.len();
+    /// Gives uncached page `id` a frame — a new one below capacity, else the
+    /// clock victim, written back if dirty — and returns its slot. The frame
+    /// comes back referenced and clean; the caller fills its bytes.
+    ///
+    /// # Panics
+    /// Panics if `id` is not on `disk`, before the pool changes.
+    fn attach(&mut self, disk: &mut DiskManager, id: PageId) -> usize {
+        assert!(id.index() < disk.num_pages(), "{id} is not on disk");
+        let slot = if self.frames.len() < self.capacity {
             self.frames.push(Frame {
-                page: NO_PAGE,
+                page: id.0,
                 bytes: vec![0u8; disk.page_size()].into_boxed_slice(),
-                referenced: false,
+                referenced: true,
                 dirty: false,
             });
-            return slot;
+            self.frames.len() - 1
+        } else {
+            let slot = self.pick_victim();
+            let frame = &mut self.frames[slot];
+            frame.write_back(disk, &mut self.stats);
+            self.page_table[frame.page as usize] = NO_FRAME;
+            frame.page = id.0;
+            frame.referenced = true;
+            slot
+        };
+        if id.index() >= self.page_table.len() {
+            self.page_table.resize(id.index() + 1, NO_FRAME);
         }
-        let victim = self.pick_victim();
-        self.evict_slot(victim, disk);
-        victim
-    }
-
-    /// Detaches `slot` from its page: write-back if dirty, clear the page
-    /// table entry, and mark the frame page-less.
-    fn evict_slot(&mut self, slot: usize, disk: &mut DiskManager) {
-        let frame = &mut self.frames[slot];
-        debug_assert_ne!(frame.page, NO_PAGE, "evicting a detached frame");
-        if std::mem::take(&mut frame.dirty) {
-            disk.write_page(PageId(frame.page), &frame.bytes);
-            self.stats.writes += 1;
-        }
-        self.page_table[frame.page as usize] = NO_FRAME;
-        frame.page = NO_PAGE;
+        self.page_table[id.index()] = slot as u32;
+        slot
     }
 
     /// Reads page `id` through the pool and passes its bytes to `f`.
@@ -177,22 +158,20 @@ impl BufferPool {
         id: PageId,
         f: impl FnOnce(&[u8]) -> R,
     ) -> R {
-        self.ensure_page_table(id);
-        if let Some(slot) = self.lookup(id) {
-            self.stats.hits += 1;
-            let frame = &mut self.frames[slot];
-            frame.referenced = true;
-            return f(&frame.bytes);
-        }
-        self.stats.faults += 1;
-        let slot = self.acquire_slot(disk);
-        let frame = &mut self.frames[slot];
-        disk.read_page(id, &mut frame.bytes);
-        frame.page = id.0;
-        frame.referenced = true;
-        frame.dirty = false;
-        self.page_table[id.index()] = slot as u32;
-        f(&frame.bytes)
+        let slot = match self.lookup(id) {
+            Some(slot) => {
+                self.stats.hits += 1;
+                self.frames[slot].referenced = true;
+                slot
+            }
+            None => {
+                self.stats.faults += 1;
+                let slot = self.attach(disk, id);
+                disk.read_page(id, &mut self.frames[slot].bytes);
+                slot
+            }
+        };
+        f(&self.frames[slot].bytes)
     }
 
     /// Writes a full page through the pool (write-allocate, no read needed
@@ -200,18 +179,12 @@ impl BufferPool {
     /// the disk on eviction or [`BufferPool::flush_all`].
     pub fn write_page(&mut self, disk: &mut DiskManager, id: PageId, data: &[u8]) {
         assert_eq!(data.len(), disk.page_size(), "buffer/page size mismatch");
-        self.ensure_page_table(id);
         let slot = match self.lookup(id) {
             Some(slot) => slot,
-            None => {
-                let slot = self.acquire_slot(disk);
-                self.page_table[id.index()] = slot as u32;
-                slot
-            }
+            None => self.attach(disk, id),
         };
         let frame = &mut self.frames[slot];
         frame.bytes.copy_from_slice(data);
-        frame.page = id.0;
         frame.referenced = true;
         frame.dirty = true;
     }
@@ -219,50 +192,49 @@ impl BufferPool {
     /// Writes back every dirty frame.
     pub fn flush_all(&mut self, disk: &mut DiskManager) {
         for frame in &mut self.frames {
-            if frame.page != NO_PAGE && std::mem::take(&mut frame.dirty) {
-                disk.write_page(PageId(frame.page), &frame.bytes);
-                self.stats.writes += 1;
-            }
+            frame.write_back(disk, &mut self.stats);
         }
     }
 
-    /// Flushes and detaches all cached frames (cold restart between
-    /// experiment runs, so each algorithm starts with an empty buffer as in
-    /// the paper). Frame allocations are kept on the free list for reuse.
-    ///
-    /// The whole page table is wiped, so no entry can stay stale — not even
-    /// for a frame that was detached at the time (e.g. by a panic unwound
-    /// mid-acquisition).
+    /// Flushes and drops every frame: the next run starts from an empty
+    /// pool, as in the paper, and faults exactly as on a fresh pool whatever
+    /// ran before. Capacity and statistics are kept.
     pub fn clear(&mut self, disk: &mut DiskManager) {
         self.flush_all(disk);
-        self.page_table.fill(NO_FRAME);
-        self.free.clear();
-        for (slot, frame) in self.frames.iter_mut().enumerate() {
-            frame.page = NO_PAGE;
-            self.free.push(slot as u32);
-        }
+        self.frames.clear();
+        self.page_table.clear();
         self.hand = 0;
     }
 
-    /// Changes the capacity (`0` is clamped to one frame); if shrinking,
-    /// evicts clock victims immediately and compacts the surviving frames
-    /// into the low slots so no frame allocation outlives the new capacity.
+    /// Changes the capacity (`0` is clamped to one frame). Shrinking below
+    /// the cached page count evicts at once the frames that as many
+    /// consecutive faults would take; the survivors keep their clock order
+    /// and the hand restarts where this sweep began.
     pub fn set_capacity(&mut self, disk: &mut DiskManager, capacity: usize) {
-        let capacity = capacity.max(1);
-        while self.cached_pages() > capacity {
-            let victim = self.pick_victim();
-            self.evict_slot(victim, disk);
-            self.free.push(victim as u32);
+        self.capacity = capacity.max(1);
+        let mut excess = self.frames.len().saturating_sub(self.capacity);
+        if excess == 0 {
+            return;
         }
-        if self.frames.len() > capacity {
-            self.frames.retain(|frame| frame.page != NO_PAGE);
-            self.free.clear();
-            self.hand = 0;
-            for (slot, frame) in self.frames.iter().enumerate() {
-                self.page_table[frame.page as usize] = slot as u32;
-            }
+        // The sweep starts at the hand. Its first lap takes unreferenced
+        // frames and clears the bits of the rest; the second takes frames
+        // in order until enough are gone.
+        self.frames.rotate_left(self.hand);
+        for lap in 0..2 {
+            self.frames.retain_mut(|frame| {
+                if excess == 0 || (lap == 0 && std::mem::take(&mut frame.referenced)) {
+                    return true;
+                }
+                frame.write_back(disk, &mut self.stats);
+                self.page_table[frame.page as usize] = NO_FRAME;
+                excess -= 1;
+                false
+            });
         }
-        self.capacity = capacity;
+        self.hand = 0;
+        for (slot, frame) in self.frames.iter().enumerate() {
+            self.page_table[frame.page as usize] = slot as u32;
+        }
     }
 }
 
@@ -281,7 +253,6 @@ mod tests {
             let data = vec![i as u8; page_size];
             disk.write_page(id, &data);
         }
-        disk.reset_counters();
         (disk, BufferPool::new(pool_cap), ids)
     }
 
@@ -293,7 +264,6 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.faults, 1);
         assert_eq!(s.hits, 1);
-        assert_eq!(disk.physical_reads(), 1);
     }
 
     #[test]
@@ -334,10 +304,15 @@ mod tests {
     #[test]
     fn dirty_pages_written_back_on_eviction() {
         let (mut disk, mut pool, ids) = setup(1, 2, 8);
+        let mut on_disk = [0xFFu8; 8];
         pool.write_page(&mut disk, ids[0], &[9u8; 8]);
-        assert_eq!(disk.physical_writes(), 0, "write-back is deferred");
+        assert_eq!(pool.stats().writes, 0, "write-back is deferred");
+        disk.read_page(ids[0], &mut on_disk);
+        assert_eq!(on_disk, [0u8; 8], "the disk still holds the old bytes");
         pool.with_page(&mut disk, ids[1], |_| ()); // evicts dirty page 0
-        assert_eq!(disk.physical_writes(), 1);
+        assert_eq!(pool.stats().writes, 1);
+        disk.read_page(ids[0], &mut on_disk);
+        assert_eq!(on_disk, [9u8; 8]);
         // Content must survive the round trip.
         pool.with_page(&mut disk, ids[0], |d| assert_eq!(d, &[9u8; 8]));
         assert_eq!(pool.stats().writes, 1);
@@ -349,10 +324,16 @@ mod tests {
         pool.write_page(&mut disk, ids[0], &[7u8; 8]);
         pool.write_page(&mut disk, ids[1], &[8u8; 8]);
         pool.flush_all(&mut disk);
-        assert_eq!(disk.physical_writes(), 2);
+        assert_eq!(pool.stats().writes, 2);
+        let mut on_disk = [0u8; 8];
+        disk.read_page(ids[0], &mut on_disk);
+        assert_eq!(on_disk, [7u8; 8]);
+        disk.read_page(ids[1], &mut on_disk);
+        assert_eq!(on_disk, [8u8; 8]);
         // Flushing twice writes nothing new.
         pool.flush_all(&mut disk);
-        assert_eq!(disk.physical_writes(), 2);
+        assert_eq!(pool.stats().writes, 2);
+        assert_eq!(pool.cached_pages(), 2, "flushing evicts nothing");
     }
 
     #[test]
@@ -396,23 +377,27 @@ mod tests {
     }
 
     #[test]
-    fn clear_reuses_frame_allocations_via_free_list() {
-        let (mut disk, mut pool, ids) = setup(4, 4, 8);
-        for &id in &ids {
-            pool.with_page(&mut disk, id, |_| ());
+    fn cleared_pool_replays_like_a_fresh_one() {
+        // A cold run must not depend on what ran before: after `clear`, an
+        // access sequence hits and faults exactly as on a new pool.
+        fn replay(pool: &mut BufferPool, disk: &mut DiskManager, ids: &[PageId]) -> IoStats {
+            pool.reset_stats();
+            for i in [0, 1, 2, 3, 1, 2, 4, 3] {
+                pool.with_page(disk, ids[i], |d| assert_eq!(d[0], i as u8));
+            }
+            pool.stats()
         }
-        assert_eq!(pool.cached_pages(), 4);
-        assert_eq!(pool.allocated_frames(), 4);
-        pool.clear(&mut disk);
-        // Frames are detached but their allocations are retained.
-        assert_eq!(pool.cached_pages(), 0);
-        assert_eq!(pool.allocated_frames(), 4);
-        // Re-reading pops the free list (no re-allocation, correct data).
-        pool.reset_stats();
-        pool.with_page(&mut disk, ids[2], |d| assert_eq!(d[0], 2));
-        assert_eq!(pool.allocated_frames(), 4);
-        assert_eq!(pool.cached_pages(), 1);
-        assert_eq!(pool.stats().faults, 1, "cache is cold after clear");
+        let (mut disk, mut fresh, ids) = setup(3, 5, 8);
+        let expected = replay(&mut fresh, &mut disk, &ids);
+        let mut used = BufferPool::new(3);
+        for &id in ids.iter().rev() {
+            used.with_page(&mut disk, id, |_| ());
+        }
+        used.write_page(&mut disk, ids[4], &[4u8; 8]);
+        used.clear(&mut disk);
+        assert_eq!(used.cached_pages(), 0);
+        assert_eq!(replay(&mut used, &mut disk, &ids), expected);
+        assert_eq!(expected.hits, 3, "the sequence mixes hits and faults");
     }
 
     #[test]
@@ -421,14 +406,10 @@ mod tests {
         for &id in &ids {
             pool.with_page(&mut disk, id, |_| ());
         }
-        assert_eq!(pool.allocated_frames(), 8);
+        assert_eq!(pool.cached_pages(), 8);
         pool.set_capacity(&mut disk, 3);
         assert_eq!(pool.capacity(), 3);
-        assert!(
-            pool.allocated_frames() <= 3,
-            "shrink must drop spare frames"
-        );
-        assert_eq!(pool.cached_pages(), 3);
+        assert_eq!(pool.cached_pages(), 3, "shrink must drop spare frames");
         // All eight were referenced once, so the sweep clears every bit and
         // then evicts slots 0..5 in hand order: pages 5,6,7 survive.
         pool.reset_stats();
@@ -441,7 +422,6 @@ mod tests {
         pool.with_page(&mut disk, ids[0], |_| ());
         assert_eq!(pool.stats().faults, 1);
         assert_eq!(pool.cached_pages(), 3);
-        assert!(pool.allocated_frames() <= 3);
     }
 
     #[test]
@@ -470,7 +450,7 @@ mod tests {
         // Zero is clamped to one frame: the sweep evicts dirty page 0.
         pool.set_capacity(&mut disk, 0);
         assert_eq!(pool.capacity(), 1);
-        assert_eq!(disk.physical_writes(), 1, "dirty page written back");
+        assert_eq!(pool.stats().writes, 1, "dirty page written back");
         assert_eq!(pool.cached_pages(), 1);
         pool.with_page(&mut disk, ids[0], |d| assert_eq!(d, &[5u8; 8]));
         pool.set_capacity(&mut disk, 2);

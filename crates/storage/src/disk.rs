@@ -1,4 +1,4 @@
-//! The simulated disk: fixed-size pages with physical I/O counters.
+//! The simulated disk: fixed-size pages.
 
 use std::fmt;
 
@@ -23,14 +23,11 @@ impl fmt::Display for PageId {
 /// An in-memory simulated disk.
 ///
 /// Pages are owned boxed slices of exactly `page_size` bytes. Every
-/// `read_page` / `write_page` that reaches the disk is a *physical* access
-/// and increments the corresponding counter; the buffer pool above decides
-/// which logical accesses reach the disk.
+/// `read_page` / `write_page` is a *physical* access; the buffer pool above
+/// decides which logical accesses reach the disk and counts them.
 pub struct DiskManager {
     page_size: usize,
     pages: Vec<Box<[u8]>>,
-    physical_reads: u64,
-    physical_writes: u64,
 }
 
 impl DiskManager {
@@ -43,8 +40,6 @@ impl DiskManager {
         DiskManager {
             page_size,
             pages: Vec::new(),
-            physical_reads: 0,
-            physical_writes: 0,
         }
     }
 
@@ -70,8 +65,7 @@ impl DiskManager {
         id
     }
 
-    /// Reads a page into `buf` (must be exactly `page_size` long), counting
-    /// one physical read.
+    /// Reads a page into `buf` (must be exactly `page_size` long).
     ///
     /// # Panics
     /// Panics on an unallocated page id or wrong buffer length — both are
@@ -80,34 +74,12 @@ impl DiskManager {
         assert_eq!(buf.len(), self.page_size, "buffer/page size mismatch");
         let page = &self.pages[id.index()];
         buf.copy_from_slice(page);
-        self.physical_reads += 1;
     }
 
-    /// Writes `data` (exactly `page_size` long) to the page, counting one
-    /// physical write.
+    /// Writes `data` (exactly `page_size` long) to the page.
     pub fn write_page(&mut self, id: PageId, data: &[u8]) {
         assert_eq!(data.len(), self.page_size, "buffer/page size mismatch");
         self.pages[id.index()].copy_from_slice(data);
-        self.physical_writes += 1;
-    }
-
-    /// Physical reads performed so far.
-    #[inline]
-    pub fn physical_reads(&self) -> u64 {
-        self.physical_reads
-    }
-
-    /// Physical writes performed so far.
-    #[inline]
-    pub fn physical_writes(&self) -> u64 {
-        self.physical_writes
-    }
-
-    /// Resets the physical counters (used between experiment phases so that
-    /// index-construction I/O is not charged to the queries).
-    pub fn reset_counters(&mut self) {
-        self.physical_reads = 0;
-        self.physical_writes = 0;
     }
 }
 
@@ -142,24 +114,6 @@ mod tests {
         let mut buf = [0u8; 8];
         d.read_page(id, &mut buf);
         assert_eq!(buf, data);
-    }
-
-    #[test]
-    fn counters_track_physical_io() {
-        let mut d = DiskManager::new(8);
-        let a = d.alloc_page();
-        let b = d.alloc_page();
-        assert_eq!(d.physical_reads(), 0);
-        assert_eq!(d.physical_writes(), 0);
-        d.write_page(a, &[0u8; 8]);
-        d.write_page(b, &[1u8; 8]);
-        let mut buf = [0u8; 8];
-        d.read_page(a, &mut buf);
-        assert_eq!(d.physical_reads(), 1);
-        assert_eq!(d.physical_writes(), 2);
-        d.reset_counters();
-        assert_eq!(d.physical_reads(), 0);
-        assert_eq!(d.physical_writes(), 0);
     }
 
     #[test]

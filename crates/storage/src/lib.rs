@@ -9,10 +9,11 @@
 //! unmeasured (ROADMAP item 5b).
 //!
 //! * [`disk::DiskManager`] — an in-memory simulated disk holding fixed-size
-//!   pages and counting *physical* reads/writes,
+//!   pages,
 //! * [`buffer::BufferPool`] — a buffer pool with clock (second-chance)
 //!   replacement and write-back of dirty pages; frames are plain data behind
-//!   `&mut`,
+//!   `&mut`, and a cleared pool holds no frame at all, so a cold run faults
+//!   the same whatever ran before it,
 //! * [`stats::IoStats`] — fault counters plus the paper's charged I/O time,
 //! * [`context::QueryContext`] — the per-query control block (attribution
 //!   counters + tenant + priority + deadline + I/O budget + cancellation)

@@ -62,6 +62,32 @@ fn runs_start_cold_every_time() {
 }
 
 #[test]
+fn cold_run_faults_do_not_depend_on_earlier_solves() {
+    // Figure 10's |Q| = 50 point at a fiftieth of Table 2's sizes, with
+    // `paper_shapes`' 16-page buffer floor. A pool that kept its frames
+    // across cold starts made IDA fault 920 times here when it ran first
+    // and 915 times after RIA and NIA.
+    let cfg = WorkloadConfig {
+        num_providers: 50,
+        num_customers: 2000,
+        capacity: CapacitySpec::Fixed(80),
+        q_dist: SpatialDistribution::Clustered,
+        p_dist: SpatialDistribution::Clustered,
+        seed: 2008,
+    };
+    let w = cfg.generate();
+    let instance = SpatialAssignment::build(w.providers, w.customers);
+    instance.tree().store().set_buffer_capacity(16);
+    let ida = SolverConfig::new("ida");
+    let ria = SolverConfig::new("ria").theta(1.6 / 0.02f64.sqrt());
+    let first = run(&instance, &ida).stats.io;
+    run(&instance, &ria);
+    run(&instance, &SolverConfig::new("nia"));
+    let after = run(&instance, &ida).stats.io;
+    assert_eq!(first, after, "IDA's cold I/O depends on earlier solves");
+}
+
+#[test]
 fn page_size_changes_fanout_but_not_results() {
     let cfg = WorkloadConfig {
         num_providers: 10,
