@@ -25,10 +25,12 @@
 //!
 //! Each search is Dijkstra over reduced costs from `s` that settles
 //! providers only. It settles the unsettled provider with the smallest
-//! label, found by a linear scan (ties go to the lower index), and relaxes
-//! its row. An improved customer label is relayed at once: to `t` if the
+//! label (ties go to the lower index), picked from a block-minimum index in
+//! O(√|Q|), and relaxes its row with the provider's label and potential
+//! read once. An improved customer label is relayed at once: to `t` if the
 //! customer has spare weight, and along its reverse arcs to its serving
-//! providers. The search stops when no unsettled provider is labelled
+//! providers; an unsettled provider's improved label lowers its key in the
+//! index in O(1). The search stops when no unsettled provider is labelled
 //! below `α(t)`; every label below `α(t)` is then final.
 //!
 //! PUA (Algorithm 5, §3.4.1) resumes a search after an edge insertion: the
@@ -55,6 +57,7 @@ use cca_flow::EPS;
 use cca_geo::{OrdF64, Point};
 use cca_storage::{Aborted, QueryContext};
 
+use crate::exact::argmin::ArgminIndex;
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
@@ -71,6 +74,14 @@ const CTX_POLL_STRIDE: u32 = 64;
 
 /// "No edge": the parent of a provider reached straight from `s`.
 const NONE: u32 = u32::MAX;
+
+/// A label as its key in the pick: `+ 0.0` turns −0 into +0, so the
+/// index's `total_cmp` order agrees with `<` on labels, and the pick takes
+/// the lowest label strictly below `α(t)`, ties to the lower index.
+#[inline]
+fn pick_key(label: f64) -> f64 {
+    label + 0.0
+}
 
 /// An `Esub` edge `q → p`, held in its provider's row.
 #[derive(Clone, Copy)]
@@ -128,6 +139,9 @@ pub struct Engine {
     // ---- labels of the current search ----
     alpha_q: Vec<f64>,
     settled: Vec<bool>,
+    /// The unsettled providers' labels, as [`pick_key`]s; settled ones are
+    /// ∞.
+    pick: ArgminIndex,
     /// The row index of the reverse arc each provider was reached through
     /// (`NONE`: from `s`).
     parent_q: Vec<u32>,
@@ -184,6 +198,7 @@ impl Engine {
             num_full_providers,
             alpha_q: vec![f64::INFINITY; nq],
             settled: vec![false; nq],
+            pick: ArgminIndex::new(nq),
             parent_q: vec![NONE; nq],
             alpha_p: Vec::new(),
             parent_p: Vec::new(),
@@ -349,7 +364,7 @@ impl Engine {
         self.stats.pua_runs += 1;
         // An unsettled provider relaxes the new arc when (if) it settles.
         if self.settled[qi] {
-            self.relax(qi, k as usize);
+            self.relax_row(qi, k as usize);
             self.propagate();
         }
         // An abort is sticky on the context; the driver's next loop-head
@@ -379,6 +394,8 @@ impl Engine {
                 self.parent_q[i] = NONE;
             }
         }
+        self.pick
+            .assign(self.alpha_q.iter().map(|&alpha| pick_key(alpha)));
         self.alpha_t = self.settle_below_sink().unwrap_or_default();
         self.stats.dijkstra_runs += 1;
         self.alpha_t
@@ -397,41 +414,46 @@ impl Engine {
                 }
                 until_poll -= 1;
             }
-            let mut next = None;
-            let mut best = self.sink;
-            for (i, (&alpha, &settled)) in self.alpha_q.iter().zip(&self.settled).enumerate() {
-                if !settled && alpha < best {
-                    (next, best) = (Some(i), alpha);
-                }
-            }
-            let Some(i) = next else { break };
+            let Some((i, _)) = self.pick.min_below(pick_key(self.sink)) else {
+                break;
+            };
             self.settled[i] = true;
-            for k in 0..self.rows[i].len() {
-                self.relax(i, k);
-            }
+            self.pick.set(i, f64::INFINITY);
+            self.relax_row(i, 0);
             self.propagate();
         }
         Ok(self.sink.is_finite().then_some(self.sink))
     }
 
-    /// Relaxes the `q→p` arc of edge `k` in settled provider `i`'s row.
-    #[inline]
-    fn relax(&mut self, i: usize, k: usize) {
-        let e = self.rows[i][k];
-        let c = e.cust as usize;
-        if e.flow < self.weight[c] {
-            let rc = e.dist - self.tau_q[i] + self.tau_p[c];
-            debug_assert!(rc > -EPS, "negative reduced cost {rc} on q{i}→p{c}");
-            let cand = self.alpha_q[i] + rc.max(0.0);
-            if cand + EPS < self.alpha_p[c] {
-                if self.alpha_p[c] == f64::INFINITY {
-                    self.reached.push(c as u32);
+    /// Relaxes the `q→p` arcs of settled provider `i`'s row, from edge
+    /// `from` on. `α(q_i)` and `τ(q_i)` are read once: relaying a customer
+    /// reached through this row cannot lower `α(q_i)`. A unit customer
+    /// reached along a residual arc carries no flow on it, so it could only
+    /// relay back to `q_i` along a second arc from `q_i`, which does not
+    /// exist; a weighted customer's round trip costs `|rc| ≥ 0`.
+    fn relax_row(&mut self, i: usize, from: usize) {
+        let (alpha, tau) = (self.alpha_q[i], self.tau_q[i]);
+        for k in from..self.rows[i].len() {
+            let e = self.rows[i][k];
+            let c = e.cust as usize;
+            if e.flow < self.weight[c] {
+                let rc = e.dist - tau + self.tau_p[c];
+                debug_assert!(rc > -EPS, "negative reduced cost {rc} on q{i}→p{c}");
+                let cand = alpha + rc.max(0.0);
+                if cand + EPS < self.alpha_p[c] {
+                    if self.alpha_p[c] == f64::INFINITY {
+                        self.reached.push(c as u32);
+                    }
+                    self.alpha_p[c] = cand;
+                    self.parent_p[c] = (i as u32, k as u32);
+                    self.relay(c);
                 }
-                self.alpha_p[c] = cand;
-                self.parent_p[c] = (i as u32, k as u32);
-                self.relay(c);
             }
         }
+        debug_assert!(
+            self.alpha_q[i].to_bits() == alpha.to_bits(),
+            "α(q{i}) fell while its own row was relaxed"
+        );
     }
 
     /// Passes customer `c`'s improved label on: to `t` if `c` has spare
@@ -460,7 +482,8 @@ impl Engine {
     }
 
     /// Relaxes the reverse arc `p_c → q_i` of edge `(i, k)`. A settled
-    /// provider whose label improves joins the wave.
+    /// provider whose label improves joins the wave; an unsettled one's key
+    /// in the pick drops.
     fn relax_back(&mut self, c: usize, (i, k): EdgeRef) {
         let (i, k) = (i as usize, k as usize);
         let rc = -self.rows[i][k].dist - self.tau_p[c] + self.tau_q[i];
@@ -471,6 +494,8 @@ impl Engine {
             self.parent_q[i] = k as u32;
             if self.settled[i] {
                 self.wave.push(Reverse((OrdF64::new(cand), i as u32)));
+            } else {
+                self.pick.set(i, pick_key(cand));
             }
         }
     }
@@ -483,9 +508,7 @@ impl Engine {
             if key.get() > self.alpha_q[i] + EPS {
                 continue; // stale wave entry
             }
-            for k in 0..self.rows[i].len() {
-                self.relax(i, k);
-            }
+            self.relax_row(i, 0);
         }
     }
 

@@ -11,95 +11,15 @@
 //!    Dijkstra at all; at phase exit a closed-form feasible potential is
 //!    installed (see `Engine::finish_fast_phase`).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use cca_geo::{OrdF64, Point};
+use cca_geo::Point;
 
 use crate::exact::engine::Engine;
-use crate::exact::source::{CustomerSource, SourcedCustomer};
+use crate::exact::nia::EdgeHeap;
+use crate::exact::source::CustomerSource;
 use crate::matching::Matching;
 use crate::stats::AlgoStats;
-
-/// Lazy per-provider edge heap with updatable keys.
-struct IdaHeap {
-    heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
-    pending: Vec<Option<SourcedCustomer>>,
-    /// Authoritative key per provider; heap entries not matching are stale.
-    key: Vec<f64>,
-    /// Last observed Dijkstra α per provider (0 for non-full providers,
-    /// possibly stale for full ones — Algorithm 4 keeps stale values).
-    alpha_raw: Vec<f64>,
-}
-
-impl IdaHeap {
-    fn new<S: CustomerSource>(num_providers: usize, source: &mut S) -> Self {
-        let mut h = IdaHeap {
-            heap: BinaryHeap::new(),
-            pending: Vec::with_capacity(num_providers),
-            key: vec![f64::INFINITY; num_providers],
-            alpha_raw: vec![0.0; num_providers],
-        };
-        for qi in 0..num_providers {
-            let c = source.next_nn(qi);
-            h.pending.push(c);
-            if let Some(c) = h.pending[qi] {
-                h.key[qi] = c.dist;
-                h.heap.push(Reverse((OrdF64::new(c.dist), qi as u32)));
-            }
-        }
-        h
-    }
-
-    fn set_key(&mut self, qi: usize, key: f64) {
-        self.key[qi] = key;
-        self.heap.push(Reverse((OrdF64::new(key), qi as u32)));
-    }
-
-    /// Discards stale heap entries so the top reflects authoritative keys.
-    fn clean_top(&mut self) {
-        while let Some(&Reverse((k, qi))) = self.heap.peek() {
-            let qi = qi as usize;
-            if self.pending[qi].is_none() || k.get() != self.key[qi] {
-                self.heap.pop();
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// `Φ(E − Esub)` lower bound: minimum authoritative key, ∞ if exhausted.
-    fn top_key(&mut self) -> f64 {
-        self.clean_top();
-        self.heap
-            .peek()
-            .map_or(f64::INFINITY, |Reverse((k, _))| k.get())
-    }
-
-    /// Pops the minimum-key pending edge; the caller refills via `refill`.
-    fn pop(&mut self) -> Option<(usize, SourcedCustomer)> {
-        self.clean_top();
-        let Reverse((_, qi)) = self.heap.pop()?;
-        let qi = qi as usize;
-        let cust = self.pending[qi].take().expect("cleaned entry is pending");
-        Some((qi, cust))
-    }
-
-    /// Refills provider `qi` from its NN stream; the key carries the given
-    /// α plus the provider's potential lag.
-    fn refill<S: CustomerSource>(&mut self, qi: usize, source: &mut S, alpha: f64, lag: f64) {
-        debug_assert!(self.pending[qi].is_none());
-        let next = source.next_nn(qi);
-        self.pending[qi] = next;
-        self.alpha_raw[qi] = alpha;
-        if let Some(c) = next {
-            self.set_key(qi, alpha + lag + c.dist);
-        } else {
-            self.key[qi] = f64::INFINITY;
-        }
-    }
-}
 
 /// Runs IDA to the optimal matching.
 pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Matching, AlgoStats) {
@@ -107,7 +27,12 @@ pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
     let mut engine = Engine::new(providers, source.num_customers());
     engine.set_context(source.context());
     let gamma = engine.total_capacity().min(source.total_weight());
-    let mut heap = IdaHeap::new(providers.len(), source);
+    // NIA's heap `H` with IDA's keys: a full provider's pending edge is
+    // keyed `α(q) + (τmax − τ(q)) + dist`, a non-full one's `dist`.
+    let mut heap = EdgeHeap::new(providers.len(), source);
+    // Last observed Dijkstra α per provider (0 for non-full providers,
+    // possibly stale for full ones — Algorithm 4 keeps stale values).
+    let mut alpha_raw = vec![0.0; providers.len()];
     let mut done = 0u64;
 
     // ---- Theorem-2 fast phase --------------------------------------
@@ -116,7 +41,7 @@ pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
             break; // NN streams exhausted; every edge is in Esub
         };
         done += u64::from(engine.fast_match(qi, c.id, c.pos, c.weight, c.dist));
-        heap.refill(qi, source, 0.0, 0.0);
+        heap.refill(qi, source, 0.0);
     }
     engine.finish_fast_phase();
     if done >= gamma || source.abort_reason().is_some() {
@@ -152,13 +77,14 @@ pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
                     let a = if engine.provider_settled(qi) {
                         engine.provider_alpha(qi)
                     } else {
-                        heap.alpha_raw[qi]
+                        alpha_raw[qi]
                     };
                     (a, engine.provider_tau_lag(qi))
                 } else {
                     (0.0, 0.0)
                 };
-                heap.refill(qi, source, alpha, lag);
+                alpha_raw[qi] = alpha;
+                heap.refill(qi, source, alpha + lag);
             }
             if !have_sp {
                 engine.begin_iteration();
@@ -166,7 +92,7 @@ pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
             }
             // Lines 10–12: refresh keys of full providers whose α changed in
             // this Dijkstra execution.
-            refresh_full_keys(&engine, &mut heap, providers.len());
+            refresh_full_keys(&engine, &mut heap, &mut alpha_raw);
             if engine.sp_valid(heap.top_key()) {
                 engine.commit();
                 done += 1;
@@ -213,7 +139,7 @@ pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
 /// current reduced-cost distance; since true α ≥ 0 always, `lag + dist`
 /// never does, so re-commits validated against this bound are exactly as
 /// safe as fresh-search iterations.
-fn conservative_phi(engine: &Engine, heap: &IdaHeap) -> f64 {
+fn conservative_phi(engine: &Engine, heap: &EdgeHeap) -> f64 {
     let mut phi = f64::INFINITY;
     for (qi, pending) in heap.pending.iter().enumerate() {
         let Some(c) = pending else { continue };
@@ -232,19 +158,19 @@ fn conservative_phi(engine: &Engine, heap: &IdaHeap) -> f64 {
 /// `α(q) + (τmax − τ(q)) + dist`, where α is the value observed by the most
 /// recent search that settled `q` (stale values persist, as in the paper)
 /// and the lag term is recomputed from the current potentials.
-fn refresh_full_keys(engine: &Engine, heap: &mut IdaHeap, num_providers: usize) {
-    for qi in 0..num_providers {
+fn refresh_full_keys(engine: &Engine, heap: &mut EdgeHeap, alpha_raw: &mut [f64]) {
+    for (qi, alpha) in alpha_raw.iter_mut().enumerate() {
         if !engine.provider_full(qi) {
             continue;
         }
         if engine.provider_settled(qi) {
-            heap.alpha_raw[qi] = engine.provider_alpha(qi);
+            *alpha = engine.provider_alpha(qi);
         }
         let Some(c) = heap.pending[qi] else {
             continue;
         };
-        let key = heap.alpha_raw[qi] + engine.provider_tau_lag(qi) + c.dist;
-        if key != heap.key[qi] {
+        let key = *alpha + engine.provider_tau_lag(qi) + c.dist;
+        if key != heap.key(qi) {
             heap.set_key(qi, key);
         }
     }

@@ -1,6 +1,7 @@
 //! Exact CCA algorithms (§3): RIA, NIA, IDA over a shared incremental-SSPA
 //! engine.
 
+mod argmin;
 pub mod engine;
 pub mod ida;
 pub mod nia;

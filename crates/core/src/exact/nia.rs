@@ -1,62 +1,82 @@
 //! NIA — Nearest Neighbor Incremental Algorithm (Algorithm 3, §3.2).
 //!
 //! Edges are discovered one at a time by per-provider incremental NN search,
-//! merged through a global min-heap keyed by edge *length*. The heap's top
+//! merged through a global heap `H` keyed by edge *length*. Its lowest key
 //! is exactly `φ(E − Esub)`, so the Theorem-1 test is
 //! `vmin.α ≤ TopKey(H) − τmax`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use cca_geo::{OrdF64, Point};
+use cca_geo::Point;
 
+use crate::exact::argmin::ArgminIndex;
 use crate::exact::engine::Engine;
 use crate::exact::source::{CustomerSource, SourcedCustomer};
 use crate::matching::Matching;
 use crate::stats::AlgoStats;
 
-/// The per-provider candidate-edge heap shared conceptually with IDA; NIA
-/// keys entries by plain edge length.
-struct EdgeHeap {
-    heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
-    pending: Vec<Option<SourcedCustomer>>,
+/// The heap `H` of Algorithms 3–4: each provider's next undiscovered edge
+/// from its NN stream, keyed by its length plus a per-provider offset (0 in
+/// NIA; `α(q) + (τmax − τ(q))` for a full provider in IDA). The keys sit in
+/// one [`ArgminIndex`] slot per provider and are updated in place, so the
+/// lowest `(key, provider)` is an O(√|Q|) read and no entry is ever stale.
+/// A provider without a pending edge has key ∞.
+pub(super) struct EdgeHeap {
+    pub(super) pending: Vec<Option<SourcedCustomer>>,
+    keys: ArgminIndex,
 }
 
 impl EdgeHeap {
-    fn new<S: CustomerSource>(num_providers: usize, source: &mut S) -> Self {
-        let mut heap = BinaryHeap::new();
-        let mut pending = Vec::with_capacity(num_providers);
+    /// Every provider's nearest customer, keyed by its distance.
+    pub(super) fn new<S: CustomerSource>(num_providers: usize, source: &mut S) -> Self {
+        let mut heap = EdgeHeap {
+            pending: vec![None; num_providers],
+            keys: ArgminIndex::new(num_providers),
+        };
         for qi in 0..num_providers {
-            let c = source.next_nn(qi);
-            if let Some(c) = c {
-                heap.push(Reverse((OrdF64::new(c.dist), qi as u32)));
-            }
-            pending.push(c);
+            heap.refill(qi, source, 0.0);
         }
-        EdgeHeap { heap, pending }
+        heap
     }
 
-    /// `TopKey(H)`: the minimum length among undiscovered edges, or ∞ when
-    /// every provider's stream is exhausted (then `E − Esub = ∅`).
-    fn top_key(&self) -> f64 {
-        self.heap
-            .peek()
-            .map_or(f64::INFINITY, |Reverse((k, _))| k.get())
+    /// `TopKey(H)`: the lowest key among undiscovered edges, or ∞ when every
+    /// provider's stream is exhausted (then `E − Esub = ∅`).
+    pub(super) fn top_key(&self) -> f64 {
+        self.keys
+            .min_below(f64::INFINITY)
+            .map_or(f64::INFINITY, |(_, key)| key)
     }
 
-    /// Pops the shortest pending edge and refills that provider's slot from
-    /// its NN stream.
-    fn pop<S: CustomerSource>(&mut self, source: &mut S) -> Option<(usize, SourcedCustomer)> {
-        let Reverse((_, qi)) = self.heap.pop()?;
-        let qi = qi as usize;
-        let cust = self.pending[qi].take().expect("heap entry implies pending");
-        let next = source.next_nn(qi);
-        if let Some(c) = next {
-            self.heap.push(Reverse((OrdF64::new(c.dist), qi as u32)));
-        }
-        self.pending[qi] = next;
+    /// Provider `qi`'s current key (∞ without a pending edge).
+    pub(super) fn key(&self, qi: usize) -> f64 {
+        self.keys.key(qi)
+    }
+
+    /// Re-keys provider `qi`'s pending edge.
+    pub(super) fn set_key(&mut self, qi: usize, key: f64) {
+        debug_assert!(self.pending[qi].is_some() && key < f64::INFINITY);
+        self.keys.set(qi, key);
+    }
+
+    /// Takes the lowest-keyed pending edge, ties to the lower provider;
+    /// the caller refills that provider with [`EdgeHeap::refill`].
+    pub(super) fn pop(&mut self) -> Option<(usize, SourcedCustomer)> {
+        let (qi, _) = self.keys.min_below(f64::INFINITY)?;
+        self.keys.set(qi, f64::INFINITY);
+        let cust = self.pending[qi]
+            .take()
+            .expect("a keyed provider is pending");
         Some((qi, cust))
+    }
+
+    /// Fetches provider `qi`'s next edge from its NN stream, keyed
+    /// `offset + dist`.
+    pub(super) fn refill<S: CustomerSource>(&mut self, qi: usize, source: &mut S, offset: f64) {
+        debug_assert!(self.pending[qi].is_none());
+        self.pending[qi] = source.next_nn(qi);
+        if let Some(c) = self.pending[qi] {
+            self.set_key(qi, offset + c.dist);
+        }
     }
 }
 
@@ -80,7 +100,8 @@ pub fn nia<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
                 // are dry by construction, so stop with the partial result.
                 break 'outer;
             }
-            if let Some((qi, c)) = heap.pop(source) {
+            if let Some((qi, c)) = heap.pop() {
+                heap.refill(qi, source, 0.0);
                 if have_sp {
                     engine.insert_edge_reoptimize(qi, c.id, c.pos, c.weight, c.dist);
                 } else {
