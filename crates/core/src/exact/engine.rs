@@ -156,6 +156,10 @@ pub struct Engine {
     /// Settled providers whose label improved, to re-relax (`Hf`,
     /// Algorithm 5).
     wave: BinaryHeap<Reverse<(OrdF64, u32)>>,
+    /// Providers settled, or relabelled while settled, since the current
+    /// search began or [`Engine::clear_relabelled`] last ran (repeats
+    /// allowed): the only providers whose `α` a search moves.
+    relabelled: Vec<u32>,
     /// Cost of the current iteration's shortest path (`vmin.α`), if the sink
     /// has been reached in the current subgraph.
     alpha_t: Option<f64>,
@@ -206,6 +210,7 @@ impl Engine {
             sink: f64::INFINITY,
             sink_parent: NONE,
             wave: BinaryHeap::new(),
+            relabelled: Vec::new(),
             alpha_t: None,
             fast_d: 0.0,
             in_fast_phase: true,
@@ -262,6 +267,20 @@ impl Engine {
     #[inline]
     pub fn provider_settled(&self, qi: usize) -> bool {
         self.settled[qi]
+    }
+
+    /// Providers settled, or whose settled label PUA's wave lowered, since
+    /// the current search began or the last [`Engine::clear_relabelled`];
+    /// a provider may appear more than once.
+    #[inline]
+    pub fn relabelled(&self) -> &[u32] {
+        &self.relabelled
+    }
+
+    /// Empties [`Engine::relabelled`].
+    #[inline]
+    pub fn clear_relabelled(&mut self) {
+        self.relabelled.clear();
     }
 
     /// Current potential `τ(q_i)`.
@@ -387,6 +406,7 @@ impl Engine {
         self.reached.clear();
         self.sink = f64::INFINITY;
         self.wave.clear();
+        self.relabelled.clear();
         // Settle s (α = 0): relax every residual s→q arc.
         for i in 0..self.cap.len() {
             if self.q_load[i] < self.cap[i] {
@@ -418,6 +438,7 @@ impl Engine {
                 break;
             };
             self.settled[i] = true;
+            self.relabelled.push(i as u32);
             self.pick.set(i, f64::INFINITY);
             self.relax_row(i, 0);
             self.propagate();
@@ -494,6 +515,7 @@ impl Engine {
             self.parent_q[i] = k as u32;
             if self.settled[i] {
                 self.wave.push(Reverse((OrdF64::new(cand), i as u32)));
+                self.relabelled.push(i as u32);
             } else {
                 self.pick.set(i, pick_key(cand));
             }

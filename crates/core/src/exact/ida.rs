@@ -86,13 +86,24 @@ pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
                 alpha_raw[qi] = alpha;
                 heap.refill(qi, source, alpha + lag);
             }
-            if !have_sp {
+            // Lines 10–12: refresh keys of full providers whose α changed in
+            // this Dijkstra execution. Potentials, τmax and fullness move
+            // only at a commit, a re-commit or the fast-phase exit, and a
+            // fresh search follows each: after it every full provider is
+            // re-keyed, and after a PUA only those the engine settled or
+            // relabelled since.
+            if have_sp {
+                for &qi in engine.relabelled() {
+                    refresh_full_key(&engine, &mut heap, &mut alpha_raw, qi as usize);
+                }
+            } else {
                 engine.begin_iteration();
                 have_sp = true;
+                for qi in 0..providers.len() {
+                    refresh_full_key(&engine, &mut heap, &mut alpha_raw, qi);
+                }
             }
-            // Lines 10–12: refresh keys of full providers whose α changed in
-            // this Dijkstra execution.
-            refresh_full_keys(&engine, &mut heap, &mut alpha_raw);
+            engine.clear_relabelled();
             if engine.sp_valid(heap.top_key()) {
                 engine.commit();
                 done += 1;
@@ -153,25 +164,23 @@ fn conservative_phi(engine: &Engine, heap: &EdgeHeap) -> f64 {
     phi
 }
 
-/// Applies Algorithm 4 lines 10–12, extended with the potential-lag
-/// correction: every full provider's key is kept at
+/// Applies Algorithm 4 lines 10–12 to provider `qi`, extended with the
+/// potential-lag correction: a full provider's key is kept at
 /// `α(q) + (τmax − τ(q)) + dist`, where α is the value observed by the most
 /// recent search that settled `q` (stale values persist, as in the paper)
 /// and the lag term is recomputed from the current potentials.
-fn refresh_full_keys(engine: &Engine, heap: &mut EdgeHeap, alpha_raw: &mut [f64]) {
-    for (qi, alpha) in alpha_raw.iter_mut().enumerate() {
-        if !engine.provider_full(qi) {
-            continue;
-        }
-        if engine.provider_settled(qi) {
-            *alpha = engine.provider_alpha(qi);
-        }
-        let Some(c) = heap.pending[qi] else {
-            continue;
-        };
-        let key = *alpha + engine.provider_tau_lag(qi) + c.dist;
-        if key != heap.key(qi) {
-            heap.set_key(qi, key);
-        }
+fn refresh_full_key(engine: &Engine, heap: &mut EdgeHeap, alpha_raw: &mut [f64], qi: usize) {
+    if !engine.provider_full(qi) {
+        return;
+    }
+    if engine.provider_settled(qi) {
+        alpha_raw[qi] = engine.provider_alpha(qi);
+    }
+    let Some(c) = heap.pending[qi] else {
+        return;
+    };
+    let key = alpha_raw[qi] + engine.provider_tau_lag(qi) + c.dist;
+    if key != heap.key(qi) {
+        heap.set_key(qi, key);
     }
 }

@@ -118,43 +118,6 @@ impl Matching {
     }
 }
 
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::{MatchPair, Matching};
-
-    serde::derive_struct!(MatchPair {
-        customer,
-        customer_pos,
-        dist,
-        provider,
-        units,
-    });
-    serde::derive_struct!(Matching { pairs });
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use cca_geo::Point;
-
-        #[test]
-        fn matching_json_roundtrip() {
-            let m = Matching {
-                pairs: vec![MatchPair {
-                    provider: 2,
-                    customer: 17,
-                    units: 3,
-                    dist: 4.25,
-                    customer_pos: Point::new(1.5, -2.0),
-                }],
-            };
-            let json = serde::json::to_string(&m);
-            let back: Matching = serde::json::from_str(&json).unwrap();
-            assert_eq!(back.pairs, m.pairs);
-            assert_eq!(back.cost(), m.cost());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

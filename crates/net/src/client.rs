@@ -81,6 +81,10 @@ impl NetClient {
         max_frame: usize,
     ) -> Result<Self, NetError> {
         let stream = TcpStream::connect(addr).map_err(|e| NetError::Wire(WireError::Io(e)))?;
+        // Each frame is one whole message the server waits for.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| NetError::Wire(WireError::Io(e)))?;
         let read_half = stream
             .try_clone()
             .map_err(|e| NetError::Wire(WireError::Io(e)))?;

@@ -7,6 +7,14 @@
 //! it over `TcpStream` halves, and an async front-end could drive the
 //! same functions over its own buffered streams.
 //!
+//! [`write_frame`] hands its writer the length and the payload in one
+//! `write_all`, then flushes. Through the `BufWriter` the server and client
+//! use, a frame of any size then reaches the socket in one write: a
+//! separate 4-byte write would go out alone whenever the payload overflows
+//! the buffer, and the payload behind it would wait on the peer's delayed
+//! ACK. Both ends also set `TCP_NODELAY`, since every frame is a whole
+//! message that the peer is waiting for.
+//!
 //! The payload path has no intermediate tree: [`encode`] has each message
 //! write its JSON text straight into the one output buffer, fields in
 //! ascending key order (`tests/wire_golden.rs` pins the bytes), and
@@ -68,7 +76,8 @@ impl std::error::Error for WireError {
     }
 }
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) in one `write_all`, and
+/// flushes.
 pub fn write_frame(w: &mut impl Write, payload: &[u8], max: usize) -> Result<(), WireError> {
     if payload.len() > max {
         return Err(WireError::FrameTooLarge {
@@ -80,8 +89,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max: usize) -> Result<(),
         len: payload.len(),
         max,
     })?;
-    w.write_all(&len.to_be_bytes()).map_err(WireError::Io)?;
-    w.write_all(payload).map_err(WireError::Io)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame).map_err(WireError::Io)?;
     w.flush().map_err(WireError::Io)
 }
 
@@ -154,6 +165,48 @@ mod tests {
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r, 64).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A transport that records every call reaching it, vectored or not.
+    #[derive(Default)]
+    struct Recorder {
+        calls: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            let call: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            let len = call.len();
+            self.calls.push(call);
+            Ok(len)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_reaches_the_transport_in_one_write() {
+        // The server's and client's writer: a default-capacity `BufWriter`
+        // (8 KiB), so the frames land below, near and far above it.
+        let mut w = io::BufWriter::new(Recorder::default());
+        let payloads = [vec![7u8; 4], vec![b'x'; 7 * 1024], vec![b'y'; 100 * 1024]];
+        for payload in &payloads {
+            write_frame(&mut w, payload, DEFAULT_MAX_FRAME).unwrap();
+        }
+        let calls = &w.get_ref().calls;
+        assert_eq!(calls.len(), payloads.len(), "one write per frame");
+        for (call, payload) in calls.iter().zip(&payloads) {
+            assert_eq!(call.len(), 4 + payload.len());
+            assert_eq!(call[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(&call[4..], payload);
+        }
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! Three layers, each usable without the one above it:
 //!
 //! * [`codec`] — transport-agnostic length-prefixed frames over any
-//!   `Read`/`Write` pair, with serde-encoded payloads and typed
-//!   [`WireError`]s for every way bytes can go wrong.
-//! * [`proto`] — the request/response vocabulary: a per-connection
-//!   tenant [`Hello`] handshake, solves against inline problem data or a
-//!   server-preloaded dataset (with priority, deadline and I/O budget),
+//!   `Read`/`Write` pair, each handed to the writer in one write, with
+//!   serde-encoded payloads and typed [`WireError`]s for every way bytes
+//!   can go wrong.
+//! * [`proto`] — the request/response vocabulary (protocol v2: matchings
+//!   and inline problems as columns, floats as exact hex bit patterns): a
+//!   per-connection tenant [`Hello`] handshake, solves against inline
+//!   problem data or a server-preloaded dataset (with priority, deadline
+//!   and I/O budget),
 //!   a stats request returning per-tenant [`cca_serve::TenantStats`]
 //!   (queue counters, attributed I/O, sliding-window QPS), and
 //!   structured errors: every admission shed
@@ -17,10 +20,10 @@
 //!   silent drops.
 //! * the transport — a blocking thread-per-connection TCP server
 //!   ([`NetServer`]) over a transport-free protocol engine
-//!   ([`Gateway`]), and a small blocking [`NetClient`]. The server
-//!   enforces a connection cap and an idle read timeout
-//!   ([`NetServerConfig`]), both surfaced to the peer as typed wire
-//!   faults rather than silent drops.
+//!   ([`Gateway`]), and a small blocking [`NetClient`], both with
+//!   `TCP_NODELAY` set. The server enforces a connection cap and an idle
+//!   read timeout ([`NetServerConfig`]), both surfaced to the peer as
+//!   typed wire faults rather than silent drops.
 //!
 //! The gateway's [`cca_serve::ServingInstance`] is persistent: it
 //! outlives individual connections, so in-process callers can submit

@@ -7,10 +7,33 @@
 //! [`AbortReason`] included — so a client can always tell *why* it got no
 //! matching back. Nothing is silently dropped: aborted queries return
 //! their partial [`AlgoStats`] alongside the error.
+//!
+//! # Columns (protocol v2)
+//!
+//! The two payloads that grow with the problem travel as parallel
+//! columns, one entry per item, instead of an array of per-item maps:
+//!
+//! * a [`SolveReply`]'s matching is
+//!   `{"customer":[..],"dist":"..","provider":[..],"units":[..],"x":"..","y":".."}`,
+//!   where `x`/`y` is the customer's position;
+//! * a [`ProblemSpec::Inline`] is `"providers":{"k":[..],"x":"..","y":".."}`
+//!   and `"customers":{"x":"..","y":".."}`.
+//!
+//! Integer columns are JSON arrays. A float column is one JSON string: the
+//! `f64::to_bits` pattern of each value as 16 lowercase hex digits,
+//! concatenated. Writing one is a table lookup per digit instead of a
+//! shortest-decimal search, and the value arrives bit-exact by
+//! construction. Columns are written straight from the pairs and points.
+//! The decoder refuses columns of unequal length, a float column whose
+//! length is not a multiple of 16, any byte outside `[0-9a-f]` and a NaN or
+//! infinite pattern, each as a [`crate::WireError::Malformed`]; so, as in
+//! v1, only finite floats cross the wire. Every other message (stats,
+//! config, faults, the handshake) keeps its v1 encoding.
 
+use std::borrow::Cow;
 use std::time::Duration;
 
-use cca_core::{AlgoStats, Matching, SolverConfig};
+use cca_core::{AlgoStats, MatchPair, Matching, SolverConfig};
 use cca_geo::Point;
 use cca_serve::{Rejected, TenantStats};
 use cca_storage::{AbortReason, Priority, TenantId};
@@ -18,8 +41,9 @@ use serde::json::{required, Parser, Writer};
 use serde::{Deserialize, Error, Serialize};
 
 /// Version tag exchanged in the handshake; bumped on incompatible wire
-/// changes.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// changes. Version 2 sends matchings and inline problems as
+/// [columns](self#columns-protocol-v2).
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// First frame on every connection: the client introduces its tenant and
 /// protocol version.
@@ -280,9 +304,10 @@ pub enum NetResponse {
 
 // ---------------------------------------------------------------------
 // Serde impls: structs through the shim's `derive_struct!`, enums as
-// tagged maps written by hand. Fields go in ascending key order. A tagged
-// map is read in one field loop when each key has one type whatever the
-// variant; `NetResponse`'s `reply` does not, so it reads the tag first.
+// tagged maps written by hand, and the column messages by hand. Fields go
+// in ascending key order. A tagged map is read in one field loop when each
+// key has one type whatever the variant; `NetResponse`'s `reply` does not,
+// so it reads the tag first.
 // ---------------------------------------------------------------------
 
 serde::derive_struct!(Hello { tenant, version });
@@ -294,7 +319,6 @@ serde::derive_struct!(SolveRequest {
     priority,
     problem,
 });
-serde::derive_struct!(SolveReply { matching, stats });
 serde::derive_struct!(StatsReply { tenants });
 serde::derive_struct!(WireFault {
     code,
@@ -313,9 +337,9 @@ impl Serialize for ProblemSpec {
                 providers,
                 customers,
             } => w.object(|o| {
-                o.field("customers", customers);
+                o.field("customers", &Points(customers));
                 o.field("kind", "inline");
-                o.field("providers", providers);
+                o.field("providers", &Providers(providers));
             }),
         }
     }
@@ -328,8 +352,8 @@ impl Deserialize for ProblemSpec {
             match key {
                 "kind" => kind = Some(String::deserialize(p)?),
                 "name" => name = Some(String::deserialize(p)?),
-                "providers" => providers = Some(Deserialize::deserialize(p)?),
-                "customers" => customers = Some(Deserialize::deserialize(p)?),
+                "providers" => providers = Some(read_providers(p)?),
+                "customers" => customers = Some(read_points(p)?),
                 _ => p.skip()?,
             }
             Ok(())
@@ -342,6 +366,251 @@ impl Deserialize for ProblemSpec {
             }),
             other => Err(Error(format!("unknown problem kind `{other}`"))),
         }
+    }
+}
+
+impl Serialize for SolveReply {
+    fn serialize(&self, w: &mut Writer) {
+        w.object(|o| {
+            o.field("matching", &MatchingColumns(&self.matching));
+            o.field("stats", &self.stats);
+        });
+    }
+}
+
+impl Deserialize for SolveReply {
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, Error> {
+        let (mut matching, mut stats) = (None, None);
+        p.object(|p, key| {
+            match key {
+                "matching" => matching = Some(read_matching(p)?),
+                "stats" => stats = Some(AlgoStats::deserialize(p)?),
+                _ => p.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(SolveReply {
+            matching: required(matching, "matching")?,
+            stats: required(stats, "stats")?,
+        })
+    }
+}
+
+/// A matching as its six columns.
+struct MatchingColumns<'a>(&'a Matching);
+
+impl Serialize for MatchingColumns<'_> {
+    fn serialize(&self, w: &mut Writer) {
+        let pairs = &self.0.pairs;
+        w.object(|o| {
+            o.field("customer", &IntColumn(pairs, |p| p.customer));
+            o.field("dist", &HexColumn(pairs, |p| p.dist));
+            o.field("provider", &IntColumn(pairs, |p| p.provider));
+            o.field("units", &IntColumn(pairs, |p| p.units));
+            o.field("x", &HexColumn(pairs, |p| p.customer_pos.x));
+            o.field("y", &HexColumn(pairs, |p| p.customer_pos.y));
+        });
+    }
+}
+
+fn read_matching(p: &mut Parser<'_>) -> Result<Matching, Error> {
+    let (mut customer, mut provider, mut units) = (None, None, None);
+    let (mut dist, mut x, mut y) = (None, None, None);
+    p.object(|p, key| {
+        match key {
+            "customer" => customer = Some(Vec::<u64>::deserialize(p)?),
+            "dist" => dist = Some(p.str()?),
+            "provider" => provider = Some(Vec::<usize>::deserialize(p)?),
+            "units" => units = Some(Vec::<u32>::deserialize(p)?),
+            "x" => x = Some(p.str()?),
+            "y" => y = Some(p.str()?),
+            _ => p.skip()?,
+        }
+        Ok(())
+    })?;
+    let customer = required(customer, "customer")?;
+    let provider = required(provider, "provider")?;
+    let units = required(units, "units")?;
+    let n = customer.len();
+    let dist = hex_column(required(dist, "dist")?, n)?;
+    let x = hex_column(required(x, "x")?, n)?;
+    let y = hex_column(required(y, "y")?, n)?;
+    same_length(n, &[provider.len(), units.len()])?;
+    let mut pairs = Vec::with_capacity(n);
+    let columns = customer.into_iter().zip(provider).zip(units);
+    for (((customer, provider), units), ((dist, x), y)) in columns.zip(dist.zip(x).zip(y)) {
+        pairs.push(MatchPair {
+            provider,
+            customer,
+            units,
+            dist: dist?,
+            customer_pos: Point::new(x?, y?),
+        });
+    }
+    Ok(Matching { pairs })
+}
+
+/// Inline providers as their `k`, `x` and `y` columns.
+struct Providers<'a>(&'a [(Point, u32)]);
+
+impl Serialize for Providers<'_> {
+    fn serialize(&self, w: &mut Writer) {
+        w.object(|o| {
+            o.field("k", &IntColumn(self.0, |&(_, k)| k));
+            o.field("x", &HexColumn(self.0, |(q, _)| q.x));
+            o.field("y", &HexColumn(self.0, |(q, _)| q.y));
+        });
+    }
+}
+
+fn read_providers(p: &mut Parser<'_>) -> Result<Vec<(Point, u32)>, Error> {
+    let (mut k, mut x, mut y) = (None, None, None);
+    p.object(|p, key| {
+        match key {
+            "k" => k = Some(Vec::<u32>::deserialize(p)?),
+            "x" => x = Some(p.str()?),
+            "y" => y = Some(p.str()?),
+            _ => p.skip()?,
+        }
+        Ok(())
+    })?;
+    let k = required(k, "k")?;
+    let x = hex_column(required(x, "x")?, k.len())?;
+    let y = hex_column(required(y, "y")?, k.len())?;
+    x.zip(y)
+        .zip(k)
+        .map(|((x, y), k)| Ok((Point::new(x?, y?), k)))
+        .collect()
+}
+
+/// Inline customers as their `x` and `y` columns.
+struct Points<'a>(&'a [Point]);
+
+impl Serialize for Points<'_> {
+    fn serialize(&self, w: &mut Writer) {
+        w.object(|o| {
+            o.field("x", &HexColumn(self.0, |q| q.x));
+            o.field("y", &HexColumn(self.0, |q| q.y));
+        });
+    }
+}
+
+fn read_points(p: &mut Parser<'_>) -> Result<Vec<Point>, Error> {
+    let (mut x, mut y) = (None, None);
+    p.object(|p, key| {
+        match key {
+            "x" => x = Some(p.str()?),
+            "y" => y = Some(p.str()?),
+            _ => p.skip()?,
+        }
+        Ok(())
+    })?;
+    let x = required(x, "x")?;
+    let n = x.len() / HEX_WIDTH;
+    let x = hex_column(x, n)?;
+    let y = hex_column(required(y, "y")?, n)?;
+    x.zip(y).map(|(x, y)| Ok(Point::new(x?, y?))).collect()
+}
+
+/// An integer column: one JSON array of a field of each item.
+struct IntColumn<'a, T, N>(&'a [T], fn(&T) -> N);
+
+impl<T, N: Serialize> Serialize for IntColumn<'_, T, N> {
+    fn serialize(&self, w: &mut Writer) {
+        w.seq(|s| {
+            for item in self.0 {
+                s.elem(&(self.1)(item));
+            }
+        });
+    }
+}
+
+/// Hex digits per value in a float column.
+const HEX_WIDTH: usize = 16;
+
+/// A float column: one JSON string of the bit patterns of a field of each
+/// item, [`HEX_WIDTH`] lowercase hex digits per value.
+struct HexColumn<'a, T>(&'a [T], fn(&T) -> f64);
+
+impl<T> Serialize for HexColumn<'_, T> {
+    /// # Panics
+    /// On NaN and infinities, which the decoder refuses.
+    fn serialize(&self, w: &mut Writer) {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut hex = Vec::with_capacity(HEX_WIDTH * self.0.len());
+        for item in self.0 {
+            let x = (self.1)(item);
+            assert!(x.is_finite(), "the wire cannot carry {x}");
+            let bits = x.to_bits();
+            let mut value = [0u8; HEX_WIDTH];
+            for (i, digit) in value.iter_mut().enumerate() {
+                *digit = DIGITS[(bits >> (60 - 4 * i)) as usize & 0xf];
+            }
+            hex.extend_from_slice(&value);
+        }
+        w.str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
+    }
+}
+
+/// The values of a float column that must hold `n` of them, each decoded
+/// as the iterator reaches it: a byte outside `[0-9a-f]` or a non-finite
+/// pattern is an error there.
+fn hex_column(
+    text: Cow<'_, str>,
+    n: usize,
+) -> Result<impl Iterator<Item = Result<f64, Error>> + '_, Error> {
+    if !text.len().is_multiple_of(HEX_WIDTH) {
+        return Err(Error(format!(
+            "float column of {} hex digits is not whole {HEX_WIDTH}-digit values",
+            text.len()
+        )));
+    }
+    same_length(n, &[text.len() / HEX_WIDTH])?;
+    let values = (0..n).map(move |i| hex_value(&text.as_bytes()[HEX_WIDTH * i..][..HEX_WIDTH]));
+    Ok(values)
+}
+
+/// Each byte's value as a lowercase hex digit, or [`NOT_HEX`].
+const NIBBLES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+const NOT_HEX: u8 = 0x10;
+
+fn hex_value(digits: &[u8]) -> Result<f64, Error> {
+    let (mut bits, mut seen) = (0u64, 0u8);
+    for &b in digits {
+        let nibble = NIBBLES[usize::from(b)];
+        seen |= nibble;
+        bits = bits << 4 | u64::from(nibble & 0xf);
+    }
+    if seen & NOT_HEX != 0 {
+        let &b = digits
+            .iter()
+            .find(|&&b| NIBBLES[usize::from(b)] == NOT_HEX)
+            .expect("a byte that is not a digit set the flag");
+        return Err(Error(format!(
+            "float column holds `{}`, not a lowercase hex digit",
+            b.escape_ascii()
+        )));
+    }
+    let x = f64::from_bits(bits);
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(Error(format!("float column holds non-finite {bits:016x}")))
+    }
+}
+
+fn same_length(n: usize, others: &[usize]) -> Result<(), Error> {
+    match others.iter().find(|&&len| len != n) {
+        Some(len) => Err(Error(format!("columns of unequal lengths {n} and {len}"))),
+        None => Ok(()),
     }
 }
 

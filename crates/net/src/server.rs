@@ -411,6 +411,8 @@ fn serve_connection(gateway: Arc<Gateway>, stream: TcpStream, read_timeout: Opti
     // A blocking read observes the timeout as `WouldBlock`/`TimedOut`;
     // the connection loop turns that into a typed `ReadTimeout` fault.
     let _ = stream.set_read_timeout(read_timeout);
+    // Each reply frame is one whole message the client waits for.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -734,6 +736,33 @@ mod tests {
         codec::send_message(&mut stream, &NetRequest::Ping, max).unwrap();
         let pong: NetResponse = codec::recv_message(&mut stream, max).unwrap().unwrap();
         assert!(matches!(pong, NetResponse::Pong), "{pong:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_version_1_client_gets_version_mismatch() {
+        let gateway = Arc::new(tiny_gateway());
+        let server = NetServer::bind("127.0.0.1:0", Arc::clone(&gateway)).unwrap();
+        let max = gateway.max_frame();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let hello = Hello {
+            tenant: TenantId(1),
+            version: 1,
+        };
+        codec::send_message(&mut stream, &hello, max).unwrap();
+        match codec::recv_message(&mut stream, max).unwrap() {
+            Some(NetResponse::Error(fault)) => {
+                assert_eq!(fault.code, ErrorCode::VersionMismatch);
+                assert!(fault.message.contains("v1"), "{}", fault.message);
+            }
+            other => panic!("expected version mismatch, got {other:?}"),
+        }
+        assert!(
+            codec::recv_message::<NetResponse>(&mut stream, max)
+                .unwrap()
+                .is_none(),
+            "server closes a v1 connection"
+        );
         server.shutdown();
     }
 

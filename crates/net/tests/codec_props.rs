@@ -321,6 +321,130 @@ proptest! {
     }
 }
 
+/// A two-pair reply and a two-provider, two-customer inline request whose
+/// float columns hold 1.0–6.0, so tests can find each column's text.
+fn column_messages() -> (String, String) {
+    let pair = |i: usize, dist: f64, x: f64, y: f64| MatchPair {
+        provider: i,
+        customer: i as u64,
+        units: 1,
+        dist,
+        customer_pos: Point::new(x, y),
+    };
+    let reply = NetResponse::Solved(SolveReply {
+        matching: Matching {
+            pairs: vec![pair(0, 1.0, 3.0, 5.0), pair(1, 2.0, 4.0, 6.0)],
+        },
+        stats: AlgoStats::default(),
+    });
+    let request = NetRequest::Solve(SolveRequest::new(
+        SolverConfig::new("sspa"),
+        ProblemSpec::Inline {
+            providers: vec![(Point::new(1.0, 3.0), 1), (Point::new(2.0, 4.0), 1)],
+            customers: vec![Point::new(5.0, 1.0), Point::new(6.0, 2.0)],
+        },
+    ));
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).unwrap();
+    (text(codec::encode(&reply)), text(codec::encode(&request)))
+}
+
+const ONE: &str = "3ff0000000000000";
+const TWO: &str = "4000000000000000";
+
+#[test]
+fn malformed_columns_are_typed_errors() {
+    let (reply, request) = column_messages();
+    let dist = format!(r#""dist":"{ONE}{TWO}""#);
+    assert!(reply.contains(&dist), "{reply}");
+    let x = format!(r#""x":"{ONE}{TWO}""#);
+    assert!(request.contains(&x), "{request}");
+    codec::decode::<NetResponse>(reply.as_bytes()).unwrap();
+    codec::decode::<NetRequest>(request.as_bytes()).unwrap();
+
+    let float_cases = [
+        // Length not a multiple of 16.
+        format!("{ONE}{}", &TWO[1..]),
+        format!("{ONE}{TWO}0"),
+        // Bytes outside [0-9a-f]: a letter past f, uppercase, non-ASCII.
+        format!("{ONE}400000000000000g"),
+        format!("3FF0000000000000{TWO}"),
+        format!("{ONE}4000000000000é"),
+        // NaN (quiet, signalling, with a payload) and ±∞.
+        format!("{ONE}7ff8000000000000"),
+        format!("{ONE}7ff0000000000001"),
+        format!("{ONE}fff8000000000001"),
+        format!("{ONE}7ff0000000000000"),
+        format!("{ONE}fff0000000000000"),
+        // One value where the other columns hold two.
+        ONE.to_string(),
+        format!("{ONE}{TWO}{ONE}"),
+    ];
+    let int_cases = [
+        (r#""customer":[0,1]"#, r#""customer":[0,1,2]"#),
+        (r#""provider":[0,1]"#, r#""provider":[0]"#),
+        (r#""units":[1,1]"#, r#""units":[]"#),
+    ];
+    let mut replies: Vec<String> = float_cases
+        .iter()
+        .map(|bad| reply.replacen(&dist, &format!(r#""dist":"{bad}""#), 1))
+        .collect();
+    for (good, bad) in int_cases {
+        assert!(reply.contains(good), "{reply}");
+        replies.push(reply.replacen(good, bad, 1));
+    }
+    for bad in &replies {
+        assert_ne!(bad, &reply);
+        assert!(
+            matches!(
+                codec::decode::<NetResponse>(bad.as_bytes()),
+                Err(WireError::Malformed(_))
+            ),
+            "{bad}"
+        );
+    }
+
+    let mut requests: Vec<String> = float_cases
+        .iter()
+        .map(|bad| request.replacen(&x, &format!(r#""x":"{bad}""#), 1))
+        .collect();
+    requests.push(request.replacen(r#""k":[1,1]"#, r#""k":[1,1,1]"#, 1));
+    for bad in &requests {
+        assert_ne!(bad, &request);
+        assert!(
+            matches!(
+                codec::decode::<NetRequest>(bad.as_bytes()),
+                Err(WireError::Malformed(_))
+            ),
+            "{bad}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn corrupted_column_messages_never_panic_the_decoder(
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let (reply, request) = column_messages();
+        for (text, is_reply) in [(reply, true), (request, false)] {
+            let mut bytes = text.into_bytes();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            let err = if is_reply {
+                codec::decode::<NetResponse>(&bytes).err()
+            } else {
+                codec::decode::<NetRequest>(&bytes).err()
+            };
+            if let Some(e) = err {
+                prop_assert!(matches!(e, WireError::Malformed(_)), "{e}");
+            }
+        }
+    }
+}
+
 #[test]
 fn a_mebibyte_of_brackets_is_malformed_not_a_stack_overflow() {
     let brackets = vec![b'['; 1 << 20];
@@ -379,8 +503,8 @@ fn decode_ns_per_byte(payload: &[u8], reps: usize) -> f64 {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing test: run with --release")]
 fn decode_time_is_linear_in_reply_size() {
-    let small = reply(64);
-    let large = reply(8_192);
+    let small = reply(128);
+    let large = reply(16_384);
     assert!((7_000..10_000).contains(&small.len()), "{}", small.len());
     assert!(
         (900_000..1_200_000).contains(&large.len()),
