@@ -9,9 +9,8 @@
 //! exact member counts, (3) rounds weights capacity-awarely (no
 //! representative may outweigh the largest single provider capacity — it is
 //! split into co-located slots instead, so the concise instance is always
-//! feasible), (4) solves the concise weighted instance *exactly* — via
-//! `cca-flow`'s bottleneck-augmenting SSPA when the bipartite graph is
-//! small, via the incremental IDA engine otherwise, (5) lifts the concise
+//! feasible), (4) solves the concise weighted instance *exactly* with IDA
+//! over a `MemorySource`, (5) lifts the concise
 //! quotas back over each representative's actual members with the §4.3
 //! refinement heuristics, and (6) runs bounded swap passes inside R-tree
 //! neighbourhoods to repair locally bad lifts.
@@ -25,7 +24,6 @@ use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::time::Instant;
 
-use cca_flow::sspa::{FlowCustomer, FlowProvider, Sspa};
 use cca_geo::{OrdF64, Point};
 use cca_rtree::RTree;
 use cca_storage::QueryContext;
@@ -35,11 +33,6 @@ use crate::approx::refine::{refine, RefineMethod, RefineProvider};
 use crate::exact::{ida, MemorySource};
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
-
-/// Above this edge count (`slots × providers`) the concise solve switches
-/// from materialised SSPA to the incremental IDA engine, which never
-/// builds the complete bipartite graph.
-const BULK_EDGE_LIMIT: usize = 65_536;
 
 /// How often the CPU-bound phases poll the query context.
 const POLL_STRIDE: u32 = 4_096;
@@ -231,47 +224,17 @@ pub fn coreset_points(
         }
     }
 
-    // Exact solve of the concise weighted instance: bottleneck-augmenting
-    // SSPA when the materialised graph is small, the incremental IDA engine
-    // otherwise. Both poll the context; an abort leaves a feasible partial
-    // concise matching that lifts to a feasible partial answer.
-    let edges = slots.len().saturating_mul(providers.len());
-    let mut stats;
-    let concise: Vec<(usize, usize, u32)> = if edges <= BULK_EDGE_LIMIT {
-        let fps: Vec<FlowProvider> = providers
-            .iter()
-            .map(|&(pos, cap)| FlowProvider { pos, cap })
-            .collect();
-        let fcs: Vec<FlowCustomer> = slots
-            .iter()
-            .map(|&(pos, weight)| FlowCustomer { pos, weight })
-            .collect();
-        let sspa = Sspa {
-            ctx,
-            ..Sspa::default()
-        };
-        let (asg, sspa_stats) = match sspa.solve(&fps, &fcs) {
-            Ok(complete) => complete,
-            Err(aborted) => (aborted.partial, aborted.stats),
-        };
-        stats = AlgoStats {
-            esub_edges: sspa_stats.edges,
-            iterations: sspa_stats.iterations,
-            settled: sspa_stats.settled,
-            ..Default::default()
-        };
-        asg.pairs
-    } else {
-        let q_positions: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
-        let mut source = MemorySource::new(q_positions, slots.clone()).with_context(ctx);
-        let (concise, concise_stats) = ida(providers, &mut source);
-        stats = concise_stats;
-        concise
-            .pairs
-            .iter()
-            .map(|p| (p.provider, p.customer as usize, p.units))
-            .collect()
-    };
+    // Exact solve of the concise weighted instance by IDA, which polls the
+    // context; an abort leaves a feasible partial concise matching that
+    // lifts to a feasible partial answer.
+    let q_positions: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
+    let mut source = MemorySource::new(q_positions, slots).with_context(ctx);
+    let (concise, mut stats) = ida(providers, &mut source);
+    let concise: Vec<(usize, usize, u32)> = concise
+        .pairs
+        .iter()
+        .map(|p| (p.provider, p.customer as usize, p.units))
+        .collect();
 
     // Lift: concise quotas per representative group, filled with the
     // group's actual members by the §4.3 refinement heuristics.

@@ -2,62 +2,22 @@
 //!
 //! All three exact algorithms (§3) are SSPA (Algorithm 1) run on a growing
 //! subgraph `Esub`; they differ only in *how they discover edges* and *how
-//! they bound the unexplored edge set* (Theorem 1). This engine owns the
-//! shared machinery.
-//!
-//! # Residual state
-//!
-//! The flow graph over `{s, t} ∪ Q ∪ discovered(P)` is never built as an
-//! adjacency structure; its residual arcs are implicit in
-//!
-//! * one row per provider of its `Esub` edges: customer slot, distance and
-//!   flow. `q→p` is residual while the flow is below the customer's weight,
-//!   its reverse `p→q` while the flow is positive;
-//! * for each customer, its incident `Esub` edges, and the number of them
-//!   carrying flow plus one such edge — so a unit customer's reverse arc
-//!   is found without a scan, and a weighted customer split across several
-//!   providers scans its own edges only;
-//! * the provider and customer loads: `s→q` is residual while `q` has spare
-//!   capacity, `p→t` while `p` has spare weight;
-//! * the potentials `τ(s)`, `τ(q)` and `τ(p)`; `τ(t)` stays 0.
-//!
-//! # Search
-//!
-//! Each search is Dijkstra over reduced costs from `s` that settles
-//! providers only. It settles the unsettled provider with the smallest
-//! label (ties go to the lower index), picked from a block-minimum index in
-//! O(√|Q|), and relaxes its row with the provider's label and potential
-//! read once. An improved customer label is relayed at once: to `t` if the
-//! customer has spare weight, and along its reverse arcs to its serving
-//! providers; an unsettled provider's improved label lowers its key in the
-//! index in O(1). The search stops when no unsettled provider is labelled
-//! below `α(t)`; every label below `α(t)` is then final.
-//!
-//! PUA (Algorithm 5, §3.4.1) resumes a search after an edge insertion: the
-//! new arc is relaxed if its provider is settled, every settled provider
-//! whose label improves has its row re-relaxed (the wave, transitively),
-//! and settling resumes until no unsettled provider is labelled below
-//! `α(t)` — the postcondition of a fresh search, which the potential update
-//! relies on.
-//!
-//! A commit augments one unit along the shortest path and applies
-//! Algorithm 1 lines 8–9: `τ(v) += α(t) − α(v)`, where positive, for `s`,
-//! the settled providers and the customers labelled below `α(t)`. IDA's
-//! Theorem-2 fast phase matches straight off its heap and installs a
-//! closed-form feasible potential at exit (see [`Engine::finish_fast_phase`]).
-//!
-//! Debug builds check every completed solve against its optimality
-//! certificate on `Esub` (see [`Engine::matching`]).
+//! they bound the unexplored edge set* (Theorem 1). Everything residual —
+//! the search with PUA's resume, the augment, the potential update and the
+//! certificate — is the flow kernel [`cca_flow::Residual`], which the
+//! complete-graph baseline [`cca_flow::Sspa`] runs too. This engine keeps
+//! what discovery needs: the customer id ↔ slot map, positions and the
+//! `Esub` insertion order (the matching's pair order); `τmax` and the
+//! Theorem-1 test ([`Engine::sp_valid`]); IDA's Theorem-2 fast phase and its
+//! exit potential ([`Engine::finish_fast_phase`]); the re-commit of the last
+//! path ([`Engine::recommit`]); and the [`AlgoStats`] counters. A commit
+//! augments one unit. Debug builds certify every completed solve on `Esub`
+//! (see [`Engine::matching`]).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use cca_flow::Residual;
+use cca_geo::Point;
+use cca_storage::QueryContext;
 
-use cca_flow::validate::assert_optimal;
-use cca_flow::EPS;
-use cca_geo::{OrdF64, Point};
-use cca_storage::{Aborted, QueryContext};
-
-use crate::exact::argmin::ArgminIndex;
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
@@ -66,108 +26,32 @@ use crate::stats::AlgoStats;
 /// noise floor of double-precision distance sums.
 pub const VALIDITY_EPS: f64 = 1e-9;
 
-/// Settled providers between [`QueryContext`] polls in the search loop. A
-/// poll is an atomic load plus (at worst) an `Instant::now`; at this stride
-/// its cost is noise against the loop body, yet a deadline or cancellation
-/// is still observed from *inside* a CPU-bound search.
-const CTX_POLL_STRIDE: u32 = 64;
-
-/// "No edge": the parent of a provider reached straight from `s`.
+/// "No customer": an undiscovered id in the slot map.
 const NONE: u32 = u32::MAX;
-
-/// A label as its key in the pick: `+ 0.0` turns −0 into +0, so the
-/// index's `total_cmp` order agrees with `<` on labels, and the pick takes
-/// the lowest label strictly below `α(t)`, ties to the lower index.
-#[inline]
-fn pick_key(label: f64) -> f64 {
-    label + 0.0
-}
-
-/// An `Esub` edge `q → p`, held in its provider's row.
-#[derive(Clone, Copy)]
-struct Edge {
-    cust: u32,
-    flow: u32,
-    dist: f64,
-}
-
-/// An `Esub` edge by its provider and its index in that provider's row.
-type EdgeRef = (u32, u32);
-
-/// A committed augmenting path `s → q → p (→ q → p)* → t`, kept for the
-/// batched re-commit.
-#[derive(Default)]
-struct Path {
-    /// The provider `s` feeds.
-    first: u32,
-    /// Its `q→p` arcs, walked back from `t`: the first one ends at the
-    /// customer that feeds `t`.
-    forward: Vec<EdgeRef>,
-    /// Its `p→q` reverse arcs.
-    back: Vec<EdgeRef>,
-}
 
 /// Incremental SSPA engine.
 pub struct Engine {
-    cap: Vec<u32>,
-    q_load: Vec<u32>,
-    rows: Vec<Vec<Edge>>,
-    // ---- customers, by discovery slot ----
+    flow: Residual,
+    // ---- customers, by kernel slot ----
     id: Vec<u64>,
     pos: Vec<Point>,
-    weight: Vec<u32>,
-    p_load: Vec<u32>,
-    /// Each customer's `Esub` edges, in insertion order.
-    incident: Vec<Vec<EdgeRef>>,
-    /// Number of a customer's edges with flow, and one of them.
-    servers: Vec<u32>,
-    server: Vec<EdgeRef>,
     /// Distance of the latest fast-phase match (for the phase-exit
     /// potential).
     last_match_dist: Vec<f64>,
     /// Customer id → slot (dense ids; `NONE` sentinel).
     cust_index: Vec<u32>,
-    /// Every `Esub` edge in insertion order: the matching's pair order.
-    order: Vec<EdgeRef>,
-    // ---- potentials ----
-    tau_s: f64,
-    tau_q: Vec<f64>,
-    tau_p: Vec<f64>,
+    /// Every `Esub` edge in insertion order, by provider and row index: the
+    /// matching's pair order.
+    order: Vec<(u32, u32)>,
     /// `τmax = max_{q∈Q} q.τ` (Algorithms 2–4, "the highest potential").
     tau_max: f64,
     num_full_providers: usize,
-    // ---- labels of the current search ----
-    alpha_q: Vec<f64>,
-    settled: Vec<bool>,
-    /// The unsettled providers' labels, as [`pick_key`]s; settled ones are
-    /// ∞.
-    pick: ArgminIndex,
-    /// The row index of the reverse arc each provider was reached through
-    /// (`NONE`: from `s`).
-    parent_q: Vec<u32>,
-    alpha_p: Vec<f64>,
-    /// The edge each customer was reached through.
-    parent_p: Vec<EdgeRef>,
-    /// Customers labelled by the current search.
-    reached: Vec<u32>,
-    sink: f64,
-    /// The customer `t` was reached from.
-    sink_parent: u32,
-    /// Settled providers whose label improved, to re-relax (`Hf`,
-    /// Algorithm 5).
-    wave: BinaryHeap<Reverse<(OrdF64, u32)>>,
-    /// Providers settled, or relabelled while settled, since the current
-    /// search began or [`Engine::clear_relabelled`] last ran (repeats
-    /// allowed): the only providers whose `α` a search moves.
-    relabelled: Vec<u32>,
     /// Cost of the current iteration's shortest path (`vmin.α`), if the sink
     /// has been reached in the current subgraph.
     alpha_t: Option<f64>,
     /// Largest fast-phase match distance (`D` in the phase-exit potential).
     fast_d: f64,
     in_fast_phase: bool,
-    /// The most recently committed path, for batched re-commits.
-    last_path: Path,
     pub stats: AlgoStats,
     /// Cooperative abort context polled inside the search and PUA loops, so
     /// a CPU-heavy search over a large `Esub` cannot overshoot its deadline
@@ -178,43 +62,20 @@ pub struct Engine {
 impl Engine {
     /// Creates the engine over the providers' capacities; no customers yet.
     pub fn new(providers: &[(Point, u32)], num_customers_hint: usize) -> Self {
-        let nq = providers.len();
         let cap: Vec<u32> = providers.iter().map(|&(_, cap)| cap).collect();
         let num_full_providers = cap.iter().filter(|&&k| k == 0).count();
         Engine {
-            cap,
-            q_load: vec![0; nq],
-            rows: (0..nq).map(|_| Vec::new()).collect(),
+            flow: Residual::new(cap),
             id: Vec::new(),
             pos: Vec::new(),
-            weight: Vec::new(),
-            p_load: Vec::new(),
-            incident: Vec::new(),
-            servers: Vec::new(),
-            server: Vec::new(),
             last_match_dist: Vec::new(),
             cust_index: vec![NONE; num_customers_hint],
             order: Vec::new(),
-            tau_s: 0.0,
-            tau_q: vec![0.0; nq],
-            tau_p: Vec::new(),
             tau_max: 0.0,
             num_full_providers,
-            alpha_q: vec![f64::INFINITY; nq],
-            settled: vec![false; nq],
-            pick: ArgminIndex::new(nq),
-            parent_q: vec![NONE; nq],
-            alpha_p: Vec::new(),
-            parent_p: Vec::new(),
-            reached: Vec::new(),
-            sink: f64::INFINITY,
-            sink_parent: NONE,
-            wave: BinaryHeap::new(),
-            relabelled: Vec::new(),
             alpha_t: None,
             fast_d: 0.0,
             in_fast_phase: true,
-            last_path: Path::default(),
             stats: AlgoStats::default(),
             ctx: None,
         }
@@ -228,15 +89,11 @@ impl Engine {
         self.ctx = ctx.cloned();
     }
 
-    /// Total provider capacity `Σ q.k`.
-    pub fn total_capacity(&self) -> u64 {
-        self.cap.iter().map(|&k| u64::from(k)).sum()
-    }
-
-    /// `τmax`, the highest provider potential.
+    /// The flow kernel: capacities, loads, potentials and the current
+    /// search's labels.
     #[inline]
-    pub fn tau_max(&self) -> f64 {
-        self.tau_max
+    pub fn flow(&self) -> &Residual {
+        &self.flow
     }
 
     /// Cost of the current shortest path, if the sink is reachable.
@@ -251,42 +108,10 @@ impl Engine {
         self.num_full_providers == 0
     }
 
-    /// True if provider `qi` is full (Definition 2).
-    #[inline]
-    pub fn provider_full(&self, qi: usize) -> bool {
-        self.q_load[qi] == self.cap[qi]
-    }
-
-    /// Latest search's α of provider `qi` (∞ if not reached by it).
-    #[inline]
-    pub fn provider_alpha(&self, qi: usize) -> f64 {
-        self.alpha_q[qi]
-    }
-
-    /// True if provider `qi` was settled by the current iteration's search.
-    #[inline]
-    pub fn provider_settled(&self, qi: usize) -> bool {
-        self.settled[qi]
-    }
-
-    /// Providers settled, or whose settled label PUA's wave lowered, since
-    /// the current search began or the last [`Engine::clear_relabelled`];
-    /// a provider may appear more than once.
-    #[inline]
-    pub fn relabelled(&self) -> &[u32] {
-        &self.relabelled
-    }
-
-    /// Empties [`Engine::relabelled`].
+    /// Empties [`Residual::relabelled`].
     #[inline]
     pub fn clear_relabelled(&mut self) {
-        self.relabelled.clear();
-    }
-
-    /// Current potential `τ(q_i)`.
-    #[inline]
-    pub fn provider_tau(&self, qi: usize) -> f64 {
-        self.tau_q[qi]
+        self.flow.clear_relabelled();
     }
 
     /// The potential lag `τmax − τ(q_i)` of a provider. In raw-distance
@@ -298,13 +123,7 @@ impl Engine {
     /// Non-full providers have zero lag by construction.
     #[inline]
     pub fn provider_tau_lag(&self, qi: usize) -> f64 {
-        (self.tau_max - self.provider_tau(qi)).max(0.0)
-    }
-
-    /// True if customer `id` has been discovered and is full (Definition 3).
-    pub fn customer_full(&self, id: u64) -> bool {
-        self.lookup_customer(id)
-            .is_some_and(|c| self.p_load[c] == self.weight[c])
+        (self.tau_max - self.flow.provider_tau(qi)).max(0.0)
     }
 
     fn lookup_customer(&self, id: u64) -> Option<usize> {
@@ -323,49 +142,22 @@ impl Engine {
         if idx >= self.cust_index.len() {
             self.cust_index.resize(idx + 1, NONE);
         }
-        let c = self.id.len();
+        let c = self.flow.add_customer(weight);
         self.cust_index[idx] = c as u32;
         self.id.push(id);
         self.pos.push(pos);
-        self.weight.push(weight);
-        self.p_load.push(0);
-        self.incident.push(Vec::new());
-        self.servers.push(0);
-        self.server.push((NONE, NONE));
         self.last_match_dist.push(0.0);
-        self.tau_p.push(0.0);
-        self.alpha_p.push(f64::INFINITY);
-        self.parent_p.push((NONE, NONE));
         c
     }
 
-    /// Adds edge `e(q_i, p)` to `Esub`, discovering the customer if new;
-    /// returns the customer slot and the edge's index in the provider's row.
-    fn push_edge(
-        &mut self,
-        qi: usize,
-        id: u64,
-        pos: Point,
-        weight: u32,
-        dist: f64,
-    ) -> (usize, u32) {
+    /// Inserts edge `e(q_i, p)` into `Esub`, discovering the customer if
+    /// new; returns the edge's index in the provider's row.
+    pub fn insert_edge(&mut self, qi: usize, id: u64, pos: Point, weight: u32, dist: f64) -> usize {
         let c = self.ensure_customer(id, pos, weight);
-        let k = self.rows[qi].len() as u32;
-        self.rows[qi].push(Edge {
-            cust: c as u32,
-            flow: 0,
-            dist,
-        });
-        self.incident[c].push((qi as u32, k));
-        self.order.push((qi as u32, k));
+        let k = self.flow.insert_edge(qi, c, dist);
+        self.order.push((qi as u32, k as u32));
         self.stats.esub_edges += 1;
-        (c, k)
-    }
-
-    /// Inserts edge `e(q_i, p)` into `Esub` (discovering the customer if
-    /// new).
-    pub fn insert_edge(&mut self, qi: usize, id: u64, pos: Point, weight: u32, dist: f64) {
-        self.push_edge(qi, id, pos, weight, dist);
+        k
     }
 
     /// Inserts an edge *and* re-optimises the in-flight shortest-path
@@ -379,18 +171,16 @@ impl Engine {
         weight: u32,
         dist: f64,
     ) {
-        let (_, k) = self.push_edge(qi, id, pos, weight, dist);
+        let k = self.insert_edge(qi, id, pos, weight, dist);
         self.stats.pua_runs += 1;
-        // An unsettled provider relaxes the new arc when (if) it settles.
-        if self.settled[qi] {
-            self.relax_row(qi, k as usize);
-            self.propagate();
-        }
         // An abort is sticky on the context; the driver's next loop-head
         // poll unwinds with the partial matching, and a cleared alpha_t
         // keeps `sp_valid` from committing a path whose search never
         // finished.
-        self.alpha_t = self.settle_below_sink().unwrap_or_default();
+        self.alpha_t = self
+            .flow
+            .resume(qi, k, self.ctx.as_ref())
+            .unwrap_or_default();
     }
 
     /// Starts an SSPA iteration: a fresh search from `s` until no unsettled
@@ -398,140 +188,9 @@ impl Engine {
     /// `None` also when the query context aborted mid-search (the abort is
     /// sticky; drivers observe it at their next loop-head poll).
     pub fn begin_iteration(&mut self) -> Option<f64> {
-        self.alpha_q.fill(f64::INFINITY);
-        self.settled.fill(false);
-        for &c in &self.reached {
-            self.alpha_p[c as usize] = f64::INFINITY;
-        }
-        self.reached.clear();
-        self.sink = f64::INFINITY;
-        self.wave.clear();
-        self.relabelled.clear();
-        // Settle s (α = 0): relax every residual s→q arc.
-        for i in 0..self.cap.len() {
-            if self.q_load[i] < self.cap[i] {
-                self.alpha_q[i] = (self.tau_q[i] - self.tau_s).max(0.0);
-                self.parent_q[i] = NONE;
-            }
-        }
-        self.pick
-            .assign(self.alpha_q.iter().map(|&alpha| pick_key(alpha)));
-        self.alpha_t = self.settle_below_sink().unwrap_or_default();
+        self.alpha_t = self.flow.search(self.ctx.as_ref()).unwrap_or_default();
         self.stats.dijkstra_runs += 1;
         self.alpha_t
-    }
-
-    /// Settles providers, lowest label first, until none unsettled is
-    /// labelled below `α(t)`. Returns `α(t)`, or `None` when the sink is
-    /// unreachable; polls the context every [`CTX_POLL_STRIDE`] settles.
-    fn settle_below_sink(&mut self) -> Result<Option<f64>, Aborted> {
-        let mut until_poll = 0u32;
-        loop {
-            if let Some(ctx) = &self.ctx {
-                if until_poll == 0 {
-                    until_poll = CTX_POLL_STRIDE;
-                    ctx.check()?;
-                }
-                until_poll -= 1;
-            }
-            let Some((i, _)) = self.pick.min_below(pick_key(self.sink)) else {
-                break;
-            };
-            self.settled[i] = true;
-            self.relabelled.push(i as u32);
-            self.pick.set(i, f64::INFINITY);
-            self.relax_row(i, 0);
-            self.propagate();
-        }
-        Ok(self.sink.is_finite().then_some(self.sink))
-    }
-
-    /// Relaxes the `q→p` arcs of settled provider `i`'s row, from edge
-    /// `from` on. `α(q_i)` and `τ(q_i)` are read once: relaying a customer
-    /// reached through this row cannot lower `α(q_i)`. A unit customer
-    /// reached along a residual arc carries no flow on it, so it could only
-    /// relay back to `q_i` along a second arc from `q_i`, which does not
-    /// exist; a weighted customer's round trip costs `|rc| ≥ 0`.
-    fn relax_row(&mut self, i: usize, from: usize) {
-        let (alpha, tau) = (self.alpha_q[i], self.tau_q[i]);
-        for k in from..self.rows[i].len() {
-            let e = self.rows[i][k];
-            let c = e.cust as usize;
-            if e.flow < self.weight[c] {
-                let rc = e.dist - tau + self.tau_p[c];
-                debug_assert!(rc > -EPS, "negative reduced cost {rc} on q{i}→p{c}");
-                let cand = alpha + rc.max(0.0);
-                if cand + EPS < self.alpha_p[c] {
-                    if self.alpha_p[c] == f64::INFINITY {
-                        self.reached.push(c as u32);
-                    }
-                    self.alpha_p[c] = cand;
-                    self.parent_p[c] = (i as u32, k as u32);
-                    self.relay(c);
-                }
-            }
-        }
-        debug_assert!(
-            self.alpha_q[i].to_bits() == alpha.to_bits(),
-            "α(q{i}) fell while its own row was relaxed"
-        );
-    }
-
-    /// Passes customer `c`'s improved label on: to `t` if `c` has spare
-    /// weight, and along its reverse arcs to the providers serving it.
-    fn relay(&mut self, c: usize) {
-        if self.p_load[c] < self.weight[c] {
-            // rc(p→t) = 0 − τ(p) + τ(t), with τ(t) = 0.
-            let cand = self.alpha_p[c] + (-self.tau_p[c]).max(0.0);
-            if cand + EPS < self.sink {
-                self.sink = cand;
-                self.sink_parent = c as u32;
-            }
-        }
-        match self.servers[c] {
-            0 => {}
-            1 => self.relax_back(c, self.server[c]),
-            _ => {
-                for n in 0..self.incident[c].len() {
-                    let (i, k) = self.incident[c][n];
-                    if self.rows[i as usize][k as usize].flow > 0 {
-                        self.relax_back(c, (i, k));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Relaxes the reverse arc `p_c → q_i` of edge `(i, k)`. A settled
-    /// provider whose label improves joins the wave; an unsettled one's key
-    /// in the pick drops.
-    fn relax_back(&mut self, c: usize, (i, k): EdgeRef) {
-        let (i, k) = (i as usize, k as usize);
-        let rc = -self.rows[i][k].dist - self.tau_p[c] + self.tau_q[i];
-        debug_assert!(rc > -EPS, "negative reduced cost {rc} on p{c}→q{i}");
-        let cand = self.alpha_p[c] + rc.max(0.0);
-        if cand + EPS < self.alpha_q[i] {
-            self.alpha_q[i] = cand;
-            self.parent_q[i] = k as u32;
-            if self.settled[i] {
-                self.wave.push(Reverse((OrdF64::new(cand), i as u32)));
-                self.relabelled.push(i as u32);
-            } else {
-                self.pick.set(i, pick_key(cand));
-            }
-        }
-    }
-
-    /// Processes the wave until empty: every settled provider whose label
-    /// improved has its row re-relaxed, transitively.
-    fn propagate(&mut self) {
-        while let Some(Reverse((key, i))) = self.wave.pop() {
-            let i = i as usize;
-            if key.get() > self.alpha_q[i] + EPS {
-                continue; // stale wave entry
-            }
-            self.relax_row(i, 0);
-        }
     }
 
     /// The Theorem-1 validity test: is the current sp provably shortest on
@@ -553,122 +212,29 @@ impl Engine {
     pub fn commit(&mut self) {
         let alpha_t = self.alpha_t.expect("commit without a shortest path");
         debug_assert!(!self.in_fast_phase, "commit during fast phase");
-
-        // Walk the parent links back from t.
-        let path = &mut self.last_path;
-        path.forward.clear();
-        path.back.clear();
-        let mut c = self.sink_parent as usize;
-        path.first = loop {
-            let (i, k) = self.parent_p[c];
-            path.forward.push((i, k));
-            match self.parent_q[i as usize] {
-                NONE => break i,
-                back => {
-                    path.back.push((i, back));
-                    c = self.rows[i as usize][back as usize].cust as usize;
-                }
-            }
-        };
-        self.augment_last_path();
-
-        // Potential update (Algorithm 1 lines 8–9) and τmax maintenance.
-        let mut settled = 2; // s and t
-        if alpha_t > 0.0 {
-            self.tau_s += alpha_t;
-        }
-        for i in 0..self.cap.len() {
-            if self.settled[i] {
-                settled += 1;
-                let delta = alpha_t - self.alpha_q[i];
-                if delta > 0.0 {
-                    self.tau_q[i] += delta;
-                }
-                self.tau_max = self.tau_max.max(self.tau_q[i]);
+        self.flow.augment(1);
+        self.note_fill(self.flow.path_source());
+        self.stats.settled += self.flow.update_potentials(alpha_t);
+        for i in 0..self.flow.num_providers() {
+            if self.flow.provider_settled(i) {
+                self.tau_max = self.tau_max.max(self.flow.provider_tau(i));
             }
         }
-        for &c in &self.reached {
-            let alpha = self.alpha_p[c as usize];
-            if alpha < alpha_t {
-                settled += 1;
-                self.tau_p[c as usize] += alpha_t - alpha;
-            }
-        }
-
-        self.stats.settled += settled;
         self.stats.iterations += 1;
         self.alpha_t = None;
     }
 
-    /// Pushes one unit along `last_path`, updating the loads, the fullness
-    /// count and each customer's serving edges.
-    fn augment_last_path(&mut self) {
-        let first = self.last_path.first as usize;
-        self.q_load[first] += 1;
-        if self.q_load[first] == self.cap[first] {
+    /// Counts provider `qi` as full if the last push filled it.
+    fn note_fill(&mut self, qi: usize) {
+        if self.flow.provider_full(qi) {
             self.num_full_providers += 1;
-        }
-        let last = self.end_customer();
-        self.p_load[last] += 1;
-        for n in 0..self.last_path.forward.len() {
-            self.add_flow(self.last_path.forward[n], 1);
-        }
-        for n in 0..self.last_path.back.len() {
-            self.cancel_flow(self.last_path.back[n]);
-        }
-    }
-
-    /// The customer that feeds `t` on `last_path`.
-    fn end_customer(&self) -> usize {
-        let (i, k) = self.last_path.forward[0];
-        self.rows[i as usize][k as usize].cust as usize
-    }
-
-    fn add_flow(&mut self, (i, k): EdgeRef, units: u32) {
-        let e = &mut self.rows[i as usize][k as usize];
-        let c = e.cust as usize;
-        if e.flow == 0 {
-            self.servers[c] += 1;
-            if self.servers[c] == 1 {
-                self.server[c] = (i, k);
-            }
-        }
-        e.flow += units;
-    }
-
-    /// Takes one unit off edge `(i, k)`.
-    fn cancel_flow(&mut self, (i, k): EdgeRef) {
-        let e = &mut self.rows[i as usize][k as usize];
-        let c = e.cust as usize;
-        e.flow -= 1;
-        if e.flow == 0 {
-            self.servers[c] -= 1;
-            if self.servers[c] == 1 {
-                let rows = &self.rows;
-                let mut left = self.incident[c].iter();
-                let left = left.find(|&&(i, k)| rows[i as usize][k as usize].flow > 0);
-                self.server[c] = *left.expect("one server left");
-            }
         }
     }
 
     /// True if the last committed path still has residual capacity on every
     /// arc, i.e. it could be augmented again as-is.
     pub fn last_path_residual(&self) -> bool {
-        let path = &self.last_path;
-        if path.forward.is_empty() {
-            return false;
-        }
-        let (first, last) = (path.first as usize, self.end_customer());
-        let edge = |&(i, k): &EdgeRef| self.rows[i as usize][k as usize];
-        self.q_load[first] < self.cap[first]
-            && self.p_load[last] < self.weight[last]
-            && path
-                .forward
-                .iter()
-                .map(edge)
-                .all(|e| e.flow < self.weight[e.cust as usize])
-            && path.back.iter().map(edge).all(|e| e.flow > 0)
+        self.flow.path_residual()
     }
 
     /// The Theorem-1 test for a *zero-length* shortest path. After a commit,
@@ -688,8 +254,8 @@ impl Engine {
     /// [`Engine::zero_sp_valid`] first; this is the batched form of the
     /// iteration those tests make redundant.
     pub fn recommit(&mut self) {
-        debug_assert!(self.last_path_residual());
-        self.augment_last_path();
+        self.flow.repeat_path();
+        self.note_fill(self.flow.path_source());
         self.stats.iterations += 1;
     }
 
@@ -711,18 +277,15 @@ impl Engine {
     /// Returns the number of units matched (0 for an already-full customer).
     pub fn fast_match(&mut self, qi: usize, id: u64, pos: Point, weight: u32, dist: f64) -> u32 {
         debug_assert!(self.in_fast_phase && self.no_provider_full());
-        let (c, k) = self.push_edge(qi, id, pos, weight, dist);
-        if self.p_load[c] == self.weight[c] {
-            // Full customer: the edge joins Esub but no assignment happens
-            // (Theorem 2: "If pj is full, we directly insert it into Esub
-            // and de-heap the next entry").
+        let k = self.insert_edge(qi, id, pos, weight, dist);
+        // A full customer's edge joins Esub but no assignment happens
+        // (Theorem 2: "If pj is full, we directly insert it into Esub and
+        // de-heap the next entry").
+        let units = self.flow.fill_edge(qi, k);
+        if units == 0 {
             return 0;
         }
-        let units = (self.weight[c] - self.p_load[c]).min(self.cap[qi] - self.q_load[qi]);
-        debug_assert!(units >= 1);
-        self.p_load[c] += units;
-        self.q_load[qi] += units;
-        self.add_flow((qi as u32, k), units);
+        let (c, _, _) = self.flow.edge(qi, k);
         self.last_match_dist[c] = dist;
         debug_assert!(
             dist + 1e-9 >= self.fast_d,
@@ -730,9 +293,7 @@ impl Engine {
             self.fast_d
         );
         self.fast_d = self.fast_d.max(dist);
-        if self.provider_full(qi) {
-            self.num_full_providers += 1;
-        }
+        self.note_fill(qi);
         self.stats.fast_phase_matches += u64::from(units);
         self.stats.iterations += u64::from(units);
         units
@@ -752,15 +313,17 @@ impl Engine {
         debug_assert!(self.in_fast_phase);
         self.in_fast_phase = false;
         let d = self.fast_d;
-        self.tau_s = d;
-        self.tau_q.fill(d);
-        for c in 0..self.tau_p.len() {
-            self.tau_p[c] = if self.p_load[c] == self.weight[c] {
-                d - self.last_match_dist[c]
-            } else {
-                0.0
-            };
-        }
+        let tau_q = vec![d; self.flow.num_providers()];
+        let tau_p: Vec<f64> = (0..self.id.len())
+            .map(|c| {
+                if self.flow.customer_full(c) {
+                    d - self.last_match_dist[c]
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        self.flow.set_potentials(d, &tau_q, &tau_p);
         self.tau_max = d;
     }
 
@@ -773,58 +336,37 @@ impl Engine {
     /// insertion order.
     ///
     /// Debug builds first check a solve that no context aborted against
-    /// its optimality certificate on `Esub`
-    /// ([`cca_flow::validate::assert_optimal`]) and panic if it fails.
+    /// its optimality certificate on `Esub` ([`Residual::certify`]) and
+    /// panic if it fails. With the Theorem-1 test bounding every
+    /// undiscovered edge, that makes the flow optimal on the complete graph.
     pub fn matching(&self) -> Matching {
         let aborted = self.ctx.as_ref().and_then(QueryContext::recorded_abort);
         if cfg!(debug_assertions) && aborted.is_none() {
-            self.certify()
+            self.flow
+                .certify()
                 .unwrap_or_else(|e| panic!("optimality certificate violated: {e}"));
         }
         let mut pairs = Vec::new();
         for &(i, k) in &self.order {
-            let e = self.rows[i as usize][k as usize];
-            if e.flow > 0 {
-                let c = e.cust as usize;
+            let (c, units, dist) = self.flow.edge(i as usize, k as usize);
+            if units > 0 {
                 pairs.push(MatchPair {
                     provider: i as usize,
                     customer: self.id[c],
-                    units: e.flow,
-                    dist: e.dist,
+                    units,
+                    dist,
                     customer_pos: self.pos[c],
                 });
             }
         }
         Matching { pairs }
     }
-
-    /// The optimality certificate on `Esub` ([`assert_optimal`]): the flow
-    /// has value γ over the discovered customers, and every residual arc
-    /// of `Esub` has non-negative reduced cost under the engine's
-    /// potentials. With the Theorem-1 test bounding every undiscovered
-    /// edge, that makes the flow optimal on the complete graph.
-    fn certify(&self) -> Result<(), String> {
-        let rows: Vec<_> = self
-            .order
-            .iter()
-            .map(|&(i, k)| {
-                let e = self.rows[i as usize][k as usize];
-                (i as usize, e.cust as usize, e.dist, e.flow)
-            })
-            .collect();
-        let tau = (self.tau_s, &self.tau_q[..], &self.tau_p[..]);
-        assert_optimal(&self.cap, &self.weight, &rows, tau)
-    }
-
-    /// Total units currently assigned (for driver loops).
-    pub fn assigned_units(&self) -> u64 {
-        self.p_load.iter().map(|&l| u64::from(l)).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cca_flow::EPS;
     use proptest::prelude::*;
 
     fn providers_at(caps: &[u32]) -> Vec<(Point, u32)> {
@@ -842,18 +384,18 @@ mod tests {
     #[test]
     fn new_engine_has_source_edges_only() {
         let engine = Engine::new(&providers_at(&[2, 3]), 10);
-        assert_eq!(engine.total_capacity(), 5);
+        assert_eq!(engine.flow.total_capacity(), 5);
         assert!(engine.no_provider_full());
         assert_eq!(engine.stats.esub_edges, 0);
-        assert_eq!(engine.assigned_units(), 0);
+        assert_eq!(engine.flow.assigned_units(), 0);
     }
 
     #[test]
     fn zero_capacity_provider_starts_full() {
         let engine = Engine::new(&providers_at(&[0, 1]), 4);
         assert!(!engine.no_provider_full());
-        assert!(engine.provider_full(0));
-        assert!(!engine.provider_full(1));
+        assert!(engine.flow.provider_full(0));
+        assert!(!engine.flow.provider_full(1));
     }
 
     #[test]
@@ -863,13 +405,13 @@ mod tests {
         let p1 = Point::new(1.0, 0.0);
         let p2 = Point::new(2.0, 0.0);
         assert_eq!(engine.fast_match(0, 0, p1, 1, q.dist(&p1)), 1);
-        assert!(!engine.provider_full(0));
-        assert!(engine.customer_full(0));
+        assert!(!engine.flow.provider_full(0));
+        assert!(engine.flow.customer_full(0));
         // Re-popping the full customer inserts the edge but matches nothing.
         assert_eq!(engine.fast_match(0, 0, p1, 1, q.dist(&p1)), 0);
         assert_eq!(engine.fast_match(0, 1, p2, 1, q.dist(&p2)), 1);
-        assert!(engine.provider_full(0), "capacity 2 reached");
-        assert_eq!(engine.assigned_units(), 2);
+        assert!(engine.flow.provider_full(0), "capacity 2 reached");
+        assert_eq!(engine.flow.assigned_units(), 2);
         engine.finish_fast_phase();
         let m = engine.matching();
         assert_eq!(m.size(), 2);
@@ -883,8 +425,8 @@ mod tests {
         let mut engine = Engine::new(&providers_at(&[3]), 2);
         let units = engine.fast_match(0, 0, Point::new(4.0, 0.0), 5, 4.0);
         assert_eq!(units, 3);
-        assert!(engine.provider_full(0));
-        assert!(!engine.customer_full(0), "2 of 5 units still open");
+        assert!(engine.flow.provider_full(0));
+        assert!(!engine.flow.customer_full(0), "2 of 5 units still open");
         engine.finish_fast_phase();
         let m = engine.matching();
         assert_eq!(m.size(), 3);
@@ -904,8 +446,8 @@ mod tests {
         assert_eq!(engine.fast_match(2, 0, Point::new(1.0, 0.0), 1, 199.0), 0);
         engine.fast_match(2, 2, Point::new(200.0, 200.0), 1, 200.0);
         engine.finish_fast_phase();
-        engine.certify().unwrap();
-        assert_eq!(engine.tau_max(), 200.0);
+        engine.flow.certify().unwrap();
+        assert_eq!(engine.tau_max, 200.0);
     }
 
     #[test]
@@ -921,14 +463,17 @@ mod tests {
         assert!(engine.sp_valid(f64::INFINITY));
         engine.commit();
         // Exactly one of the two providers committed its unit.
-        assert_eq!(engine.assigned_units(), 1);
-        let full_count = [0, 1].iter().filter(|&&q| engine.provider_full(q)).count();
+        assert_eq!(engine.flow.assigned_units(), 1);
+        let full_count = [0, 1]
+            .iter()
+            .filter(|&&q| engine.flow.provider_full(q))
+            .count();
         assert_eq!(full_count, 1);
         // Second iteration serves the other pair.
         engine.begin_iteration();
         engine.commit();
-        assert_eq!(engine.assigned_units(), 2);
-        assert!(engine.provider_full(0) && engine.provider_full(1));
+        assert_eq!(engine.flow.assigned_units(), 2);
+        assert!(engine.flow.provider_full(0) && engine.flow.provider_full(1));
         assert_eq!(engine.matching().size(), 2);
     }
 
@@ -992,7 +537,7 @@ mod tests {
             engine.begin_iteration().expect("a path to t");
             engine.commit();
         }
-        assert!(engine.provider_full(0) && engine.provider_full(1));
+        assert!(engine.flow.provider_full(0) && engine.flow.provider_full(1));
         edge(&mut engine, 2, 0, 10.0);
         edge(&mut engine, 0, 1, 10.0);
         edge(&mut engine, 1, 2, 10.0);
@@ -1012,22 +557,22 @@ mod tests {
     #[test]
     fn pua_improvement_propagates_through_settled_chain() {
         let mut engine = fresh(&[]);
-        let before = (engine.alpha_t().unwrap(), engine.provider_alpha(1));
+        let before = (engine.alpha_t().unwrap(), engine.flow.provider_alpha(1));
         assert!(
-            (0..3).all(|q| engine.provider_settled(q)),
+            (0..3).all(|q| engine.flow.provider_settled(q)),
             "the chain settles"
         );
         // A shortcut q2 → p1 skips the hop through q0: the improvement must
         // reach the settled q1 and, through it, the sink.
         engine.insert_edge_reoptimize(2, 1, Point::new(1.0, 1.0), 1, 1.0);
-        let after = (engine.alpha_t().unwrap(), engine.provider_alpha(1));
+        let after = (engine.alpha_t().unwrap(), engine.flow.provider_alpha(1));
         assert!(
             after.0 < before.0 && after.1 < before.1,
             "{before:?} → {after:?}"
         );
         let want = fresh(&[(2, 1, 1.0)]);
         assert_eq!(engine.alpha_t(), want.alpha_t());
-        assert_eq!(engine.provider_alpha(1), want.provider_alpha(1));
+        assert_eq!(engine.flow.provider_alpha(1), want.flow.provider_alpha(1));
         assert_eq!(engine.stats.dijkstra_runs, 3, "PUA ran no fresh search");
     }
 
@@ -1040,9 +585,9 @@ mod tests {
         edge(&mut engine, 0, 0, 5.0);
         assert_eq!(engine.begin_iteration(), Some(5.0));
         engine.insert_edge_reoptimize(1, 1, Point::new(1.0, 1.0), 1, 1.0);
-        assert!(!engine.provider_settled(1));
+        assert!(!engine.flow.provider_settled(1));
         assert_eq!(engine.alpha_t(), Some(5.0));
-        assert_eq!(engine.provider_alpha(1), f64::INFINITY);
+        assert_eq!(engine.flow.provider_alpha(1), f64::INFINITY);
     }
 
     #[test]
@@ -1056,12 +601,12 @@ mod tests {
         engine.commit();
         edge(&mut engine, 0, 4, 50.0);
         let sink = engine.begin_iteration().unwrap();
-        assert!(!engine.provider_settled(1), "q1 is full and unreached");
+        assert!(!engine.flow.provider_settled(1), "q1 is full and unreached");
         // An edge from the settled q0 to customer 3 labels q1 through the
         // reverse arc, below the sink: resuming must settle it.
         engine.insert_edge_reoptimize(0, 3, Point::new(3.0, 1.0), 1, 2.0);
-        assert!(engine.provider_settled(1));
-        assert!(engine.provider_alpha(1) < sink);
+        assert!(engine.flow.provider_settled(1));
+        assert!(engine.flow.provider_alpha(1) < sink);
         assert_eq!(engine.alpha_t(), Some(sink), "no cheaper path to t");
     }
 
@@ -1108,16 +653,18 @@ mod tests {
         while engine.begin_iteration().is_some() {
             engine.commit();
         }
-        assert_eq!(engine.assigned_units(), 5);
-        engine.certify().unwrap();
+        assert_eq!(engine.flow.assigned_units(), 5);
+        engine.flow.certify().unwrap();
         // Shifting any one provider's potential, either way, breaks the
         // reduced-cost invariant on one of its residual arcs.
+        let (tau_s, tau_q, tau_p) = engine.flow.potentials();
         for qi in 0..providers.len() {
             for shift in [-1e4, 1e4] {
-                engine.tau_q[qi] += shift;
-                let err = engine.certify().unwrap_err();
+                let mut shifted = tau_q.clone();
+                shifted[qi] += shift;
+                engine.flow.set_potentials(tau_s, &shifted, &tau_p);
+                let err = engine.flow.certify().unwrap_err();
                 assert!(err.contains("reduced cost"), "q{qi} {shift:+}: {err}");
-                engine.tau_q[qi] -= shift;
             }
         }
     }
@@ -1206,10 +753,10 @@ mod tests {
                     prop_assert!((a - b).abs() <= EPS, "insert {}: α(t) {} vs {}", n, a, b);
                 }
                 for q in 0..providers.len() {
-                    let (a, b) = (engine.provider_alpha(q), want.provider_alpha(q));
-                    let below = |e: &Engine, alpha: f64| e.provider_settled(q) && alpha + EPS < at;
+                    let (a, b) = (engine.flow.provider_alpha(q), want.flow.provider_alpha(q));
+                    let below = |e: &Engine, alpha: f64| e.flow.provider_settled(q) && alpha + EPS < at;
                     if below(&engine, a) || below(&want, b) {
-                        prop_assert!(engine.provider_settled(q) && want.provider_settled(q));
+                        prop_assert!(engine.flow.provider_settled(q) && want.flow.provider_settled(q));
                         prop_assert!((a - b).abs() <= EPS, "insert {}: α(q{}) {} vs {}", n, q, a, b);
                     }
                 }

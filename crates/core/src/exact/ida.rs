@@ -26,7 +26,7 @@ pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
     let start = Instant::now();
     let mut engine = Engine::new(providers, source.num_customers());
     engine.set_context(source.context());
-    let gamma = engine.total_capacity().min(source.total_weight());
+    let gamma = engine.flow().total_capacity().min(source.total_weight());
     // NIA's heap `H` with IDA's keys: a full provider's pending edge is
     // keyed `α(q) + (τmax − τ(q)) + dist`, a non-full one's `dist`.
     let mut heap = EdgeHeap::new(providers.len(), source);
@@ -73,9 +73,9 @@ pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
                 // their current α if this iteration settled them, otherwise
                 // the last known value (Algorithm 4 keeps stale α's); the
                 // potential lag is always current.
-                let (alpha, lag) = if engine.provider_full(qi) {
-                    let a = if engine.provider_settled(qi) {
-                        engine.provider_alpha(qi)
+                let (alpha, lag) = if engine.flow().provider_full(qi) {
+                    let a = if engine.flow().provider_settled(qi) {
+                        engine.flow().provider_alpha(qi)
                     } else {
                         alpha_raw[qi]
                     };
@@ -93,7 +93,7 @@ pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
             // re-keyed, and after a PUA only those the engine settled or
             // relabelled since.
             if have_sp {
-                for &qi in engine.relabelled() {
+                for &qi in engine.flow().relabelled() {
                     refresh_full_key(&engine, &mut heap, &mut alpha_raw, qi as usize);
                 }
             } else {
@@ -154,7 +154,7 @@ fn conservative_phi(engine: &Engine, heap: &EdgeHeap) -> f64 {
     let mut phi = f64::INFINITY;
     for (qi, pending) in heap.pending.iter().enumerate() {
         let Some(c) = pending else { continue };
-        let key = if engine.provider_full(qi) {
+        let key = if engine.flow().provider_full(qi) {
             engine.provider_tau_lag(qi) + c.dist
         } else {
             c.dist
@@ -170,11 +170,11 @@ fn conservative_phi(engine: &Engine, heap: &EdgeHeap) -> f64 {
 /// recent search that settled `q` (stale values persist, as in the paper)
 /// and the lag term is recomputed from the current potentials.
 fn refresh_full_key(engine: &Engine, heap: &mut EdgeHeap, alpha_raw: &mut [f64], qi: usize) {
-    if !engine.provider_full(qi) {
+    if !engine.flow().provider_full(qi) {
         return;
     }
-    if engine.provider_settled(qi) {
-        alpha_raw[qi] = engine.provider_alpha(qi);
+    if engine.flow().provider_settled(qi) {
+        alpha_raw[qi] = engine.flow().provider_alpha(qi);
     }
     let Some(c) = heap.pending[qi] else {
         return;

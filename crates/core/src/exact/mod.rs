@@ -1,7 +1,6 @@
 //! Exact CCA algorithms (§3): RIA, NIA, IDA over a shared incremental-SSPA
 //! engine.
 
-mod argmin;
 pub mod engine;
 pub mod ida;
 pub mod nia;

@@ -9,11 +9,11 @@ use std::time::Instant;
 
 use cca_geo::Point;
 
-use crate::exact::argmin::ArgminIndex;
 use crate::exact::engine::Engine;
 use crate::exact::source::{CustomerSource, SourcedCustomer};
 use crate::matching::Matching;
 use crate::stats::AlgoStats;
+use cca_flow::argmin::ArgminIndex;
 
 /// The heap `H` of Algorithms 3–4: each provider's next undiscovered edge
 /// from its NN stream, keyed by its length plus a per-provider offset (0 in
@@ -86,7 +86,7 @@ pub fn nia<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Ma
     let mut engine = Engine::new(providers, source.num_customers());
     engine.set_context(source.context());
     engine.skip_fast_phase();
-    let gamma = engine.total_capacity().min(source.total_weight());
+    let gamma = engine.flow().total_capacity().min(source.total_weight());
     let mut heap = EdgeHeap::new(providers.len(), source);
 
     let mut done = 0u64;

@@ -32,7 +32,7 @@ pub fn ria<S: CustomerSource>(
     let mut engine = Engine::new(providers, source.num_customers());
     engine.set_context(source.context());
     engine.skip_fast_phase();
-    let gamma = engine.total_capacity().min(source.total_weight());
+    let gamma = engine.flow().total_capacity().min(source.total_weight());
     let max_edges = providers.len() as u64 * source.num_customers() as u64;
 
     // Initial T-range around every provider (Algorithm 2 lines 1–4).

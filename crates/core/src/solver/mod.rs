@@ -395,8 +395,11 @@ fn sspa(problem: &Problem<'_>) -> (Matching, AlgoStats) {
             customer_pos: customers[cj].1,
         })
         .collect();
+    // Each completed search is one Dijkstra run followed by one augment.
     let stats = AlgoStats {
         esub_edges: sspa_stats.edges,
+        dijkstra_runs: sspa_stats.iterations,
+        settled: sspa_stats.settled,
         iterations: sspa_stats.iterations,
         cpu_time: start.elapsed(),
         ..Default::default()
@@ -442,6 +445,24 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    /// The baseline reports what its `AlgoStats` fields document: every
+    /// (q, p) edge of the complete graph in `esub_edges`, and on unit
+    /// customers one search, one settle pass and one augment per unit.
+    #[test]
+    fn sspa_reports_the_kernel_counts() {
+        let (providers, customers) = random_instance(79, 3, 20, 4);
+        let problem = Problem::new(&providers).with_customers(&customers);
+        let solver = SolverRegistry::with_defaults()
+            .build(&SolverConfig::new("sspa"))
+            .unwrap();
+        let (_, stats) = solver.run(&problem).expect_complete();
+        let g = gamma(&providers, &customers);
+        assert_eq!(stats.esub_edges, (providers.len() * customers.len()) as u64);
+        assert_eq!(stats.dijkstra_runs, g);
+        assert_eq!(stats.iterations, g);
+        assert!(stats.settled > 0);
     }
 
     #[test]

@@ -17,7 +17,9 @@ pub struct AlgoStats {
     pub dijkstra_runs: u64,
     /// Nodes settled across all committed searches (search effort) — `s`,
     /// the settled providers, the customers labelled below `α(t)` and `t`,
-    /// per search, as [`cca_flow::SspaStats::settled`] counts them.
+    /// per search, as the flow kernel counts them
+    /// ([`cca_flow::Residual::update_potentials`]); `sspa` reports the same
+    /// count.
     pub settled: u64,
     /// PUA invocations (edge insertions re-optimised incrementally).
     pub pua_runs: u64,

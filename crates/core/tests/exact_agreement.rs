@@ -10,11 +10,13 @@
 //!
 //! Weighted customers — the concise matching's representatives — are
 //! checked too: `ria`, `nia` and `ida` over a `MemorySource` of weighted
-//! representatives against the dense `Sspa`. Only weighted customers reach
-//! the multi-server reverse-arc relay and IDA's batched re-commit.
+//! representatives against the Hungarian optimum of the unit expansion,
+//! where a weight-`w` representative becomes `w` co-located unit customers.
+//! Only weighted customers reach the multi-server reverse-arc relay and
+//! IDA's batched re-commit.
 
 use cca_core::{ida, nia, ria, MemorySource, Problem, RiaConfig, SolverConfig, SolverRegistry};
-use cca_flow::sspa::{FlowCustomer, FlowProvider, Sspa};
+use cca_flow::sspa::FlowProvider;
 use cca_flow::validate::hungarian_optimal_cost;
 use cca_geo::Point;
 use cca_testutil::{build_tree, gamma, random_instance, random_points};
@@ -79,18 +81,19 @@ proptest! {
 }
 
 /// Runs `ria`, `nia` and `ida` over weighted representatives and checks
-/// each against the dense `Sspa` on the same weights.
+/// each against the Hungarian optimum of the unit expansion.
 fn check_weighted(providers: &[(Point, u32)], reps: &[(Point, u32)]) {
     let fps: Vec<FlowProvider> = providers
         .iter()
         .map(|&(pos, cap)| FlowProvider { pos, cap })
         .collect();
-    let fcs: Vec<FlowCustomer> = reps
+    let expanded: Vec<Point> = reps
         .iter()
-        .map(|&(pos, weight)| FlowCustomer { pos, weight })
+        .flat_map(|&(pos, weight)| std::iter::repeat_n(pos, weight as usize))
         .collect();
-    let (want, _) = Sspa::default().solve(&fps, &fcs).expect("no context");
-    let tol = 1e-9 * want.cost.abs().max(1.0);
+    let want = hungarian_optimal_cost(&fps, &expanded);
+    let tol = 1e-9 * want.abs().max(1.0);
+    let size = gamma(providers, &expanded);
     let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
     let source = || MemorySource::new(qpos.clone(), reps.to_vec());
     let runs = [
@@ -102,12 +105,11 @@ fn check_weighted(providers: &[(Point, u32)], reps: &[(Point, u32)]) {
         ("ida", ida(providers, &mut source()).0),
     ];
     for (name, m) in runs {
-        assert_eq!(m.size(), want.size(), "{name}: size ≠ γ");
+        assert_eq!(m.size(), size, "{name}: size ≠ γ");
         assert!(
-            (m.cost() - want.cost).abs() <= tol,
-            "{name}: weighted cost {} vs sspa {}",
-            m.cost(),
-            want.cost
+            (m.cost() - want).abs() <= tol,
+            "{name}: weighted cost {} vs hungarian {want}",
+            m.cost()
         );
     }
 }

@@ -1,10 +1,11 @@
-//! The one argmin of the exact tier: a block-minimum index over per-provider
-//! keys.
+//! The one argmin of the flow kernel and the exact tier: a block-minimum
+//! index over per-provider keys.
 //!
-//! Three loops pick a lowest key among the |Q| providers: the engine's
-//! search settles the unsettled provider with the lowest label, and NIA's
-//! and IDA's heap `H` (Algorithms 3–4) hands out the pending edge with the
-//! lowest key and reports `TopKey(H)`. [`ArgminIndex`] serves all three. Its
+//! Three loops pick a lowest key among the |Q| providers: the kernel's
+//! search ([`crate::residual`]) settles the unsettled provider with the
+//! lowest label, and NIA's and IDA's heap `H` (Algorithms 3–4) hands out the
+//! pending edge with the lowest key and reports `TopKey(H)`. [`ArgminIndex`]
+//! serves all three. Its
 //! slots are cut into blocks of ⌈√n⌉, and each block caches its lowest
 //! `(key, slot)`:
 //!
@@ -32,7 +33,7 @@ fn unord(k: i64) -> f64 {
 }
 
 /// Per-slot keys with a cached `(lowest key, lowest slot)` per block.
-pub(super) struct ArgminIndex {
+pub struct ArgminIndex {
     /// Each slot's key, in [`ord`] form.
     keys: Vec<i64>,
     block: usize,
@@ -42,7 +43,7 @@ pub(super) struct ArgminIndex {
 
 impl ArgminIndex {
     /// `n` empty slots.
-    pub(super) fn new(n: usize) -> Self {
+    pub fn new(n: usize) -> Self {
         let root = n.isqrt();
         let block = if root * root < n {
             root + 1
@@ -61,13 +62,13 @@ impl ArgminIndex {
 
     /// Slot `i`'s key (∞ when empty).
     #[inline]
-    pub(super) fn key(&self, i: usize) -> f64 {
+    pub fn key(&self, i: usize) -> f64 {
         unord(self.keys[i])
     }
 
     /// Sets slot `i`'s key; ∞ empties the slot.
     #[inline]
-    pub(super) fn set(&mut self, i: usize, key: f64) {
+    pub fn set(&mut self, i: usize, key: f64) {
         let (old, new) = (self.keys[i], ord(key));
         self.keys[i] = new;
         let b = i / self.block;
@@ -80,7 +81,7 @@ impl ArgminIndex {
     }
 
     /// Sets every slot's key at once, in slot order.
-    pub(super) fn assign(&mut self, keys: impl IntoIterator<Item = f64>) {
+    pub fn assign(&mut self, keys: impl IntoIterator<Item = f64>) {
         let mut n = 0;
         for (slot, key) in self.keys.iter_mut().zip(keys) {
             *slot = ord(key);
@@ -95,7 +96,7 @@ impl ArgminIndex {
     /// The lowest slot holding the lowest key strictly below `limit` (in
     /// [`f64::total_cmp`] order), with that key.
     #[inline]
-    pub(super) fn min_below(&self, limit: f64) -> Option<(usize, f64)> {
+    pub fn min_below(&self, limit: f64) -> Option<(usize, f64)> {
         let mut best = (ord(limit), None);
         for &(key, at) in &self.mins {
             if key < best.0 {

@@ -1,89 +1,42 @@
 //! The full-graph Successive Shortest Path Algorithm (Algorithm 1).
 //!
 //! This is the paper's baseline (§2.2): SSPA on the *complete* bipartite
-//! flow graph between `Q` and `P`, one Dijkstra + augment iteration per
-//! shortest path — γ searches on unit customers. It is intentionally
-//! faithful to the baseline's weaknesses — every one of the |Q|·|P| edges
-//! is materialised — because Figure 8 measures exactly that. It doubles as
-//! the ground-truth oracle for the incremental algorithms' tests, and as
-//! the exact solver behind the registry's `sspa`, the continuous engine's
-//! local repairs and the coreset tier's concise instances.
+//! flow graph between `Q` and `P`. It is the flow kernel
+//! ([`crate::residual`]) with every (q, p) row inserted up front, in
+//! provider-major order, and no validity test, because the complete graph
+//! needs none. It is intentionally faithful to the baseline's weaknesses —
+//! every one of the |Q|·|P| edges is materialised, at 16 B per row entry
+//! plus 8 B of incidence — because Figure 8 measures exactly that. It is the
+//! exact solver behind the registry's `sspa` and the continuous engine's
+//! local repairs.
 //!
-//! Customers may carry integer weights (> 1) so the same solver performs the
-//! concise matching of the CA approximation, where customer representatives
-//! have weight `g.w` (§4.2).
+//! Customers may carry integer weights (> 1). Each search pushes the path's
+//! *bottleneck*, capped at the flow still missing: every unit routed along
+//! one shortest path costs the same, and the potential update keeps the
+//! result exact. On unit-weight customers the sink arc caps the bottleneck
+//! at 1, which is Algorithm 1's unit augmentation verbatim; on weighted
+//! customers one search moves many units, so a solve needs far fewer than
+//! `γ` searches. `|Q| + |P|` is the usual order, but not a bound: a reverse
+//! arc can be the bottleneck without saturating any source or sink arc.
 //!
 //! There is one way to run a solve: [`Sspa::solve`]. The two things that
 //! vary between callers — an abort context and a starting flow — are the
 //! fields of [`Sspa`].
 //!
-//! # Dense state
-//!
-//! The graph is complete, so it is never built as an adjacency structure;
-//! every residual arc is implicit in a few flat arrays:
-//!
-//! * a row-major |Q|×|P| `f64` cost matrix and `u32` flow matrix — 12 B
-//!   per (q, p) pair. `q→p` is residual while `f(q, p) < p.w`, its reverse
-//!   `p→q` while `f(q, p) > 0`;
-//! * `u32` loads of the providers and customers: `s→q` is residual while
-//!   `q` has spare capacity, `p→t` while `p` has spare weight;
-//! * the potentials `τ(s)`, `τ(q)` and `τ(p)` (`τ(t)` stays 0);
-//! * for each customer, the providers serving it (at most one for unit
-//!   customers): their number and one of them. Only a weighted customer
-//!   split across several providers has its flow column scanned.
-//!
-//! Each search is Dijkstra over reduced costs from `s`, run over the
-//! providers only. It settles the unsettled provider with the smallest
-//! label, found by a linear scan (there is no heap), and scans that
-//! provider's cost/flow row once to relax its `q→p` arcs. An improved
-//! customer label is passed on at once, to `t` if the customer has spare
-//! weight and along its reverse arcs to its unsettled serving providers.
-//! The search stops when no unsettled provider is labelled below `α(t)`:
-//! every label below `α(t)` is then final. A search costs
-//! O(|Q|² + settled·|P|), where `settled` counts the providers it settles.
-//!
-//! Each search pushes the path's *bottleneck*: every unit routed along one
-//! shortest path costs the same, and after the push the saturated arc
-//! leaves the residual graph while the potential update (Algorithm 1
-//! lines 8–9: `τ(v) += α(t) − α(v)` for `s`, the settled providers and the
-//! customers labelled below `α(t)`) restores `rc ≥ 0` everywhere — the §2.2
-//! loop invariant — so the result is the exact optimum. On unit-weight
-//! customers the sink arc caps the bottleneck at 1, which is Algorithm 1's
-//! unit augmentation verbatim; on weighted customers (the coreset tier's
-//! representatives) one search moves many units, so a solve needs far fewer
-//! than `γ` searches. `|Q| + |P|` is the usual order, but not a bound: a
-//! reverse arc can be the bottleneck without saturating any source or sink
-//! arc.
-//!
 //! # Warm start
 //!
 //! [`Sspa::start`] hands the solve a feasible flow, such as the standing
 //! assignment of a continuous-engine neighbourhood that one event has
-//! perturbed. The solve installs it, then makes it optimal for its value:
-//! a queue-based Bellman–Ford (SPFA) from a virtual root runs over the
-//! *full* residual graph `{s, Q, P, t}` — `q→s` and `t→p` included, since
-//! an event's improvements are mostly "swap a far matched customer for a
-//! near unmatched one" (through `t`) and "shift load between providers"
-//! (through `s`). A relaxation whose new parent link closes a cycle has
-//! found a negative one: its bottleneck is pushed around it and the pass
-//! restarts. A pass that converges leaves distances `d` under which
-//! `τ(v) = d(t) − d(v)` gives every residual arc `rc ≥ −1e-9`. A flow
-//! with no negative residual cycle is a minimum-cost flow of its value
-//! (§2.2), and these potentials satisfy the invariant Algorithm 1 keeps,
-//! so the unchanged search loop tops the flow up to `γ` from there: the
-//! result is the exact optimum, the same one a cold solve reaches up to
-//! ties. An empty start skips all of this and runs Algorithm 1 verbatim.
-
-use std::collections::VecDeque;
-use std::ops::ControlFlow;
+//! perturbed. The solve installs it and makes it optimal for its value by
+//! cancelling negative cycles (the kernel's *Warm start*), so the unchanged
+//! search loop tops the flow up to `γ` from there: the result is the exact
+//! optimum, the same one a cold solve reaches up to ties. An empty start
+//! skips all of this and runs Algorithm 1 verbatim.
 
 use cca_geo::Point;
 use cca_storage::{AbortReason, Aborted, QueryContext};
 
-/// Tolerance for floating-point noise in reduced costs. Distances are O(10³)
-/// (the normalised world), so 1e-7 absolute slack is ~12 decimal digits of
-/// headroom below the signal.
-pub const EPS: f64 = 1e-7;
+use crate::residual::Residual;
 
 /// A provider in a bipartite assignment problem: position + capacity.
 #[derive(Clone, Copy, Debug)]
@@ -130,10 +83,10 @@ pub struct SspaStats {
     /// weighted customers it is typically far below γ — read
     /// [`Assignment::size`] for the installed flow.
     pub iterations: u64,
-    /// Edges in the flow graph (|Q|·|P| + |Q| + |P| for the baseline).
+    /// `q→p` edges in the flow graph: |Q|·|P|.
     pub edges: u64,
-    /// Nodes settled across all searches — `s`, the settled providers, the
-    /// customers labelled below `α(t)` and `t`, per search.
+    /// Nodes settled across all completed searches — `s`, the settled
+    /// providers, the customers labelled below `α(t)` and `t`, per search.
     pub settled: u64,
 }
 
@@ -173,7 +126,7 @@ impl std::error::Error for FlowAborted {}
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sspa<'a> {
     /// Cooperative cancellation: the solve polls the context at every
-    /// search head and once per settled provider, so a CPU-bound solve on a
+    /// search head and every 64 settled providers, so a CPU-bound solve on a
     /// large instance observes cancellation or an expired deadline from
     /// *inside* the flow loop — no page access required — and unwinds with
     /// the typed [`FlowAborted`] carrying the partial assignment built so
@@ -198,21 +151,11 @@ impl Sspa<'_> {
         providers: &[FlowProvider],
         customers: &[FlowCustomer],
     ) -> Result<(Assignment, SspaStats), FlowAborted> {
-        let (dense, stats) = self.run(providers, customers)?;
-        let asg = dense.assignment();
+        let (net, stats) = self.run(providers, customers)?;
+        let asg = assignment(&net);
         if cfg!(debug_assertions) {
-            let np = dense.np;
-            let cell = |k: usize| (k / np, k % np, dense.cost[k], dense.flow[k]);
-            let rows: Vec<_> = (0..dense.cost.len()).map(cell).collect();
-            let tau = (
-                dense.tau.source,
-                &dense.tau.providers[..],
-                &dense.tau.customers[..],
-            );
             crate::validate::validate_assignment(providers, customers, &asg)
-                .and_then(|()| {
-                    crate::validate::assert_optimal(&dense.cap, &dense.weight, &rows, tau)
-                })
+                .and_then(|()| net.certify())
                 .unwrap_or_else(|e| panic!("optimality certificate violated: {e}"));
         }
         Ok((asg, stats))
@@ -225,601 +168,58 @@ impl Sspa<'_> {
         &self,
         providers: &[FlowProvider],
         customers: &[FlowCustomer],
-    ) -> Result<(Dense, SspaStats), FlowAborted> {
-        let mut dense = Dense::new(providers, customers);
-        let (nq, np) = (providers.len() as u64, customers.len() as u64);
+    ) -> Result<(Residual, SspaStats), FlowAborted> {
+        // Row `i` holds customer `j` at index `j`, so a start pair names
+        // its edge directly.
+        let mut net = Residual::complete(providers, customers);
         let gamma = required_flow(providers, customers);
         let mut stats = SspaStats {
-            edges: nq * np + nq + np,
+            edges: providers.len() as u64 * customers.len() as u64,
             ..SspaStats::default()
+        };
+        let aborted = |net: &Residual, a: Aborted, stats| FlowAborted {
+            reason: a.reason,
+            partial: assignment(net),
+            stats,
         };
         let mut units = 0u64;
         if !self.start.is_empty() {
-            units = dense.install(self.start);
+            units = net.install(self.start);
             // Cycle cancelling keeps the flow feasible and its value at
             // |start|, so the flow at an abort is a valid partial answer.
-            if let Err(a) = dense.warm(self.ctx) {
-                return Err(FlowAborted {
-                    reason: a.reason,
-                    partial: dense.assignment(),
-                    stats,
-                });
+            if let Err(a) = net.warm(self.ctx) {
+                return Err(aborted(&net, a, stats));
             }
         }
         while units < gamma {
-            match dense.search(self.ctx) {
+            match net.search(self.ctx) {
                 Ok(Some(alpha_t)) => {
                     let remaining = (gamma - units).min(u64::from(u32::MAX)) as u32;
-                    units += u64::from(dense.augment(remaining));
-                    stats.settled += dense.update_potentials(alpha_t);
+                    units += u64::from(net.augment(remaining));
+                    stats.settled += net.update_potentials(alpha_t);
                     stats.iterations += 1;
                 }
                 Ok(None) => unreachable!("complete bipartite graph always admits γ units"),
                 // A search never mutates the flow, so the committed units
                 // are exactly the completed searches' prefix.
-                Err(a) => {
-                    return Err(FlowAborted {
-                        reason: a.reason,
-                        partial: dense.assignment(),
-                        stats,
-                    });
-                }
+                Err(a) => return Err(aborted(&net, a, stats)),
             }
         }
-        Ok((dense, stats))
+        Ok((net, stats))
     }
 }
 
-/// Node potentials `τ` of the complete bipartite graph; `τ(t)` stays 0.
-#[derive(Clone, Debug)]
-pub(crate) struct Potentials {
-    pub(crate) source: f64,
-    pub(crate) providers: Vec<f64>,
-    pub(crate) customers: Vec<f64>,
-}
-
-/// "No node": the parent of a provider reached straight from `s`.
-const NONE: u32 = u32::MAX;
-
-/// The residual state of one solve (see the module docs), plus the labels
-/// of the current search.
-struct Dense {
-    np: usize,
-    cap: Vec<u32>,
-    weight: Vec<u32>,
-    /// `cost[i·|P| + j] = dist(q_i, p_j)`.
-    cost: Vec<f64>,
-    /// Units on `q_i → p_j`, same indexing as `cost`.
-    flow: Vec<u32>,
-    /// Units on `s → q_i` and `p_j → t`.
-    q_load: Vec<u32>,
-    p_load: Vec<u32>,
-    /// Number of providers with flow to each customer, and one of them.
-    servers: Vec<u32>,
-    server: Vec<u32>,
-    tau: Potentials,
-    // ---- labels of the current search ----
-    alpha_q: Vec<f64>,
-    settled_q: Vec<bool>,
-    /// The customer each provider was reached from (`NONE`: from `s`).
-    parent_q: Vec<u32>,
-    alpha_p: Vec<f64>,
-    /// The provider each customer was reached from.
-    parent_p: Vec<u32>,
-    alpha_t: f64,
-    /// The customer `t` was reached from.
-    parent_t: u32,
-}
-
-impl Dense {
-    fn new(providers: &[FlowProvider], customers: &[FlowCustomer]) -> Self {
-        let (nq, np) = (providers.len(), customers.len());
-        let mut cost = Vec::with_capacity(nq * np);
-        for q in providers {
-            cost.extend(customers.iter().map(|p| q.pos.dist(&p.pos)));
-        }
-        Dense {
-            np,
-            cap: providers.iter().map(|q| q.cap).collect(),
-            weight: customers.iter().map(|p| p.weight).collect(),
-            cost,
-            flow: vec![0; nq * np],
-            q_load: vec![0; nq],
-            p_load: vec![0; np],
-            servers: vec![0; np],
-            server: vec![NONE; np],
-            tau: Potentials {
-                source: 0.0,
-                providers: vec![0.0; nq],
-                customers: vec![0.0; np],
-            },
-            alpha_q: vec![f64::INFINITY; nq],
-            settled_q: vec![false; nq],
-            parent_q: vec![NONE; nq],
-            alpha_p: vec![f64::INFINITY; np],
-            parent_p: vec![NONE; np],
-            alpha_t: f64::INFINITY,
-            parent_t: NONE,
+/// The installed flow as `(provider, customer, units)` pairs in
+/// provider-major order, with `Ψ(M)` summed in the same order.
+fn assignment(net: &Residual) -> Assignment {
+    let mut asg = Assignment::default();
+    for (i, j, flow, dist) in net.edges() {
+        if flow > 0 {
+            asg.pairs.push((i, j, flow));
+            asg.cost += f64::from(flow) * dist;
         }
     }
-
-    /// One Dijkstra from `s` over reduced costs; returns `α(t)`, or `None`
-    /// when `t` is unreachable. Polls `ctx` on entry and once per settled
-    /// provider; an abort leaves the flow untouched.
-    fn search(&mut self, ctx: Option<&QueryContext>) -> Result<Option<f64>, Aborted> {
-        if let Some(ctx) = ctx {
-            ctx.check()?;
-        }
-        self.alpha_q.fill(f64::INFINITY);
-        self.settled_q.fill(false);
-        self.alpha_p.fill(f64::INFINITY);
-        self.alpha_t = f64::INFINITY;
-        // Settle s (α = 0): relax every residual s→q arc.
-        let tau_s = self.tau.source;
-        for i in 0..self.cap.len() {
-            if self.q_load[i] < self.cap[i] {
-                self.alpha_q[i] = (self.tau.providers[i] - tau_s).max(0.0);
-                self.parent_q[i] = NONE;
-            }
-        }
-        loop {
-            // The unsettled provider labelled lowest below α(t); ties go to
-            // the lower index.
-            let mut next = None;
-            let mut best = self.alpha_t;
-            for (i, (&alpha, &settled)) in self.alpha_q.iter().zip(&self.settled_q).enumerate() {
-                if !settled && alpha < best {
-                    (next, best) = (Some(i), alpha);
-                }
-            }
-            let Some(i) = next else { break };
-            if let Some(ctx) = ctx {
-                ctx.check()?;
-            }
-            self.settle(i);
-        }
-        Ok(self.alpha_t.is_finite().then_some(self.alpha_t))
-    }
-
-    /// Settles provider `i`: one pass over its cost/flow row relaxes every
-    /// residual `q→p` arc.
-    fn settle(&mut self, i: usize) {
-        self.settled_q[i] = true;
-        let (alpha_i, tau_i) = (self.alpha_q[i], self.tau.providers[i]);
-        let row = i * self.np;
-        for j in 0..self.np {
-            if self.flow[row + j] < self.weight[j] {
-                let rc = self.cost[row + j] - tau_i + self.tau.customers[j];
-                debug_assert!(rc > -EPS, "negative reduced cost {rc} on q{i}→p{j}");
-                let cand = alpha_i + rc.max(0.0);
-                if cand + EPS < self.alpha_p[j] {
-                    self.alpha_p[j] = cand;
-                    self.parent_p[j] = i as u32;
-                    self.relay(j);
-                }
-            }
-        }
-    }
-
-    /// Passes customer `j`'s improved label on: to `t` if `j` has spare
-    /// weight, and along its reverse arcs to the providers serving it.
-    fn relay(&mut self, j: usize) {
-        if self.p_load[j] < self.weight[j] {
-            // rc(p→t) = 0 − τ(p) + τ(t), with τ(t) = 0.
-            let cand = self.alpha_p[j] + (-self.tau.customers[j]).max(0.0);
-            if cand + EPS < self.alpha_t {
-                self.alpha_t = cand;
-                self.parent_t = j as u32;
-            }
-        }
-        match self.servers[j] {
-            0 => {}
-            1 => self.relax_back(j, self.server[j] as usize),
-            _ => {
-                for i in 0..self.cap.len() {
-                    if self.flow[i * self.np + j] > 0 {
-                        self.relax_back(j, i);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Relaxes the reverse arc `p_j → q_i` into an unsettled provider.
-    fn relax_back(&mut self, j: usize, i: usize) {
-        if self.settled_q[i] {
-            return;
-        }
-        let rc = -self.cost[i * self.np + j] - self.tau.customers[j] + self.tau.providers[i];
-        debug_assert!(rc > -EPS, "negative reduced cost {rc} on p{j}→q{i}");
-        let cand = self.alpha_p[j] + rc.max(0.0);
-        if cand + EPS < self.alpha_q[i] {
-            self.alpha_q[i] = cand;
-            self.parent_q[i] = j as u32;
-        }
-    }
-
-    /// Pushes as many units along the shortest path to `t` as its
-    /// bottleneck admits, capped at `limit` (Algorithm 1 lines 4–7), and
-    /// returns the amount. The path is `s → q → p (→ q → p)* → t`, walked
-    /// back from `t` through the parent links.
-    fn augment(&mut self, limit: u32) -> u32 {
-        let np = self.np;
-        let last = self.parent_t as usize;
-        let mut units = limit.min(self.weight[last] - self.p_load[last]);
-        let mut j = last;
-        let first = loop {
-            let i = self.parent_p[j] as usize;
-            units = units.min(self.weight[j] - self.flow[i * np + j]);
-            match self.parent_q[i] {
-                NONE => break i,
-                prev => {
-                    j = prev as usize;
-                    units = units.min(self.flow[i * np + j]);
-                }
-            }
-        };
-        units = units.min(self.cap[first] - self.q_load[first]);
-        debug_assert!(units > 0, "augmenting along a saturated path");
-        self.p_load[last] += units;
-        self.q_load[first] += units;
-        let mut j = last;
-        loop {
-            let i = self.parent_p[j] as usize;
-            self.add_flow(i, j, units);
-            match self.parent_q[i] {
-                NONE => break,
-                prev => {
-                    j = prev as usize;
-                    self.cancel_flow(i, j, units);
-                }
-            }
-        }
-        units
-    }
-
-    fn add_flow(&mut self, i: usize, j: usize, units: u32) {
-        let f = &mut self.flow[i * self.np + j];
-        if *f == 0 {
-            self.servers[j] += 1;
-            if self.servers[j] == 1 {
-                self.server[j] = i as u32;
-            }
-        }
-        *f += units;
-    }
-
-    fn cancel_flow(&mut self, i: usize, j: usize, units: u32) {
-        let f = &mut self.flow[i * self.np + j];
-        *f -= units;
-        if *f == 0 {
-            self.servers[j] -= 1;
-            if self.servers[j] == 1 {
-                let np = self.np;
-                let left = (0..self.cap.len()).find(|&k| self.flow[k * np + j] > 0);
-                self.server[j] = left.expect("one server left") as u32;
-            }
-        }
-    }
-
-    /// Algorithm 1 lines 8–9: `τ(v) += α(t) − α(v)` for every node
-    /// labelled below `α(t)` — `s`, the settled providers and those
-    /// customers (`τ(t)` gains 0). Returns the search's settled-node count:
-    /// those nodes plus `t`.
-    fn update_potentials(&mut self, alpha_t: f64) -> u64 {
-        let mut settled = 2; // s and t
-        if alpha_t > 0.0 {
-            self.tau.source += alpha_t;
-        }
-        for (i, &done) in self.settled_q.iter().enumerate() {
-            if done {
-                settled += 1;
-                let delta = alpha_t - self.alpha_q[i];
-                if delta > 0.0 {
-                    self.tau.providers[i] += delta;
-                }
-            }
-        }
-        for (tau, &alpha) in self.tau.customers.iter_mut().zip(&self.alpha_p) {
-            if alpha < alpha_t {
-                settled += 1;
-                *tau += alpha_t - alpha;
-            }
-        }
-        settled
-    }
-
-    /// Installs a start flow and returns its value. Panics on a pair that
-    /// names an unknown node or overfills a provider or a customer.
-    fn install(&mut self, start: &[(usize, usize, u32)]) -> u64 {
-        let (nq, np) = (self.cap.len(), self.np);
-        let mut units = 0;
-        for &(i, j, u) in start {
-            assert!(
-                i < nq && j < np,
-                "start pair ({i}, {j}) out of range: {nq} providers, {np} customers"
-            );
-            assert!(
-                u <= self.cap[i] - self.q_load[i],
-                "start overfills provider {i} (capacity {})",
-                self.cap[i]
-            );
-            assert!(
-                u <= self.weight[j] - self.p_load[j],
-                "start overfills customer {j} (weight {})",
-                self.weight[j]
-            );
-            if u > 0 {
-                self.add_flow(i, j, u);
-                self.q_load[i] += u;
-                self.p_load[j] += u;
-                units += u64::from(u);
-            }
-        }
-        units
-    }
-
-    /// Makes the installed flow a minimum-cost flow of its value and sets
-    /// potentials under which every residual arc has `rc ≥ −WARM_EPS`.
-    ///
-    /// Each pass is a queue-based Bellman–Ford (SPFA) from a virtual root
-    /// with a zero arc to every node, over the full residual graph
-    /// `{s, Q, P, t}` — `q→s` and `t→p` included. When a relaxation's new
-    /// parent link closes a cycle, that cycle is negative: its bottleneck is
-    /// pushed around it and the pass restarts. A pass that drains its queue
-    /// leaves shortest distances `d`, and `τ(v) = d(t) − d(v)`. Polls `ctx`
-    /// once per pass and every 64 queue pops.
-    fn warm(&mut self, ctx: Option<&QueryContext>) -> Result<(), Aborted> {
-        let (nq, np) = (self.cap.len(), self.np);
-        let (s, t) = (nq + np, nq + np + 1);
-        let mut spfa = Spfa::new(nq + np + 2);
-        'pass: loop {
-            if let Some(ctx) = ctx {
-                ctx.check()?;
-            }
-            // Customers first: their reverse arcs are the only negative ones
-            // under d = 0.
-            spfa.reset((nq..s).chain(0..nq).chain([s, t]));
-            let mut pops = 0u32;
-            while let Some(u) = spfa.pop() {
-                pops += 1;
-                if pops.is_multiple_of(64) {
-                    if let Some(ctx) = ctx {
-                        ctx.check()?;
-                    }
-                }
-                if let ControlFlow::Break(v) = self.relax_from(u, &mut spfa) {
-                    self.cancel_cycle(&spfa.parent, v);
-                    continue 'pass;
-                }
-            }
-            break;
-        }
-        let d = &spfa.d;
-        self.tau.source = d[t] - d[s];
-        for (i, tau) in self.tau.providers.iter_mut().enumerate() {
-            *tau = d[t] - d[i];
-        }
-        for (j, tau) in self.tau.customers.iter_mut().enumerate() {
-            *tau = d[t] - d[nq + j];
-        }
-        Ok(())
-    }
-
-    /// Relaxes every residual arc out of warm-start node `u` (see
-    /// [`Dense::arc`] for the numbering). Breaks with the node whose new
-    /// parent link closed a cycle, if one did.
-    fn relax_from(&self, u: usize, spfa: &mut Spfa) -> ControlFlow<usize> {
-        let (nq, np) = (self.cap.len(), self.np);
-        let (s, t) = (nq + np, nq + np + 1);
-        let mut relax = |v: usize, c: f64| {
-            if spfa.relax(u, v, c) {
-                ControlFlow::Break(v)
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        if u < nq {
-            if self.q_load[u] > 0 {
-                relax(s, 0.0)?;
-            }
-            let row = u * np;
-            for j in 0..np {
-                if self.flow[row + j] < self.weight[j] {
-                    relax(nq + j, self.cost[row + j])?;
-                }
-            }
-        } else if u < s {
-            let j = u - nq;
-            if self.p_load[j] < self.weight[j] {
-                relax(t, 0.0)?;
-            }
-            match self.servers[j] {
-                0 => {}
-                1 => {
-                    let i = self.server[j] as usize;
-                    relax(i, -self.cost[i * np + j])?;
-                }
-                _ => {
-                    for i in 0..nq {
-                        if self.flow[i * np + j] > 0 {
-                            relax(i, -self.cost[i * np + j])?;
-                        }
-                    }
-                }
-            }
-        } else if u == s {
-            for i in 0..nq {
-                if self.q_load[i] < self.cap[i] {
-                    relax(i, 0.0)?;
-                }
-            }
-        } else {
-            for j in 0..np {
-                if self.p_load[j] > 0 {
-                    relax(nq + j, 0.0)?;
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Pushes the bottleneck around the cycle of parent links through `v`.
-    fn cancel_cycle(&mut self, parent: &[u32], v: usize) {
-        let mut units = u32::MAX;
-        let mut x = v;
-        loop {
-            let u = parent[x] as usize;
-            units = units.min(self.residual(self.arc(u, x)));
-            x = u;
-            if x == v {
-                break;
-            }
-        }
-        debug_assert!(units > 0, "cancelling a cycle with a saturated arc");
-        loop {
-            let u = parent[x] as usize;
-            self.push(self.arc(u, x), units);
-            x = u;
-            if x == v {
-                break;
-            }
-        }
-    }
-
-    /// The residual arc `u → v` between warm-start nodes, numbered
-    /// providers `0..|Q|`, customers `|Q|..|Q|+|P|`, then `s`, then `t`.
-    fn arc(&self, u: usize, v: usize) -> ResidualArc {
-        let nq = self.cap.len();
-        let s = nq + self.np;
-        match (u, v) {
-            (u, v) if u == s => ResidualArc::SourceToProvider(v),
-            (u, v) if v == s => ResidualArc::ProviderToSource(u),
-            (u, v) if u > s => ResidualArc::SinkToCustomer(v - nq),
-            (u, v) if v > s => ResidualArc::CustomerToSink(u - nq),
-            (u, v) if u < nq => ResidualArc::Forward(u, v - nq),
-            (u, v) => ResidualArc::Backward(v, u - nq),
-        }
-    }
-
-    /// Units that can still be pushed along `arc`.
-    fn residual(&self, arc: ResidualArc) -> u32 {
-        match arc {
-            ResidualArc::SourceToProvider(i) => self.cap[i] - self.q_load[i],
-            ResidualArc::ProviderToSource(i) => self.q_load[i],
-            ResidualArc::Forward(i, j) => self.weight[j] - self.flow[i * self.np + j],
-            ResidualArc::Backward(i, j) => self.flow[i * self.np + j],
-            ResidualArc::CustomerToSink(j) => self.weight[j] - self.p_load[j],
-            ResidualArc::SinkToCustomer(j) => self.p_load[j],
-        }
-    }
-
-    fn push(&mut self, arc: ResidualArc, units: u32) {
-        match arc {
-            ResidualArc::SourceToProvider(i) => self.q_load[i] += units,
-            ResidualArc::ProviderToSource(i) => self.q_load[i] -= units,
-            ResidualArc::Forward(i, j) => self.add_flow(i, j, units),
-            ResidualArc::Backward(i, j) => self.cancel_flow(i, j, units),
-            ResidualArc::CustomerToSink(j) => self.p_load[j] += units,
-            ResidualArc::SinkToCustomer(j) => self.p_load[j] -= units,
-        }
-    }
-
-    /// The installed flow as `(provider, customer, units)` pairs in
-    /// provider-major order, with `Ψ(M)` summed in the same order.
-    fn assignment(&self) -> Assignment {
-        let mut asg = Assignment::default();
-        for (k, &f) in self.flow.iter().enumerate() {
-            if f > 0 {
-                asg.pairs.push((k / self.np, k % self.np, f));
-                asg.cost += f64::from(f) * self.cost[k];
-            }
-        }
-        asg
-    }
-}
-
-/// One residual arc of the complete bipartite graph, by its endpoints'
-/// indices: `i` a provider, `j` a customer. `Forward` is `q_i → p_j`,
-/// `Backward` its reverse.
-#[derive(Clone, Copy)]
-enum ResidualArc {
-    SourceToProvider(usize),
-    ProviderToSource(usize),
-    Forward(usize, usize),
-    Backward(usize, usize),
-    CustomerToSink(usize),
-    SinkToCustomer(usize),
-}
-
-/// The improvement a warm-start relaxation must make. Well below the
-/// searches' `EPS`, so the potentials it leaves pass their reduced-cost
-/// check, and well above the rounding of a cycle's cost, so every cycle it
-/// closes is truly negative.
-const WARM_EPS: f64 = 1e-9;
-
-/// The labels of one warm-start Bellman–Ford pass, allocated once per solve.
-struct Spfa {
-    d: Vec<f64>,
-    /// The node each node was last relaxed from (`NONE`: the virtual root).
-    parent: Vec<u32>,
-    queued: Vec<bool>,
-    queue: VecDeque<u32>,
-}
-
-impl Spfa {
-    fn new(n: usize) -> Self {
-        Spfa {
-            d: vec![0.0; n],
-            parent: vec![NONE; n],
-            queued: vec![false; n],
-            queue: VecDeque::with_capacity(n),
-        }
-    }
-
-    /// Starts a pass: every node at distance 0 from the virtual root, and
-    /// queued in `order`.
-    fn reset(&mut self, order: impl Iterator<Item = usize>) {
-        self.d.fill(0.0);
-        self.parent.fill(NONE);
-        self.queued.fill(true);
-        self.queue.clear();
-        self.queue.extend(order.map(|v| v as u32));
-    }
-
-    fn pop(&mut self) -> Option<usize> {
-        let u = self.queue.pop_front()? as usize;
-        self.queued[u] = false;
-        Some(u)
-    }
-
-    /// Relaxes the arc `u → v` of cost `c`. Returns whether the new parent
-    /// link of `v` closes a cycle.
-    fn relax(&mut self, u: usize, v: usize, c: f64) -> bool {
-        let cand = self.d[u] + c;
-        if cand >= self.d[v] - WARM_EPS {
-            return false;
-        }
-        self.d[v] = cand;
-        self.parent[v] = u as u32;
-        // The parent links were acyclic before this one, so the walk back
-        // from `u` ends at the root unless it meets `v`.
-        let mut x = u;
-        for _ in 0..self.d.len() {
-            if x == v {
-                return true;
-            }
-            match self.parent[x] {
-                NONE => break,
-                p => x = p as usize,
-            }
-        }
-        if !self.queued[v] {
-            self.queued[v] = true;
-            self.queue.push_back(v as u32);
-        }
-        false
-    }
+    asg
 }
 
 /// Convenience constructor for unit-weight customers.
@@ -1311,10 +711,14 @@ mod tests {
     #[test]
     fn certificate_reports_a_shifted_potential_and_swapped_providers() {
         let (providers, customers) = random_instance(5, 4, 30, 5);
-        let (dense, _) = Sspa::default().run(&providers, &customers).unwrap();
-        let asg = dense.assignment();
-        // The certificate of `asg` on the complete graph under `tau`.
-        let certify = |asg: &Assignment, tau: &Potentials| {
+        let (net, _) = Sspa::default().run(&providers, &customers).unwrap();
+        let asg = assignment(&net);
+        let caps: Vec<u32> = providers.iter().map(|q| q.cap).collect();
+        let weights: Vec<u32> = customers.iter().map(|p| p.weight).collect();
+        let (tau_s, tau_q, tau_p) = net.potentials();
+        // The certificate of `asg` on the complete graph under the
+        // potentials `(τ(s), τ(q), τ(p))`.
+        let certify = |asg: &Assignment, tau_q: &[f64]| {
             let mut rows: Vec<_> = (0..providers.len())
                 .flat_map(|i| (0..customers.len()).map(move |j| (i, j)))
                 .map(|(i, j)| (i, j, providers[i].pos.dist(&customers[j].pos), 0))
@@ -1322,18 +726,17 @@ mod tests {
             for &(i, j, units) in &asg.pairs {
                 rows[i * customers.len() + j].3 += units;
             }
-            let tau = (tau.source, &tau.providers[..], &tau.customers[..]);
-            crate::validate::assert_optimal(&dense.cap, &dense.weight, &rows, tau)
+            crate::validate::assert_optimal(&caps, &weights, &rows, (tau_s, tau_q, &tau_p))
         };
-        certify(&asg, &dense.tau).unwrap();
+        certify(&asg, &tau_q).unwrap();
 
         // Shifting any one provider's potential, either way, breaks the
         // reduced-cost invariant on one of its residual arcs.
         for i in 0..providers.len() {
             for shift in [-1e4, 1e4] {
-                let mut tau = dense.tau.clone();
-                tau.providers[i] += shift;
-                let err = certify(&asg, &tau).unwrap_err();
+                let mut shifted = tau_q.to_vec();
+                shifted[i] += shift;
+                let err = certify(&asg, &shifted).unwrap_err();
                 assert!(err.contains("reduced cost"), "q{i} {shift:+}: {err}");
             }
         }
@@ -1357,7 +760,7 @@ mod tests {
             .map(|&(q, p, u)| f64::from(u) * providers[q].pos.dist(&customers[p].pos))
             .sum();
         crate::validate::validate_assignment(&providers, &customers, &swapped).unwrap();
-        let err = certify(&swapped, &dense.tau).unwrap_err();
+        let err = certify(&swapped, &tau_q).unwrap_err();
         assert!(err.contains("reduced cost"), "{err}");
     }
 

@@ -5,7 +5,8 @@
 use cca_geo::Point;
 
 use crate::hungarian::rectangular_assignment;
-use crate::sspa::{required_flow, Assignment, FlowCustomer, FlowProvider, EPS};
+use crate::residual::EPS;
+use crate::sspa::{required_flow, Assignment, FlowCustomer, FlowProvider};
 
 /// Checks that `asg` is a *valid maximal* matching for the instance:
 /// provider loads within capacity, customer loads within weight, total size
@@ -65,8 +66,9 @@ pub fn validate_assignment(
 /// cost ≥ −100·EPS under the potentials `tau = (τ(s), τ(q), τ(p))`, with
 /// `τ(t) = 0`. A flow of value γ with no negative residual arc is a
 /// minimum-cost flow on the rows' graph (§2.2), so `Ok` proves it optimal
-/// there without solving the instance again: on the complete graph for
-/// [`crate::Sspa`], on `Esub` for the incremental algorithms.
+/// there without solving the instance again. [`crate::Residual::certify`]
+/// applies it to the kernel's rows: the complete graph for [`crate::Sspa`],
+/// `Esub` for the incremental algorithms.
 pub fn assert_optimal(
     caps: &[u32],
     weights: &[u32],

@@ -47,8 +47,9 @@ pub fn random_instance(
 }
 
 /// The optimal assignment cost per the Hungarian oracle (the oracle every
-/// algorithm is checked against). It shares no code with any flow solver,
-/// `Sspa` included, so no solver is ever checked against itself.
+/// algorithm is checked against). It shares no code with the flow kernel
+/// (`cca_flow::residual`) that RIA, NIA, IDA and `Sspa` all run on, so no
+/// solver is ever checked against itself.
 pub fn optimal_cost(providers: &[(Point, u32)], customers: &[Point]) -> f64 {
     let fps: Vec<FlowProvider> = providers
         .iter()

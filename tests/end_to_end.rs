@@ -1,11 +1,11 @@
 //! End-to-end integration tests spanning every crate: generated workloads →
 //! R-tree construction → exact and approximate CCA → validation against the
-//! independent flow-solver oracle.
+//! Hungarian oracle, which shares no code with the flow kernel.
 
 use cca::core::{ca_error_bound, sa_error_bound, RefineMethod};
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::flow::sspa::{unit_customers, FlowProvider, Sspa};
 use cca::{RunResult, SolverConfig, SpatialAssignment};
+use cca_testutil::optimal_cost;
 
 fn workload(nq: usize, np: usize, k: u32, seed: u64) -> WorkloadConfig {
     WorkloadConfig {
@@ -23,16 +23,7 @@ fn run<'a>(instance: &'a SpatialAssignment, config: &SolverConfig) -> RunResult<
 }
 
 fn oracle_cost(instance: &SpatialAssignment) -> f64 {
-    let fps: Vec<FlowProvider> = instance
-        .providers()
-        .iter()
-        .map(|&(pos, cap)| FlowProvider { pos, cap })
-        .collect();
-    Sspa::default()
-        .solve(&fps, &unit_customers(instance.customers()))
-        .expect("no context, no abort")
-        .0
-        .cost
+    optimal_cost(instance.providers(), instance.customers())
 }
 
 #[test]

@@ -43,8 +43,8 @@ const COUNTS: Setting = Setting {
 };
 
 /// The CPU-time claims, in release builds. At 0.02 Figure 8's 5 × 500
-/// instance is small enough for the dense SSPA to beat every incremental
-/// algorithm at k ≥ 80. With three runs IDA vs NIA at k = 80 (≈ 0.88 of
+/// instance is small enough for SSPA over its complete rows to beat every
+/// incremental algorithm at k ≥ 80. With three runs IDA vs NIA at k = 80 (≈ 0.88 of
 /// each other) failed one run in eight on a shared 2-core host.
 const TIMING: Setting = Setting {
     scale: 0.05,
@@ -647,9 +647,10 @@ fn paper_default() {
 /// Table 2's default point at full scale: clustered vs clustered, k = 80,
 /// |Q| = 1 000, |P| = 100 K, a 1 % buffer. The yardstick for the exact
 /// tier at the paper's sizes: IDA's and CA's |Esub|, faults and cost bits
-/// are pinned exactly, CPU times are printed, not asserted. SSPA's dense
-/// matrix would need 1.2 GB here, and RIA and NIA are left out until their
-/// CPU time at this size is known. Run by hand:
+/// are pinned exactly, CPU times are printed, not asserted. SSPA is left
+/// out: its rows cost 24 B per (q, p) pair (a 16 B row entry and an 8 B
+/// link to the customer's next edge), 2.4 GB here. RIA and NIA are left out
+/// until their CPU time at this size is known. Run by hand:
 /// `cargo test --release --test paper_shapes -- --ignored paper_default_full --nocapture`.
 #[test]
 #[ignore = "minutes of CPU: run by hand with --release --ignored"]

@@ -2,8 +2,8 @@
 //! round-trips, config-driven runs and figure labels.
 
 use cca::datagen::{CapacitySpec, SpatialDistribution, WorkloadConfig};
-use cca::flow::sspa::{unit_customers, FlowProvider, Sspa};
 use cca::{SolverConfig, SolverRegistry, SpatialAssignment};
+use cca_testutil::optimal_cost;
 
 fn small_instance(seed: u64) -> SpatialAssignment {
     let w = WorkloadConfig {
@@ -19,21 +19,12 @@ fn small_instance(seed: u64) -> SpatialAssignment {
 }
 
 fn oracle_cost(instance: &SpatialAssignment) -> f64 {
-    let fps: Vec<FlowProvider> = instance
-        .providers()
-        .iter()
-        .map(|&(pos, cap)| FlowProvider { pos, cap })
-        .collect();
-    Sspa::default()
-        .solve(&fps, &unit_customers(instance.customers()))
-        .expect("no context, no abort")
-        .0
-        .cost
+    optimal_cost(instance.providers(), instance.customers())
 }
 
 /// Registry round-trip: every registered solver name resolves, solves a
 /// small instance through the façade, and (with δ driven to ~0 for the
-/// approximations, a wide θ for RIA) lands on the SSPA-optimal cost.
+/// approximations, a wide θ for RIA) lands on the Hungarian optimum.
 /// The approximate tier rides the same loop: `coreset` degenerates to an
 /// exact solve at this size (auto coreset size ≥ n).
 #[test]
