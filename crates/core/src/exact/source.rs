@@ -10,7 +10,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use cca_geo::{OrdF64, Point};
-use cca_rtree::{GroupAnn, IncNn, RTree};
+use cca_rtree::{GroupAnn, RTree};
 use cca_storage::{AbortReason, QueryContext};
 
 /// A customer record yielded by a source.
@@ -89,39 +89,26 @@ impl<T: CustomerSource + ?Sized> CustomerSource for &mut T {
 }
 
 /// Customers indexed by the disk-resident R-tree (the paper's primary
-/// setting). NN streams are either one [`IncNn`] cursor per provider or the
-/// grouped incremental ANN of §3.4.2.
+/// setting). NN streams are the grouped incremental ANN of §3.4.2; a
+/// provider browsing alone is a group of one.
 pub struct RtreeSource<'t> {
     tree: &'t RTree,
     providers: Vec<Point>,
-    cursors: Cursors<'t>,
-    /// Query context shared by every cursor and range search this source
-    /// issues: the whole query's tree traffic lands in one place, and one
-    /// abort (cancellation / deadline / I/O budget) stops every cursor.
+    groups: Vec<GroupAnn<'t>>,
+    /// provider index → (group, member index within group)
+    map: Vec<(u32, u32)>,
+    /// Query context shared by every group search and range search this
+    /// source issues: the whole query's tree traffic lands in one place, and
+    /// one abort (cancellation / deadline / I/O budget) stops every stream.
     ctx: Option<QueryContext>,
 }
 
-enum Cursors<'t> {
-    Plain(Vec<IncNn<'t>>),
-    Grouped {
-        groups: Vec<GroupAnn<'t>>,
-        /// provider index → (group, member index within group)
-        map: Vec<(u32, u32)>,
-    },
-}
-
 impl<'t> RtreeSource<'t> {
-    /// One independent incremental-NN cursor per provider. With a query
-    /// context all traversal I/O is charged to `ctx` and every cursor is
-    /// subject to its abort checks.
+    /// One independent incremental-NN stream per provider: groups of one.
+    /// With a query context all traversal I/O is charged to `ctx` and every
+    /// stream is subject to its abort checks.
     pub fn new(tree: &'t RTree, providers: Vec<Point>, ctx: Option<&QueryContext>) -> Self {
-        let cursors = Cursors::Plain(providers.iter().map(|&q| tree.inc_nn(q, ctx)).collect());
-        RtreeSource {
-            tree,
-            providers,
-            cursors,
-            ctx: ctx.cloned(),
-        }
+        Self::with_ann_groups(tree, providers, 1, ctx)
     }
 
     /// Grouped incremental ANN (§3.4.2): providers are Hilbert-sorted and cut
@@ -149,7 +136,8 @@ impl<'t> RtreeSource<'t> {
         RtreeSource {
             tree,
             providers,
-            cursors: Cursors::Grouped { groups, map },
+            groups,
+            map,
             ctx: ctx.cloned(),
         }
     }
@@ -165,13 +153,8 @@ impl CustomerSource for RtreeSource<'_> {
     }
 
     fn next_nn(&mut self, qi: usize) -> Option<SourcedCustomer> {
-        let hit = match &mut self.cursors {
-            Cursors::Plain(cursors) => cursors[qi].next(),
-            Cursors::Grouped { groups, map } => {
-                let (g, m) = map[qi];
-                groups[g as usize].next_nn(m as usize)
-            }
-        };
+        let (g, m) = self.map[qi];
+        let hit = self.groups[g as usize].next_nn(m as usize);
         hit.map(|(pos, id, dist)| SourcedCustomer {
             id,
             pos,

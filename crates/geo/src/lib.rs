@@ -9,15 +9,11 @@
 //!   metrics used by best-first R-tree search and the `diagonal` measure used
 //!   by the approximate algorithms' partitioning phase (§4.1–4.2),
 //! * [`hilbert`] — a Hilbert space-filling curve used to order service
-//!   providers for grouping (§3.4.2 and §4.1),
-//! * [`kernel`] — batched struct-of-arrays distance kernels (bit-identical
-//!   to the scalar metrics, shaped so the compiler autovectorizes them) for
-//!   the R-tree's NN hot loops.
+//!   providers for grouping (§3.4.2 and §4.1).
 
 #![forbid(unsafe_code)]
 
 pub mod hilbert;
-pub mod kernel;
 pub mod num;
 pub mod point;
 pub mod rect;

@@ -1,4 +1,5 @@
-//! Grouped incremental all-nearest-neighbour (ANN) search — Algorithm 6.
+//! Grouped incremental all-nearest-neighbour (ANN) search — Algorithm 6,
+//! and the crate's one best-first traversal.
 //!
 //! §3.4.2: service providers are grouped by Hilbert order; each group `Gm`
 //! shares one heap `Hm` of R-tree entries ordered by
@@ -7,6 +8,11 @@
 //! next NN of `qi` is final once the top of `res_i` is at most the top key of
 //! `Hm`. Sharing `Hm` means each R-tree page is read once per *group* rather
 //! than once per provider, which is exactly the I/O saving the paper claims.
+//!
+//! A query point is a group of one whose MBR is the point, which makes this
+//! the Hjaltason–Samet browse of §2.3: [`crate::IncNn`] is a one-member
+//! group. Node ties break on the page id and point ties on the item id, and
+//! a candidate at the same distance as the nearest node wins.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -99,15 +105,16 @@ impl<'t> GroupAnn<'t> {
     }
 
     /// Why the shared search aborted (cancellation / deadline / I/O
-    /// budget), if it did. After an abort, members only drain candidates
-    /// already fetched; `next_nn` then returns `None`.
+    /// budget), if it did. After an abort `next_nn` returns `None` for every
+    /// member; the neighbours already yielded remain correct.
     pub fn abort_reason(&self) -> Option<AbortReason> {
         self.aborted
     }
 
     /// Retrieves the next nearest neighbour of member `i` (Algorithm 6).
     ///
-    /// Returns `None` once the tree is exhausted for this member.
+    /// Returns `None` once the tree is exhausted for this member, or once
+    /// the search has aborted.
     pub fn next_nn(&mut self, i: usize) -> Option<(Point, ItemId, f64)> {
         loop {
             let res_top = self.res[i].peek().map(|Reverse(c)| c.dist);
@@ -127,28 +134,16 @@ impl<'t> GroupAnn<'t> {
         Some((c.point, c.id, c.dist.get()))
     }
 
-    /// Distance of member `i`'s next NN without consuming it.
-    pub fn peek_dist(&mut self, i: usize) -> Option<f64> {
-        loop {
-            let res_top = self.res[i].peek().map(|Reverse(c)| c.dist);
-            let hm_top = self.hm.peek().map(|Reverse(k)| k.dist);
-            match (res_top, hm_top) {
-                (Some(r), Some(h)) if r <= h => return Some(r.get()),
-                (Some(r), None) => return Some(r.get()),
-                (None, None) => return None,
-                _ => self.expand_top(),
-            }
-        }
-    }
-
     /// De-heaps the top entry of `Hm`; directory entries are expanded, leaf
     /// pages scatter their points into every member's candidate heap.
     fn expand_top(&mut self) {
         if let Some(reason) = self.ctx.as_ref().and_then(|c| c.abort_reason()) {
-            // Drop the shared frontier before touching the page: members
-            // drain their buffered candidates and then see exhaustion.
+            // Drop the whole frontier before touching the page: a buffered
+            // candidate is no member's certified next neighbour without the
+            // entries it would have to beat, so every member sees exhaustion.
             self.aborted = Some(reason);
             self.hm.clear();
+            self.res.iter_mut().for_each(BinaryHeap::clear);
             return;
         }
         let Reverse(key) = self.hm.pop().expect("expand_top on empty Hm");
@@ -292,18 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_dist_agrees_with_next_nn() {
-        let items = random_items(500, 44);
-        let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
-        let mut ann = tree.group_ann(vec![Point::new(250.0, 750.0)], None);
-        for _ in 0..100 {
-            let peek = ann.peek_dist(0).unwrap();
-            let (_, _, d) = ann.next_nn(0).unwrap();
-            assert_eq!(peek, d);
-        }
-    }
-
-    #[test]
     fn single_member_group_equals_inc_nn() {
         let items = random_items(800, 45);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
@@ -317,10 +300,30 @@ mod tests {
     }
 
     #[test]
+    fn aborted_group_yields_nothing_more_for_any_member() {
+        let items = random_items(20000, 46);
+        let tree = RTree::bulk_load(PageStore::with_config(1024, 8192), &items);
+        tree.finish_build(1.0); // cold, tiny buffer: the search must fault
+        let ctx = QueryContext::new().with_io_budget(6);
+        let members: Vec<Point> = (0..4)
+            .map(|i| Point::new(500.0 + 3.0 * i as f64, 500.0))
+            .collect();
+        let mut ann = tree.group_ann(members.clone(), Some(&ctx));
+        let yielded = std::iter::from_fn(|| ann.next_nn(0)).count();
+        assert!(yielded > 0, "the budget covers the first leaf");
+        assert!(yielded < items.len(), "the budget must cut the scan short");
+        assert_eq!(ann.abort_reason(), Some(AbortReason::IoBudgetExceeded));
+        // Candidates buffered before the abort are not certified as any
+        // member's next neighbour: every member's stream has ended.
+        for i in 0..members.len() {
+            assert_eq!(ann.next_nn(i), None, "member {i}");
+        }
+    }
+
+    #[test]
     fn empty_tree_gives_no_neighbours() {
         let tree = RTree::bulk_load(PageStore::with_config(1024, 16), &[]);
         let mut ann = tree.group_ann(vec![Point::new(1.0, 1.0)], None);
         assert!(ann.next_nn(0).is_none());
-        assert!(ann.peek_dist(0).is_none());
     }
 }

@@ -8,7 +8,7 @@
 //! Page ids follow STR emission order, level by level from the leaves up.
 //! The simulated disk charges a flat count per read, so placement buys no
 //! I/O discount; it only decides which of two nodes at equal mindist the
-//! k-NN cursor (`knn.rs`, `HeapItem::rank`) expands first.
+//! best-first search (`ann.rs`, keyed on the page id) expands first.
 
 use cca_geo::{Point, Rect};
 use cca_storage::{PageId, PageStore};

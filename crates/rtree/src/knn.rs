@@ -1,216 +1,33 @@
-//! Best-first (incremental) nearest-neighbour search.
+//! Incremental nearest-neighbour cursors and the kNN queries built on them.
 //!
-//! Implements the Hjaltason–Samet distance-browsing algorithm the paper cites
-//! as "the state-of-the-art KNN processing technique" (§2.3): a single
-//! min-heap over R-tree entries and points, visited in ascending distance
-//! order. The [`IncNn`] cursor exposes the *incremental* interface NIA and
-//! IDA rely on ("computes the next nearest neighbor of qi", §3.2).
+//! The paper's NN access path is the Hjaltason–Samet distance browse it
+//! cites as "the state-of-the-art KNN processing technique" (§2.3). A query
+//! point is a group of one: its MBR is the point itself, so the grouped
+//! browse of Algorithm 6 ([`crate::ann`]) keyed by `mindist(MBR(Gm), ·)` is
+//! exactly that browse, and [`IncNn`] is a one-member [`GroupAnn`]. The
+//! cursor exposes the *incremental* interface NIA and IDA rely on ("computes
+//! the next nearest neighbor of qi", §3.2).
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use cca_geo::Point;
+use cca_storage::{AbortReason, Aborted, QueryContext};
 
-use cca_geo::{kernel, OrdF64, Point};
-use cca_storage::{AbortReason, Aborted, PageId, QueryContext};
-
+use crate::ann::GroupAnn;
 use crate::entry::ItemId;
-use crate::node;
 use crate::tree::RTree;
-
-/// Heap item: an R-tree node (to expand) or a point (to yield), keyed by
-/// distance from the query. Points win distance ties against nodes so a
-/// point at distance `d` is reported before a node at `mindist d` is
-/// expanded — both orders are correct, this one terminates earlier.
-#[derive(Clone, Copy, Debug)]
-struct HeapItem {
-    dist: OrdF64,
-    kind: ItemKind,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum ItemKind {
-    Point(Point, ItemId),
-    Node(PageId, u32),
-}
-
-impl HeapItem {
-    fn rank(&self) -> (OrdF64, u8, u64) {
-        match self.kind {
-            ItemKind::Point(_, id) => (self.dist, 0, id),
-            ItemKind::Node(page, _) => (self.dist, 1, u64::from(page.0)),
-        }
-    }
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank() == other.rank()
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.rank().cmp(&other.rank())
-    }
-}
-
-/// Reusable struct-of-arrays staging for one node's entries: the page
-/// decoder fills the coordinate columns, one batched kernel call computes
-/// every leaf distance, and the heap pushes read the results back. Owned by
-/// the cursor so expanding N nodes allocates nothing after the first.
-///
-/// Only leaf (point) scoring is batched. Inner-node MBRs are scored scalar
-/// in the decode closure: the rect kernel reads five streams per element
-/// against the point kernel's two, and measured at or below the scalar path
-/// on the retired `hot_path` bench, so batching them buys nothing — the
-/// deleted kernel's `rect_batched` rows in `BENCH_HISTORY.md` and
-/// `CHANGES.md` are the record.
-#[derive(Default)]
-struct SoaScratch {
-    /// Leaf columns: point coordinates and item ids.
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    ids: Vec<ItemId>,
-    /// Inner-node child page ids.
-    children: Vec<u32>,
-    /// Squared distances (kernel output for leaves, scalar for inner nodes).
-    d2: Vec<f64>,
-}
-
-impl SoaScratch {
-    fn clear(&mut self) {
-        self.xs.clear();
-        self.ys.clear();
-        self.ids.clear();
-        self.children.clear();
-        self.d2.clear();
-    }
-}
 
 /// An incremental nearest-neighbour cursor over the tree.
 ///
 /// Yields the indexed points in ascending distance from the query point, one
 /// at a time, reading R-tree pages lazily (each node visit goes through the
 /// buffer pool and may fault).
-pub struct IncNn<'t> {
-    tree: &'t RTree,
-    query: Point,
-    heap: BinaryHeap<Reverse<HeapItem>>,
-    yielded: usize,
-    /// Per-query control block; every page this cursor faults or hits is
-    /// charged here in addition to the store's counters, and the cursor
-    /// stops expanding nodes the moment the context aborts.
-    ctx: Option<QueryContext>,
-    /// Why the cursor stopped early, if it did.
-    aborted: Option<AbortReason>,
-    /// SoA staging for the batched distance kernels.
-    scratch: SoaScratch,
-}
+pub struct IncNn<'t>(GroupAnn<'t>);
 
-impl<'t> IncNn<'t> {
-    pub(crate) fn new(tree: &'t RTree, query: Point, ctx: Option<QueryContext>) -> Self {
-        let mut heap = BinaryHeap::new();
-        if !tree.is_empty() {
-            heap.push(Reverse(HeapItem {
-                dist: OrdF64::new(0.0),
-                kind: ItemKind::Node(tree.root(), tree.height()),
-            }));
-        }
-        IncNn {
-            tree,
-            query,
-            heap,
-            yielded: 0,
-            ctx,
-            aborted: None,
-            scratch: SoaScratch::default(),
-        }
-    }
-
-    /// Number of neighbours yielded so far.
-    pub fn yielded(&self) -> usize {
-        self.yielded
-    }
-
+impl IncNn<'_> {
     /// Why the cursor aborted (context cancelled / deadline / I/O budget),
     /// if it did. An aborted cursor yields `None` from then on; the
     /// neighbours already yielded remain correct.
     pub fn abort_reason(&self) -> Option<AbortReason> {
-        self.aborted
-    }
-
-    /// Distance of the next neighbour without consuming it, if any.
-    pub fn peek_dist(&mut self) -> Option<f64> {
-        self.settle_to_point();
-        self.heap.peek().map(|Reverse(item)| item.dist.get())
-    }
-
-    /// Expands nodes until the heap's top is a point (or the heap empties).
-    fn settle_to_point(&mut self) {
-        while let Some(Reverse(item)) = self.heap.peek() {
-            match item.kind {
-                ItemKind::Point(..) => return,
-                ItemKind::Node(page, level_height) => {
-                    self.heap.pop();
-                    self.expand(page, level_height);
-                }
-            }
-        }
-    }
-
-    fn expand(&mut self, page: PageId, level_height: u32) {
-        if let Some(reason) = self.ctx.as_ref().and_then(|c| c.abort_reason()) {
-            // Stop before the page access: drop the frontier so the
-            // iterator ends instead of burning further I/O.
-            self.aborted = Some(reason);
-            self.heap.clear();
-            return;
-        }
-        let q = self.query;
-        let heap = &mut self.heap;
-        let ctx = self.ctx.as_ref();
-        let scratch = &mut self.scratch;
-        scratch.clear();
-        // Leaves: decode into SoA columns, evaluate every entry's distance
-        // in one batched (autovectorized) kernel call, then feed the heap.
-        // Inner nodes: score each MBR scalar while decoding (see
-        // `SoaScratch`). Either way `dist2.sqrt()` produces bit-identical
-        // values to the scalar `q.dist(&p)` / `mbr.mindist(&q)` paths
-        // (pinned by cca-geo tests).
-        if level_height == 1 {
-            self.tree.store().with_page_ctx(page, ctx, |bytes| {
-                node::for_each_leaf_entry(bytes, |p, id| {
-                    scratch.xs.push(p.x);
-                    scratch.ys.push(p.y);
-                    scratch.ids.push(id);
-                });
-            });
-            scratch.d2.resize(scratch.xs.len(), 0.0);
-            kernel::point_dist2_batch(q.x, q.y, &scratch.xs, &scratch.ys, &mut scratch.d2);
-            for i in 0..scratch.ids.len() {
-                heap.push(Reverse(HeapItem {
-                    dist: OrdF64::new(scratch.d2[i].sqrt()),
-                    kind: ItemKind::Point(Point::new(scratch.xs[i], scratch.ys[i]), scratch.ids[i]),
-                }));
-            }
-        } else {
-            self.tree.store().with_page_ctx(page, ctx, |bytes| {
-                node::for_each_inner_entry(bytes, |mbr, child| {
-                    scratch.d2.push(mbr.mindist2(&q));
-                    scratch.children.push(child.0);
-                });
-            });
-            for i in 0..scratch.children.len() {
-                heap.push(Reverse(HeapItem {
-                    dist: OrdF64::new(scratch.d2[i].sqrt()),
-                    kind: ItemKind::Node(PageId(scratch.children[i]), level_height - 1),
-                }));
-            }
-        }
+        self.0.abort_reason()
     }
 }
 
@@ -218,15 +35,7 @@ impl Iterator for IncNn<'_> {
     type Item = (Point, ItemId, f64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.settle_to_point();
-        let Reverse(item) = self.heap.pop()?;
-        match item.kind {
-            ItemKind::Point(p, id) => {
-                self.yielded += 1;
-                Some((p, id, item.dist.get()))
-            }
-            ItemKind::Node(..) => unreachable!("settle_to_point leaves a point on top"),
-        }
+        self.0.next_nn(0)
     }
 }
 
@@ -237,7 +46,7 @@ impl RTree {
     /// checks it before every node expansion, stopping (and recording
     /// [`IncNn::abort_reason`]) on cancellation, deadline or budget.
     pub fn inc_nn(&self, query: Point, ctx: Option<&QueryContext>) -> IncNn<'_> {
-        IncNn::new(self, query, ctx.cloned())
+        IncNn(self.group_ann(vec![query], ctx))
     }
 
     /// The `k` nearest neighbours of `query` in ascending distance order.
@@ -348,20 +157,6 @@ mod tests {
             after_first * 20 < after_all,
             "first NN should be much cheaper: {after_first} vs {after_all}"
         );
-    }
-
-    #[test]
-    fn peek_matches_next() {
-        let items = random_items(300, 24);
-        let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
-        let mut cur = tree.inc_nn(Point::new(400.0, 100.0), None);
-        for _ in 0..300 {
-            let peeked = cur.peek_dist().unwrap();
-            let (_, _, d) = cur.next().unwrap();
-            assert_eq!(peeked, d);
-        }
-        assert_eq!(cur.peek_dist(), None);
-        assert!(cur.next().is_none());
     }
 
     #[test]
@@ -510,8 +305,8 @@ mod tests {
         let first = cursor.next();
         assert!(first.is_some());
         ctx.cancel();
-        // The already-buffered frontier may still hold points, but the
-        // cursor refuses to expand further nodes and soon ends.
+        // The cursor may still yield a neighbour its frontier already
+        // certifies, but it refuses to read further pages and soon ends.
         let rest = cursor.by_ref().count();
         assert!(rest < items.len() - 1);
         assert_eq!(cursor.abort_reason(), Some(AbortReason::Cancelled));

@@ -9,10 +9,12 @@
 //!   charge a `QueryContext`),
 //! * range and annular-range search ([`RTree::range_search`],
 //!   [`RTree::annular_range_search`]) driving RIA,
-//! * best-first kNN and *incremental* NN cursors ([`RTree::knn`],
-//!   [`RTree::inc_nn`], [`RTree::knn_within`]) driving NIA/IDA and the
-//!   approximate and dynamic tiers,
 //! * grouped incremental all-NN search ([`RTree::group_ann`], Algorithm 6),
+//!   the crate's one best-first traversal, driving NIA/IDA and the
+//!   approximate and dynamic tiers,
+//! * incremental NN cursors and kNN ([`RTree::inc_nn`], [`RTree::knn`],
+//!   [`RTree::knn_within`]): a query point is a group of one, so each is a
+//!   one-member grouped search,
 //! * diagonal-bounded partitioning ([`RTree::partition_by_diagonal`]) for the
 //!   CA approximation (§4.2).
 //!

@@ -131,3 +131,53 @@ fn approximations_do_less_io_than_exact() {
         exact.stats.io.faults
     );
 }
+
+/// A one-member ANN group browses the tree exactly as a plain NN cursor:
+/// `ida-grouped` at group size 1 finds the same pairs, cost bits, |Esub|
+/// and cold faults as `ida` on disk-resident instances with a small buffer.
+#[test]
+fn grouped_ida_of_one_member_equals_plain_ida() {
+    for (seed, q_dist) in [
+        (205, SpatialDistribution::Clustered),
+        (206, SpatialDistribution::Uniform),
+        (207, SpatialDistribution::Clustered),
+    ] {
+        let w = WorkloadConfig {
+            num_providers: 25,
+            num_customers: 3000,
+            capacity: CapacitySpec::Fixed(50),
+            q_dist,
+            p_dist: SpatialDistribution::Clustered,
+            seed,
+        }
+        .generate();
+        let instance = SpatialAssignment::build_with_storage(w.providers, w.customers, 1024, 1.0);
+        let plain = run(&instance, &SolverConfig::new("ida"));
+        let grouped = run(&instance, &SolverConfig::new("ida-grouped").group_size(1));
+        let key = |r: &RunResult| -> Vec<(usize, u64, u32, u64)> {
+            r.matching
+                .pairs
+                .iter()
+                .map(|p| (p.provider, p.customer, p.units, p.dist.to_bits()))
+                .collect()
+        };
+        assert_eq!(key(&plain), key(&grouped), "seed {seed}: pairs differ");
+        assert_eq!(
+            plain.cost().to_bits(),
+            grouped.cost().to_bits(),
+            "seed {seed}"
+        );
+        assert_eq!(
+            plain.stats.esub_edges, grouped.stats.esub_edges,
+            "seed {seed}"
+        );
+        assert!(
+            plain.stats.io.faults > 0,
+            "seed {seed}: the solve must fault"
+        );
+        assert_eq!(
+            plain.stats.io.faults, grouped.stats.io.faults,
+            "seed {seed}"
+        );
+    }
+}
