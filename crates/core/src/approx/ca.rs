@@ -4,7 +4,8 @@
 //! entry's MBR diagonal is ≤ δ (conceptually halving oversized leaves),
 //! then merge entries into hyper-entries under the same δ; (2) *concise
 //! matching* — exact CCA (IDA) between `Q` and the weighted customer
-//! representatives `P'`, solved in main memory; (3) refine each
+//! representatives `P'`, solved in main memory over an STR bulk-loaded
+//! tree of the representatives whose reads charge no I/O; (3) refine each
 //! representative's provider quotas over its actual member customers.
 //! Theorem 4 bounds the extra cost by `γ·δ`.
 
@@ -14,9 +15,9 @@ use cca_geo::{Point, Rect};
 use cca_rtree::{CustomerGroup, RTree};
 use cca_storage::QueryContext;
 
+use crate::approx::concise_ida;
 use crate::approx::grouping::greedy_hilbert_groups;
 use crate::approx::refine::{refine, RefineMethod, RefineProvider};
-use crate::exact::{ida, MemorySource};
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
@@ -92,13 +93,11 @@ pub fn ca(
         .collect();
 
     // Phase 2: concise matching in main memory between Q and P' (weighted).
-    // The source carries the query context even though this phase does no
-    // I/O: the IDA driver and engine poll it, so a deadline expiring during
-    // the CPU-bound concise matching aborts here (with the partial concise
-    // matching refined below) instead of overshooting until the run ends.
-    let q_positions: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
-    let mut source = MemorySource::new(q_positions, reps).with_context(ctx);
-    let (concise, concise_stats) = ida(providers, &mut source);
+    // It charges no I/O but polls the query context, so a deadline expiring
+    // during the CPU-bound concise matching aborts here (with the partial
+    // concise matching refined below) instead of overshooting until the run
+    // ends.
+    let (concise, concise_stats) = concise_ida(providers, &reps, ctx);
 
     // Phase 3: per-representative refinement. The concise matching fixes
     // how many instances of rep g go to each provider; those quotas are now

@@ -10,7 +10,7 @@
 //! representative may outweigh the largest single provider capacity — it is
 //! split into co-located slots instead, so the concise instance is always
 //! feasible), (4) solves the concise weighted instance *exactly* with IDA
-//! over a `MemorySource`, (5) lifts the concise
+//! over an in-memory R-tree of the slots, (5) lifts the concise
 //! quotas back over each representative's actual members with the §4.3
 //! refinement heuristics, and (6) runs bounded swap passes inside R-tree
 //! neighbourhoods to repair locally bad lifts.
@@ -28,9 +28,9 @@ use cca_geo::{OrdF64, Point};
 use cca_rtree::RTree;
 use cca_storage::QueryContext;
 
+use crate::approx::concise_ida;
 use crate::approx::pgrid::PointGrid;
 use crate::approx::refine::{refine, RefineMethod, RefineProvider};
-use crate::exact::{ida, MemorySource};
 use crate::matching::{MatchPair, Matching};
 use crate::stats::AlgoStats;
 
@@ -227,9 +227,7 @@ pub fn coreset_points(
     // Exact solve of the concise weighted instance by IDA, which polls the
     // context; an abort leaves a feasible partial concise matching that
     // lifts to a feasible partial answer.
-    let q_positions: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
-    let mut source = MemorySource::new(q_positions, slots).with_context(ctx);
-    let (concise, mut stats) = ida(providers, &mut source);
+    let (concise, mut stats) = concise_ida(providers, &slots, ctx);
     let concise: Vec<(usize, usize, u32)> = concise
         .pairs
         .iter()

@@ -18,6 +18,32 @@ pub use grouping::{greedy_hilbert_groups, partition_providers, ProviderGroup};
 pub use refine::{RefineMethod, RefineProvider};
 pub use sa::{sa, SaConfig};
 
+use cca_geo::Point;
+use cca_storage::QueryContext;
+
+use crate::exact::{ida, memory_tree, RtreeSource};
+use crate::matching::Matching;
+use crate::stats::AlgoStats;
+
+/// The concise matching of CA and the coreset tier: IDA between the
+/// providers and weighted customers `(position, weight)` held in memory,
+/// read through a [`memory_tree`]. It charges no I/O, but the driver and the
+/// engine poll `ctx`, so a deadline or cancellation stops the CPU-bound
+/// solve with a feasible partial matching.
+fn concise_ida(
+    providers: &[(Point, u32)],
+    customers: &[(Point, u32)],
+    ctx: Option<&QueryContext>,
+) -> (Matching, AlgoStats) {
+    let tree = memory_tree(customers.iter().map(|&(pos, _)| pos));
+    let weights = customers.iter().map(|&(_, w)| w).collect();
+    let positions = providers.iter().map(|&(pos, _)| pos).collect();
+    ida(
+        providers,
+        &mut RtreeSource::in_memory(&tree, positions, 1, weights, ctx),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,8 +7,8 @@ use cca_geo::Point;
 use cca_rtree::RTree;
 use cca_storage::{Aborted, PageStore, QueryContext};
 
+use crate::exact::{ida, RtreeSource};
 use crate::matching::{MatchPair, Matching};
-use crate::solver::{Problem, SolverConfig, SolverRegistry};
 
 use super::events::{ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent};
 
@@ -36,7 +36,8 @@ const OUTSIDE: u32 = u32::MAX;
 ///    [`ContinuousConfig::max_expansions`] times; when the accumulated
 ///    dirty fraction crosses [`ContinuousConfig::dirty_threshold`] — or the
 ///    neighbourhood cannot absorb the deficit — it falls back to a full
-///    re-solve: a from-scratch IDA over the live customers. An abort
+///    re-solve: a from-scratch IDA over the engine's own R-tree of the live
+///    customers, its page reads charged to the event's context. An abort
 ///    unwinds to the phase-1 matching; [`ContinuousAssignment::repair`]
 ///    finishes the work later.
 ///
@@ -408,24 +409,19 @@ impl ContinuousAssignment {
         Ok(())
     }
 
-    /// Full re-solve: a from-scratch IDA over the live customers.
+    /// Full re-solve: a from-scratch IDA over the engine's own R-tree of
+    /// the live customers, whose stable ids map back to slots. Its page
+    /// reads are charged to `ctx`, so an I/O budget can stop it.
     fn full_resolve(&mut self, ctx: Option<&QueryContext>) -> Result<(), Aborted> {
         self.stats.full_resolves += 1;
-        let solver = SolverRegistry::with_defaults()
-            .build(&SolverConfig::new("ida"))
-            .expect("ida is registered");
-        let problem = Problem::new(&self.providers).with_customers(&self.customers);
-        let problem = match ctx {
-            Some(c) => problem.with_context(c),
-            None => problem,
-        };
-        let outcome = solver.run(&problem);
-        if let Some(reason) = outcome.abort_reason() {
+        let positions = self.providers.iter().map(|&(p, _)| p).collect();
+        let mut source = RtreeSource::new(&self.tree, positions, ctx).with_slots(&self.slot_of);
+        let (matching, _) = ida(&self.providers, &mut source);
+        if let Some(reason) = source.abort_reason() {
             // Keep the phase-1 matching: the partial solve is discarded
             // (it may be smaller than what we already hold).
             return Err(Aborted { reason });
         }
-        let (matching, _) = outcome.into_parts();
         self.assigned.fill(None);
         self.load.fill(0);
         self.size = 0;
@@ -545,6 +541,7 @@ impl ContinuousAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cca_storage::AbortReason;
     use cca_testutil::{optimal_cost, random_instance};
 
     fn engine_cfg() -> ContinuousConfig {
@@ -732,6 +729,35 @@ mod tests {
         assert_ne!(kind, RepairKind::None);
         assert_eq!(engine.deficit(), 0);
         engine.check_feasible().unwrap();
+    }
+
+    /// The full re-solve reads the engine's own paged tree and charges the
+    /// event's context, so an I/O budget stops it and the phase-1 matching
+    /// stands.
+    #[test]
+    fn io_budget_stops_a_full_resolve() {
+        let cfg = ContinuousConfig {
+            dirty_threshold: 0.0,
+            buffer_pages: 2,
+            ..engine_cfg()
+        };
+        let (providers, customers) = random_instance(109, 6, 400, 20);
+        let mut engine = ContinuousAssignment::build(providers, customers, cfg);
+        let before = engine.assigned.clone();
+        let ctx = QueryContext::new().with_io_budget(1);
+        let report = engine.apply(
+            WorldEvent::ProviderMove {
+                index: 0,
+                to: Point::new(10.0, 990.0),
+            },
+            Some(&ctx),
+        );
+        assert_eq!(report.aborted, Some(AbortReason::IoBudgetExceeded));
+        assert_eq!(ctx.stats().faults, 1);
+        assert_eq!(engine.assigned, before, "the phase-1 matching stands");
+        assert_eq!(report.deficit, 0);
+        engine.check_feasible().unwrap();
+        assert_eq!(engine.stats().aborted_repairs, 1);
     }
 
     #[test]

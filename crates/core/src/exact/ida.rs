@@ -17,12 +17,12 @@ use cca_geo::Point;
 
 use crate::exact::engine::Engine;
 use crate::exact::nia::EdgeHeap;
-use crate::exact::source::CustomerSource;
+use crate::exact::source::RtreeSource;
 use crate::matching::Matching;
 use crate::stats::AlgoStats;
 
 /// Runs IDA to the optimal matching.
-pub fn ida<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Matching, AlgoStats) {
+pub fn ida(providers: &[(Point, u32)], source: &mut RtreeSource<'_>) -> (Matching, AlgoStats) {
     let start = Instant::now();
     let mut engine = Engine::new(providers, source.num_customers());
     engine.set_context(source.context());

@@ -1,5 +1,5 @@
 //! Exact CCA algorithms (§3): RIA, NIA, IDA over a shared incremental-SSPA
-//! engine.
+//! engine, each reading its customers through one [`RtreeSource`].
 
 pub mod engine;
 pub mod ida;
@@ -11,7 +11,7 @@ pub use engine::Engine;
 pub use ida::ida;
 pub use nia::nia;
 pub use ria::{ria, RiaConfig};
-pub use source::{CustomerSource, MemorySource, RtreeSource, SourcedCustomer};
+pub use source::{memory_tree, RtreeSource, SourcedCustomer};
 
 #[cfg(test)]
 mod tests {
@@ -20,7 +20,7 @@ mod tests {
     use cca_testutil::{build_tree, optimal_cost, random_instance};
     use proptest::prelude::*;
 
-    /// Runs all three exact algorithms on both source kinds and checks that
+    /// Runs all three exact algorithms on both kinds of tree and checks that
     /// each yields a valid matching with the optimal cost.
     fn check_all_exact(seed: u64, nq: usize, np: usize, max_cap: u32) {
         let (providers, customers) = random_instance(seed, nq, np, max_cap);
@@ -63,9 +63,10 @@ mod tests {
         let (m, _) = ida(&providers, &mut src);
         assert!((m.cost() - want).abs() < 1e-6, "seed {seed}: IDA/ANN");
 
-        // IDA over the in-memory source (the approximation phases rely on
+        // IDA over an in-memory tree (the approximation phases rely on
         // this combination).
-        let mut src = MemorySource::new(qpos, customers.iter().map(|&p| (p, 1)).collect());
+        let mem_tree = memory_tree(customers.iter().copied());
+        let mut src = RtreeSource::in_memory(&mem_tree, qpos, 1, Vec::new(), None);
         let (m, _) = ida(&providers, &mut src);
         assert!((m.cost() - want).abs() < 1e-6, "seed {seed}: IDA/mem");
     }

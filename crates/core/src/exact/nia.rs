@@ -10,7 +10,7 @@ use std::time::Instant;
 use cca_geo::Point;
 
 use crate::exact::engine::Engine;
-use crate::exact::source::{CustomerSource, SourcedCustomer};
+use crate::exact::source::{RtreeSource, SourcedCustomer};
 use crate::matching::Matching;
 use crate::stats::AlgoStats;
 use cca_flow::argmin::ArgminIndex;
@@ -28,7 +28,7 @@ pub(super) struct EdgeHeap {
 
 impl EdgeHeap {
     /// Every provider's nearest customer, keyed by its distance.
-    pub(super) fn new<S: CustomerSource>(num_providers: usize, source: &mut S) -> Self {
+    pub(super) fn new(num_providers: usize, source: &mut RtreeSource<'_>) -> Self {
         let mut heap = EdgeHeap {
             pending: vec![None; num_providers],
             keys: ArgminIndex::new(num_providers),
@@ -71,7 +71,7 @@ impl EdgeHeap {
 
     /// Fetches provider `qi`'s next edge from its NN stream, keyed
     /// `offset + dist`.
-    pub(super) fn refill<S: CustomerSource>(&mut self, qi: usize, source: &mut S, offset: f64) {
+    pub(super) fn refill(&mut self, qi: usize, source: &mut RtreeSource<'_>, offset: f64) {
         debug_assert!(self.pending[qi].is_none());
         self.pending[qi] = source.next_nn(qi);
         if let Some(c) = self.pending[qi] {
@@ -81,7 +81,7 @@ impl EdgeHeap {
 }
 
 /// Runs NIA to the optimal matching.
-pub fn nia<S: CustomerSource>(providers: &[(Point, u32)], source: &mut S) -> (Matching, AlgoStats) {
+pub fn nia(providers: &[(Point, u32)], source: &mut RtreeSource<'_>) -> (Matching, AlgoStats) {
     let start = Instant::now();
     let mut engine = Engine::new(providers, source.num_customers());
     engine.set_context(source.context());

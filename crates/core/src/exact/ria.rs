@@ -9,7 +9,7 @@ use std::time::Instant;
 use cca_geo::Point;
 
 use crate::exact::engine::Engine;
-use crate::exact::source::CustomerSource;
+use crate::exact::source::RtreeSource;
 use crate::matching::Matching;
 use crate::stats::AlgoStats;
 
@@ -22,9 +22,9 @@ pub struct RiaConfig {
 }
 
 /// Runs RIA to the optimal matching.
-pub fn ria<S: CustomerSource>(
+pub fn ria(
     providers: &[(Point, u32)],
-    source: &mut S,
+    source: &mut RtreeSource<'_>,
     cfg: &RiaConfig,
 ) -> (Matching, AlgoStats) {
     assert!(cfg.theta > 0.0, "theta must be positive");

@@ -1,22 +1,31 @@
-//! Customer sources: where the incremental algorithms get their edges from.
+//! The customer source: where the incremental algorithms get their edges.
 //!
-//! RIA/NIA/IDA are defined against a disk-resident, R-tree-indexed customer
-//! set (§3), while the approximate algorithms re-run IDA on small in-memory
-//! sets (provider representatives vs. `P`, or `Q` vs. customer
-//! representatives, §4). [`CustomerSource`] abstracts over both so the same
-//! algorithm code serves every phase.
+//! RIA/NIA/IDA read every customer set through an R-tree (§3), one
+//! [`RtreeSource`] with three ways in:
+//!
+//! * the query's disk-resident tree ([`RtreeSource::new`],
+//!   [`RtreeSource::with_ann_groups`]), every page read charged to the
+//!   query's context;
+//! * an in-memory customer list — CA's weighted representatives and the
+//!   coreset's slots (§4), or a [`crate::solver::Problem`] over a slice —
+//!   STR bulk-loaded by [`memory_tree`] into a tree whose buffer holds every
+//!   page ([`RtreeSource::in_memory`]): weights come from a side table by
+//!   item id, and no page read is charged, but the drivers and the engine
+//!   still poll the context for deadline and cancellation;
+//! * the dynamic engine's maintained tree, whose stable item ids map back to
+//!   customer slots ([`RtreeSource::with_slots`]).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::HashMap;
 
-use cca_geo::{OrdF64, Point};
+use cca_geo::Point;
 use cca_rtree::{GroupAnn, RTree};
-use cca_storage::{AbortReason, QueryContext};
+use cca_storage::{AbortReason, PageStore, QueryContext, DEFAULT_PAGE_SIZE};
 
 /// A customer record yielded by a source.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SourcedCustomer {
-    /// Stable identifier (index into `P`, or representative id).
+    /// Customer index: the tree's item id, or its slot under
+    /// [`RtreeSource::with_slots`].
     pub id: u64,
     pub pos: Point,
     /// Weight: 1 for ordinary customers, `g.w` for CA representatives.
@@ -25,82 +34,39 @@ pub struct SourcedCustomer {
     pub dist: f64,
 }
 
-/// Incremental access to customers, per provider.
-pub trait CustomerSource {
-    /// Upper bound (exclusive) on customer ids.
-    fn num_customers(&self) -> usize;
-
-    /// Total customer weight `Σ p.w` (the `|P|` side of γ).
-    fn total_weight(&self) -> u64;
-
-    /// Next nearest unreturned customer of provider `qi`, or `None` when the
-    /// set is exhausted for this provider.
-    fn next_nn(&mut self, qi: usize) -> Option<SourcedCustomer>;
-
-    /// Customers with `lo < dist(q_i, p) ≤ hi` (or `dist ≤ hi` when
-    /// `include_lo`), for RIA's (annular) range searches.
-    fn range(&mut self, qi: usize, lo: f64, hi: f64, include_lo: bool) -> Vec<SourcedCustomer>;
-
-    /// The [`QueryContext`] governing this source, if any. The shared
-    /// incremental-SSPA engine reads it off the source so its CPU-bound
-    /// Dijkstra loops poll the same deadline/cancellation the I/O path
-    /// enforces — one context governs the whole query.
-    fn context(&self) -> Option<&QueryContext> {
-        None
-    }
-
-    /// Why the source's query context aborted, if it did. A source that
-    /// aborts makes its NN streams dry up and its range searches come back
-    /// empty; the algorithm drivers poll this at their loop heads and
-    /// unwind with a partial matching instead of spinning on an exhausted
-    /// source. Sources without a context never abort.
-    fn abort_reason(&self) -> Option<AbortReason> {
-        self.context().and_then(|c| c.abort_reason())
-    }
+/// STR bulk-loads an in-memory customer list into an R-tree whose buffer
+/// holds every page, so reads never fault. Item ids are list indices.
+pub fn memory_tree(customers: impl IntoIterator<Item = Point>) -> RTree {
+    let items: Vec<(Point, u64)> = customers
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| (p, i as u64))
+        .collect();
+    RTree::bulk_load(
+        PageStore::with_config(DEFAULT_PAGE_SIZE, usize::MAX),
+        &items,
+    )
 }
 
-/// Forwarding impl so trait objects (`&mut dyn CustomerSource`) satisfy the
-/// generic `ida`/`nia`/`ria` entry points — the [`crate::solver`] pipeline
-/// hands sources around as trait objects.
-impl<T: CustomerSource + ?Sized> CustomerSource for &mut T {
-    fn num_customers(&self) -> usize {
-        (**self).num_customers()
-    }
-
-    fn total_weight(&self) -> u64 {
-        (**self).total_weight()
-    }
-
-    fn next_nn(&mut self, qi: usize) -> Option<SourcedCustomer> {
-        (**self).next_nn(qi)
-    }
-
-    fn range(&mut self, qi: usize, lo: f64, hi: f64, include_lo: bool) -> Vec<SourcedCustomer> {
-        (**self).range(qi, lo, hi, include_lo)
-    }
-
-    fn context(&self) -> Option<&QueryContext> {
-        (**self).context()
-    }
-
-    fn abort_reason(&self) -> Option<AbortReason> {
-        (**self).abort_reason()
-    }
-}
-
-/// Customers indexed by the disk-resident R-tree (the paper's primary
-/// setting). NN streams are the grouped incremental ANN of §3.4.2; a
-/// provider browsing alone is a group of one.
+/// Per-provider incremental access to an R-tree's customers. NN streams
+/// are the grouped incremental ANN of §3.4.2; a provider browsing alone is
+/// a group of one.
 pub struct RtreeSource<'t> {
     tree: &'t RTree,
     providers: Vec<Point>,
     groups: Vec<GroupAnn<'t>>,
     /// provider index → (group, member index within group)
     map: Vec<(u32, u32)>,
-    /// Query context shared by every group search and range search this
-    /// source issues: the whole query's tree traffic lands in one place, and
-    /// one abort (cancellation / deadline / I/O budget) stops every stream.
+    /// Query context shared by every stream and range search this source
+    /// issues: the drivers and the engine poll it, and one abort
+    /// (cancellation / deadline / I/O budget) stops every stream.
     ctx: Option<QueryContext>,
+    /// Whether tree reads are charged to `ctx` (not for a [`memory_tree`]).
+    charged: bool,
+    /// Customer index → weight; empty when every customer weighs 1.
+    weights: Vec<u32>,
+    /// Tree item id → customer index, when the ids are not indices.
+    slot_of: Option<&'t HashMap<u64, usize>>,
 }
 
 impl<'t> RtreeSource<'t> {
@@ -121,8 +87,48 @@ impl<'t> RtreeSource<'t> {
         group_size: usize,
         ctx: Option<&QueryContext>,
     ) -> Self {
+        Self::open(tree, providers, group_size, ctx, true)
+    }
+
+    /// A source over a [`memory_tree`] whose item `i` weighs `weights[i]`
+    /// (every item weighs 1 when `weights` is empty). Its reads charge
+    /// nothing to `ctx`, which the drivers and the engine only poll.
+    pub fn in_memory(
+        tree: &'t RTree,
+        providers: Vec<Point>,
+        group_size: usize,
+        weights: Vec<u32>,
+        ctx: Option<&QueryContext>,
+    ) -> Self {
+        assert!(weights.is_empty() || weights.len() == tree.len());
+        RtreeSource {
+            weights,
+            ..Self::open(tree, providers, group_size, ctx, false)
+        }
+    }
+
+    /// Maps the tree's item ids to customer indices through `slot_of`, for
+    /// a tree keyed by stable ids (the dynamic engine's).
+    pub fn with_slots(mut self, slot_of: &'t HashMap<u64, usize>) -> Self {
+        self.slot_of = Some(slot_of);
+        self
+    }
+
+    fn open(
+        tree: &'t RTree,
+        providers: Vec<Point>,
+        group_size: usize,
+        ctx: Option<&QueryContext>,
+        charged: bool,
+    ) -> Self {
         assert!(group_size >= 1);
-        let order = cca_geo::hilbert::sort_by_hilbert(&providers, cca_geo::WORLD_SIZE);
+        // Groups of one share nothing, so their order decides nothing.
+        let order = if group_size == 1 {
+            (0..providers.len()).collect()
+        } else {
+            cca_geo::hilbert::sort_by_hilbert(&providers, cca_geo::WORLD_SIZE)
+        };
+        let io_ctx = ctx.filter(|_| charged);
         let mut groups = Vec::new();
         let mut map = vec![(0u32, 0u32); providers.len()];
         for chunk in order.chunks(group_size) {
@@ -131,7 +137,7 @@ impl<'t> RtreeSource<'t> {
             for (m, &i) in chunk.iter().enumerate() {
                 map[i] = (gidx, m as u32);
             }
-            groups.push(tree.group_ann(members, ctx));
+            groups.push(tree.group_ann(members, io_ctx));
         }
         RtreeSource {
             tree,
@@ -139,33 +145,39 @@ impl<'t> RtreeSource<'t> {
             groups,
             map,
             ctx: ctx.cloned(),
+            charged,
+            weights: Vec::new(),
+            slot_of: None,
         }
     }
-}
 
-impl CustomerSource for RtreeSource<'_> {
-    fn num_customers(&self) -> usize {
+    /// Upper bound (exclusive) on customer indices.
+    pub fn num_customers(&self) -> usize {
         self.tree.len()
     }
 
-    fn total_weight(&self) -> u64 {
-        self.tree.len() as u64
+    /// Total customer weight `Σ p.w` (the `|P|` side of γ).
+    pub fn total_weight(&self) -> u64 {
+        if self.weights.is_empty() {
+            self.tree.len() as u64
+        } else {
+            self.weights.iter().map(|&w| u64::from(w)).sum()
+        }
     }
 
-    fn next_nn(&mut self, qi: usize) -> Option<SourcedCustomer> {
+    /// Next nearest unreturned customer of provider `qi`, or `None` when the
+    /// set is exhausted for this provider or the query aborted.
+    pub fn next_nn(&mut self, qi: usize) -> Option<SourcedCustomer> {
         let (g, m) = self.map[qi];
-        let hit = self.groups[g as usize].next_nn(m as usize);
-        hit.map(|(pos, id, dist)| SourcedCustomer {
-            id,
-            pos,
-            weight: 1,
-            dist,
-        })
+        let hit = self.groups[g as usize].next_nn(m as usize)?;
+        Some(self.customer(hit))
     }
 
-    fn range(&mut self, qi: usize, lo: f64, hi: f64, include_lo: bool) -> Vec<SourcedCustomer> {
+    /// Customers with `lo < dist(q_i, p) ≤ hi` (or `dist ≤ hi` when
+    /// `include_lo`), for RIA's (annular) range searches.
+    pub fn range(&mut self, qi: usize, lo: f64, hi: f64, include_lo: bool) -> Vec<SourcedCustomer> {
         let q = self.providers[qi];
-        let ctx = self.ctx.as_ref();
+        let ctx = self.ctx.as_ref().filter(|_| self.charged);
         let hits = if include_lo {
             self.tree.range_search(q, hi, ctx)
         } else {
@@ -175,115 +187,44 @@ impl CustomerSource for RtreeSource<'_> {
         // `abort_reason` and stops extending its range.
         hits.unwrap_or_default()
             .into_iter()
-            .map(|(pos, id, dist)| SourcedCustomer {
-                id,
-                pos,
-                weight: 1,
-                dist,
-            })
+            .map(|hit| self.customer(hit))
             .collect()
     }
 
-    fn context(&self) -> Option<&QueryContext> {
+    /// The [`QueryContext`] governing this source, if any. The shared
+    /// incremental-SSPA engine reads it off the source so its CPU-bound
+    /// Dijkstra loops poll the same deadline/cancellation the I/O path
+    /// enforces — one context governs the whole query.
+    pub fn context(&self) -> Option<&QueryContext> {
         self.ctx.as_ref()
     }
-}
 
-/// In-memory customers with optional weights; used for the approximate
-/// algorithms' concise matching and refinement phases, and handy in tests.
-///
-/// Per-provider NN streams are lazily-popped min-heaps: heapify is O(n)
-/// where a full sort would be O(n log n), and the incremental algorithms
-/// consume only a short prefix of each stream before the Theorem-1 bound
-/// cuts discovery off.
-///
-/// A memory source performs no I/O, but it may still carry a
-/// [`QueryContext`] ([`MemorySource::with_context`]): the CPU-bound driver
-/// and engine loops then poll the context's deadline/cancellation, so even
-/// an all-in-memory solve (SSPA on a drained graph, CA's concise matching)
-/// cannot overshoot its deadline.
-pub struct MemorySource {
-    customers: Vec<(Point, u32)>,
-    /// Per provider: min-heap of (dist, id), popped on demand. Ties break on
-    /// the lower customer id, matching a stable sort by distance.
-    streams: Vec<BinaryHeap<Reverse<(OrdF64, u32)>>>,
-    providers: Vec<Point>,
-    ctx: Option<QueryContext>,
-}
-
-impl MemorySource {
-    pub fn new(providers: Vec<Point>, customers: Vec<(Point, u32)>) -> Self {
-        let streams = providers
-            .iter()
-            .map(|q| {
-                customers
-                    .iter()
-                    .enumerate()
-                    .map(|(id, &(pos, _))| Reverse((OrdF64::new(q.dist(&pos)), id as u32)))
-                    .collect::<BinaryHeap<_>>()
-            })
-            .collect();
-        MemorySource {
-            customers,
-            streams,
-            providers,
-            ctx: None,
-        }
+    /// Why the source's query context aborted, if it did. An abort makes
+    /// the NN streams of a charged source dry up and its range searches
+    /// come back empty; the algorithm drivers poll this at their loop heads
+    /// and unwind with a partial matching instead of spinning on an
+    /// exhausted source.
+    pub fn abort_reason(&self) -> Option<AbortReason> {
+        self.ctx.as_ref().and_then(QueryContext::abort_reason)
     }
 
-    /// Attaches the query context whose deadline/cancellation governs the
-    /// CPU-bound phases run over this source.
-    pub fn with_context(mut self, ctx: Option<&QueryContext>) -> Self {
-        self.ctx = ctx.cloned();
-        self
-    }
-
-    /// Position and weight of customer `id`.
-    pub fn customer(&self, id: u64) -> (Point, u32) {
-        self.customers[usize::try_from(id).expect("id fits usize")]
-    }
-}
-
-impl CustomerSource for MemorySource {
-    fn num_customers(&self) -> usize {
-        self.customers.len()
-    }
-
-    fn total_weight(&self) -> u64 {
-        self.customers.iter().map(|&(_, w)| u64::from(w)).sum()
-    }
-
-    fn next_nn(&mut self, qi: usize) -> Option<SourcedCustomer> {
-        let Reverse((dist, id)) = self.streams[qi].pop()?;
-        let (pos, weight) = self.customers[id as usize];
-        Some(SourcedCustomer {
-            id: u64::from(id),
+    /// The record of tree hit `(pos, item id, dist)`.
+    fn customer(&self, (pos, id, dist): (Point, u64, f64)) -> SourcedCustomer {
+        let id = match self.slot_of {
+            Some(slot_of) => slot_of[&id] as u64,
+            None => id,
+        };
+        let weight = if self.weights.is_empty() {
+            1
+        } else {
+            self.weights[usize::try_from(id).expect("id fits usize")]
+        };
+        SourcedCustomer {
+            id,
             pos,
             weight,
-            dist: dist.get(),
-        })
-    }
-
-    fn range(&mut self, qi: usize, lo: f64, hi: f64, include_lo: bool) -> Vec<SourcedCustomer> {
-        let q = self.providers[qi];
-        self.customers
-            .iter()
-            .enumerate()
-            .filter_map(|(id, &(pos, weight))| {
-                let d = q.dist(&pos);
-                let above = if include_lo { d >= lo } else { d > lo };
-                (above && d <= hi).then_some(SourcedCustomer {
-                    id: id as u64,
-                    pos,
-                    weight,
-                    dist: d,
-                })
-            })
-            .collect()
-    }
-
-    fn context(&self) -> Option<&QueryContext> {
-        self.ctx.as_ref()
+            dist,
+        }
     }
 }
 
@@ -303,10 +244,9 @@ mod tests {
 
     #[test]
     fn memory_source_streams_ascending() {
-        let customers: Vec<(Point, u32)> =
-            random_points(100, 1).into_iter().map(|p| (p, 1)).collect();
+        let tree = memory_tree(random_points(100, 1));
         let providers = random_points(3, 2);
-        let mut src = MemorySource::new(providers, customers);
+        let mut src = RtreeSource::in_memory(&tree, providers, 1, Vec::new(), None);
         for qi in 0..3 {
             let mut last = 0.0;
             let mut n = 0;
@@ -321,19 +261,18 @@ mod tests {
 
     #[test]
     fn memory_source_range_matches_brute() {
-        let customers: Vec<(Point, u32)> =
-            random_points(200, 3).into_iter().map(|p| (p, 1)).collect();
+        let customers = random_points(200, 3);
         let providers = random_points(1, 4);
         let q = providers[0];
-        let mut src = MemorySource::new(providers, customers.clone());
+        let tree = memory_tree(customers.iter().copied());
+        let mut src = RtreeSource::in_memory(&tree, providers, 1, Vec::new(), None);
         let got = src.range(0, 0.0, 100.0, true);
-        let want = customers
-            .iter()
-            .filter(|&&(p, _)| q.dist(&p) <= 100.0)
-            .count();
+        let want = customers.iter().filter(|&&p| q.dist(&p) <= 100.0).count();
         assert_eq!(got.len(), want);
     }
 
+    /// The paged tree and the in-memory tree stream every provider's
+    /// customers in the brute-force (distance, id) order.
     #[test]
     fn rtree_source_matches_memory_source_streams() {
         let pts = random_points(500, 5);
@@ -343,15 +282,19 @@ mod tests {
             .map(|(i, &p)| (p, i as u64))
             .collect();
         let tree = RTree::bulk_load(PageStore::with_config(1024, 2048), &items);
+        let mem_tree = memory_tree(pts.iter().copied());
         let providers = random_points(4, 6);
 
         let mut rt = RtreeSource::new(&tree, providers.clone(), None);
-        let mut mem = MemorySource::new(providers.clone(), pts.iter().map(|&p| (p, 1)).collect());
-        for qi in 0..providers.len() {
-            for _ in 0..50 {
+        let mut mem = RtreeSource::in_memory(&mem_tree, providers.clone(), 1, Vec::new(), None);
+        for (qi, q) in providers.iter().enumerate() {
+            let mut want: Vec<(f64, u64)> = items.iter().map(|&(p, id)| (q.dist(&p), id)).collect();
+            want.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for &(dist, id) in &want[..50] {
                 let a = rt.next_nn(qi).unwrap();
                 let b = mem.next_nn(qi).unwrap();
-                assert!((a.dist - b.dist).abs() < 1e-12);
+                assert_eq!((a.id, a.dist.to_bits()), (id, dist.to_bits()));
+                assert_eq!((b.id, b.dist.to_bits()), (id, dist.to_bits()));
             }
         }
         assert_eq!(rt.total_weight(), 500);
@@ -387,10 +330,55 @@ mod tests {
 
     #[test]
     fn weighted_memory_source_total_weight() {
-        let customers = vec![(Point::new(0.0, 0.0), 3), (Point::new(1.0, 1.0), 5)];
-        let src = MemorySource::new(vec![Point::new(0.0, 0.0)], customers);
+        let tree = memory_tree([Point::new(0.0, 0.0), Point::new(1.0, 1.0)]);
+        let mut src =
+            RtreeSource::in_memory(&tree, vec![Point::new(2.0, 2.0)], 1, vec![3, 5], None);
         assert_eq!(src.total_weight(), 8);
         assert_eq!(src.num_customers(), 2);
-        assert_eq!(src.customer(1).1, 5);
+        let nearest = src.next_nn(0).unwrap();
+        assert_eq!((nearest.id, nearest.weight), (1, 5));
+        let range = src.range(0, 0.0, 10.0, true);
+        assert!(range.iter().all(|c| c.weight == [3, 5][c.id as usize]));
+    }
+
+    /// An in-memory tree charges the context nothing, but its abort still
+    /// shows through the source.
+    #[test]
+    fn memory_source_charges_nothing_and_polls_the_context() {
+        let tree = memory_tree(random_points(300, 9));
+        let ctx = QueryContext::new().with_io_budget(1);
+        let mut src =
+            RtreeSource::in_memory(&tree, random_points(2, 10), 1, Vec::new(), Some(&ctx));
+        assert_eq!(std::iter::from_fn(|| src.next_nn(0)).count(), 300);
+        assert_eq!(src.range(1, 0.0, 2000.0, true).len(), 300);
+        assert_eq!(ctx.stats(), cca_storage::IoStats::default());
+        ctx.cancel();
+        assert_eq!(src.abort_reason(), Some(AbortReason::Cancelled));
+    }
+
+    /// A tree keyed by stable ids streams customer slots.
+    #[test]
+    fn slot_mapped_source_yields_slots() {
+        let pts = random_points(50, 11);
+        let items: Vec<(Point, u64)> = pts
+            .iter()
+            .enumerate()
+            .map(|(slot, &p)| (p, 1_000 + 7 * slot as u64))
+            .collect();
+        let slot_of: HashMap<u64, usize> = items
+            .iter()
+            .enumerate()
+            .map(|(slot, &(_, id))| (id, slot))
+            .collect();
+        let tree = RTree::bulk_load(PageStore::with_config(1024, 64), &items);
+        let mut src =
+            RtreeSource::new(&tree, vec![Point::new(500.0, 500.0)], None).with_slots(&slot_of);
+        let mut seen = vec![false; pts.len()];
+        while let Some(c) = src.next_nn(0) {
+            let slot = c.id as usize;
+            assert_eq!(c.pos, pts[slot]);
+            assert!(!std::mem::replace(&mut seen[slot], true));
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 }

@@ -33,7 +33,7 @@ pub use approx::{
 pub use dynamic::{
     ContinuousAssignment, ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent,
 };
-pub use exact::{ida, nia, ria, CustomerSource, MemorySource, RiaConfig, RtreeSource};
+pub use exact::{ida, memory_tree, nia, ria, RiaConfig, RtreeSource};
 pub use matching::{MatchPair, Matching};
 pub use solver::{Outcome, Problem, Solver, SolverConfig, SolverRegistry};
 pub use stats::AlgoStats;

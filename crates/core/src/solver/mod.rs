@@ -252,19 +252,14 @@ impl Solver {
                 .tree()
                 .unwrap_or_else(|| panic!("{} requires an R-tree-backed problem", self.name()))
         };
-        // The exact drivers are generic over their source; `&mut &mut *`
-        // runs each over `&mut dyn CustomerSource`, one instantiation for
-        // the plain and the grouped source alike.
         match self.algo {
             Algo::Sspa => sspa(problem),
-            Algo::Ria => ria(
-                providers,
-                &mut &mut *problem.source(),
-                &RiaConfig { theta: c.theta },
-            ),
-            Algo::Nia => nia(providers, &mut &mut *problem.source()),
-            Algo::Ida => ida(providers, &mut &mut *problem.source()),
-            Algo::IdaGrouped => ida(providers, &mut &mut *problem.grouped_source(c.group_size)),
+            Algo::Ria => problem.with_source(1, |source| {
+                ria(providers, source, &RiaConfig { theta: c.theta })
+            }),
+            Algo::Nia => problem.with_source(1, |source| nia(providers, source)),
+            Algo::Ida => problem.with_source(1, |source| ida(providers, source)),
+            Algo::IdaGrouped => problem.with_source(c.group_size, |source| ida(providers, source)),
             Algo::Sa => sa(
                 providers,
                 tree(),
@@ -346,22 +341,18 @@ fn sspa(problem: &Problem<'_>) -> (Matching, AlgoStats) {
     // The baseline builds the complete bipartite graph over the whole
     // customer set. A memory-resident slice (the paper's Figure-8 setting)
     // is used directly; otherwise the first provider's NN stream is
-    // drained, which visits every customer exactly once and works
-    // uniformly for tree- and memory-backed sources.
+    // drained, which visits every customer of the tree exactly once.
     let customers: Vec<(u64, Point, u32)> = match problem.customers() {
         Some(slice) => slice
             .iter()
             .enumerate()
             .map(|(i, &pos)| (i as u64, pos, 1))
             .collect(),
-        None => {
-            let mut source = problem.source();
-            let mut drained = Vec::with_capacity(source.num_customers());
-            while let Some(c) = source.next_nn(0) {
-                drained.push((c.id, c.pos, c.weight));
-            }
-            drained
-        }
+        None => problem.with_source(1, |source| {
+            std::iter::from_fn(|| source.next_nn(0))
+                .map(|c| (c.id, c.pos, c.weight))
+                .collect()
+        }),
     };
     let fps: Vec<FlowProvider> = providers
         .iter()

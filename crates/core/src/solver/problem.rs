@@ -1,10 +1,12 @@
-//! [`Problem`] — one CCA query: providers plus access to the customer set.
+//! [`Problem`] — one CCA query: providers plus access to the customer set,
+//! an R-tree or an in-memory slice. Every exact solve reads either through
+//! one [`RtreeSource`]; a slice becomes an in-memory tree first.
 
 use cca_geo::Point;
 use cca_rtree::RTree;
 use cca_storage::{QueryContext, TenantId};
 
-use crate::exact::{CustomerSource, MemorySource, RtreeSource};
+use crate::exact::{memory_tree, RtreeSource};
 
 /// A capacity-constrained assignment query, built builder-style:
 ///
@@ -17,11 +19,11 @@ use crate::exact::{CustomerSource, MemorySource, RtreeSource};
 /// assert_eq!(problem.gamma(), 2);
 /// ```
 ///
-/// Customer access comes in two flavours, mirroring the paper's settings:
-/// a disk-resident R-tree ([`Problem::with_tree`], the primary setting of
-/// §3) or a plain in-memory slice ([`Problem::with_customers`], the
-/// small-set setting the approximation phases use). Solvers obtain a
-/// [`CustomerSource`] over whichever is attached via [`Problem::source`].
+/// Customers are attached as a disk-resident R-tree ([`Problem::with_tree`],
+/// the paper's setting of §3) or as a plain in-memory slice
+/// ([`Problem::with_customers`]). The exact solvers read either through one
+/// [`RtreeSource`] ([`Problem::with_source`]): a slice is bulk-loaded into
+/// an in-memory tree when a solve first needs it.
 #[derive(Clone, Copy)]
 pub struct Problem<'a> {
     providers: &'a [(Point, u32)],
@@ -111,45 +113,43 @@ impl<'a> Problem<'a> {
         cap.min(self.num_customers() as u64)
     }
 
-    /// A fresh per-provider NN/range source over the attached customer set.
+    /// Runs `f` over a fresh per-provider NN/range source of the attached
+    /// customer set, with providers cut into grouped-ANN groups of
+    /// `group_size` (§3.4.2; 1 browses each provider alone).
+    ///
+    /// A tree-backed problem reads its R-tree and charges every page to the
+    /// query context. A slice-backed one is bulk-loaded into a
+    /// [`memory_tree`] first, whose reads charge nothing; the context still
+    /// rides the source, so the drivers and the flow engine poll its
+    /// deadline and cancellation.
     ///
     /// # Panics
     ///
     /// If neither a tree nor a customer slice is attached.
-    pub fn source(&self) -> Box<dyn CustomerSource + 'a> {
+    pub fn with_source<R>(
+        &self,
+        group_size: usize,
+        f: impl FnOnce(&mut RtreeSource<'_>) -> R,
+    ) -> R {
+        let providers = self.provider_positions();
         match (self.tree, self.customers) {
-            (Some(tree), _) => Box::new(RtreeSource::new(
+            (Some(tree), _) => f(&mut RtreeSource::with_ann_groups(
                 tree,
-                self.provider_positions(),
-                self.context,
-            )),
-            // The context rides the memory source too: no I/O happens, but
-            // the drivers and the flow engine poll it, so deadlines and
-            // cancellation govern all-in-memory solves as well.
-            (None, Some(customers)) => Box::new(
-                MemorySource::new(
-                    self.provider_positions(),
-                    customers.iter().map(|&p| (p, 1)).collect(),
-                )
-                .with_context(self.context),
-            ),
-            (None, None) => panic!("Problem has no customer access: attach a tree or a slice"),
-        }
-    }
-
-    /// Like [`Problem::source`], but with the grouped incremental-ANN
-    /// cursors of §3.4.2 (providers Hilbert-sorted into groups of
-    /// `group_size` sharing R-tree reads). Falls back to the plain source
-    /// when the problem is memory-resident.
-    pub fn grouped_source(&self, group_size: usize) -> Box<dyn CustomerSource + 'a> {
-        match self.tree {
-            Some(tree) => Box::new(RtreeSource::with_ann_groups(
-                tree,
-                self.provider_positions(),
+                providers,
                 group_size,
                 self.context,
             )),
-            None => self.source(),
+            (None, Some(customers)) => {
+                let tree = memory_tree(customers.iter().copied());
+                f(&mut RtreeSource::in_memory(
+                    &tree,
+                    providers,
+                    group_size,
+                    Vec::new(),
+                    self.context,
+                ))
+            }
+            (None, None) => panic!("Problem has no customer access: attach a tree or a slice"),
         }
     }
 }
@@ -165,8 +165,7 @@ mod tests {
         let problem = Problem::new(&providers).with_customers(&customers);
         assert_eq!(problem.num_customers(), 2);
         assert_eq!(problem.gamma(), 2);
-        let mut src = problem.source();
-        let first = src.next_nn(0).unwrap();
+        let first = problem.with_source(1, |src| src.next_nn(0)).unwrap();
         assert_eq!(first.id, 0);
         assert_eq!(first.weight, 1);
         assert!((first.dist - 1.0).abs() < 1e-12);
@@ -176,6 +175,6 @@ mod tests {
     #[should_panic(expected = "no customer access")]
     fn sourceless_problem_panics() {
         let providers = vec![(Point::new(0.0, 0.0), 1)];
-        let _ = Problem::new(&providers).source();
+        Problem::new(&providers).with_source(1, |_| ());
     }
 }

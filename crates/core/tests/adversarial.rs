@@ -2,7 +2,7 @@
 //! ties, duplicates, zero distances and skewed layouts are where
 //! floating-point pruning bounds and heap orderings typically break.
 
-use cca_core::exact::{ida, nia, ria, MemorySource, RiaConfig, RtreeSource};
+use cca_core::exact::{ida, memory_tree, nia, ria, RiaConfig, RtreeSource};
 use cca_geo::Point;
 use cca_testutil::{build_tree as tree_of, optimal_cost as oracle};
 
@@ -159,7 +159,8 @@ fn memory_source_agrees_with_rtree_source_on_ties() {
     let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
     let mut rt = RtreeSource::new(&tree, qpos.clone(), None);
     let (m1, _) = ida(&providers, &mut rt);
-    let mut mem = MemorySource::new(qpos, customers.iter().map(|&p| (p, 1)).collect());
+    let mem_tree = memory_tree(customers.iter().copied());
+    let mut mem = RtreeSource::in_memory(&mem_tree, qpos, 1, Vec::new(), None);
     let (m2, _) = ida(&providers, &mut mem);
     assert!((m1.cost() - want).abs() < 1e-6);
     assert!((m2.cost() - want).abs() < 1e-6);

@@ -9,13 +9,15 @@
 //! (`Σk ≥ |P|`, some capacity stays idle).
 //!
 //! Weighted customers — the concise matching's representatives — are
-//! checked too: `ria`, `nia` and `ida` over a `MemorySource` of weighted
+//! checked too: `ria`, `nia` and `ida` over an in-memory tree of weighted
 //! representatives against the Hungarian optimum of the unit expansion,
 //! where a weight-`w` representative becomes `w` co-located unit customers.
 //! Only weighted customers reach the multi-server reverse-arc relay and
 //! IDA's batched re-commit.
 
-use cca_core::{ida, nia, ria, MemorySource, Problem, RiaConfig, SolverConfig, SolverRegistry};
+use cca_core::{
+    ida, memory_tree, nia, ria, Problem, RiaConfig, RtreeSource, SolverConfig, SolverRegistry,
+};
 use cca_flow::sspa::FlowProvider;
 use cca_flow::validate::hungarian_optimal_cost;
 use cca_geo::Point;
@@ -95,7 +97,9 @@ fn check_weighted(providers: &[(Point, u32)], reps: &[(Point, u32)]) {
     let tol = 1e-9 * want.abs().max(1.0);
     let size = gamma(providers, &expanded);
     let qpos: Vec<Point> = providers.iter().map(|&(p, _)| p).collect();
-    let source = || MemorySource::new(qpos.clone(), reps.to_vec());
+    let tree = memory_tree(reps.iter().map(|&(pos, _)| pos));
+    let weights: Vec<u32> = reps.iter().map(|&(_, w)| w).collect();
+    let source = || RtreeSource::in_memory(&tree, qpos.clone(), 1, weights.clone(), None);
     let runs = [
         (
             "ria",

@@ -799,40 +799,38 @@ impl Residual {
     /// Makes the installed flow a minimum-cost flow of its value and sets
     /// potentials under which every residual arc has `rc ≥ −WARM_EPS`.
     ///
-    /// Each pass is a queue-based Bellman–Ford (SPFA) from a virtual root
-    /// with a zero arc to every node, over the *full* residual graph — `q→s`
-    /// and `t→p` included, since a continuous-engine event's improvements
-    /// are mostly "swap a far matched customer for a near unmatched one"
+    /// One queue-based Bellman–Ford (SPFA) pass from a virtual root with a
+    /// zero arc to every node, over the *full* residual graph — `q→s` and
+    /// `t→p` included, since a continuous-engine event's improvements are
+    /// mostly "swap a far matched customer for a near unmatched one"
     /// (through `t`) and "shift load between providers" (through `s`). When
     /// a relaxation's new parent link closes a cycle, that cycle is
-    /// negative: its bottleneck is pushed around it and the pass restarts.
-    /// A pass that drains its queue leaves shortest distances `d`, and
-    /// `τ(v) = d(t) − d(v)`. Polls `ctx` once per pass and every 64 pops.
+    /// negative: its bottleneck is pushed around it, and the pass goes on
+    /// with every label kept and the cycle's nodes re-queued, since only
+    /// their arcs changed. Once the queue drains every residual arc has
+    /// `d(v) ≤ d(u) + c + WARM_EPS`, and `τ(v) = d(t) − d(v)`. Polls `ctx`
+    /// once up front and every 64 pops.
     pub(crate) fn warm(&mut self, ctx: Option<&QueryContext>) -> Result<(), Aborted> {
         let (nq, np) = (self.net.cap.len(), self.net.weight.len());
         let (s, t) = (nq + np, nq + np + 1);
-        let mut spfa = Spfa::new(nq + np + 2);
-        'pass: loop {
-            if let Some(ctx) = ctx {
-                ctx.check()?;
-            }
-            // Customers first: their reverse arcs are the only negative ones
-            // under d = 0.
-            spfa.reset((nq..s).chain(0..nq).chain([s, t]));
-            let mut pops = 0u32;
-            while let Some(u) = spfa.pop() {
-                pops += 1;
-                if pops.is_multiple_of(64) {
-                    if let Some(ctx) = ctx {
-                        ctx.check()?;
-                    }
-                }
-                if let ControlFlow::Break(v) = self.relax_from(u, &mut spfa) {
-                    self.cancel_cycle(&spfa, v);
-                    continue 'pass;
+        if let Some(ctx) = ctx {
+            ctx.check()?;
+        }
+        // Customers first: their reverse arcs are the only negative ones
+        // under d = 0.
+        let mut spfa = Spfa::new(nq + np + 2, (nq..s).chain(0..nq).chain([s, t]));
+        let mut pops = 0u32;
+        while let Some(u) = spfa.pop() {
+            pops += 1;
+            if pops.is_multiple_of(64) {
+                if let Some(ctx) = ctx {
+                    ctx.check()?;
                 }
             }
-            break;
+            if let ControlFlow::Break(v) = self.relax_from(u, &mut spfa) {
+                self.cancel_cycle(&spfa, v);
+                spfa.requeue_cycle(v);
+            }
         }
         let d = &spfa.d;
         let net = &mut self.net;
@@ -993,7 +991,7 @@ enum ResidualArc {
 /// closes is truly negative.
 const WARM_EPS: f64 = 1e-9;
 
-/// The labels of one warm-start Bellman–Ford pass, allocated once per solve.
+/// The labels of the warm start's Bellman–Ford pass.
 struct Spfa {
     d: Vec<f64>,
     /// The node each node was last relaxed from (`NONE`: the virtual root).
@@ -1006,24 +1004,33 @@ struct Spfa {
 }
 
 impl Spfa {
-    fn new(n: usize) -> Self {
+    /// All `n` nodes at distance 0 from the virtual root, and queued in
+    /// `order`.
+    fn new(n: usize, order: impl Iterator<Item = usize>) -> Self {
         Spfa {
             d: vec![0.0; n],
             parent: vec![NONE; n],
             via: vec![NONE; n],
-            queued: vec![false; n],
-            queue: VecDeque::with_capacity(n),
+            queued: vec![true; n],
+            queue: order.map(|v| v as u32).collect(),
         }
     }
 
-    /// Starts a pass: every node at distance 0 from the virtual root, and
-    /// queued in `order`.
-    fn reset(&mut self, order: impl Iterator<Item = usize>) {
-        self.d.fill(0.0);
-        self.parent.fill(NONE);
-        self.queued.fill(true);
-        self.queue.clear();
-        self.queue.extend(order.map(|v| v as u32));
+    /// Detaches the cancelled cycle through `v` from the parent links and
+    /// queues its nodes, which keep their labels: every arc the cancel
+    /// added or saturated leaves a node of the cycle.
+    fn requeue_cycle(&mut self, v: usize) {
+        let mut x = v;
+        loop {
+            let u = std::mem::replace(&mut self.parent[x], NONE) as usize;
+            if !std::mem::replace(&mut self.queued[x], true) {
+                self.queue.push_back(x as u32);
+            }
+            x = u;
+            if x == v {
+                break;
+            }
+        }
     }
 
     fn pop(&mut self) -> Option<usize> {

@@ -675,6 +675,36 @@ mod tests {
         assert_eq!(stats.iterations, 0);
     }
 
+    /// From a random maximal start no search runs, so the warm start alone
+    /// must reach the cold optimum: its one pass cancels cycle after cycle
+    /// with the labels it has, in the scarce and the surplus regime, on
+    /// unit and weighted customers.
+    #[test]
+    fn warm_start_alone_reaches_the_cold_optimum_after_many_cycles() {
+        for seed in 0..12u64 {
+            let (np, max_cap) = if seed % 2 == 0 { (150, 10) } else { (60, 30) };
+            let (providers, mut customers) = random_instance(seed, 12, np, max_cap);
+            for (j, c) in customers.iter_mut().enumerate() {
+                c.weight = 1 + (seed as u32 / 4) * (j as u32 % 3);
+            }
+            let gamma = required_flow(&providers, &customers);
+            let (cold, _) = solve(&providers, &customers);
+            let start = random_flow(&providers, &customers, gamma, seed);
+            let (asg, stats) = warm(&start).solve(&providers, &customers).unwrap();
+            assert_eq!(
+                stats.iterations, 0,
+                "seed {seed}: a maximal start needs no search"
+            );
+            assert_eq!(asg.size(), gamma, "seed {seed}");
+            assert!(
+                (asg.cost - cold.cost).abs() <= 1e-9 * cold.cost.max(1.0),
+                "seed {seed}: warm {} vs cold {}",
+                asg.cost,
+                cold.cost
+            );
+        }
+    }
+
     #[test]
     fn cancelled_warm_start_returns_a_feasible_flow_of_the_start_size() {
         let (providers, customers) = random_instance(9, 8, 60, 10);

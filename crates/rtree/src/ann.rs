@@ -286,17 +286,21 @@ mod tests {
         );
     }
 
+    /// A one-member group streams all 800 items in the brute-force
+    /// (distance, id) order, to the id and the distance bit.
     #[test]
-    fn single_member_group_equals_inc_nn() {
+    fn single_member_group_streams_the_brute_force_order() {
         let items = random_items(800, 45);
         let tree = RTree::bulk_load(PageStore::with_config(1024, 1024), &items);
         let q = Point::new(42.0, 17.0);
+        let mut want: Vec<(f64, ItemId)> = items.iter().map(|&(p, id)| (q.dist(&p), id)).collect();
+        want.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let mut ann = tree.group_ann(vec![q], None);
-        let solo: Vec<f64> = tree.inc_nn(q, None).map(|(_, _, d)| d).collect();
-        for (i, want) in solo.iter().enumerate() {
-            let (_, _, d) = ann.next_nn(0).unwrap();
-            assert!((d - want).abs() < 1e-12, "step {i}");
-        }
+        let got: Vec<(u64, ItemId)> = std::iter::from_fn(|| ann.next_nn(0))
+            .map(|(_, id, d)| (d.to_bits(), id))
+            .collect();
+        let want: Vec<(u64, ItemId)> = want.iter().map(|&(d, id)| (d.to_bits(), id)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
