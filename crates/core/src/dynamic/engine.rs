@@ -11,6 +11,7 @@ use crate::exact::{ida, RtreeSource};
 use crate::matching::{MatchPair, Matching};
 
 use super::events::{ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent};
+use super::provider_graph::ProviderGraph;
 
 /// [`ContinuousAssignment::local_repair`]'s mark for a provider outside the
 /// neighbourhood.
@@ -36,10 +37,15 @@ const OUTSIDE: u32 = u32::MAX;
 ///    [`ContinuousConfig::max_expansions`] times; when the accumulated
 ///    dirty fraction crosses [`ContinuousConfig::dirty_threshold`] — or the
 ///    neighbourhood cannot absorb the deficit — it falls back to a full
-///    re-solve: a from-scratch IDA over the engine's own R-tree of the live
-///    customers, its page reads charged to the event's context. An abort
-///    unwinds to the phase-1 matching; [`ContinuousAssignment::repair`]
-///    finishes the work later.
+///    re-solve. That re-optimises the standing matching on its provider
+///    graph (the residual graph contracted onto `{s, t} ∪ Q`): it cancels
+///    negative cycles and augments to γ in memory, reads no pages, and
+///    polls the event's context. An abort unwinds to the phase-1 matching;
+///    [`ContinuousAssignment::repair`] finishes the work later.
+///
+/// [`ContinuousAssignment::build`] solves the initial instance with IDA
+/// over the engine's own R-tree, since there is no matching to re-optimise
+/// yet.
 ///
 /// Customers are stored densely (slot order); a departure swaps the last
 /// slot into the vacated one.
@@ -79,28 +85,33 @@ impl ContinuousAssignment {
             PageStore::with_config(cfg.page_size, cfg.buffer_pages),
             &items,
         );
-        let num_providers = providers.len();
-        let mut engine = ContinuousAssignment {
+        // No matching to re-optimise yet: IDA solves over the tree, whose
+        // item ids are still the slots.
+        let positions = providers.iter().map(|&(p, _)| p).collect();
+        let (matching, _) = ida(&providers, &mut RtreeSource::new(&tree, positions, None));
+        let mut assigned = vec![None; customers.len()];
+        let mut load = vec![0; providers.len()];
+        for pair in &matching.pairs {
+            assigned[usize::try_from(pair.customer).expect("slot fits usize")] =
+                Some(pair.provider as u32);
+            load[pair.provider] += 1;
+        }
+        ContinuousAssignment {
             cfg,
             providers,
             ids: (0..customers.len() as u64).collect(),
-            slot_of: customers
-                .iter()
-                .enumerate()
-                .map(|(i, _)| (i as u64, i))
-                .collect(),
-            assigned: vec![None; customers.len()],
-            load: vec![0; num_providers],
-            size: 0,
+            slot_of: (0..customers.len()).map(|i| (i as u64, i)).collect(),
+            assigned,
+            load,
+            size: matching.size(),
             customers,
             tree,
             dirty: 0,
-            stats: DynamicStats::default(),
-        };
-        engine
-            .full_resolve(None)
-            .expect("no context on the initial solve, no abort");
-        engine
+            stats: DynamicStats {
+                full_resolves: 1,
+                ..DynamicStats::default()
+            },
+        }
     }
 
     /// Applies one event: commits the world change (always), then repairs
@@ -409,28 +420,18 @@ impl ContinuousAssignment {
         Ok(())
     }
 
-    /// Full re-solve: a from-scratch IDA over the engine's own R-tree of
-    /// the live customers, whose stable ids map back to slots. Its page
-    /// reads are charged to `ctx`, so an I/O budget can stop it.
+    /// Full re-solve: re-optimises the standing matching on its
+    /// [`ProviderGraph`] until it is a minimum-cost matching of size γ. It
+    /// reads no pages, polls `ctx`, and works on a copy of the matching that
+    /// replaces the engine's only on completion, so an abort leaves the
+    /// phase-1 matching as it was.
     fn full_resolve(&mut self, ctx: Option<&QueryContext>) -> Result<(), Aborted> {
         self.stats.full_resolves += 1;
-        let positions = self.providers.iter().map(|&(p, _)| p).collect();
-        let mut source = RtreeSource::new(&self.tree, positions, ctx).with_slots(&self.slot_of);
-        let (matching, _) = ida(&self.providers, &mut source);
-        if let Some(reason) = source.abort_reason() {
-            // Keep the phase-1 matching: the partial solve is discarded
-            // (it may be smaller than what we already hold).
-            return Err(Aborted { reason });
-        }
-        self.assigned.fill(None);
-        self.load.fill(0);
-        self.size = 0;
-        for pair in matching.pairs {
-            let slot = usize::try_from(pair.customer).expect("slot fits usize");
-            self.assigned[slot] = Some(pair.provider as u32);
-            self.load[pair.provider] += 1;
-            self.size += 1;
-        }
+        let gamma = self.gamma();
+        let mut graph = ProviderGraph::new(&self.providers, &self.customers, &self.assigned);
+        graph.solve(gamma, ctx)?;
+        (self.assigned, self.load) = graph.matching();
+        self.size = gamma;
         self.dirty = 0;
         Ok(())
     }
@@ -541,6 +542,10 @@ impl ContinuousAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::memory_tree;
+    use cca_datagen::{
+        ArrivalProcess, CapacitySpec, SpatialDistribution, StreamEvent, WorkloadConfig,
+    };
     use cca_storage::AbortReason;
     use cca_testutil::{optimal_cost, random_instance};
 
@@ -731,13 +736,34 @@ mod tests {
         engine.check_feasible().unwrap();
     }
 
-    /// The full re-solve reads the engine's own paged tree and charges the
-    /// event's context, so an I/O budget stops it and the phase-1 matching
-    /// stands.
+    /// A forced re-solve under a cancelled context returns `Cancelled` and
+    /// leaves the matching bit-identical.
     #[test]
-    fn io_budget_stops_a_full_resolve() {
+    fn cancelled_resolve_leaves_the_matching_bit_identical() {
+        let (providers, customers) = random_instance(109, 6, 400, 20);
+        let mut engine = ContinuousAssignment::build(providers, customers, engine_cfg());
+        // A move left unrepaired: the re-solve would have work to do.
+        engine.providers[0].0 = Point::new(10.0, 990.0);
+        let before = (engine.assigned.clone(), engine.load.clone(), engine.size);
+        let ctx = QueryContext::new();
+        ctx.cancel();
+        let aborted = engine.full_resolve(Some(&ctx)).unwrap_err();
+        assert_eq!(aborted.reason, AbortReason::Cancelled);
+        assert_eq!(
+            (engine.assigned.clone(), engine.load.clone(), engine.size),
+            before
+        );
+        engine.full_resolve(None).unwrap();
+        assert_ne!(engine.assigned, before.0, "the move had work for it");
+        assert_eq!(engine.deficit(), 0);
+    }
+
+    /// A local repair reads the engine's paged tree through `knn_within`
+    /// and charges the event's context, so an I/O budget stops it and the
+    /// phase-1 matching stands.
+    #[test]
+    fn io_budget_stops_a_local_repair() {
         let cfg = ContinuousConfig {
-            dirty_threshold: 0.0,
             buffer_pages: 2,
             ..engine_cfg()
         };
@@ -757,7 +783,56 @@ mod tests {
         assert_eq!(engine.assigned, before, "the phase-1 matching stands");
         assert_eq!(report.deficit, 0);
         engine.check_feasible().unwrap();
-        assert_eq!(engine.stats().aborted_repairs, 1);
+        let stats = engine.stats();
+        assert_eq!((stats.aborted_repairs, stats.local_repairs), (1, 1));
+        assert_eq!(stats.full_resolves, 1, "only the initial solve");
+    }
+
+    /// At `dyn_events`' size — 40 providers, 1 000 clustered customers,
+    /// k = 20 — a re-solve after 250 mixed events lands on the cost of a
+    /// from-scratch IDA of the same world.
+    #[test]
+    fn resolve_at_dyn_events_size_equals_a_scratch_ida() {
+        let world = WorkloadConfig {
+            num_providers: 40,
+            num_customers: 1_000,
+            capacity: CapacitySpec::Fixed(20),
+            q_dist: SpatialDistribution::Clustered,
+            p_dist: SpatialDistribution::Clustered,
+            seed: 2008,
+        }
+        .generate();
+        let mut stream = ArrivalProcess::new(&world, 2009);
+        let mut engine = ContinuousAssignment::build(
+            world.providers.clone(),
+            world.customers.clone(),
+            engine_cfg(),
+        );
+        for _ in 0..250 {
+            let event = match stream.next_event() {
+                StreamEvent::CustomerArrive { id, pos } => WorldEvent::CustomerArrive { id, pos },
+                StreamEvent::CustomerDepart { id, .. } => WorldEvent::CustomerDepart { id },
+                StreamEvent::ProviderCapacityDelta { index, delta } => {
+                    WorldEvent::ProviderCapacityDelta { index, delta }
+                }
+                StreamEvent::ProviderMove { index, to } => WorldEvent::ProviderMove { index, to },
+            };
+            assert!(engine.apply(event, None).aborted.is_none());
+        }
+        engine.full_resolve(None).unwrap();
+        engine.check_feasible().unwrap();
+        assert_eq!(engine.deficit(), 0);
+
+        let tree = memory_tree(engine.customers.iter().copied());
+        let positions = engine.providers.iter().map(|&(p, _)| p).collect();
+        let mut source = RtreeSource::in_memory(&tree, positions, 1, Vec::new(), None);
+        let (scratch, _) = ida(&engine.providers, &mut source);
+        let want = scratch.cost();
+        assert!(
+            (engine.cost() - want).abs() <= 1e-9 * want,
+            "re-solve {} vs scratch IDA {want}",
+            engine.cost()
+        );
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub struct DynamicStats {
     pub local_repairs: u64,
     /// Neighbourhood expansions beyond the first round.
     pub expansions: u64,
-    /// Full re-solves (the initial solve included).
+    /// Full re-solves: the initial IDA solve, then every global
+    /// re-optimisation of the standing matching, aborted ones included.
     pub full_resolves: u64,
     /// Repairs cut short by a context abort.
     pub aborted_repairs: u64,
@@ -85,7 +86,8 @@ pub struct ContinuousConfig {
     /// back to a full re-solve.
     pub max_expansions: u32,
     /// Dirty fraction (events since the last full solve / live customers)
-    /// above which the engine re-solves from scratch instead of patching.
+    /// above which the engine re-optimises the whole matching instead of
+    /// patching.
     pub dirty_threshold: f64,
     /// Page size of the engine-owned customer R-tree.
     pub page_size: usize,

@@ -8,8 +8,10 @@
 //! *incrementally*: a bounded-neighbourhood repair around each event
 //! (powered by the R-tree's `knn_within` and a small in-memory SSPA),
 //! and a dirty-fraction threshold deciding when patching stops paying and
-//! the engine re-solves from scratch with IDA — the paper's own answer to
-//! the full-graph SSPA (§3.3 vs §2.2), at every instance size.
+//! the engine re-solves globally. A global re-solve does not start over:
+//! it restores the paper's optimality certificate (§2.2) on the standing
+//! matching, on the residual graph contracted onto the providers (the
+//! `provider_graph` module). Only the initial solve runs IDA (§3.3).
 //!
 //! Every event is two-phase: the world change always commits (and stays
 //! feasible by construction); only the re-optimization is abortable, so a
@@ -18,6 +20,7 @@
 
 pub mod engine;
 pub mod events;
+mod provider_graph;
 
 pub use engine::ContinuousAssignment;
 pub use events::{ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent};

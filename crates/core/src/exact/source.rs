@@ -11,11 +11,7 @@
 //!   STR bulk-loaded by [`memory_tree`] into a tree whose buffer holds every
 //!   page ([`RtreeSource::in_memory`]): weights come from a side table by
 //!   item id, and no page read is charged, but the drivers and the engine
-//!   still poll the context for deadline and cancellation;
-//! * the dynamic engine's maintained tree, whose stable item ids map back to
-//!   customer slots ([`RtreeSource::with_slots`]).
-
-use std::collections::HashMap;
+//!   still poll the context for deadline and cancellation.
 
 use cca_geo::Point;
 use cca_rtree::{GroupAnn, RTree};
@@ -24,8 +20,7 @@ use cca_storage::{AbortReason, PageStore, QueryContext, DEFAULT_PAGE_SIZE};
 /// A customer record yielded by a source.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SourcedCustomer {
-    /// Customer index: the tree's item id, or its slot under
-    /// [`RtreeSource::with_slots`].
+    /// Customer index: the tree's item id.
     pub id: u64,
     pub pos: Point,
     /// Weight: 1 for ordinary customers, `g.w` for CA representatives.
@@ -65,8 +60,6 @@ pub struct RtreeSource<'t> {
     charged: bool,
     /// Customer index → weight; empty when every customer weighs 1.
     weights: Vec<u32>,
-    /// Tree item id → customer index, when the ids are not indices.
-    slot_of: Option<&'t HashMap<u64, usize>>,
 }
 
 impl<'t> RtreeSource<'t> {
@@ -107,13 +100,6 @@ impl<'t> RtreeSource<'t> {
         }
     }
 
-    /// Maps the tree's item ids to customer indices through `slot_of`, for
-    /// a tree keyed by stable ids (the dynamic engine's).
-    pub fn with_slots(mut self, slot_of: &'t HashMap<u64, usize>) -> Self {
-        self.slot_of = Some(slot_of);
-        self
-    }
-
     fn open(
         tree: &'t RTree,
         providers: Vec<Point>,
@@ -147,7 +133,6 @@ impl<'t> RtreeSource<'t> {
             ctx: ctx.cloned(),
             charged,
             weights: Vec::new(),
-            slot_of: None,
         }
     }
 
@@ -210,10 +195,6 @@ impl<'t> RtreeSource<'t> {
 
     /// The record of tree hit `(pos, item id, dist)`.
     fn customer(&self, (pos, id, dist): (Point, u64, f64)) -> SourcedCustomer {
-        let id = match self.slot_of {
-            Some(slot_of) => slot_of[&id] as u64,
-            None => id,
-        };
         let weight = if self.weights.is_empty() {
             1
         } else {
@@ -354,31 +335,5 @@ mod tests {
         assert_eq!(ctx.stats(), cca_storage::IoStats::default());
         ctx.cancel();
         assert_eq!(src.abort_reason(), Some(AbortReason::Cancelled));
-    }
-
-    /// A tree keyed by stable ids streams customer slots.
-    #[test]
-    fn slot_mapped_source_yields_slots() {
-        let pts = random_points(50, 11);
-        let items: Vec<(Point, u64)> = pts
-            .iter()
-            .enumerate()
-            .map(|(slot, &p)| (p, 1_000 + 7 * slot as u64))
-            .collect();
-        let slot_of: HashMap<u64, usize> = items
-            .iter()
-            .enumerate()
-            .map(|(slot, &(_, id))| (id, slot))
-            .collect();
-        let tree = RTree::bulk_load(PageStore::with_config(1024, 64), &items);
-        let mut src =
-            RtreeSource::new(&tree, vec![Point::new(500.0, 500.0)], None).with_slots(&slot_of);
-        let mut seen = vec![false; pts.len()];
-        while let Some(c) = src.next_nn(0) {
-            let slot = c.id as usize;
-            assert_eq!(c.pos, pts[slot]);
-            assert!(!std::mem::replace(&mut seen[slot], true));
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 }

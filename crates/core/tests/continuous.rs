@@ -112,7 +112,7 @@ fn mixed_stream_cost_stays_near_scratch() {
         let report = engine.apply(world(stream.next_event()), None);
         assert!(report.aborted.is_none());
         assert_eq!(report.deficit, 0);
-        // Local splices and IDA full re-solves alike leave a valid matching.
+        // Local splices and full re-solves alike leave a valid matching.
         engine.check_feasible().unwrap();
     }
     let scratch = optimal_cost(engine.providers(), engine.alive_customers());

@@ -301,6 +301,26 @@ mod tests {
         assert_eq!(pool.stats().faults, 1, "unreferenced page was the victim");
     }
 
+    /// A trace on which clock and FIFO part ways: FIFO would evict page 1,
+    /// the oldest page left, but its touch gives it a second chance.
+    #[test]
+    fn a_touched_page_survives_where_fifo_would_evict_it() {
+        let (mut disk, mut pool, ids) = setup(3, 5, 16);
+        for &id in &ids[..3] {
+            pool.with_page(&mut disk, id, |_| ());
+        }
+        // The sweep clears all three bits and takes page 0.
+        pool.with_page(&mut disk, ids[3], |_| ());
+        pool.with_page(&mut disk, ids[1], |_| ()); // hit: page 1's bit is set again
+                                                   // The hand passes page 1, clearing its bit, and takes page 2.
+        pool.with_page(&mut disk, ids[4], |_| ());
+        pool.reset_stats();
+        pool.with_page(&mut disk, ids[1], |_| ());
+        assert_eq!(pool.stats().hits, 1, "page 1 survived");
+        pool.with_page(&mut disk, ids[2], |_| ());
+        assert_eq!(pool.stats().faults, 1, "page 2 was the victim");
+    }
+
     #[test]
     fn dirty_pages_written_back_on_eviction() {
         let (mut disk, mut pool, ids) = setup(1, 2, 8);

@@ -52,9 +52,9 @@
 //! A **dynamic world** is served by [`ContinuousAssignment`]: a feasible
 //! matching maintained under a stream of [`WorldEvent`]s (arrivals,
 //! departures, capacity changes, provider moves) with bounded-neighbourhood
-//! incremental repair, a from-scratch IDA re-solve when repair falls short,
-//! and unwind-on-abort semantics. Event streams for testing and
-//! benchmarking come from `cca_datagen::ArrivalProcess`.
+//! incremental repair, a global re-optimisation of the standing matching
+//! when repair falls short, and unwind-on-abort semantics. Event streams
+//! for testing and benchmarking come from `cca_datagen::ArrivalProcess`.
 //!
 //! Sub-crates (re-exported below): [`geo`] geometry, [`storage`] the paged
 //! disk + clock (second-chance) buffer, [`rtree`] the spatial index, [`flow`]
