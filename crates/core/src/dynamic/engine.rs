@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use cca_flow::sspa::{FlowCustomer, FlowProvider, Sspa};
 use cca_geo::Point;
 use cca_rtree::RTree;
 use cca_storage::{Aborted, PageStore, QueryContext};
@@ -13,57 +12,40 @@ use crate::matching::{MatchPair, Matching};
 use super::events::{ContinuousConfig, DynamicStats, EventReport, RepairKind, WorldEvent};
 use super::provider_graph::ProviderGraph;
 
-/// [`ContinuousAssignment::local_repair`]'s mark for a provider outside the
-/// neighbourhood.
-const OUTSIDE: u32 = u32::MAX;
-
-/// A feasible CCA matching maintained under a stream of world events.
+/// A minimum-cost CCA matching maintained under a stream of world events.
 ///
-/// Each [`ContinuousAssignment::apply`] runs in two phases:
+/// The engine keeps the world and its matching as a provider graph (the
+/// residual graph contracted onto `{s, t} ∪ Q`) with labels that certify
+/// the matching optimal (§2.2). Each [`ContinuousAssignment::apply`] runs
+/// in two phases:
 ///
-/// 1. **Commit** — the world change itself (customer list, R-tree
-///    maintenance, provider capacities). This phase is infallible and
-///    conservative: it only ever *removes* assignment (a
-///    departing customer's pair; evictions under a capacity cut), so the
-///    matching stays feasible no matter what happens next. Page traffic is
-///    charged to the event's [`QueryContext`], but maintenance is atomic —
-///    an exhausted budget never tears the index.
-/// 2. **Repair** — re-optimization, and the only abortable phase. The
-///    engine patches a bounded neighbourhood around the event (K nearest
-///    providers, their local assignees and nearby unmatched customers via
-///    `knn_within`, then one small SSPA over that sub-instance, started
-///    from the neighbourhood's standing pairs and spliced back), expanding
-///    the neighbourhood up to
-///    [`ContinuousConfig::max_expansions`] times; when the accumulated
-///    dirty fraction crosses [`ContinuousConfig::dirty_threshold`] — or the
-///    neighbourhood cannot absorb the deficit — it falls back to a full
-///    re-solve. That re-optimises the standing matching on its provider
-///    graph (the residual graph contracted onto `{s, t} ∪ Q`): it cancels
-///    negative cycles and augments to γ in memory, reads no pages, and
-///    polls the event's context. An abort unwinds to the phase-1 matching;
+/// 1. **Commit** — the world change itself: the customer list, R-tree
+///    maintenance, provider capacities and positions, and the graph's
+///    groups and arcs. This phase is infallible and only ever *removes*
+///    assignment (a departing customer's pair; evictions under a capacity
+///    cut), so the matching stays feasible whatever happens next. Page
+///    traffic is charged to the event's [`QueryContext`], but maintenance is
+///    atomic — an exhausted budget never tears the index.
+/// 2. **Re-optimise** — the only abortable phase. Starting from the arcs
+///    the event made negative, the graph cancels negative cycles and
+///    augments to γ, so every completed event leaves a minimum-cost
+///    matching of size γ. It reads no pages and polls the event's context.
+///    An abort leaves the phase-1 matching bit-identical;
 ///    [`ContinuousAssignment::repair`] finishes the work later.
 ///
 /// [`ContinuousAssignment::build`] solves the initial instance with IDA
 /// over the engine's own R-tree, since there is no matching to re-optimise
-/// yet.
+/// yet. Debug builds check the optimality certificate after every event
+/// that completes.
 ///
 /// Customers are stored densely (slot order); a departure swaps the last
 /// slot into the vacated one.
 pub struct ContinuousAssignment {
-    cfg: ContinuousConfig,
-    providers: Vec<(Point, u32)>,
-    /// Dense live-customer positions (slot order).
-    customers: Vec<Point>,
+    graph: ProviderGraph,
     /// Slot → stable external id (ids are never reused).
     ids: Vec<u64>,
     slot_of: HashMap<u64, usize>,
-    /// Slot → assigned provider.
-    assigned: Vec<Option<u32>>,
-    load: Vec<u32>,
-    size: u64,
     tree: RTree,
-    /// Events since the last full re-solve.
-    dirty: usize,
     stats: DynamicStats,
 }
 
@@ -90,36 +72,34 @@ impl ContinuousAssignment {
         let positions = providers.iter().map(|&(p, _)| p).collect();
         let (matching, _) = ida(&providers, &mut RtreeSource::new(&tree, positions, None));
         let mut assigned = vec![None; customers.len()];
-        let mut load = vec![0; providers.len()];
         for pair in &matching.pairs {
             assigned[usize::try_from(pair.customer).expect("slot fits usize")] =
                 Some(pair.provider as u32);
-            load[pair.provider] += 1;
         }
-        ContinuousAssignment {
-            cfg,
-            providers,
-            ids: (0..customers.len() as u64).collect(),
-            slot_of: (0..customers.len()).map(|i| (i as u64, i)).collect(),
-            assigned,
-            load,
-            size: matching.size(),
-            customers,
+        let len = customers.len();
+        let mut graph = ProviderGraph::new(providers, customers, &assigned);
+        // Labels the optimal matching; without a context it cannot abort.
+        graph.solve(None).expect("no context, no abort");
+        let engine = ContinuousAssignment {
+            graph,
+            ids: (0..len as u64).collect(),
+            slot_of: (0..len).map(|i| (i as u64, i)).collect(),
             tree,
-            dirty: 0,
             stats: DynamicStats {
                 full_resolves: 1,
                 ..DynamicStats::default()
             },
-        }
+        };
+        engine.debug_certify();
+        engine
     }
 
-    /// Applies one event: commits the world change (always), then repairs
-    /// the matching (unless the event's context aborts the repair — the
-    /// report says so, and the engine keeps the last feasible matching).
+    /// Applies one event: commits the world change (always), then
+    /// re-optimises the matching (unless the event's context aborts that —
+    /// the report says so, and the engine keeps the phase-1 matching).
     pub fn apply(&mut self, event: WorldEvent, ctx: Option<&QueryContext>) -> EventReport {
-        let (epicenter, needs_opt) = self.commit(event, ctx);
-        match self.repair_at(epicenter, needs_opt, ctx) {
+        self.commit(event, ctx);
+        match self.repair(ctx) {
             Ok(repair) => EventReport {
                 repair,
                 aborted: None,
@@ -136,15 +116,8 @@ impl ContinuousAssignment {
         }
     }
 
-    /// Phase 1: the infallible world change. Returns the event's epicenter
-    /// for the repair phase, plus whether the event can degrade the
-    /// matching's *cost* even while it stays maximal (then the repair phase
-    /// re-optimizes the neighbourhood even at deficit zero: an arrival may
-    /// undercut a standing pair, a matched departure or a capacity change
-    /// frees slots others could rebalance into, a move changes every
-    /// incident cost).
-    fn commit(&mut self, event: WorldEvent, ctx: Option<&QueryContext>) -> (Point, bool) {
-        self.dirty += 1;
+    /// Phase 1: the infallible world change.
+    fn commit(&mut self, event: WorldEvent, ctx: Option<&QueryContext>) {
         match event {
             WorldEvent::CustomerArrive { id, pos } => {
                 assert!(
@@ -152,13 +125,10 @@ impl ContinuousAssignment {
                     "customer id {id} already live (ids are never reused)"
                 );
                 self.stats.arrivals += 1;
-                let slot = self.customers.len();
-                self.customers.push(pos);
+                let slot = self.graph.arrive(pos);
                 self.ids.push(id);
-                self.assigned.push(None);
                 self.slot_of.insert(id, slot);
                 self.tree.insert_ctx(pos, id, ctx);
-                (pos, true)
             }
             WorldEvent::CustomerDepart { id } => {
                 let slot = *self
@@ -166,353 +136,118 @@ impl ContinuousAssignment {
                     .get(&id)
                     .unwrap_or_else(|| panic!("departure of unknown customer {id}"));
                 self.stats.departures += 1;
-                let pos = self.customers[slot];
-                let was_matched = self.assigned[slot].is_some();
-                if let Some(q) = self.assigned[slot] {
-                    self.load[q as usize] -= 1;
-                    self.size -= 1;
-                }
-                self.tree.delete_ctx(pos, id, ctx);
-                self.customers.swap_remove(slot);
+                self.tree.delete_ctx(self.graph.customers()[slot], id, ctx);
+                self.graph.depart(slot);
                 self.ids.swap_remove(slot);
-                self.assigned.swap_remove(slot);
                 self.slot_of.remove(&id);
                 if slot < self.ids.len() {
                     self.slot_of.insert(self.ids[slot], slot);
                 }
-                // An unmatched departure only shrinks the feasible set the
-                // old optimum never used — no re-optimization to do.
-                (pos, was_matched)
             }
             WorldEvent::ProviderCapacityDelta { index, delta } => {
                 self.stats.capacity_events += 1;
-                let (pos, old_cap) = self.providers[index];
+                let old_cap = self.graph.providers()[index].1;
                 let new_cap = u32::try_from((i64::from(old_cap) + i64::from(delta)).max(0))
                     .expect("capacity fits u32");
-                self.providers[index].1 = new_cap;
-                // Conservative feasibility fix: shed the farthest customers
-                // of an over-loaded provider; repair re-homes them.
-                while self.load[index] > new_cap {
-                    let victim = self
-                        .assigned
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &a)| a == Some(index as u32))
-                        .max_by(|a, b| {
-                            let da = pos.dist(&self.customers[a.0]);
-                            let db = pos.dist(&self.customers[b.0]);
-                            da.total_cmp(&db)
-                        })
-                        .map(|(slot, _)| slot)
-                        .expect("load > 0 implies an assignee");
-                    self.assigned[victim] = None;
-                    self.load[index] -= 1;
-                    self.size -= 1;
-                    self.stats.evicted += 1;
-                }
-                (pos, new_cap != old_cap)
+                self.stats.evicted += self.graph.set_capacity(index, new_cap);
             }
             WorldEvent::ProviderMove { index, to } => {
                 self.stats.moves += 1;
-                self.providers[index].0 = to;
-                (to, true)
+                self.graph.move_provider(index, to);
             }
         }
     }
 
-    /// Finishes any repair work left behind by an aborted event (or does
-    /// nothing when the matching is already maximal). Epicenters are the
-    /// unmatched customers themselves.
+    /// Phase 2: re-optimises the matching from what the world changes since
+    /// the last completed re-optimisation left, or does nothing when they
+    /// left nothing to do. After an aborted event this finishes its work.
     pub fn repair(&mut self, ctx: Option<&QueryContext>) -> Result<RepairKind, Aborted> {
-        let mut did = RepairKind::None;
-        while self.deficit() > 0 {
-            let slot = self
-                .assigned
-                .iter()
-                .position(|a| a.is_none())
-                .expect("deficit > 0 implies an unmatched customer");
-            let kind = self.repair_at(self.customers[slot], false, ctx)?;
-            if kind == RepairKind::None {
-                // This epicenter's neighbourhood is saturated but capacity
-                // exists elsewhere: only a full re-solve can route it.
-                self.full_resolve(ctx)?;
-                return Ok(RepairKind::Full);
-            }
-            did = kind;
-            if kind == RepairKind::Full {
-                break;
-            }
-        }
-        Ok(did)
-    }
-
-    /// Phase 2 driver: dirty-threshold fallback, else expanding local
-    /// repair, else full re-solve.
-    fn repair_at(
-        &mut self,
-        epicenter: Point,
-        force_local: bool,
-        ctx: Option<&QueryContext>,
-    ) -> Result<RepairKind, Aborted> {
-        let live = self.customers.len().max(1);
-        if self.dirty as f64 > self.cfg.dirty_threshold * live as f64 {
-            self.full_resolve(ctx)?;
-            return Ok(RepairKind::Full);
-        }
-        if self.deficit() == 0 && !force_local {
-            return Ok(RepairKind::None);
-        }
-        if self.providers.is_empty() {
-            return Ok(RepairKind::None);
-        }
-        let before = self.deficit();
-        for round in 0..=self.cfg.max_expansions {
-            if round > 0 {
-                self.stats.expansions += 1;
-            }
-            self.local_repair(epicenter, round, ctx)?;
-            if self.deficit() == 0 {
-                return Ok(RepairKind::Local);
-            }
-        }
-        if self.deficit() < before {
-            // Progress but not closure: the rest of the deficit is not
-            // local to this epicenter.
-            return Ok(RepairKind::Local);
-        }
-        self.full_resolve(ctx)?;
-        Ok(RepairKind::Full)
-    }
-
-    /// One bounded-neighbourhood repair round: K·2^round nearest providers,
-    /// their locally present assignees plus nearby unmatched customers, one
-    /// in-memory SSPA over the sub-instance, spliced back.
-    ///
-    /// The SSPA warm-starts from the pairs the splice releases: they are a
-    /// feasible flow of the sub-instance, so the solve only cancels the few
-    /// negative cycles the event created and tops the flow up to γ, instead
-    /// of re-deriving every pair from an empty flow. It reaches the same
-    /// sub-instance optimum as a cold solve, up to ties.
-    ///
-    /// The splice can only grow the matching: each local provider's
-    /// sub-capacity counts its free slots plus its locally included
-    /// assignees, so the sub-instance's γ is at least the number of pairs
-    /// the splice removes.
-    fn local_repair(
-        &mut self,
-        epicenter: Point,
-        round: u32,
-        ctx: Option<&QueryContext>,
-    ) -> Result<(), Aborted> {
-        self.stats.local_repairs += 1;
-        let k = (self.cfg.neighborhood_providers << round).min(self.providers.len());
-        let mut order: Vec<(f64, usize)> = self
-            .providers
-            .iter()
-            .enumerate()
-            .map(|(i, (p, _))| (p.dist(&epicenter), i))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0));
-        order.truncate(k);
-        let radius = if k == self.providers.len() {
-            f64::INFINITY
+        let kind = if self.graph.pending() {
+            self.stats.local_repairs += 1;
+            self.graph.solve(ctx)?;
+            RepairKind::Local
         } else {
-            self.cfg.radius_factor * order[k - 1].0
+            RepairKind::None
         };
-        // Provider → its slot in the neighbourhood (`OUTSIDE`: not in it).
-        let mut hood = vec![OUTSIDE; self.providers.len()];
-        for (j, &(_, i)) in order.iter().enumerate() {
-            hood[i] = j as u32;
-        }
-
-        // Nearby customers: unmatched ones, and those assigned within the
-        // neighbourhood (assignments to outside providers are not touched).
-        let scan_cap = self.cfg.candidate_scan_cap << round;
-        let scan = self.tree.knn_within(epicenter, scan_cap, radius, ctx)?;
-        let mut slots: Vec<usize> = Vec::with_capacity(scan.len());
-        let mut local_load = vec![0u32; k];
-        let mut included = vec![false; self.customers.len()];
-        for (_, id, _) in scan {
-            let slot = self.slot_of[&id];
-            match self.assigned[slot] {
-                None => {
-                    included[slot] = true;
-                    slots.push(slot);
-                }
-                Some(q) if hood[q as usize] != OUTSIDE => {
-                    local_load[hood[q as usize] as usize] += 1;
-                    included[slot] = true;
-                    slots.push(slot);
-                }
-                Some(_) => {}
-            }
-        }
-        // The spatial scan finds the neighbourhood's *churn*; it can miss
-        // the replacement the repair actually needs, because unmatched
-        // customers live exactly where providers are not (that is why they
-        // are unmatched). Pull the nearest unmatched customers directly so
-        // a freed slot can always be refilled locally instead of
-        // escalating to a full re-solve.
-        if self.deficit() > 0 {
-            let want = (16usize << round).min(self.customers.len());
-            let mut free: Vec<(f64, usize)> = self
-                .assigned
-                .iter()
-                .enumerate()
-                .filter(|&(slot, a)| a.is_none() && !included[slot])
-                .map(|(slot, _)| (self.customers[slot].dist(&epicenter), slot))
-                .collect();
-            free.sort_by(|a, b| a.0.total_cmp(&b.0));
-            for &(_, slot) in free.iter().take(want) {
-                included[slot] = true;
-                slots.push(slot);
-            }
-        }
-        if slots.is_empty() {
-            return Ok(());
-        }
-
-        let sub_providers: Vec<FlowProvider> = order
-            .iter()
-            .enumerate()
-            .map(|(j, &(_, i))| FlowProvider {
-                pos: self.providers[i].0,
-                // Free slots + locally included assignees: the splice below
-                // can always re-install at least what it removes.
-                cap: self.providers[i].1 - self.load[i] + local_load[j],
-            })
-            .collect();
-        let sub_customers: Vec<FlowCustomer> = slots
-            .iter()
-            .map(|&s| FlowCustomer {
-                pos: self.customers[s],
-                weight: 1,
-            })
-            .collect();
-        // The standing local pairs — exactly what the splice releases — are
-        // a feasible flow of the sub-instance, optimal before the event.
-        let start: Vec<(usize, usize, u32)> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(pj, &slot)| {
-                let q = self.assigned[slot]?;
-                Some((hood[q as usize] as usize, pj, 1))
-            })
-            .collect();
-        let (asg, _) = Sspa { ctx, start: &start }
-            .solve(&sub_providers, &sub_customers)
-            .map_err(|fa| Aborted { reason: fa.reason })?;
-
-        // Splice: release the local pairs, install the sub-solution.
-        for &slot in &slots {
-            if let Some(q) = self.assigned[slot].take() {
-                self.load[q as usize] -= 1;
-                self.size -= 1;
-            }
-        }
-        for (qj, pj, units) in asg.pairs {
-            debug_assert_eq!(units, 1);
-            let q = order[qj].1;
-            self.assigned[slots[pj]] = Some(q as u32);
-            self.load[q] += 1;
-            self.size += 1;
-        }
-        Ok(())
+        self.debug_certify();
+        Ok(kind)
     }
 
-    /// Full re-solve: re-optimises the standing matching on its
-    /// [`ProviderGraph`] until it is a minimum-cost matching of size γ. It
-    /// reads no pages, polls `ctx`, and works on a copy of the matching that
-    /// replaces the engine's only on completion, so an abort leaves the
-    /// phase-1 matching as it was.
-    fn full_resolve(&mut self, ctx: Option<&QueryContext>) -> Result<(), Aborted> {
-        self.stats.full_resolves += 1;
-        let gamma = self.gamma();
-        let mut graph = ProviderGraph::new(&self.providers, &self.customers, &self.assigned);
-        graph.solve(gamma, ctx)?;
-        (self.assigned, self.load) = graph.matching();
-        self.size = gamma;
-        self.dirty = 0;
-        Ok(())
+    /// Debug builds: panics unless the labels certify the matching optimal.
+    fn debug_certify(&self) {
+        if cfg!(debug_assertions) {
+            self.graph
+                .certify()
+                .unwrap_or_else(|e| panic!("optimality certificate violated: {e}"));
+        }
     }
 
     /// `γ = min(|P|, Σk)` of the current world.
     pub fn gamma(&self) -> u64 {
-        let cap: u64 = self.providers.iter().map(|&(_, k)| u64::from(k)).sum();
-        cap.min(self.customers.len() as u64)
+        self.graph.gamma()
     }
 
-    /// Units missing from maximality (non-zero only after an aborted or
-    /// locally exhausted repair).
+    /// Units missing from maximality (non-zero only after an aborted
+    /// event).
     pub fn deficit(&self) -> u64 {
-        self.gamma() - self.size
+        self.gamma() - self.size()
     }
 
     /// Current matching size in units.
     pub fn size(&self) -> u64 {
-        self.size
+        self.graph.size()
     }
 
     /// Cost `Ψ(M)` of the maintained matching.
     pub fn cost(&self) -> f64 {
-        self.assigned
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, a)| {
-                a.map(|q| self.providers[q as usize].0.dist(&self.customers[slot]))
-            })
-            .sum()
+        self.graph.pairs().map(|(_, _, dist)| dist).sum()
     }
 
     /// Materialises the maintained matching (customer ids are *slots* into
     /// [`ContinuousAssignment::alive_customers`], which is exactly what the
     /// validators expect).
     pub fn matching(&self) -> Matching {
+        let customers = self.graph.customers();
         let pairs = self
-            .assigned
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, a)| {
-                a.map(|q| {
-                    let qi = q as usize;
-                    MatchPair {
-                        provider: qi,
-                        customer: slot as u64,
-                        units: 1,
-                        dist: self.providers[qi].0.dist(&self.customers[slot]),
-                        customer_pos: self.customers[slot],
-                    }
-                })
+            .graph
+            .pairs()
+            .map(|(slot, provider, dist)| MatchPair {
+                provider,
+                customer: slot as u64,
+                units: 1,
+                dist,
+                customer_pos: customers[slot],
             })
             .collect();
         Matching { pairs }
     }
 
     /// Validates every structural invariant of the maintained matching
-    /// (distances, capacities, no double assignment) and the internal
-    /// load/size accounting. The size may lag γ only by the reported
-    /// [`ContinuousAssignment::deficit`].
+    /// (distances, capacities, no double assignment) against the graph's
+    /// group bookkeeping and the index. The size may lag γ only by the
+    /// reported [`ContinuousAssignment::deficit`].
     pub fn check_feasible(&self) -> Result<(), String> {
         let m = self.matching();
-        m.validate_unit_partial(&self.providers, &self.customers)?;
-        if m.size() != self.size {
+        m.validate_unit_partial(self.providers(), self.alive_customers())?;
+        if m.size() != self.size() {
             return Err(format!(
-                "size drift: pairs {} vs counter {}",
+                "size drift: pairs {} vs groups {}",
                 m.size(),
-                self.size
+                self.size()
             ));
         }
-        let loads = m.provider_load(self.providers.len());
-        for (i, (&tracked, &actual)) in self.load.iter().zip(&loads).enumerate() {
+        let loads = m.provider_load(self.providers().len());
+        for (i, &actual) in loads.iter().enumerate() {
+            let tracked = self.graph.load(i);
             if u64::from(tracked) != actual {
                 return Err(format!("load drift at provider {i}: {tracked} vs {actual}"));
             }
         }
-        if self.tree.len() != self.customers.len() {
+        if self.tree.len() != self.alive_customers().len() {
             return Err(format!(
                 "index drift: tree {} vs live {}",
                 self.tree.len(),
-                self.customers.len()
+                self.alive_customers().len()
             ));
         }
         Ok(())
@@ -520,12 +255,12 @@ impl ContinuousAssignment {
 
     /// Live customers in slot order.
     pub fn alive_customers(&self) -> &[Point] {
-        &self.customers
+        self.graph.customers()
     }
 
     /// Providers (positions and current capacities).
     pub fn providers(&self) -> &[(Point, u32)] {
-        &self.providers
+        self.graph.providers()
     }
 
     /// The engine-owned customer index.
@@ -553,9 +288,59 @@ mod tests {
         ContinuousConfig::default()
     }
 
-    /// From-scratch optimum of the engine's current world.
-    fn scratch_cost(engine: &ContinuousAssignment) -> f64 {
-        optimal_cost(engine.providers(), engine.alive_customers())
+    /// Panics unless the engine is feasible, maximal and on the
+    /// from-scratch optimum of its current world.
+    fn assert_exact(engine: &ContinuousAssignment, at: &str) {
+        engine
+            .check_feasible()
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(engine.deficit(), 0, "{at}");
+        let want = optimal_cost(engine.providers(), engine.alive_customers());
+        assert!(
+            (engine.cost() - want).abs() <= 1e-9 * want.max(1.0),
+            "{at}: engine {} vs scratch {want}",
+            engine.cost()
+        );
+    }
+
+    type World = (Vec<(Point, u32)>, Vec<Point>);
+
+    /// Two regimes for every per-kind test: Σk < |P|, where a customer
+    /// joins the matching only by displacing a farther one through `t`,
+    /// and surplus capacity, where load shifts between providers through
+    /// `s`.
+    fn worlds(seed: u64) -> [World; 2] {
+        let scarce = random_instance(seed, 5, 40, 4);
+        assert!(scarce.0.iter().map(|&(_, k)| k).sum::<u32>() < 40);
+        let (mut providers, customers) = random_instance(seed + 1, 5, 30, 8);
+        for (_, cap) in providers.iter_mut() {
+            *cap += 12;
+        }
+        [scarce, (providers, customers)]
+    }
+
+    /// Applies `events(engine, i)` 20 times to each of [`worlds`], checking
+    /// the engine against the from-scratch optimum after every one.
+    fn assert_each_event_exact(
+        seed: u64,
+        event: impl Fn(&ContinuousAssignment, u64) -> WorldEvent,
+    ) {
+        for (providers, customers) in worlds(seed) {
+            let mut engine = ContinuousAssignment::build(providers, customers, engine_cfg());
+            for i in 0..20u64 {
+                let event = event(&engine, i);
+                let report = engine.apply(event, None);
+                assert!(report.aborted.is_none());
+                assert_exact(&engine, &format!("event {i} ({event:?})"));
+            }
+        }
+    }
+
+    fn spot(i: u64) -> Point {
+        Point::new(
+            997.0 * ((i * 37 + 11) % 100) as f64 / 100.0,
+            31.0 + i as f64 * 13.7 % 900.0,
+        )
     }
 
     #[test]
@@ -563,10 +348,7 @@ mod tests {
         let (providers, customers) = random_instance(101, 6, 60, 3);
         let engine =
             ContinuousAssignment::build(providers.clone(), customers.clone(), engine_cfg());
-        engine.check_feasible().unwrap();
-        assert_eq!(engine.deficit(), 0);
-        let want = optimal_cost(&providers, &customers);
-        assert!((engine.cost() - want).abs() < 1e-6 * want.max(1.0));
+        assert_exact(&engine, "build");
         engine
             .matching()
             .validate_unit(&providers, &customers)
@@ -574,50 +356,76 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_stay_exact_when_the_neighbourhood_covers_all_providers() {
-        // With |Q| ≤ neighborhood_providers the first repair round covers
-        // the entire provider set (radius = ∞), so the local repair *is* a
-        // global re-solve restricted to untouched assignments — and since
-        // every assignment is local, the engine must track the optimum
-        // exactly, event by event.
-        let (mut providers, customers) = random_instance(102, 5, 30, 8);
-        for (_, cap) in providers.iter_mut() {
-            *cap += 20; // capacity surplus: every arrival opens a deficit
-        }
-        assert_arrivals_stay_exact(providers, customers);
-
-        // The `dyn_events` regime: Σk < |P|, so an arrival joins the
-        // matching only by displacing a farther customer — a warm solve
-        // must cancel a cycle through the sink. At most
-        // `candidate_scan_cap` live customers, so round 0's scan sees them
-        // all.
-        let (providers, customers) = random_instance(108, 5, 20, 3);
-        assert!(providers.iter().map(|&(_, k)| k).sum::<u32>() < 20);
-        assert!(20 + 40 <= engine_cfg().candidate_scan_cap);
-        assert_arrivals_stay_exact(providers, customers);
+    fn arrivals_stay_exact() {
+        assert_each_event_exact(102, |_, i| WorldEvent::CustomerArrive {
+            id: 1000 + i,
+            pos: spot(i),
+        });
     }
 
-    /// Applies 40 arrivals and checks the engine against the from-scratch
-    /// optimum after each one.
-    fn assert_arrivals_stay_exact(providers: Vec<(Point, u32)>, customers: Vec<Point>) {
+    /// The id of a live customer that is matched (`matched`) or not.
+    fn live_id(engine: &ContinuousAssignment, matched: bool) -> Option<u64> {
+        let paired: std::collections::HashSet<u64> =
+            engine.matching().pairs.iter().map(|p| p.customer).collect();
+        (0..engine.alive_customers().len())
+            .find(|&slot| paired.contains(&(slot as u64)) == matched)
+            .map(|slot| engine.ids[slot])
+    }
+
+    #[test]
+    fn matched_departures_stay_exact() {
+        assert_each_event_exact(103, |engine, _| WorldEvent::CustomerDepart {
+            id: live_id(engine, true).expect("a matched customer"),
+        });
+    }
+
+    #[test]
+    fn unmatched_departures_stay_exact() {
+        // Only the scarce world has unmatched customers: 20 of its 40 and
+        // more leave, then the engine must re-route through the rest.
+        let (providers, customers) = random_instance(104, 5, 40, 4);
         let mut engine = ContinuousAssignment::build(providers, customers, engine_cfg());
-        for i in 0..40u64 {
-            let pos = Point::new(
-                997.0 * ((i * 37 + 11) % 100) as f64 / 100.0,
-                31.0 + i as f64 * 13.7 % 900.0,
-            );
-            let report = engine.apply(WorldEvent::CustomerArrive { id: 1000 + i, pos }, None);
+        while let Some(id) = live_id(&engine, false) {
+            let report = engine.apply(WorldEvent::CustomerDepart { id }, None);
             assert!(report.aborted.is_none());
-            assert_eq!(report.deficit, 0);
-            engine.check_feasible().unwrap();
-            let want = scratch_cost(&engine);
-            assert!(
-                (engine.cost() - want).abs() < 1e-6 * want.max(1.0),
-                "event {i}: engine {} vs scratch {want}",
-                engine.cost()
-            );
+            assert_eq!(report.repair, RepairKind::None, "nothing to re-optimise");
+            assert_exact(&engine, &format!("departure of {id}"));
         }
-        assert_eq!(engine.stats().arrivals, 40);
+        let report = engine.apply(
+            WorldEvent::CustomerDepart {
+                id: live_id(&engine, true).unwrap(),
+            },
+            None,
+        );
+        assert_eq!(report.repair, RepairKind::Local);
+        assert_exact(&engine, "a matched departure with no one to take its place");
+    }
+
+    #[test]
+    fn capacity_cuts_stay_exact() {
+        assert_each_event_exact(105, |engine, i| {
+            let index = i as usize % engine.providers().len();
+            WorldEvent::ProviderCapacityDelta {
+                index,
+                delta: -(1 + i as i32 % 3),
+            }
+        });
+    }
+
+    #[test]
+    fn capacity_rises_stay_exact() {
+        assert_each_event_exact(106, |engine, i| WorldEvent::ProviderCapacityDelta {
+            index: (i as usize * 3) % engine.providers().len(),
+            delta: 1 + i as i32 % 3,
+        });
+    }
+
+    #[test]
+    fn moves_stay_exact() {
+        assert_each_event_exact(107, |engine, i| WorldEvent::ProviderMove {
+            index: i as usize % engine.providers().len(),
+            to: spot(i * 7 + 3),
+        });
     }
 
     #[test]
@@ -628,69 +436,37 @@ mod tests {
         for i in 0..12u64 {
             let report = engine.apply(WorldEvent::CustomerDepart { id: (i * 3) % n }, None);
             assert!(report.aborted.is_none());
-            engine.check_feasible().unwrap();
+            assert_exact(&engine, &format!("departure {i}"));
         }
         for i in 0..4usize {
             let to = Point::new(100.0 + 200.0 * i as f64, 500.0);
             let report = engine.apply(WorldEvent::ProviderMove { index: i, to }, None);
             assert!(report.aborted.is_none());
-            engine.check_feasible().unwrap();
-            let want = scratch_cost(&engine);
-            assert!(
-                (engine.cost() - want).abs() < 1e-6 * want.max(1.0),
-                "move {i}: engine {} vs scratch {want}",
-                engine.cost()
-            );
+            assert_exact(&engine, &format!("move {i}"));
         }
-    }
-
-    #[test]
-    fn zero_dirty_threshold_forces_a_full_resolve_per_event() {
-        let mut cfg = engine_cfg();
-        cfg.dirty_threshold = 0.0; // every event crosses the threshold
-        let (providers, customers) = random_instance(104, 5, 40, 3);
-        let mut engine = ContinuousAssignment::build(providers, customers, cfg);
-        for i in 0..5u64 {
-            let report = engine.apply(
-                WorldEvent::CustomerArrive {
-                    id: 5000 + i,
-                    pos: Point::new(900.0 + i as f64, 900.0),
-                },
-                None,
-            );
-            assert_eq!(report.repair, RepairKind::Full);
-            engine.check_feasible().unwrap();
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.full_resolves, 1 + 5, "initial solve + one per event");
-        let want = scratch_cost(&engine);
-        assert!((engine.cost() - want).abs() < 1e-6 * want.max(1.0));
     }
 
     #[test]
     fn capacity_cut_evicts_then_repair_rehomes() {
         let (providers, customers) = random_instance(105, 6, 50, 4);
         let mut engine = ContinuousAssignment::build(providers, customers, engine_cfg());
-        let loaded = engine
-            .load
-            .iter()
-            .position(|&l| l > 1)
+        let loaded = (0..engine.providers().len())
+            .find(|&q| engine.graph.load(q) > 1)
             .expect("some provider carries load");
         let old_size = engine.size();
         let report = engine.apply(
             WorldEvent::ProviderCapacityDelta {
                 index: loaded,
-                delta: -(engine.providers[loaded].1 as i32),
+                delta: -(engine.providers()[loaded].1 as i32),
             },
             None,
         );
         assert!(report.aborted.is_none());
-        engine.check_feasible().unwrap();
         assert!(engine.stats().evicted > 0, "cut below load must evict");
-        assert_eq!(engine.providers[loaded].1, 0);
-        assert_eq!(engine.load[loaded], 0);
+        assert_eq!(engine.providers()[loaded].1, 0);
+        assert_eq!(engine.graph.load(loaded), 0);
         // γ shrank with Σk, and the matching is maximal again.
-        assert_eq!(engine.deficit(), 0);
+        assert_exact(&engine, "cut");
         assert!(engine.size() <= old_size);
 
         // Growing capacity back re-opens slots; repair fills them.
@@ -702,8 +478,7 @@ mod tests {
             None,
         );
         assert!(report.aborted.is_none());
-        assert_eq!(engine.deficit(), 0);
-        engine.check_feasible().unwrap();
+        assert_exact(&engine, "rise");
     }
 
     #[test]
@@ -732,45 +507,19 @@ mod tests {
 
         let kind = engine.repair(None).unwrap();
         assert_ne!(kind, RepairKind::None);
-        assert_eq!(engine.deficit(), 0);
-        engine.check_feasible().unwrap();
+        assert_exact(&engine, "repair");
     }
 
-    /// A forced re-solve under a cancelled context returns `Cancelled` and
+    /// A re-optimisation under a cancelled context returns `Cancelled` and
     /// leaves the matching bit-identical.
     #[test]
     fn cancelled_resolve_leaves_the_matching_bit_identical() {
         let (providers, customers) = random_instance(109, 6, 400, 20);
         let mut engine = ContinuousAssignment::build(providers, customers, engine_cfg());
-        // A move left unrepaired: the re-solve would have work to do.
-        engine.providers[0].0 = Point::new(10.0, 990.0);
-        let before = (engine.assigned.clone(), engine.load.clone(), engine.size);
+        let before = (engine.matching().pairs, engine.size(), engine.cost());
         let ctx = QueryContext::new();
         ctx.cancel();
-        let aborted = engine.full_resolve(Some(&ctx)).unwrap_err();
-        assert_eq!(aborted.reason, AbortReason::Cancelled);
-        assert_eq!(
-            (engine.assigned.clone(), engine.load.clone(), engine.size),
-            before
-        );
-        engine.full_resolve(None).unwrap();
-        assert_ne!(engine.assigned, before.0, "the move had work for it");
-        assert_eq!(engine.deficit(), 0);
-    }
-
-    /// A local repair reads the engine's paged tree through `knn_within`
-    /// and charges the event's context, so an I/O budget stops it and the
-    /// phase-1 matching stands.
-    #[test]
-    fn io_budget_stops_a_local_repair() {
-        let cfg = ContinuousConfig {
-            buffer_pages: 2,
-            ..engine_cfg()
-        };
-        let (providers, customers) = random_instance(109, 6, 400, 20);
-        let mut engine = ContinuousAssignment::build(providers, customers, cfg);
-        let before = engine.assigned.clone();
-        let ctx = QueryContext::new().with_io_budget(1);
+        // A move keeps every pair; the re-optimisation would have work.
         let report = engine.apply(
             WorldEvent::ProviderMove {
                 index: 0,
@@ -778,18 +527,74 @@ mod tests {
             },
             Some(&ctx),
         );
-        assert_eq!(report.aborted, Some(AbortReason::IoBudgetExceeded));
-        assert_eq!(ctx.stats().faults, 1);
-        assert_eq!(engine.assigned, before, "the phase-1 matching stands");
-        assert_eq!(report.deficit, 0);
-        engine.check_feasible().unwrap();
-        let stats = engine.stats();
-        assert_eq!((stats.aborted_repairs, stats.local_repairs), (1, 1));
-        assert_eq!(stats.full_resolves, 1, "only the initial solve");
+        assert_eq!(report.aborted, Some(AbortReason::Cancelled));
+        assert_eq!(engine.matching().pairs.len(), before.0.len());
+        for (now, was) in engine.matching().pairs.iter().zip(&before.0) {
+            assert_eq!((now.provider, now.customer), (was.provider, was.customer));
+        }
+        assert_eq!(engine.size(), before.1);
+        engine.repair(None).unwrap();
+        assert_ne!(
+            engine
+                .matching()
+                .pairs
+                .iter()
+                .map(|p| (p.provider, p.customer))
+                .collect::<Vec<_>>(),
+            before
+                .0
+                .iter()
+                .map(|p| (p.provider, p.customer))
+                .collect::<Vec<_>>(),
+            "the move had work for it"
+        );
+        assert_exact(&engine, "repair after the move");
+    }
+
+    /// An event reads pages only in its atomic R-tree maintenance. With an
+    /// I/O budget of one fault on a two-page pool, an arrival's insert
+    /// trips the budget, yet the index is whole and the re-optimisation's
+    /// first poll aborts with the phase-1 matching standing.
+    #[test]
+    fn io_budget_cannot_tear_the_index() {
+        let cfg = ContinuousConfig {
+            buffer_pages: 2,
+            ..engine_cfg()
+        };
+        let (providers, customers) = random_instance(109, 6, 400, 20);
+        let mut engine = ContinuousAssignment::build(providers, customers, cfg);
+        let before = engine.matching().pairs;
+        for (i, pos) in [Point::new(10.0, 990.0), Point::new(500.0, 20.0)]
+            .into_iter()
+            .enumerate()
+        {
+            let ctx = QueryContext::new().with_io_budget(1);
+            let report = engine.apply(
+                WorldEvent::CustomerArrive {
+                    id: 9_000 + i as u64,
+                    pos,
+                },
+                Some(&ctx),
+            );
+            assert_eq!(report.aborted, Some(AbortReason::IoBudgetExceeded));
+            assert!(ctx.stats().faults >= 1);
+            engine.check_feasible().unwrap();
+            assert_eq!(engine.tree().len(), 401 + i);
+            let found = engine.tree().knn(pos, 1);
+            assert_eq!(found[0].1, 9_000 + i as u64, "the insert completed");
+        }
+        let now = engine.matching().pairs;
+        assert_eq!(now.len(), before.len());
+        for (now, was) in now.iter().zip(&before) {
+            assert_eq!((now.provider, now.customer), (was.provider, was.customer));
+            assert_eq!(now.dist.to_bits(), was.dist.to_bits());
+        }
+        engine.repair(None).unwrap();
+        assert_exact(&engine, "repair");
     }
 
     /// At `dyn_events`' size — 40 providers, 1 000 clustered customers,
-    /// k = 20 — a re-solve after 250 mixed events lands on the cost of a
+    /// k = 20 — the engine after 250 mixed events holds the cost of a
     /// from-scratch IDA of the same world.
     #[test]
     fn resolve_at_dyn_events_size_equals_a_scratch_ida() {
@@ -819,18 +624,17 @@ mod tests {
             };
             assert!(engine.apply(event, None).aborted.is_none());
         }
-        engine.full_resolve(None).unwrap();
         engine.check_feasible().unwrap();
         assert_eq!(engine.deficit(), 0);
 
-        let tree = memory_tree(engine.customers.iter().copied());
-        let positions = engine.providers.iter().map(|&(p, _)| p).collect();
+        let tree = memory_tree(engine.alive_customers().iter().copied());
+        let positions = engine.providers().iter().map(|&(p, _)| p).collect();
         let mut source = RtreeSource::in_memory(&tree, positions, 1, Vec::new(), None);
-        let (scratch, _) = ida(&engine.providers, &mut source);
+        let (scratch, _) = ida(engine.providers(), &mut source);
         let want = scratch.cost();
         assert!(
             (engine.cost() - want).abs() <= 1e-9 * want,
-            "re-solve {} vs scratch IDA {want}",
+            "engine {} vs scratch IDA {want}",
             engine.cost()
         );
     }

@@ -21,16 +21,18 @@ pub enum WorldEvent {
     ProviderMove { index: usize, to: Point },
 }
 
-/// How an event's re-optimization was carried out.
+/// How an event's re-optimisation was carried out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RepairKind {
-    /// The matching was already maximal (and the event needed no
-    /// re-optimization), so no solve ran.
+    /// The world change could not have made an arc negative and left the
+    /// matching at γ (an unmatched customer's departure, say), so no
+    /// re-optimisation ran.
     None,
-    /// A bounded-neighbourhood repair around the event's epicenter.
+    /// The matching was re-optimised on the provider graph, from the arcs
+    /// the event made negative, to a minimum-cost matching of size γ.
     Local,
-    /// A full re-solve (dirty-fraction threshold crossed, or the local
-    /// neighbourhood could not absorb the deficit).
+    /// No event reports this: every event is re-optimised exactly and in
+    /// place. The name stays for callers that match on it.
     Full,
 }
 
@@ -39,13 +41,13 @@ pub enum RepairKind {
 pub struct EventReport {
     /// The repair tier that ran (the world change itself always commits).
     pub repair: RepairKind,
-    /// Set when the repair phase was cut short by the event's
-    /// [`cca_storage::QueryContext`]. The engine then still holds the last
-    /// committed feasible matching; call
+    /// Set when the re-optimisation was cut short by the event's
+    /// [`cca_storage::QueryContext`]. The engine then still holds the
+    /// phase-1 matching; call
     /// [`crate::dynamic::ContinuousAssignment::repair`] to finish the work.
     pub aborted: Option<AbortReason>,
     /// Units still missing versus `γ = min(|P|, Σk)` after this event
-    /// (non-zero only after an aborted or exhausted repair).
+    /// (non-zero only after an aborted re-optimisation).
     pub deficit: u64,
 }
 
@@ -57,38 +59,25 @@ pub struct DynamicStats {
     pub departures: u64,
     pub capacity_events: u64,
     pub moves: u64,
-    /// Customers evicted by capacity cuts (they re-enter via repair).
+    /// Customers evicted by capacity cuts (the re-optimisation re-homes
+    /// them).
     pub evicted: u64,
-    /// Bounded-neighbourhood repairs that ran (including expansions).
+    /// Re-optimisations that ran ([`RepairKind::Local`]), aborted ones
+    /// included.
     pub local_repairs: u64,
-    /// Neighbourhood expansions beyond the first round.
+    /// Always 0: the engine has no neighbourhood to expand. The name stays
+    /// for callers that read it.
     pub expansions: u64,
-    /// Full re-solves: the initial IDA solve, then every global
-    /// re-optimisation of the standing matching, aborted ones included.
+    /// Solves from scratch: the initial IDA solve, and nothing after it.
     pub full_resolves: u64,
-    /// Repairs cut short by a context abort.
+    /// Re-optimisations cut short by a context abort.
     pub aborted_repairs: u64,
 }
 
-/// Tuning of the continuous engine.
+/// Storage of the engine-owned customer R-tree. The matching itself needs
+/// no tuning: every event is re-optimised exactly.
 #[derive(Clone, Copy, Debug)]
 pub struct ContinuousConfig {
-    /// Providers forming the first repair neighbourhood (doubled per
-    /// expansion round).
-    pub neighborhood_providers: usize,
-    /// Customer-candidate radius as a multiple of the epicenter's distance
-    /// to its farthest neighbourhood provider.
-    pub radius_factor: f64,
-    /// Cap on customers pulled from the R-tree per repair round (doubled
-    /// per expansion round).
-    pub candidate_scan_cap: usize,
-    /// Expansion rounds before a local repair gives up and the engine falls
-    /// back to a full re-solve.
-    pub max_expansions: u32,
-    /// Dirty fraction (events since the last full solve / live customers)
-    /// above which the engine re-optimises the whole matching instead of
-    /// patching.
-    pub dirty_threshold: f64,
     /// Page size of the engine-owned customer R-tree.
     pub page_size: usize,
     /// Buffer-pool pages of the engine-owned customer R-tree.
@@ -98,11 +87,6 @@ pub struct ContinuousConfig {
 impl Default for ContinuousConfig {
     fn default() -> Self {
         ContinuousConfig {
-            neighborhood_providers: 8,
-            radius_factor: 1.6,
-            candidate_scan_cap: 64,
-            max_expansions: 3,
-            dirty_threshold: 0.25,
             page_size: 1024,
             buffer_pages: 4096,
         }

@@ -369,7 +369,6 @@ fn sspa(problem: &Problem<'_>) -> (Matching, AlgoStats) {
     // outcome off the context's sticky abort state.
     let sspa = Sspa {
         ctx: problem.context(),
-        ..Sspa::default()
     };
     let (asg, sspa_stats) = match sspa.solve(&fps, &fcs) {
         Ok(complete) => complete,

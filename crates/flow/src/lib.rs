@@ -6,16 +6,15 @@
 //!
 //! * [`residual`] — the kernel: SSPA's residual state over any set of
 //!   `q→p` rows, its provider-only Dijkstra with PUA's resume, a bottleneck
-//!   augment with a unit limit, the potential update, a warm start by
-//!   negative-cycle cancelling, and the optimality certificate. RIA, NIA and
-//!   IDA (`cca_core::exact::Engine`) drive it over their growing `Esub`;
+//!   augment with a unit limit, the potential update and the optimality
+//!   certificate. RIA, NIA and IDA (`cca_core::exact::Engine`) drive it over
+//!   their growing `Esub`;
 //! * [`argmin`] — the block-minimum index that picks the kernel's next
 //!   provider, and NIA's and IDA's next edge;
 //! * [`sspa`] — the full-graph Successive Shortest Path baseline
 //!   (Algorithm 1) that Figure 8 benchmarks against: the kernel with every
-//!   (q, p) row inserted. Its one entry point, [`Sspa::solve`], has the
-//!   options [`Sspa::ctx`] and [`Sspa::start`] — a feasible flow to
-//!   warm-start from;
+//!   (q, p) row inserted. Its one entry point, [`Sspa::solve`], has one
+//!   option, the abort context [`Sspa::ctx`];
 //! * [`hungarian`] — the classical dense assignment solver [8, 11], used as
 //!   an independent correctness oracle,
 //! * [`validate`] — matching validators and brute-force optima for tests,

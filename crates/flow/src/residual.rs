@@ -31,14 +31,9 @@
 //! [`Residual::update_potentials`] (lines 8–9) restores `rc ≥ 0` on every
 //! residual arc — the §2.2 loop invariant — and [`Residual::certify`]
 //! checks it with the flow's value.
-//!
-//! A feasible start flow is made a minimum-cost flow of its value by
-//! cancelling negative cycles (`warm`), and its potentials then satisfy the
-//! same invariant, so searching on from there reaches the exact optimum.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::ops::ControlFlow;
+use std::collections::BinaryHeap;
 
 use cca_geo::OrdF64;
 use cca_storage::{Aborted, QueryContext};
@@ -252,6 +247,9 @@ impl Labels {
             let Some((i, _)) = self.pick.min_below(pick_key(self.sink)) else {
                 break;
             };
+            // A settled provider's key is ∞, so no search picks it twice: a
+            // pick that did would settle it again, and again, without end.
+            debug_assert!(!self.settled[i], "provider {i} picked twice in one search");
             self.settled[i] = true;
             self.relabelled.push(i as u32);
             self.pick.set(i, f64::INFINITY);
@@ -758,314 +756,5 @@ impl Residual {
         let net = &self.net;
         let tau = (net.tau_s, &net.tau_q[..], &net.tau_p[..]);
         assert_optimal(&net.cap, &net.weight, &rows, tau)
-    }
-
-    // ------------------------------------------------------------------
-    // Warm start
-    // ------------------------------------------------------------------
-
-    /// Installs a start flow of `(provider, edge index, units)` triples and
-    /// returns its value. Panics on a triple that names an unknown edge or
-    /// overfills a provider or a customer.
-    pub(crate) fn install(&mut self, start: &[(usize, usize, u32)]) -> u64 {
-        let net = &mut self.net;
-        let mut units = 0;
-        for &(i, k, u) in start {
-            let edges = net.rows.get(i).map_or(0, Vec::len);
-            assert!(
-                k < edges,
-                "start pair ({i}, {k}) out of range: {} providers, {edges} edges",
-                net.cap.len()
-            );
-            let c = net.rows[i][k].cust as usize;
-            assert!(
-                u <= net.cap[i] - net.q_load[i],
-                "start overfills provider {i} (capacity {})",
-                net.cap[i]
-            );
-            assert!(
-                u <= net.weight[c] - net.p_load[c],
-                "start overfills customer {c} (weight {})",
-                net.weight[c]
-            );
-            if u > 0 {
-                net.assign((i as u32, k as u32), u);
-                units += u64::from(u);
-            }
-        }
-        units
-    }
-
-    /// Makes the installed flow a minimum-cost flow of its value and sets
-    /// potentials under which every residual arc has `rc ≥ −WARM_EPS`.
-    ///
-    /// One queue-based Bellman–Ford (SPFA) pass from a virtual root with a
-    /// zero arc to every node, over the *full* residual graph — `q→s` and
-    /// `t→p` included, since a continuous-engine event's improvements are
-    /// mostly "swap a far matched customer for a near unmatched one"
-    /// (through `t`) and "shift load between providers" (through `s`). When
-    /// a relaxation's new parent link closes a cycle, that cycle is
-    /// negative: its bottleneck is pushed around it, and the pass goes on
-    /// with every label kept and the cycle's nodes re-queued, since only
-    /// their arcs changed. Once the queue drains every residual arc has
-    /// `d(v) ≤ d(u) + c + WARM_EPS`, and `τ(v) = d(t) − d(v)`. Polls `ctx`
-    /// once up front and every 64 pops.
-    pub(crate) fn warm(&mut self, ctx: Option<&QueryContext>) -> Result<(), Aborted> {
-        let (nq, np) = (self.net.cap.len(), self.net.weight.len());
-        let (s, t) = (nq + np, nq + np + 1);
-        if let Some(ctx) = ctx {
-            ctx.check()?;
-        }
-        // Customers first: their reverse arcs are the only negative ones
-        // under d = 0.
-        let mut spfa = Spfa::new(nq + np + 2, (nq..s).chain(0..nq).chain([s, t]));
-        let mut pops = 0u32;
-        while let Some(u) = spfa.pop() {
-            pops += 1;
-            if pops.is_multiple_of(64) {
-                if let Some(ctx) = ctx {
-                    ctx.check()?;
-                }
-            }
-            if let ControlFlow::Break(v) = self.relax_from(u, &mut spfa) {
-                self.cancel_cycle(&spfa, v);
-                spfa.requeue_cycle(v);
-            }
-        }
-        let d = &spfa.d;
-        let net = &mut self.net;
-        net.tau_s = d[t] - d[s];
-        for (i, tau) in net.tau_q.iter_mut().enumerate() {
-            *tau = d[t] - d[i];
-        }
-        for (c, tau) in net.tau_p.iter_mut().enumerate() {
-            *tau = d[t] - d[nq + c];
-        }
-        Ok(())
-    }
-
-    /// Relaxes every residual arc out of warm-start node `u` (see
-    /// [`Residual::arc`] for the numbering). Breaks with the node whose new
-    /// parent link closed a cycle, if one did.
-    fn relax_from(&self, u: usize, spfa: &mut Spfa) -> ControlFlow<usize> {
-        let net = &self.net;
-        let (nq, np) = (net.cap.len(), net.weight.len());
-        let (s, t) = (nq + np, nq + np + 1);
-        let mut relax = |v: usize, c: f64, k: u32| {
-            if spfa.relax(u, v, c, k) {
-                ControlFlow::Break(v)
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        if u < nq {
-            if net.q_load[u] > 0 {
-                relax(s, 0.0, NONE)?;
-            }
-            for (k, e) in net.rows[u].iter().enumerate() {
-                let c = e.cust as usize;
-                if e.flow < net.weight[c] {
-                    relax(nq + c, e.dist, k as u32)?;
-                }
-            }
-        } else if u < s {
-            let c = u - nq;
-            if net.p_load[c] < net.weight[c] {
-                relax(t, 0.0, NONE)?;
-            }
-            match net.servers[c] {
-                0 => {}
-                1 => {
-                    let (i, k) = net.server[c];
-                    relax(i as usize, -net.edge((i, k)).dist, k)?;
-                }
-                _ => {
-                    for (i, k) in net.incident(c) {
-                        let e = net.edge((i, k));
-                        if e.flow > 0 {
-                            relax(i as usize, -e.dist, k)?;
-                        }
-                    }
-                }
-            }
-        } else if u == s {
-            for i in 0..nq {
-                if net.q_load[i] < net.cap[i] {
-                    relax(i, 0.0, NONE)?;
-                }
-            }
-        } else {
-            for c in 0..np {
-                if net.p_load[c] > 0 {
-                    relax(nq + c, 0.0, NONE)?;
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Pushes the bottleneck around the cycle of parent links through `v`.
-    fn cancel_cycle(&mut self, spfa: &Spfa, v: usize) {
-        let mut units = u32::MAX;
-        let mut x = v;
-        loop {
-            let u = spfa.parent[x] as usize;
-            units = units.min(self.residual(self.arc(u, x, spfa.via[x])));
-            x = u;
-            if x == v {
-                break;
-            }
-        }
-        debug_assert!(units > 0, "cancelling a cycle with a saturated arc");
-        loop {
-            let u = spfa.parent[x] as usize;
-            self.push(self.arc(u, x, spfa.via[x]), units);
-            x = u;
-            if x == v {
-                break;
-            }
-        }
-    }
-
-    /// The residual arc `u → v` between warm-start nodes, numbered
-    /// providers `0..|Q|`, customers `|Q|..|Q|+|P|`, then `s`, then `t`;
-    /// `k` is the row index of the edge a provider–customer arc runs on.
-    fn arc(&self, u: usize, v: usize, k: u32) -> ResidualArc {
-        let nq = self.net.cap.len();
-        let s = nq + self.net.weight.len();
-        match (u, v) {
-            (u, v) if u == s => ResidualArc::SourceToProvider(v),
-            (u, v) if v == s => ResidualArc::ProviderToSource(u),
-            (u, v) if u > s => ResidualArc::SinkToCustomer(v - nq),
-            (u, v) if v > s => ResidualArc::CustomerToSink(u - nq),
-            (u, _) if u < nq => ResidualArc::Forward((u as u32, k)),
-            (_, v) => ResidualArc::Backward((v as u32, k)),
-        }
-    }
-
-    /// Units that can still be pushed along `arc`.
-    fn residual(&self, arc: ResidualArc) -> u32 {
-        let net = &self.net;
-        match arc {
-            ResidualArc::SourceToProvider(i) => net.cap[i] - net.q_load[i],
-            ResidualArc::ProviderToSource(i) => net.q_load[i],
-            ResidualArc::Forward(e) => {
-                let e = net.edge(e);
-                net.weight[e.cust as usize] - e.flow
-            }
-            ResidualArc::Backward(e) => net.edge(e).flow,
-            ResidualArc::CustomerToSink(c) => net.weight[c] - net.p_load[c],
-            ResidualArc::SinkToCustomer(c) => net.p_load[c],
-        }
-    }
-
-    fn push(&mut self, arc: ResidualArc, units: u32) {
-        let net = &mut self.net;
-        match arc {
-            ResidualArc::SourceToProvider(i) => net.q_load[i] += units,
-            ResidualArc::ProviderToSource(i) => net.q_load[i] -= units,
-            ResidualArc::Forward(e) => net.add_flow(e, units),
-            ResidualArc::Backward(e) => net.cancel_flow(e, units),
-            ResidualArc::CustomerToSink(c) => net.p_load[c] += units,
-            ResidualArc::SinkToCustomer(c) => net.p_load[c] -= units,
-        }
-    }
-}
-
-/// One residual arc of the warm start's graph: `i` a provider, `c` a
-/// customer slot, an edge by its [`EdgeRef`]. `Forward` is `q → p` along the
-/// edge, `Backward` its reverse.
-#[derive(Clone, Copy)]
-enum ResidualArc {
-    SourceToProvider(usize),
-    ProviderToSource(usize),
-    Forward(EdgeRef),
-    Backward(EdgeRef),
-    CustomerToSink(usize),
-    SinkToCustomer(usize),
-}
-
-/// The improvement a warm-start relaxation must make. Well below the
-/// searches' `EPS`, so the potentials it leaves pass their reduced-cost
-/// check, and well above the rounding of a cycle's cost, so every cycle it
-/// closes is truly negative.
-const WARM_EPS: f64 = 1e-9;
-
-/// The labels of the warm start's Bellman–Ford pass.
-struct Spfa {
-    d: Vec<f64>,
-    /// The node each node was last relaxed from (`NONE`: the virtual root).
-    parent: Vec<u32>,
-    /// The row index of the edge that relaxation ran on, for a provider–
-    /// customer arc.
-    via: Vec<u32>,
-    queued: Vec<bool>,
-    queue: VecDeque<u32>,
-}
-
-impl Spfa {
-    /// All `n` nodes at distance 0 from the virtual root, and queued in
-    /// `order`.
-    fn new(n: usize, order: impl Iterator<Item = usize>) -> Self {
-        Spfa {
-            d: vec![0.0; n],
-            parent: vec![NONE; n],
-            via: vec![NONE; n],
-            queued: vec![true; n],
-            queue: order.map(|v| v as u32).collect(),
-        }
-    }
-
-    /// Detaches the cancelled cycle through `v` from the parent links and
-    /// queues its nodes, which keep their labels: every arc the cancel
-    /// added or saturated leaves a node of the cycle.
-    fn requeue_cycle(&mut self, v: usize) {
-        let mut x = v;
-        loop {
-            let u = std::mem::replace(&mut self.parent[x], NONE) as usize;
-            if !std::mem::replace(&mut self.queued[x], true) {
-                self.queue.push_back(x as u32);
-            }
-            x = u;
-            if x == v {
-                break;
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<usize> {
-        let u = self.queue.pop_front()? as usize;
-        self.queued[u] = false;
-        Some(u)
-    }
-
-    /// Relaxes the arc `u → v` of cost `c`, running on row index `k` if it
-    /// joins a provider and a customer. Returns whether the new parent link
-    /// of `v` closes a cycle.
-    fn relax(&mut self, u: usize, v: usize, c: f64, k: u32) -> bool {
-        let cand = self.d[u] + c;
-        if cand >= self.d[v] - WARM_EPS {
-            return false;
-        }
-        self.d[v] = cand;
-        self.parent[v] = u as u32;
-        self.via[v] = k;
-        // The parent links were acyclic before this one, so the walk back
-        // from `u` ends at the root unless it meets `v`.
-        let mut x = u;
-        for _ in 0..self.d.len() {
-            if x == v {
-                return true;
-            }
-            match self.parent[x] {
-                NONE => break,
-                p => x = p as usize,
-            }
-        }
-        if !self.queued[v] {
-            self.queued[v] = true;
-            self.queue.push_back(v as u32);
-        }
-        false
     }
 }

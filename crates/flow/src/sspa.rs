@@ -7,8 +7,7 @@
 //! needs none. It is intentionally faithful to the baseline's weaknesses —
 //! every one of the |Q|·|P| edges is materialised, at 16 B per row entry
 //! plus 8 B of incidence — because Figure 8 measures exactly that. It is the
-//! exact solver behind the registry's `sspa` and the continuous engine's
-//! local repairs.
+//! exact solver behind the registry's `sspa`.
 //!
 //! Customers may carry integer weights (> 1). Each search pushes the path's
 //! *bottleneck*, capped at the flow still missing: every unit routed along
@@ -19,19 +18,8 @@
 //! `γ` searches. `|Q| + |P|` is the usual order, but not a bound: a reverse
 //! arc can be the bottleneck without saturating any source or sink arc.
 //!
-//! There is one way to run a solve: [`Sspa::solve`]. The two things that
-//! vary between callers — an abort context and a starting flow — are the
-//! fields of [`Sspa`].
-//!
-//! # Warm start
-//!
-//! [`Sspa::start`] hands the solve a feasible flow, such as the standing
-//! assignment of a continuous-engine neighbourhood that one event has
-//! perturbed. The solve installs it and makes it optimal for its value by
-//! cancelling negative cycles (the kernel's *Warm start*), so the unchanged
-//! search loop tops the flow up to `γ` from there: the result is the exact
-//! optimum, the same one a cold solve reaches up to ties. An empty start
-//! skips all of this and runs Algorithm 1 verbatim.
+//! There is one way to run a solve: [`Sspa::solve`]. The one thing that
+//! varies between callers, an abort context, is the field of [`Sspa`].
 
 use cca_geo::Point;
 use cca_storage::{AbortReason, Aborted, QueryContext};
@@ -94,11 +82,10 @@ pub struct SspaStats {
 /// expired deadline — the flow engine touches no pages, so I/O budgets
 /// cannot trip here).
 ///
-/// The partial state is exact: `partial` holds the start flow plus every
-/// unit whose augmenting path fully committed before the abort (a valid,
-/// capacity-respecting assignment from `stats.iterations` completed
-/// searches), and the in-flight search is discarded without mutating the
-/// flow. An abort during the warm start leaves a flow of the start's size.
+/// The partial state is exact: `partial` holds every unit whose augmenting
+/// path fully committed before the abort (a valid, capacity-respecting
+/// assignment from `stats.iterations` completed searches), and the
+/// in-flight search is discarded without mutating the flow.
 #[derive(Clone, Debug)]
 pub struct FlowAborted {
     pub reason: AbortReason,
@@ -122,7 +109,7 @@ impl std::error::Error for FlowAborted {}
 
 /// The options of one SSPA solve on the complete bipartite graph, run by
 /// [`Sspa::solve`]. `Sspa::default()` is Algorithm 1 as published: no
-/// context, no start.
+/// context.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sspa<'a> {
     /// Cooperative cancellation: the solve polls the context at every
@@ -132,11 +119,6 @@ pub struct Sspa<'a> {
     /// the typed [`FlowAborted`] carrying the partial assignment built so
     /// far. Without a context a solve cannot abort.
     pub ctx: Option<&'a QueryContext>,
-    /// A feasible flow to start from, as `(provider, customer, units)`
-    /// triples (see the module docs' *Warm start*). Empty — the default — runs
-    /// Algorithm 1 from the empty flow. A start that names an unknown
-    /// provider or customer, or exceeds a capacity or a weight, panics.
-    pub start: &'a [(usize, usize, u32)],
 }
 
 impl Sspa<'_> {
@@ -161,16 +143,13 @@ impl Sspa<'_> {
         Ok((asg, stats))
     }
 
-    /// The solve loop: installs and warms [`Sspa::start`], if any, then
-    /// searches and augments until `γ` units are installed. Returns the
-    /// final residual state.
+    /// The solve loop: searches and augments until `γ` units are
+    /// installed. Returns the final residual state.
     fn run(
         &self,
         providers: &[FlowProvider],
         customers: &[FlowCustomer],
     ) -> Result<(Residual, SspaStats), FlowAborted> {
-        // Row `i` holds customer `j` at index `j`, so a start pair names
-        // its edge directly.
         let mut net = Residual::complete(providers, customers);
         let gamma = required_flow(providers, customers);
         let mut stats = SspaStats {
@@ -183,14 +162,6 @@ impl Sspa<'_> {
             stats,
         };
         let mut units = 0u64;
-        if !self.start.is_empty() {
-            units = net.install(self.start);
-            // Cycle cancelling keeps the flow feasible and its value at
-            // |start|, so the flow at an abort is a valid partial answer.
-            if let Err(a) = net.warm(self.ctx) {
-                return Err(aborted(&net, a, stats));
-            }
-        }
         while units < gamma {
             match net.search(self.ctx) {
                 Ok(Some(alpha_t)) => {
@@ -267,10 +238,7 @@ mod tests {
     }
 
     fn with_ctx(ctx: &QueryContext) -> Sspa<'_> {
-        Sspa {
-            ctx: Some(ctx),
-            ..Sspa::default()
-        }
+        Sspa { ctx: Some(ctx) }
     }
 
     /// Independent reference for weighted instances: the Hungarian optimum
@@ -543,7 +511,7 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-        /// The shapes a continuous-engine local repair sends: 8 providers
+        /// Small shapes with many zero and spare capacities: 8 providers
         /// with capacities 0–10 and 1–80 unit customers, so both Σk < |P|
         /// and Σk ≥ |P| occur. One search per unit, and the Hungarian
         /// optimum (which shares no code with SSPA).
@@ -568,174 +536,6 @@ mod tests {
                 "sspa {} vs hungarian {}", asg.cost, want
             );
         }
-    }
-
-    fn warm(start: &[(usize, usize, u32)]) -> Sspa<'_> {
-        Sspa {
-            start,
-            ..Sspa::default()
-        }
-    }
-
-    /// A random feasible flow of `size` units (at most γ): pairs in random
-    /// order, each filled as far as its provider and customer allow.
-    fn random_flow(
-        providers: &[FlowProvider],
-        customers: &[FlowCustomer],
-        size: u64,
-        seed: u64,
-    ) -> Vec<(usize, usize, u32)> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut cap: Vec<u32> = providers.iter().map(|q| q.cap).collect();
-        let mut weight: Vec<u32> = customers.iter().map(|p| p.weight).collect();
-        let mut order: Vec<(usize, usize)> = (0..providers.len())
-            .flat_map(|i| (0..customers.len()).map(move |j| (i, j)))
-            .collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for k in (1..order.len()).rev() {
-            order.swap(k, rng.random_range(0..=k));
-        }
-        let (mut flow, mut left) = (Vec::new(), size);
-        for (i, j) in order {
-            let u = cap[i]
-                .min(weight[j])
-                .min(left.min(u64::from(u32::MAX)) as u32);
-            if u > 0 {
-                flow.push((i, j, u));
-                (cap[i], weight[j], left) = (cap[i] - u, weight[j] - u, left - u64::from(u));
-            }
-        }
-        assert_eq!(left, 0, "a greedy fill of the complete graph reaches γ");
-        flow
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-        /// A warm solve reaches the cold optimum from any feasible start —
-        /// empty, partial, the optimum itself, or a random maximal flow —
-        /// on local-repair shapes, unit or weighted (1–5) customers. The
-        /// debug-build certificate checks each warm solve as well.
-        #[test]
-        fn prop_warm_start_matches_cold(
-            seed in 0u64..10_000,
-            caps in proptest::collection::vec(0u32..=10, 8usize..=8),
-            np in 1usize..=80,
-            max_w in 1u32..=5,
-            kind in 0u8..4,
-        ) {
-            use rand::rngs::StdRng;
-            use rand::{Rng, SeedableRng};
-            let (mut providers, mut customers) = random_instance(seed, 8, np, 1);
-            for (q, cap) in providers.iter_mut().zip(caps) {
-                q.cap = cap;
-            }
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x3a7);
-            for c in &mut customers {
-                c.weight = rng.random_range(1..=max_w);
-            }
-            let gamma = required_flow(&providers, &customers);
-            let (cold, _) = solve(&providers, &customers);
-            let start = match kind {
-                0 => Vec::new(),
-                1 => random_flow(&providers, &customers, rng.random_range(0..=gamma), seed),
-                2 => cold.pairs.clone(),
-                _ => random_flow(&providers, &customers, gamma, seed),
-            };
-            let (asg, _) = warm(&start).solve(&providers, &customers).unwrap();
-            proptest::prop_assert_eq!(asg.size(), gamma);
-            proptest::prop_assert!(
-                (asg.cost - cold.cost).abs() <= 1e-9 * cold.cost.max(1.0),
-                "warm {} vs cold {}", asg.cost, cold.cost
-            );
-        }
-    }
-
-    #[test]
-    fn warm_start_swaps_a_far_customer_for_a_near_one_through_the_sink() {
-        // γ = 1 is already installed, on the far customer: only the cycle
-        // q0 → p1 → t → p0 → q0 improves it, and no search runs.
-        let providers = [q(0.0, 0.0, 1)];
-        let customers = [p(10.0, 0.0), p(1.0, 0.0)];
-        let (asg, stats) = warm(&[(0, 0, 1)]).solve(&providers, &customers).unwrap();
-        assert_eq!(asg.pairs, vec![(0, 1, 1)]);
-        assert_eq!(asg.cost, 1.0);
-        assert_eq!(stats.iterations, 0);
-    }
-
-    #[test]
-    fn warm_start_shifts_load_between_providers_through_the_source() {
-        // The customer sits on q0 but starts on the far q1: only the cycle
-        // s → q0 → p0 → q1 → s improves it.
-        let providers = [q(0.0, 0.0, 1), q(100.0, 0.0, 1)];
-        let customers = [p(1.0, 0.0)];
-        let (asg, stats) = warm(&[(1, 0, 1)]).solve(&providers, &customers).unwrap();
-        assert_eq!(asg.pairs, vec![(0, 0, 1)]);
-        assert_eq!(asg.cost, 1.0);
-        assert_eq!(stats.iterations, 0);
-    }
-
-    /// From a random maximal start no search runs, so the warm start alone
-    /// must reach the cold optimum: its one pass cancels cycle after cycle
-    /// with the labels it has, in the scarce and the surplus regime, on
-    /// unit and weighted customers.
-    #[test]
-    fn warm_start_alone_reaches_the_cold_optimum_after_many_cycles() {
-        for seed in 0..12u64 {
-            let (np, max_cap) = if seed % 2 == 0 { (150, 10) } else { (60, 30) };
-            let (providers, mut customers) = random_instance(seed, 12, np, max_cap);
-            for (j, c) in customers.iter_mut().enumerate() {
-                c.weight = 1 + (seed as u32 / 4) * (j as u32 % 3);
-            }
-            let gamma = required_flow(&providers, &customers);
-            let (cold, _) = solve(&providers, &customers);
-            let start = random_flow(&providers, &customers, gamma, seed);
-            let (asg, stats) = warm(&start).solve(&providers, &customers).unwrap();
-            assert_eq!(
-                stats.iterations, 0,
-                "seed {seed}: a maximal start needs no search"
-            );
-            assert_eq!(asg.size(), gamma, "seed {seed}");
-            assert!(
-                (asg.cost - cold.cost).abs() <= 1e-9 * cold.cost.max(1.0),
-                "seed {seed}: warm {} vs cold {}",
-                asg.cost,
-                cold.cost
-            );
-        }
-    }
-
-    #[test]
-    fn cancelled_warm_start_returns_a_feasible_flow_of_the_start_size() {
-        let (providers, customers) = random_instance(9, 8, 60, 10);
-        let start = random_flow(&providers, &customers, 30, 9);
-        let ctx = QueryContext::new();
-        ctx.cancel();
-        let err = Sspa {
-            ctx: Some(&ctx),
-            start: &start,
-        }
-        .solve(&providers, &customers)
-        .unwrap_err();
-        assert_eq!(err.reason, AbortReason::Cancelled);
-        assert_eq!(err.partial.size(), 30);
-        assert_eq!(err.stats.iterations, 0);
-        let by_provider = loads(&err.partial, providers.len(), PROVIDER);
-        for (load, q) in by_provider.iter().zip(&providers) {
-            assert!(*load <= u64::from(q.cap));
-        }
-        let by_customer = loads(&err.partial, customers.len(), CUSTOMER);
-        for (load, p) in by_customer.iter().zip(&customers) {
-            assert!(*load <= u64::from(p.weight));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "start overfills provider 0")]
-    fn over_capacity_start_panics() {
-        let providers = [q(0.0, 0.0, 1)];
-        let customers = [p(1.0, 0.0), p(2.0, 0.0)];
-        let _ = warm(&[(0, 0, 1), (0, 1, 1)]).solve(&providers, &customers);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! than rebalanced in place, which keeps the occupancy invariant without a
 //! sibling-borrowing protocol.
 //!
-//! Freed pages are not recycled (the [`cca_storage::PageStore`] has no free
-//! list); a long-lived dynamic tree trades a little dead space for the
-//! simplicity of append-only page allocation, exactly like the insert
-//! path's split pages.
+//! A dissolved node's page, and a shrunk root's, is freed
+//! ([`cca_storage::PageStore::free_page`]): its frame and bytes go, so a
+//! long-lived dynamic tree holds memory for its live nodes only. Page ids
+//! are not reused, so allocation stays append-only, exactly like the
+//! insert path's split pages.
 
 use cca_geo::Point;
 use cca_storage::{PageId, QueryContext};
@@ -48,9 +49,10 @@ impl RTree {
         while self.height() > 1 {
             match self.read_node_ctx(self.root(), ctx) {
                 Node::Inner(entries) if entries.len() == 1 => {
-                    let child = entries[0].child;
+                    let (old, child) = (self.root(), entries[0].child);
                     let h = self.height() - 1;
                     self.set_root(child, h);
+                    self.store().free_page(old);
                 }
                 _ => break,
             }
@@ -119,9 +121,9 @@ impl RTree {
         }
     }
 
-    /// Flattens a dissolved subtree to its leaf entries. Unlike
-    /// [`RTree::for_each_point_under`] this never polls the context —
-    /// condensation must finish once the entry is out.
+    /// Flattens a dissolved subtree to its leaf entries and frees its
+    /// pages. Unlike [`RTree::for_each_point_under`] this never polls the
+    /// context — condensation must finish once the entry is out.
     fn collect_leaf_entries(
         &self,
         page: PageId,
@@ -136,6 +138,7 @@ impl RTree {
                 }
             }
         }
+        self.store().free_page(page);
     }
 }
 
@@ -228,6 +231,35 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert!((g.2 - w).abs() < 1e-12);
         }
+    }
+
+    /// Under balanced churn the live tree keeps its size, and so does the
+    /// memory it holds: dissolved nodes and shrunk roots give their frames
+    /// back, though page ids keep counting up.
+    #[test]
+    fn churn_frees_dissolved_pages() {
+        let mut t = fresh_tree();
+        let items = random_items(6000, 11);
+        let (start, churn) = items.split_at(1000);
+        for &(p, id) in start {
+            t.insert(p, id);
+        }
+        let live_pages = t.store().cached_pages();
+        for (i, &(p, id)) in churn.iter().enumerate() {
+            t.insert(p, id);
+            let (vp, vid) = items[i];
+            assert!(t.delete(vp, vid));
+        }
+        assert_eq!(t.check_invariants(), 1000);
+        assert!(
+            t.store().num_pages() > 2 * live_pages,
+            "the churn split and dissolved nodes"
+        );
+        assert!(
+            t.store().cached_pages() <= 2 * live_pages,
+            "{} frames for {live_pages} pages of live nodes",
+            t.store().cached_pages()
+        );
     }
 
     #[test]

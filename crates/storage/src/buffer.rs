@@ -189,6 +189,22 @@ impl BufferPool {
         frame.dirty = true;
     }
 
+    /// Drops page `id`'s frame, if it has one, without writing it back:
+    /// the page is dead. The last frame takes the freed slot.
+    pub fn discard(&mut self, id: PageId) {
+        let Some(slot) = self.lookup(id) else {
+            return;
+        };
+        self.page_table[id.index()] = NO_FRAME;
+        self.frames.swap_remove(slot);
+        if let Some(moved) = self.frames.get(slot) {
+            self.page_table[moved.page as usize] = slot as u32;
+        }
+        if self.hand >= self.frames.len() {
+            self.hand = 0;
+        }
+    }
+
     /// Writes back every dirty frame.
     pub fn flush_all(&mut self, disk: &mut DiskManager) {
         for frame in &mut self.frames {
@@ -319,6 +335,25 @@ mod tests {
         assert_eq!(pool.stats().hits, 1, "page 1 survived");
         pool.with_page(&mut disk, ids[2], |_| ());
         assert_eq!(pool.stats().faults, 1, "page 2 was the victim");
+    }
+
+    #[test]
+    fn discarded_page_leaves_unwritten_and_its_slot_is_reused() {
+        let (mut disk, mut pool, ids) = setup(4, 3, 64);
+        for &id in &ids {
+            pool.write_page(&mut disk, id, &[9u8; 64]);
+        }
+        pool.discard(ids[0]);
+        pool.discard(ids[0]); // not cached: nothing to do
+        assert_eq!(pool.cached_pages(), 2);
+        pool.flush_all(&mut disk);
+        assert_eq!(pool.stats().writes, 2, "the discarded page is not written");
+        let mut buf = [0u8; 64];
+        disk.read_page(ids[0], &mut buf);
+        assert_eq!(buf, [0u8; 64]);
+        // The moved frame is still found: a hit, not a fault.
+        pool.with_page(&mut disk, ids[2], |b| assert_eq!(b[0], 9));
+        assert_eq!((pool.stats().hits, pool.stats().faults), (1, 0));
     }
 
     #[test]

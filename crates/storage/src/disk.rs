@@ -68,18 +68,27 @@ impl DiskManager {
     /// Reads a page into `buf` (must be exactly `page_size` long).
     ///
     /// # Panics
-    /// Panics on an unallocated page id or wrong buffer length — both are
-    /// storage-layer bugs, not recoverable conditions.
+    /// Panics on an unallocated or released page id or wrong buffer length
+    /// — all storage-layer bugs, not recoverable conditions.
     pub fn read_page(&mut self, id: PageId, buf: &mut [u8]) {
         assert_eq!(buf.len(), self.page_size, "buffer/page size mismatch");
         let page = &self.pages[id.index()];
+        assert!(!page.is_empty(), "read of released {id}");
         buf.copy_from_slice(page);
+    }
+
+    /// Drops a page's bytes. Its id is never handed out again, so ids stay
+    /// dense in allocation order; reading it afterwards panics.
+    pub fn release_page(&mut self, id: PageId) {
+        self.pages[id.index()] = Box::default();
     }
 
     /// Writes `data` (exactly `page_size` long) to the page.
     pub fn write_page(&mut self, id: PageId, data: &[u8]) {
         assert_eq!(data.len(), self.page_size, "buffer/page size mismatch");
-        self.pages[id.index()].copy_from_slice(data);
+        let page = &mut self.pages[id.index()];
+        assert!(!page.is_empty(), "write of released {id}");
+        page.copy_from_slice(data);
     }
 }
 
@@ -94,6 +103,17 @@ mod tests {
         assert_eq!(d.alloc_page(), PageId(1));
         assert_eq!(d.alloc_page(), PageId(2));
         assert_eq!(d.num_pages(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "read of released page#1")]
+    fn a_released_page_cannot_be_read() {
+        let mut d = DiskManager::new(64);
+        d.alloc_page();
+        let id = d.alloc_page();
+        d.release_page(id);
+        assert_eq!(d.alloc_page(), PageId(2), "ids are not reused");
+        d.read_page(id, &mut [0u8; 64]);
     }
 
     #[test]

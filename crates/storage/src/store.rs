@@ -96,6 +96,19 @@ impl PageStore {
         PageId(id)
     }
 
+    /// Frees a page nothing points to any more: its frame and its bytes go,
+    /// unwritten. The id is not reused, so page ids stay in allocation
+    /// order; a later access panics.
+    pub fn free_page(&self, id: PageId) {
+        self.check_allocated(id);
+        self.with_inner(None, |inner| {
+            inner.pool.discard(id);
+            if id.index() < inner.disk.num_pages() {
+                inner.disk.release_page(id);
+            }
+        });
+    }
+
     /// Panics on ids that were never handed out by [`PageStore::alloc_page`]
     /// — accessing them is a storage-layer bug.
     fn check_allocated(&self, id: PageId) {

@@ -49,11 +49,11 @@
 //! construction, context-abortable with partial results, and selectable by
 //! name end-to-end.
 //!
-//! A **dynamic world** is served by [`ContinuousAssignment`]: a feasible
-//! matching maintained under a stream of [`WorldEvent`]s (arrivals,
-//! departures, capacity changes, provider moves) with bounded-neighbourhood
-//! incremental repair, a global re-optimisation of the standing matching
-//! when repair falls short, and unwind-on-abort semantics. Event streams
+//! A **dynamic world** is served by [`ContinuousAssignment`]: a
+//! minimum-cost matching maintained under a stream of [`WorldEvent`]s
+//! (arrivals, departures, capacity changes, provider moves), re-optimised
+//! exactly after every event on the residual graph contracted onto the
+//! providers, with unwind-on-abort semantics. Event streams
 //! for testing and benchmarking come from `cca_datagen::ArrivalProcess`.
 //!
 //! Sub-crates (re-exported below): [`geo`] geometry, [`storage`] the paged
