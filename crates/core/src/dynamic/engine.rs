@@ -277,9 +277,10 @@ impl ContinuousAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::provider_graph::searches_checked;
     use crate::exact::memory_tree;
     use cca_datagen::{
-        ArrivalProcess, CapacitySpec, SpatialDistribution, StreamEvent, WorkloadConfig,
+        ArrivalProcess, CapacitySpec, SpatialDistribution, StreamEvent, Workload, WorkloadConfig,
     };
     use cca_storage::AbortReason;
     use cca_testutil::{optimal_cost, random_instance};
@@ -593,12 +594,21 @@ mod tests {
         assert_exact(&engine, "repair");
     }
 
-    /// At `dyn_events`' size — 40 providers, 1 000 clustered customers,
-    /// k = 20 — the engine after 250 mixed events holds the cost of a
-    /// from-scratch IDA of the same world.
-    #[test]
-    fn resolve_at_dyn_events_size_equals_a_scratch_ida() {
-        let world = WorkloadConfig {
+    fn world_event(event: StreamEvent) -> WorldEvent {
+        match event {
+            StreamEvent::CustomerArrive { id, pos } => WorldEvent::CustomerArrive { id, pos },
+            StreamEvent::CustomerDepart { id, .. } => WorldEvent::CustomerDepart { id },
+            StreamEvent::ProviderCapacityDelta { index, delta } => {
+                WorldEvent::ProviderCapacityDelta { index, delta }
+            }
+            StreamEvent::ProviderMove { index, to } => WorldEvent::ProviderMove { index, to },
+        }
+    }
+
+    /// A world of `dyn_events`' size: 40 providers, 1 000 clustered
+    /// customers, k = 20.
+    fn dyn_events_world() -> Workload {
+        WorkloadConfig {
             num_providers: 40,
             num_customers: 1_000,
             capacity: CapacitySpec::Fixed(20),
@@ -606,24 +616,27 @@ mod tests {
             p_dist: SpatialDistribution::Clustered,
             seed: 2008,
         }
-        .generate();
-        let mut stream = ArrivalProcess::new(&world, 2009);
-        let mut engine = ContinuousAssignment::build(
-            world.providers.clone(),
-            world.customers.clone(),
-            engine_cfg(),
-        );
-        for _ in 0..250 {
-            let event = match stream.next_event() {
-                StreamEvent::CustomerArrive { id, pos } => WorldEvent::CustomerArrive { id, pos },
-                StreamEvent::CustomerDepart { id, .. } => WorldEvent::CustomerDepart { id },
-                StreamEvent::ProviderCapacityDelta { index, delta } => {
-                    WorldEvent::ProviderCapacityDelta { index, delta }
-                }
-                StreamEvent::ProviderMove { index, to } => WorldEvent::ProviderMove { index, to },
-            };
-            assert!(engine.apply(event, None).aborted.is_none());
+        .generate()
+    }
+
+    /// Builds an engine on `world` and applies `events` events of a mixed
+    /// stream drawn from `seed`, none of them aborted.
+    fn run_stream(world: &Workload, seed: u64, events: usize) -> ContinuousAssignment {
+        let mut stream = ArrivalProcess::new(world, seed);
+        let (providers, customers) = (world.providers.clone(), world.customers.clone());
+        let mut engine = ContinuousAssignment::build(providers, customers, engine_cfg());
+        for _ in 0..events {
+            let event = world_event(stream.next_event());
+            assert!(engine.apply(event, None).aborted.is_none(), "{event:?}");
         }
+        engine
+    }
+
+    /// At `dyn_events`' size the engine after 250 mixed events holds the
+    /// cost of a from-scratch IDA of the same world.
+    #[test]
+    fn resolve_at_dyn_events_size_equals_a_scratch_ida() {
+        let engine = run_stream(&dyn_events_world(), 2009, 250);
         engine.check_feasible().unwrap();
         assert_eq!(engine.deficit(), 0);
 
@@ -637,6 +650,42 @@ mod tests {
             "engine {} vs scratch IDA {want}",
             engine.cost()
         );
+    }
+
+    /// Test builds check every search of the provider graph against its
+    /// plain form (the same settled nodes, distance bits and path). This
+    /// drives mixed streams through both regimes of [`worlds`], each also
+    /// snapped to a coarse grid so that customers coincide and searches
+    /// meet exact ties, and through one world of `dyn_events`' size, so
+    /// every event kind reaches that check. CI also runs it in release,
+    /// where the search's loops are vectorised.
+    #[test]
+    fn every_search_equals_the_plain_search() {
+        let snap =
+            |p: Point| Point::new((p.x / 250.0).round() * 250.0, (p.y / 250.0).round() * 250.0);
+        let before = searches_checked();
+        for seed in [201, 202, 203] {
+            for (providers, customers) in worlds(seed) {
+                let snapped = Workload {
+                    providers: providers.iter().map(|&(p, k)| (snap(p), k)).collect(),
+                    customers: customers.iter().map(|&p| snap(p)).collect(),
+                };
+                let plain = Workload {
+                    providers,
+                    customers,
+                };
+                for world in [plain, snapped] {
+                    let engine = run_stream(&world, seed, 200);
+                    assert_exact(&engine, &format!("seed {seed}"));
+                    assert!(engine.stats().moves > 0 && engine.stats().capacity_events > 0);
+                }
+            }
+        }
+        let small = searches_checked() - before;
+        let engine = run_stream(&dyn_events_world(), 2010, 300);
+        engine.check_feasible().unwrap();
+        let large = searches_checked() - before - small;
+        assert!(small > 1_000 && large > 250, "{small} and {large} searches");
     }
 
     #[test]

@@ -26,11 +26,28 @@
 //! cost 0), so "no contracted arc of negative reduced cost" is the paper's
 //! optimality certificate for the whole graph.
 //!
-//! Each arc keeps its argmin customer and caches the second best, so
-//! taking the argmin out of a group rarely forces a rescan of the group.
-//! The graph keeps no distance table: it recomputes `d(q, p)` where it
-//! needs one, and holds O(|Q|² + |P|) numbers. Building it costs O(|Q|·|P|)
-//! distances and reads no pages.
+//! Each arc keeps its argmin customer and caches the second best with its
+//! cost, so taking the argmin out of a group rarely forces a rescan of the
+//! group. The arc costs sit in one flat matrix, ∞ where there is no arc,
+//! beside the customers behind them: 24 bytes per arc in all. The graph
+//! keeps no distance table: it computes `d(q, p)` where it needs a new one,
+//! and holds O(|Q|² + |P|) numbers. Building it costs O(|Q|·|P|) distances
+//! and reads no pages.
+//!
+//! # The search
+//!
+//! Re-optimising runs dense Dijkstra on the |Q| + 2 nodes. Each settled
+//! node costs two loops over a row of nodes, written without branches so
+//! the compiler can vectorise them. Settled nodes hold NaN in the `open`
+//! distances, so no comparison picks or relaxes them. The pick is a
+//! minimum over several accumulators, then the first position that holds
+//! it, so ties go to the lower index. The relax is a select on the row of
+//! the cost matrix and writes no parent; only the rows and columns of `s`
+//! go through [`ProviderGraph::cost`]. Once the target settles, the path is
+//! traced back alone: a node's parent is the earliest settled node whose
+//! relaxation gives exactly its distance, which is the node a relax on
+//! strict improvement would have recorded. Unit tests check every search
+//! against that plain form, bit for bit.
 //!
 //! # Across events
 //!
@@ -87,31 +104,28 @@ impl Cand {
 /// promoted.
 const UNKNOWN: u32 = u32::MAX - 1;
 
-/// One `x → h` arc between groups, in 16 bytes: its cost, the customer
-/// behind it, and the runner-up's slot (`NONE` when there is none). The
-/// runner-up's cost is recomputed when it is needed.
+/// The runner-up slot of an arc whose best was just promoted.
+const UNKNOWN_SECOND: Cand = Cand {
+    cost: f64::INFINITY,
+    slot: UNKNOWN,
+};
+
+/// One `x → h` arc between groups, beside its cost in the cost matrix: the
+/// customer behind it, and the runner-up's slot (`NONE` when there is
+/// none) and cost. With the cost, 24 bytes.
 #[derive(Clone, Copy)]
 struct Arc {
-    cost: f64,
+    second_cost: f64,
     best: u32,
     second: u32,
 }
 
 /// The arc into an empty group.
 const NO_ARC: Arc = Arc {
-    cost: f64::INFINITY,
+    second_cost: f64::INFINITY,
     best: NONE,
     second: NONE,
 };
-
-impl Arc {
-    fn best(self) -> Cand {
-        Cand {
-            cost: self.cost,
-            slot: self.best,
-        }
-    }
-}
 
 /// A world, its matching as the provider graph, and the labels that
 /// certify the matching. Nodes are the providers `0..n`, then `t = n`, then
@@ -127,7 +141,10 @@ pub(super) struct ProviderGraph {
     members: Vec<Vec<u32>>,
     /// Customer slot → its index in its group's `members`.
     at: Vec<u32>,
-    /// `arcs[x·(n+1) + h]`, for groups `x ≠ h`.
+    /// `costs[x·(n+1) + h]`: the cost of `x → h` between groups; ∞ on the
+    /// diagonal and into an empty group.
+    costs: Vec<f64>,
+    /// The customers behind each cost.
     arcs: Vec<Arc>,
     label: Vec<f64>,
     /// Nodes whose in-arcs, and nodes whose out-arcs, may be negative.
@@ -137,9 +154,16 @@ pub(super) struct ProviderGraph {
     /// labels it started from: an abort rolls both back.
     undo: Vec<(u32, u32)>,
     saved: Vec<f64>,
+    /// The search's tentative distances; NaN once a node is settled.
+    open: Vec<f64>,
+    /// The distances of the settled nodes.
     dist: Vec<f64>,
-    done: Vec<bool>,
-    pred: Vec<u32>,
+    /// The settled nodes, in the order the search settled them.
+    settled: Vec<u32>,
+    /// The last search's path, from its target back to its root.
+    path: Vec<u32>,
+    /// `push`'s customers to move, as (slot, the group it joins).
+    moves: Vec<(u32, u32)>,
     pops: u64,
     /// The last solve's negative cycles cancelled.
     cycles: u64,
@@ -167,15 +191,18 @@ impl ProviderGraph {
             own: vec![0.0; len],
             members: vec![Vec::new(); n + 1],
             at: vec![0; len],
+            costs: vec![f64::INFINITY; (n + 1) * (n + 1)],
             arcs: vec![NO_ARC; (n + 1) * (n + 1)],
             label: vec![0.0; nodes],
             dirty_in: vec![true; nodes],
             dirty_out: vec![false; nodes],
             undo: Vec::new(),
             saved: vec![0.0; nodes],
+            open: vec![f64::INFINITY; nodes],
             dist: vec![0.0; nodes],
-            done: vec![false; nodes],
-            pred: vec![NONE; nodes],
+            settled: Vec::with_capacity(nodes),
+            path: Vec::with_capacity(nodes),
+            moves: Vec::new(),
             pops: 0,
             cycles: 0,
             relabels: 0,
@@ -377,7 +404,7 @@ impl ProviderGraph {
         while let Some((u, v, rc)) = self.most_negative_arc() {
             self.step(bound);
             self.search(v, u, -rc, ctx)?;
-            if self.done[u] && self.dist[u] + rc < -TOL {
+            if self.is_settled(u) && self.dist[u] + rc < -TOL {
                 self.relabel(self.dist[u]);
                 self.push(v, u, true);
                 self.cycles += 1;
@@ -391,7 +418,7 @@ impl ProviderGraph {
             self.step(bound);
             self.search(s, t, f64::INFINITY, ctx)?;
             assert!(
-                self.done[t],
+                self.is_settled(t),
                 "no augmenting path at size {} of γ = {gamma}",
                 self.size()
             );
@@ -434,11 +461,8 @@ impl ProviderGraph {
         if v == s {
             return (u < n && !self.members[u].is_empty()).then_some(0.0);
         }
-        if u == v {
-            return None;
-        }
-        let arc = self.arcs[u * (n + 1) + v];
-        (arc.best != NONE).then_some(arc.cost)
+        let cost = self.costs[u * (n + 1) + v];
+        cost.is_finite().then_some(cost)
     }
 
     fn reduced(&self, u: usize, v: usize) -> Option<f64> {
@@ -479,8 +503,14 @@ impl ProviderGraph {
         worst
     }
 
+    /// Whether the last search settled `v`.
+    fn is_settled(&self, v: usize) -> bool {
+        self.open[v].is_nan()
+    }
+
     /// Dense Dijkstra from `from` over the arcs of non-negative reduced
-    /// cost, settling nodes closer than `limit` until `to` is settled.
+    /// cost, settling nodes closer than `limit` until `to` is settled, and
+    /// then tracing the path to it.
     fn search(
         &mut self,
         from: usize,
@@ -488,46 +518,94 @@ impl ProviderGraph {
         limit: f64,
         ctx: Option<&QueryContext>,
     ) -> Result<(), Aborted> {
-        let nodes = self.label.len();
-        self.dist.fill(f64::INFINITY);
-        self.done.fill(false);
-        self.dist[from] = 0.0;
+        let n = self.providers.len();
+        let s = n + 1;
+        self.open.fill(f64::INFINITY);
+        self.open[from] = 0.0;
+        self.settled.clear();
+        self.path.clear();
         loop {
-            let mut u = NONE as usize;
-            let mut key = limit;
-            for (x, (&d, &done)) in self.dist.iter().zip(&self.done).enumerate() {
-                if !done && d < key {
-                    (u, key) = (x, d);
-                }
+            let key = least(&self.open);
+            if key >= limit {
+                break;
             }
-            if u == NONE as usize {
-                return Ok(());
-            }
+            let u = self
+                .open
+                .iter()
+                .position(|&d| d == key)
+                .expect("the least open distance is in `open`");
             self.pops += 1;
             if self.pops.is_multiple_of(64) {
                 if let Some(ctx) = ctx {
                     ctx.check()?;
                 }
             }
-            self.done[u] = true;
+            self.open[u] = f64::NAN;
+            self.dist[u] = key;
+            self.settled.push(u as u32);
             if u == to {
-                return Ok(());
+                self.trace(from, to);
+                break;
             }
-            for v in 0..nodes {
-                if self.done[v] {
-                    continue;
+            if u == s {
+                for q in 0..n {
+                    self.relax(s, q, key);
                 }
-                match self.reduced(u, v) {
-                    Some(rc) if rc >= -TOL => {
-                        let cand = key + rc.max(0.0);
-                        if cand < self.dist[v] {
-                            self.dist[v] = cand;
-                            self.pred[v] = u as u32;
-                        }
-                    }
-                    _ => {}
-                }
+                continue;
             }
+            let row = &self.costs[u * (n + 1)..][..n + 1];
+            let lu = self.label[u];
+            let open = self.open[..=n].iter_mut();
+            for ((open, &cost), &lv) in open.zip(row).zip(&self.label[..=n]) {
+                let rc = cost + lu - lv;
+                let cand = key + rc.max(0.0);
+                *open = if (rc >= -TOL) & (cand < *open) {
+                    cand
+                } else {
+                    *open
+                };
+            }
+            self.relax(u, s, key);
+        }
+        #[cfg(test)]
+        self.check_search(from, to, limit);
+        Ok(())
+    }
+
+    /// Relaxes `u → v` from `u` settled at `key`: the rows and columns of
+    /// `s`, one arc at a time.
+    fn relax(&mut self, u: usize, v: usize, key: f64) {
+        if let Some(rc) = self.reduced(u, v) {
+            let cand = key + rc.max(0.0);
+            if rc >= -TOL && cand < self.open[v] {
+                self.open[v] = cand;
+            }
+        }
+    }
+
+    /// The node the search reached settled node `x` from: the earliest
+    /// settled node whose relaxation gives exactly `x`'s distance, which is
+    /// the one a relax on strict improvement records.
+    fn parent(&self, x: usize) -> usize {
+        let gives = |u: usize| {
+            self.reduced(u, x)
+                .is_some_and(|rc| rc >= -TOL && self.dist[u] + rc.max(0.0) == self.dist[x])
+        };
+        self.settled
+            .iter()
+            .map(|&u| u as usize)
+            .take_while(|&u| u != x)
+            .find(|&u| gives(u))
+            .expect("a settled node other than the root has a parent")
+    }
+
+    /// Fills `path` with the search tree's path from `to` back to `from`.
+    fn trace(&mut self, from: usize, to: usize) {
+        let mut x = to;
+        self.path.push(x as u32);
+        while x != from {
+            x = self.parent(x);
+            self.path.push(x as u32);
         }
     }
 
@@ -535,42 +613,39 @@ impl ProviderGraph {
     /// `π + min(dist, b)` up to a constant, which keeps every non-negative
     /// arc non-negative and makes the search tree's arcs tight.
     fn relabel(&mut self, b: f64) {
-        for ((label, &d), &done) in self.label.iter_mut().zip(&self.dist).zip(&self.done) {
-            if done {
-                *label -= b - d;
-            }
+        for &v in &self.settled {
+            self.label[v as usize] -= b - self.dist[v as usize];
         }
     }
 
-    /// Pushes one unit from `from` to `to` along the search tree, and on
-    /// along the arc `to → from` when it closes a `cycle`. A cycle may carry
-    /// negative arcs into the customers it moves, so it marks their new
-    /// groups; an augmenting path runs when no arc is negative.
+    /// Pushes one unit from `from` to `to` along the last search's path,
+    /// and on along the arc `to → from` when it closes a `cycle`. A cycle
+    /// may carry negative arcs into the customers it moves, so it marks
+    /// their new groups; an augmenting path runs when no arc is negative.
     fn push(&mut self, from: usize, to: usize, cycle: bool) {
         let n = self.providers.len();
         let s = n + 1;
-        let mut arcs = Vec::new();
-        if cycle {
-            arcs.push((to, from));
-        }
-        let mut x = to;
-        while x != from {
-            let u = self.pred[x] as usize;
-            arcs.push((u, x));
-            x = u;
-        }
+        let mut moves = std::mem::take(&mut self.moves);
+        moves.clear();
         // The customers behind the arcs, all read before any moves.
-        let moves: Vec<(usize, usize)> = arcs
-            .iter()
-            .filter(|&&(u, v)| u != s && v != s)
-            .map(|&(u, v)| (self.arcs[u * (n + 1) + v].best as usize, u))
-            .collect();
-        for (slot, to) in moves {
+        let behind = |u: u32, v: u32| {
+            let (u, v) = (u as usize, v as usize);
+            (u != s && v != s).then(|| (self.arcs[u * (n + 1) + v].best, u as u32))
+        };
+        if cycle {
+            moves.extend(behind(to as u32, from as u32));
+        }
+        for step in self.path.windows(2) {
+            moves.extend(behind(step[1], step[0]));
+        }
+        for &(slot, to) in &moves {
+            let (slot, to) = (slot as usize, to as usize);
             self.undo.push((slot as u32, self.group[slot]));
             self.leave(slot);
             self.join(slot, to);
             self.dirty_in[to] |= cycle;
         }
+        self.moves = moves;
     }
 
     /// Keeps the labels bounded across events. A node that no arc enters
@@ -619,18 +694,17 @@ impl ProviderGraph {
             let at = x * (n + 1) + h;
             let arc = self.arcs[at];
             if arc.best == slot {
-                self.arcs[at] = match arc.second {
-                    UNKNOWN => {
-                        self.rescan(x, h);
-                        continue;
+                match arc.second {
+                    UNKNOWN => self.rescan(x, h),
+                    NONE => self.set(at, EMPTY, EMPTY),
+                    second => {
+                        let promoted = Cand {
+                            cost: arc.second_cost,
+                            slot: second,
+                        };
+                        self.set(at, promoted, UNKNOWN_SECOND);
                     }
-                    NONE => NO_ARC,
-                    second => Arc {
-                        cost: self.cand(x, second).cost,
-                        best: second,
-                        second: UNKNOWN,
-                    },
-                };
+                }
             } else if arc.second == slot {
                 self.arcs[at].second = UNKNOWN;
             }
@@ -650,17 +724,14 @@ impl ProviderGraph {
     /// of `x → h`, to that arc.
     fn offer(&mut self, x: usize, h: usize, cand: Cand) {
         let at = x * (self.providers.len() + 1) + h;
-        let arc = self.arcs[at];
-        if cand.before(arc.best()) {
+        let best = self.best(at);
+        if cand.before(best) {
             // The old best is at most every other member: the new
             // runner-up, whether the old runner-up was known or not.
-            self.arcs[at] = Arc {
-                cost: cand.cost,
-                best: cand.slot,
-                second: arc.best,
-            };
-        } else if arc.second != UNKNOWN && cand.before(self.cand(x, arc.second)) {
+            self.set(at, cand, best);
+        } else if self.arcs[at].second != UNKNOWN && cand.before(self.second(at)) {
             self.arcs[at].second = cand.slot;
+            self.arcs[at].second_cost = cand.cost;
         }
     }
 
@@ -680,21 +751,19 @@ impl ProviderGraph {
             let arc = self.arcs[at];
             if arc.best == from {
                 self.arcs[at].best = to;
-                continue;
-            }
-            let renamed = self.cand(x, to);
-            if arc.second == from {
-                if renamed.before(arc.best()) {
-                    self.arcs[at] = Arc {
-                        cost: renamed.cost,
-                        best: to,
-                        second: arc.best,
-                    };
+            } else if arc.second == from {
+                let renamed = Cand {
+                    cost: arc.second_cost,
+                    slot: to,
+                };
+                let best = self.best(at);
+                if renamed.before(best) {
+                    self.set(at, renamed, best);
                 } else {
                     self.arcs[at].second = to;
                 }
             } else {
-                self.offer(x, h, renamed);
+                self.offer(x, h, self.cand(x, to));
             }
         }
     }
@@ -709,6 +778,32 @@ impl ProviderGraph {
                 slot,
             },
         }
+    }
+
+    /// The best customer behind the arc at `at` in the matrix.
+    fn best(&self, at: usize) -> Cand {
+        Cand {
+            cost: self.costs[at],
+            slot: self.arcs[at].best,
+        }
+    }
+
+    /// The runner-up behind the arc at `at`, unless it is `UNKNOWN`.
+    fn second(&self, at: usize) -> Cand {
+        Cand {
+            cost: self.arcs[at].second_cost,
+            slot: self.arcs[at].second,
+        }
+    }
+
+    /// Sets the arc at `at` to `best` and `second`.
+    fn set(&mut self, at: usize, best: Cand, second: Cand) {
+        self.costs[at] = best.cost;
+        self.arcs[at] = Arc {
+            second_cost: second.cost,
+            best: best.slot,
+            second: second.slot,
+        };
     }
 
     /// Puts `slot` into group `h`, leaving the arcs as they are.
@@ -730,12 +825,7 @@ impl ProviderGraph {
                 second = cand;
             }
         }
-        let n = self.providers.len();
-        self.arcs[x * (n + 1) + h] = Arc {
-            cost: best.cost,
-            best: best.slot,
-            second: second.slot,
-        };
+        self.set(x * (self.providers.len() + 1) + h, best, second);
     }
 
     /// The optimality certificate, checked on the full graph from scratch:
@@ -775,6 +865,108 @@ impl ProviderGraph {
             }
         }
         Ok(())
+    }
+}
+
+/// The least of `open`, NaN skipped: a minimum over four accumulators, so
+/// the loop carries no branch and no chain of dependent compares.
+fn least(open: &[f64]) -> f64 {
+    let min = |m: f64, d: f64| if d < m { d } else { m };
+    let mut lanes = [f64::INFINITY; 4];
+    let mut chunks = open.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &d) in lanes.iter_mut().zip(chunk) {
+            *lane = min(*lane, d);
+        }
+    }
+    let rest = chunks.remainder().iter().copied();
+    lanes.into_iter().chain(rest).fold(f64::INFINITY, min)
+}
+
+#[cfg(test)]
+thread_local! {
+    static CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many searches this thread has checked against the reference.
+#[cfg(test)]
+pub(super) fn searches_checked() -> u64 {
+    CHECKED.with(std::cell::Cell::get)
+}
+
+#[cfg(test)]
+impl ProviderGraph {
+    /// The search in its plain form: every arc through `reduced`, and the
+    /// parent written on every strict improvement. Returns the distances,
+    /// the settled nodes and the parents.
+    fn reference_search(
+        &self,
+        from: usize,
+        to: usize,
+        limit: f64,
+    ) -> (Vec<f64>, Vec<bool>, Vec<u32>) {
+        let nodes = self.label.len();
+        let mut dist = vec![f64::INFINITY; nodes];
+        let mut done = vec![false; nodes];
+        let mut pred = vec![NONE; nodes];
+        dist[from] = 0.0;
+        loop {
+            let mut u = NONE as usize;
+            let mut key = limit;
+            for (x, (&d, &done)) in dist.iter().zip(&done).enumerate() {
+                if !done && d < key {
+                    (u, key) = (x, d);
+                }
+            }
+            if u == NONE as usize {
+                break;
+            }
+            done[u] = true;
+            if u == to {
+                break;
+            }
+            for v in 0..nodes {
+                if done[v] {
+                    continue;
+                }
+                match self.reduced(u, v) {
+                    Some(rc) if rc >= -TOL => {
+                        let cand = key + rc.max(0.0);
+                        if cand < dist[v] {
+                            dist[v] = cand;
+                            pred[v] = u as u32;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        (dist, done, pred)
+    }
+
+    /// Panics unless the search just run settled the nodes the reference
+    /// settles, at the same distance bits, and traces the reference's
+    /// parents along the path to `to`.
+    fn check_search(&self, from: usize, to: usize, limit: f64) {
+        let (dist, done, pred) = self.reference_search(from, to, limit);
+        for (v, (&d, &done)) in dist.iter().zip(&done).enumerate() {
+            let what = format!("search {from} → {to}, node {v}");
+            assert_eq!(self.is_settled(v), done, "{what}: settled");
+            if done {
+                assert_eq!(self.dist[v].to_bits(), d.to_bits(), "{what}: distance");
+            }
+        }
+        let mut want = Vec::new();
+        if done[to] {
+            let mut x = to;
+            want.push(x as u32);
+            while x != from {
+                x = pred[x] as usize;
+                want.push(x as u32);
+            }
+        }
+        assert_eq!(self.path, want, "search {from} → {to}: path");
+        CHECKED.with(|c| c.set(c.get() + 1));
     }
 }
 
@@ -907,11 +1099,9 @@ mod tests {
         graph.solve(None).unwrap();
         for slot in [0, 3, 1, 0, 2] {
             graph.depart(slot);
-            for (x, arc) in graph.arcs.iter().enumerate() {
-                let (x, h) = (
-                    x / (graph.providers.len() + 1),
-                    x % (graph.providers.len() + 1),
-                );
+            let groups = graph.providers.len() + 1;
+            for at in 0..groups * groups {
+                let (x, h) = (at / groups, at % groups);
                 if x == h {
                     continue;
                 }
@@ -922,9 +1112,14 @@ mod tests {
                         &assigned(&graph),
                     );
                     g.rescan(x, h);
-                    g.arcs[x * (graph.providers.len() + 1) + h].best()
+                    g.best(at)
                 };
-                assert_eq!(arc.best(), want, "arc {x}→{h} after departing slot {slot}");
+                let what = format!("arc {x}→{h} after departing slot {slot}");
+                assert_eq!(graph.best(at), want, "{what}");
+                let second = graph.second(at);
+                if second.slot != UNKNOWN {
+                    assert_eq!(second, graph.cand(x, second.slot), "{what}: runner-up");
+                }
             }
             graph.solve(None).unwrap();
             graph.certify().unwrap();

@@ -44,8 +44,8 @@ const COUNTS: Setting = Setting {
 
 /// The CPU-time claims, in release builds. At 0.02 Figure 8's 5 × 500
 /// instance is small enough for SSPA over its complete rows to beat every
-/// incremental algorithm at k ≥ 80. With three runs IDA vs NIA at k = 80 (≈ 0.88 of
-/// each other) failed one run in eight on a shared 2-core host.
+/// incremental algorithm at k ≥ 80. IDA and NIA are close at |Q| = 13, so
+/// Figure 8 compares them on runs of their own ([`best_cpu_alternating`]).
 const TIMING: Setting = Setting {
     scale: 0.05,
     runs: 5,
@@ -252,6 +252,30 @@ impl Figure {
     }
 }
 
+/// The best CPU time of `a` and of `b` over `runs` runs of each on one
+/// fresh instance of `cfg`, the two taking turns (and turns at going
+/// first), so a stretch of a slow host slows both.
+fn best_cpu_alternating(
+    cfg: &WorkloadConfig,
+    a: &SolverConfig,
+    b: &SolverConfig,
+    runs: usize,
+) -> (f64, f64) {
+    let instance = build_instance(cfg);
+    let cpu = |c: &SolverConfig| measure(&instance, c).cpu_s;
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for run in 0..runs {
+        if run % 2 == 0 {
+            best_a = best_a.min(cpu(a));
+            best_b = best_b.min(cpu(b));
+        } else {
+            best_b = best_b.min(cpu(b));
+            best_a = best_a.min(cpu(a));
+        }
+    }
+    (best_a, best_b)
+}
+
 /// Runs `configs` on a fresh instance of every data point's workload.
 fn sweep<X: ToString>(
     s: Setting,
@@ -306,7 +330,8 @@ fn distribution_points(s: Setting) -> (Setting, Vec<(String, WorkloadConfig)>) {
 /// memory-resident instance (paper: |Q| = 250, |P| = 25 K). "Our methods
 /// are one to three orders of magnitude faster than SSPA" (§5.2). RIA's
 /// weakness is I/O, not CPU (§3.2), so the CPU comparison among them is IDA
-/// vs NIA. Every claim is on CPU time, so the figure runs in release only.
+/// vs NIA, on the best of three alternating runs of each. Every claim is on
+/// CPU time, so the figure runs in release only.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing test: run with --release")]
 fn fig08() {
@@ -316,13 +341,16 @@ fn fig08() {
     configs.extend(s.exact_algorithms());
     let points = K_RANGE.map(|k| (k, workload(nq, np, Fixed(k))));
     let title = format!("Figure 8: CPU time vs k (|Q| = {nq}, |P| = {np})");
-    let mut f = sweep(s, &configs, points);
-    for k in K_RANGE {
+    let mut f = sweep(s, &configs, points.clone());
+    let (ida, nia) = (SolverConfig::new("ida"), SolverConfig::new("nia"));
+    for (k, cfg) in points {
         let cpu = |series| f.get(series, k).cpu_s;
         let beat = ["RIA", "NIA", "IDA"]
             .into_iter()
             .all(|a| cpu(a) < cpu("SSPA"));
-        let le_nia = cpu("IDA") <= cpu("NIA") * 1.05;
+        let (ida_s, nia_s) = best_cpu_alternating(&cfg, &ida, &nia, 3);
+        println!("k={k}: IDA {ida_s:.4} s, NIA {nia_s:.4} s (best of 3 alternating runs)");
+        let le_nia = ida_s <= nia_s * 1.05;
         f.check(beat, format!("k={k}: RIA, NIA, IDA beat SSPA in CPU time"));
         f.check(le_nia, format!("k={k}: IDA's CPU time is at most NIA's"));
     }
